@@ -1,6 +1,7 @@
 """Noisy pulse-level simulation and projective measurement."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from su4c.experiment import (
     setting_probabilities,
 )
 from su4c.experiment import _setting_frame  # shared with tomography; pinned here
-from su4c.gates import r_gate
+from su4c.gates import G_GATE, embed, r_gate, rz_gate
 from su4c.haar import SeededRng, sample_su4
 from su4c.linalg import kron
 
@@ -40,6 +41,107 @@ def random_density(rng):
 def ideal_output(u, label):
     psi = u @ input_state(label)
     return np.outer(psi, psi.conj())
+
+
+def reference_channel(rho, pulses, noise, rng):
+    """The noise model as the module docstring states it, on a density
+    matrix: conjugation pulse by pulse with one normal draw per R pulse,
+    a mix toward I/4 after every G, damping on each qubit at the end."""
+    for pulse in pulses:
+        if pulse.kind == "R":
+            theta = pulse.theta
+            if noise.overrotation_sigma > 0.0:
+                theta *= 1.0 + rng.generator.normal(0.0, noise.overrotation_sigma)
+            u = embed(r_gate(theta, pulse.phi), pulse.target)
+        elif pulse.kind == "Rz":
+            u = embed(rz_gate(pulse.phiz), pulse.target)
+        else:
+            u = G_GATE
+        rho = u @ rho @ u.conj().T
+        if pulse.kind == "G":
+            p = noise.depolarizing_per_g
+            rho = (1.0 - p) * rho + p * I4 / 4.0
+    gamma = noise.damping_per_circuit
+    k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]])
+    k1 = np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]])
+    out = np.zeros((4, 4), dtype=complex)
+    for ka in (k0, k1):
+        for kb in (k0, k1):
+            k = np.kron(ka, kb)
+            out += k @ rho @ k.conj().T
+    return out
+
+
+# run_experiment records of fixed cases, captured from the per-setting,
+# per-pulse density-matrix simulation: (Haar seed, label, noise, shots,
+# rng seed, the nine count tuples). Equal counts pin the order of the draws.
+GOLDEN_RECORDS = {
+    "sigma-only": (
+        11, ("plus", "down"), NoiseModel(overrotation_sigma=0.08), 100, 101,
+        (
+            (3, 44, 10, 43), (26, 12, 48, 14), (27, 16, 17, 40),
+            (11, 74, 6, 9), (68, 20, 6, 6), (32, 60, 0, 8),
+            (7, 29, 3, 61), (31, 4, 39, 26), (17, 26, 21, 36),
+        ),
+    ),
+    "depolarizing-only": (
+        12, ("minus_i", "up"), NoiseModel(depolarizing_per_g=0.1), 100, 102,
+        (
+            (21, 29, 19, 31), (11, 51, 35, 3), (20, 28, 26, 26),
+            (20, 12, 13, 55), (18, 18, 29, 35), (4, 27, 44, 25),
+            (9, 45, 28, 18), (27, 27, 21, 25), (21, 44, 28, 7),
+        ),
+    ),
+    "damping-only": (
+        13, ("down", "plus"), NoiseModel(damping_per_circuit=0.2), 100, 103,
+        (
+            (29, 24, 18, 29), (5, 41, 10, 44), (8, 39, 16, 37),
+            (13, 23, 32, 32), (10, 22, 10, 58), (10, 25, 11, 54),
+            (30, 50, 10, 10), (19, 66, 1, 14), (19, 71, 5, 5),
+        ),
+    ),
+    "calibrated-100": (
+        14, ("up", "minus_i"), CALIBRATED_NOISE, 100, 104,
+        (
+            (26, 26, 31, 17), (30, 20, 29, 21), (37, 10, 11, 42),
+            (18, 38, 37, 7), (46, 14, 15, 25), (27, 24, 30, 19),
+            (43, 25, 16, 16), (49, 10, 11, 30), (32, 31, 9, 28),
+        ),
+    ),
+    "noiseless-100": (
+        15, ("plus", "plus"), NoiseModel(), 100, 105,
+        (
+            (71, 18, 3, 8), (74, 11, 8, 7), (36, 50, 14, 0),
+            (51, 5, 21, 23), (48, 10, 40, 2), (37, 25, 12, 26),
+            (47, 17, 30, 6), (72, 2, 19, 7), (42, 26, 5, 27),
+        ),
+    ),
+    "calibrated-1": (
+        16, ("minus_i", "down"), CALIBRATED_NOISE, 1, 106,
+        (
+            (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 1, 0),
+            (0, 1, 0, 0), (0, 0, 0, 1), (1, 0, 0, 0),
+            (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1),
+        ),
+    ),
+    "calibrated-1500": (
+        17, ("down", "up"), CALIBRATED_NOISE, 1500, 107,
+        (
+            (165, 107, 1153, 75), (123, 132, 679, 566), (119, 126, 513, 742),
+            (708, 80, 624, 88), (412, 346, 388, 354), (348, 390, 290, 472),
+            (622, 76, 711, 91), (354, 354, 438, 354), (300, 418, 344, 438),
+        ),
+    ),
+    "no-sigma-1500": (
+        18, ("up", "plus"),
+        NoiseModel(depolarizing_per_g=0.05, damping_per_circuit=0.1), 1500, 108,
+        (
+            (286, 218, 937, 59), (406, 109, 536, 449), (326, 175, 600, 399),
+            (931, 156, 313, 100), (842, 241, 113, 304), (671, 423, 254, 152),
+            (671, 187, 535, 107), (557, 330, 398, 215), (727, 176, 215, 382),
+        ),
+    ),
+}
 
 
 class TestInputStates:
@@ -159,6 +261,22 @@ class TestApplyChannel:
         with pytest.raises(ValueError):
             apply_channel(rho, pulses, NoiseModel(overrotation_sigma=0.1))
 
+    def test_matches_density_matrix_reference(self):
+        # the folded end-of-circuit depolarization and the state-vector
+        # evolution against per-pulse conjugation, with the same draws
+        rng = SeededRng(331)
+        for trial in range(200):
+            pulses = lower_to_pulses(decompose(sample_su4(rng)))
+            rho = random_density(rng)
+            on = rng.generator.random(3) < 0.75  # each term sometimes off
+            sigma, p, gamma = rng.generator.uniform(0.0, [0.3, 0.5, 0.5]) * on
+            noise = NoiseModel(float(sigma), float(p), float(gamma))
+            a, b = SeededRng(1000 + trial), SeededRng(1000 + trial)
+            out = apply_channel(rho, pulses, noise, a)
+            ref = reference_channel(rho, pulses, noise, b)
+            assert np.max(np.abs(out - ref)) < 1e-12
+            assert a.generator.random() == b.generator.random()  # as many draws
+
     def test_rejects_invalid_state(self):
         pulses = lower_to_pulses(decompose(I4))
         with pytest.raises(ValueError):
@@ -273,6 +391,27 @@ class TestRunExperiment:
     def test_rejects_nonpositive_shots(self):
         with pytest.raises(ValueError):
             run_experiment(I4, ("up", "up"), NoiseModel(), 0, SeededRng(1))
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RECORDS))
+    def test_golden_counts(self, name):
+        haar, label, noise, shots, seed, expected = GOLDEN_RECORDS[name]
+        records = run_experiment(
+            sample_su4(SeededRng(haar)), label, noise, shots, SeededRng(seed)
+        )
+        assert tuple(r.counts for r in records) == expected
+        assert all(isinstance(c, int) for r in records for c in r.counts)
+
+    def test_memory_bounded_in_shots(self):
+        u = sample_su4(SeededRng(337))
+        label = ("plus", "up")
+        run_experiment(u, label, CALIBRATED_NOISE, 10, SeededRng(1))  # warm
+        tracemalloc.start()
+        try:
+            run_experiment(u, label, CALIBRATED_NOISE, 20_000, SeededRng(347))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestExactExperiment:
