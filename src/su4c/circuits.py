@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL
 from .gates import (
-    G_GATE,
     GateElement,
     PAULI_Z,
     ClassParams,
@@ -31,7 +30,7 @@ from .gates import (
     r_gate,
     rz_gate,
 )
-from .linalg import special_unitary_projection, su2_params
+from .linalg import _special_unitary_projection, _su2_params
 
 __all__ = [
     "LocalGate",
@@ -42,8 +41,6 @@ __all__ = [
     "compose_pulses",
     "PULSE_COUNT",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -86,24 +83,17 @@ def circuit_to_unitary(params: CircuitParams) -> np.ndarray:
     return params.global_phase * post @ v @ pre
 
 
-def r_pulse_triple(theta: float, phi: float) -> list[GateElement]:
+def r_pulse_triple(theta: float, phi: float, target: int = 0) -> list[GateElement]:
     """R(theta, phi) out of two calibrated pi/2 pulses and a frame advance:
 
         R(theta, phi) = R(pi/2, phi + pi/2) Rz(theta) R(pi/2, phi - pi/2)
 
-    Returned in application order. Exact for every (theta, phi).
+    Returned in application order, on qubit target. Exact for every (theta, phi).
     """
     return [
-        GateElement("R", theta=math.pi / 2.0, phi=(phi - math.pi / 2.0) % TWO_PI, target=0),
-        GateElement("Rz", phiz=theta % TWO_PI, target=0),
-        GateElement("R", theta=math.pi / 2.0, phi=(phi + math.pi / 2.0) % TWO_PI, target=0),
-    ]
-
-
-def _retarget(elems: list[GateElement], target: int) -> list[GateElement]:
-    return [
-        GateElement(e.kind, theta=e.theta, phi=e.phi, phiz=e.phiz, target=target)
-        for e in elems
+        GateElement("R", theta=math.pi / 2.0, phi=(phi - math.pi / 2.0) % math.tau, target=target),
+        GateElement("Rz", phiz=theta % math.tau, target=target),
+        GateElement("R", theta=math.pi / 2.0, phi=(phi + math.pi / 2.0) % math.tau, target=target),
     ]
 
 
@@ -113,9 +103,9 @@ def _slot_pulses(m: np.ndarray, target: int) -> list[GateElement]:
     The slot is phase-normalized first; the dropped scalar only shifts the
     program's global phase. Emits a fixed element count regardless of angles.
     """
-    su, _ = special_unitary_projection(m)
-    theta, phi, phiz, _ = su2_params(su)
-    out = _retarget(r_pulse_triple(theta, phi), target)
+    su, _ = _special_unitary_projection(m, DEFAULT_TOL)
+    theta, phi, phiz, _ = _su2_params(su, DEFAULT_TOL)
+    out = r_pulse_triple(theta, phi, target)
     out.append(GateElement("Rz", phiz=phiz, target=target))
     return out
 

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -101,18 +100,6 @@ def _resolve_noise(source: str) -> tuple[NoiseModel, dict]:
     return model, {"source": "file", "hash": content_hash(raw)}
 
 
-def _noise_obj(noise: NoiseModel) -> dict:
-    return {
-        "overrotation_sigma": noise.overrotation_sigma,
-        "depolarizing_per_g": noise.depolarizing_per_g,
-        "damping_per_circuit": noise.damping_per_circuit,
-    }
-
-
-def _tolerances_obj(tol: Tolerances) -> dict:
-    return {k: v for k, v in dataclasses.asdict(tol).items()}
-
-
 def _pulse_obj(pulse) -> dict:
     out = {"kind": pulse.kind, "target": pulse.target}
     if pulse.kind == "R":
@@ -153,7 +140,7 @@ def _cmd_compile(args) -> int:
     out = {
         "command": "compile",
         "input_hash": input_hash,
-        "tolerances": _tolerances_obj(tol),
+        "tolerances": asdict(tol),
         "circuit": circuit_to_obj(params),
         "verify": {
             "distance": report.distance,
@@ -206,7 +193,7 @@ def _cmd_benchmark(args) -> int:
         "shots": args.shots,
         "method": args.method,
         "exact_probabilities": args.exact_probabilities,
-        "noise": _noise_obj(noise),
+        "noise": asdict(noise),
         "noise_meta": noise_meta,
     }
     input_hash = content_hash(json.dumps(header, sort_keys=True))
@@ -240,7 +227,7 @@ def _cmd_benchmark(args) -> int:
     out.update(
         {
             "input_hash": input_hash,
-            "tolerances": _tolerances_obj(tol),
+            "tolerances": asdict(tol),
             "operations": operations,
             "mean_fidelity": float(arr.mean()),
             "std_fidelity": float(arr.std()),
@@ -292,10 +279,10 @@ def _cmd_process_tomo(args) -> int:
         "shots": args.shots,
         "method": args.method,
         "exact_probabilities": args.exact_probabilities,
-        "noise": _noise_obj(noise),
+        "noise": asdict(noise),
         "noise_meta": noise_meta,
         "input_hash": input_hash,
-        "tolerances": _tolerances_obj(tol),
+        "tolerances": asdict(tol),
         "entanglement_fidelity": f_ent,
         "mean_state_fidelity": mean_state_fidelity(est, ideal),
         "mean_fidelity_from_entanglement": mean_fidelity_from_entanglement(f_ent),

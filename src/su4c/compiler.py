@@ -20,19 +20,19 @@ from .config import DEFAULT_TOL, Tolerances
 from .gates import (
     ClassParams,
     _canonical_phase,
+    _class_spectrum,
     canonical_v,
-    class_spectrum,
     from_magic,
     to_magic,
 )
 from .linalg import (
     _as_complex,
+    _factor_tensor_product,
     _require_unitary,
-    factor_tensor_product,
+    _special_unitary_projection,
+    _su2_params,
     nearest_unitary,
     phase_invariant_distance,
-    special_unitary_projection,
-    su2_params,
 )
 
 __all__ = [
@@ -43,8 +43,6 @@ __all__ = [
     "decompose",
     "verify",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 
 class RealityViolationError(ValueError):
@@ -57,7 +55,7 @@ class RealityViolationError(ValueError):
 
 def _wrap_distance(a: float, b: float) -> float:
     """Circular distance between two phases."""
-    return abs(math.remainder(a - b, TWO_PI))
+    return abs(math.remainder(a - b, math.tau))
 
 
 def local_invariants(u, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -70,9 +68,12 @@ def local_invariants(u, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """
     m = _as_complex(u)
     _require_unitary(m, tol.unitarity, "local_invariants input")
-    su, _ = special_unitary_projection(m, tol)
-    spectrum = class_spectrum(su, tol)
-    return np.sort(spectrum.phases)
+    return _local_invariants(m, tol)
+
+
+def _local_invariants(m: np.ndarray, tol: Tolerances) -> np.ndarray:
+    su, _ = _special_unitary_projection(m, tol)
+    return np.sort(_class_spectrum(su, tol).phases)
 
 
 def class_parameters(u, tol: Tolerances = DEFAULT_TOL) -> ClassParams:
@@ -82,10 +83,13 @@ def class_parameters(u, tol: Tolerances = DEFAULT_TOL) -> ClassParams:
     labels the same class, this fixed one keeps the output deterministic.
     Results are wrapped into [0, 2pi).
     """
-    s = local_invariants(u, tol)
-    alpha = 0.5 * (s[0] + s[1]) % TWO_PI
-    beta = 0.5 * (s[0] + s[2]) % TWO_PI
-    delta = 0.5 * (s[1] + s[2]) % TWO_PI
+    return _class_angles(local_invariants(u, tol))
+
+
+def _class_angles(s: np.ndarray) -> ClassParams:
+    alpha = 0.5 * (s[0] + s[1]) % math.tau
+    beta = 0.5 * (s[0] + s[2]) % math.tau
+    delta = 0.5 * (s[1] + s[2]) % math.tau
     return ClassParams(alpha, beta, delta)
 
 
@@ -129,24 +133,24 @@ def decompose(u, tol: Tolerances = DEFAULT_TOL) -> CircuitParams:
     """
     m = _as_complex(u)
     _require_unitary(m, tol.unitarity, "decompose input")
-    su, zeta = special_unitary_projection(m, tol)
+    su, zeta = _special_unitary_projection(m, tol)
 
-    params = class_parameters(su, tol)
+    # su is re-projected here on purpose: doing so moves phases that sit on
+    # the branch cut, and reusing the spectrum below would change the output.
+    params = _class_angles(_local_invariants(su, tol))
     mu = _canonical_phase(params)
     # conj(mu) puts the representative on the same determinant sheet as su,
     # so the two symmetric products have identical eigenvalues.
     v_comp = np.conj(mu) * canonical_v(params)
 
-    eig_u = class_spectrum(su, tol)
-    eig_v = class_spectrum(v_comp, tol)
+    eig_u = _class_spectrum(su, tol)
+    eig_v = _class_spectrum(v_comp, tol)
     perm = _match_columns(eig_u.phases, eig_v.phases, 1e-6)
 
-    frame_u = eig_u.vectors.copy()
+    frame_u = eig_u.vectors  # det +1 by construction
     frame_v = eig_v.vectors[:, perm]
-    # Both frames must be rotations; negating one column flips an improper
-    # frame without disturbing the diagonalization.
-    if np.linalg.det(frame_u) < 0:
-        frame_u[:, -1] = -frame_u[:, -1]
+    # The permutation can make frame_v improper; negating one column restores
+    # a rotation without disturbing the diagonalization.
     if np.linalg.det(frame_v) < 0:
         frame_v[:, -1] = -frame_v[:, -1]
 
@@ -164,11 +168,11 @@ def decompose(u, tol: Tolerances = DEFAULT_TOL) -> CircuitParams:
 
     post = from_magic(post_m)
     pre = from_magic(pre_m)
-    c_mat, d_mat, phase_cd = factor_tensor_product(post, tol)
-    a_mat, b_mat, phase_ab = factor_tensor_product(pre, tol)
+    c_mat, d_mat, phase_cd = _factor_tensor_product(post, tol)
+    a_mat, b_mat, phase_ab = _factor_tensor_product(pre, tol)
 
     letters = [
-        LocalGate(*su2_params(x, tol)) for x in (a_mat, b_mat, c_mat, d_mat)
+        LocalGate(*_su2_params(x, tol)) for x in (a_mat, b_mat, c_mat, d_mat)
     ]
     global_phase = complex(zeta * phase_cd * phase_ab * np.conj(mu))
     return CircuitParams(
@@ -204,11 +208,11 @@ def verify(
     distance = phase_invariant_distance(m, composed)
 
     _require_unitary(m, tol.input_unitarity, "verify target")
-    inv_u = local_invariants(nearest_unitary(m), tol)
-    inv_c = local_invariants(composed, tol)
+    inv_u = _local_invariants(nearest_unitary(m), tol)
+    inv_c = _local_invariants(composed, tol)
     errors = []
     for shift in (0.0, math.pi):
-        shifted = np.sort([math.remainder(p + shift, TWO_PI) for p in inv_c])
+        shifted = np.sort([math.remainder(p + shift, math.tau) for p in inv_c])
         errors.append(
             max(_wrap_distance(a, b) for a, b in zip(inv_u, shifted))
         )

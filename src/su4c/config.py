@@ -1,8 +1,9 @@
 """Central tolerance configuration.
 
-Every numerical threshold used by the library lives in one frozen record so
-that callers can tighten or relax the whole stack coherently instead of
-hunting for scattered magic numbers.
+The thresholds a caller may want to tune live in one frozen record, so the
+whole stack can be tightened or relaxed coherently. A few internal limits
+with a single sensible value (eigenphase pairing, sign fixes, singular
+blocks, the Jacobi floor) stay literals next to the code that uses them.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ class Tolerances:
         unitary on input.
     symmetry:
         Max-norm bound on ``M - M.T`` for matrices required to be symmetric.
-    reconstruction:
-        Acceptable residual when rebuilding a matrix from an eigensystem.
     determinant:
         Acceptable deviation of a determinant from its target value.
     su2_det:
@@ -58,7 +57,6 @@ class Tolerances:
 
     unitarity: float = 1e-8
     symmetry: float = 1e-8
-    reconstruction: float = 1e-9
     determinant: float = 1e-10
     su2_det: float = 1e-9
     angle_snap: float = 1e-9

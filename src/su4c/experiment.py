@@ -39,7 +39,7 @@ from .compiler import decompose
 from .config import DEFAULT_TOL, Tolerances
 from .gates import G_GATE, r_gate, rz_gate
 from .haar import SeededRng
-from .linalg import _as_complex, _require_unitary, nearest_unitary
+from .linalg import _as_complex, _require_unitary, check_density_matrix, nearest_unitary
 
 __all__ = [
     "STATE_LABELS",
@@ -77,6 +77,12 @@ _PREROTATION = {
     "X": r_gate(math.pi / 2.0, math.pi / 2.0),
     "Y": r_gate(math.pi / 2.0, 0.0),
 }
+
+# Prerotation frame of each entry of MEASUREMENT_SETTINGS, in order, (9, 4, 4).
+_SETTING_FRAMES = np.array(
+    [np.kron(_PREROTATION[a], _PREROTATION[b]) for a, b in MEASUREMENT_SETTINGS]
+)
+_SETTING_FRAMES.flags.writeable = False
 
 # Most shots evolved at once: bounds memory at any shot count and still
 # runs the nine settings of a 100-shot experiment as one block.
@@ -154,17 +160,6 @@ class MeasurementRecord:
         return np.asarray(self.counts, dtype=float) / total
 
 
-def _check_density(rho: np.ndarray, tol: Tolerances, what: str) -> np.ndarray:
-    m = _as_complex(rho)
-    if np.max(np.abs(m - m.conj().T)) > 1e-9:
-        raise ValueError(f"{what} is not Hermitian")
-    if abs(np.trace(m).real - 1.0) > 1e-9 or abs(np.trace(m).imag) > 1e-9:
-        raise ValueError(f"{what} does not have unit trace")
-    if np.min(np.linalg.eigvalsh(m)) < -1e-9:
-        raise ValueError(f"{what} has a negative eigenvalue")
-    return m
-
-
 def _damping_kraus(gamma: float) -> np.ndarray:
     """The four Kraus operators of amplitude damping on both qubits, (4, 4, 4)."""
     k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=complex)
@@ -211,8 +206,7 @@ def _evolve(psi: np.ndarray, pulses, eps: np.ndarray) -> np.ndarray:
 def _frames(gamma: float) -> np.ndarray:
     """(9, 16, 4): per setting, the products W K of its frame W with each
     damping Kraus operator K, rows stacked."""
-    w = np.array([_setting_frame(s) for s in MEASUREMENT_SETTINGS])
-    return (w[:, None] @ _damping_kraus(gamma)).reshape(len(w), 16, 4)
+    return (_SETTING_FRAMES[:, None] @ _damping_kraus(gamma)).reshape(-1, 16, 4)
 
 
 def _probabilities(frame: np.ndarray, psi: np.ndarray, q: float) -> np.ndarray:
@@ -230,14 +224,13 @@ def apply_channel(
     pulses: Sequence[GateElement],
     noise: NoiseModel,
     rng: SeededRng | None = None,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> np.ndarray:
     """One noise realization of the pulse sequence acting on rho.
 
     rng may be omitted only when the noise model draws nothing
     (overrotation_sigma == 0).
     """
-    m = _check_density(rho, tol, "apply_channel input")
+    m = check_density_matrix(rho, atol=1e-9)
     if noise.overrotation_sigma > 0.0 and rng is None:
         raise ValueError("stochastic noise requires an rng")
     eps = _overrotations(pulses, noise, rng, 1)  # one draw for every column
@@ -251,10 +244,10 @@ def apply_channel(
 
 def _setting_frame(setting: Sequence[str]) -> np.ndarray:
     a, b = setting
-    try:
-        return np.kron(_PREROTATION[a], _PREROTATION[b])
-    except KeyError as exc:
-        raise ValueError(f"unknown measurement axis {exc.args[0]!r}") from None
+    for axis in (a, b):
+        if axis not in _PREROTATION:
+            raise ValueError(f"unknown measurement axis {axis!r}")
+    return _SETTING_FRAMES[MEASUREMENT_SETTINGS.index((a, b))]
 
 
 def setting_probabilities(rho: np.ndarray, setting: Sequence[str]) -> np.ndarray:

@@ -14,7 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .linalg import EigenSystem, _as_complex, joint_real_diagonalization
+from .linalg import (
+    EigenSystem,
+    _as_complex,
+    _joint_real_diagonalization,
+    joint_real_diagonalization,
+)
 
 __all__ = [
     "PAULI_X",
@@ -203,3 +208,8 @@ def class_spectrum(u, tol: Tolerances = DEFAULT_TOL) -> EigenSystem:
     if abs(det - 1.0) > tol.determinant:
         raise ValueError(f"class_spectrum needs determinant 1, got {det}")
     return joint_real_diagonalization(m @ m.T, tol)
+
+
+def _class_spectrum(u: np.ndarray, tol: Tolerances) -> EigenSystem:
+    m = to_magic(u)
+    return _joint_real_diagonalization(m @ m.T, tol)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .linalg import special_unitary_projection
+from .linalg import _special_unitary_projection
 
 __all__ = ["SeededRng", "sample_su4"]
 
@@ -51,5 +51,5 @@ def sample_su4(rng: SeededRng, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     q = q * (d / np.abs(d))
-    su, _ = special_unitary_projection(q, tol)
+    su, _ = _special_unitary_projection(q, tol)
     return su

@@ -4,6 +4,10 @@ The routines here are deliberately convention-heavy: canonical orderings,
 branch cuts and sign fixes are all pinned down so that the decomposition
 built on top of them is deterministic. Everything operates on plain numpy
 arrays.
+
+Each public function checks its input. Its private twin of the same name
+with a leading underscore is the same computation without the checks, for
+matrices the package built itself and knows to be valid.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ __all__ = [
     "NotUnitaryError",
     "NotAProductError",
     "EigenSystem",
+    "check_density_matrix",
     "kron",
     "is_unitary",
     "nearest_unitary",
@@ -78,6 +83,18 @@ def kron(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
+def check_density_matrix(rho: np.ndarray, atol: float = 1e-10) -> np.ndarray:
+    """Validate Hermiticity, unit trace, and positivity; returns the array."""
+    m = _as_complex(rho)
+    if np.max(np.abs(m - m.conj().T)) > atol:
+        raise ValueError("density matrix is not Hermitian")
+    if abs(np.trace(m) - 1.0) > atol:
+        raise ValueError("density matrix trace is not 1")
+    if np.min(np.linalg.eigvalsh(m)) < -atol:
+        raise ValueError("density matrix has a negative eigenvalue")
+    return m
+
+
 def nearest_unitary(m) -> np.ndarray:
     """Polar projection onto the unitary group (drops singular-value spread)."""
     m = _as_complex(m)
@@ -98,6 +115,10 @@ def special_unitary_projection(
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {u.shape}")
     _require_unitary(u, tol.unitarity, "special_unitary_projection input")
+    return _special_unitary_projection(u, tol)
+
+
+def _special_unitary_projection(u: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, complex]:
     n = u.shape[0]
     det = np.linalg.det(u)
     # Principal root: divide the argument, fold ties at -pi/n up to +pi/n.
@@ -133,9 +154,10 @@ def _pair_angle(z: complex, b: complex) -> float:
     return 0.5 * math.atan2(b.imag, z.imag)
 
 
-def _jacobi_polish(w: np.ndarray, basis: np.ndarray, floor: float = 1e-13) -> np.ndarray:
+def _jacobi_polish(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Drive the off-diagonal of ``basis.T @ w @ basis`` to the noise floor
     with exact-angle real Jacobi rotations. Returns the updated basis."""
+    floor = 1e-13  # off-diagonal level, relative to the largest entry
     n = w.shape[0]
     basis = basis.copy()
     cur = basis.T @ w @ basis
@@ -203,10 +225,13 @@ def joint_real_diagonalization(
     if np.max(np.abs(w - w.T)) > tol.symmetry:
         raise ValueError("input is not symmetric")
     _require_unitary(w, tol.unitarity, "joint_real_diagonalization input")
+    return _joint_real_diagonalization(w, tol)
+
+
+def _joint_real_diagonalization(w: np.ndarray, tol: Tolerances) -> EigenSystem:
     w = 0.5 * (w + w.T)
 
-    mix = w.real + _MIX * w.imag
-    mix = 0.5 * (mix + mix.T)
+    mix = w.real + _MIX * w.imag  # exactly symmetric, as w is
     _, basis = np.linalg.eigh(mix)
     basis = _jacobi_polish(w, basis)
 
@@ -240,7 +265,12 @@ def factor_tensor_product(
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
     _require_unitary(m, tol.unitarity, "factor_tensor_product input")
+    return _factor_tensor_product(m, tol)
 
+
+def _factor_tensor_product(
+    m: np.ndarray, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray, complex]:
     blocks = [[m[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] for j in range(2)] for i in range(2)]
     norms = np.array([[np.linalg.norm(blocks[i][j]) for j in range(2)] for i in range(2)])
     bi, bj = np.unravel_index(int(np.argmax(norms)), (2, 2))
@@ -318,8 +348,10 @@ def su2_params(
     _require_unitary(m, tol.unitarity, "su2_params input")
     if abs(np.linalg.det(m) - 1.0) > tol.su2_det:
         raise ValueError("su2_params requires determinant 1")
+    return _su2_params(m, tol)
 
-    two_pi = 2.0 * math.pi
+
+def _su2_params(m: np.ndarray, tol: Tolerances) -> tuple[float, float, float, int]:
     # sign * Rz(phiz) R(theta, phi) has entries
     #   m00 = s e^{-i phiz/2} cos(theta/2)
     #   m10 = s e^{+i phiz/2} (-i e^{i phi}) sin(theta/2)
@@ -331,19 +363,19 @@ def su2_params(
         if psi <= 0.0:
             sign, phiz = 1, -2.0 * psi
         else:
-            sign, phiz = -1, two_pi - 2.0 * psi
-        return 0.0, 0.0, phiz % two_pi, sign
+            sign, phiz = -1, math.tau - 2.0 * psi
+        return 0.0, 0.0, phiz % math.tau, sign
 
     if theta > math.pi - tol.angle_snap:
         # Anti-diagonal matrix: phiz is degenerate with phi, push it to 0.
-        phi = (float(np.angle(m[1, 0])) + math.pi / 2.0) % two_pi
+        phi = (float(np.angle(m[1, 0])) + math.pi / 2.0) % math.tau
         return math.pi, phi, 0.0, 1
 
     psi = float(np.angle(m[0, 0]))  # equals arg(sign) - phiz/2
     if psi <= 0.0:
         sign, phiz = 1, -2.0 * psi
     else:
-        sign, phiz = -1, two_pi - 2.0 * psi
+        sign, phiz = -1, math.tau - 2.0 * psi
     sign_arg = 0.0 if sign == 1 else math.pi
-    phi = (float(np.angle(m[1, 0])) - sign_arg - phiz / 2.0 + math.pi / 2.0) % two_pi
-    return theta, phi, phiz % two_pi, sign
+    phi = (float(np.angle(m[1, 0])) - sign_arg - phiz / 2.0 + math.pi / 2.0) % math.tau
+    return theta, phi, phiz % math.tau, sign

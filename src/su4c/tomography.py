@@ -21,13 +21,11 @@ import numpy as np
 from .config import DEFAULT_TOL, Tolerances
 from .experiment import (
     MEASUREMENT_SETTINGS,
-    TOMOGRAPHY_INPUT_LABELS,
-    InputStateLabel,
     MeasurementRecord,
-    _setting_frame,
+    _SETTING_FRAMES,
     input_state,
 )
-from .linalg import _as_complex
+from .linalg import _as_complex, check_density_matrix
 
 __all__ = [
     "check_density_matrix",
@@ -42,24 +40,11 @@ __all__ = [
 ]
 
 
-def check_density_matrix(rho: np.ndarray, atol: float = 1e-10) -> np.ndarray:
-    """Validate Hermiticity, unit trace, and positivity; returns the array."""
-    m = _as_complex(rho)
-    if np.max(np.abs(m - m.conj().T)) > atol:
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(m) - 1.0) > atol:
-        raise ValueError("density matrix trace is not 1")
-    if np.min(np.linalg.eigvalsh(m)) < -atol:
-        raise ValueError("density matrix has a negative eigenvalue")
-    return m
-
-
 def _povm_elements() -> list[tuple[tuple[str, str], list[np.ndarray]]]:
     """Outcome projectors per setting, in the experiment's conventions."""
     basis = np.eye(4, dtype=complex)
     out = []
-    for setting in MEASUREMENT_SETTINGS:
-        w = _setting_frame(setting)
+    for setting, w in zip(MEASUREMENT_SETTINGS, _SETTING_FRAMES):
         ops = [np.outer(w.conj().T @ basis[:, k], basis[:, k] @ w) for k in range(4)]
         out.append((setting, ops))
     return out
