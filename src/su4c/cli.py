@@ -110,8 +110,9 @@ def _pulse_obj(pulse) -> dict:
     return out
 
 
-def _load_unitary(path: str, tol: Tolerances):
-    """Read, gate, and project a user matrix; returns (matrix, hash)."""
+def _load_matrix(path: str, tol: Tolerances):
+    """Read and gate a user matrix; returns (matrix as read, hash), the
+    matrix None when it is not unitary within the input tolerance."""
     with open(path, "rb") as fp:
         raw = fp.read()
     try:
@@ -121,22 +122,24 @@ def _load_unitary(path: str, tol: Tolerances):
     m = matrix_from_obj(obj, (4, 4))
     if not is_unitary(m, tol.input_unitarity):
         return None, content_hash(raw)
-    return nearest_unitary(m), content_hash(raw)
+    return m, content_hash(raw)
 
 
 def _cmd_compile(args) -> int:
     try:
         tol = _resolve_tolerances(args)
-        u, input_hash = _load_unitary(args.matrix, tol)
+        m, input_hash = _load_matrix(args.matrix, tol)
     except (OSError, ValueError) as exc:
         return _fail(EXIT_PARSE, str(exc))
-    if u is None:
+    if m is None:
         return _fail(
             EXIT_NOT_UNITARY,
             f"input matrix is not unitary within {tol.input_unitarity:g}",
         )
-    params = decompose(u, tol)
-    report = verify(u, params, tol)
+    params = decompose(nearest_unitary(m), tol)
+    # against the file's matrix, so a rounded input reports how far it is
+    # from the compiled circuit
+    report = verify(m, params, tol)
     out = {
         "command": "compile",
         "input_hash": input_hash,
@@ -254,14 +257,15 @@ def _cmd_process_tomo(args) -> int:
     try:
         tol = _resolve_tolerances(args)
         noise, noise_meta = _resolve_noise(args.noise)
-        u, input_hash = _load_unitary(args.unitary, tol)
+        m, input_hash = _load_matrix(args.unitary, tol)
     except (OSError, ValueError) as exc:
         return _fail(EXIT_PARSE, str(exc))
-    if u is None:
+    if m is None:
         return _fail(
             EXIT_NOT_UNITARY,
             f"input matrix is not unitary within {tol.input_unitarity:g}",
         )
+    u = nearest_unitary(m)
     if args.exact_probabilities and not noise.is_zero:
         return _fail(EXIT_PARSE, "--exact-probabilities requires zero noise")
 

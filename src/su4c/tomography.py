@@ -14,7 +14,7 @@ trace preservation fixes the partial trace of its diagonal blocks.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,12 +53,29 @@ def _povm_elements() -> list[tuple[tuple[str, str], list[np.ndarray]]]:
 _POVM = _povm_elements()
 _POVM_BY_SETTING = {setting: ops for setting, ops in _POVM}
 
+# The 36 outcome projectors, setting-major, as a (36, 4, 4) stack and as a
+# (36, 16) matrix of rows vec(op^T), so that Tr(op rho) = row . vec(rho) and
+# all 36 Born probabilities of rho are one matrix-vector product.
+_POVM_STACK = np.array([op for _, ops in _POVM for op in ops])
+_POVM_ROWS = np.ascontiguousarray(_POVM_STACK.transpose(0, 2, 1).reshape(36, 16))
+_POVM_STACK.flags.writeable = False
+_POVM_ROWS.flags.writeable = False
 
-def _collect_frequencies(
-    records: Sequence[MeasurementRecord],
-) -> list[tuple[list[np.ndarray], np.ndarray, float]]:
-    """(outcome projectors, frequencies, weight) per record; all nine
-    settings must be present exactly once."""
+
+class _Frequencies(NamedTuple):
+    """Nine records stacked in _POVM order. The likelihood terms keep only
+    the outcomes that occurred, each weighted by its record's shot count."""
+
+    freqs: np.ndarray  # (36,) every outcome, for the linear estimate
+    rows: np.ndarray  # (n, 16) rows of _POVM_ROWS of the outcomes seen
+    ops: np.ndarray  # (n, 16) their projectors, flattened
+    weights: np.ndarray  # (n,) record weight times frequency
+    total_weight: float
+
+
+def _collect_frequencies(records: Sequence[MeasurementRecord]) -> _Frequencies:
+    """Stacked frequencies and weights; all nine settings must be present
+    exactly once."""
     seen = {}
     for rec in records:
         setting = (rec.setting[0], rec.setting[1])
@@ -70,13 +87,17 @@ def _collect_frequencies(
     missing = [s for s in MEASUREMENT_SETTINGS if s not in seen]
     if missing:
         raise ValueError(f"records missing settings {missing}")
-    out = []
-    for setting in MEASUREMENT_SETTINGS:
-        rec = seen[setting]
-        out.append(
-            (_POVM_BY_SETTING[setting], rec.frequencies(), float(sum(rec.counts)))
-        )
-    return out
+    ordered = [seen[s] for s in MEASUREMENT_SETTINGS]
+    freqs = np.concatenate([rec.frequencies() for rec in ordered])
+    shots = [float(sum(rec.counts)) for rec in ordered]
+    keep = freqs > 0.0
+    return _Frequencies(
+        freqs=freqs,
+        rows=_POVM_ROWS[keep],
+        ops=_POVM_STACK[keep].reshape(-1, 16),
+        weights=(np.repeat(shots, 4) * freqs)[keep],
+        total_weight=sum(shots),
+    )
 
 
 def _clip_to_density(m: np.ndarray) -> np.ndarray:
@@ -91,43 +112,30 @@ def _clip_to_density(m: np.ndarray) -> np.ndarray:
     return (vecs * (vals / total)) @ vecs.conj().T
 
 
-def _linear_estimate(data) -> np.ndarray:
-    rows = []
-    rhs = []
-    for ops, freqs, _ in data:
-        for op, f in zip(ops, freqs):
-            rows.append(op.T.reshape(-1))
-            rhs.append(f)
-    a = np.asarray(rows)
-    b = np.asarray(rhs, dtype=complex)
-    vec, *_ = np.linalg.lstsq(a, b, rcond=None)
+def _linear_estimate(data: _Frequencies) -> np.ndarray:
+    vec, *_ = np.linalg.lstsq(
+        _POVM_ROWS, np.asarray(data.freqs, dtype=complex), rcond=None
+    )
     return _clip_to_density(vec.reshape(4, 4))
 
 
-def _log_likelihood(rho: np.ndarray, data, floor: float) -> float:
-    total = 0.0
-    for ops, freqs, weight in data:
-        for op, f in zip(ops, freqs):
-            if f <= 0.0:
-                continue
-            p = max(float(np.real(np.trace(op @ rho))), floor)
-            total += weight * f * math.log(p)
-    return total
+def _probabilities(rho: np.ndarray, data: _Frequencies, floor: float) -> np.ndarray:
+    """Born probabilities of the outcomes seen, floored."""
+    return np.maximum((data.rows @ rho.reshape(16)).real, floor)
 
 
-def _r_operator(rho: np.ndarray, data, floor: float) -> np.ndarray:
-    total_weight = sum(weight for _, _, weight in data)
-    r = np.zeros((4, 4), dtype=complex)
-    for ops, freqs, weight in data:
-        for op, f in zip(ops, freqs):
-            if f <= 0.0:
-                continue
-            p = max(float(np.real(np.trace(op @ rho))), floor)
-            r += (weight * f / p) * op
-    return r / total_weight
+def _log_likelihood(rho: np.ndarray, data: _Frequencies, floor: float) -> float:
+    return float(data.weights @ np.log(_probabilities(rho, data, floor)))
 
 
-def _mle_estimate(data, tol: Tolerances, trace: "list | None" = None) -> np.ndarray:
+def _r_operator(rho: np.ndarray, data: _Frequencies, floor: float) -> np.ndarray:
+    coeffs = data.weights / _probabilities(rho, data, floor)
+    return (coeffs @ data.ops).reshape(4, 4) / data.total_weight
+
+
+def _mle_estimate(
+    data: _Frequencies, tol: Tolerances, trace: "list | None" = None
+) -> np.ndarray:
     floor = tol.prob_floor
     rho = np.eye(4, dtype=complex) / 4.0
     ll = _log_likelihood(rho, data, floor)

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from su4c.cli import EXIT_NOT_UNITARY, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
+from su4c.compiler import decompose, verify
 from su4c.config import ENV_TOLERANCE
 from su4c.haar import SeededRng, sample_su4
 from su4c.io import matrix_from_obj, matrix_to_obj, save_matrix
+from su4c.linalg import nearest_unitary
 
 
 @pytest.fixture
@@ -108,6 +110,21 @@ class TestCompile:
         )
         assert code == EXIT_OK
         assert json.loads(out)["verify"]["distance"] < 5e-3
+
+    def test_distance_is_to_the_matrix_as_read(self, capsys, tmp_path):
+        # the circuit is compiled from the nearest unitary, but the reported
+        # distance is to the rounded matrix in the file
+        path = tmp_path / "r.json"
+        save_matrix(np.round(sample_su4(SeededRng(9)), 3), str(path))
+        raw = matrix_from_obj(json.loads(path.read_text()), (4, 4))
+        expected = verify(raw, decompose(nearest_unitary(raw))).distance
+        code, out, err = run_cli(capsys, "compile", str(path))
+        assert code == EXIT_VERIFY
+        assert "verification failed" in err
+        doc = json.loads(out)  # report still written before the failure exit
+        assert doc["verify"]["distance"] == expected
+        assert doc["verify"]["distance"] > 1e-6
+        assert doc["verify"]["passed"] is False
 
 
 class TestSample:

@@ -10,9 +10,12 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from su4c.config import DEFAULT_TOL
 from su4c.experiment import (
+    CALIBRATED_NOISE,
     MEASUREMENT_SETTINGS,
     TOMOGRAPHY_INPUT_LABELS,
     MeasurementRecord,
@@ -24,9 +27,12 @@ from su4c.experiment import (
 from su4c.haar import SeededRng, sample_su4
 from su4c.linalg import kron, nearest_unitary
 from su4c.tomography import (
+    _POVM_BY_SETTING,
+    _clip_to_density,
     _collect_frequencies,
     _log_likelihood,
     _mle_estimate,
+    _r_operator,
     apply_process,
     check_density_matrix,
     entanglement_fidelity,
@@ -60,8 +66,6 @@ def exact_records(rho):
 
 def raw_linear_inversion(records):
     """Plain least squares with no physicality projection (test oracle)."""
-    from su4c.tomography import _POVM_BY_SETTING
-
     rows, vals = [], []
     for rec in records:
         for op, f in zip(_POVM_BY_SETTING[rec.setting], rec.frequencies()):
@@ -204,6 +208,176 @@ class TestMleReconstruction:
             rec = run_experiment(u, ("minus_i", "down"), NoiseModel(), 100, SeededRng(seed))
             fids.append(state_fidelity(reconstruct_state(rec, method="mle"), target))
         assert float(np.median(fids)) > 0.95
+
+
+# Per-outcome reference for the MLE kernel: one trace per outcome, as the
+# kernel was written before the projectors were stacked into one matrix.
+
+
+def loop_frequencies(records):
+    """(outcome projectors, frequencies, weight) per setting."""
+    by_setting = {tuple(rec.setting): rec for rec in records}
+    return [
+        (_POVM_BY_SETTING[s], by_setting[s].frequencies(), float(sum(by_setting[s].counts)))
+        for s in MEASUREMENT_SETTINGS
+    ]
+
+
+def loop_log_likelihood(rho, data, floor):
+    total = 0.0
+    for ops, freqs, weight in data:
+        for op, f in zip(ops, freqs):
+            if f <= 0.0:
+                continue
+            p = max(float(np.real(np.trace(op @ rho))), floor)
+            total += weight * f * math.log(p)
+    return total
+
+
+def loop_r_operator(rho, data, floor):
+    total_weight = sum(weight for _, _, weight in data)
+    r = np.zeros((4, 4), dtype=complex)
+    for ops, freqs, weight in data:
+        for op, f in zip(ops, freqs):
+            if f <= 0.0:
+                continue
+            p = max(float(np.real(np.trace(op @ rho))), floor)
+            r += (weight * f / p) * op
+    return r / total_weight
+
+
+def loop_mle_estimate(data, tol, trace=None):
+    floor = tol.prob_floor
+    rho = np.eye(4, dtype=complex) / 4.0
+    ll = loop_log_likelihood(rho, data, floor)
+    if trace is not None:
+        trace.append(ll)
+    eye = np.eye(4, dtype=complex)
+    for _ in range(tol.mle_max_iter):
+        r = loop_r_operator(rho, data, floor)
+        cand = r @ rho @ r
+        cand = cand / np.trace(cand).real
+        ll_cand = loop_log_likelihood(cand, data, floor)
+        eps = 1.0
+        while ll_cand < ll and eps > 1e-12:
+            eps *= 0.5
+            op = eye + eps * r
+            cand = op @ rho @ op.conj().T
+            cand = cand / np.trace(cand).real
+            ll_cand = loop_log_likelihood(cand, data, floor)
+        if ll_cand < ll:
+            break
+        rho = 0.5 * (cand + cand.conj().T)
+        if trace is not None:
+            trace.append(ll_cand)
+        if ll_cand - ll < tol.mle_stop:
+            ll = ll_cand
+            break
+        ll = ll_cand
+    return _clip_to_density(rho)
+
+
+GROUND = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+
+# calibrated-noise records at three shot counts, and exact probabilities
+MLE_CASES = [("calibrated", shots, seed) for shots in (30, 100, 1000) for seed in (0, 1)]
+MLE_CASES += [("exact", 1, seed) for seed in (0, 1)]
+
+
+def mle_case_records(kind, shots, seed):
+    if kind == "exact":
+        return exact_records(random_density(SeededRng(600 + seed)))
+    u = sample_su4(SeededRng(500 + seed))
+    label = TOMOGRAPHY_INPUT_LABELS[seed]
+    return run_experiment(u, label, CALIBRATED_NOISE, shots, SeededRng(seed))
+
+
+def assert_likelihood_matches_loop(rho, data, loop, floor):
+    expected = loop_log_likelihood(rho, loop, floor)
+    assert abs(_log_likelihood(rho, data, floor) - expected) <= 1e-12 * abs(expected)
+
+
+class TestMleMatchesLoop:
+    @pytest.mark.parametrize("kind,shots,seed", MLE_CASES)
+    def test_likelihood_and_r_operator(self, kind, shots, seed):
+        records = mle_case_records(kind, shots, seed)
+        data, loop = _collect_frequencies(records), loop_frequencies(records)
+        floor = DEFAULT_TOL.prob_floor
+        rng = SeededRng(700 + seed)
+        # the ground state and the raw inversion put some seen outcomes at
+        # or below zero probability, where the floor decides the value
+        states = [
+            I4 / 4.0,
+            random_density(rng),
+            random_density(rng, rank=1),
+            GROUND,
+            raw_linear_inversion(records),
+            reconstruct_state(records),
+        ]
+        for rho in states:
+            assert_likelihood_matches_loop(rho, data, loop, floor)
+            expected = loop_r_operator(rho, loop, floor)
+            gap = np.max(np.abs(_r_operator(rho, data, floor) - expected))
+            assert gap <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("kind,shots,seed", MLE_CASES)
+    def test_estimate(self, kind, shots, seed):
+        records = mle_case_records(kind, shots, seed)
+        trace, loop_trace = [], []
+        got = _mle_estimate(_collect_frequencies(records), DEFAULT_TOL, trace=trace)
+        expected = loop_mle_estimate(loop_frequencies(records), DEFAULT_TOL, loop_trace)
+        gap = np.max(np.abs(got - expected))
+        if len(trace) == len(loop_trace):
+            assert gap <= 1e-12
+        else:
+            # the stop test ll_cand - ll < mle_stop sits on rounding, so the
+            # two may accept one step more or less
+            assert abs(len(trace) - len(loop_trace)) == 1
+            assert gap <= 1e-6
+
+    def test_unobserved_outcomes_add_nothing(self):
+        # |00> counted exactly: ZZ never sees 01, 10 or 11, and the state
+        # gives them probability 0, so without a floor those outcomes must
+        # still contribute nothing rather than 0 * log(0)
+        records = [
+            MeasurementRecord(s, tuple(np.round(100.0 * setting_probabilities(GROUND, s))), 100)
+            for s in MEASUREMENT_SETTINGS
+        ]
+        data, loop = _collect_frequencies(records), loop_frequencies(records)
+        assert np.isfinite(_log_likelihood(GROUND, data, 0.0))
+        assert_likelihood_matches_loop(GROUND, data, loop, 0.0)
+        r = _r_operator(GROUND, data, 0.0)
+        assert np.max(np.abs(r - loop_r_operator(GROUND, loop, 0.0))) <= 1e-12
+
+
+def _single_outcome(pick):
+    outcome, count = pick
+    return tuple(count if k == outcome else 0 for k in range(4))
+
+
+# one setting's counts: any table with at least one count, or a single
+# non-zero outcome
+setting_counts = st.one_of(
+    st.tuples(*[st.integers(0, 200)] * 4).filter(lambda c: sum(c) > 0),
+    st.tuples(st.integers(0, 3), st.integers(1, 200)).map(_single_outcome),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.lists(setting_counts, min_size=9, max_size=9))
+def test_mle_on_count_tables(table):
+    records = [
+        MeasurementRecord(s, tuple(float(c) for c in counts), sum(counts))
+        for s, counts in zip(MEASUREMENT_SETTINGS, table)
+    ]
+    data, loop = _collect_frequencies(records), loop_frequencies(records)
+    floor = DEFAULT_TOL.prob_floor
+    for rho in (I4 / 4.0, GROUND, reconstruct_state(records)):
+        assert_likelihood_matches_loop(rho, data, loop, floor)
+    trace = []
+    est = _mle_estimate(data, DEFAULT_TOL, trace=trace)
+    check_density_matrix(est, atol=1e-8)
+    assert np.all(np.diff(trace) >= 0.0)
 
 
 class TestStateFidelity:
