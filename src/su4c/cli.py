@@ -24,13 +24,13 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
 from .circuits import lower_to_pulses
 from .compiler import decompose, verify
-from .config import DEFAULT_TOL, Tolerances, tolerances_from_env
+from .config import DEFAULT_TOL, Tolerances, _with_verify_distance, tolerances_from_env
 from .experiment import (
     CALIBRATED_NOISE,
     TOMOGRAPHY_INPUT_LABELS,
@@ -75,9 +75,7 @@ def _fail(code: int, message: str) -> int:
 def _resolve_tolerances(args) -> Tolerances:
     tol = tolerances_from_env(DEFAULT_TOL)
     if getattr(args, "tolerance", None) is not None:
-        if args.tolerance <= 0:
-            raise ValueError("--tolerance must be positive")
-        tol = replace(tol, verify_distance=args.tolerance)
+        tol = _with_verify_distance(tol, args.tolerance, "--tolerance")
     return tol
 
 
@@ -125,6 +123,12 @@ def _load_matrix(path: str, tol: Tolerances):
     return m, content_hash(raw)
 
 
+def _compile(m, tol: Tolerances):
+    """Circuit of the nearest unitary of a gated matrix: the one compilation
+    each operation gets."""
+    return decompose(nearest_unitary(m), tol)
+
+
 def _cmd_compile(args) -> int:
     try:
         tol = _resolve_tolerances(args)
@@ -136,7 +140,7 @@ def _cmd_compile(args) -> int:
             EXIT_NOT_UNITARY,
             f"input matrix is not unitary within {tol.input_unitarity:g}",
         )
-    params = decompose(nearest_unitary(m), tol)
+    params = _compile(m, tol)
     # against the file's matrix, so a rounded input reports how far it is
     # from the compiled circuit
     report = verify(m, params, tol)
@@ -174,10 +178,10 @@ def _cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _run_one(u, label, noise, args, rng, tol):
+def _run_one(pulses, label, noise, args, rng):
     if args.exact_probabilities:
-        return exact_experiment(u, label, tol)
-    return run_experiment(u, label, noise, args.shots, rng, tol)
+        return exact_experiment(pulses, label)
+    return run_experiment(pulses, label, noise, args.shots, rng)
 
 
 def _cmd_benchmark(args) -> int:
@@ -215,7 +219,8 @@ def _cmd_benchmark(args) -> int:
     for index, stream in enumerate(streams[: args.n]):
         label = labels[order[index]]
         u = sample_su4(stream, tol)
-        records = _run_one(u, label, noise, args, stream, tol)
+        pulses = lower_to_pulses(_compile(u, tol))
+        records = _run_one(pulses, label, noise, args, stream)
         est = reconstruct_state(records, args.method, tol)
         psi = u @ input_state(label)
         ideal = np.outer(psi, psi.conj())
@@ -269,10 +274,13 @@ def _cmd_process_tomo(args) -> int:
     if args.exact_probabilities and not noise.is_zero:
         return _fail(EXIT_PARSE, "--exact-probabilities requires zero noise")
 
+    # one program for all 16 preparations, compiled from u as benchmark
+    # compiles its draws
+    pulses = lower_to_pulses(_compile(u, tol))
     streams = SeededRng(args.seed).spawn(len(TOMOGRAPHY_INPUT_LABELS))
     pairs = []
     for label, stream in zip(TOMOGRAPHY_INPUT_LABELS, streams):
-        records = _run_one(u, label, noise, args, stream, tol)
+        records = _run_one(pulses, label, noise, args, stream)
         pairs.append((label, reconstruct_state(records, args.method, tol)))
     est = reconstruct_process(pairs, cp_projection=not args.no_cp_projection, tol=tol)
     ideal = process_matrix_of_unitary(u)

@@ -85,6 +85,12 @@ def tolerances_from_env(base: Tolerances = DEFAULT_TOL) -> Tolerances:
         value = float(raw)
     except ValueError as exc:
         raise ValueError(f"{ENV_TOLERANCE} must be a float, got {raw!r}") from exc
+    return _with_verify_distance(base, value, ENV_TOLERANCE)
+
+
+def _with_verify_distance(base: Tolerances, value: float, source: str) -> Tolerances:
+    """``base`` with the verification threshold set to ``value``, the one
+    check of every route that sets it; ``source`` names the route."""
     if not math.isfinite(value) or value <= 0:
-        raise ValueError(f"{ENV_TOLERANCE} must be positive, got {value}")
+        raise ValueError(f"{source} must be finite and positive, got {value}")
     return replace(base, verify_distance=value)

@@ -1,6 +1,9 @@
 """Simulated two-qubit experiments: state prep, noisy pulse execution,
 and projective measurement in the nine two-qubit Pauli settings.
 
+The experiment runs a pulse program, as lower_to_pulses emits it; compiling
+a matrix into that program is the caller's step, done once per operation.
+
 Noise model, applied to a lowered pulse sequence:
   * every R pulse's rotation angle is scaled by (1 + eps) with eps drawn
     fresh per pulse from N(0, overrotation_sigma); Rz is a frame change
@@ -34,12 +37,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import GateElement, lower_to_pulses
-from .compiler import decompose
-from .config import DEFAULT_TOL, Tolerances
+from .circuits import GateElement
 from .gates import G_GATE, r_gate, rz_gate
 from .haar import SeededRng
-from .linalg import _as_complex, _require_unitary, check_density_matrix, nearest_unitary
+from .linalg import check_density_matrix
 
 __all__ = [
     "STATE_LABELS",
@@ -124,8 +125,8 @@ class NoiseModel:
     damping_per_circuit: float = 0.0
 
     def __post_init__(self):
-        if self.overrotation_sigma < 0.0:
-            raise ValueError("overrotation_sigma must be >= 0")
+        if not (math.isfinite(self.overrotation_sigma) and self.overrotation_sigma >= 0.0):
+            raise ValueError("overrotation_sigma must be finite and >= 0")
         for name in ("depolarizing_per_g", "damping_per_circuit"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
@@ -287,27 +288,21 @@ def _records(counts, shots: int) -> list[MeasurementRecord]:
 
 
 def run_experiment(
-    u: np.ndarray,
+    pulses: Sequence[GateElement],
     label: "InputStateLabel | Sequence[str]",
     noise: NoiseModel,
     shots_per_setting: int,
     rng: SeededRng,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> list[MeasurementRecord]:
-    """Compile u, prepare the labeled product state, execute the pulse
-    sequence, and measure all nine settings.
+    """Prepare the labeled product state, execute the pulse program, and
+    measure all nine settings.
 
-    The input matrix is polar-projected onto the nearest unitary after a
-    loose sanity gate, so matrices quoted to a few decimals are accepted.
     Every shot sees a fresh noise realization; with a noiseless model the
     final state is deterministic and shots are sampled in one batch.
     """
     if shots_per_setting <= 0:
         raise ValueError("shots_per_setting must be positive")
     shots = shots_per_setting
-    m = _as_complex(u)
-    _require_unitary(m, tol.input_unitarity, "run_experiment input")
-    pulses = lower_to_pulses(decompose(nearest_unitary(m), tol))
     psi0 = input_state(label).reshape(4, 1)
     frames = _frames(noise.damping_per_circuit)
     q = _depolarizing_weight(pulses, noise)
@@ -341,15 +336,11 @@ def run_experiment(
 
 
 def exact_experiment(
-    u: np.ndarray,
+    pulses: Sequence[GateElement],
     label: "InputStateLabel | Sequence[str]",
-    tol: Tolerances = DEFAULT_TOL,
 ) -> list[MeasurementRecord]:
-    """Infinite-shot records of the noiseless circuit: the records carry
-    exact Born probabilities instead of sampled counts."""
-    m = _as_complex(u)
-    _require_unitary(m, tol.input_unitarity, "exact_experiment input")
-    pulses = lower_to_pulses(decompose(nearest_unitary(m), tol))
+    """Infinite-shot records of the noiseless pulse program: the records
+    carry exact Born probabilities instead of sampled counts."""
     psi = input_state(label).reshape(4, 1)
     psi = _evolve(psi, pulses, _overrotations(pulses, NoiseModel(), None, 1))
     return _records([_probabilities(f, psi, 0.0)[:, 0] for f in _frames(0.0)], 1)

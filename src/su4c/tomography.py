@@ -40,31 +40,21 @@ __all__ = [
 ]
 
 
-def _povm_elements() -> list[tuple[tuple[str, str], list[np.ndarray]]]:
-    """Outcome projectors per setting, in the experiment's conventions."""
-    basis = np.eye(4, dtype=complex)
-    out = []
-    for setting, w in zip(MEASUREMENT_SETTINGS, _SETTING_FRAMES):
-        ops = [np.outer(w.conj().T @ basis[:, k], basis[:, k] @ w) for k in range(4)]
-        out.append((setting, ops))
-    return out
-
-
-_POVM = _povm_elements()
-_POVM_BY_SETTING = {setting: ops for setting, ops in _POVM}
-
 # The 36 outcome projectors, setting-major, as a (36, 4, 4) stack and as a
 # (36, 16) matrix of rows vec(op^T), so that Tr(op rho) = row . vec(rho) and
-# all 36 Born probabilities of rho are one matrix-vector product.
-_POVM_STACK = np.array([op for _, ops in _POVM for op in ops])
+# all 36 Born probabilities of rho are one matrix-vector product. Outcome k
+# of a setting with frame W projects onto W^dagger |k>, whose conjugate is
+# row k of W.
+_POVM_STACK = np.array([np.outer(w[k].conj(), w[k]) for w in _SETTING_FRAMES for k in range(4)])
 _POVM_ROWS = np.ascontiguousarray(_POVM_STACK.transpose(0, 2, 1).reshape(36, 16))
 _POVM_STACK.flags.writeable = False
 _POVM_ROWS.flags.writeable = False
 
 
 class _Frequencies(NamedTuple):
-    """Nine records stacked in _POVM order. The likelihood terms keep only
-    the outcomes that occurred, each weighted by its record's shot count."""
+    """Nine records stacked in _POVM_STACK order. The likelihood terms keep
+    only the outcomes that occurred, each weighted by its record's shot
+    count."""
 
     freqs: np.ndarray  # (36,) every outcome, for the linear estimate
     rows: np.ndarray  # (n, 16) rows of _POVM_ROWS of the outcomes seen
@@ -79,7 +69,7 @@ def _collect_frequencies(records: Sequence[MeasurementRecord]) -> _Frequencies:
     seen = {}
     for rec in records:
         setting = (rec.setting[0], rec.setting[1])
-        if setting not in _POVM_BY_SETTING:
+        if setting not in MEASUREMENT_SETTINGS:
             raise ValueError(f"unknown measurement setting {setting}")
         if setting in seen:
             raise ValueError(f"duplicate measurement setting {setting}")

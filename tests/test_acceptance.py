@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 
+from programs import program
 from reference_data import PINNED_ROWS, row_to_params
 from su4c.circuits import (
     PULSE_COUNT,
@@ -180,8 +181,9 @@ def test_criterion_06_exact_tomography_inversion():
     worst_process = 0.0
     for _ in range(100):
         u = sample_su4(rng)
+        pulses = program(u)
         pairs = [
-            (label, reconstruct_state(exact_experiment(u, label), method="linear"))
+            (label, reconstruct_state(exact_experiment(pulses, label), method="linear"))
             for label in TOMOGRAPHY_INPUT_LABELS
         ]
         est = reconstruct_process(pairs)

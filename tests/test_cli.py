@@ -2,10 +2,12 @@
 
 import csv
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from su4c import compiler
 from su4c.cli import EXIT_NOT_UNITARY, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
 from su4c.compiler import decompose, verify
 from su4c.config import ENV_TOLERANCE
@@ -100,6 +102,19 @@ class TestCompile:
         monkeypatch.setenv(ENV_TOLERANCE, "1e-300")
         code, _, _ = run_cli(capsys, "compile", unitary_file, "--tolerance", "1e-6")
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("route", ["flag", "env"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_bad_tolerance_rejected(self, capsys, unitary_file, monkeypatch, route, value):
+        argv = ["compile", unitary_file]
+        if route == "flag":
+            argv += ["--tolerance", value]
+        else:
+            monkeypatch.setenv(ENV_TOLERANCE, value)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "finite and positive" in err
 
     def test_printed_precision_accepted(self, capsys, tmp_path):
         rounded = np.round(sample_su4(SeededRng(547)), 3)
@@ -245,6 +260,16 @@ class TestBenchmark:
         )
         assert code == EXIT_PARSE
 
+    def test_nan_noise_file(self, capsys, tmp_path):
+        noise_path = tmp_path / "noise.json"
+        noise_path.write_text(json.dumps({"overrotation_sigma": float("nan")}))
+        assert "NaN" in noise_path.read_text()  # non-standard JSON json.loads reads
+        code, out, _ = run_cli(
+            capsys, "benchmark", "--n", "16", "--seed", "1", "--noise", str(noise_path)
+        )
+        assert code == EXIT_PARSE
+        assert out == ""
+
 
 class TestProcessTomo:
     def test_exact_probabilities_recover_process(self, capsys, unitary_file):
@@ -278,6 +303,37 @@ class TestProcessTomo:
         path.write_text(json.dumps(matrix_to_obj(np.zeros((4, 4), dtype=complex))))
         code, _, _ = run_cli(capsys, "process-tomo", "--unitary", str(path))
         assert code == EXIT_NOT_UNITARY
+
+    def test_printed_precision_accepted(self, capsys, tmp_path):
+        path = tmp_path / "r.json"
+        save_matrix(np.round(sample_su4(SeededRng(307)), 3), str(path))  # unitary to ~1e-3
+        code, out, _ = run_cli(
+            capsys, "process-tomo", "--unitary", str(path), "--exact-probabilities"
+        )
+        assert code == EXIT_OK
+        # the program is compiled from the nearest unitary, the ideal too
+        assert json.loads(out)["entanglement_fidelity"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_compiles_once(self, capsys, unitary_file, monkeypatch):
+        # one program for all 16 preparations: count decompose under every
+        # name a su4c module holds it by
+        calls = []
+        original = compiler.decompose
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "su4c" or name.startswith("su4c."):
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counting)
+        code, _, _ = run_cli(
+            capsys, "process-tomo", "--unitary", unitary_file, "--shots", "10"
+        )
+        assert code == EXIT_OK
+        assert len(calls) == 1
 
     def test_full_depolarizing_noise_collapses_fidelity(
         self, capsys, unitary_file, tmp_path

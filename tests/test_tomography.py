@@ -27,7 +27,7 @@ from su4c.experiment import (
 from su4c.haar import SeededRng, sample_su4
 from su4c.linalg import kron, nearest_unitary
 from su4c.tomography import (
-    _POVM_BY_SETTING,
+    _POVM_STACK,
     _clip_to_density,
     _collect_frequencies,
     _log_likelihood,
@@ -43,6 +43,7 @@ from su4c.tomography import (
     reconstruct_state,
     state_fidelity,
 )
+from programs import program
 from reference_data import M1
 
 I4 = np.eye(4, dtype=complex)
@@ -57,6 +58,11 @@ def random_density(rng, rank=4):
     return rho / np.trace(rho).real
 
 
+def setting_projectors(setting):
+    """The four outcome projectors of one setting, (4, 4, 4)."""
+    return _POVM_STACK.reshape(9, 4, 4, 4)[MEASUREMENT_SETTINGS.index(tuple(setting))]
+
+
 def exact_records(rho):
     return [
         MeasurementRecord(s, tuple(float(p) for p in setting_probabilities(rho, s)), 1)
@@ -68,7 +74,7 @@ def raw_linear_inversion(records):
     """Plain least squares with no physicality projection (test oracle)."""
     rows, vals = [], []
     for rec in records:
-        for op, f in zip(_POVM_BY_SETTING[rec.setting], rec.frequencies()):
+        for op, f in zip(setting_projectors(rec.setting), rec.frequencies()):
             rows.append(op.T.reshape(-1))
             vals.append(f)
     sol, *_ = np.linalg.lstsq(np.array(rows), np.array(vals), rcond=None)
@@ -116,19 +122,20 @@ class TestLinearReconstruction:
         rng = SeededRng(353)
         for seed in range(20):
             u = sample_su4(rng)
-            rec = run_experiment(u, ("up", "up"), NoiseModel(), 25, SeededRng(seed))
+            rec = run_experiment(program(u), ("up", "up"), NoiseModel(), 25, SeededRng(seed))
             est = reconstruct_state(rec)
             check_density_matrix(est, atol=1e-8)
 
     def test_more_shots_get_closer(self):
         u = sample_su4(SeededRng(359))
+        pulses = program(u)
         psi = u @ input_state(("up", "down"))
         target = np.outer(psi, psi.conj())
         med = []
         for shots in (50, 5000):
             fids = []
             for seed in range(15):
-                rec = run_experiment(u, ("up", "down"), NoiseModel(), shots, SeededRng(seed))
+                rec = run_experiment(pulses, ("up", "down"), NoiseModel(), shots, SeededRng(seed))
                 fids.append(state_fidelity(reconstruct_state(rec), target))
             med.append(float(np.median(fids)))
         assert med[1] > med[0]
@@ -162,7 +169,7 @@ class TestMleReconstruction:
         rng = SeededRng(383)
         for seed in range(5):
             rec = run_experiment(
-                sample_su4(rng), ("up", "up"), NoiseModel(), 40, SeededRng(seed)
+                program(sample_su4(rng)), ("up", "up"), NoiseModel(), 40, SeededRng(seed)
             )
             trace = []
             _mle_estimate(_collect_frequencies(rec), DEFAULT_TOL, trace=trace)
@@ -176,7 +183,7 @@ class TestMleReconstruction:
         # linear one
         for seed in range(6):
             u = sample_su4(SeededRng(1000 + seed))
-            rec = run_experiment(u, ("up", "up"), NoiseModel(), 30, SeededRng(seed))
+            rec = run_experiment(program(u), ("up", "up"), NoiseModel(), 30, SeededRng(seed))
             raw = raw_linear_inversion(rec)
             assert np.linalg.eigvalsh(raw)[0] < -1e-3  # the premise
             lin = reconstruct_state(rec, method="linear")
@@ -192,8 +199,9 @@ class TestMleReconstruction:
         target = np.zeros((4, 4), dtype=complex)
         target[0, 0] = 1.0
         fids = []
+        pulses = program(I4)
         for seed in range(100):
-            rec = run_experiment(I4, ("up", "up"), NoiseModel(), 100, SeededRng(seed))
+            rec = run_experiment(pulses, ("up", "up"), NoiseModel(), 100, SeededRng(seed))
             fids.append(state_fidelity(reconstruct_state(rec, method="mle"), target))
         assert float(np.median(fids)) > 0.99
 
@@ -201,11 +209,12 @@ class TestMleReconstruction:
         # externally tabulated target, prepared from (minus_i, down); pilot
         # median 0.973 at these settings, threshold from the shot-noise study
         u = nearest_unitary(M1)
+        pulses = program(u)
         psi = u @ input_state(("minus_i", "down"))
         target = np.outer(psi, psi.conj())
         fids = []
         for seed in range(15):
-            rec = run_experiment(u, ("minus_i", "down"), NoiseModel(), 100, SeededRng(seed))
+            rec = run_experiment(pulses, ("minus_i", "down"), NoiseModel(), 100, SeededRng(seed))
             fids.append(state_fidelity(reconstruct_state(rec, method="mle"), target))
         assert float(np.median(fids)) > 0.95
 
@@ -218,7 +227,7 @@ def loop_frequencies(records):
     """(outcome projectors, frequencies, weight) per setting."""
     by_setting = {tuple(rec.setting): rec for rec in records}
     return [
-        (_POVM_BY_SETTING[s], by_setting[s].frequencies(), float(sum(by_setting[s].counts)))
+        (setting_projectors(s), by_setting[s].frequencies(), float(sum(by_setting[s].counts)))
         for s in MEASUREMENT_SETTINGS
     ]
 
@@ -289,7 +298,7 @@ def mle_case_records(kind, shots, seed):
         return exact_records(random_density(SeededRng(600 + seed)))
     u = sample_su4(SeededRng(500 + seed))
     label = TOMOGRAPHY_INPUT_LABELS[seed]
-    return run_experiment(u, label, CALIBRATED_NOISE, shots, SeededRng(seed))
+    return run_experiment(program(u), label, CALIBRATED_NOISE, shots, SeededRng(seed))
 
 
 def assert_likelihood_matches_loop(rho, data, loop, floor):
@@ -492,11 +501,11 @@ class TestReconstructProcess:
 
     def test_cp_projection_clips_negative_part(self):
         # finite shots leave the raw estimate slightly non positive
-        u = sample_su4(SeededRng(457))
+        pulses = program(sample_su4(SeededRng(457)))
         streams = SeededRng(0).spawn(16)
         pairs = []
         for label, srng in zip(TOMOGRAPHY_INPUT_LABELS, streams):
-            rec = run_experiment(u, label, NoiseModel(), 200, srng)
+            rec = run_experiment(pulses, label, NoiseModel(), 200, srng)
             pairs.append((label, reconstruct_state(rec)))
         unclipped = reconstruct_process(pairs, cp_projection=False)
         clipped = reconstruct_process(pairs, cp_projection=True)
@@ -512,10 +521,11 @@ class TestReconstructProcess:
         # pilot gave minimum 0.979, median 0.985
         for seed in range(2):
             u = sample_su4(SeededRng(2000 + seed))
+            pulses = program(u)
             streams = SeededRng(seed).spawn(16)
             pairs = []
             for label, srng in zip(TOMOGRAPHY_INPUT_LABELS, streams):
-                rec = run_experiment(u, label, NoiseModel(), 1000, srng)
+                rec = run_experiment(pulses, label, NoiseModel(), 1000, srng)
                 pairs.append((label, reconstruct_state(rec, method="mle")))
             e_hat = reconstruct_process(pairs)
             f = entanglement_fidelity(e_hat, process_matrix_of_unitary(u))
