@@ -22,7 +22,7 @@ from .gates import (
     GateElement,
     PAULI_Z,
     ClassParams,
-    _entry_frame,
+    _ENTRY_FRAME,
     _exit_frame,
     canonical_v,
     embed,
@@ -30,7 +30,7 @@ from .gates import (
     r_gate,
     rz_gate,
 )
-from .linalg import _special_unitary_projection, _su2_params
+from .linalg import _kron, _special_unitary_projection, _su2_params
 
 __all__ = [
     "LocalGate",
@@ -77,8 +77,8 @@ class CircuitParams:
 
 def circuit_to_unitary(params: CircuitParams) -> np.ndarray:
     """Compose the stored parameterization back into a 4x4 matrix."""
-    pre = np.kron(params.a.matrix(), params.b.matrix())
-    post = np.kron(params.c.matrix(), params.d.matrix())
+    pre = _kron(params.a.matrix(), params.b.matrix())
+    post = _kron(params.c.matrix(), params.d.matrix())
     v = canonical_v(params.class_params)
     return params.global_phase * post @ v @ pre
 
@@ -114,6 +114,9 @@ def _slot_pulses(m: np.ndarray, target: int) -> list[GateElement]:
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 _RZ_P = rz_gate(math.pi / 2.0)
 _RZ_M = rz_gate(-math.pi / 2.0)
+_H_RZ_P = _HADAMARD @ _RZ_P
+# The last layer does not depend on the class.
+_LAYER3 = (_RZ_M, _HADAMARD @ _RZ_M @ _ENTRY_FRAME)
 
 
 def _v_template_layers(cp: ClassParams) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -135,12 +138,10 @@ def _v_template_layers(cp: ClassParams) -> list[tuple[np.ndarray, np.ndarray]]:
     G applications for every class.
     """
     a, b, d = cp.alpha, cp.beta, cp.delta
-    h_rzp = _HADAMARD @ _RZ_P
-    layer0 = (_RZ_P, _exit_frame(d) @ h_rzp)
+    layer0 = (_RZ_P, _exit_frame(d) @ _H_RZ_P)
     layer1 = (r_gate(b, math.pi) @ _RZ_P @ PAULI_Z, _HADAMARD @ rz_gate(-d) @ PAULI_Z)
-    layer2 = (r_gate(a, math.pi) @ _RZ_P, h_rzp)
-    layer3 = (_RZ_M, _HADAMARD @ _RZ_M @ _entry_frame())
-    return [layer0, layer1, layer2, layer3]
+    layer2 = (r_gate(a, math.pi) @ _RZ_P, _H_RZ_P)
+    return [layer0, layer1, layer2, _LAYER3]
 
 
 def lower_to_pulses(params: CircuitParams) -> list[GateElement]:

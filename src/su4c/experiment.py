@@ -40,7 +40,7 @@ import numpy as np
 from .circuits import GateElement
 from .gates import G_GATE, r_gate, rz_gate
 from .haar import SeededRng
-from .linalg import check_density_matrix
+from .linalg import _kron, check_density_matrix
 
 __all__ = [
     "STATE_LABELS",
@@ -81,7 +81,7 @@ _PREROTATION = {
 
 # Prerotation frame of each entry of MEASUREMENT_SETTINGS, in order, (9, 4, 4).
 _SETTING_FRAMES = np.array(
-    [np.kron(_PREROTATION[a], _PREROTATION[b]) for a, b in MEASUREMENT_SETTINGS]
+    [_kron(_PREROTATION[a], _PREROTATION[b]) for a, b in MEASUREMENT_SETTINGS]
 )
 _SETTING_FRAMES.flags.writeable = False
 
@@ -115,7 +115,7 @@ def _as_label(label: "InputStateLabel | Sequence[str]") -> InputStateLabel:
 def input_state(label: "InputStateLabel | Sequence[str]") -> np.ndarray:
     """State vector of a labeled product preparation."""
     lab = _as_label(label)
-    return np.kron(_STATE_VECTORS[lab.qubit0], _STATE_VECTORS[lab.qubit1])
+    return np.outer(_STATE_VECTORS[lab.qubit0], _STATE_VECTORS[lab.qubit1]).reshape(4)
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ def _damping_kraus(gamma: float) -> np.ndarray:
     """The four Kraus operators of amplitude damping on both qubits, (4, 4, 4)."""
     k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=complex)
     k1 = np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
-    return np.array([np.kron(ka, kb) for ka in (k0, k1) for kb in (k0, k1)])
+    return np.array([_kron(ka, kb) for ka in (k0, k1) for kb in (k0, k1)])
 
 
 def _depolarizing_weight(pulses: Sequence[GateElement], noise: NoiseModel) -> float:

@@ -18,6 +18,7 @@ from .linalg import (
     EigenSystem,
     _as_complex,
     _joint_real_diagonalization,
+    _kron,
     joint_real_diagonalization,
 )
 
@@ -57,6 +58,9 @@ MAGIC = np.array(
     ],
     dtype=complex,
 ) / math.sqrt(2.0)
+_MAGIC_DAG = MAGIC.conj().T
+
+_I2 = np.eye(2, dtype=complex)
 
 
 def r_gate(theta: float, phi: float) -> np.ndarray:
@@ -74,7 +78,7 @@ def r_gate(theta: float, phi: float) -> np.ndarray:
 
 def rz_gate(phiz: float) -> np.ndarray:
     """Frame rotation diag(exp(-i phiz / 2), exp(i phiz / 2))."""
-    return np.diag([np.exp(-0.5j * phiz), np.exp(0.5j * phiz)]).astype(complex)
+    return np.array([[np.exp(-0.5j * phiz), 0.0], [0.0, np.exp(0.5j * phiz)]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -114,18 +118,17 @@ def gate_matrix(elem: GateElement) -> np.ndarray:
 
 def embed(m: np.ndarray, target: int) -> np.ndarray:
     """Promote a 2x2 matrix to the two-qubit space on the given qubit."""
-    eye = np.eye(2, dtype=complex)
-    return np.kron(m, eye) if target == 0 else np.kron(eye, m)
+    return _kron(m, _I2) if target == 0 else _kron(_I2, m)
 
 
 def to_magic(u) -> np.ndarray:
     """Conjugate into the magic frame: MAGIC^dag @ u @ MAGIC."""
-    return MAGIC.conj().T @ _as_complex(u) @ MAGIC
+    return _MAGIC_DAG @ _as_complex(u) @ MAGIC
 
 
 def from_magic(u) -> np.ndarray:
     """Inverse of to_magic."""
-    return MAGIC @ _as_complex(u) @ MAGIC.conj().T
+    return MAGIC @ _as_complex(u) @ _MAGIC_DAG
 
 
 @dataclass(frozen=True)
@@ -153,13 +156,14 @@ def _interaction_core(alpha: float, beta: float, delta: float) -> np.ndarray:
     return from_magic(np.diag(np.exp(1j * half)))
 
 
+_R_HALF_Y = r_gate(math.pi / 2.0, math.pi / 2.0)
 # Fixed single-qubit dressing applied to qubit 1 before the interaction core.
-def _entry_frame() -> np.ndarray:
-    return rz_gate(-math.pi / 2.0) @ r_gate(math.pi / 2.0, math.pi / 2.0) @ rz_gate(-math.pi)
+_ENTRY_FRAME = rz_gate(-math.pi / 2.0) @ _R_HALF_Y @ rz_gate(-math.pi)
+_ENTRY_LAYER = _kron(_I2, _ENTRY_FRAME)
 
 
 def _exit_frame(delta: float) -> np.ndarray:
-    return rz_gate(delta) @ r_gate(math.pi / 2.0, math.pi / 2.0)
+    return rz_gate(delta) @ _R_HALF_Y
 
 
 def _canonical_phase(params: ClassParams) -> complex:
@@ -191,10 +195,8 @@ def canonical_v(params: ClassParams) -> np.ndarray:
     exp(i eigenphases) up to one shared half-turn when i^m is imaginary.
     """
     a, b, d = params.alpha, params.beta, params.delta
-    eye = np.eye(2, dtype=complex)
-    left = np.kron(eye, _exit_frame(d))
-    right = np.kron(eye, _entry_frame())
-    return _canonical_phase(params) * (left @ _interaction_core(a, b, d) @ right)
+    left = _kron(_I2, _exit_frame(d))
+    return _canonical_phase(params) * (left @ _interaction_core(a, b, d) @ _ENTRY_LAYER)
 
 
 def class_spectrum(u, tol: Tolerances = DEFAULT_TOL) -> EigenSystem:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from typing import Any, Sequence
 
 import numpy as np
@@ -51,11 +52,14 @@ def matrix_to_obj(m: np.ndarray) -> list:
 
 
 def _entry_to_complex(x: Any) -> complex:
-    if isinstance(x, (int, float)):
-        return complex(x)
-    if isinstance(x, (list, tuple)) and len(x) == 2:
-        return complex(float(x[0]), float(x[1]))
-    raise ValueError(f"matrix entry {x!r} is neither a number nor an [re, im] pair")
+    parts = x if isinstance(x, (list, tuple)) and len(x) == 2 else (x, 0)
+    # bool is an int in Python, but JSON true/false is not a number
+    if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
+        raise ValueError(f"matrix entry {x!r} is neither a number nor an [re, im] pair")
+    # false for NaN and infinities, exact for integers beyond the float range
+    if not all(abs(p) <= sys.float_info.max for p in parts):
+        raise ValueError(f"matrix entry {x!r} is not a finite number")
+    return complex(*parts)
 
 
 def matrix_from_obj(obj: Any, shape: "tuple[int, int] | None" = None) -> np.ndarray:

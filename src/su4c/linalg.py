@@ -59,6 +59,11 @@ def _as_complex(m) -> np.ndarray:
     return np.asarray(m, dtype=complex)
 
 
+def _arg(z) -> np.float64:
+    """np.angle of one complex scalar, without its 0-d array round trip."""
+    return np.arctan2(z.imag, z.real)
+
+
 def is_unitary(m, atol: float = DEFAULT_TOL.unitarity) -> bool:
     """True if ``m @ m.conj().T`` is the identity within ``atol`` (max norm)."""
     m = _as_complex(m)
@@ -75,12 +80,18 @@ def _require_unitary(m: np.ndarray, atol: float, what: str) -> None:
 
 
 def kron(a, b) -> np.ndarray:
-    """Tensor product of two 2x2 matrices, first factor acting on qubit 0."""
+    """The package's Kronecker product of two 2x2 matrices, first factor on
+    qubit 0; every two-qubit product in su4c is its unchecked twin _kron."""
     a = _as_complex(a)
     b = _as_complex(b)
     if a.shape != (2, 2) or b.shape != (2, 2):
         raise ValueError(f"kron expects 2x2 factors, got {a.shape} and {b.shape}")
-    return np.kron(a, b)
+    return _kron(a, b)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # The elementwise multiply np.kron performs, without its shape handling.
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
 def check_density_matrix(rho: np.ndarray, atol: float = 1e-10) -> np.ndarray:
@@ -122,7 +133,7 @@ def _special_unitary_projection(u: np.ndarray, tol: Tolerances) -> tuple[np.ndar
     n = u.shape[0]
     det = np.linalg.det(u)
     # Principal root: divide the argument, fold ties at -pi/n up to +pi/n.
-    arg = np.angle(det) / n
+    arg = _arg(det) / n
     if arg <= -math.pi / n + tol.branch_tie / n:
         arg += 2.0 * math.pi / n
     phase = complex(np.exp(1j * arg))
@@ -159,12 +170,12 @@ def _jacobi_polish(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     with exact-angle real Jacobi rotations. Returns the updated basis."""
     floor = 1e-13  # off-diagonal level, relative to the largest entry
     n = w.shape[0]
-    basis = basis.copy()
     cur = basis.T @ w @ basis
     scale = max(1.0, float(np.max(np.abs(cur))))
     for _ in range(30):
-        off = cur - np.diag(np.diag(cur))
-        if np.max(np.abs(off)) < floor * scale:
+        off = np.abs(cur)
+        np.fill_diagonal(off, 0.0)
+        if np.max(off) < floor * scale:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -187,16 +198,14 @@ def _jacobi_polish(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
 def _canonicalize(phases: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Apply the deterministic ordering: sign-fix columns, sort by phase with
     a lexicographic tie-break, then restore det +1 on the last column."""
-    vectors = vectors.copy()
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-8)[0]
-        if nz.size and col[nz[0]] < 0:
-            vectors[:, j] = -col
-    order = sorted(
-        range(len(phases)),
-        key=lambda j: (phases[j], *tuple(np.round(vectors[:, j], 12) + 0.0)),
-    )
+    # A column's first entry above 1e-8 in size is below -1e-8 exactly when
+    # it is negative; a column without such an entry keeps its sign.
+    cols = np.arange(vectors.shape[1])
+    lead = vectors[np.argmax(np.abs(vectors) > 1e-8, axis=0), cols]
+    vectors = np.where(lead < -1e-8, -vectors, vectors)
+    # Sort by phase, ties by the column's entries rounded to 12 decimals, in
+    # row order. lexsort takes its primary key last and is stable.
+    order = np.lexsort((*np.round(vectors, 12)[::-1], phases))
     phases = phases[order]
     vectors = vectors[:, order]
     if np.linalg.det(vectors) < 0:
@@ -271,16 +280,14 @@ def factor_tensor_product(
 def _factor_tensor_product(
     m: np.ndarray, tol: Tolerances
 ) -> tuple[np.ndarray, np.ndarray, complex]:
-    blocks = [[m[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] for j in range(2)] for i in range(2)]
-    norms = np.array([[np.linalg.norm(blocks[i][j]) for j in range(2)] for i in range(2)])
-    bi, bj = np.unravel_index(int(np.argmax(norms)), (2, 2))
+    # blocks[i, j] is the view m[2i:2i+2, 2j:2j+2].
+    blocks = m.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+    norms = np.array([[np.linalg.norm(blocks[i, j]) for j in range(2)] for i in range(2)])
+    bi, bj = divmod(int(np.argmax(norms)), 2)
     # A unitary product has every nonzero block proportional to b with
     # |a[i,j]| * ||b||_F and ||b||_F = sqrt(2) after normalization.
-    b = blocks[bi][bj] / (norms[bi, bj] / math.sqrt(2.0))
-    a = np.array(
-        [[np.trace(b.conj().T @ blocks[i][j]) / 2.0 for j in range(2)] for i in range(2)],
-        dtype=complex,
-    )
+    b = blocks[bi, bj] / (norms[bi, bj] / math.sqrt(2.0))
+    a = np.trace(b.conj().T @ blocks, axis1=2, axis2=3) / 2.0
 
     det_a = np.linalg.det(a)
     det_b = np.linalg.det(b)
@@ -291,7 +298,7 @@ def _factor_tensor_product(
     a = a / ra
     b = b / rb
 
-    prod = np.kron(a, b)
+    prod = _kron(a, b)
     overlap = np.trace(prod.conj().T @ m) / 4.0
     if abs(overlap) < 1e-12:
         raise NotAProductError("no phase aligns the factors with the input")
@@ -359,7 +366,7 @@ def _su2_params(m: np.ndarray, tol: Tolerances) -> tuple[float, float, float, in
 
     if theta < tol.angle_snap:
         # Diagonal matrix: all rotation is in Rz.
-        psi = float(np.angle(m[0, 0]))
+        psi = float(_arg(m[0, 0]))
         if psi <= 0.0:
             sign, phiz = 1, -2.0 * psi
         else:
@@ -368,14 +375,14 @@ def _su2_params(m: np.ndarray, tol: Tolerances) -> tuple[float, float, float, in
 
     if theta > math.pi - tol.angle_snap:
         # Anti-diagonal matrix: phiz is degenerate with phi, push it to 0.
-        phi = (float(np.angle(m[1, 0])) + math.pi / 2.0) % math.tau
+        phi = (float(_arg(m[1, 0])) + math.pi / 2.0) % math.tau
         return math.pi, phi, 0.0, 1
 
-    psi = float(np.angle(m[0, 0]))  # equals arg(sign) - phiz/2
+    psi = float(_arg(m[0, 0]))  # equals arg(sign) - phiz/2
     if psi <= 0.0:
         sign, phiz = 1, -2.0 * psi
     else:
         sign, phiz = -1, math.tau - 2.0 * psi
     sign_arg = 0.0 if sign == 1 else math.pi
-    phi = (float(np.angle(m[1, 0])) - sign_arg - phiz / 2.0 + math.pi / 2.0) % math.tau
+    phi = (float(_arg(m[1, 0])) - sign_arg - phiz / 2.0 + math.pi / 2.0) % math.tau
     return theta, phi, phiz % math.tau, sign

@@ -34,6 +34,20 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# Matrix files whose entries are not finite numbers, with the entry the
+# error must name. JSON true/false parse to bool, an int in Python; NaN and
+# Infinity are tokens Python's json module accepts.
+BAD_ENTRY_FILES = {
+    "bool": (
+        "[[true,false,false,false],[false,true,false,false],"
+        "[false,false,true,false],[false,false,false,true]]",
+        "True",
+    ),
+    "infinity": ("[[Infinity,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]", "inf"),
+    "nan": ("[[1,0,0,0],[0,1,0,0],[0,0,[1,NaN],0],[0,0,0,1]]", "[1, nan]"),
+}
+
+
 class TestCompile:
     def test_success(self, capsys, unitary_file):
         code, out, _ = run_cli(capsys, "compile", unitary_file)
@@ -84,6 +98,16 @@ class TestCompile:
         code, _, err = run_cli(capsys, "compile", str(tmp_path / "nope.json"))
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("case", sorted(BAD_ENTRY_FILES))
+    def test_non_finite_entry_rejected(self, capsys, tmp_path, case):
+        text, entry = BAD_ENTRY_FILES[case]
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "compile", str(path))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert f"matrix entry {entry} " in err
+
     def test_wrong_shape(self, capsys, tmp_path):
         path = tmp_path / "m2.json"
         path.write_text(json.dumps([[1, 0], [0, 1]]))
@@ -115,6 +139,16 @@ class TestCompile:
         assert code == EXIT_PARSE
         assert out == ""
         assert "finite and positive" in err
+
+    @pytest.mark.parametrize("case", sorted(BAD_ENTRY_FILES))
+    def test_non_finite_entry_rejected(self, capsys, tmp_path, case):
+        text, entry = BAD_ENTRY_FILES[case]
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "process-tomo", "--unitary", str(path))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert f"matrix entry {entry} " in err
 
     def test_printed_precision_accepted(self, capsys, tmp_path):
         rounded = np.round(sample_su4(SeededRng(547)), 3)
@@ -303,6 +337,16 @@ class TestProcessTomo:
         path.write_text(json.dumps(matrix_to_obj(np.zeros((4, 4), dtype=complex))))
         code, _, _ = run_cli(capsys, "process-tomo", "--unitary", str(path))
         assert code == EXIT_NOT_UNITARY
+
+    @pytest.mark.parametrize("case", sorted(BAD_ENTRY_FILES))
+    def test_non_finite_entry_rejected(self, capsys, tmp_path, case):
+        text, entry = BAD_ENTRY_FILES[case]
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "process-tomo", "--unitary", str(path))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert f"matrix entry {entry} " in err
 
     def test_printed_precision_accepted(self, capsys, tmp_path):
         path = tmp_path / "r.json"

@@ -1,0 +1,102 @@
+"""Exact-output corpus: decompose, verify and lower_to_pulses, bit for bit.
+
+Every field of every CircuitParams, VerificationReport and pulse list the
+compile path returns on a fixed corpus is written out with repr, which
+round-trips floats exactly, and the whole is hashed with sha256. No value is
+rounded, so a change in the last bit of any angle, phase or distance changes
+the digest. This makes "faster, same output" a checked claim: a change that
+only means to speed the compiler up must leave CORPUS_SHA256 as it is.
+
+The corpus is 200 sample_su4 draws of SeededRng(2024), then seeded named
+classes and Weyl-chamber face, edge and corner classes, each with random
+single-qubit dressing and a random global phase, half of them perturbed by
+1e-9 to 1e-5 (both sides of the 1e-6 eigenvalue-pairing tolerance).
+
+Re-capture the literal only in a change that means to move compiler outputs
+(ROADMAP item 6), and record the old and the new digest in CHANGES.md.
+"""
+
+import dataclasses
+import hashlib
+import math
+
+import numpy as np
+from chamber import FACE_PATTERNS, face_angles, interaction
+
+from su4c import SeededRng, decompose, lower_to_pulses, nearest_unitary, sample_su4, verify
+
+CORPUS_SHA256 = "be38e4a8afb34e80232f78ba4ecd4d8062c37846da946097a3165400d3691fb1"
+
+_S, _T = (1 + 1j) / 2, (1 - 1j) / 2
+NAMED = (
+    np.eye(4, dtype=complex),
+    np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+    np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex),
+    np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]], dtype=complex),
+    np.array([[1, 0, 0, 0], [0, _S, _T, 0], [0, _T, _S, 0], [0, 0, 0, 1]], dtype=complex),
+)
+
+
+def _su2(gen):
+    """Haar SU(2) from a normalized quaternion, built without su4c."""
+    q = gen.standard_normal(4)
+    a, b = complex(*q[:2]), complex(*q[2:])
+    norm = math.hypot(abs(a), abs(b))
+    return np.array([[a, -b.conjugate()], [b, a.conjugate()]]) / norm
+
+
+def _dress(gen, u, perturb):
+    """Random local dressing and global phase, then optionally a unitary
+    step of size 1e-9 to 1e-5 in a random Hermitian direction."""
+    left = np.kron(_su2(gen), _su2(gen))
+    right = np.kron(_su2(gen), _su2(gen))
+    u = np.exp(1j * gen.uniform(-math.pi, math.pi)) * (left @ u @ right)
+    if not perturb:
+        return u
+    h = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
+    vals, vecs = np.linalg.eigh(h + h.conj().T)
+    size = 10.0 ** gen.uniform(-9.0, -5.0)
+    return nearest_unitary((vecs * np.exp(1j * size * vals)) @ vecs.conj().T @ u)
+
+
+def corpus():
+    rng = SeededRng(2024)
+    inputs = [sample_su4(rng) for _ in range(200)]
+    gen = np.random.default_rng(2024)
+    for k in range(40):
+        inputs.append(_dress(gen, NAMED[k % len(NAMED)], perturb=k % 2 == 1))
+    for pattern in FACE_PATTERNS:
+        a, b = gen.uniform(0.0, math.pi / 2.0, size=2)
+        u = interaction(*face_angles(pattern, a, b))
+        inputs.extend(_dress(gen, u, perturb) for perturb in (False, True))
+    return inputs
+
+
+def _fields(obj):
+    """repr of every leaf field, in declaration order, as Python scalars."""
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _fields(getattr(obj, f.name))
+    elif isinstance(obj, list):
+        for item in obj:
+            yield from _fields(item)
+    elif isinstance(obj, (bool, int, str, type(None))):
+        yield repr(obj)
+    elif isinstance(obj, (complex, np.complexfloating)):
+        yield repr(complex(obj))
+    else:
+        yield repr(float(obj))
+
+
+def corpus_digest(inputs) -> str:
+    h = hashlib.sha256()
+    for u in inputs:
+        params = decompose(u)
+        for out in (params, verify(u, params), lower_to_pulses(params)):
+            h.update("\n".join(_fields(out)).encode())
+            h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_compile_outputs_are_unchanged():
+    assert corpus_digest(corpus()) == CORPUS_SHA256

@@ -1,6 +1,7 @@
 """JSON serialization round trips and content hashing."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -69,6 +70,14 @@ class TestMatrixObj:
     def test_bad_entry_rejected(self):
         with pytest.raises(ValueError):
             matrix_from_obj([["x", 0], [0, 1]])
+
+    @pytest.mark.parametrize(
+        "entry",
+        [True, False, [1.0, True], math.nan, -math.inf, [0.0, math.inf], 10**400, ["1", 0]],
+    )
+    def test_non_finite_entry_rejected(self, entry):
+        with pytest.raises(ValueError, match="matrix entry"):
+            matrix_from_obj([[entry, 0], [0, 1]])
 
     def test_file_round_trip(self, tmp_path):
         u = sample_su4(SeededRng(509))

@@ -12,6 +12,7 @@ from su4c.gates import G_GATE, PAULI_X, PAULI_Z, r_gate, rz_gate, to_magic
 from su4c.haar import SeededRng, sample_su4
 from su4c.linalg import (
     NotAProductError,
+    _canonicalize,
     NotUnitaryError,
     factor_tensor_product,
     is_unitary,
@@ -55,6 +56,14 @@ class TestKron:
         state = np.array([0, 0, 1, 0], dtype=complex)
         out = kron(r_gate(math.pi, 0.0), I2) @ state
         assert np.allclose(out, [-1j, 0, 0, 0], atol=1e-12)
+
+
+    def test_matches_numpy_kron_bitwise(self):
+        rng = SeededRng(41)
+        for _ in range(200):
+            a, b = random_su2(rng), random_su2(rng)
+            for x, y in ((a, b), (a, I2), (I2, b), (PAULI_X, b)):
+                assert kron(x, y).tobytes() == np.kron(x, y).tobytes()
 
 
 class TestIsUnitary:
@@ -169,6 +178,97 @@ class TestJointRealDiagonalization:
         u = sample_su4(SeededRng(5))
         with pytest.raises(ValueError):
             joint_real_diagonalization(u)
+
+
+def _canonicalize_sorted(phases, vectors):
+    """The sorted()-based _canonicalize that the vectorized one replaced."""
+    vectors = vectors.copy()
+    for j in range(vectors.shape[1]):
+        col = vectors[:, j]
+        nz = np.nonzero(np.abs(col) > 1e-8)[0]
+        if nz.size and col[nz[0]] < 0:
+            vectors[:, j] = -col
+    order = sorted(
+        range(len(phases)),
+        key=lambda j: (phases[j], *tuple(np.round(vectors[:, j], 12) + 0.0)),
+    )
+    phases = phases[order]
+    vectors = vectors[:, order]
+    if np.linalg.det(vectors) < 0:
+        vectors[:, -1] = -vectors[:, -1]
+    return phases, vectors
+
+
+def _random_signed_permutation(rng):
+    gen = rng.generator
+    return np.eye(4)[:, gen.permutation(4)] * gen.choice([-1.0, 1.0], size=4)
+
+
+class TestCanonicalize:
+    """The vectorized _canonicalize against the sorted() implementation it
+    replaced: same phases and vectors, bit for bit, signs of zeros included."""
+
+    @staticmethod
+    def assert_same(phases, vectors):
+        for new, old in zip(_canonicalize(phases, vectors), _canonicalize_sorted(phases, vectors)):
+            assert new.tobytes() == old.tobytes()
+
+    def test_random_orthogonal_frames(self):
+        rng = SeededRng(61)
+        for _ in range(200):
+            phases = rng.generator.uniform(-math.pi, math.pi, size=4)
+            self.assert_same(phases, random_orthogonal(rng))
+
+    def test_tied_phases_on_permutation_frames(self):
+        rng = SeededRng(62)
+        for _ in range(200):
+            phases = rng.generator.choice([-1.0, 0.5, math.pi], size=4)
+            self.assert_same(phases, _random_signed_permutation(rng))
+
+    def test_tied_phases_on_block_rotation_frames(self):
+        rng = SeededRng(63)
+        for _ in range(200):
+            t, s = rng.generator.uniform(-math.pi, math.pi, size=2)
+            rot = np.zeros((4, 4))
+            rot[:2, :2] = [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]
+            rot[2:, 2:] = [[math.cos(s), math.sin(s)], [-math.sin(s), math.cos(s)]]
+            phases = np.array([0.7, 0.7, -2.0, -2.0])[rng.generator.permutation(4)]
+            self.assert_same(phases, rot @ _random_signed_permutation(rng))
+
+    def test_columns_equal_at_12_decimals(self):
+        # tied phases and columns that differ below the rounding: the sort
+        # must keep their order
+        rng = SeededRng(64)
+        for _ in range(100):
+            o = random_orthogonal(rng)
+            vectors = np.column_stack([o[:, 0], o[:, 0] + 1e-14, o[:, 1], o[:, 1] - 2e-14])
+            phases = np.array([0.3, 0.3, 0.3, -0.3])
+            self.assert_same(phases, vectors[:, rng.generator.permutation(4)])
+
+    def test_leading_entries_below_threshold(self):
+        # the sign is fixed by the first entry above 1e-8, not by row 0
+        vectors = np.array(
+            [
+                [1e-9, -1e-9, 0.0, -0.0],
+                [-0.6, 0.8, 1e-9, 0.0],
+                [0.8, 0.6, -1.0, 0.0],
+                [0.0, 0.0, 0.0, -1.0],
+            ]
+        )
+        phases = np.array([1.0, 1.0, -1.0, 1.0])
+        self.assert_same(phases, vectors)
+        # every column but the last, which the det fix may negate, leads
+        # with a positive entry
+        _, out = _canonicalize(phases, vectors)
+        assert np.all(out[np.argmax(np.abs(out) > 1e-8, axis=0), range(4)][:3] > 0)
+
+    def test_det_minus_one_input(self):
+        o = random_orthogonal(SeededRng(65))
+        o[:, 2] = -o[:, 2]
+        assert np.linalg.det(o) < 0
+        phases = np.array([0.1, -0.4, 2.5, -3.0])
+        self.assert_same(phases, o)
+        assert np.linalg.det(_canonicalize(phases, o)[1]) > 0
 
 
 class TestNearestUnitary:

@@ -1,14 +1,20 @@
-"""Property tests over the named classes and their neighbourhoods.
+"""Property tests over the named classes, the Weyl-chamber faces and their
+neighbourhoods.
 
 Each drawn input is a named class (identity, CNOT, SWAP, iSWAP, sqrt-SWAP)
-with random single-qubit dressing on both sides, a random global phase and
-a random perturbation of size 1e-9 to 1e-5, passed through nearest_unitary.
-These are the inputs where degenerate invariants and branch cuts live.
+or a class on a face, edge or corner of the Weyl chamber (two class angles
+equal, or one of them 0 or pi/2; built with scipy, see chamber.py), with
+random single-qubit dressing on both sides, a random global phase and a
+random perturbation of size 1e-9 to 1e-5, passed through nearest_unitary.
+The perturbations straddle the compiler's 1e-6 eigenvalue-pairing
+tolerance. These are the inputs where degenerate invariants and branch cuts
+live.
 """
 
 import math
 
 import numpy as np
+from chamber import FACE_PATTERNS, face_angles, interaction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,21 +65,44 @@ def _perturb(u, perturbation):
     return nearest_unitary(step @ u)
 
 
-@st.composite
-def named_class_inputs(draw):
-    u = NAMED[draw(st.sampled_from(sorted(NAMED)))]
+def _dress_and_perturb(draw, u):
     u = draw(local_gates) @ u @ draw(local_gates)
     u = np.exp(1j * draw(angle)) * u
     return _perturb(u, draw(perturbations))
 
 
-@PROPERTY_SETTINGS
-@given(named_class_inputs())
-def test_round_trip_through_pulses(u):
+@st.composite
+def named_class_inputs(draw):
+    return _dress_and_perturb(draw, NAMED[draw(st.sampled_from(sorted(NAMED)))])
+
+
+quarter_turn = st.floats(0.0, math.pi / 2.0)
+
+
+@st.composite
+def chamber_face_inputs(draw):
+    pattern = draw(st.sampled_from(FACE_PATTERNS))
+    u = interaction(*face_angles(pattern, draw(quarter_turn), draw(quarter_turn)))
+    return _dress_and_perturb(draw, u)
+
+
+def _check_round_trip(u):
     params = decompose(u)
     assert verify(u, params).passed
     pulses = compose_pulses(lower_to_pulses(params))
     assert phase_invariant_distance(pulses, u) < DEFAULT_TOL.verify_distance
+
+
+@PROPERTY_SETTINGS
+@given(named_class_inputs())
+def test_round_trip_through_pulses(u):
+    _check_round_trip(u)
+
+
+@PROPERTY_SETTINGS
+@given(chamber_face_inputs())
+def test_chamber_faces_round_trip_through_pulses(u):
+    _check_round_trip(u)
 
 
 def _circular_mismatch(a, b):
@@ -82,10 +111,20 @@ def _circular_mismatch(a, b):
     return max(d.min(axis=1).max(), d.min(axis=0).max())
 
 
-@PROPERTY_SETTINGS
-@given(named_class_inputs(), local_gates, local_gates)
-def test_invariants_ignore_local_dressing(u, left, right):
+def _check_invariance(u, left, right):
     dressed = nearest_unitary(left @ u @ right)
     # the dressing has det 1, so both inputs share a determinant sheet and
     # the invariants agree up to rounding (wrapped at +-pi)
     assert _circular_mismatch(local_invariants(u), local_invariants(dressed)) < 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(named_class_inputs(), local_gates, local_gates)
+def test_invariants_ignore_local_dressing(u, left, right):
+    _check_invariance(u, left, right)
+
+
+@PROPERTY_SETTINGS
+@given(chamber_face_inputs(), local_gates, local_gates)
+def test_chamber_face_invariants_ignore_local_dressing(u, left, right):
+    _check_invariance(u, left, right)
