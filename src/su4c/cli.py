@@ -9,8 +9,9 @@ Subcommands
   process-tomo  full process tomography of one operation, reporting
                 entanglement fidelity and mean state fidelity
 
-Exit codes: 0 success, 2 bad arguments or unreadable input, 3 input matrix
-not unitary within the input tolerance, 4 compiled circuit failed verification.
+Exit codes: 0 success, 2 bad arguments, unreadable input or an unwritable
+output path, 3 input matrix not unitary within the input tolerance, 4 compiled
+circuit failed verification.
 
 Every command is deterministic for a fixed --seed. Reports embed the seed,
 a content hash of the inputs, and the tolerance configuration. The
@@ -25,6 +26,7 @@ import csv
 import json
 import sys
 from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 
@@ -41,6 +43,7 @@ from .experiment import (
 )
 from .haar import SeededRng, sample_su4
 from .io import (
+    _is_finite_number,
     circuit_to_obj,
     content_hash,
     dump_json,
@@ -94,8 +97,37 @@ def _resolve_noise(source: str) -> tuple[NoiseModel, dict]:
     unknown = set(obj) - allowed
     if unknown:
         raise ValueError(f"unknown noise fields {sorted(unknown)}")
+    for k, v in obj.items():
+        if not _is_finite_number(v):
+            raise ValueError(f"noise field {k!r} is {v!r}, not a finite number")
     model = NoiseModel(**{k: float(v) for k, v in obj.items()})
     return model, {"source": "file", "hash": content_hash(raw)}
+
+
+def _write_outputs(report: dict, out: "str | None", *files) -> int:
+    """Print the report, or write it to out, then write each (path, write)
+    of files whose path is set; exit 2 naming a path that cannot be written."""
+    path = out
+    try:
+        text = dump_json(report, out)
+        if out is None:
+            print(text)
+        for path, write in files:
+            if path is not None:
+                write(path)
+    except OSError as exc:
+        where = "stdout" if path is None else path
+        return _fail(EXIT_PARSE, f"cannot write {where}: {exc.strerror or exc}")
+    return EXIT_OK
+
+
+def _write_csv(operations: list, path: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fp:
+        writer = csv.writer(fp)
+        writer.writerow(["index", "qubit0_state", "qubit1_state", "fidelity"])
+        writer.writerows(
+            [op["index"], *op["input_state"], repr(op["fidelity"])] for op in operations
+        )
 
 
 def _pulse_obj(pulse) -> dict:
@@ -118,9 +150,11 @@ def _load_matrix(path: str, tol: Tolerances):
     except (ValueError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot parse {path}: {exc}") from None
     m = matrix_from_obj(obj, (4, 4))
-    if not is_unitary(m, tol.input_unitarity):
-        return None, content_hash(raw)
-    return m, content_hash(raw)
+    return (m if is_unitary(m, tol.input_unitarity) else None), content_hash(raw)
+
+
+def _not_unitary(tol: Tolerances) -> int:
+    return _fail(EXIT_NOT_UNITARY, f"input matrix is not unitary within {tol.input_unitarity:g}")
 
 
 def _compile(m, tol: Tolerances):
@@ -136,10 +170,7 @@ def _cmd_compile(args) -> int:
     except (OSError, ValueError) as exc:
         return _fail(EXIT_PARSE, str(exc))
     if m is None:
-        return _fail(
-            EXIT_NOT_UNITARY,
-            f"input matrix is not unitary within {tol.input_unitarity:g}",
-        )
+        return _not_unitary(tol)
     params = _compile(m, tol)
     # against the file's matrix, so a rounded input reports how far it is
     # from the compiled circuit
@@ -157,9 +188,9 @@ def _cmd_compile(args) -> int:
     }
     if args.pulses:
         out["pulses"] = [_pulse_obj(p) for p in lower_to_pulses(params)]
-    text = dump_json(out, args.out)
-    if args.out is None:
-        print(text)
+    code = _write_outputs(out, args.out)
+    if code != EXIT_OK:
+        return code
     if not report.passed:
         return _fail(
             EXIT_VERIFY,
@@ -172,10 +203,7 @@ def _cmd_compile(args) -> int:
 def _cmd_sample(args) -> int:
     rng = SeededRng(args.seed)
     matrices = [matrix_to_obj(sample_su4(rng)) for _ in range(args.n)]
-    text = dump_json(matrices, args.out)
-    if args.out is None:
-        print(text)
-    return EXIT_OK
+    return _write_outputs(matrices, args.out)
 
 
 def _run_one(pulses, label, noise, args, rng):
@@ -243,19 +271,7 @@ def _cmd_benchmark(args) -> int:
             "max_fidelity": float(arr.max()),
         }
     )
-    text = dump_json(out, args.out)
-    if args.out is None:
-        print(text)
-    if args.csv is not None:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fp:
-            writer = csv.writer(fp)
-            writer.writerow(["index", "qubit0_state", "qubit1_state", "fidelity"])
-            for op in operations:
-                writer.writerow(
-                    [op["index"], op["input_state"][0], op["input_state"][1],
-                     repr(op["fidelity"])]
-                )
-    return EXIT_OK
+    return _write_outputs(out, args.out, (args.csv, partial(_write_csv, operations)))
 
 
 def _cmd_process_tomo(args) -> int:
@@ -266,10 +282,7 @@ def _cmd_process_tomo(args) -> int:
     except (OSError, ValueError) as exc:
         return _fail(EXIT_PARSE, str(exc))
     if m is None:
-        return _fail(
-            EXIT_NOT_UNITARY,
-            f"input matrix is not unitary within {tol.input_unitarity:g}",
-        )
+        return _not_unitary(tol)
     u = nearest_unitary(m)
     if args.exact_probabilities and not noise.is_zero:
         return _fail(EXIT_PARSE, "--exact-probabilities requires zero noise")
@@ -299,12 +312,7 @@ def _cmd_process_tomo(args) -> int:
         "mean_state_fidelity": mean_state_fidelity(est, ideal),
         "mean_fidelity_from_entanglement": mean_fidelity_from_entanglement(f_ent),
     }
-    text = dump_json(out, args.out)
-    if args.out is None:
-        print(text)
-    if args.process_out is not None:
-        save_matrix(est, args.process_out)
-    return EXIT_OK
+    return _write_outputs(out, args.out, (args.process_out, partial(save_matrix, est)))
 
 
 def _add_common(parser, shots_default: int) -> None:

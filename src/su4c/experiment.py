@@ -1,8 +1,12 @@
-"""Simulated two-qubit experiments: state prep, noisy pulse execution,
-and projective measurement in the nine two-qubit Pauli settings.
+"""Simulated two-qubit experiments: product-state preparation, noisy
+execution of a pulse program, and projective measurement in the nine
+two-qubit Pauli settings.
 
-The experiment runs a pulse program, as lower_to_pulses emits it; compiling
-a matrix into that program is the caller's step, done once per operation.
+run_experiment samples the nine settings' counts; exact_experiment returns
+their exact Born probabilities for a noiseless program. Both run a pulse
+program as lower_to_pulses emits it; compiling a matrix into that program is
+the caller's step, done once per operation. apply_channel is the same noise
+model on a density matrix, the reference the executor is tested against.
 
 Noise model, applied to a lowered pulse sequence:
   * every R pulse's rotation angle is scaled by (1 + eps) with eps drawn
@@ -47,13 +51,10 @@ __all__ = [
     "TOMOGRAPHY_INPUT_LABELS",
     "MEASUREMENT_SETTINGS",
     "CALIBRATED_NOISE",
-    "InputStateLabel",
     "NoiseModel",
     "MeasurementRecord",
     "input_state",
     "apply_channel",
-    "setting_probabilities",
-    "measure",
     "run_experiment",
     "exact_experiment",
 ]
@@ -90,32 +91,13 @@ _SETTING_FRAMES.flags.writeable = False
 _BLOCK_SHOTS = 1024
 
 
-@dataclass(frozen=True)
-class InputStateLabel:
-    """Product preparation, one label per qubit."""
-
-    qubit0: str
-    qubit1: str
-
-    def __post_init__(self):
-        for name in (self.qubit0, self.qubit1):
-            if name not in _STATE_VECTORS:
-                raise ValueError(
-                    f"unknown state label {name!r}; choose from {STATE_LABELS}"
-                )
-
-
-def _as_label(label: "InputStateLabel | Sequence[str]") -> InputStateLabel:
-    if isinstance(label, InputStateLabel):
-        return label
-    a, b = label
-    return InputStateLabel(str(a), str(b))
-
-
-def input_state(label: "InputStateLabel | Sequence[str]") -> np.ndarray:
-    """State vector of a labeled product preparation."""
-    lab = _as_label(label)
-    return np.outer(_STATE_VECTORS[lab.qubit0], _STATE_VECTORS[lab.qubit1]).reshape(4)
+def input_state(label: Sequence[str]) -> np.ndarray:
+    """State vector of a product preparation, one label per qubit."""
+    a, b = (str(name) for name in label)
+    for name in (a, b):
+        if name not in _STATE_VECTORS:
+            raise ValueError(f"unknown state label {name!r}; choose from {STATE_LABELS}")
+    return np.outer(_STATE_VECTORS[a], _STATE_VECTORS[b]).reshape(4)
 
 
 @dataclass(frozen=True)
@@ -243,43 +225,6 @@ def apply_channel(
     return 0.5 * (out + out.conj().T)
 
 
-def _setting_frame(setting: Sequence[str]) -> np.ndarray:
-    a, b = setting
-    for axis in (a, b):
-        if axis not in _PREROTATION:
-            raise ValueError(f"unknown measurement axis {axis!r}")
-    return _SETTING_FRAMES[MEASUREMENT_SETTINGS.index((a, b))]
-
-
-def setting_probabilities(rho: np.ndarray, setting: Sequence[str]) -> np.ndarray:
-    """Born probabilities of the four outcomes in one measurement setting.
-
-    Works on a single density matrix or a batch (leading axes)."""
-    w = _setting_frame(setting)
-    rotated = w @ rho @ w.conj().T
-    p = np.real(np.diagonal(rotated, axis1=-2, axis2=-1))
-    p = np.clip(p, 0.0, None)
-    return p / np.sum(p, axis=-1, keepdims=True)
-
-
-def measure(
-    rho: np.ndarray,
-    setting: Sequence[str],
-    shots: int,
-    rng: SeededRng,
-) -> MeasurementRecord:
-    """Sample shot outcomes for one setting from a single density matrix."""
-    if shots <= 0:
-        raise ValueError("shots must be positive")
-    p = setting_probabilities(rho, setting)
-    counts = rng.generator.multinomial(shots, p)
-    return MeasurementRecord(
-        setting=(setting[0], setting[1]),
-        counts=tuple(int(c) for c in counts),
-        shots=shots,
-    )
-
-
 def _records(counts, shots: int) -> list[MeasurementRecord]:
     return [
         MeasurementRecord(setting, tuple(np.asarray(c).tolist()), shots)
@@ -287,15 +232,23 @@ def _records(counts, shots: int) -> list[MeasurementRecord]:
     ]
 
 
+def _born_table(pulses: Sequence[GateElement], label: Sequence[str]) -> list[np.ndarray]:
+    """The four outcome probabilities of each setting, in order, for the
+    noiseless program run on the labeled preparation."""
+    psi = input_state(label).reshape(4, 1)
+    psi = _evolve(psi, pulses, _overrotations(pulses, NoiseModel(), None, 1))
+    return [_probabilities(f, psi, 0.0)[:, 0] for f in _frames(0.0)]
+
+
 def run_experiment(
     pulses: Sequence[GateElement],
-    label: "InputStateLabel | Sequence[str]",
+    label: Sequence[str],
     noise: NoiseModel,
     shots_per_setting: int,
     rng: SeededRng,
 ) -> list[MeasurementRecord]:
     """Prepare the labeled product state, execute the pulse program, and
-    measure all nine settings.
+    sample the counts of all nine settings.
 
     Every shot sees a fresh noise realization; with a noiseless model the
     final state is deterministic and shots are sampled in one batch.
@@ -303,13 +256,13 @@ def run_experiment(
     if shots_per_setting <= 0:
         raise ValueError("shots_per_setting must be positive")
     shots = shots_per_setting
+    if noise.is_zero:
+        p = _born_table(pulses, label)
+        return _records([rng.generator.multinomial(shots, pf) for pf in p], shots)
+
     psi0 = input_state(label).reshape(4, 1)
     frames = _frames(noise.damping_per_circuit)
     q = _depolarizing_weight(pulses, noise)
-    if noise.is_zero:
-        psi = _evolve(psi0, pulses, _overrotations(pulses, noise, rng, 1))
-        p = [_probabilities(f, psi, q)[:, 0] for f in frames]
-        return _records([rng.generator.multinomial(shots, pf) for pf in p], shots)
 
     # whole settings per block, or one setting over several blocks
     group = max(1, _BLOCK_SHOTS // shots)
@@ -337,13 +290,11 @@ def run_experiment(
 
 def exact_experiment(
     pulses: Sequence[GateElement],
-    label: "InputStateLabel | Sequence[str]",
+    label: Sequence[str],
 ) -> list[MeasurementRecord]:
     """Infinite-shot records of the noiseless pulse program: the records
     carry exact Born probabilities instead of sampled counts."""
-    psi = input_state(label).reshape(4, 1)
-    psi = _evolve(psi, pulses, _overrotations(pulses, NoiseModel(), None, 1))
-    return _records([_probabilities(f, psi, 0.0)[:, 0] for f in _frames(0.0)], 1)
+    return _records(_born_table(pulses, label), 1)
 
 
 # Stored profile for demonstration runs: tuned so the packaged benchmark's

@@ -24,7 +24,6 @@ from .linalg import (
 
 __all__ = [
     "PAULI_X",
-    "PAULI_Y",
     "PAULI_Z",
     "G_GATE",
     "MAGIC",
@@ -39,7 +38,6 @@ __all__ = [
 ]
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 # Entangling gate: exp(-i pi/4) exp(i pi/4 Z x Z). Determinant -1, so it is

@@ -1,9 +1,11 @@
-"""JSON serialization for matrices, compiled circuits, measurement records,
-and process matrices, plus the content hash embedded in reports.
+"""JSON for the CLI: matrices in and out, compiled circuits and reports
+out, the finite-number check on every number read from a JSON file, and
+the content hash embedded in reports.
 
 Complex numbers are stored as [re, im] pairs; matrix files may also use
 bare numbers for real entries. Floats go through Python's shortest
-round-trip repr, so dump -> load reproduces arrays bit for bit.
+round-trip repr, so save_matrix -> matrix_from_obj reproduces arrays bit
+for bit.
 """
 
 from __future__ import annotations
@@ -11,26 +13,18 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
 from .circuits import CircuitParams, LocalGate
-from .experiment import MeasurementRecord
-from .gates import ClassParams
 
 __all__ = [
     "content_hash",
     "matrix_to_obj",
     "matrix_from_obj",
-    "load_matrix",
     "save_matrix",
     "circuit_to_obj",
-    "circuit_from_obj",
-    "record_to_obj",
-    "record_from_obj",
-    "records_to_obj",
-    "records_from_obj",
     "dump_json",
 ]
 
@@ -51,14 +45,24 @@ def matrix_to_obj(m: np.ndarray) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in a]
 
 
+def _is_finite_number(x: Any) -> bool:
+    """Whether a value read from JSON is a finite number."""
+    # bool is an int in Python, but JSON true/false is not a number; the
+    # comparison is false for NaN and infinities, and exact for integers
+    # beyond the float range
+    return (
+        isinstance(x, (int, float))
+        and not isinstance(x, bool)
+        and abs(x) <= sys.float_info.max
+    )
+
+
 def _entry_to_complex(x: Any) -> complex:
     parts = x if isinstance(x, (list, tuple)) and len(x) == 2 else (x, 0)
-    # bool is an int in Python, but JSON true/false is not a number
-    if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
-        raise ValueError(f"matrix entry {x!r} is neither a number nor an [re, im] pair")
-    # false for NaN and infinities, exact for integers beyond the float range
-    if not all(abs(p) <= sys.float_info.max for p in parts):
-        raise ValueError(f"matrix entry {x!r} is not a finite number")
+    if not all(_is_finite_number(p) for p in parts):
+        raise ValueError(
+            f"matrix entry {x!r} is neither a finite number nor an [re, im] pair of them"
+        )
     return complex(*parts)
 
 
@@ -79,15 +83,8 @@ def matrix_from_obj(obj: Any, shape: "tuple[int, int] | None" = None) -> np.ndar
     return m
 
 
-def load_matrix(path: str, shape: "tuple[int, int] | None" = (4, 4)) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fp:
-        return matrix_from_obj(json.load(fp), shape)
-
-
 def save_matrix(m: np.ndarray, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        json.dump(matrix_to_obj(m), fp, indent=2)
-        fp.write("\n")
+    dump_json(matrix_to_obj(m), path)
 
 
 def _letter_to_obj(g: LocalGate) -> dict:
@@ -97,15 +94,6 @@ def _letter_to_obj(g: LocalGate) -> dict:
         "phiz": float(g.phiz),
         "sign": int(g.sign),
     }
-
-
-def _letter_from_obj(obj: dict) -> LocalGate:
-    return LocalGate(
-        theta=float(obj["theta"]),
-        phi=float(obj["phi"]),
-        phiz=float(obj["phiz"]),
-        sign=int(obj.get("sign", 1)),
-    )
 
 
 def circuit_to_obj(params: CircuitParams) -> dict:
@@ -125,41 +113,6 @@ def circuit_to_obj(params: CircuitParams) -> dict:
     }
 
 
-def circuit_from_obj(obj: dict) -> CircuitParams:
-    try:
-        cp = ClassParams(float(obj["alpha"]), float(obj["beta"]), float(obj["delta"]))
-        letters = {k: _letter_from_obj(obj[k.upper()]) for k in ("a", "b", "c", "d")}
-        re, im = obj["global_phase"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed circuit JSON: {exc}") from None
-    return CircuitParams(
-        class_params=cp, global_phase=complex(float(re), float(im)), **letters
-    )
-
-
-def record_to_obj(rec: MeasurementRecord) -> dict:
-    counts = [
-        int(c) if float(c).is_integer() else float(c) for c in rec.counts
-    ]
-    return {"setting": list(rec.setting), "counts": counts, "shots": int(rec.shots)}
-
-
-def record_from_obj(obj: dict) -> MeasurementRecord:
-    try:
-        setting = tuple(str(s) for s in obj["setting"])
-        counts = tuple(
-            int(c) if float(c).is_integer() else float(c) for c in obj["counts"]
-        )
-        shots = int(obj["shots"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed measurement record: {exc}") from None
-    if len(setting) != 2 or len(counts) != 4:
-        raise ValueError("measurement record needs 2 setting axes and 4 counts")
-    if any(axis not in ("Z", "X", "Y") for axis in setting):
-        raise ValueError(f"unknown measurement axes {setting}")
-    return MeasurementRecord(setting=(setting[0], setting[1]), counts=counts, shots=shots)
-
-
 def dump_json(obj: Any, path: "str | None") -> str:
     """Serialize with a stable layout; write to path unless it is None."""
     text = json.dumps(obj, indent=2, sort_keys=True)
@@ -168,11 +121,3 @@ def dump_json(obj: Any, path: "str | None") -> str:
             fp.write(text)
             fp.write("\n")
     return text
-
-
-def records_to_obj(records: Sequence[MeasurementRecord]) -> list:
-    return [record_to_obj(r) for r in records]
-
-
-def records_from_obj(obj: Sequence[dict]) -> list:
-    return [record_from_obj(r) for r in obj]

@@ -25,10 +25,9 @@ from .experiment import (
     _SETTING_FRAMES,
     input_state,
 )
-from .linalg import _as_complex, check_density_matrix
+from .linalg import _as_complex
 
 __all__ = [
-    "check_density_matrix",
     "reconstruct_state",
     "state_fidelity",
     "process_matrix_of_unitary",
@@ -318,6 +317,9 @@ def mean_state_fidelity(e1: np.ndarray, e2: np.ndarray) -> float:
     return total / len(_PROBES)
 
 
-def mean_fidelity_from_entanglement(f_e: float, dim: int = 4) -> float:
-    """Haar-average state fidelity implied by an entanglement fidelity."""
-    return (dim * f_e + 1.0) / (dim + 1.0)
+_DIM = 4  # Hilbert-space dimension of two qubits
+
+
+def mean_fidelity_from_entanglement(f_e: float) -> float:
+    """Haar-average two-qubit state fidelity implied by f_e."""
+    return (_DIM * f_e + 1.0) / (_DIM + 1.0)

@@ -1,0 +1,28 @@
+"""Born probabilities of a density matrix in the nine measurement settings,
+for tests that need exact records of a given state.
+
+Outcome k of a setting with prerotation frame W has probability
+<k| W rho W^dagger |k>. The frames come from experiment._SETTING_FRAMES, the
+ones the executor measures in, and not from tomography's stacked POVM rows,
+so the records stay an independent input to the reconstruction under test.
+"""
+
+import numpy as np
+
+from su4c.experiment import _SETTING_FRAMES, MEASUREMENT_SETTINGS, MeasurementRecord
+
+
+def setting_probabilities(rho, setting):
+    """The four outcome probabilities of one setting; rounding below zero
+    is clipped and the four renormalized."""
+    w = _SETTING_FRAMES[MEASUREMENT_SETTINGS.index(tuple(setting))]
+    p = np.clip(np.real(np.diag(w @ rho @ w.conj().T)), 0.0, None)
+    return p / p.sum()
+
+
+def exact_records(rho):
+    """Infinite-shot records of rho: probabilities in place of counts."""
+    return [
+        MeasurementRecord(s, tuple(float(p) for p in setting_probabilities(rho, s)), 1)
+        for s in MEASUREMENT_SETTINGS
+    ]

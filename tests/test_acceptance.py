@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 
+from born import exact_records
 from programs import program
 from reference_data import PINNED_ROWS, row_to_params
 from su4c.circuits import (
@@ -23,11 +24,8 @@ from su4c.circuits import (
 from su4c.cli import main
 from su4c.compiler import decompose, local_invariants
 from su4c.experiment import (
-    MEASUREMENT_SETTINGS,
     TOMOGRAPHY_INPUT_LABELS,
-    MeasurementRecord,
     exact_experiment,
-    setting_probabilities,
 )
 from su4c.gates import G_GATE, gate_matrix, r_gate
 from su4c.haar import SeededRng, sample_su4
@@ -67,17 +65,6 @@ def wrap_gap(a, b) -> float:
     a = np.sort(np.angle(np.exp(1j * np.asarray(a))))
     b = np.sort(np.angle(np.exp(1j * np.asarray(b))))
     return float(np.max(np.abs(np.angle(np.exp(1j * (a - b))))))
-
-
-def exact_state_records(rho: np.ndarray) -> list:
-    return [
-        MeasurementRecord(
-            setting=(s[0], s[1]),
-            counts=tuple(float(x) for x in setting_probabilities(rho, s)),
-            shots=1,
-        )
-        for s in MEASUREMENT_SETTINGS
-    ]
 
 
 def test_criterion_01_two_row_regression():
@@ -175,7 +162,7 @@ def test_criterion_06_exact_tomography_inversion():
         )
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
-        est = reconstruct_state(exact_state_records(rho), method="linear")
+        est = reconstruct_state(exact_records(rho), method="linear")
         worst_state = max(worst_state, float(np.max(np.abs(est - rho))))
 
     worst_process = 0.0

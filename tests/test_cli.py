@@ -294,6 +294,19 @@ class TestBenchmark:
         )
         assert code == EXIT_PARSE
 
+    # JSON null, an array, a bool (an int in Python) and a numeric string:
+    # each is a value, not a finite number
+    @pytest.mark.parametrize("value", [None, [0.1], True, "0.05"])
+    def test_non_number_noise_value_rejected(self, capsys, tmp_path, value):
+        noise_path = tmp_path / "noise.json"
+        noise_path.write_text(json.dumps({"depolarizing_per_g": value}))
+        code, out, err = run_cli(
+            capsys, "benchmark", "--n", "16", "--noise", str(noise_path)
+        )
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "depolarizing_per_g" in err
+
     def test_nan_noise_file(self, capsys, tmp_path):
         noise_path = tmp_path / "noise.json"
         noise_path.write_text(json.dumps({"overrotation_sigma": float("nan")}))
@@ -416,3 +429,29 @@ class TestParser:
         with pytest.raises(SystemExit) as info:
             main(["benchmark", "--n", "16", "--shots", "0"])
         assert info.value.code == EXIT_PARSE
+
+
+class TestOutputs:
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("compile", "--out"),
+            ("sample", "--out"),
+            ("benchmark", "--out"),
+            ("benchmark", "--csv"),
+            ("process-tomo", "--out"),
+            ("process-tomo", "--process-out"),
+        ],
+    )
+    def test_unwritable_path(self, capsys, unitary_file, tmp_path, command, flag):
+        target = str(tmp_path / "missing" / "out.json")
+        argv = {
+            "compile": ["compile", unitary_file],
+            "sample": ["sample"],
+            "benchmark": ["benchmark", "--n", "16", "--shots", "10"],
+            "process-tomo": ["process-tomo", "--unitary", unitary_file,
+                             "--exact-probabilities"],
+        }[command]
+        code, _, err = run_cli(capsys, *argv, flag, target)
+        assert code == EXIT_PARSE
+        assert target in err

@@ -5,7 +5,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from su4c.circuits import compose_pulses, lower_to_pulses
 from su4c.compiler import decompose
@@ -14,20 +13,18 @@ from su4c.experiment import (
     MEASUREMENT_SETTINGS,
     STATE_LABELS,
     TOMOGRAPHY_INPUT_LABELS,
-    InputStateLabel,
     MeasurementRecord,
     NoiseModel,
     apply_channel,
     exact_experiment,
     input_state,
-    measure,
     run_experiment,
-    setting_probabilities,
 )
-from su4c.experiment import _setting_frame  # shared with tomography; pinned here
+from su4c.experiment import _PREROTATION
 from su4c.gates import G_GATE, embed, r_gate, rz_gate
 from su4c.haar import SeededRng, sample_su4
 from su4c.linalg import kron
+from born import setting_probabilities
 from programs import program
 
 I4 = np.eye(4, dtype=complex)
@@ -155,10 +152,6 @@ class TestInputStates:
             input_state(("minus_i", "plus")), [0.5, 0.5, -0.5j, -0.5j]
         )
 
-    def test_label_dataclass(self):
-        lab = InputStateLabel("plus", "down")
-        assert np.allclose(input_state(lab), input_state(("plus", "down")))
-
     def test_all_sixteen_labels(self):
         assert len(TOMOGRAPHY_INPUT_LABELS) == 16
         for pair in TOMOGRAPHY_INPUT_LABELS:
@@ -166,10 +159,10 @@ class TestInputStates:
             assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
 
     def test_invalid_label(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sideways"):
             input_state(("up", "sideways"))
-        with pytest.raises(ValueError):
-            InputStateLabel("left", "up")
+        with pytest.raises(ValueError, match="left"):
+            input_state(("left", "up"))
 
     def test_label_set(self):
         assert STATE_LABELS == ("up", "down", "plus", "minus_i")
@@ -292,68 +285,57 @@ class TestApplyChannel:
             apply_channel(bad, pulses, NoiseModel())  # negative weight
 
 
+# A program mapping |+, up> to the Bell state (|00> + |11>) / sqrt(2).
+CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+
+
 class TestMeasure:
-    def test_counts_sum_to_shots(self):
-        rho = random_density(SeededRng(227))
-        rec = measure(rho, ("Z", "Z"), 500, SeededRng(229))
-        assert sum(rec.counts) == 500
-        assert rec.shots == 500
-        assert rec.setting == ("Z", "Z")
+    """Projective measurement in the nine settings, read from the exact
+    records of compiled programs."""
 
     def test_ground_state_is_deterministic_in_z(self):
-        rho = ideal_output(I4, ("up", "up"))
-        rec = measure(rho, ("Z", "Z"), 1000, SeededRng(233))
-        assert rec.counts == (1000, 0, 0, 0)
+        zz = exact_experiment(program(I4), ("up", "up"))[0]
+        assert zz.setting == ("Z", "Z")
+        assert np.max(np.abs(np.array(zz.counts) - [1, 0, 0, 0])) < 1e-12
 
     def test_plus_state_is_deterministic_in_x(self):
         # the X prerotation maps the +1 eigenstate onto a basis state
-        rho = ideal_output(I4, ("plus", "up"))
-        probs = setting_probabilities(rho, ("X", "Z"))
+        records = exact_experiment(program(I4), ("plus", "up"))
+        probs = np.array(records[MEASUREMENT_SETTINGS.index(("X", "Z"))].counts)
         hot = int(np.argmax(probs))
         assert probs[hot] == pytest.approx(1.0, abs=1e-12)
-        rec = measure(rho, ("X", "Z"), 400, SeededRng(239))
-        assert rec.counts[hot] == 400
 
     def test_bell_state_splits_evenly(self):
-        psi = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0)
-        rho = np.outer(psi, psi.conj())
-        rec = measure(rho, ("Z", "Z"), 10_000, SeededRng(241))
-        assert rec.counts[1] == 0 and rec.counts[2] == 0
-        # statistical: fixed seed, even split up to sampling noise
-        assert stats.chisquare([rec.counts[0], rec.counts[3]]).pvalue > 0.01
+        zz = exact_experiment(program(CNOT), ("plus", "up"))[0]
+        assert np.max(np.abs(np.array(zz.counts) - [0.5, 0, 0, 0.5])) < 1e-12
 
     def test_born_probabilities(self):
+        # every setting of every label against <k| W rho W^dag |k>
         rng = SeededRng(251)
-        for _ in range(20):
-            rho = random_density(rng)
-            for setting in MEASUREMENT_SETTINGS:
-                p = setting_probabilities(rho, setting)
-                assert p.shape == (4,)
-                assert np.all(p >= 0.0)
-                assert p.sum() == pytest.approx(1.0, abs=1e-12)
-                w = _setting_frame(setting)
-                expected = np.real(np.diag(w @ rho @ w.conj().T))
-                assert np.max(np.abs(p - np.clip(expected, 0.0, None) / np.sum(np.clip(expected, 0.0, None)))) < 1e-12
+        for _ in range(5):
+            u = sample_su4(rng)
+            pulses = program(u)
+            for label in TOMOGRAPHY_INPUT_LABELS:
+                rho = ideal_output(u, label)
+                for rec in exact_experiment(pulses, label):
+                    p = np.array(rec.counts)
+                    assert np.all(p >= 0.0)
+                    assert p.sum() == pytest.approx(1.0, abs=1e-12)
+                    assert np.max(np.abs(p - setting_probabilities(rho, rec.setting))) < 1e-9
 
     def test_marginal_consistency(self):
         # tracing the record over the second qubit must match the reduced
         # state measured in the first qubit's frame
         rng = SeededRng(257)
-        rho = random_density(rng)
+        u = sample_su4(rng)
+        rho = ideal_output(u, ("minus_i", "plus"))
         reduced = np.einsum("ijkj->ik", rho.reshape(2, 2, 2, 2))
-        for setting in MEASUREMENT_SETTINGS:
-            p = setting_probabilities(rho, setting)
+        for rec in exact_experiment(program(u), ("minus_i", "plus")):
+            p = rec.counts
             marg = np.array([p[0] + p[1], p[2] + p[3]])
-            axis = setting[0]
-            from su4c.experiment import _PREROTATION
-
-            w = _PREROTATION[axis]
+            w = _PREROTATION[rec.setting[0]]
             expected = np.real(np.diag(w @ reduced @ w.conj().T))
-            assert np.max(np.abs(marg - expected)) < 1e-12
-
-    def test_shots_must_be_positive(self):
-        with pytest.raises(ValueError):
-            measure(I4 / 4.0, ("Z", "Z"), 0, SeededRng(1))
+            assert np.max(np.abs(marg - expected)) < 1e-9
 
 
 class TestRunExperiment:

@@ -22,10 +22,9 @@ from su4c.experiment import (
     NoiseModel,
     input_state,
     run_experiment,
-    setting_probabilities,
 )
 from su4c.haar import SeededRng, sample_su4
-from su4c.linalg import kron, nearest_unitary
+from su4c.linalg import check_density_matrix, kron, nearest_unitary
 from su4c.tomography import (
     _POVM_STACK,
     _clip_to_density,
@@ -34,7 +33,6 @@ from su4c.tomography import (
     _mle_estimate,
     _r_operator,
     apply_process,
-    check_density_matrix,
     entanglement_fidelity,
     mean_fidelity_from_entanglement,
     mean_state_fidelity,
@@ -43,6 +41,7 @@ from su4c.tomography import (
     reconstruct_state,
     state_fidelity,
 )
+from born import exact_records, setting_probabilities
 from programs import program
 from reference_data import M1
 
@@ -61,13 +60,6 @@ def random_density(rng, rank=4):
 def setting_projectors(setting):
     """The four outcome projectors of one setting, (4, 4, 4)."""
     return _POVM_STACK.reshape(9, 4, 4, 4)[MEASUREMENT_SETTINGS.index(tuple(setting))]
-
-
-def exact_records(rho):
-    return [
-        MeasurementRecord(s, tuple(float(p) for p in setting_probabilities(rho, s)), 1)
-        for s in MEASUREMENT_SETTINGS
-    ]
 
 
 def raw_linear_inversion(records):
