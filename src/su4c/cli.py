@@ -37,9 +37,10 @@ from .experiment import (
     CALIBRATED_NOISE,
     TOMOGRAPHY_INPUT_LABELS,
     NoiseModel,
+    _block_layout,
     exact_experiment,
     input_state,
-    run_experiment,
+    run_experiments,
 )
 from .haar import SeededRng, sample_su4
 from .io import (
@@ -206,10 +207,11 @@ def _cmd_sample(args) -> int:
     return _write_outputs(matrices, args.out)
 
 
-def _run_one(pulses, label, noise, args, rng):
+def _run_all(programs, labels, noise, args, rngs):
+    """The records of each program run on its label, as the arguments ask."""
     if args.exact_probabilities:
-        return exact_experiment(pulses, label)
-    return run_experiment(pulses, label, noise, args.shots, rng)
+        return [exact_experiment(p, label) for p, label in zip(programs, labels)]
+    return run_experiments(programs, labels, noise, args.shots, rngs)
 
 
 def _cmd_benchmark(args) -> int:
@@ -244,19 +246,24 @@ def _cmd_benchmark(args) -> int:
     order = streams[-1].generator.permutation(args.n)
     operations = []
     fidelities = []
-    for index, stream in enumerate(streams[: args.n]):
-        label = labels[order[index]]
-        u = sample_su4(stream, tol)
-        pulses = lower_to_pulses(_compile(u, tol))
-        records = _run_one(pulses, label, noise, args, stream)
-        est = reconstruct_state(records, args.method, tol)
-        psi = u @ input_state(label)
-        ideal = np.outer(psi, psi.conj())
-        f = state_fidelity(est, ideal)
-        fidelities.append(f)
-        operations.append(
-            {"index": index, "input_state": list(label), "fidelity": f}
-        )
+    # draw, compile, run and reconstruct one executor block at a time, so
+    # memory stays bounded in n; each operation keeps its own stream
+    per_block = _block_layout(args.shots)[1]
+    for first in range(0, args.n, per_block):
+        block = range(first, min(first + per_block, args.n))
+        block_labels = [labels[order[index]] for index in block]
+        us = [sample_su4(streams[index], tol) for index in block]
+        programs = [lower_to_pulses(_compile(u, tol)) for u in us]
+        results = _run_all(programs, block_labels, noise, args, streams[first:block.stop])
+        for index, u, label, records in zip(block, us, block_labels, results):
+            est = reconstruct_state(records, args.method, tol)
+            psi = u @ input_state(label)
+            ideal = np.outer(psi, psi.conj())
+            f = state_fidelity(est, ideal)
+            fidelities.append(f)
+            operations.append(
+                {"index": index, "input_state": list(label), "fidelity": f}
+            )
 
     arr = np.asarray(fidelities)
     out = dict(header)
@@ -290,11 +297,13 @@ def _cmd_process_tomo(args) -> int:
     # one program for all 16 preparations, compiled from u as benchmark
     # compiles its draws
     pulses = lower_to_pulses(_compile(u, tol))
-    streams = SeededRng(args.seed).spawn(len(TOMOGRAPHY_INPUT_LABELS))
-    pairs = []
-    for label, stream in zip(TOMOGRAPHY_INPUT_LABELS, streams):
-        records = _run_one(pulses, label, noise, args, stream)
-        pairs.append((label, reconstruct_state(records, args.method, tol)))
+    labels = TOMOGRAPHY_INPUT_LABELS
+    streams = SeededRng(args.seed).spawn(len(labels))
+    results = _run_all([pulses] * len(labels), labels, noise, args, streams)
+    pairs = [
+        (label, reconstruct_state(records, args.method, tol))
+        for label, records in zip(labels, results)
+    ]
     est = reconstruct_process(pairs, cp_projection=not args.no_cp_projection, tol=tol)
     ideal = process_matrix_of_unitary(u)
     f_ent = entanglement_fidelity(est, ideal)

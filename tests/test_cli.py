@@ -1,8 +1,10 @@
 """Command-line interface, exercised in process through main(argv)."""
 
 import csv
+import hashlib
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -407,6 +409,53 @@ class TestProcessTomo:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["entanglement_fidelity"] == pytest.approx(1 / 16, abs=0.02)
+
+
+# sha256 of the stdout report of two seeded runs, captured before the
+# executor ran operations in blocks. A change to the executor, the compiler
+# or reconstruction that moves one count or one digit of a fidelity changes
+# a digest; only a change that sets out to move outputs re-captures them,
+# and records the old and the new digest in CHANGES.md.
+GOLDEN_REPORTS = {
+    "benchmark": (
+        ("benchmark", "--n", "32", "--seed", "0", "--noise", "calibrated"),
+        "76bf39c7b0d2e848ef7cd328396dd9fd547f7a263cfed689c0dbba0ec1677440",
+    ),
+    "process-tomo": (
+        ("process-tomo", "--unitary", None, "--shots", "1000", "--noise", "calibrated",
+         "--method", "mle"),
+        "650ebd73f96afc81a321c467816a826673802e4624c81043a80f6a17dba342f9",
+    ),
+}
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+    def test_report_digest(self, capsys, unitary_file, name):
+        argv, digest = GOLDEN_REPORTS[name]
+        code, out, _ = run_cli(capsys, *(unitary_file if a is None else a for a in argv))
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+class TestMemory:
+    def test_benchmark_memory_bounded_in_n(self, capsys):
+        # operations are drawn, compiled, run and reconstructed one executor
+        # block at a time, so ten times the operations add only their
+        # report entries: 0.8 MiB measured, against several MiB when every
+        # program is compiled before any runs
+        def peak(n):
+            tracemalloc.start()
+            try:
+                code, _, _ = run_cli(capsys, "benchmark", "--n", str(n), "--noise", "calibrated")
+                high = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == EXIT_OK
+            return high
+
+        peak(16)  # warm
+        assert peak(640) - peak(64) < 2 * 2**20
 
 
 class TestParser:

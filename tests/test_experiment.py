@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from su4c import experiment
 from su4c.circuits import compose_pulses, lower_to_pulses
 from su4c.compiler import decompose
 from su4c.experiment import (
@@ -19,11 +20,12 @@ from su4c.experiment import (
     exact_experiment,
     input_state,
     run_experiment,
+    run_experiments,
 )
-from su4c.experiment import _PREROTATION
-from su4c.gates import G_GATE, embed, r_gate, rz_gate
+from su4c.experiment import _PREROTATION, _SETTING_FRAMES
+from su4c.gates import G_GATE, GateElement, embed, r_gate, rz_gate
 from su4c.haar import SeededRng, sample_su4
-from su4c.linalg import kron
+from su4c.linalg import _kron, kron
 from born import setting_probabilities
 from programs import program
 
@@ -391,6 +393,188 @@ class TestRunExperiment:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+# The per-operation executor as it ran before operations were batched, kept
+# as the oracle of run_experiments: one program per call, its settings in
+# blocks of at most LOOP_BLOCK_SHOTS columns, one Python-scalar rotation
+# per pulse. run_experiments must give the same records bit for bit and
+# leave every rng in the same state.
+LOOP_BLOCK_SHOTS = 1024
+
+
+def loop_damping_kraus(gamma):
+    k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=complex)
+    k1 = np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
+    return np.array([_kron(ka, kb) for ka in (k0, k1) for kb in (k0, k1)])
+
+
+def loop_overrotations(pulses, noise, rng, shots):
+    shape = (sum(pulse.kind == "R" for pulse in pulses), shots)
+    if noise.overrotation_sigma == 0.0:
+        return np.zeros(shape)
+    return rng.generator.normal(0.0, noise.overrotation_sigma, size=shape)
+
+
+def loop_evolve(psi, pulses, eps):
+    q = psi.reshape(2, 2, -1)
+    rows = iter(eps)
+    for pulse in pulses:
+        if pulse.kind == "G":
+            q *= np.diag(G_GATE).reshape(2, 2, 1)
+            continue
+        v = q if pulse.target == 0 else q.swapaxes(0, 1)
+        if pulse.kind == "Rz":
+            v *= np.diag(rz_gate(pulse.phiz))[:, None, None]
+            continue
+        half = pulse.theta / 2.0 * (1.0 + next(rows))
+        c, s = np.cos(half), np.sin(half)
+        x0 = v[0].copy()
+        v[0] = c * x0 - 1j * np.exp(-1j * pulse.phi) * s * v[1]
+        v[1] = c * v[1] - 1j * np.exp(1j * pulse.phi) * s * x0
+    return psi
+
+
+def loop_probabilities(frame, psi, q):
+    a = frame @ psi
+    pure = (a.real**2 + a.imag**2).reshape(4, 4, -1).sum(axis=0)
+    mixed = (frame.real**2 + frame.imag**2).reshape(4, 4, 4).sum(axis=(0, 2)) / 4.0
+    p = (1.0 - q) * pure + q * mixed[:, None]
+    return p / p.sum(axis=0)
+
+
+def loop_run_experiment(pulses, label, noise, shots, rng):
+    frames = (_SETTING_FRAMES[:, None] @ loop_damping_kraus(noise.damping_per_circuit)).reshape(-1, 16, 4)
+    psi0 = input_state(label).reshape(4, 1)
+    if noise.is_zero:
+        psi = loop_evolve(psi0, pulses, loop_overrotations(pulses, noise, None, 1))
+        p = [loop_probabilities(f, psi, 0.0)[:, 0] for f in frames]
+        return [tuple(rng.generator.multinomial(shots, pf).tolist()) for pf in p]
+    q = 1.0 - (1.0 - noise.depolarizing_per_g) ** sum(pulse.kind == "G" for pulse in pulses)
+    group = max(1, LOOP_BLOCK_SHOTS // shots)
+    counts = np.zeros((len(frames), 4), dtype=np.int64)
+    n_r = sum(pulse.kind == "R" for pulse in pulses)
+    for first in range(0, len(frames), group):
+        members = range(first, min(first + group, len(frames)))
+        eps = np.empty((n_r, len(members) * shots))
+        uniform = np.empty(len(members) * shots)
+        for j in range(len(members)):
+            cols = slice(j * shots, (j + 1) * shots)
+            eps[:, cols] = loop_overrotations(pulses, noise, rng, shots)
+            uniform[cols] = rng.generator.random(shots)
+        for lo in range(0, len(uniform), LOOP_BLOCK_SHOTS):
+            hi = min(lo + LOOP_BLOCK_SHOTS, len(uniform))
+            psi = loop_evolve(np.repeat(psi0, hi - lo, axis=1), pulses, eps[:, lo:hi])
+            for j, s in enumerate(members):
+                a, b = max(lo, j * shots), min(hi, (j + 1) * shots)
+                p = loop_probabilities(frames[s], psi[:, a - lo:b - lo], q)
+                edges = np.cumsum(p, axis=0)[:-1]
+                outcome = np.sum(uniform[a:b] >= edges, axis=0)
+                counts[s] += np.bincount(outcome, minlength=4)
+    return [tuple(c.tolist()) for c in counts]
+
+
+# Every noise model of GOLDEN_RECORDS, programs of several operations on
+# mixed labels, and shot counts on both sides of each block boundary.
+ORACLE_NOISE = {
+    "sigma-only": NoiseModel(overrotation_sigma=0.08),
+    "depolarizing-only": NoiseModel(depolarizing_per_g=0.1),
+    "damping-only": NoiseModel(damping_per_circuit=0.2),
+    "calibrated": CALIBRATED_NOISE,
+    "noiseless": NoiseModel(),
+    "no-sigma": NoiseModel(depolarizing_per_g=0.05, damping_per_circuit=0.1),
+}
+ORACLE_SHOTS = (1, 7, 100, 455, 1000, 1500, 5000)
+ORACLE_PROGRAMS = [program(sample_su4(SeededRng(600 + k))) for k in range(5)]
+ORACLE_LABELS = [("plus", "down"), ("up", "up"), ("minus_i", "plus"), ("down", "minus_i"), ("up", "plus")]
+# block widths against the shot counts they split in every way: one column
+# per block, settings sliced across blocks, the default
+WIDTH_CASES = [(1, 1), (1, 7), (100, 1), (100, 7), (100, 100), (100, 455), (100, 1000)]
+
+
+def assert_matches_loop(programs, labels, noise, shots, seed):
+    rngs, loop_rngs = SeededRng(seed).spawn(len(programs)), SeededRng(seed).spawn(len(programs))
+    results = run_experiments(programs, labels, noise, shots, rngs)
+    assert len(results) == len(programs)
+    for records, pulses, label, rng, loop_rng in zip(results, programs, labels, rngs, loop_rngs):
+        expected = loop_run_experiment(pulses, label, noise, shots, loop_rng)
+        assert tuple(r.counts for r in records) == tuple(expected)
+        assert all(r.shots == shots and type(r.shots) is int for r in records)
+        assert rng.generator.bit_generator.state == loop_rng.generator.bit_generator.state
+
+
+class TestRunExperiments:
+    @pytest.mark.parametrize("shots", ORACLE_SHOTS)
+    @pytest.mark.parametrize("name", sorted(ORACLE_NOISE))
+    def test_matches_per_operation_executor(self, name, shots):
+        assert_matches_loop(ORACLE_PROGRAMS, ORACLE_LABELS, ORACLE_NOISE[name], shots, 700 + shots)
+
+    @pytest.mark.parametrize("width,shots", WIDTH_CASES)
+    def test_records_do_not_depend_on_block_width(self, monkeypatch, width, shots):
+        monkeypatch.setattr(experiment, "_BLOCK_COLUMNS", width)
+        programs, labels = ORACLE_PROGRAMS[:3], ORACLE_LABELS[:3]
+        for noise in (CALIBRATED_NOISE, ORACLE_NOISE["no-sigma"]):
+            assert_matches_loop(programs, labels, noise, shots, 800 + width + shots)
+
+    def test_one_program_call_is_run_experiment(self):
+        pulses, label = ORACLE_PROGRAMS[0], ORACLE_LABELS[0]
+        a = run_experiment(pulses, label, CALIBRATED_NOISE, 100, SeededRng(5))
+        (b,) = run_experiments([pulses], [label], CALIBRATED_NOISE, 100, [SeededRng(5)])
+        assert a == b
+
+    def test_same_program_on_every_preparation(self):
+        # the process-tomo call: one program, sixteen labels and streams
+        n = len(TOMOGRAPHY_INPUT_LABELS)
+        assert_matches_loop([ORACLE_PROGRAMS[1]] * n, TOMOGRAPHY_INPUT_LABELS, CALIBRATED_NOISE, 1000, 901)
+
+    def test_no_programs(self):
+        assert run_experiments([], [], CALIBRATED_NOISE, 100, []) == []
+
+    @pytest.mark.parametrize("noise", [CALIBRATED_NOISE, NoiseModel()], ids=["noisy", "noiseless"])
+    def test_mismatched_templates_rejected(self, noise):
+        pulses = ORACLE_PROGRAMS[0]
+        moved = list(pulses)
+        moved[0] = GateElement("R", theta=pulses[0].theta, phi=pulses[0].phi, target=1 - pulses[0].target)
+        for other in (moved, pulses[:-1], [*pulses, GateElement("G")]):
+            with pytest.raises(ValueError, match="template"):
+                run_experiments([pulses, other], ORACLE_LABELS[:2], noise, 10, SeededRng(1).spawn(2))
+
+    @pytest.mark.parametrize("noise", [CALIBRATED_NOISE, NoiseModel()], ids=["noisy", "noiseless"])
+    def test_bad_label_rejected_before_any_draw(self, noise):
+        rngs = SeededRng(4).spawn(2)
+        before = [rng.generator.bit_generator.state for rng in rngs]
+        with pytest.raises(ValueError, match="sideways"):
+            run_experiments(ORACLE_PROGRAMS[:2], [("up", "up"), ("up", "sideways")], noise, 10, rngs)
+        assert [rng.generator.bit_generator.state for rng in rngs] == before
+
+    @pytest.mark.parametrize("n_labels,n_rngs", [(1, 2), (2, 1), (3, 2)])
+    def test_mismatched_lengths_rejected(self, n_labels, n_rngs):
+        with pytest.raises(ValueError, match="one label and one rng per program"):
+            run_experiments(
+                ORACLE_PROGRAMS[:2], ORACLE_LABELS[:n_labels], CALIBRATED_NOISE, 10,
+                SeededRng(1).spawn(n_rngs),
+            )
+
+
+class TestShotCount:
+    """The shot count is checked once, at the public boundary, whatever the
+    noise model: a positive int or numpy integer, not a bool."""
+
+    @pytest.mark.parametrize("shots", [2.5, 3.0, True, False, "5", None, 0, -3, np.int64(0)])
+    @pytest.mark.parametrize("noise", [NoiseModel(), CALIBRATED_NOISE], ids=["noiseless", "noisy"])
+    def test_rejected(self, noise, shots):
+        with pytest.raises(ValueError, match="shots_per_setting"):
+            run_experiment(program(I4), ("up", "up"), noise, shots, SeededRng(1))
+        with pytest.raises(ValueError, match="shots_per_setting"):
+            run_experiments([program(I4)], [("up", "up")], noise, shots, [SeededRng(1)])
+
+    @pytest.mark.parametrize("shots", [np.int64(12), np.int32(12), np.uint8(12)])
+    @pytest.mark.parametrize("noise", [NoiseModel(), CALIBRATED_NOISE], ids=["noiseless", "noisy"])
+    def test_numpy_integer_stored_as_int(self, noise, shots):
+        pulses = program(sample_su4(SeededRng(3)))
+        records = run_experiment(pulses, ("plus", "up"), noise, shots, SeededRng(2))
+        assert records == run_experiment(pulses, ("plus", "up"), noise, 12, SeededRng(2))
+        assert all(type(r.shots) is int and sum(r.counts) == 12 for r in records)
 
 
 class TestExactExperiment:
