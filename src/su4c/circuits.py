@@ -97,19 +97,6 @@ def r_pulse_triple(theta: float, phi: float, target: int = 0) -> list[GateElemen
     ]
 
 
-def _slot_pulses(m: np.ndarray, target: int) -> list[GateElement]:
-    """Lower an arbitrary 2x2 unitary to [R, Rz, R, Rz] on one qubit.
-
-    The slot is phase-normalized first; the dropped scalar only shifts the
-    program's global phase. Emits a fixed element count regardless of angles.
-    """
-    su, _ = _special_unitary_projection(m, DEFAULT_TOL)
-    theta, phi, phiz, _ = _su2_params(su, DEFAULT_TOL)
-    out = r_pulse_triple(theta, phi, target)
-    out.append(GateElement("Rz", phiz=phiz, target=target))
-    return out
-
-
 # Fixed 2x2 ingredients of the entangling-block template.
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 _RZ_P = rz_gate(math.pi / 2.0)
@@ -149,21 +136,41 @@ def lower_to_pulses(params: CircuitParams) -> list[GateElement]:
 
     The outermost template layers are merged into the single-qubit
     corrections, leaving four R slots per qubit around three G applications.
+    Each slot becomes [R, Rz, R, Rz] on its qubit: the slot is
+    phase-normalized first (the dropped scalar only shifts the program's
+    global phase), so the element count does not depend on the angles.
     Elements are listed in application order; composing them reproduces
     circuit_to_unitary(params) up to global phase (signs and the stored
     phase are intentionally dropped).
     """
-    layers = _v_template_layers(params.class_params)
-    first = (layers[3][0] @ params.a.matrix(), layers[3][1] @ params.b.matrix())
-    last = (params.c.matrix() @ layers[0][0], params.d.matrix() @ layers[0][1])
+    return _lower_many([params])[0]
 
-    seq: list[GateElement] = []
-    for mats in (first, layers[2], layers[1], last):
-        seq.extend(_slot_pulses(mats[0], 0))
-        seq.extend(_slot_pulses(mats[1], 1))
-        if mats is not last:
-            seq.append(GateElement("G"))
-    return seq
+
+def _lower_many(params: list[CircuitParams]) -> list[list[GateElement]]:
+    """lower_to_pulses of each circuit, with the 8 slots of every circuit
+    projected and read as one stack."""
+    slots = []
+    for p in params:
+        layers = _v_template_layers(p.class_params)
+        first = (layers[3][0] @ p.a.matrix(), layers[3][1] @ p.b.matrix())
+        last = (p.c.matrix() @ layers[0][0], p.d.matrix() @ layers[0][1])
+        for mats in (first, layers[2], layers[1], last):
+            slots.extend(mats)
+    su, _ = _special_unitary_projection(np.array(slots), DEFAULT_TOL)
+    angles = iter(_su2_params(su, DEFAULT_TOL))
+
+    programs = []
+    for _ in params:
+        seq: list[GateElement] = []
+        for slot in range(4):
+            for target in (0, 1):
+                theta, phi, phiz, _ = next(angles)
+                seq.extend(r_pulse_triple(theta, phi, target))
+                seq.append(GateElement("Rz", phiz=phiz, target=target))
+            if slot < 3:
+                seq.append(GateElement("G"))
+        programs.append(seq)
+    return programs
 
 
 PULSE_COUNT = 35  # 8 slots x (R, Rz, R, Rz) + 3 G applications

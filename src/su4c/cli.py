@@ -30,8 +30,8 @@ from functools import partial
 
 import numpy as np
 
-from .circuits import lower_to_pulses
-from .compiler import decompose, verify
+from .circuits import _lower_many, lower_to_pulses
+from .compiler import decompose, decompose_many, verify
 from .config import DEFAULT_TOL, Tolerances, _with_verify_distance, tolerances_from_env
 from .experiment import (
     CALIBRATED_NOISE,
@@ -54,13 +54,14 @@ from .io import (
 )
 from .linalg import is_unitary, nearest_unitary
 from .tomography import (
+    _reconstruct_states,
+    _state_fidelities,
     entanglement_fidelity,
     mean_fidelity_from_entanglement,
     mean_state_fidelity,
     process_matrix_of_unitary,
     reconstruct_process,
     reconstruct_state,
-    state_fidelity,
 )
 
 __all__ = ["main"]
@@ -246,20 +247,23 @@ def _cmd_benchmark(args) -> int:
     order = streams[-1].generator.permutation(args.n)
     operations = []
     fidelities = []
-    # draw, compile, run and reconstruct one executor block at a time, so
-    # memory stays bounded in n; each operation keeps its own stream
+    # draw, compile, run and reconstruct one executor block at a time, each
+    # stage as one stacked call, so memory stays bounded in n; each
+    # operation keeps its own stream
     per_block = _block_layout(args.shots)[1]
     for first in range(0, args.n, per_block):
         block = range(first, min(first + per_block, args.n))
         block_labels = [labels[order[index]] for index in block]
         us = [sample_su4(streams[index], tol) for index in block]
-        programs = [lower_to_pulses(_compile(u, tol)) for u in us]
+        programs = _lower_many(decompose_many(nearest_unitary(np.array(us)), tol))
         results = _run_all(programs, block_labels, noise, args, streams[first:block.stop])
-        for index, u, label, records in zip(block, us, block_labels, results):
-            est = reconstruct_state(records, args.method, tol)
+        ests = _reconstruct_states(results, args.method, tol)
+        ideals = []
+        for u, label in zip(us, block_labels):
             psi = u @ input_state(label)
-            ideal = np.outer(psi, psi.conj())
-            f = state_fidelity(est, ideal)
+            ideals.append(np.outer(psi, psi.conj()))
+        block_fidelities = _state_fidelities(ests, np.array(ideals))
+        for index, label, f in zip(block, block_labels, block_fidelities):
             fidelities.append(f)
             operations.append(
                 {"index": index, "input_state": list(label), "fidelity": f}

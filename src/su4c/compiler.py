@@ -20,8 +20,8 @@ from .config import DEFAULT_TOL, Tolerances
 from .gates import (
     ClassParams,
     _canonical_phase,
+    _canonical_vs,
     _class_spectrum,
-    canonical_v,
     from_magic,
     to_magic,
 )
@@ -29,6 +29,7 @@ from .linalg import (
     _as_complex,
     _factor_tensor_product,
     _require_unitary,
+    _require_unitary_rows,
     _special_unitary_projection,
     _su2_params,
     nearest_unitary,
@@ -41,6 +42,7 @@ __all__ = [
     "local_invariants",
     "class_parameters",
     "decompose",
+    "decompose_many",
     "verify",
 ]
 
@@ -68,12 +70,13 @@ def local_invariants(u, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """
     m = _as_complex(u)
     _require_unitary(m, tol.unitarity, "local_invariants input")
-    return _local_invariants(m, tol)
+    return _local_invariants(m[None], tol)[0]
 
 
 def _local_invariants(m: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Sorted invariants of each row of an (N, 4, 4) stack, as (N, 4)."""
     su, _ = _special_unitary_projection(m, tol)
-    return np.sort(_class_spectrum(su, tol).phases)
+    return np.sort(_class_spectrum(su, tol)[0], axis=1)
 
 
 def class_parameters(u, tol: Tolerances = DEFAULT_TOL) -> ClassParams:
@@ -93,22 +96,17 @@ def _class_angles(s: np.ndarray) -> ClassParams:
     return ClassParams(alpha, beta, delta)
 
 
-def _match_columns(
-    ref_phases: np.ndarray, phases: np.ndarray, tol: float
-) -> np.ndarray:
+def _match_columns(ref_phases: list, phases: list, tol: float) -> list:
     """Permutation aligning a second eigenphase list to a reference.
 
     Greedy nearest-circular-phase assignment; within degenerate groups the
     choice is arbitrary and harmless because the eigenvalues are equal.
     """
-    n = len(ref_phases)
-    used = np.zeros(n, dtype=bool)
-    perm = np.zeros(n, dtype=int)
-    for i, target in enumerate(ref_phases):
+    unused = list(range(len(phases)))
+    perm = []
+    for target in ref_phases:
         best, best_j = math.inf, -1
-        for j in range(n):
-            if used[j]:
-                continue
+        for j in unused:
             d = _wrap_distance(target, phases[j])
             if d < best:
                 best, best_j = d, j
@@ -116,9 +114,14 @@ def _match_columns(
             raise RealityViolationError(
                 f"class eigenvalue mismatch {best:.3e} while pairing frames"
             )
-        used[best_j] = True
-        perm[i] = best_j
+        unused.remove(best_j)
+        perm.append(best_j)
     return perm
+
+
+def _is_odd(perm: list) -> bool:
+    """Parity of a permutation, by counting its inversions."""
+    return sum(p > q for i, p in enumerate(perm) for q in perm[i + 1 :]) % 2 == 1
 
 
 def decompose(u, tol: Tolerances = DEFAULT_TOL) -> CircuitParams:
@@ -129,60 +132,91 @@ def decompose(u, tol: Tolerances = DEFAULT_TOL) -> CircuitParams:
     global_phase). The construction: project to det 1, read off the class,
     build the canonical representative, align the real eigenframes of both
     symmetric products, and split the two resulting magic-frame rotations
-    into tensor products.
+    into tensor products. decompose_many does the same for a stack.
     """
     m = _as_complex(u)
     _require_unitary(m, tol.unitarity, "decompose input")
-    su, zeta = _special_unitary_projection(m, tol)
+    if m.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+    return _decompose_many(m[None], tol)[0]
+
+
+def decompose_many(us, tol: Tolerances = DEFAULT_TOL) -> list[CircuitParams]:
+    """decompose for each matrix of an (N, 4, 4) stack, in one pass of
+    stacked kernels. Entry k is decompose(us[k]) bit for bit, whatever the
+    other rows are. Raises NotUnitaryError naming the first row that is not
+    unitary, and ValueError on any other shape.
+    """
+    ms = _as_complex(us)
+    if ms.ndim != 3 or ms.shape[1:] != (4, 4):
+        raise ValueError(f"expected an (N, 4, 4) stack, got shape {ms.shape}")
+    if len(ms) == 0:
+        return []
+    _require_unitary_rows(ms, tol.unitarity, "decompose_many input")
+    return _decompose_many(ms, tol)
+
+
+def _decompose_many(ms: np.ndarray, tol: Tolerances) -> list[CircuitParams]:
+    n = len(ms)
+    su, zeta = _special_unitary_projection(ms, tol)
 
     # su is re-projected here on purpose: doing so moves phases that sit on
-    # the branch cut, and reusing the spectrum below would change the output.
-    params = _class_angles(_local_invariants(su, tol))
-    mu = _canonical_phase(params)
+    # the branch cut, and reusing the spectrum of su would change the output.
+    # The two spectra are independent, so they are one stack.
+    re_projected, _ = _special_unitary_projection(su, tol)
+    phases, vectors = _class_spectrum(np.concatenate([re_projected, su]), tol)
+    classes = [_class_angles(s) for s in np.sort(phases[:n], axis=1)]
+    mus = [_canonical_phase(params) for params in classes]
     # conj(mu) puts the representative on the same determinant sheet as su,
     # so the two symmetric products have identical eigenvalues.
-    v_comp = np.conj(mu) * canonical_v(params)
+    v_comp = np.conj(np.array(mus))[:, None, None] * _canonical_vs(classes)
 
-    eig_u = _class_spectrum(su, tol)
-    eig_v = _class_spectrum(v_comp, tol)
-    perm = _match_columns(eig_u.phases, eig_v.phases, 1e-6)
-
-    frame_u = eig_u.vectors  # det +1 by construction
-    frame_v = eig_v.vectors[:, perm]
-    # The permutation can make frame_v improper; negating one column restores
-    # a rotation without disturbing the diagonalization.
-    if np.linalg.det(frame_v) < 0:
-        frame_v[:, -1] = -frame_v[:, -1]
+    phases_u, frame_u = phases[n:], vectors[n:]  # det +1 by construction
+    phases_v, vectors_v = _class_spectrum(v_comp, tol)
+    perms = [
+        _match_columns(ref, got, 1e-6)
+        for ref, got in zip(phases_u.tolist(), phases_v.tolist())
+    ]
+    rows = np.arange(n)[:, None, None]
+    frame_v = vectors_v[rows, np.arange(4)[:, None], np.array(perms)[:, None, :]]
+    # vectors_v has det +1, so frame_v is improper exactly when its
+    # permutation is odd; negating one column restores a rotation without
+    # disturbing the diagonalization.
+    odd = np.array([_is_odd(perm) for perm in perms], dtype=bool)
+    frame_v[odd, :, -1] = -frame_v[odd, :, -1]
 
     um = to_magic(su)
     vm = to_magic(v_comp)
-    post_m = frame_u @ frame_v.T
-    pre_m = vm.conj().T @ frame_v @ frame_u.T @ um
+    post_m = frame_u @ frame_v.swapaxes(-1, -2)
+    pre_m = vm.conj().swapaxes(-1, -2) @ frame_v @ frame_u.swapaxes(-1, -2) @ um
 
-    imag_residue = float(np.max(np.abs(pre_m.imag)))
-    if imag_residue >= tol.reality:
+    imag_residue = np.abs(pre_m.imag).max(axis=(1, 2))
+    if (imag_residue >= tol.reality).any():
         raise RealityViolationError(
-            f"pre-rotation has imaginary residue {imag_residue:.3e}"
+            f"pre-rotation has imaginary residue {imag_residue.max():.3e}"
         )
     pre_m = pre_m.real.astype(complex)
 
-    post = from_magic(post_m)
-    pre = from_magic(pre_m)
-    c_mat, d_mat, phase_cd = _factor_tensor_product(post, tol)
-    a_mat, b_mat, phase_ab = _factor_tensor_product(pre, tol)
-
-    letters = [
-        LocalGate(*_su2_params(x, tol)) for x in (a_mat, b_mat, c_mat, d_mat)
-    ]
-    global_phase = complex(zeta * phase_cd * phase_ab * np.conj(mu))
-    return CircuitParams(
-        class_params=params,
-        a=letters[0],
-        b=letters[1],
-        c=letters[2],
-        d=letters[3],
-        global_phase=global_phase,
+    # both factorings are one stack: post rows, then pre rows
+    a, b, phases_f = _factor_tensor_product(
+        np.concatenate([from_magic(post_m), from_magic(pre_m)]), tol
     )
+    # the four letters are one stack too: a, b, c, d rows in turn
+    angles = _su2_params(np.concatenate([a[n:], b[n:], a[:n], b[:n]]), tol)
+    out = []
+    for k, (params, mu, z) in enumerate(zip(classes, mus, zeta.tolist())):
+        global_phase = complex(z * phases_f[k] * phases_f[n + k] * np.conj(mu))
+        out.append(
+            CircuitParams(
+                class_params=params,
+                a=LocalGate(*angles[k]),
+                b=LocalGate(*angles[n + k]),
+                c=LocalGate(*angles[2 * n + k]),
+                d=LocalGate(*angles[3 * n + k]),
+                global_phase=global_phase,
+            )
+        )
+    return out
 
 
 @dataclass(frozen=True)
@@ -208,8 +242,7 @@ def verify(
     distance = phase_invariant_distance(m, composed)
 
     _require_unitary(m, tol.input_unitarity, "verify target")
-    inv_u = _local_invariants(nearest_unitary(m), tol)
-    inv_c = _local_invariants(composed, tol)
+    inv_u, inv_c = _local_invariants(np.stack([nearest_unitary(m), composed]), tol)
     errors = []
     for shift in (0.0, math.pi):
         shifted = np.sort([math.remainder(p + shift, math.tau) for p in inv_c])

@@ -120,12 +120,13 @@ def embed(m: np.ndarray, target: int) -> np.ndarray:
 
 
 def to_magic(u) -> np.ndarray:
-    """Conjugate into the magic frame: MAGIC^dag @ u @ MAGIC."""
+    """Conjugate into the magic frame: MAGIC^dag @ u @ MAGIC (row by row on
+    a stack of matrices)."""
     return _MAGIC_DAG @ _as_complex(u) @ MAGIC
 
 
 def from_magic(u) -> np.ndarray:
-    """Inverse of to_magic."""
+    """Inverse of to_magic, row by row on a stack too."""
     return MAGIC @ _as_complex(u) @ _MAGIC_DAG
 
 
@@ -145,13 +146,6 @@ class ClassParams:
     def eigenphases(self) -> np.ndarray:
         a, b, d = self.alpha, self.beta, self.delta
         return np.array([a + b - d, a - b + d, -a + b + d, -a - b - d])
-
-
-def _interaction_core(alpha: float, beta: float, delta: float) -> np.ndarray:
-    """exp(i (beta XX + alpha YY + delta ZZ) / 2), built from its magic-frame
-    diagonal so no matrix exponential is needed."""
-    half = ClassParams(delta, beta, alpha).eigenphases() / 2.0
-    return from_magic(np.diag(np.exp(1j * half)))
 
 
 _R_HALF_Y = r_gate(math.pi / 2.0, math.pi / 2.0)
@@ -192,9 +186,36 @@ def canonical_v(params: ClassParams) -> np.ndarray:
     unity). The eigenvalues of v v^T in the magic frame equal
     exp(i eigenphases) up to one shared half-turn when i^m is imaginary.
     """
-    a, b, d = params.alpha, params.beta, params.delta
-    left = _kron(_I2, _exit_frame(d))
-    return _canonical_phase(params) * (left @ _interaction_core(a, b, d) @ _ENTRY_LAYER)
+    return _canonical_vs([params])[0]
+
+
+def _canonical_vs(classes: list[ClassParams]) -> np.ndarray:
+    """canonical_v of each class, as an (N, 4, 4) stack."""
+    n = len(classes)
+    angles = np.array([(c.alpha, c.beta, c.delta) for c in classes], dtype=float)
+    alpha, beta, delta = angles.reshape(n, 3).T
+    # The interaction core exp(i (beta XX + alpha YY + delta ZZ) / 2), built
+    # from its magic-frame diagonal so no matrix exponential is needed: the
+    # eigenphases of ClassParams(delta, beta, alpha), halved.
+    half = np.stack(
+        [
+            delta + beta - alpha,
+            delta - beta + alpha,
+            -delta + beta + alpha,
+            -delta - beta - alpha,
+        ],
+        axis=1,
+    ) / 2.0
+    diagonal = np.arange(4)
+    core = np.zeros((n, 4, 4), dtype=complex)
+    core[:, diagonal, diagonal] = np.exp(1j * half)
+    # the exit frames Rz(delta) R(pi/2, pi/2) on qubit 1
+    rz = np.zeros((n, 2, 2), dtype=complex)
+    rz[:, 0, 0] = np.exp(-0.5j * delta)
+    rz[:, 1, 1] = np.exp(0.5j * delta)
+    left = _kron(_I2, rz @ _R_HALF_Y)
+    phases = np.array([_canonical_phase(c) for c in classes], dtype=complex)
+    return phases[:, None, None] * (left @ from_magic(core) @ _ENTRY_LAYER)
 
 
 def class_spectrum(u, tol: Tolerances = DEFAULT_TOL) -> EigenSystem:
@@ -210,6 +231,7 @@ def class_spectrum(u, tol: Tolerances = DEFAULT_TOL) -> EigenSystem:
     return joint_real_diagonalization(m @ m.T, tol)
 
 
-def _class_spectrum(u: np.ndarray, tol: Tolerances) -> EigenSystem:
+def _class_spectrum(u: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """(phases, vectors) of class_spectrum for each row of an (N, 4, 4) stack."""
     m = to_magic(u)
-    return _joint_real_diagonalization(m @ m.T, tol)
+    return _joint_real_diagonalization(m @ m.swapaxes(-1, -2), tol)

@@ -51,5 +51,5 @@ def sample_su4(rng: SeededRng, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     q = q * (d / np.abs(d))
-    su, _ = _special_unitary_projection(q, tol)
-    return su
+    su, _ = _special_unitary_projection(q[None], tol)
+    return su[0]

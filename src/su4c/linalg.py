@@ -7,7 +7,11 @@ arrays.
 
 Each public function checks its input. Its private twin of the same name
 with a leading underscore is the same computation without the checks, for
-matrices the package built itself and knows to be valid.
+matrices the package built itself and knows to be valid. The twins take a
+stack of matrices with a leading batch axis, and a public function is their
+one-row case. Each row of a stack gets, bit for bit, what it gets alone:
+every step that would round differently on a stack than on one matrix runs
+per row (see the kernels below).
 """
 
 from __future__ import annotations
@@ -59,11 +63,6 @@ def _as_complex(m) -> np.ndarray:
     return np.asarray(m, dtype=complex)
 
 
-def _arg(z) -> np.float64:
-    """np.angle of one complex scalar, without its 0-d array round trip."""
-    return np.arctan2(z.imag, z.real)
-
-
 def is_unitary(m, atol: float = DEFAULT_TOL.unitarity) -> bool:
     """True if ``m @ m.conj().T`` is the identity within ``atol`` (max norm)."""
     m = _as_complex(m)
@@ -79,6 +78,19 @@ def _require_unitary(m: np.ndarray, atol: float, what: str) -> None:
         raise NotUnitaryError(f"{what} is not unitary (defect {defect:.3e}, atol {atol:.1e})")
 
 
+def _require_unitary_rows(ms: np.ndarray, atol: float, what: str) -> None:
+    """is_unitary on every row of an (N, n, n) stack; the error names the
+    first row that fails."""
+    eye = np.eye(ms.shape[-1])
+    defects = np.max(np.abs(ms @ ms.conj().swapaxes(-1, -2) - eye), axis=(-2, -1))
+    bad = np.flatnonzero(~(defects < atol))
+    if bad.size:
+        k = int(bad[0])
+        raise NotUnitaryError(
+            f"{what} row {k} is not unitary (defect {defects[k]:.3e}, atol {atol:.1e})"
+        )
+
+
 def kron(a, b) -> np.ndarray:
     """The package's Kronecker product of two 2x2 matrices, first factor on
     qubit 0; every two-qubit product in su4c is its unchecked twin _kron."""
@@ -90,8 +102,10 @@ def kron(a, b) -> np.ndarray:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # The elementwise multiply np.kron performs, without its shape handling.
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+    # The elementwise multiply np.kron performs, without its shape handling;
+    # on (N, 2, 2) stacks, row by row.
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], 4, 4)
 
 
 def check_density_matrix(rho: np.ndarray, atol: float = 1e-10) -> np.ndarray:
@@ -107,7 +121,10 @@ def check_density_matrix(rho: np.ndarray, atol: float = 1e-10) -> np.ndarray:
 
 
 def nearest_unitary(m) -> np.ndarray:
-    """Polar projection onto the unitary group (drops singular-value spread)."""
+    """Polar projection onto the unitary group (drops singular-value spread).
+
+    A stack of matrices is projected row by row: ``nearest_unitary(ms)[k]``
+    equals ``nearest_unitary(ms[k])`` bit for bit."""
     m = _as_complex(m)
     w, _, vh = np.linalg.svd(m)
     return w @ vh
@@ -126,18 +143,23 @@ def special_unitary_projection(
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {u.shape}")
     _require_unitary(u, tol.unitarity, "special_unitary_projection input")
-    return _special_unitary_projection(u, tol)
+    su, phase = _special_unitary_projection(u[None], tol)
+    return su[0], complex(phase[0])
 
 
-def _special_unitary_projection(u: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, complex]:
-    n = u.shape[0]
+def _special_unitary_projection(
+    u: np.ndarray, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray]:
+    """(N, n, n) -> (su, phases) with ``u[k] = phases[k] * su[k]``."""
+    n = u.shape[-1]
     det = np.linalg.det(u)
     # Principal root: divide the argument, fold ties at -pi/n up to +pi/n.
-    arg = _arg(det) / n
-    if arg <= -math.pi / n + tol.branch_tie / n:
-        arg += 2.0 * math.pi / n
-    phase = complex(np.exp(1j * arg))
-    return u / phase, phase
+    arg = np.arctan2(det.imag, det.real) / n
+    tie = arg <= -math.pi / n + tol.branch_tie / n
+    if tie.any():
+        arg[tie] += 2.0 * math.pi / n
+    phase = np.exp(1j * arg)
+    return u / phase[:, None, None], phase
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +187,15 @@ def _pair_angle(z: complex, b: complex) -> float:
     return 0.5 * math.atan2(b.imag, z.imag)
 
 
+# Off-diagonal level at which the Jacobi polish stops, relative to the
+# largest entry.
+_POLISH_FLOOR = 1e-13
+
+
 def _jacobi_polish(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Drive the off-diagonal of ``basis.T @ w @ basis`` to the noise floor
     with exact-angle real Jacobi rotations. Returns the updated basis."""
-    floor = 1e-13  # off-diagonal level, relative to the largest entry
+    floor = _POLISH_FLOOR
     n = w.shape[0]
     cur = basis.T @ w @ basis
     scale = max(1.0, float(np.max(np.abs(cur))))
@@ -196,20 +223,24 @@ def _jacobi_polish(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def _canonicalize(phases: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the deterministic ordering: sign-fix columns, sort by phase with
-    a lexicographic tie-break, then restore det +1 on the last column."""
+    """Apply the deterministic ordering to (N, n) phases and (N, n, n)
+    vectors: sign-fix columns, sort by phase with a lexicographic tie-break,
+    then restore det +1 on the last column."""
     # A column's first entry above 1e-8 in size is below -1e-8 exactly when
     # it is negative; a column without such an entry keeps its sign.
-    cols = np.arange(vectors.shape[1])
-    lead = vectors[np.argmax(np.abs(vectors) > 1e-8, axis=0), cols]
-    vectors = np.where(lead < -1e-8, -vectors, vectors)
+    n, size = phases.shape
+    rows, cols = np.arange(n)[:, None], np.arange(size)
+    lead = vectors[rows, (np.abs(vectors) > 1e-8).argmax(axis=1), cols]
+    vectors = np.where((lead < -1e-8)[:, None, :], -vectors, vectors)
     # Sort by phase, ties by the column's entries rounded to 12 decimals, in
-    # row order. lexsort takes its primary key last and is stable.
-    order = np.lexsort((*np.round(vectors, 12)[::-1], phases))
-    phases = phases[order]
-    vectors = vectors[:, order]
-    if np.linalg.det(vectors) < 0:
-        vectors[:, -1] = -vectors[:, -1]
+    # row order. lexsort takes its primary key last and is stable, so the
+    # order of each row is the one it gets alone.
+    keys = vectors.round(12).transpose(1, 0, 2)
+    order = np.lexsort((*keys[::-1], phases), axis=-1)
+    phases = phases[rows, order]
+    vectors = vectors[rows[:, :, None], cols[:, None], order[:, None, :]]
+    improper = np.linalg.det(vectors) < 0
+    vectors[improper, :, -1] = -vectors[improper, :, -1]
     return phases, vectors
 
 
@@ -234,21 +265,33 @@ def joint_real_diagonalization(
     if np.max(np.abs(w - w.T)) > tol.symmetry:
         raise ValueError("input is not symmetric")
     _require_unitary(w, tol.unitarity, "joint_real_diagonalization input")
-    return _joint_real_diagonalization(w, tol)
+    phases, vectors = _joint_real_diagonalization(w[None], tol)
+    return EigenSystem(phases=phases[0], vectors=vectors[0])
 
 
-def _joint_real_diagonalization(w: np.ndarray, tol: Tolerances) -> EigenSystem:
-    w = 0.5 * (w + w.T)
+def _joint_real_diagonalization(
+    w: np.ndarray, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray]:
+    """(N, n, n) -> (phases (N, n), vectors (N, n, n)), each row as
+    joint_real_diagonalization returns it."""
+    w = 0.5 * (w + w.swapaxes(-1, -2))
 
     mix = w.real + _MIX * w.imag  # exactly symmetric, as w is
     _, basis = np.linalg.eigh(mix)
-    basis = _jacobi_polish(w, basis)
+    # The first off-diagonal test of _jacobi_polish, on every row at once;
+    # only the rows that fail it are polished.
+    off = np.abs(basis.swapaxes(-1, -2) @ w @ basis)
+    scale = np.maximum(1.0, off.max(axis=(1, 2)))
+    off.reshape(len(off), -1)[:, :: w.shape[-1] + 1] = 0.0  # the diagonals
+    converged = off.max(axis=(1, 2)) < _POLISH_FLOOR * scale
+    if not converged.all():
+        for k in (~converged).nonzero()[0]:
+            basis[k] = _jacobi_polish(w[k], basis[k])
 
-    diag = np.einsum("ip,ij,jp->p", basis, w, basis)
+    diag = np.einsum("nip,nij,njp->np", basis, w, basis)
     phases = np.angle(diag)
     phases = np.where(phases <= -math.pi + tol.branch_tie, math.pi, phases)
-    phases, vectors = _canonicalize(phases, basis)
-    return EigenSystem(phases=phases, vectors=vectors)
+    return _canonicalize(phases, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -274,39 +317,60 @@ def factor_tensor_product(
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
     _require_unitary(m, tol.unitarity, "factor_tensor_product input")
-    return _factor_tensor_product(m, tol)
+    a, b, phases = _factor_tensor_product(m[None], tol)
+    return a[0], b[0], phases[0]
+
+
+def _block_norms(blocks: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each 2x2 block of an (N, 2, 2, 2, 2) grid, as
+    norm computes it for one block: sqrt(re . re + im . im) over the block
+    in row order. Each dot runs as the one-row matmul numpy gives to BLAS
+    dot; a norm with an axis argument rounds differently, and a rounding
+    difference can move the argmax between the equal blocks of a named
+    class."""
+    flat = blocks.reshape(-1, 1, 4)
+    re, im = flat.real, flat.imag
+    sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    return np.sqrt(sq).reshape(blocks.shape[:3])
 
 
 def _factor_tensor_product(
     m: np.ndarray, tol: Tolerances
-) -> tuple[np.ndarray, np.ndarray, complex]:
-    # blocks[i, j] is the view m[2i:2i+2, 2j:2j+2].
-    blocks = m.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
-    norms = np.array([[np.linalg.norm(blocks[i, j]) for j in range(2)] for i in range(2)])
-    bi, bj = divmod(int(np.argmax(norms)), 2)
+) -> tuple[np.ndarray, np.ndarray, list[complex]]:
+    """(N, 4, 4) -> (a (N, 2, 2), b (N, 2, 2), phases), each row as
+    factor_tensor_product returns it."""
+    n = m.shape[0]
+    rows = np.arange(n)
+    # blocks[k, i, j] is the view m[k, 2i:2i+2, 2j:2j+2].
+    blocks = m.reshape(n, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4)
+    norms = _block_norms(blocks)
+    bi, bj = np.divmod(norms.reshape(n, 4).argmax(axis=1), 2)
     # A unitary product has every nonzero block proportional to b with
     # |a[i,j]| * ||b||_F and ||b||_F = sqrt(2) after normalization.
-    b = blocks[bi, bj] / (norms[bi, bj] / math.sqrt(2.0))
-    a = np.trace(b.conj().T @ blocks, axis1=2, axis2=3) / 2.0
+    b = blocks[rows, bi, bj] / (norms[rows, bi, bj] / math.sqrt(2.0))[:, None, None]
+    a = (b.conj().swapaxes(-1, -2)[:, None, None] @ blocks).trace(axis1=3, axis2=4) / 2.0
 
-    det_a = np.linalg.det(a)
-    det_b = np.linalg.det(b)
-    if abs(det_a) < 1e-12 or abs(det_b) < 1e-12:
+    # a and b as one stack of 2n factors
+    factors = np.concatenate([a, b])
+    dets = np.linalg.det(factors)
+    if (np.abs(dets) < 1e-12).any():
         raise NotAProductError("block structure is singular; not a tensor product")
-    ra = np.sqrt(det_a)  # principal square root
-    rb = np.sqrt(det_b)
-    a = a / ra
-    b = b / rb
+    factors = factors / np.sqrt(dets)[:, None, None]  # principal square roots
+    a, b = factors[:n], factors[n:]
 
     prod = _kron(a, b)
-    overlap = np.trace(prod.conj().T @ m) / 4.0
-    if abs(overlap) < 1e-12:
-        raise NotAProductError("no phase aligns the factors with the input")
-    phase = complex(overlap / abs(overlap))
-    residual = np.max(np.abs(phase * prod - m))
-    if residual >= tol.product_residual:
-        raise NotAProductError(f"tensor-product residual {residual:.3e}")
-    return a, b, phase
+    traces = (prod.conj().swapaxes(-1, -2) @ m).trace(axis1=1, axis2=2)
+    phases = []
+    # per row: abs of a complex scalar rounds differently from np.abs
+    for tr in traces:
+        overlap = tr / 4.0
+        if abs(overlap) < 1e-12:
+            raise NotAProductError("no phase aligns the factors with the input")
+        phases.append(complex(overlap / abs(overlap)))
+    residual = np.abs(np.array(phases)[:, None, None] * prod - m).max(axis=(1, 2))
+    if (residual >= tol.product_residual).any():
+        raise NotAProductError(f"tensor-product residual {residual.max():.3e}")
+    return a, b, phases
 
 
 # ---------------------------------------------------------------------------
@@ -355,34 +419,35 @@ def su2_params(
     _require_unitary(m, tol.unitarity, "su2_params input")
     if abs(np.linalg.det(m) - 1.0) > tol.su2_det:
         raise ValueError("su2_params requires determinant 1")
-    return _su2_params(m, tol)
+    return _su2_params(m[None], tol)[0]
 
 
-def _su2_params(m: np.ndarray, tol: Tolerances) -> tuple[float, float, float, int]:
+def _su2_params(m: np.ndarray, tol: Tolerances) -> list[tuple[float, float, float, int]]:
+    """(N, 2, 2) -> one su2_params tuple per row."""
     # sign * Rz(phiz) R(theta, phi) has entries
     #   m00 = s e^{-i phiz/2} cos(theta/2)
     #   m10 = s e^{+i phiz/2} (-i e^{i phi}) sin(theta/2)
-    theta = 2.0 * math.acos(min(1.0, max(0.0, abs(m[0, 0]))))
-
-    if theta < tol.angle_snap:
-        # Diagonal matrix: all rotation is in Rz.
-        psi = float(_arg(m[0, 0]))
+    m00, m10 = m[:, 0, 0], m[:, 1, 0]
+    args00 = np.arctan2(m00.imag, m00.real).tolist()
+    args10 = np.arctan2(m10.imag, m10.real).tolist()
+    out = []
+    # per row: math.acos and the abs of a complex scalar round differently
+    # from np.arccos and np.abs
+    for z, psi, arg10 in zip(m00, args00, args10):
+        theta = 2.0 * math.acos(min(1.0, max(0.0, abs(z))))
+        # psi = arg(m00) equals arg(sign) - phiz/2
         if psi <= 0.0:
             sign, phiz = 1, -2.0 * psi
         else:
             sign, phiz = -1, math.tau - 2.0 * psi
-        return 0.0, 0.0, phiz % math.tau, sign
-
-    if theta > math.pi - tol.angle_snap:
-        # Anti-diagonal matrix: phiz is degenerate with phi, push it to 0.
-        phi = (float(_arg(m[1, 0])) + math.pi / 2.0) % math.tau
-        return math.pi, phi, 0.0, 1
-
-    psi = float(_arg(m[0, 0]))  # equals arg(sign) - phiz/2
-    if psi <= 0.0:
-        sign, phiz = 1, -2.0 * psi
-    else:
-        sign, phiz = -1, math.tau - 2.0 * psi
-    sign_arg = 0.0 if sign == 1 else math.pi
-    phi = (float(_arg(m[1, 0])) - sign_arg - phiz / 2.0 + math.pi / 2.0) % math.tau
-    return theta, phi, phiz % math.tau, sign
+        if theta < tol.angle_snap:
+            # Diagonal matrix: all rotation is in Rz.
+            out.append((0.0, 0.0, phiz % math.tau, sign))
+        elif theta > math.pi - tol.angle_snap:
+            # Anti-diagonal matrix: phiz is degenerate with phi, push it to 0.
+            out.append((math.pi, (arg10 + math.pi / 2.0) % math.tau, 0.0, 1))
+        else:
+            sign_arg = 0.0 if sign == 1 else math.pi
+            phi = (arg10 - sign_arg - phiz / 2.0 + math.pi / 2.0) % math.tau
+            out.append((theta, phi, phiz % math.tau, sign))
+    return out

@@ -90,22 +90,22 @@ def _collect_frequencies(records: Sequence[MeasurementRecord]) -> _Frequencies:
 
 
 def _clip_to_density(m: np.ndarray) -> np.ndarray:
-    """Nearest-in-spirit physical state: hermitize, drop negative
-    eigenvalues, renormalize the trace."""
-    h = 0.5 * (m + m.conj().T)
+    """Nearest-in-spirit physical state of each row of an (N, 4, 4) stack:
+    hermitize, drop negative eigenvalues, renormalize the trace."""
+    h = 0.5 * (m + m.conj().swapaxes(-1, -2))
     vals, vecs = np.linalg.eigh(h)
     vals = np.clip(vals, 0.0, None)
-    total = float(np.sum(vals))
-    if total <= 0.0:
+    totals = np.sum(vals, axis=1)
+    if np.any(totals <= 0.0):
         raise ValueError("reconstruction collapsed to the zero matrix")
-    return (vecs * (vals / total)) @ vecs.conj().T
+    return (vecs * (vals / totals[:, None])[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def _linear_estimate(data: _Frequencies) -> np.ndarray:
-    vec, *_ = np.linalg.lstsq(
-        _POVM_ROWS, np.asarray(data.freqs, dtype=complex), rcond=None
-    )
-    return _clip_to_density(vec.reshape(4, 4))
+def _linear_estimates(freqs: np.ndarray) -> np.ndarray:
+    """Linear estimates of the rows of an (N, 36) frequency table: one
+    least-squares solve with N right-hand sides, then the clip."""
+    vecs, *_ = np.linalg.lstsq(_POVM_ROWS, freqs.T.astype(complex), rcond=None)
+    return _clip_to_density(vecs.T.reshape(-1, 4, 4))
 
 
 def _probabilities(rho: np.ndarray, data: _Frequencies, floor: float) -> np.ndarray:
@@ -153,7 +153,7 @@ def _mle_estimate(
             ll = ll_cand
             break
         ll = ll_cand
-    return _clip_to_density(rho)
+    return _clip_to_density(rho[None])[0]
 
 
 def reconstruct_state(
@@ -169,21 +169,32 @@ def reconstruct_state(
     step diluted toward the identity whenever it would lower the
     likelihood, so the log-likelihood is non-decreasing.
     """
-    data = _collect_frequencies(records)
+    return _reconstruct_states([records], method, tol)[0]
+
+
+def _reconstruct_states(
+    records_list: Sequence[Sequence[MeasurementRecord]],
+    method: str,
+    tol: Tolerances,
+) -> np.ndarray:
+    """reconstruct_state of each record list, as an (N, 4, 4) stack. The
+    linear estimates are one solve; MLE runs record list by record list."""
+    data = [_collect_frequencies(records) for records in records_list]
     if method == "linear":
-        return _linear_estimate(data)
+        return _linear_estimates(np.array([d.freqs for d in data]).reshape(-1, 36))
     if method == "mle":
-        return _mle_estimate(data, tol)
+        return np.array([_mle_estimate(d, tol) for d in data]).reshape(-1, 4, 4)
     raise ValueError(f"unknown reconstruction method {method!r}")
 
 
 def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+    """Square root of each row of an (N, 4, 4) stack of PSD matrices."""
+    vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().swapaxes(-1, -2)))
     # eigenvalues below the solver's own resolution are zero in disguise;
     # letting them through puts sqrt(eps)-sized junk into the root
-    cutoff = 16.0 * np.finfo(float).eps * max(float(vals[-1]), 0.0)
-    vals = np.where(vals > cutoff, vals, 0.0)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    cutoff = 16.0 * np.finfo(float).eps * np.maximum(vals[:, -1], 0.0)
+    vals = np.where(vals > cutoff[:, None], vals, 0.0)
+    return (vecs * np.sqrt(vals)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def state_fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
@@ -192,10 +203,17 @@ def state_fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
     Evaluated as the squared nuclear norm of sqrt(rho1) sqrt(rho2), which
     is the same quantity but avoids square roots of eigenvalues that are
     zero up to rounding."""
-    s1 = _psd_sqrt(_as_complex(rho1))
-    s2 = _psd_sqrt(_as_complex(rho2))
-    f = float(np.sum(np.linalg.svd(s1 @ s2, compute_uv=False)) ** 2)
-    return min(max(f, 0.0), 1.0)
+    return _state_fidelities(_as_complex(rho1)[None], _as_complex(rho2)[None])[0]
+
+
+def _state_fidelities(a: np.ndarray, b: np.ndarray) -> list[float]:
+    """state_fidelity(a[k], b[k]) for each row of two (N, 4, 4) stacks."""
+    s1 = _psd_sqrt(a)
+    s2 = _psd_sqrt(b)
+    norms = np.sum(np.linalg.svd(s1 @ s2, compute_uv=False), axis=1)
+    # squared per row: the power of a numpy scalar rounds differently from
+    # the power of an array
+    return [min(max(float(norm**2), 0.0), 1.0) for norm in norms]
 
 
 def process_matrix_of_unitary(u: np.ndarray) -> np.ndarray:

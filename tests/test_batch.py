@@ -1,0 +1,200 @@
+"""The stacked compile and reconstruction paths against their one-row cases,
+bit for bit.
+
+decompose_many and _lower_many must give every row what decompose and
+lower_to_pulses give it alone, whatever the batch size, the order and the
+neighbours of the row. The exact-output corpus of test_compile_corpus is run
+through them in several batch sizes and must hash to the same CORPUS_SHA256.
+The linear reconstruction and the fidelities are checked against copies of
+the one-matrix code they replaced.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+from test_compile_corpus import CORPUS_SHA256, NAMED, _dress, _fields, corpus
+
+from su4c import (
+    CALIBRATED_NOISE,
+    TOMOGRAPHY_INPUT_LABELS,
+    NotUnitaryError,
+    SeededRng,
+    decompose,
+    decompose_many,
+    exact_experiment,
+    input_state,
+    lower_to_pulses,
+    reconstruct_state,
+    run_experiments,
+    sample_su4,
+    state_fidelity,
+    verify,
+)
+from su4c.circuits import _lower_many
+from su4c.config import DEFAULT_TOL
+from su4c.tomography import (
+    _POVM_ROWS,
+    _collect_frequencies,
+    _linear_estimates,
+    _reconstruct_states,
+    _state_fidelities,
+)
+
+INPUTS = corpus()
+
+
+def digest(inputs, params, programs) -> str:
+    """test_compile_corpus's digest over outputs computed elsewhere."""
+    h = hashlib.sha256()
+    for u, p, pulses in zip(inputs, params, programs):
+        for out in (p, verify(u, p), pulses):
+            h.update("\n".join(_fields(out)).encode())
+            h.update(b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("size", [1, 3, 4, len(INPUTS)])
+def test_corpus_in_batches(size):
+    params, programs = [], []
+    for start in range(0, len(INPUTS), size):
+        chunk = decompose_many(np.array(INPUTS[start : start + size]))
+        params += chunk
+        programs += _lower_many(chunk)
+    assert digest(INPUTS, params, programs) == CORPUS_SHA256
+
+
+def test_corpus_in_reversed_order():
+    params = decompose_many(np.array(INPUTS[::-1]))
+    programs = _lower_many(params)
+    assert digest(INPUTS, params[::-1], programs[::-1]) == CORPUS_SHA256
+
+
+def test_degenerate_rows_do_not_depend_on_neighbours():
+    # undressed and dressed named classes (degenerate spectra, the Jacobi
+    # polish, tied blocks in the factoring) between Haar draws
+    rng = SeededRng(41)
+    gen = np.random.default_rng(41)
+    named = [*NAMED, _dress(gen, NAMED[1], False), _dress(gen, NAMED[4], True)]
+    stack = []
+    for u in named:
+        stack += [sample_su4(rng), u]
+    stack.append(sample_su4(rng))
+    for rows in (stack, stack[::-1], stack[1::2]):
+        params = decompose_many(np.array(rows))
+        programs = _lower_many(params)
+        for u, p, pulses in zip(rows, params, programs):
+            alone = decompose(u)
+            assert list(_fields(p)) == list(_fields(alone))
+            assert list(_fields(pulses)) == list(_fields(lower_to_pulses(alone)))
+
+
+class TestDecomposeManyBoundary:
+    def test_non_unitary_row_is_named(self):
+        stack = np.array([sample_su4(SeededRng(k)) for k in range(5)])
+        stack[3] *= 1.1
+        with pytest.raises(NotUnitaryError, match="row 3 "):
+            decompose_many(stack)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 2, 2), (2, 4, 5), (1, 1, 4, 4)])
+    def test_other_shapes_raise_value_error(self, shape):
+        with pytest.raises(ValueError) as info:
+            decompose_many(np.zeros(shape, dtype=complex))
+        assert info.type is ValueError
+
+    def test_empty_stack(self):
+        assert decompose_many(np.zeros((0, 4, 4), dtype=complex)) == []
+
+    def test_list_of_matrices(self):
+        us = [sample_su4(SeededRng(k)) for k in range(3)]
+        assert decompose_many(us) == [decompose(u) for u in us]
+
+
+def one_matrix_linear(records):
+    """The one-matrix linear estimate that _reconstruct_states replaced."""
+    return one_matrix_linear_freqs(_collect_frequencies(records).freqs)
+
+
+def one_matrix_linear_freqs(freqs):
+    vec, *_ = np.linalg.lstsq(_POVM_ROWS, np.asarray(freqs, dtype=complex), rcond=None)
+    m = vec.reshape(4, 4)
+    vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
+    vals = np.clip(vals, 0.0, None)
+    total = float(np.sum(vals))
+    return (vecs * (vals / total)) @ vecs.conj().T
+
+
+def one_matrix_sqrt(rho):
+    vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+    cutoff = 16.0 * np.finfo(float).eps * max(float(vals[-1]), 0.0)
+    vals = np.where(vals > cutoff, vals, 0.0)
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+
+
+def one_matrix_fidelity(rho1, rho2):
+    """The one-matrix state_fidelity that _state_fidelities replaced."""
+    s = np.linalg.svd(one_matrix_sqrt(rho1) @ one_matrix_sqrt(rho2), compute_uv=False)
+    return min(max(float(np.sum(s) ** 2), 0.0), 1.0)
+
+
+def mixed_records():
+    """Calibrated 100-shot records and exact-probability records of seeded
+    operations, interleaved, with their ideal output states."""
+    rng = SeededRng(43)
+    us = [sample_su4(rng) for _ in range(8)]
+    programs = [lower_to_pulses(decompose(u)) for u in us]
+    labels = [TOMOGRAPHY_INPUT_LABELS[3 * k % 16] for k in range(8)]
+    sampled = run_experiments(programs[:4], labels[:4], CALIBRATED_NOISE, 100, rng.spawn(4))
+    exact = [exact_experiment(p, label) for p, label in zip(programs[4:], labels[4:])]
+    records = [r for pair in zip(sampled, exact) for r in pair]
+    order = [0, 4, 1, 5, 2, 6, 3, 7]
+    ideals = []
+    for k in order:
+        psi = us[k] @ input_state(labels[k])
+        ideals.append(np.outer(psi, psi.conj()))
+    return records, ideals
+
+
+def test_linear_reconstruction_and_fidelities_match_one_matrix_code():
+    records, ideals = mixed_records()
+    for size in (1, 3, len(records)):
+        for start in range(0, len(records), size):
+            chunk = records[start : start + size]
+            ests = _reconstruct_states(chunk, "linear", DEFAULT_TOL)
+            fids = _state_fidelities(ests, np.array(ideals[start : start + size]))
+            for k, recs in enumerate(chunk):
+                want = one_matrix_linear(recs)
+                assert ests[k].tobytes() == want.tobytes()
+                assert ests[k].tobytes() == reconstruct_state(recs).tobytes()
+                ideal = ideals[start + k]
+                assert fids[k] == one_matrix_fidelity(want, ideal)
+                assert fids[k] == state_fidelity(ests[k], ideal)
+
+
+def test_many_random_tables_and_states():
+    # enough rows that a rounding difference of a primitive that differs in
+    # about 1 case of 1000 would show
+    g = np.random.default_rng(44)
+    counts = g.multinomial(100, np.full(4, 0.25), size=(2000, 9)).astype(float)
+    freqs = (counts / 100.0).reshape(-1, 36)
+    ests = _linear_estimates(freqs)
+    for k in range(len(freqs)):
+        assert ests[k].tobytes() == one_matrix_linear_freqs(freqs[k]).tobytes()
+    half = len(ests) // 2
+    fids = _state_fidelities(ests[:half], ests[half:])
+    for k in range(half):
+        assert fids[k] == one_matrix_fidelity(ests[k], ests[half + k])
+
+
+def test_mle_reconstruction_matches_one_record_calls():
+    records, _ = mixed_records()
+    ests = _reconstruct_states(records, "mle", DEFAULT_TOL)
+    for est, recs in zip(ests, records):
+        assert est.tobytes() == reconstruct_state(recs, "mle").tobytes()
+
+
+def test_unknown_method_and_empty_list():
+    records, _ = mixed_records()
+    with pytest.raises(ValueError, match="unknown reconstruction method"):
+        _reconstruct_states(records, "lsq", DEFAULT_TOL)
+    assert _reconstruct_states([], "linear", DEFAULT_TOL).shape == (0, 4, 4)

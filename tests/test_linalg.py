@@ -199,6 +199,12 @@ def _canonicalize_sorted(phases, vectors):
     return phases, vectors
 
 
+def _canonicalize_one(phases, vectors):
+    """_canonicalize on the one-row stack of (phases, vectors)."""
+    new_phases, new_vectors = _canonicalize(phases[None], vectors[None])
+    return new_phases[0], new_vectors[0]
+
+
 def _random_signed_permutation(rng):
     gen = rng.generator
     return np.eye(4)[:, gen.permutation(4)] * gen.choice([-1.0, 1.0], size=4)
@@ -206,11 +212,12 @@ def _random_signed_permutation(rng):
 
 class TestCanonicalize:
     """The vectorized _canonicalize against the sorted() implementation it
-    replaced: same phases and vectors, bit for bit, signs of zeros included."""
+    replaced: same phases and vectors, bit for bit, signs of zeros included,
+    one row at a time and as one stack of every case a test makes."""
 
     @staticmethod
     def assert_same(phases, vectors):
-        for new, old in zip(_canonicalize(phases, vectors), _canonicalize_sorted(phases, vectors)):
+        for new, old in zip(_canonicalize_one(phases, vectors), _canonicalize_sorted(phases, vectors)):
             assert new.tobytes() == old.tobytes()
 
     def test_random_orthogonal_frames(self):
@@ -259,7 +266,7 @@ class TestCanonicalize:
         self.assert_same(phases, vectors)
         # every column but the last, which the det fix may negate, leads
         # with a positive entry
-        _, out = _canonicalize(phases, vectors)
+        _, out = _canonicalize_one(phases, vectors)
         assert np.all(out[np.argmax(np.abs(out) > 1e-8, axis=0), range(4)][:3] > 0)
 
     def test_det_minus_one_input(self):
@@ -268,7 +275,27 @@ class TestCanonicalize:
         assert np.linalg.det(o) < 0
         phases = np.array([0.1, -0.4, 2.5, -3.0])
         self.assert_same(phases, o)
-        assert np.linalg.det(_canonicalize(phases, o)[1]) > 0
+        assert np.linalg.det(_canonicalize_one(phases, o)[1]) > 0
+
+    def test_stack_rows_match_single_rows(self):
+        # ties, permutation frames and frames with a negative determinant,
+        # mixed in one stack: every row comes out as it does alone
+        rng = SeededRng(66)
+        cases = []
+        for k in range(150):
+            if k % 3 == 0:
+                frame = random_orthogonal(rng)
+            else:
+                frame = _random_signed_permutation(rng)
+            phases = rng.generator.choice([-1.0, 0.5, math.pi], size=4)
+            cases.append((phases, frame))
+        phases = np.array([c[0] for c in cases])
+        vectors = np.array([c[1] for c in cases])
+        got_phases, got_vectors = _canonicalize(phases, vectors)
+        for k, (p, v) in enumerate(cases):
+            want_phases, want_vectors = _canonicalize_sorted(p, v)
+            assert got_phases[k].tobytes() == want_phases.tobytes()
+            assert got_vectors[k].tobytes() == want_vectors.tobytes()
 
 
 class TestNearestUnitary:
@@ -289,6 +316,16 @@ class TestNearestUnitary:
         fixed = nearest_unitary(rounded)
         assert is_unitary(fixed, atol=1e-12)
         assert np.max(np.abs(fixed - rounded)) < 5e-3
+
+    def test_stack_rows_match_single_rows(self):
+        # the benchmark projects a block of draws in one call
+        rng = SeededRng(13)
+        stack = rng.generator.standard_normal((9, 4, 4)) + 1j * rng.generator.standard_normal((9, 4, 4))
+        stack[3] = np.round(sample_su4(rng), 3)
+        stack[5] = sample_su4(rng)
+        projected = nearest_unitary(stack)
+        for k, m in enumerate(stack):
+            assert projected[k].tobytes() == nearest_unitary(m).tobytes()
 
 
 class TestFactorTensorProduct:

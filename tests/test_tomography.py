@@ -275,7 +275,7 @@ def loop_mle_estimate(data, tol, trace=None):
             ll = ll_cand
             break
         ll = ll_cand
-    return _clip_to_density(rho)
+    return _clip_to_density(rho[None])[0]
 
 
 GROUND = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
