@@ -103,9 +103,12 @@ def _clip_to_density(m: np.ndarray) -> np.ndarray:
 
 def _linear_estimates(freqs: np.ndarray) -> np.ndarray:
     """Linear estimates of the rows of an (N, 36) frequency table: one
-    least-squares solve with N right-hand sides, then the clip."""
-    vecs, *_ = np.linalg.lstsq(_POVM_ROWS, freqs.T.astype(complex), rcond=None)
-    return _clip_to_density(vecs.T.reshape(-1, 4, 4))
+    least-squares solve per row, then the batched clip. A single solve with
+    N right-hand sides rounds some rows differently once multithreaded BLAS
+    splits the columns (seen from N = 512 on two threads), so each
+    row keeps the bits of its one-row solve whatever the batch."""
+    vecs = [np.linalg.lstsq(_POVM_ROWS, row, rcond=None)[0] for row in freqs.astype(complex)]
+    return _clip_to_density(np.array(vecs, dtype=complex).reshape(-1, 4, 4))
 
 
 def _probabilities(rho: np.ndarray, data: _Frequencies, floor: float) -> np.ndarray:
