@@ -37,7 +37,6 @@ from .experiment import (
     CALIBRATED_NOISE,
     TOMOGRAPHY_INPUT_LABELS,
     NoiseModel,
-    _block_layout,
     exact_experiment,
     input_state,
     run_experiments,
@@ -61,7 +60,6 @@ from .tomography import (
     mean_state_fidelity,
     process_matrix_of_unitary,
     reconstruct_process,
-    reconstruct_state,
 )
 
 __all__ = ["main"]
@@ -70,6 +68,10 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_NOT_UNITARY = 3
 EXIT_VERIFY = 4
+
+# benchmark operations drawn, compiled, run and reconstructed per stacked
+# call: one of each preparation, and --n is a multiple of it
+_CHUNK = len(TOMOGRAPHY_INPUT_LABELS)
 
 
 def _fail(code: int, message: str) -> int:
@@ -208,32 +210,34 @@ def _cmd_sample(args) -> int:
     return _write_outputs(matrices, args.out)
 
 
-def _run_all(programs, labels, noise, args, rngs):
-    """The records of each program run on its label, as the arguments ask."""
+def _prepare_run(args) -> tuple[Tolerances, NoiseModel, dict]:
+    """Tolerances and noise model of a benchmark or process-tomo run, and
+    the report keys of its arguments that both commands write."""
+    tol = _resolve_tolerances(args)
+    noise, noise_meta = _resolve_noise(args.noise)
+    keys = {name: getattr(args, name) for name in ("seed", "shots", "method", "exact_probabilities")}
+    return tol, noise, {**keys, "noise": asdict(noise), "noise_meta": noise_meta}
+
+
+def _estimates(programs, labels, rngs, noise, tol, args) -> np.ndarray:
+    """Reconstructed output states (N, 4, 4) of each program run on its
+    label, sampled with its rng or exact, as the arguments ask."""
     if args.exact_probabilities:
-        return [exact_experiment(p, label) for p, label in zip(programs, labels)]
-    return run_experiments(programs, labels, noise, args.shots, rngs)
+        results = [exact_experiment(p, label) for p, label in zip(programs, labels)]
+    else:
+        results = run_experiments(programs, labels, noise, args.shots, rngs)
+    return _reconstruct_states(results, args.method, tol)
 
 
 def _cmd_benchmark(args) -> int:
     try:
-        tol = _resolve_tolerances(args)
-        noise, noise_meta = _resolve_noise(args.noise)
+        tol, noise, keys = _prepare_run(args)
     except (OSError, ValueError) as exc:
         return _fail(EXIT_PARSE, str(exc))
     if args.exact_probabilities and not noise.is_zero:
         return _fail(EXIT_PARSE, "--exact-probabilities requires zero noise")
 
-    header = {
-        "command": "benchmark",
-        "seed": args.seed,
-        "n": args.n,
-        "shots": args.shots,
-        "method": args.method,
-        "exact_probabilities": args.exact_probabilities,
-        "noise": asdict(noise),
-        "noise_meta": noise_meta,
-    }
+    header = {"command": "benchmark", "n": args.n, **keys}
     input_hash = content_hash(json.dumps(header, sort_keys=True))
 
     streams = SeededRng(args.seed).spawn(args.n + 1)
@@ -246,49 +250,37 @@ def _cmd_benchmark(args) -> int:
     ]
     order = streams[-1].generator.permutation(args.n)
     operations = []
-    fidelities = []
-    # draw, compile, run and reconstruct one executor block at a time, each
+    # draw, compile, run and reconstruct _CHUNK operations at a time, each
     # stage as one stacked call, so memory stays bounded in n; each
     # operation keeps its own stream
-    per_block = _block_layout(args.shots)[1]
-    for first in range(0, args.n, per_block):
-        block = range(first, min(first + per_block, args.n))
-        block_labels = [labels[order[index]] for index in block]
-        us = [sample_su4(streams[index], tol) for index in block]
+    for first in range(0, args.n, _CHUNK):
+        chunk = range(first, min(first + _CHUNK, args.n))
+        chunk_labels = [labels[order[index]] for index in chunk]
+        us = [sample_su4(streams[index], tol) for index in chunk]
         programs = _lower_many(decompose_many(nearest_unitary(np.array(us)), tol))
-        results = _run_all(programs, block_labels, noise, args, streams[first:block.stop])
-        ests = _reconstruct_states(results, args.method, tol)
-        ideals = []
-        for u, label in zip(us, block_labels):
-            psi = u @ input_state(label)
-            ideals.append(np.outer(psi, psi.conj()))
-        block_fidelities = _state_fidelities(ests, np.array(ideals))
-        for index, label, f in zip(block, block_labels, block_fidelities):
-            fidelities.append(f)
-            operations.append(
-                {"index": index, "input_state": list(label), "fidelity": f}
-            )
+        ests = _estimates(programs, chunk_labels, streams[first:chunk.stop], noise, tol, args)
+        psis = [u @ input_state(label) for u, label in zip(us, chunk_labels)]
+        ideals = np.array([np.outer(psi, psi.conj()) for psi in psis])
+        for index, label, f in zip(chunk, chunk_labels, _state_fidelities(ests, ideals)):
+            operations.append({"index": index, "input_state": list(label), "fidelity": f})
 
-    arr = np.asarray(fidelities)
-    out = dict(header)
-    out.update(
-        {
-            "input_hash": input_hash,
-            "tolerances": asdict(tol),
-            "operations": operations,
-            "mean_fidelity": float(arr.mean()),
-            "std_fidelity": float(arr.std()),
-            "min_fidelity": float(arr.min()),
-            "max_fidelity": float(arr.max()),
-        }
-    )
+    arr = np.array([op["fidelity"] for op in operations])
+    out = {
+        **header,
+        "input_hash": input_hash,
+        "tolerances": asdict(tol),
+        "operations": operations,
+        "mean_fidelity": float(arr.mean()),
+        "std_fidelity": float(arr.std()),
+        "min_fidelity": float(arr.min()),
+        "max_fidelity": float(arr.max()),
+    }
     return _write_outputs(out, args.out, (args.csv, partial(_write_csv, operations)))
 
 
 def _cmd_process_tomo(args) -> int:
     try:
-        tol = _resolve_tolerances(args)
-        noise, noise_meta = _resolve_noise(args.noise)
+        tol, noise, keys = _prepare_run(args)
         m, input_hash = _load_matrix(args.unitary, tol)
     except (OSError, ValueError) as exc:
         return _fail(EXIT_PARSE, str(exc))
@@ -303,22 +295,15 @@ def _cmd_process_tomo(args) -> int:
     pulses = lower_to_pulses(_compile(u, tol))
     labels = TOMOGRAPHY_INPUT_LABELS
     streams = SeededRng(args.seed).spawn(len(labels))
-    results = _run_all([pulses] * len(labels), labels, noise, args, streams)
-    pairs = [
-        (label, reconstruct_state(records, args.method, tol))
-        for label, records in zip(labels, results)
-    ]
-    est = reconstruct_process(pairs, cp_projection=not args.no_cp_projection, tol=tol)
+    ests = _estimates([pulses] * len(labels), labels, streams, noise, tol, args)
+    est = reconstruct_process(
+        list(zip(labels, ests)), cp_projection=not args.no_cp_projection, tol=tol
+    )
     ideal = process_matrix_of_unitary(u)
     f_ent = entanglement_fidelity(est, ideal)
     out = {
         "command": "process-tomo",
-        "seed": args.seed,
-        "shots": args.shots,
-        "method": args.method,
-        "exact_probabilities": args.exact_probabilities,
-        "noise": asdict(noise),
-        "noise_meta": noise_meta,
+        **keys,
         "input_hash": input_hash,
         "tolerances": asdict(tol),
         "entanglement_fidelity": f_ent,
@@ -399,15 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "benchmark":
-        if args.n <= 0 or args.n % 16 != 0:
-            parser.error("--n must be a positive multiple of 16")
-        if args.shots <= 0:
-            parser.error("--shots must be positive")
-    if args.command == "process-tomo" and args.shots <= 0:
-        parser.error("--shots must be positive")
+    if args.command == "benchmark" and (args.n <= 0 or args.n % 16 != 0):
+        parser.error("--n must be a positive multiple of 16")
     if args.command == "sample" and args.n <= 0:
         parser.error("--n must be positive")
+    if getattr(args, "shots", 1) <= 0:
+        parser.error("--shots must be positive")
+    if getattr(args, "seed", 0) < 0:
+        parser.error("--seed must be non-negative")
     return args.func(args)
 
 

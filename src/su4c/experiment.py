@@ -147,7 +147,7 @@ class MeasurementRecord:
     """Counts for one measurement setting.
 
     counts follows the computational-basis outcome order after the setting's
-    prerotations. frequencies() is what reconstruction consumes, so exact
+    prerotations. Reconstruction reads only the frequencies, so exact
     (infinite-shot) surrogates can carry probabilities instead of counts.
     """
 
@@ -326,17 +326,6 @@ def _check_shots(shots_per_setting) -> int:
     return int(shots_per_setting)
 
 
-def _block_layout(shots: int) -> tuple[int, int]:
-    """(settings, programs) per block at shots per setting: the nine
-    settings of each program while they fit in _BLOCK_COLUMNS, otherwise
-    one setting; as many programs as fit, at least one. A caller that
-    streams its operations feeds run_experiments that many programs."""
-    settings = len(MEASUREMENT_SETTINGS)
-    if settings * shots > _BLOCK_COLUMNS:
-        settings = 1
-    return settings, max(1, _BLOCK_COLUMNS // (settings * shots))
-
-
 def run_experiments(
     programs: Sequence[Sequence[GateElement]],
     labels: Sequence[Sequence[str]],
@@ -376,8 +365,9 @@ def run_experiments(
     frames, mixed = _frames(noise.damping_per_circuit)
     q = _depolarizing_weight(table, noise)
     n_r = len(table.half)
-    n_set, per_block = _block_layout(shots)
+    n_set = len(frames) if len(frames) * shots <= _BLOCK_COLUMNS else 1
     width = n_set * shots  # columns of one program in one group of settings
+    per_block = max(1, _BLOCK_COLUMNS // width)
     counts = np.zeros((len(programs), len(frames), 4), dtype=np.int64)
     for first in range(0, len(programs), per_block):
         ops = slice(first, min(first + per_block, len(programs)))

@@ -51,20 +51,30 @@ _POVM_ROWS.flags.writeable = False
 
 
 class _Frequencies(NamedTuple):
-    """Nine records stacked in _POVM_STACK order. The likelihood terms keep
-    only the outcomes that occurred, each weighted by its record's shot
-    count."""
+    """What MLE reads of nine records: the outcomes that occurred, in
+    _POVM_STACK order, each weighted by its record's shot count."""
 
-    freqs: np.ndarray  # (36,) every outcome, for the linear estimate
     rows: np.ndarray  # (n, 16) rows of _POVM_ROWS of the outcomes seen
     ops: np.ndarray  # (n, 16) their projectors, flattened
     weights: np.ndarray  # (n,) record weight times frequency
     total_weight: float
 
 
-def _collect_frequencies(records: Sequence[MeasurementRecord]) -> _Frequencies:
-    """Stacked frequencies and weights; all nine settings must be present
-    exactly once."""
+def _count_table(counts, shape: tuple) -> "np.ndarray | None":
+    """counts as a float array of shape, or None unless every entry is a
+    finite count >= 0 and every row has a positive total."""
+    try:
+        c = np.array(counts, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    ok = c.shape == shape and np.all((c >= 0.0) & (c < np.inf)) and np.all(c.sum(axis=-1) > 0.0)
+    return c if ok else None
+
+
+def _frequency_table(records: Sequence[MeasurementRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """The frequencies (36,) of the records in _POVM_STACK order and the
+    shots (9,) of each setting; all nine settings must be present exactly
+    once, each with four finite counts >= 0 and a positive total."""
     seen = {}
     for rec in records:
         setting = (rec.setting[0], rec.setting[1])
@@ -77,15 +87,26 @@ def _collect_frequencies(records: Sequence[MeasurementRecord]) -> _Frequencies:
     if missing:
         raise ValueError(f"records missing settings {missing}")
     ordered = [seen[s] for s in MEASUREMENT_SETTINGS]
-    freqs = np.concatenate([rec.frequencies() for rec in ordered])
-    shots = [float(sum(rec.counts)) for rec in ordered]
+    counts = _count_table([rec.counts for rec in ordered], (9, 4))
+    if counts is None:  # name the first bad record
+        bad = next(rec for rec in ordered if _count_table(rec.counts, (4,)) is None)
+        raise ValueError(
+            f"record {bad.setting} has counts {bad.counts!r}, "
+            "not four finite counts >= 0 with a positive total"
+        )
+    shots = np.cumsum(counts, axis=1)[:, -1]  # added left to right, as sum() adds
+    return (counts / shots[:, None]).reshape(36), shots
+
+
+def _collect_frequencies(records: Sequence[MeasurementRecord]) -> _Frequencies:
+    """The MLE data of the records, checked as _frequency_table checks them."""
+    freqs, shots = _frequency_table(records)
     keep = freqs > 0.0
     return _Frequencies(
-        freqs=freqs,
         rows=_POVM_ROWS[keep],
         ops=_POVM_STACK[keep].reshape(-1, 16),
         weights=(np.repeat(shots, 4) * freqs)[keep],
-        total_weight=sum(shots),
+        total_weight=sum(shots.tolist()),
     )
 
 
@@ -101,13 +122,13 @@ def _clip_to_density(m: np.ndarray) -> np.ndarray:
     return (vecs * (vals / totals[:, None])[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def _linear_estimates(freqs: np.ndarray) -> np.ndarray:
+def _linear_estimates(freqs) -> np.ndarray:
     """Linear estimates of the rows of an (N, 36) frequency table: one
     least-squares solve per row, then the batched clip. A single solve with
     N right-hand sides rounds some rows differently once multithreaded BLAS
     splits the columns (seen from N = 512 on two threads), so each
     row keeps the bits of its one-row solve whatever the batch."""
-    vecs = [np.linalg.lstsq(_POVM_ROWS, row, rcond=None)[0] for row in freqs.astype(complex)]
+    vecs = [np.linalg.lstsq(_POVM_ROWS, row.astype(complex), rcond=None)[0] for row in freqs]
     return _clip_to_density(np.array(vecs, dtype=complex).reshape(-1, 4, 4))
 
 
@@ -180,13 +201,13 @@ def _reconstruct_states(
     method: str,
     tol: Tolerances,
 ) -> np.ndarray:
-    """reconstruct_state of each record list, as an (N, 4, 4) stack. The
-    linear estimates are one solve; MLE runs record list by record list."""
-    data = [_collect_frequencies(records) for records in records_list]
+    """reconstruct_state of each record list, as an (N, 4, 4) stack; MLE
+    runs record list by record list."""
     if method == "linear":
-        return _linear_estimates(np.array([d.freqs for d in data]).reshape(-1, 36))
+        return _linear_estimates([_frequency_table(records)[0] for records in records_list])
     if method == "mle":
-        return np.array([_mle_estimate(d, tol) for d in data]).reshape(-1, 4, 4)
+        estimates = [_mle_estimate(_collect_frequencies(r), tol) for r in records_list]
+        return np.array(estimates).reshape(-1, 4, 4)
     raise ValueError(f"unknown reconstruction method {method!r}")
 
 

@@ -35,7 +35,7 @@ from su4c.circuits import _lower_many
 from su4c.config import DEFAULT_TOL
 from su4c.tomography import (
     _POVM_ROWS,
-    _collect_frequencies,
+    _frequency_table,
     _linear_estimates,
     _reconstruct_states,
     _state_fidelities,
@@ -112,7 +112,7 @@ class TestDecomposeManyBoundary:
 
 def one_matrix_linear(records):
     """The one-matrix linear estimate that _reconstruct_states replaced."""
-    return one_matrix_linear_freqs(_collect_frequencies(records).freqs)
+    return one_matrix_linear_freqs(_frequency_table(records)[0])
 
 
 def one_matrix_linear_freqs(freqs):

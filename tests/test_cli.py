@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from su4c import compiler
+from su4c import cli, compiler
 from su4c.cli import EXIT_NOT_UNITARY, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
 from su4c.compiler import decompose, verify
 from su4c.config import ENV_TOLERANCE
@@ -232,6 +232,18 @@ class TestBenchmark:
         doc = json.loads(out)
         assert abs(doc["mean_fidelity"] - 1.0) < 1e-9
         assert doc["std_fidelity"] < 1e-9
+
+    # a calibrated 100-shot run and an exact run, one operation per chunk
+    # and every operation in one chunk, against the default chunk
+    @pytest.mark.parametrize(
+        "argv", [("--noise", "calibrated", "--seed", "2"), ("--exact-probabilities",)]
+    )
+    def test_report_does_not_depend_on_chunk_size(self, capsys, monkeypatch, argv):
+        args = ("benchmark", "--n", "32", *argv)
+        _, expected, _ = run_cli(capsys, *args)
+        for chunk in (1, 32):
+            monkeypatch.setattr(cli, "_CHUNK", chunk)
+            assert run_cli(capsys, *args) == (EXIT_OK, expected, "")
 
     def test_block_size_enforced(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -478,6 +490,20 @@ class TestParser:
         with pytest.raises(SystemExit) as info:
             main(["benchmark", "--n", "16", "--shots", "0"])
         assert info.value.code == EXIT_PARSE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--seed", "-1"],
+            ["benchmark", "--n", "16", "--seed", "-3"],
+            ["process-tomo", "--unitary", None, "--seed", "-2"],
+        ],
+    )
+    def test_seed_must_be_non_negative(self, capsys, unitary_file, argv):
+        with pytest.raises(SystemExit) as info:
+            main([unitary_file if a is None else a for a in argv])
+        assert info.value.code == EXIT_PARSE
+        assert "--seed must be non-negative" in capsys.readouterr().err
 
 
 class TestOutputs:

@@ -6,6 +6,7 @@ inside the observed distributions.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -147,6 +148,20 @@ class TestLinearReconstruction:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             reconstruct_state(exact_records(I4 / 4.0), method="bayes")
+
+    # one record of nine with too few or too many counts, a negative or a
+    # non-finite count, or no counts: rejected by name, whatever the method
+    @pytest.mark.parametrize("method", ["linear", "mle"])
+    @pytest.mark.parametrize(
+        "counts",
+        [(50, 50), (20, 20, 20, 20, 20), (30, -10, 40, 40), (math.nan, 30, 30, 40),
+         (math.inf, 0, 0, 0), (0, 0, 0, 0)],
+    )
+    def test_malformed_counts_rejected(self, method, counts):
+        records = [MeasurementRecord(s, (25, 25, 25, 25), 100) for s in MEASUREMENT_SETTINGS]
+        records[5] = MeasurementRecord(MEASUREMENT_SETTINGS[5], counts, 100)
+        with pytest.raises(ValueError, match=re.escape(str(MEASUREMENT_SETTINGS[5]))):
+            reconstruct_state(records, method=method)
 
 
 class TestMleReconstruction:
