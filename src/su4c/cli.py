@@ -37,7 +37,7 @@ from .experiment import (
     CALIBRATED_NOISE,
     TOMOGRAPHY_INPUT_LABELS,
     NoiseModel,
-    exact_experiment,
+    _exact_experiments,
     input_state,
     run_experiments,
 )
@@ -223,7 +223,7 @@ def _estimates(programs, labels, rngs, noise, tol, args) -> np.ndarray:
     """Reconstructed output states (N, 4, 4) of each program run on its
     label, sampled with its rng or exact, as the arguments ask."""
     if args.exact_probabilities:
-        results = [exact_experiment(p, label) for p, label in zip(programs, labels)]
+        results = _exact_experiments(programs, labels)
     else:
         results = run_experiments(programs, labels, noise, args.shots, rngs)
     return _reconstruct_states(results, args.method, tol)

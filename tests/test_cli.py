@@ -3,8 +3,11 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -423,20 +426,21 @@ class TestProcessTomo:
         assert doc["entanglement_fidelity"] == pytest.approx(1 / 16, abs=0.02)
 
 
-# sha256 of the stdout report of two seeded runs, captured before the
-# executor ran operations in blocks. A change to the executor, the compiler
-# or reconstruction that moves one count or one digit of a fidelity changes
-# a digest; only a change that sets out to move outputs re-captures them,
-# and records the old and the new digest in CHANGES.md.
+# sha256 of the stdout report of two seeded runs, captured when the counts
+# came to be drawn from the exact averaged outcome distribution. A change to
+# the executor, the compiler or reconstruction that moves one count or one
+# digit of a fidelity changes a digest; only a change that sets out to move
+# outputs re-captures them, and records the old and the new digest in
+# CHANGES.md.
 GOLDEN_REPORTS = {
     "benchmark": (
         ("benchmark", "--n", "32", "--seed", "0", "--noise", "calibrated"),
-        "76bf39c7b0d2e848ef7cd328396dd9fd547f7a263cfed689c0dbba0ec1677440",
+        "bbd07cb68d7f69dc5831a0e439b959b3e990aff1cba87e81f693eb463242f4b7",
     ),
     "process-tomo": (
         ("process-tomo", "--unitary", None, "--shots", "1000", "--noise", "calibrated",
          "--method", "mle"),
-        "650ebd73f96afc81a321c467816a826673802e4624c81043a80f6a17dba342f9",
+        "6439d29762ab1190aaf3ba5fe3da1eae6174f3f29b62ee60c50e3ccb4252748f",
     ),
 }
 
@@ -449,11 +453,33 @@ class TestGoldenReports:
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
+    @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+    def test_report_does_not_depend_on_blas_threads(self, unitary_file, name):
+        # the same bytes from a fresh interpreter whether BLAS and OpenMP
+        # run on one thread or two, so no kernel on the path lets the
+        # thread split change its rounding
+        argv, digest = GOLDEN_REPORTS[name]
+        argv = [unitary_file if a is None else a for a in argv]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            env = {
+                **os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            }
+            done = subprocess.run(
+                [sys.executable, "-c", "import sys; from su4c.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+                env=env, capture_output=True, check=True,
+            )
+            outs.append(done.stdout)
+        assert outs[0] == outs[1]
+        assert hashlib.sha256(outs[0]).hexdigest() == digest
+
 
 class TestMemory:
     def test_benchmark_memory_bounded_in_n(self, capsys):
-        # operations are drawn, compiled, run and reconstructed one executor
-        # block at a time, so ten times the operations add only their
+        # operations are drawn, compiled, run and reconstructed 16 at a
+        # time, so ten times the operations add only their
         # report entries: 0.8 MiB measured, against several MiB when every
         # program is compiled before any runs
         def peak(n):

@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from su4c import experiment
 from su4c.circuits import compose_pulses, lower_to_pulses
 from su4c.compiler import decompose
 from su4c.experiment import (
@@ -22,7 +21,7 @@ from su4c.experiment import (
     run_experiment,
     run_experiments,
 )
-from su4c.experiment import _PREROTATION, _SETTING_FRAMES
+from su4c.experiment import _PREROTATION, _SETTING_FRAMES, _outcome_probabilities, _output_states
 from su4c.gates import G_GATE, GateElement, embed, r_gate, rz_gate
 from su4c.haar import SeededRng, sample_su4
 from su4c.linalg import _kron, kron
@@ -72,40 +71,42 @@ def reference_channel(rho, pulses, noise, rng):
     return out
 
 
-# run_experiment records of fixed cases, captured from the per-setting,
-# per-pulse density-matrix simulation: (Haar seed, label, noise, shots,
-# rng seed, the nine count tuples). Equal counts pin the order of the draws.
+# run_experiment records of fixed cases: (Haar seed, label, noise, shots,
+# rng seed, the nine count tuples). Equal counts pin both the exact outcome
+# distribution and the one multinomial draw per program. The noisy entries
+# were captured when the counts came to be drawn from the exact averaged
+# distribution; noiseless-100 is older and did not move.
 GOLDEN_RECORDS = {
     "sigma-only": (
         11, ("plus", "down"), NoiseModel(overrotation_sigma=0.08), 100, 101,
         (
-            (3, 44, 10, 43), (26, 12, 48, 14), (27, 16, 17, 40),
-            (11, 74, 6, 9), (68, 20, 6, 6), (32, 60, 0, 8),
-            (7, 29, 3, 61), (31, 4, 39, 26), (17, 26, 21, 36),
+            (7, 38, 10, 45), (27, 18, 40, 15), (22, 26, 14, 38),
+            (13, 79, 3, 5), (81, 12, 3, 4), (46, 47, 1, 6),
+            (9, 28, 2, 61), (32, 7, 40, 21), (18, 28, 25, 29),
         ),
     ),
     "depolarizing-only": (
         12, ("minus_i", "up"), NoiseModel(depolarizing_per_g=0.1), 100, 102,
         (
-            (21, 29, 19, 31), (11, 51, 35, 3), (20, 28, 26, 26),
-            (20, 12, 13, 55), (18, 18, 29, 35), (4, 27, 44, 25),
-            (9, 45, 28, 18), (27, 27, 21, 25), (21, 44, 28, 7),
+            (14, 37, 16, 33), (13, 46, 34, 7), (25, 29, 22, 24),
+            (31, 9, 9, 51), (14, 23, 29, 34), (5, 30, 40, 25),
+            (12, 45, 26, 17), (39, 23, 16, 22), (18, 42, 34, 6),
         ),
     ),
     "damping-only": (
         13, ("down", "plus"), NoiseModel(damping_per_circuit=0.2), 100, 103,
         (
-            (29, 24, 18, 29), (5, 41, 10, 44), (8, 39, 16, 37),
-            (13, 23, 32, 32), (10, 22, 10, 58), (10, 25, 11, 54),
-            (30, 50, 10, 10), (19, 66, 1, 14), (19, 71, 5, 5),
+            (20, 22, 20, 38), (14, 35, 10, 41), (8, 44, 12, 36),
+            (6, 27, 33, 34), (4, 28, 10, 58), (6, 22, 14, 58),
+            (38, 56, 3, 3), (16, 72, 1, 11), (21, 68, 2, 9),
         ),
     ),
     "calibrated-100": (
         14, ("up", "minus_i"), CALIBRATED_NOISE, 100, 104,
         (
-            (26, 26, 31, 17), (30, 20, 29, 21), (37, 10, 11, 42),
-            (18, 38, 37, 7), (46, 14, 15, 25), (27, 24, 30, 19),
-            (43, 25, 16, 16), (49, 10, 11, 30), (32, 31, 9, 28),
+            (24, 27, 36, 13), (21, 20, 37, 22), (41, 9, 12, 38),
+            (10, 45, 39, 6), (44, 14, 20, 22), (20, 32, 33, 15),
+            (41, 22, 19, 18), (62, 6, 6, 26), (37, 26, 16, 21),
         ),
     ),
     "noiseless-100": (
@@ -119,26 +120,26 @@ GOLDEN_RECORDS = {
     "calibrated-1": (
         16, ("minus_i", "down"), CALIBRATED_NOISE, 1, 106,
         (
-            (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 1, 0),
-            (0, 1, 0, 0), (0, 0, 0, 1), (1, 0, 0, 0),
-            (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1),
+            (1, 0, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0),
+            (0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 0, 0),
+            (0, 0, 1, 0), (0, 0, 1, 0), (1, 0, 0, 0),
         ),
     ),
     "calibrated-1500": (
         17, ("down", "up"), CALIBRATED_NOISE, 1500, 107,
         (
-            (165, 107, 1153, 75), (123, 132, 679, 566), (119, 126, 513, 742),
-            (708, 80, 624, 88), (412, 346, 388, 354), (348, 390, 290, 472),
-            (622, 76, 711, 91), (354, 354, 438, 354), (300, 418, 344, 438),
+            (139, 91, 1173, 97), (119, 107, 666, 608), (115, 128, 503, 754),
+            (676, 65, 645, 114), (394, 368, 389, 349), (367, 409, 298, 426),
+            (614, 94, 711, 81), (346, 377, 460, 317), (280, 415, 382, 423),
         ),
     ),
     "no-sigma-1500": (
         18, ("up", "plus"),
         NoiseModel(depolarizing_per_g=0.05, damping_per_circuit=0.1), 1500, 108,
         (
-            (286, 218, 937, 59), (406, 109, 536, 449), (326, 175, 600, 399),
-            (931, 156, 313, 100), (842, 241, 113, 304), (671, 423, 254, 152),
-            (671, 187, 535, 107), (557, 330, 398, 215), (727, 176, 215, 382),
+            (308, 217, 907, 68), (391, 124, 550, 435), (333, 206, 609, 352),
+            (946, 164, 274, 116), (847, 257, 107, 289), (688, 419, 250, 143),
+            (691, 174, 549, 86), (576, 316, 408, 200), (724, 171, 214, 391),
         ),
     ),
 }
@@ -395,11 +396,10 @@ class TestRunExperiment:
         assert peak < 8 * 2**20
 
 
-# The per-operation executor as it ran before operations were batched, kept
-# as the oracle of run_experiments: one program per call, its settings in
-# blocks of at most LOOP_BLOCK_SHOTS columns, one Python-scalar rotation
-# per pulse. run_experiments must give the same records bit for bit and
-# leave every rng in the same state.
+# The per-shot executor as it ran before the counts were drawn from the exact
+# averaged distribution, kept as the statistical oracle of run_experiments:
+# one program per call, its settings in blocks of at most LOOP_BLOCK_SHOTS
+# state-vector columns, every shot its own over-rotation draw and outcome.
 LOOP_BLOCK_SHOTS = 1024
 
 
@@ -475,7 +475,7 @@ def loop_run_experiment(pulses, label, noise, shots, rng):
 
 
 # Every noise model of GOLDEN_RECORDS, programs of several operations on
-# mixed labels, and shot counts on both sides of each block boundary.
+# mixed labels, and shot counts from one to thousands.
 ORACLE_NOISE = {
     "sigma-only": NoiseModel(overrotation_sigma=0.08),
     "depolarizing-only": NoiseModel(depolarizing_per_g=0.1),
@@ -487,45 +487,117 @@ ORACLE_NOISE = {
 ORACLE_SHOTS = (1, 7, 100, 455, 1000, 1500, 5000)
 ORACLE_PROGRAMS = [program(sample_su4(SeededRng(600 + k))) for k in range(5)]
 ORACLE_LABELS = [("plus", "down"), ("up", "up"), ("minus_i", "plus"), ("down", "minus_i"), ("up", "plus")]
-# block widths against the shot counts they split in every way: one column
-# per block, settings sliced across blocks, the default
+# Programs stacked per run_experiments call, against the shot counts: one
+# program per call, or all of them in one.
 WIDTH_CASES = [(1, 1), (1, 7), (100, 1), (100, 7), (100, 100), (100, 455), (100, 1000)]
 
 
-def assert_matches_loop(programs, labels, noise, shots, seed):
-    rngs, loop_rngs = SeededRng(seed).spawn(len(programs)), SeededRng(seed).spawn(len(programs))
-    results = run_experiments(programs, labels, noise, shots, rngs)
-    assert len(results) == len(programs)
-    for records, pulses, label, rng, loop_rng in zip(results, programs, labels, rngs, loop_rngs):
-        expected = loop_run_experiment(pulses, label, noise, shots, loop_rng)
-        assert tuple(r.counts for r in records) == tuple(expected)
-        assert all(r.shots == shots and type(r.shots) is int for r in records)
-        assert rng.generator.bit_generator.state == loop_rng.generator.bit_generator.state
+def chi2_pvalue(counts, p, shots, seed, reps=2000):
+    """p-value of the Pearson chi^2 of the counts (..., 4), each row drawn at
+    shots, against the probabilities p (..., 4), under a seeded parametric
+    bootstrap from p, which holds at any shot count. An outcome of
+    probability 0 adds nothing, or infinity when it was seen."""
+    p = np.asarray(p).reshape(-1, 4)
+    expected = shots * p
+
+    def statistic(x):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(expected > 0, (x - expected) ** 2 / expected, np.where(x > 0, np.inf, 0.0))
+        return terms.sum(axis=(-2, -1))
+
+    observed = statistic(np.asarray(counts, dtype=float).reshape(-1, 4))
+    null = statistic(np.random.default_rng(seed).multinomial(shots, p, size=(reps, len(p))))
+    return (1 + np.sum(null >= observed)) / (reps + 1)
+
+
+def assert_groupings_agree(programs, labels, noise, shots, seed, *groupings):
+    """Each grouping, a list of index lists, runs the programs in one
+    run_experiments call per list, every program with the same stream as in
+    the other groupings. Every grouping must give each program the same
+    records, the same outcome probabilities to the bit, and leave its rng in
+    the same state."""
+    runs = []
+    for groups in groupings:
+        rngs = SeededRng(seed).spawn(len(programs))
+        records = [None] * len(programs)
+        p = np.empty((len(programs), 9, 4))
+        for group in groups:
+            members = ([programs[i] for i in group], [labels[i] for i in group])
+            results = run_experiments(*members, noise, shots, [rngs[i] for i in group])
+            assert len(results) == len(group)
+            for i, result in zip(group, results):
+                assert all(r.shots == shots and type(r.shots) is int for r in result)
+                records[i] = result
+            p[group] = _outcome_probabilities(*members, noise)
+        runs.append((records, p.tobytes(), [rng.generator.bit_generator.state for rng in rngs]))
+    assert all(run == runs[0] for run in runs)
+
+
+def alone(n):
+    """Each of n programs in a call of its own."""
+    return [[i] for i in range(n)]
 
 
 class TestRunExperiments:
     @pytest.mark.parametrize("shots", ORACLE_SHOTS)
     @pytest.mark.parametrize("name", sorted(ORACLE_NOISE))
     def test_matches_per_operation_executor(self, name, shots):
-        assert_matches_loop(ORACLE_PROGRAMS, ORACLE_LABELS, ORACLE_NOISE[name], shots, 700 + shots)
+        # the per-shot executor's counts, every program and setting in one
+        # Pearson chi^2, against the exact distribution run_experiments draws
+        noise = ORACLE_NOISE[name]
+        rngs = SeededRng(700 + shots).spawn(len(ORACLE_PROGRAMS))
+        counts = [
+            loop_run_experiment(pulses, label, noise, shots, rng)
+            for pulses, label, rng in zip(ORACLE_PROGRAMS, ORACLE_LABELS, rngs)
+        ]
+        p = _outcome_probabilities(ORACLE_PROGRAMS, ORACLE_LABELS, noise)
+        assert chi2_pvalue(counts, p, shots, seed=shots) > 1e-3
+
+    def test_chi2_detects_a_wrong_distribution(self):
+        # the statistic has the power to see the calibrated over-rotation:
+        # counts drawn without it fail against the model with it
+        rngs = SeededRng(705).spawn(len(ORACLE_PROGRAMS))
+        counts = [
+            loop_run_experiment(pulses, label, ORACLE_NOISE["no-sigma"], 5000, rng)
+            for pulses, label, rng in zip(ORACLE_PROGRAMS, ORACLE_LABELS, rngs)
+        ]
+        noise = NoiseModel(overrotation_sigma=0.06, depolarizing_per_g=0.05, damping_per_circuit=0.1)
+        p = _outcome_probabilities(ORACLE_PROGRAMS, ORACLE_LABELS, noise)
+        assert chi2_pvalue(counts, p, 5000, seed=1) < 1e-3
+
+    def test_counts_are_one_multinomial_draw_per_program(self):
+        rngs, copies = SeededRng(5).spawn(len(ORACLE_PROGRAMS)), SeededRng(5).spawn(len(ORACLE_PROGRAMS))
+        results = run_experiments(ORACLE_PROGRAMS, ORACLE_LABELS, CALIBRATED_NOISE, 100, rngs)
+        p = _outcome_probabilities(ORACLE_PROGRAMS, ORACLE_LABELS, CALIBRATED_NOISE)
+        for records, pi, rng, copy in zip(results, p, rngs, copies):
+            assert [r.counts for r in records] == [tuple(c) for c in copy.generator.multinomial(100, pi).tolist()]
+            assert rng.generator.bit_generator.state == copy.generator.bit_generator.state
 
     @pytest.mark.parametrize("width,shots", WIDTH_CASES)
-    def test_records_do_not_depend_on_block_width(self, monkeypatch, width, shots):
-        monkeypatch.setattr(experiment, "_BLOCK_COLUMNS", width)
-        programs, labels = ORACLE_PROGRAMS[:3], ORACLE_LABELS[:3]
+    def test_records_do_not_depend_on_block_width(self, width, shots):
+        # calls of at most width programs in order, one call of all of them
+        # in reverse order, and each program alone
+        n = len(ORACLE_PROGRAMS)
+        blocks = [list(range(i, min(i + width, n))) for i in range(0, n, width)]
         for noise in (CALIBRATED_NOISE, ORACLE_NOISE["no-sigma"]):
-            assert_matches_loop(programs, labels, noise, shots, 800 + width + shots)
+            assert_groupings_agree(
+                ORACLE_PROGRAMS, ORACLE_LABELS, noise, shots, 800 + width + shots,
+                blocks, [list(reversed(range(n)))], alone(n),
+            )
+
+    def test_same_program_on_every_preparation(self):
+        # the process-tomo call: one program, sixteen labels and streams
+        n = len(TOMOGRAPHY_INPUT_LABELS)
+        assert_groupings_agree(
+            [ORACLE_PROGRAMS[1]] * n, TOMOGRAPHY_INPUT_LABELS, CALIBRATED_NOISE, 1000, 901,
+            [list(range(n))], alone(n),
+        )
 
     def test_one_program_call_is_run_experiment(self):
         pulses, label = ORACLE_PROGRAMS[0], ORACLE_LABELS[0]
         a = run_experiment(pulses, label, CALIBRATED_NOISE, 100, SeededRng(5))
         (b,) = run_experiments([pulses], [label], CALIBRATED_NOISE, 100, [SeededRng(5)])
         assert a == b
-
-    def test_same_program_on_every_preparation(self):
-        # the process-tomo call: one program, sixteen labels and streams
-        n = len(TOMOGRAPHY_INPUT_LABELS)
-        assert_matches_loop([ORACLE_PROGRAMS[1]] * n, TOMOGRAPHY_INPUT_LABELS, CALIBRATED_NOISE, 1000, 901)
 
     def test_no_programs(self):
         assert run_experiments([], [], CALIBRATED_NOISE, 100, []) == []
@@ -589,16 +661,67 @@ class TestExactExperiment:
     def test_frequencies_are_probabilities(self):
         records = exact_experiment(program(sample_su4(SeededRng(317))), ("up", "up"))
         for rec in records:
-            f = rec.frequencies()
-            assert f.sum() == pytest.approx(1.0, abs=1e-12)
+            assert min(rec.counts) >= 0.0
+            assert sum(rec.counts) == pytest.approx(1.0, abs=1e-12)
 
 
-class TestMeasurementRecord:
-    def test_frequencies(self):
-        rec = MeasurementRecord(("Z", "X"), (10, 20, 30, 40), 100)
-        assert np.allclose(rec.frequencies(), [0.1, 0.2, 0.3, 0.4])
+class TestOutputStates:
+    """The density-matrix pass behind every sampled and exact record."""
 
-    def test_empty_counts_rejected(self):
-        rec = MeasurementRecord(("Z", "Z"), (0, 0, 0, 0), 0)
-        with pytest.raises(ValueError):
-            rec.frequencies()
+    @pytest.mark.parametrize("target", [0, 1])
+    @pytest.mark.parametrize(
+        "theta,phi,sigma", [(math.pi / 2, 0.3, 0.06), (math.pi / 2, 4.0, 0.3), (2.2, 1.1, 0.15), (0.7, 5.9, 0.0)]
+    )
+    def test_r_pulse_is_gauss_hermite_average(self, theta, phi, sigma, target):
+        # one R pulse on the sixteen preparations, which span the operator
+        # space and so fix the channel, against the Gaussian average of the
+        # over-rotated r_gate conjugation by 60-point Gauss-Hermite quadrature
+        pulse = GateElement("R", theta=theta, phi=phi, target=target)
+        labels = TOMOGRAPHY_INPUT_LABELS
+        out = _output_states([[pulse]] * len(labels), labels, NoiseModel(overrotation_sigma=sigma))
+        nodes, weights = np.polynomial.hermite.hermgauss(60)
+        gates = [embed(r_gate(theta * (1.0 + sigma * math.sqrt(2.0) * x), phi), target) for x in nodes]
+        for label, rho_out in zip(labels, out):
+            rho = ideal_output(I4, label)
+            ref = sum(w * g @ rho @ g.conj().T for w, g in zip(weights, gates)) / math.sqrt(math.pi)
+            assert np.max(np.abs(rho_out - ref)) < 1e-12
+
+    def test_noiseless_probabilities_match_state_vector_evolution(self):
+        frames = (_SETTING_FRAMES[:, None] @ loop_damping_kraus(0.0)).reshape(-1, 16, 4)
+        for pulses in ORACLE_PROGRAMS:
+            n_r = sum(pulse.kind == "R" for pulse in pulses)
+            for label in TOMOGRAPHY_INPUT_LABELS:
+                psi = loop_evolve(input_state(label).reshape(4, 1), pulses, np.zeros((n_r, 1)))
+                expected = [loop_probabilities(f, psi, 0.0)[:, 0] for f in frames]
+                got = [rec.counts for rec in exact_experiment(pulses, label)]
+                assert np.max(np.abs(np.array(got) - expected)) < 1e-14
+
+    @pytest.mark.parametrize("name", ["depolarizing-only", "damping-only", "no-sigma", "noiseless"])
+    def test_without_overrotation_is_apply_channel(self, name):
+        # with nothing to average, the pass is the channel apply_channel
+        # applies, the depolarizing mix and the damping included
+        noise = ORACLE_NOISE[name]
+        for pulses in ORACLE_PROGRAMS[:2]:
+            labels = TOMOGRAPHY_INPUT_LABELS
+            out = _output_states([pulses] * len(labels), labels, noise)
+            for label, rho_out in zip(labels, out):
+                ref = apply_channel(ideal_output(I4, label), pulses, noise)
+                assert np.max(np.abs(rho_out - ref)) < 1e-12
+
+    def test_overrotation_is_mean_of_apply_channel(self):
+        # the averaged state against the mean of independent realizations,
+        # within five standard errors entry by entry
+        noise = NoiseModel(overrotation_sigma=0.2, depolarizing_per_g=0.05, damping_per_circuit=0.1)
+        pulses, label = ORACLE_PROGRAMS[2], ORACLE_LABELS[2]
+        rng = SeededRng(811)
+        draws = np.array([apply_channel(ideal_output(I4, label), pulses, noise, rng) for _ in range(1500)])
+        (rho_out,) = _output_states([pulses], [label], noise)
+        err = draws.std(axis=0) / math.sqrt(len(draws)) + 1e-15
+        assert np.max(np.abs(draws.mean(axis=0) - rho_out) / err) < 5.0
+
+    def test_output_states_are_physical(self):
+        states = _output_states(ORACLE_PROGRAMS, ORACLE_LABELS, NoiseModel(0.3, 0.2, 0.3))
+        for rho in states:
+            assert abs(np.trace(rho).real - 1.0) < 1e-12
+            assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+            assert np.linalg.eigvalsh(rho)[0] > -1e-12

@@ -63,11 +63,16 @@ def setting_projectors(setting):
     return _POVM_STACK.reshape(9, 4, 4, 4)[MEASUREMENT_SETTINGS.index(tuple(setting))]
 
 
+def frequencies(record):
+    """The record's counts divided by their total."""
+    return np.asarray(record.counts, dtype=float) / float(sum(record.counts))
+
+
 def raw_linear_inversion(records):
     """Plain least squares with no physicality projection (test oracle)."""
     rows, vals = [], []
     for rec in records:
-        for op, f in zip(setting_projectors(rec.setting), rec.frequencies()):
+        for op, f in zip(setting_projectors(rec.setting), frequencies(rec)):
             rows.append(op.T.reshape(-1))
             vals.append(f)
     sol, *_ = np.linalg.lstsq(np.array(rows), np.array(vals), rcond=None)
@@ -234,7 +239,7 @@ def loop_frequencies(records):
     """(outcome projectors, frequencies, weight) per setting."""
     by_setting = {tuple(rec.setting): rec for rec in records}
     return [
-        (setting_projectors(s), by_setting[s].frequencies(), float(sum(by_setting[s].counts)))
+        (setting_projectors(s), frequencies(by_setting[s]), float(sum(by_setting[s].counts)))
         for s in MEASUREMENT_SETTINGS
     ]
 
