@@ -37,6 +37,7 @@ __all__ = [
     "CircuitParams",
     "circuit_to_unitary",
     "r_pulse_triple",
+    "pulse_angles",
     "lower_to_pulses",
     "compose_pulses",
     "PULSE_COUNT",
@@ -131,49 +132,47 @@ def _v_template_layers(cp: ClassParams) -> list[tuple[np.ndarray, np.ndarray]]:
     return [layer0, layer1, layer2, _LAYER3]
 
 
-def lower_to_pulses(params: CircuitParams) -> list[GateElement]:
-    """Lower a compiled circuit to the calibrated pulse program.
-
-    The outermost template layers are merged into the single-qubit
-    corrections, leaving four R slots per qubit around three G applications.
-    Each slot becomes [R, Rz, R, Rz] on its qubit: the slot is
-    phase-normalized first (the dropped scalar only shifts the program's
-    global phase), so the element count does not depend on the angles.
-    Elements are listed in application order; composing them reproduces
-    circuit_to_unitary(params) up to global phase (signs and the stored
-    phase are intentionally dropped).
-    """
-    return _lower_many([params])[0]
+# (kind, target) of each pulse of every program in application order: 4
+# slots of [R, Rz, R, Rz] on qubit 0 and on qubit 1, with G between slots.
+_SLOT = tuple((kind, target) for target in (0, 1) for kind in ("R", "Rz", "R", "Rz"))
+_TEMPLATE = (*_SLOT, ("G", None)) * 3 + _SLOT
+PULSE_COUNT = len(_TEMPLATE)  # 8 slots x (R, Rz, R, Rz) + 3 G applications
+_R_THETA = math.pi / 2.0  # of every R pulse
 
 
-def _lower_many(params: list[CircuitParams]) -> list[list[GateElement]]:
-    """lower_to_pulses of each circuit, with the 8 slots of every circuit
-    projected and read as one stack."""
+def pulse_angles(params: list[CircuitParams]) -> np.ndarray:
+    """The pulse programs of the circuits as an angle table (N, 32): row k
+    holds, in _TEMPLATE order, the phase of each R and the angle of each Rz
+    pulse of lower_to_pulses(params[k]). The outermost template layers are
+    merged into the single-qubit corrections, leaving four slots per qubit
+    around three G applications. Each slot is phase-normalized (the dropped
+    scalar only shifts the global phase) and written as r_pulse_triple and
+    an Rz. The 8N slots are read as one stack."""
     slots = []
     for p in params:
         layers = _v_template_layers(p.class_params)
         first = (layers[3][0] @ p.a.matrix(), layers[3][1] @ p.b.matrix())
         last = (p.c.matrix() @ layers[0][0], p.d.matrix() @ layers[0][1])
-        for mats in (first, layers[2], layers[1], last):
-            slots.extend(mats)
-    su, _ = _special_unitary_projection(np.array(slots), DEFAULT_TOL)
-    angles = iter(_su2_params(su, DEFAULT_TOL))
-
-    programs = []
-    for _ in params:
-        seq: list[GateElement] = []
-        for slot in range(4):
-            for target in (0, 1):
-                theta, phi, phiz, _ = next(angles)
-                seq.extend(r_pulse_triple(theta, phi, target))
-                seq.append(GateElement("Rz", phiz=phiz, target=target))
-            if slot < 3:
-                seq.append(GateElement("G"))
-        programs.append(seq)
-    return programs
+        slots.extend([*first, *layers[2], *layers[1], *last])
+    su, _ = _special_unitary_projection(np.array(slots).reshape(-1, 2, 2), DEFAULT_TOL)
+    theta, phi, phiz, _ = np.array(_su2_params(su, DEFAULT_TOL)).reshape(-1, 4).T
+    slot = [(phi - _R_THETA) % math.tau, theta % math.tau, (phi + _R_THETA) % math.tau, phiz]
+    return np.stack(slot, axis=-1).reshape(len(params), 32)
 
 
-PULSE_COUNT = 35  # 8 slots x (R, Rz, R, Rz) + 3 G applications
+def _pulses(row: np.ndarray) -> list[GateElement]:
+    """The GateElement view of one angle row."""
+    angles = iter(row.tolist())
+    return [GateElement("R", theta=_R_THETA, phi=next(angles), target=target) if kind == "R"
+            else GateElement("Rz", phiz=next(angles), target=target) if kind == "Rz" else GateElement("G")
+            for kind, target in _TEMPLATE]
+
+
+def lower_to_pulses(params: CircuitParams) -> list[GateElement]:
+    """The calibrated pulse program of a compiled circuit, the GateElement
+    view of its pulse_angles row, in application order; composing it
+    reproduces circuit_to_unitary(params) up to global phase."""
+    return _pulses(pulse_angles([params])[0])
 
 
 def compose_pulses(seq: list[GateElement]) -> np.ndarray:

@@ -30,7 +30,7 @@ from functools import partial
 
 import numpy as np
 
-from .circuits import _lower_many, lower_to_pulses
+from .circuits import lower_to_pulses, pulse_angles
 from .compiler import decompose, decompose_many, verify
 from .config import DEFAULT_TOL, Tolerances, _with_verify_distance, tolerances_from_env
 from .experiment import (
@@ -135,13 +135,8 @@ def _write_csv(operations: list, path: str) -> None:
 
 
 def _pulse_obj(pulse) -> dict:
-    out = {"kind": pulse.kind, "target": pulse.target}
-    if pulse.kind == "R":
-        out["theta"] = pulse.theta
-        out["phi"] = pulse.phi
-    elif pulse.kind == "Rz":
-        out["phiz"] = pulse.phiz
-    return out
+    names = {"R": ("theta", "phi"), "Rz": ("phiz",), "G": ()}[pulse.kind]
+    return {"kind": pulse.kind, "target": pulse.target, **{name: getattr(pulse, name) for name in names}}
 
 
 def _load_matrix(path: str, tol: Tolerances):
@@ -219,13 +214,13 @@ def _prepare_run(args) -> tuple[Tolerances, NoiseModel, dict]:
     return tol, noise, {**keys, "noise": asdict(noise), "noise_meta": noise_meta}
 
 
-def _estimates(programs, labels, rngs, noise, tol, args) -> np.ndarray:
+def _estimates(angles, labels, rngs, noise, tol, args) -> np.ndarray:
     """Reconstructed output states (N, 4, 4) of each program run on its
     label, sampled with its rng or exact, as the arguments ask."""
     if args.exact_probabilities:
-        results = _exact_experiments(programs, labels)
+        results = _exact_experiments(angles, labels)
     else:
-        results = run_experiments(programs, labels, noise, args.shots, rngs)
+        results = run_experiments(angles, labels, noise, args.shots, rngs)
     return _reconstruct_states(results, args.method, tol)
 
 
@@ -257,8 +252,8 @@ def _cmd_benchmark(args) -> int:
         chunk = range(first, min(first + _CHUNK, args.n))
         chunk_labels = [labels[order[index]] for index in chunk]
         us = [sample_su4(streams[index], tol) for index in chunk]
-        programs = _lower_many(decompose_many(nearest_unitary(np.array(us)), tol))
-        ests = _estimates(programs, chunk_labels, streams[first:chunk.stop], noise, tol, args)
+        angles = pulse_angles(decompose_many(nearest_unitary(np.array(us)), tol))
+        ests = _estimates(angles, chunk_labels, streams[first:chunk.stop], noise, tol, args)
         psis = [u @ input_state(label) for u, label in zip(us, chunk_labels)]
         ideals = np.array([np.outer(psi, psi.conj()) for psi in psis])
         for index, label, f in zip(chunk, chunk_labels, _state_fidelities(ests, ideals)):
@@ -292,10 +287,10 @@ def _cmd_process_tomo(args) -> int:
 
     # one program for all 16 preparations, compiled from u as benchmark
     # compiles its draws
-    pulses = lower_to_pulses(_compile(u, tol))
+    angles = pulse_angles([_compile(u, tol)])
     labels = TOMOGRAPHY_INPUT_LABELS
     streams = SeededRng(args.seed).spawn(len(labels))
-    ests = _estimates([pulses] * len(labels), labels, streams, noise, tol, args)
+    ests = _estimates(angles.repeat(len(labels), axis=0), labels, streams, noise, tol, args)
     est = reconstruct_process(
         list(zip(labels, ests)), cp_projection=not args.no_cp_projection, tol=tol
     )

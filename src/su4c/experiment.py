@@ -4,10 +4,10 @@ two-qubit Pauli settings.
 
 run_experiments samples the nine settings' counts of many programs in one
 call, and run_experiment is its one-program case; exact_experiment returns
-the exact Born probabilities of a noiseless program. All of them run pulse
-programs as lower_to_pulses emits them; compiling a matrix into that program
-is the caller's step, done once per operation. apply_channel applies one
-noise realization of a program to a density matrix.
+the exact Born probabilities of a noiseless program. A program is its row of
+32 angles on the fixed pulse template, as pulse_angles emits it, compiled by
+the caller once per operation. apply_channel applies one noise realization
+of a program to a density matrix.
 
 Noise model, applied to a lowered pulse sequence:
   * every R pulse's rotation angle is scaled by (1 + eps) with eps drawn
@@ -37,9 +37,8 @@ pulse channel maps I/4 to itself, so each mix commutes with every later
 pulse. One density-matrix pass per (program, preparation) thus gives the
 exact p of all nine settings at any shot count, and each program draws its
 counts as one multinomial from its own rng. The pass runs the programs of a
-call together on the template of pulse kinds and targets they share, with
-no sum across programs, so a program's records do not depend on the others
-in the call.
+call together along the template, with no sum across programs, so a
+program's records do not depend on the others in the call.
 
 Measurement settings are labeled by a Pauli letter per qubit. X and Y are
 read out by prerotating with R(pi/2, pi/2) and R(pi/2, 0) respectively and
@@ -56,7 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import GateElement, compose_pulses
+from .circuits import _R_THETA, _TEMPLATE, _pulses, compose_pulses
 from .gates import G_GATE, r_gate
 from .haar import SeededRng
 from .linalg import _kron, check_density_matrix
@@ -167,35 +166,39 @@ _EFFECTS = (_SETTING_FRAMES[..., :, None] * _SETTING_FRAMES[..., None, :].conj()
 _MIXED = _pass_layout(np.eye(4, dtype=complex).reshape(1, 4, 4) / 4.0)[0]
 
 
-def _pulse_table(programs: Sequence[Sequence[GateElement]], sigma: float):
-    """The template of (kind, target) pairs the programs share; per R pulse
-    its over-rotation-averaged channel on the target's (row, column) index
-    pair, (n_R, M, 4, 4); per Rz pulse its phases on that pair, (n_Rz, M, 4).
-    ValueError unless the programs share one template."""
-    template = tuple((pulse.kind, pulse.target) for pulse in programs[0])
-    for pulses in programs[1:]:
-        if tuple((pulse.kind, pulse.target) for pulse in pulses) != template:
-            raise ValueError("the programs of one call must share one template of pulse kinds and targets")
+# Whether each column of an angle row is an R pulse's phase, not an Rz angle.
+_IS_R = np.array([kind == "R" for kind, _ in _TEMPLATE if kind != "G"])
 
-    def angles(kind: str, name: str) -> np.ndarray:
-        """(programs, pulses of kind): the named angle of each."""
-        return np.array([[getattr(p, name) for p in pulses if p.kind == kind] for pulses in programs], dtype=float)
 
-    theta, phi = angles("R", "theta"), angles("R", "phi")
+def _angle_table(angles, ndim: int) -> np.ndarray:
+    """angles as an ndim-dimensional float array of rows of 32 finite angles, or ValueError."""
+    try:
+        table = np.asarray(angles, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"angles must be an array of floats: {exc}") from None
+    if ndim == 2 and table.shape == (0,):
+        table = table.reshape(0, len(_IS_R))  # no programs
+    if table.ndim != ndim or table.shape[-1] != len(_IS_R):
+        raise ValueError(f"angles must have shape {'(N, 32)' if ndim == 2 else '(32,)'}, got {table.shape}")
+    if not np.isfinite(table).all():
+        raise ValueError("angles must be finite")
+    return table
+
+
+def _r_channels(theta: np.ndarray, phi: np.ndarray, sigma: float) -> np.ndarray:
+    """R(theta, phi) averaged over a relative over-rotation drawn from N(0, sigma),
+    a superoperator on the target's (row, column) index pair: (..., 4, 4)."""
     k = np.exp(-0.5 * (theta * sigma) ** 2)  # the Gaussian mean of cos(theta eps)
     c, s = k * np.cos(theta), k * np.sin(theta)
     a, b = 0.5 * (1.0 + c), 0.5 * (1.0 - c)
     u = np.exp(-1j * phi)  # n = [[0, u], [conj(u), 0]]
     p, q = 0.5j * s * u, 0.5j * s * u.conj()
-    r_ops = np.stack([
+    return np.stack([
         a, q, -p, b,
         p, a, b * u * u, -p,
         -q, b * (u * u).conj(), a, q,
         b, -q, p, a,
     ], axis=-1).reshape(*theta.shape, 4, 4)
-    e = np.exp(-1j * angles("Rz", "phiz"))
-    rz = np.stack([np.ones_like(e), e, e.conj(), np.ones_like(e)], axis=-1)
-    return template, r_ops.swapaxes(0, 1), rz.swapaxes(0, 1)
 
 
 def _qubit_damping(gamma: float) -> np.ndarray:
@@ -205,10 +208,9 @@ def _qubit_damping(gamma: float) -> np.ndarray:
     )
 
 
-def _depolarizing_weight(template, noise: NoiseModel) -> float:
+def _depolarizing_weight(noise: NoiseModel) -> float:
     """Weight of the end-of-circuit mix equal to the mixes after every G."""
-    n_g = sum(kind == "G" for kind, _ in template)
-    return 1.0 - (1.0 - noise.depolarizing_per_g) ** n_g
+    return 1.0 - (1.0 - noise.depolarizing_per_g) ** _TEMPLATE.count(("G", None))
 
 
 def _apply(x: np.ndarray, op: np.ndarray, target: int) -> np.ndarray:
@@ -220,33 +222,35 @@ def _apply(x: np.ndarray, op: np.ndarray, target: int) -> np.ndarray:
     return (x[:, :, None] * op[..., None, :, :]).sum(axis=3)
 
 
-def _output_states(programs, labels, noise: NoiseModel) -> np.ndarray:
-    """The exact output states (M, 4, 4) of each program run on its label
+def _output_states(angles, labels, noise: NoiseModel) -> np.ndarray:
+    """The exact output states (M, 4, 4) of each angle row run on its label
     under noise, averaged over the over-rotations. Elementwise products and
     sums along one state's axes only, with no BLAS call, so a program's bits
     depend neither on the others nor on the BLAS thread count."""
     x = _pass_layout(np.array([np.outer(psi, psi.conj()) for psi in map(input_state, labels)]))
-    template, r_ops, rz = _pulse_table(programs, noise.overrotation_sigma)
-    r = z = 0
-    for kind, target in template:
+    # per R pulse its channel on the target's (row, column) index pair,
+    # (M, 4, 4), and per Rz pulse its phases on that pair, (M, 4)
+    phi, e = angles[:, _IS_R], np.exp(-1j * angles[:, ~_IS_R])
+    r_ops = iter(_r_channels(np.full_like(phi, _R_THETA), phi, noise.overrotation_sigma).swapaxes(0, 1))
+    rz = iter(np.stack([np.ones_like(e), e, e.conj(), np.ones_like(e)], axis=-1).swapaxes(0, 1))
+    for kind, target in _TEMPLATE:
         if kind == "G":
             x = x * _G_PHASES
         elif kind == "Rz":
-            x = x * (rz[z][:, :, None] if target == 0 else rz[z][:, None, :])
-            z += 1
+            phases = next(rz)
+            x = x * (phases[:, :, None] if target == 0 else phases[:, None, :])
         else:
-            x = _apply(x, r_ops[r], target)
-            r += 1
-    q = _depolarizing_weight(template, noise)
+            x = _apply(x, next(r_ops), target)
+    q = _depolarizing_weight(noise)
     damping = sum(_kron(k, k.conj()) for k in _qubit_damping(noise.damping_per_circuit))
     x = _apply(_apply((1.0 - q) * x + q * _MIXED, damping, 0), damping, 1)
     return _pass_layout(x)
 
 
-def _outcome_probabilities(programs, labels, noise: NoiseModel) -> np.ndarray:
-    """The exact outcome probabilities (M, 9, 4) of each program run on its
-    label under noise: the nine settings of each _output_states state."""
-    rho = _output_states(programs, labels, noise)
+def _outcome_probabilities(angles, labels, noise: NoiseModel) -> np.ndarray:
+    """The exact outcome probabilities (M, 9, 4) of each angle row run on
+    its label under noise: the nine settings of each _output_states state."""
+    rho = _output_states(angles, labels, noise)
     p = (rho.reshape(-1, 1, 1, 16) * _EFFECTS).sum(axis=-1).real
     p = np.clip(p, 0.0, None)
     return p / p.sum(axis=-1, keepdims=True)
@@ -254,26 +258,26 @@ def _outcome_probabilities(programs, labels, noise: NoiseModel) -> np.ndarray:
 
 def apply_channel(
     rho: np.ndarray,
-    pulses: Sequence[GateElement],
+    angles: np.ndarray,
     noise: NoiseModel,
     rng: SeededRng | None = None,
 ) -> np.ndarray:
-    """One noise realization of the pulse sequence acting on rho: one
-    normal(size=(n_R, 1)) draw of relative over-rotations, one per R pulse.
+    """One noise realization of the program, an angle row (32,), acting on
+    rho: its GateElement view after one normal(size=(n_R, 1)) draw of
+    relative over-rotations, one per R pulse.
 
     rng may be omitted only when the noise model draws nothing
     (overrotation_sigma == 0).
     """
     m = check_density_matrix(rho, atol=1e-9)
+    pulses = _pulses(_angle_table(angles, 1))
     if noise.overrotation_sigma > 0.0 and rng is None:
         raise ValueError("stochastic noise requires an rng")
-    template = [(pulse.kind, pulse.target) for pulse in pulses]
     if noise.overrotation_sigma > 0.0:
-        n_r = sum(kind == "R" for kind, _ in template)
-        draws = iter(rng.generator.normal(0.0, noise.overrotation_sigma, size=(n_r, 1))[:, 0])
+        draws = iter(rng.generator.normal(0.0, noise.overrotation_sigma, size=(_IS_R.sum(), 1))[:, 0])
         pulses = [replace(p, theta=p.theta * (1.0 + next(draws))) if p.kind == "R" else p for p in pulses]
     u = compose_pulses(pulses)
-    q = _depolarizing_weight(template, noise)
+    q = _depolarizing_weight(noise)
     out = (1.0 - q) * (u @ m @ u.conj().T) + q * np.eye(4) / 4.0
     k = _qubit_damping(noise.damping_per_circuit)
     kraus = np.array([_kron(ka, kb) for ka in k for kb in k])
@@ -299,61 +303,58 @@ def _check_shots(shots_per_setting) -> int:
 
 
 def run_experiments(
-    programs: Sequence[Sequence[GateElement]],
+    angles: np.ndarray,
     labels: Sequence[Sequence[str]],
     noise: NoiseModel,
     shots_per_setting: int,
     rngs: Sequence[SeededRng],
 ) -> list[list[MeasurementRecord]]:
     """Prepare each labeled product state, execute its pulse program, and
-    sample the counts of all nine settings: the records of programs[i] run
-    on labels[i] with rngs[i].
+    sample the counts of all nine settings: the records of the program
+    angles[i], a row of the (N, 32) table pulse_angles returns, run on
+    labels[i] with rngs[i].
 
-    The programs must share one template of pulse kinds and targets, as
-    every lower_to_pulses program does. Every shot sees a fresh noise
-    realization, so each setting's counts are Multinomial(shots, p) with p
-    its exact outcome distribution under the noise model; each program
-    draws them as one multinomial over its nine settings from its own rng.
-    Each program's records depend only on its own arguments, not on the
-    others in the call.
+    Every shot sees a fresh noise realization, so each setting's counts are
+    Multinomial(shots, p) with p its exact outcome distribution under the
+    noise model; each program draws them as one multinomial over its nine
+    settings from its own rng. Each program's records depend only on its
+    own arguments, not on the others in the call.
     """
     shots = _check_shots(shots_per_setting)
-    if not len(programs) == len(labels) == len(rngs):
+    table = _angle_table(angles, 2)
+    if not len(table) == len(labels) == len(rngs):
         raise ValueError(
-            f"{len(programs)} programs, {len(labels)} labels and {len(rngs)} rngs: "
+            f"{len(table)} programs, {len(labels)} labels and {len(rngs)} rngs: "
             "one label and one rng per program"
         )
-    if not programs:
+    if not len(table):
         return []
-    p = _outcome_probabilities(programs, labels, noise)
+    p = _outcome_probabilities(table, labels, noise)
     return [_records(rng.generator.multinomial(shots, pi), shots) for pi, rng in zip(p, rngs)]
 
 
 def run_experiment(
-    pulses: Sequence[GateElement],
+    angles: np.ndarray,
     label: Sequence[str],
     noise: NoiseModel,
     shots_per_setting: int,
     rng: SeededRng,
 ) -> list[MeasurementRecord]:
-    """Prepare the labeled product state, execute the pulse program, and
-    sample the counts of all nine settings: run_experiments of one program.
-    """
-    return run_experiments([pulses], [label], noise, shots_per_setting, [rng])[0]
+    """Prepare the labeled product state, execute the program, an angle row
+    (32,), and sample the counts of all nine settings: run_experiments of
+    one program."""
+    return run_experiments(_angle_table(angles, 1)[None], [label], noise, shots_per_setting, [rng])[0]
 
 
-def _exact_experiments(programs, labels) -> list[list[MeasurementRecord]]:
-    """exact_experiment of each program on its label, in one stacked pass."""
-    return [_records(p, 1) for p in _outcome_probabilities(programs, labels, NoiseModel())]
+def _exact_experiments(angles, labels) -> list[list[MeasurementRecord]]:
+    """exact_experiment of each angle row on its label, in one stacked pass."""
+    return [_records(p, 1) for p in _outcome_probabilities(angles, labels, NoiseModel())]
 
 
-def exact_experiment(
-    pulses: Sequence[GateElement],
-    label: Sequence[str],
-) -> list[MeasurementRecord]:
-    """Infinite-shot records of the noiseless pulse program: the records
-    carry exact Born probabilities instead of sampled counts."""
-    return _exact_experiments([pulses], [label])[0]
+def exact_experiment(angles: np.ndarray, label: Sequence[str]) -> list[MeasurementRecord]:
+    """Infinite-shot records of the noiseless program, an angle row (32,):
+    the records carry exact Born probabilities instead of sampled counts."""
+    return _exact_experiments(_angle_table(angles, 1)[None], [label])[0]
 
 
 # Stored profile for demonstration runs: tuned so the packaged benchmark's

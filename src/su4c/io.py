@@ -75,11 +75,14 @@ def matrix_from_obj(obj: Any, shape: "tuple[int, int] | None" = None) -> np.ndar
     for row in obj:
         if not isinstance(row, (list, tuple)):
             raise ValueError("matrix JSON rows must be arrays")
+        if any(isinstance(x, (list, tuple)) and any(isinstance(p, (list, tuple)) for p in x) for x in row):
+            raise ValueError("matrix JSON nests arrays too deep for one matrix: it reads as an array of matrices")
         rows.append([_entry_to_complex(x) for x in row])
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError(f"matrix JSON rows differ in length: {[len(row) for row in rows]}")
     m = np.asarray(rows, dtype=complex)
-    if m.ndim != 2 or (shape is not None and m.shape != shape):
-        want = f"{shape[0]}x{shape[1]}" if shape else "2-d"
-        raise ValueError(f"expected a {want} matrix, got shape {m.shape}")
+    if shape is not None and m.shape != shape:
+        raise ValueError(f"expected a {shape[0]}x{shape[1]} matrix, got shape {m.shape}")
     return m
 
 

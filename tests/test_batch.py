@@ -1,10 +1,11 @@
 """The stacked compile and reconstruction paths against their one-row cases,
 bit for bit.
 
-decompose_many and _lower_many must give every row what decompose and
+decompose_many and pulse_angles must give every row what decompose and
 lower_to_pulses give it alone, whatever the batch size, the order and the
 neighbours of the row. The exact-output corpus of test_compile_corpus is run
-through them in several batch sizes and must hash to the same CORPUS_SHA256.
+through them in several batch sizes, each angle row hashed through its
+GateElement view, and must hash to the same CORPUS_SHA256.
 The linear reconstruction and the fidelities are checked against copies of
 the one-matrix code they replaced.
 """
@@ -25,13 +26,14 @@ from su4c import (
     exact_experiment,
     input_state,
     lower_to_pulses,
+    pulse_angles,
     reconstruct_state,
     run_experiments,
     sample_su4,
     state_fidelity,
     verify,
 )
-from su4c.circuits import _lower_many
+from su4c.circuits import _pulses
 from su4c.config import DEFAULT_TOL
 from su4c.tomography import (
     _POVM_ROWS,
@@ -44,11 +46,12 @@ from su4c.tomography import (
 INPUTS = corpus()
 
 
-def digest(inputs, params, programs) -> str:
-    """test_compile_corpus's digest over outputs computed elsewhere."""
+def digest(inputs, params, angles) -> str:
+    """test_compile_corpus's digest over outputs computed elsewhere, each
+    angle row read through its GateElement view."""
     h = hashlib.sha256()
-    for u, p, pulses in zip(inputs, params, programs):
-        for out in (p, verify(u, p), pulses):
+    for u, p, row in zip(inputs, params, angles):
+        for out in (p, verify(u, p), _pulses(row)):
             h.update("\n".join(_fields(out)).encode())
             h.update(b"\n")
     return h.hexdigest()
@@ -56,18 +59,18 @@ def digest(inputs, params, programs) -> str:
 
 @pytest.mark.parametrize("size", [1, 3, 4, len(INPUTS)])
 def test_corpus_in_batches(size):
-    params, programs = [], []
+    params, angles = [], []
     for start in range(0, len(INPUTS), size):
         chunk = decompose_many(np.array(INPUTS[start : start + size]))
         params += chunk
-        programs += _lower_many(chunk)
-    assert digest(INPUTS, params, programs) == CORPUS_SHA256
+        angles += list(pulse_angles(chunk))
+    assert digest(INPUTS, params, angles) == CORPUS_SHA256
 
 
 def test_corpus_in_reversed_order():
     params = decompose_many(np.array(INPUTS[::-1]))
-    programs = _lower_many(params)
-    assert digest(INPUTS, params[::-1], programs[::-1]) == CORPUS_SHA256
+    angles = pulse_angles(params)
+    assert digest(INPUTS, params[::-1], angles[::-1]) == CORPUS_SHA256
 
 
 def test_degenerate_rows_do_not_depend_on_neighbours():
@@ -82,11 +85,10 @@ def test_degenerate_rows_do_not_depend_on_neighbours():
     stack.append(sample_su4(rng))
     for rows in (stack, stack[::-1], stack[1::2]):
         params = decompose_many(np.array(rows))
-        programs = _lower_many(params)
-        for u, p, pulses in zip(rows, params, programs):
+        for u, p, row in zip(rows, params, pulse_angles(params)):
             alone = decompose(u)
             assert list(_fields(p)) == list(_fields(alone))
-            assert list(_fields(pulses)) == list(_fields(lower_to_pulses(alone)))
+            assert list(_fields(_pulses(row))) == list(_fields(lower_to_pulses(alone)))
 
 
 class TestDecomposeManyBoundary:
@@ -142,10 +144,10 @@ def mixed_records():
     operations, interleaved, with their ideal output states."""
     rng = SeededRng(43)
     us = [sample_su4(rng) for _ in range(8)]
-    programs = [lower_to_pulses(decompose(u)) for u in us]
+    angles = pulse_angles([decompose(u) for u in us])
     labels = [TOMOGRAPHY_INPUT_LABELS[3 * k % 16] for k in range(8)]
-    sampled = run_experiments(programs[:4], labels[:4], CALIBRATED_NOISE, 100, rng.spawn(4))
-    exact = [exact_experiment(p, label) for p, label in zip(programs[4:], labels[4:])]
+    sampled = run_experiments(angles[:4], labels[:4], CALIBRATED_NOISE, 100, rng.spawn(4))
+    exact = [exact_experiment(row, label) for row, label in zip(angles[4:], labels[4:])]
     records = [r for pair in zip(sampled, exact) for r in pair]
     order = [0, 4, 1, 5, 2, 6, 3, 7]
     ideals = []

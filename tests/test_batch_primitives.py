@@ -1,8 +1,10 @@
 """Platform canary: the numpy primitives the stacked kernels rely on give each
 row of a stack, bit for bit, what they give that row alone.
 
-decompose_many, _lower_many, _reconstruct_states and _state_fidelities are
-bit-identical to one-at-a-time calls only because of these equalities. They
+decompose_many, pulse_angles, _reconstruct_states and _state_fidelities are
+bit-identical to one-at-a-time calls only because of these equalities;
+pulse_angles also reduces its phases with np.remainder where
+r_pulse_triple uses Python's %. They
 hold for numpy 2.4 on OpenBLAS 0.3.31, but they are not promised by numpy or
 by BLAS, so each one is asserted here on seeded stacks: an upgrade that
 breaks one fails the test named after it, not only an opaque digest in

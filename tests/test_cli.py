@@ -16,6 +16,7 @@ from su4c import cli, compiler
 from su4c.cli import EXIT_NOT_UNITARY, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
 from su4c.compiler import decompose, verify
 from su4c.config import ENV_TOLERANCE
+from su4c.gates import GateElement
 from su4c.haar import SeededRng, sample_su4
 from su4c.io import matrix_from_obj, matrix_to_obj, save_matrix
 from su4c.linalg import nearest_unitary
@@ -112,6 +113,25 @@ class TestCompile:
         assert code == EXIT_PARSE
         assert out == ""
         assert f"matrix entry {entry} " in err
+
+    @pytest.mark.parametrize("command", ["compile", "process-tomo"])
+    def test_array_of_matrices_named(self, capsys, tmp_path, command):
+        # `su4c sample` writes an array of matrices, even of one
+        path = tmp_path / "m.json"
+        assert run_cli(capsys, "sample", "--n", "1", "--out", str(path))[0] == EXIT_OK
+        argv = ["compile", str(path)] if command == "compile" else [command, "--unitary", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_PARSE and out == ""
+        assert "array of matrices" in err
+        assert "neither" not in err
+
+    def test_ragged_rows_named(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text("[[1,0,0,0],[0,1,0,0],[0,0,1],[0,0,0,1]]")
+        code, out, err = run_cli(capsys, "compile", str(path))
+        assert code == EXIT_PARSE and out == ""
+        assert "rows differ in length: [4, 4, 3, 4]" in err
+        assert "inhomogeneous" not in err
 
     def test_wrong_shape(self, capsys, tmp_path):
         path = tmp_path / "m2.json"
@@ -427,11 +447,12 @@ class TestProcessTomo:
 
 
 # sha256 of the stdout report of two seeded runs, captured when the counts
-# came to be drawn from the exact averaged outcome distribution. A change to
-# the executor, the compiler or reconstruction that moves one count or one
-# digit of a fidelity changes a digest; only a change that sets out to move
-# outputs re-captures them, and records the old and the new digest in
-# CHANGES.md.
+# came to be drawn from the exact averaged outcome distribution, and of the
+# public pulse view, captured before programs became angle rows (a numpy
+# float in the view would change its bytes). A change to the executor, the
+# compiler or reconstruction that moves one count or one digit of a fidelity
+# or an angle changes a digest; only a change that sets out to move outputs
+# re-captures them, and records the old and the new digest in CHANGES.md.
 GOLDEN_REPORTS = {
     "benchmark": (
         ("benchmark", "--n", "32", "--seed", "0", "--noise", "calibrated"),
@@ -441,6 +462,10 @@ GOLDEN_REPORTS = {
         ("process-tomo", "--unitary", None, "--shots", "1000", "--noise", "calibrated",
          "--method", "mle"),
         "6439d29762ab1190aaf3ba5fe3da1eae6174f3f29b62ee60c50e3ccb4252748f",
+    ),
+    "compile-pulses": (
+        ("compile", None, "--pulses"),
+        "90ceebbc1adc69fef8e28b13920597ea29f121086d5c11cacd5d2fc4787f6fd5",
     ),
 }
 
@@ -474,6 +499,35 @@ class TestGoldenReports:
             outs.append(done.stdout)
         assert outs[0] == outs[1]
         assert hashlib.sha256(outs[0]).hexdigest() == digest
+
+
+class TestAngleTablePath:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("benchmark", "--n", "16", "--noise", "calibrated"),
+            GOLDEN_REPORTS["process-tomo"][0],
+            ("process-tomo", "--unitary", None, "--exact-probabilities"),
+        ],
+        ids=["benchmark", "process-tomo", "process-tomo-exact"],
+    )
+    def test_builds_no_gate_element(self, capsys, unitary_file, monkeypatch, argv):
+        # the angle table goes from the compiler to the executor as it is:
+        # with GateElement refusing to be built, the same bytes come out
+        argv = [unitary_file if a is None else a for a in argv]
+        code, want, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+
+        def refuse(self):
+            raise AssertionError("GateElement built")
+
+        monkeypatch.setattr(GateElement, "__post_init__", refuse)
+        with pytest.raises(AssertionError, match="GateElement built"):
+            main(["compile", unitary_file, "--pulses"])  # the patch bites
+        capsys.readouterr()
+        code, got, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert got == want
 
 
 class TestMemory:

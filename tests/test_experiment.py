@@ -6,8 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from su4c.circuits import compose_pulses, lower_to_pulses
-from su4c.compiler import decompose
+from su4c.circuits import _pulses, compose_pulses
 from su4c.experiment import (
     CALIBRATED_NOISE,
     MEASUREMENT_SETTINGS,
@@ -21,8 +20,16 @@ from su4c.experiment import (
     run_experiment,
     run_experiments,
 )
-from su4c.experiment import _PREROTATION, _SETTING_FRAMES, _outcome_probabilities, _output_states
-from su4c.gates import G_GATE, GateElement, embed, r_gate, rz_gate
+from su4c.experiment import (
+    _PREROTATION,
+    _SETTING_FRAMES,
+    _apply,
+    _outcome_probabilities,
+    _output_states,
+    _pass_layout,
+    _r_channels,
+)
+from su4c.gates import G_GATE, embed, r_gate, rz_gate
 from su4c.haar import SeededRng, sample_su4
 from su4c.linalg import _kron, kron
 from born import setting_probabilities
@@ -42,11 +49,12 @@ def ideal_output(u, label):
     return np.outer(psi, psi.conj())
 
 
-def reference_channel(rho, pulses, noise, rng):
+def reference_channel(rho, angles, noise, rng):
     """The noise model as the module docstring states it, on a density
-    matrix: conjugation pulse by pulse with one normal draw per R pulse,
-    a mix toward I/4 after every G, damping on each qubit at the end."""
-    for pulse in pulses:
+    matrix: conjugation pulse by pulse of the program's GateElement view
+    with one normal draw per R pulse, a mix toward I/4 after every G,
+    damping on each qubit at the end."""
+    for pulse in _pulses(angles):
         if pulse.kind == "R":
             theta = pulse.theta
             if noise.overrotation_sigma > 0.0:
@@ -207,36 +215,36 @@ class TestApplyChannel:
         rng = SeededRng(191)
         for _ in range(20):
             u = sample_su4(rng)
-            pulses = lower_to_pulses(decompose(u))
+            angles = program(u)
             rho = random_density(rng)
-            out = apply_channel(rho, pulses, NoiseModel())
-            w = compose_pulses(pulses)  # same product up to global phase
+            out = apply_channel(rho, angles, NoiseModel())
+            w = compose_pulses(_pulses(angles))  # same product up to global phase
             assert np.max(np.abs(out - w @ rho @ w.conj().T)) < 1e-9
 
     def test_full_depolarizing_ends_maximally_mixed(self):
-        pulses = lower_to_pulses(decompose(sample_su4(SeededRng(193))))
+        angles = program(sample_su4(SeededRng(193)))
         rho = ideal_output(I4, ("up", "up"))
-        out = apply_channel(rho, pulses, NoiseModel(depolarizing_per_g=1.0))
+        out = apply_channel(rho, angles, NoiseModel(depolarizing_per_g=1.0))
         assert np.max(np.abs(out - I4 / 4.0)) < 1e-9
 
     def test_full_damping_resets_to_ground(self):
-        pulses = lower_to_pulses(decompose(sample_su4(SeededRng(197))))
+        angles = program(sample_su4(SeededRng(197)))
         rho = random_density(SeededRng(199))
-        out = apply_channel(rho, pulses, NoiseModel(damping_per_circuit=1.0))
+        out = apply_channel(rho, angles, NoiseModel(damping_per_circuit=1.0))
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 0] = 1.0
         assert np.max(np.abs(out - expected)) < 1e-9
 
     def test_small_overrotation_degrades_gently(self):
         u = sample_su4(SeededRng(211))
-        pulses = lower_to_pulses(decompose(u))
+        angles = program(u)
         rho = ideal_output(I4, ("up", "up"))
-        ideal = apply_channel(rho, pulses, NoiseModel())
+        ideal = apply_channel(rho, angles, NoiseModel())
         rng = SeededRng(223)
         acc = np.zeros((4, 4), dtype=complex)
         n = 200
         for _ in range(n):
-            acc += apply_channel(rho, pulses, NoiseModel(overrotation_sigma=0.01), rng)
+            acc += apply_channel(rho, angles, NoiseModel(overrotation_sigma=0.01), rng)
         mean = acc / n
         overlap = float(np.real(np.trace(ideal @ mean)))
         assert 0.9 < overlap < 1.0  # degraded, but only slightly
@@ -244,7 +252,7 @@ class TestApplyChannel:
     def test_trace_and_positivity_preserved(self):
         # physicality across random circuits, states and noise draws
         rng = SeededRng(313)
-        pulses = lower_to_pulses(decompose(sample_su4(rng)))
+        angles = program(sample_su4(rng))
         for _ in range(1000):
             rho = random_density(rng)
             noise = NoiseModel(
@@ -252,40 +260,40 @@ class TestApplyChannel:
                 depolarizing_per_g=float(rng.generator.uniform(0.0, 0.5)),
                 damping_per_circuit=float(rng.generator.uniform(0.0, 0.5)),
             )
-            out = apply_channel(rho, pulses, noise, rng)
+            out = apply_channel(rho, angles, noise, rng)
             assert abs(np.trace(out).real - 1.0) < 1e-9
             assert np.linalg.eigvalsh(out)[0] >= -1e-10
             assert np.max(np.abs(out - out.conj().T)) < 1e-12
 
     def test_stochastic_noise_requires_rng(self):
-        pulses = lower_to_pulses(decompose(I4))
+        angles = program(I4)
         rho = I4 / 4.0
         with pytest.raises(ValueError):
-            apply_channel(rho, pulses, NoiseModel(overrotation_sigma=0.1))
+            apply_channel(rho, angles, NoiseModel(overrotation_sigma=0.1))
 
     def test_matches_density_matrix_reference(self):
         # the folded end-of-circuit depolarization and the state-vector
         # evolution against per-pulse conjugation, with the same draws
         rng = SeededRng(331)
         for trial in range(200):
-            pulses = lower_to_pulses(decompose(sample_su4(rng)))
+            angles = program(sample_su4(rng))
             rho = random_density(rng)
             on = rng.generator.random(3) < 0.75  # each term sometimes off
             sigma, p, gamma = rng.generator.uniform(0.0, [0.3, 0.5, 0.5]) * on
             noise = NoiseModel(float(sigma), float(p), float(gamma))
             a, b = SeededRng(1000 + trial), SeededRng(1000 + trial)
-            out = apply_channel(rho, pulses, noise, a)
-            ref = reference_channel(rho, pulses, noise, b)
+            out = apply_channel(rho, angles, noise, a)
+            ref = reference_channel(rho, angles, noise, b)
             assert np.max(np.abs(out - ref)) < 1e-12
             assert a.generator.random() == b.generator.random()  # as many draws
 
     def test_rejects_invalid_state(self):
-        pulses = lower_to_pulses(decompose(I4))
+        angles = program(I4)
         with pytest.raises(ValueError):
-            apply_channel(np.eye(4, dtype=complex), pulses, NoiseModel())  # trace 4
+            apply_channel(np.eye(4, dtype=complex), angles, NoiseModel())  # trace 4
         bad = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValueError):
-            apply_channel(bad, pulses, NoiseModel())  # negative weight
+            apply_channel(bad, angles, NoiseModel())  # negative weight
 
 
 # A program mapping |+, up> to the Bell state (|00> + |11>) / sqrt(2).
@@ -317,10 +325,10 @@ class TestMeasure:
         rng = SeededRng(251)
         for _ in range(5):
             u = sample_su4(rng)
-            pulses = program(u)
+            angles = program(u)
             for label in TOMOGRAPHY_INPUT_LABELS:
                 rho = ideal_output(u, label)
-                for rec in exact_experiment(pulses, label):
+                for rec in exact_experiment(angles, label):
                     p = np.array(rec.counts)
                     assert np.all(p >= 0.0)
                     assert p.sum() == pytest.approx(1.0, abs=1e-12)
@@ -359,15 +367,15 @@ class TestRunExperiment:
         assert zz.counts == (300, 0, 0, 0)
 
     def test_deterministic_given_seed(self):
-        pulses = program(sample_su4(SeededRng(277)))
-        a = run_experiment(pulses, ("plus", "down"), CALIBRATED_NOISE, 50, SeededRng(281))
-        b = run_experiment(pulses, ("plus", "down"), CALIBRATED_NOISE, 50, SeededRng(281))
+        angles = program(sample_su4(SeededRng(277)))
+        a = run_experiment(angles, ("plus", "down"), CALIBRATED_NOISE, 50, SeededRng(281))
+        b = run_experiment(angles, ("plus", "down"), CALIBRATED_NOISE, 50, SeededRng(281))
         assert a == b
 
     def test_noise_changes_counts(self):
-        pulses = program(sample_su4(SeededRng(283)))
-        clean = run_experiment(pulses, ("up", "down"), NoiseModel(), 2000, SeededRng(293))
-        noisy = run_experiment(pulses, ("up", "down"), CALIBRATED_NOISE, 2000, SeededRng(293))
+        angles = program(sample_su4(SeededRng(283)))
+        clean = run_experiment(angles, ("up", "down"), NoiseModel(), 2000, SeededRng(293))
+        noisy = run_experiment(angles, ("up", "down"), CALIBRATED_NOISE, 2000, SeededRng(293))
         assert clean != noisy
 
     def test_rejects_nonpositive_shots(self):
@@ -384,12 +392,12 @@ class TestRunExperiment:
         assert all(isinstance(c, int) for r in records for c in r.counts)
 
     def test_memory_bounded_in_shots(self):
-        pulses = program(sample_su4(SeededRng(337)))
+        angles = program(sample_su4(SeededRng(337)))
         label = ("plus", "up")
-        run_experiment(pulses, label, CALIBRATED_NOISE, 10, SeededRng(1))  # warm
+        run_experiment(angles, label, CALIBRATED_NOISE, 10, SeededRng(1))  # warm
         tracemalloc.start()
         try:
-            run_experiment(pulses, label, CALIBRATED_NOISE, 20_000, SeededRng(347))
+            run_experiment(angles, label, CALIBRATED_NOISE, 20_000, SeededRng(347))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -443,7 +451,8 @@ def loop_probabilities(frame, psi, q):
     return p / p.sum(axis=0)
 
 
-def loop_run_experiment(pulses, label, noise, shots, rng):
+def loop_run_experiment(angles, label, noise, shots, rng):
+    pulses = _pulses(angles)
     frames = (_SETTING_FRAMES[:, None] @ loop_damping_kraus(noise.damping_per_circuit)).reshape(-1, 16, 4)
     psi0 = input_state(label).reshape(4, 1)
     if noise.is_zero:
@@ -485,7 +494,7 @@ ORACLE_NOISE = {
     "no-sigma": NoiseModel(depolarizing_per_g=0.05, damping_per_circuit=0.1),
 }
 ORACLE_SHOTS = (1, 7, 100, 455, 1000, 1500, 5000)
-ORACLE_PROGRAMS = [program(sample_su4(SeededRng(600 + k))) for k in range(5)]
+ORACLE_PROGRAMS = np.array([program(sample_su4(SeededRng(600 + k))) for k in range(5)])
 ORACLE_LABELS = [("plus", "down"), ("up", "up"), ("minus_i", "plus"), ("down", "minus_i"), ("up", "plus")]
 # Programs stacked per run_experiments call, against the shot counts: one
 # program per call, or all of them in one.
@@ -522,7 +531,7 @@ def assert_groupings_agree(programs, labels, noise, shots, seed, *groupings):
         records = [None] * len(programs)
         p = np.empty((len(programs), 9, 4))
         for group in groups:
-            members = ([programs[i] for i in group], [labels[i] for i in group])
+            members = (programs[group], [labels[i] for i in group])
             results = run_experiments(*members, noise, shots, [rngs[i] for i in group])
             assert len(results) == len(group)
             for i, result in zip(group, results):
@@ -547,8 +556,8 @@ class TestRunExperiments:
         noise = ORACLE_NOISE[name]
         rngs = SeededRng(700 + shots).spawn(len(ORACLE_PROGRAMS))
         counts = [
-            loop_run_experiment(pulses, label, noise, shots, rng)
-            for pulses, label, rng in zip(ORACLE_PROGRAMS, ORACLE_LABELS, rngs)
+            loop_run_experiment(angles, label, noise, shots, rng)
+            for angles, label, rng in zip(ORACLE_PROGRAMS, ORACLE_LABELS, rngs)
         ]
         p = _outcome_probabilities(ORACLE_PROGRAMS, ORACLE_LABELS, noise)
         assert chi2_pvalue(counts, p, shots, seed=shots) > 1e-3
@@ -558,8 +567,8 @@ class TestRunExperiments:
         # counts drawn without it fail against the model with it
         rngs = SeededRng(705).spawn(len(ORACLE_PROGRAMS))
         counts = [
-            loop_run_experiment(pulses, label, ORACLE_NOISE["no-sigma"], 5000, rng)
-            for pulses, label, rng in zip(ORACLE_PROGRAMS, ORACLE_LABELS, rngs)
+            loop_run_experiment(angles, label, ORACLE_NOISE["no-sigma"], 5000, rng)
+            for angles, label, rng in zip(ORACLE_PROGRAMS, ORACLE_LABELS, rngs)
         ]
         noise = NoiseModel(overrotation_sigma=0.06, depolarizing_per_g=0.05, damping_per_circuit=0.1)
         p = _outcome_probabilities(ORACLE_PROGRAMS, ORACLE_LABELS, noise)
@@ -589,27 +598,18 @@ class TestRunExperiments:
         # the process-tomo call: one program, sixteen labels and streams
         n = len(TOMOGRAPHY_INPUT_LABELS)
         assert_groupings_agree(
-            [ORACLE_PROGRAMS[1]] * n, TOMOGRAPHY_INPUT_LABELS, CALIBRATED_NOISE, 1000, 901,
+            ORACLE_PROGRAMS[[1] * n], TOMOGRAPHY_INPUT_LABELS, CALIBRATED_NOISE, 1000, 901,
             [list(range(n))], alone(n),
         )
 
     def test_one_program_call_is_run_experiment(self):
-        pulses, label = ORACLE_PROGRAMS[0], ORACLE_LABELS[0]
-        a = run_experiment(pulses, label, CALIBRATED_NOISE, 100, SeededRng(5))
-        (b,) = run_experiments([pulses], [label], CALIBRATED_NOISE, 100, [SeededRng(5)])
+        angles, label = ORACLE_PROGRAMS[0], ORACLE_LABELS[0]
+        a = run_experiment(angles, label, CALIBRATED_NOISE, 100, SeededRng(5))
+        (b,) = run_experiments([angles], [label], CALIBRATED_NOISE, 100, [SeededRng(5)])
         assert a == b
 
     def test_no_programs(self):
         assert run_experiments([], [], CALIBRATED_NOISE, 100, []) == []
-
-    @pytest.mark.parametrize("noise", [CALIBRATED_NOISE, NoiseModel()], ids=["noisy", "noiseless"])
-    def test_mismatched_templates_rejected(self, noise):
-        pulses = ORACLE_PROGRAMS[0]
-        moved = list(pulses)
-        moved[0] = GateElement("R", theta=pulses[0].theta, phi=pulses[0].phi, target=1 - pulses[0].target)
-        for other in (moved, pulses[:-1], [*pulses, GateElement("G")]):
-            with pytest.raises(ValueError, match="template"):
-                run_experiments([pulses, other], ORACLE_LABELS[:2], noise, 10, SeededRng(1).spawn(2))
 
     @pytest.mark.parametrize("noise", [CALIBRATED_NOISE, NoiseModel()], ids=["noisy", "noiseless"])
     def test_bad_label_rejected_before_any_draw(self, noise):
@@ -628,6 +628,67 @@ class TestRunExperiments:
             )
 
 
+def with_entry(table, index, value):
+    out = np.array(table)
+    out[index] = value
+    return out
+
+
+# Angle tables that are not (N, 32) tables of finite angles, and rows that
+# are not (32,) rows of them; the pulse lists are the GateElement views.
+TABLE, ROW = ORACLE_PROGRAMS[:2], ORACLE_PROGRAMS[0]
+BAD_TABLES = {
+    "31 columns": TABLE[:, :31],
+    "35 columns": np.hstack([TABLE, TABLE[:, :3]]),
+    "3-d": TABLE[:, None],
+    "ragged": [TABLE[0].tolist(), TABLE[1, :31].tolist()],
+    "pulse lists": [_pulses(row) for row in TABLE],
+    "nan": with_entry(TABLE, (1, 5), math.nan),
+    "inf": with_entry(TABLE, (0, 31), math.inf),
+    "-inf": with_entry(TABLE, (1, 0), -math.inf),
+}
+BAD_ROWS = {
+    "31 angles": ROW[:31],
+    "35 angles": np.concatenate([ROW, ROW[:3]]),
+    "2-d": ROW[None],
+    "3-d": ROW[None, None],
+    "ragged": [*ROW[:31].tolist(), [0.0, 1.0]],
+    "pulse list": _pulses(ROW),
+    "nan": with_entry(ROW, 5, math.nan),
+    "inf": with_entry(ROW, 31, math.inf),
+    "-inf": with_entry(ROW, 0, -math.inf),
+}
+
+
+class TestAngleBoundary:
+    """The executor takes angle rows, an (N, 32) table or one (32,) row, and
+    rejects any other shape and any non-finite angle with ValueError before
+    it draws anything."""
+
+    @pytest.mark.parametrize("noise", [CALIBRATED_NOISE, NoiseModel()], ids=["noisy", "noiseless"])
+    @pytest.mark.parametrize("case", sorted(BAD_TABLES))
+    def test_run_experiments(self, case, noise):
+        rngs = SeededRng(4).spawn(2)
+        before = [rng.generator.bit_generator.state for rng in rngs]
+        with pytest.raises(ValueError, match="angles"):
+            run_experiments(BAD_TABLES[case], ORACLE_LABELS[:2], noise, 10, rngs)
+        assert [rng.generator.bit_generator.state for rng in rngs] == before
+
+    @pytest.mark.parametrize("case", sorted(BAD_ROWS))
+    def test_one_program_functions(self, case):
+        rng = SeededRng(4)
+        before = rng.generator.bit_generator.state
+        row = BAD_ROWS[case]
+        for noise in (CALIBRATED_NOISE, NoiseModel()):
+            with pytest.raises(ValueError, match="angles"):
+                run_experiment(row, ("up", "up"), noise, 10, rng)
+            with pytest.raises(ValueError, match="angles"):
+                apply_channel(I4 / 4.0, row, noise, rng)
+        with pytest.raises(ValueError, match="angles"):
+            exact_experiment(row, ("up", "up"))
+        assert rng.generator.bit_generator.state == before
+
+
 class TestShotCount:
     """The shot count is checked once, at the public boundary, whatever the
     noise model: a positive int or numpy integer, not a bool."""
@@ -643,9 +704,9 @@ class TestShotCount:
     @pytest.mark.parametrize("shots", [np.int64(12), np.int32(12), np.uint8(12)])
     @pytest.mark.parametrize("noise", [NoiseModel(), CALIBRATED_NOISE], ids=["noiseless", "noisy"])
     def test_numpy_integer_stored_as_int(self, noise, shots):
-        pulses = program(sample_su4(SeededRng(3)))
-        records = run_experiment(pulses, ("plus", "up"), noise, shots, SeededRng(2))
-        assert records == run_experiment(pulses, ("plus", "up"), noise, 12, SeededRng(2))
+        angles = program(sample_su4(SeededRng(3)))
+        records = run_experiment(angles, ("plus", "up"), noise, shots, SeededRng(2))
+        assert records == run_experiment(angles, ("plus", "up"), noise, 12, SeededRng(2))
         assert all(type(r.shots) is int and sum(r.counts) == 12 for r in records)
 
 
@@ -673,12 +734,14 @@ class TestOutputStates:
         "theta,phi,sigma", [(math.pi / 2, 0.3, 0.06), (math.pi / 2, 4.0, 0.3), (2.2, 1.1, 0.15), (0.7, 5.9, 0.0)]
     )
     def test_r_pulse_is_gauss_hermite_average(self, theta, phi, sigma, target):
-        # one R pulse on the sixteen preparations, which span the operator
-        # space and so fix the channel, against the Gaussian average of the
-        # over-rotated r_gate conjugation by 60-point Gauss-Hermite quadrature
-        pulse = GateElement("R", theta=theta, phi=phi, target=target)
+        # the pass's channel of one R pulse on the sixteen preparations,
+        # which span the operator space and so fix the channel, against the
+        # Gaussian average of the over-rotated r_gate conjugation by
+        # 60-point Gauss-Hermite quadrature
         labels = TOMOGRAPHY_INPUT_LABELS
-        out = _output_states([[pulse]] * len(labels), labels, NoiseModel(overrotation_sigma=sigma))
+        op = _r_channels(np.array(theta), np.array(phi), sigma)
+        x = _pass_layout(np.array([ideal_output(I4, label) for label in labels]))
+        out = _pass_layout(_apply(x, op, target))
         nodes, weights = np.polynomial.hermite.hermgauss(60)
         gates = [embed(r_gate(theta * (1.0 + sigma * math.sqrt(2.0) * x), phi), target) for x in nodes]
         for label, rho_out in zip(labels, out):
@@ -688,12 +751,13 @@ class TestOutputStates:
 
     def test_noiseless_probabilities_match_state_vector_evolution(self):
         frames = (_SETTING_FRAMES[:, None] @ loop_damping_kraus(0.0)).reshape(-1, 16, 4)
-        for pulses in ORACLE_PROGRAMS:
+        for angles in ORACLE_PROGRAMS:
+            pulses = _pulses(angles)
             n_r = sum(pulse.kind == "R" for pulse in pulses)
             for label in TOMOGRAPHY_INPUT_LABELS:
                 psi = loop_evolve(input_state(label).reshape(4, 1), pulses, np.zeros((n_r, 1)))
                 expected = [loop_probabilities(f, psi, 0.0)[:, 0] for f in frames]
-                got = [rec.counts for rec in exact_experiment(pulses, label)]
+                got = [rec.counts for rec in exact_experiment(angles, label)]
                 assert np.max(np.abs(np.array(got) - expected)) < 1e-14
 
     @pytest.mark.parametrize("name", ["depolarizing-only", "damping-only", "no-sigma", "noiseless"])
@@ -701,21 +765,21 @@ class TestOutputStates:
         # with nothing to average, the pass is the channel apply_channel
         # applies, the depolarizing mix and the damping included
         noise = ORACLE_NOISE[name]
-        for pulses in ORACLE_PROGRAMS[:2]:
+        for k, angles in enumerate(ORACLE_PROGRAMS[:2]):
             labels = TOMOGRAPHY_INPUT_LABELS
-            out = _output_states([pulses] * len(labels), labels, noise)
+            out = _output_states(ORACLE_PROGRAMS[[k] * len(labels)], labels, noise)
             for label, rho_out in zip(labels, out):
-                ref = apply_channel(ideal_output(I4, label), pulses, noise)
+                ref = apply_channel(ideal_output(I4, label), angles, noise)
                 assert np.max(np.abs(rho_out - ref)) < 1e-12
 
     def test_overrotation_is_mean_of_apply_channel(self):
         # the averaged state against the mean of independent realizations,
         # within five standard errors entry by entry
         noise = NoiseModel(overrotation_sigma=0.2, depolarizing_per_g=0.05, damping_per_circuit=0.1)
-        pulses, label = ORACLE_PROGRAMS[2], ORACLE_LABELS[2]
+        angles, label = ORACLE_PROGRAMS[2], ORACLE_LABELS[2]
         rng = SeededRng(811)
-        draws = np.array([apply_channel(ideal_output(I4, label), pulses, noise, rng) for _ in range(1500)])
-        (rho_out,) = _output_states([pulses], [label], noise)
+        draws = np.array([apply_channel(ideal_output(I4, label), angles, noise, rng) for _ in range(1500)])
+        (rho_out,) = _output_states(angles[None], [label], noise)
         err = draws.std(axis=0) / math.sqrt(len(draws)) + 1e-15
         assert np.max(np.abs(draws.mean(axis=0) - rho_out) / err) < 5.0
 

@@ -58,8 +58,15 @@ class TestMatrixObj:
             matrix_from_obj([[1, 0], [0, 1]], shape=(4, 4))
 
     def test_ragged_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"rows differ in length: \[2, 1\]"):
             matrix_from_obj([[1, 0], [0]])
+
+    def test_array_of_matrices_named(self):
+        u = sample_su4(SeededRng(499))
+        with pytest.raises(ValueError, match="array of matrices"):
+            matrix_from_obj([matrix_to_obj(u)], (4, 4))
+        with pytest.raises(ValueError, match="array of matrices"):
+            matrix_from_obj({"matrix": [matrix_to_obj(u), matrix_to_obj(u)]})
 
     def test_bad_entry_rejected(self):
         with pytest.raises(ValueError):
