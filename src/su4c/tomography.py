@@ -132,52 +132,122 @@ def _linear_estimates(freqs) -> np.ndarray:
     return _clip_to_density(np.array(vecs, dtype=complex).reshape(-1, 4, 4))
 
 
+def _stack_frequencies(datas: Sequence[_Frequencies]) -> _Frequencies:
+    """Records with the same number n of seen outcomes as one _Frequencies
+    whose fields carry a leading axis: (B, n, 16), (B, n, 16), (B, n), and
+    the total weights as (B, 1, 1), to divide a stack of R operators."""
+    rows, ops, weights, totals = (np.array(field) for field in zip(*datas))
+    return _Frequencies(rows, ops, weights, totals.reshape(-1, 1, 1))
+
+
+def _take(data: _Frequencies, index: np.ndarray) -> _Frequencies:
+    return _Frequencies(*(field[index] for field in data))
+
+
+# The functions below take one record (rho (4, 4), fields as in _Frequencies)
+# or a stack (rho (B, 4, 4), fields with a leading axis, as
+# _stack_frequencies builds them). Every product is a matmul whose slices
+# are the gemv, dot or gemm of the one-record call, so a stacked record gets
+# the bits it gets alone; tests/test_batch_primitives.py pins each.
+
+
 def _probabilities(rho: np.ndarray, data: _Frequencies, floor: float) -> np.ndarray:
     """Born probabilities of the outcomes seen, floored."""
-    return np.maximum((data.rows @ rho.reshape(16)).real, floor)
+    born = data.rows @ rho.reshape(*rho.shape[:-2], 16, 1)
+    return np.maximum(born[..., 0].real, floor)
 
 
-def _log_likelihood(rho: np.ndarray, data: _Frequencies, floor: float) -> float:
-    return float(data.weights @ np.log(_probabilities(rho, data, floor)))
+def _log_likelihood(rho: np.ndarray, data: _Frequencies, floor: float) -> np.ndarray:
+    logs = np.log(_probabilities(rho, data, floor))
+    return (data.weights[..., None, :] @ logs[..., None])[..., 0, 0]
 
 
 def _r_operator(rho: np.ndarray, data: _Frequencies, floor: float) -> np.ndarray:
     coeffs = data.weights / _probabilities(rho, data, floor)
-    return (coeffs @ data.ops).reshape(4, 4) / data.total_weight
+    return (coeffs[..., None, :] @ data.ops).reshape(rho.shape) / data.total_weight
+
+
+def _normalized(m: np.ndarray) -> np.ndarray:
+    """Each matrix of a stack divided by the real part of its trace."""
+    return m / m.trace(axis1=-2, axis2=-1).real[..., None, None]
 
 
 def _mle_estimate(
     data: _Frequencies, tol: Tolerances, trace: "list | None" = None
 ) -> np.ndarray:
+    """MLE state of one record; the one-row case of _mle_estimates."""
+    return _mle_estimates([data], tol, None if trace is None else [trace])[0]
+
+
+def _mle_estimates(
+    datas: Sequence[_Frequencies], tol: Tolerances, traces: "Sequence[list] | None" = None
+) -> np.ndarray:
+    """MLE state of each record, as an (N, 4, 4) stack. traces, if given,
+    holds one list per record, which gets the log-likelihood of the start
+    and of every accepted step.
+
+    The records are stacked by their number of seen outcomes: padding the
+    smaller ones with zero rows would change the rounding of their sums."""
+    rhos = np.empty((len(datas), 4, 4), dtype=complex)
+    groups: dict = {}
+    for k, data in enumerate(datas):
+        groups.setdefault(len(data.weights), []).append(k)
+    for index in groups.values():
+        group_traces = None if traces is None else [traces[k] for k in index]
+        rhos[index] = _mle_stack(_stack_frequencies([datas[k] for k in index]), tol, group_traces)
+    return _clip_to_density(rhos)
+
+
+def _mle_stack(data: _Frequencies, tol: Tolerances, traces: "list | None") -> np.ndarray:
+    """The diluted R rho R iteration on a stack of records with the same
+    number of seen outcomes, unclipped. A record leaves the active stack
+    when its gain falls below tol.mle_stop, when no dilution of its step
+    ascends, or at tol.mle_max_iter steps; it keeps its last ascending
+    state."""
     floor = tol.prob_floor
-    rho = np.eye(4, dtype=complex) / 4.0
-    ll = _log_likelihood(rho, data, floor)
-    if trace is not None:
-        trace.append(ll)
     eye = np.eye(4, dtype=complex)
+    out = np.empty((len(data.weights), 4, 4), dtype=complex)
+    active = np.arange(len(out))  # group rows still iterating
+    rho = np.repeat(eye[None] / 4.0, len(out), axis=0)
+    ll = _log_likelihood(rho, data, floor)
+    if traces is not None:
+        for trace, value in zip(traces, ll.tolist()):
+            trace.append(value)
     for _ in range(tol.mle_max_iter):
         r = _r_operator(rho, data, floor)
-        cand = r @ rho @ r
-        cand = cand / np.trace(cand).real
+        cand = _normalized(r @ rho @ r)
         ll_cand = _log_likelihood(cand, data, floor)
-        eps = 1.0
-        while ll_cand < ll and eps > 1e-12:
-            # shrink toward the identity direction until the step ascends
-            eps *= 0.5
-            op = eye + eps * r
-            cand = op @ rho @ op.conj().T
-            cand = cand / np.trace(cand).real
-            ll_cand = _log_likelihood(cand, data, floor)
-        if ll_cand < ll:
-            break
-        rho = 0.5 * (cand + cand.conj().T)
-        if trace is not None:
-            trace.append(ll_cand)
-        if ll_cand - ll < tol.mle_stop:
-            ll = ll_cand
-            break
+        fell = ll_cand < ll
+        falling = np.count_nonzero(fell)
+        if falling:
+            # shrink toward the identity direction until the step ascends;
+            # all rows still descending share the same eps
+            eps = 1.0
+            low = fell.nonzero()[0]
+            while low.size and eps > 1e-12:
+                eps *= 0.5
+                op = eye + eps * r[low]
+                diluted = _normalized(op @ rho[low] @ op.conj().swapaxes(-1, -2))
+                cand[low], ll_cand[low] = diluted, _log_likelihood(diluted, _take(data, low), floor)
+                low = low[ll_cand[low] < ll[low]]
+            fell = ll_cand < ll
+            falling = np.count_nonzero(fell)
+        herm = 0.5 * (cand + cand.conj().swapaxes(-1, -2))
+        rho = np.where(fell[:, None, None], rho, herm) if falling else herm
+        if traces is not None:
+            for k in (~fell).nonzero()[0].tolist():
+                traces[active[k]].append(float(ll_cand[k]))
+        done = fell | (ll_cand - ll < tol.mle_stop)
         ll = ll_cand
-    return _clip_to_density(rho[None])[0]
+        if np.count_nonzero(done):
+            out[active[done]] = rho[done]
+            keep = ~done
+            active, rho, ll = active[keep], rho[keep], ll[keep]
+            data = _take(data, keep)
+            if not active.size:
+                return out
+    out[active] = rho
+    return out
 
 
 def reconstruct_state(
@@ -201,13 +271,12 @@ def _reconstruct_states(
     method: str,
     tol: Tolerances,
 ) -> np.ndarray:
-    """reconstruct_state of each record list, as an (N, 4, 4) stack; MLE
-    runs record list by record list."""
+    """reconstruct_state of each record list, as an (N, 4, 4) stack; each
+    record gets the bits it gets alone."""
     if method == "linear":
         return _linear_estimates([_frequency_table(records)[0] for records in records_list])
     if method == "mle":
-        estimates = [_mle_estimate(_collect_frequencies(r), tol) for r in records_list]
-        return np.array(estimates).reshape(-1, 4, 4)
+        return _mle_estimates([_collect_frequencies(r) for r in records_list], tol)
     raise ValueError(f"unknown reconstruction method {method!r}")
 
 
@@ -248,9 +317,10 @@ def process_matrix_of_unitary(u: np.ndarray) -> np.ndarray:
 
 
 def apply_process(e: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Channel output sum_ij rho[i, j] E(|i><j|)."""
+    """Channel output sum_ij rho[i, j] E(|i><j|), of one state or of each
+    state of an (N, 4, 4) stack."""
     blocks = np.asarray(e, dtype=complex).reshape(4, 4, 4, 4)
-    return np.einsum("ij,ikjl->kl", np.asarray(rho, dtype=complex), blocks)
+    return np.einsum("...ij,ikjl->...kl", np.asarray(rho, dtype=complex), blocks)
 
 
 def reconstruct_process(
@@ -335,27 +405,30 @@ _AXIS_EIGENSTATES = {
 }
 
 
-def _probe_states() -> list[np.ndarray]:
-    """The 36 products of single-qubit Pauli eigenstates, fixed order:
-    axes x, y, z per qubit, +1 eigenstate before -1."""
+def _probe_states() -> np.ndarray:
+    """The 36 products of single-qubit Pauli eigenstates as a (36, 4, 4)
+    stack of density matrices, fixed order: axes x, y, z per qubit, +1
+    eigenstate before -1."""
     probes = []
     for axis0 in ("x", "y", "z"):
         for axis1 in ("x", "y", "z"):
             for v0 in _AXIS_EIGENSTATES[axis0]:
                 for v1 in _AXIS_EIGENSTATES[axis1]:
-                    probes.append(np.kron(v0, v1))
-    return probes
+                    psi = np.kron(v0, v1)
+                    probes.append(np.outer(psi, psi.conj()))
+    return np.array(probes)
 
 
 _PROBES = _probe_states()
+_PROBES.flags.writeable = False
 
 
 def mean_state_fidelity(e1: np.ndarray, e2: np.ndarray) -> float:
     """Average output-state fidelity over the 36 Pauli product eigenstates."""
+    fids = _state_fidelities(apply_process(e1, _PROBES), apply_process(e2, _PROBES))
     total = 0.0
-    for psi in _PROBES:
-        rho = np.outer(psi, psi.conj())
-        total += state_fidelity(apply_process(e1, rho), apply_process(e2, rho))
+    for f in fids:  # added in probe order, as 36 state_fidelity calls would be
+        total += f
     return total / len(_PROBES)
 
 

@@ -7,17 +7,21 @@ neighbours of the row. The exact-output corpus of test_compile_corpus is run
 through them in several batch sizes, each angle row hashed through its
 GateElement view, and must hash to the same CORPUS_SHA256.
 The linear reconstruction and the fidelities are checked against copies of
-the one-matrix code they replaced.
+the one-matrix code they replaced, and the stacked MLE against the
+one-record kernel of test_tomography.
 """
 
 import hashlib
 
 import numpy as np
 import pytest
+from born import exact_records
 from test_compile_corpus import CORPUS_SHA256, NAMED, _dress, _fields, corpus
+from test_tomography import assert_stacked_mle_matches_one_record, random_density
 
 from su4c import (
     CALIBRATED_NOISE,
+    MeasurementRecord,
     TOMOGRAPHY_INPUT_LABELS,
     NotUnitaryError,
     SeededRng,
@@ -37,6 +41,7 @@ from su4c.circuits import _pulses
 from su4c.config import DEFAULT_TOL
 from su4c.tomography import (
     _POVM_ROWS,
+    _collect_frequencies,
     _frequency_table,
     _linear_estimates,
     _reconstruct_states,
@@ -188,15 +193,62 @@ def test_many_random_tables_and_states():
         assert fids[k] == one_matrix_fidelity(ests[k], ests[half + k])
 
 
-def test_mle_reconstruction_matches_one_record_calls():
+def counted(rho, shots, extra=None):
+    """Records of rho with each setting's counts rounded from shots times
+    its probabilities; extra = (setting index, outcome) adds one count."""
+    records = []
+    for k, rec in enumerate(exact_records(rho)):
+        counts = [round(shots * p) for p in rec.counts]
+        if extra is not None and extra[0] == k:
+            counts[extra[1]] += 1
+        records.append(MeasurementRecord(rec.setting, tuple(counts), sum(counts)))
+    return records
+
+
+def mle_records():
+    """Record lists whose MLE runs differ in their number of seen outcomes,
+    their length and the way they end: calibrated records at 30, 100 and
+    1000 shots, exact probabilities, settings with a single outcome, a run
+    to the mle_max_iter cap and a run that ends on a step no dilution makes
+    ascend."""
     records, _ = mixed_records()
+    rng = SeededRng(45)
+    us = [sample_su4(rng) for _ in range(4)]
+    angles = pulse_angles([decompose(u) for u in us])
+    labels = TOMOGRAPHY_INPUT_LABELS[:4]
+    for shots in (30, 1000):
+        records += run_experiments(angles, labels, CALIBRATED_NOISE, shots, rng.spawn(4))
+    ground = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    states = SeededRng(77)
+    capped = [random_density(states) for _ in range(3)][-1]
+    records += [exact_records(ground), counted(ground, 100), exact_records(capped)]
+    records.append(counted(ground, 10**6, extra=(0, 0)))  # the no-ascent end
+    return records
+
+
+def test_mle_reconstruction_matches_one_record_calls():
+    records = mle_records()
     ests = _reconstruct_states(records, "mle", DEFAULT_TOL)
     for est, recs in zip(ests, records):
         assert est.tobytes() == reconstruct_state(recs, "mle").tobytes()
+    datas = [_collect_frequencies(recs) for recs in records]
+    assert len({len(data.weights) for data in datas}) >= 4
+    shuffled = list(np.random.default_rng(46).permutation(len(datas)))
+    for order in (range(len(datas)), range(len(datas))[::-1], shuffled):
+        traces = assert_stacked_mle_matches_one_record([datas[k] for k in order])
+        by_record = dict(zip(order, traces))
+        # the premises: the capped record runs all mle_max_iter steps; the
+        # last record ends early although its last gain was above mle_stop,
+        # so it left on the no-ascent break
+        assert len(by_record[len(datas) - 2]) == DEFAULT_TOL.mle_max_iter + 1
+        last = by_record[len(datas) - 1]
+        assert len(last) <= DEFAULT_TOL.mle_max_iter
+        assert last[-1] - last[-2] >= DEFAULT_TOL.mle_stop
 
 
 def test_unknown_method_and_empty_list():
     records, _ = mixed_records()
     with pytest.raises(ValueError, match="unknown reconstruction method"):
         _reconstruct_states(records, "lsq", DEFAULT_TOL)
-    assert _reconstruct_states([], "linear", DEFAULT_TOL).shape == (0, 4, 4)
+    for method in ("linear", "mle"):
+        assert _reconstruct_states([], method, DEFAULT_TOL).shape == (0, 4, 4)

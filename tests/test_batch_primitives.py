@@ -1,9 +1,9 @@
 """Platform canary: the numpy primitives the stacked kernels rely on give each
 row of a stack, bit for bit, what they give that row alone.
 
-decompose_many, pulse_angles, _reconstruct_states and _state_fidelities are
-bit-identical to one-at-a-time calls only because of these equalities;
-pulse_angles also reduces its phases with np.remainder where
+decompose_many, pulse_angles, _reconstruct_states (linear and MLE) and
+_state_fidelities are bit-identical to one-at-a-time calls only because of
+these equalities; pulse_angles also reduces its phases with np.remainder where
 r_pulse_triple uses Python's %. They
 hold for numpy 2.4 on OpenBLAS 0.3.31, but they are not promised by numpy or
 by BLAS, so each one is asserted here on seeded stacks: an upgrade that
@@ -183,3 +183,42 @@ def test_broadcast_row_scalars_against_scalar_operands():
         assert same(div_r[k], m[k] / r[k])
         assert same(mul_c[k], complex(z[k]) * m[k])
         assert same(mul_v[k], m[k] * v[k])
+
+
+# The stacked MLE iteration (_mle_estimates) runs each record's products as
+# one slice of a stacked matmul; each must equal the one-record call it
+# replaced, for every number n of seen outcomes.
+
+
+@pytest.mark.parametrize("n", [9, 23, 36])
+def test_mle_stacked_products(n):
+    g = gen(17 + n)
+    rows, ops = g.standard_normal((2, N, n, 16)) + 1j * g.standard_normal((2, N, n, 16))
+    rho = complex_stack(g)
+    coeffs, logs = g.uniform(0.1, 10.0, (N, n)), np.log(g.uniform(1e-3, 1.0, (N, n)))
+    born = rows @ rho.reshape(N, 16, 1)  # (B, n, 16) @ (B, 16, 1) complex
+    r = coeffs[:, None, :] @ ops  # (B, 1, n) @ (B, n, 16), real left operand
+    dots = coeffs[:, None, :] @ logs[..., None]  # (B, 1, n) @ (B, n, 1) real
+    for k in range(N):
+        assert same(born[k, :, 0], rows[k] @ rho[k].reshape(16)), k
+        assert same(r[k, 0], coeffs[k] @ ops[k]), k
+        assert same(dots[k, 0, 0], coeffs[k] @ logs[k]), k
+
+
+def test_mle_triple_products_and_trace():
+    g = gen(18)
+    op, rho = complex_stack(g), complex_stack(g)
+    diluted = op @ rho @ op.conj().swapaxes(-1, -2)
+    squared = op @ rho @ op
+    traces = np.trace(diluted, axis1=1, axis2=2)
+    for k in range(N):
+        assert same(diluted[k], op[k] @ rho[k] @ op[k].conj().T), k
+        assert same(squared[k], op[k] @ rho[k] @ op[k]), k
+        assert same(traces[k], np.trace(diluted[k])), k
+
+
+def test_log_of_stack():
+    x = gen(19).uniform(1e-12, 1.0, (N, 36))
+    got = np.log(x)
+    for k in range(N):
+        assert same(got[k], np.log(x[k])), k

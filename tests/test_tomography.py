@@ -27,11 +27,13 @@ from su4c.experiment import (
 from su4c.haar import SeededRng, sample_su4
 from su4c.linalg import check_density_matrix, kron, nearest_unitary
 from su4c.tomography import (
+    _AXIS_EIGENSTATES,
     _POVM_STACK,
     _clip_to_density,
     _collect_frequencies,
     _log_likelihood,
     _mle_estimate,
+    _mle_estimates,
     _r_operator,
     apply_process,
     entanglement_fidelity,
@@ -298,6 +300,70 @@ def loop_mle_estimate(data, tol, trace=None):
     return _clip_to_density(rho[None])[0]
 
 
+# The one-record MLE kernel that the stacked _mle_estimates replaced,
+# verbatim: the bit-for-bit oracle of tests/test_batch.py and of
+# test_mle_on_count_tables.
+
+
+def one_record_probabilities(rho, data, floor):
+    """Born probabilities of the outcomes seen, floored."""
+    return np.maximum((data.rows @ rho.reshape(16)).real, floor)
+
+
+def one_record_log_likelihood(rho, data, floor):
+    return float(data.weights @ np.log(one_record_probabilities(rho, data, floor)))
+
+
+def one_record_r_operator(rho, data, floor):
+    coeffs = data.weights / one_record_probabilities(rho, data, floor)
+    return (coeffs @ data.ops).reshape(4, 4) / data.total_weight
+
+
+def one_record_mle_estimate(data, tol, trace=None):
+    floor = tol.prob_floor
+    rho = np.eye(4, dtype=complex) / 4.0
+    ll = one_record_log_likelihood(rho, data, floor)
+    if trace is not None:
+        trace.append(ll)
+    eye = np.eye(4, dtype=complex)
+    for _ in range(tol.mle_max_iter):
+        r = one_record_r_operator(rho, data, floor)
+        cand = r @ rho @ r
+        cand = cand / np.trace(cand).real
+        ll_cand = one_record_log_likelihood(cand, data, floor)
+        eps = 1.0
+        while ll_cand < ll and eps > 1e-12:
+            # shrink toward the identity direction until the step ascends
+            eps *= 0.5
+            op = eye + eps * r
+            cand = op @ rho @ op.conj().T
+            cand = cand / np.trace(cand).real
+            ll_cand = one_record_log_likelihood(cand, data, floor)
+        if ll_cand < ll:
+            break
+        rho = 0.5 * (cand + cand.conj().T)
+        if trace is not None:
+            trace.append(ll_cand)
+        if ll_cand - ll < tol.mle_stop:
+            ll = ll_cand
+            break
+        ll = ll_cand
+    return _clip_to_density(rho[None])[0]
+
+
+def assert_stacked_mle_matches_one_record(datas, tol=DEFAULT_TOL):
+    """_mle_estimates of the stack gives every record the estimate and the
+    log-likelihood trace of one_record_mle_estimate, bit for bit."""
+    traces = [[] for _ in datas]
+    got = _mle_estimates(datas, tol, traces)
+    for k, data in enumerate(datas):
+        trace = []
+        want = one_record_mle_estimate(data, tol, trace)
+        assert got[k].tobytes() == want.tobytes(), k
+        assert traces[k] == trace, k
+    return traces
+
+
 GROUND = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
 
 # calibrated-noise records at three shot counts, and exact probabilities
@@ -399,6 +465,31 @@ def test_mle_on_count_tables(table):
     est = _mle_estimate(data, DEFAULT_TOL, trace=trace)
     check_density_matrix(est, atol=1e-8)
     assert np.all(np.diff(trace) >= 0.0)
+    # twice in one stacked call, beside a neighbour
+    neighbour = _collect_frequencies(exact_records(GROUND))
+    assert_stacked_mle_matches_one_record([data, neighbour, data])
+
+
+def random_cp_matrix(rng):
+    """A random completely positive process matrix of trace 4."""
+    g = rng.generator.standard_normal((16, 16)) + 1j * rng.generator.standard_normal((16, 16))
+    e = g @ g.conj().T
+    return 4.0 * e / np.trace(e).real
+
+
+def probe_loop_mean_state_fidelity(e1, e2):
+    """The 36-call mean_state_fidelity that the stacked one replaced."""
+    blocks = [np.asarray(e, dtype=complex).reshape(4, 4, 4, 4) for e in (e1, e2)]
+    total = 0.0
+    for axis0 in ("x", "y", "z"):
+        for axis1 in ("x", "y", "z"):
+            for v0 in _AXIS_EIGENSTATES[axis0]:
+                for v1 in _AXIS_EIGENSTATES[axis1]:
+                    psi = np.kron(v0, v1)
+                    rho = np.outer(psi, psi.conj())
+                    out1, out2 = (np.einsum("ij,ikjl->kl", rho, b) for b in blocks)
+                    total += state_fidelity(out1, out2)
+    return total / 36
 
 
 class TestStateFidelity:
@@ -579,6 +670,15 @@ class TestFidelityMetrics:
         u = sample_su4(SeededRng(487))
         e = process_matrix_of_unitary(u)
         assert mean_state_fidelity(e, E_DEPOL) == pytest.approx(0.25, abs=1e-12)
+
+    def test_mean_state_fidelity_matches_36_calls(self):
+        # bit for bit what one state_fidelity call per probe state gives
+        rng = SeededRng(499)
+        for _ in range(4):
+            e_u = process_matrix_of_unitary(sample_su4(rng))
+            e1, e2 = random_cp_matrix(rng), random_cp_matrix(rng)
+            for a, b in ((e1, e2), (e_u, e1), (e2, e_u), (e_u, 0.7 * e_u + 0.3 * E_DEPOL)):
+                assert mean_state_fidelity(a, b) == probe_loop_mean_state_fidelity(a, b)
 
     def test_average_formula_on_aligned_mixtures(self):
         # the linear relation between the 36-state average and the
