@@ -156,12 +156,6 @@ def _not_unitary(tol: Tolerances) -> int:
     return _fail(EXIT_NOT_UNITARY, f"input matrix is not unitary within {tol.input_unitarity:g}")
 
 
-def _compile(m, tol: Tolerances):
-    """Circuit of the nearest unitary of a gated matrix: the one compilation
-    each operation gets."""
-    return decompose(nearest_unitary(m), tol)
-
-
 def _cmd_compile(args) -> int:
     try:
         tol = _resolve_tolerances(args)
@@ -170,7 +164,8 @@ def _cmd_compile(args) -> int:
         return _fail(EXIT_PARSE, str(exc))
     if m is None:
         return _not_unitary(tol)
-    params = _compile(m, tol)
+    # a file's matrix may be rounded, so compile its nearest unitary
+    params = decompose(nearest_unitary(m), tol)
     # against the file's matrix, so a rounded input reports how far it is
     # from the compiled circuit
     report = verify(m, params, tol)
@@ -207,9 +202,12 @@ def _cmd_sample(args) -> int:
 
 def _prepare_run(args) -> tuple[Tolerances, NoiseModel, dict]:
     """Tolerances and noise model of a benchmark or process-tomo run, and
-    the report keys of its arguments that both commands write."""
+    the report keys of its arguments that both commands write; ValueError
+    when --exact-probabilities meets a nonzero noise model."""
     tol = _resolve_tolerances(args)
     noise, noise_meta = _resolve_noise(args.noise)
+    if args.exact_probabilities and not noise.is_zero:
+        raise ValueError("--exact-probabilities requires zero noise")
     keys = {name: getattr(args, name) for name in ("seed", "shots", "method", "exact_probabilities")}
     return tol, noise, {**keys, "noise": asdict(noise), "noise_meta": noise_meta}
 
@@ -229,8 +227,6 @@ def _cmd_benchmark(args) -> int:
         tol, noise, keys = _prepare_run(args)
     except (OSError, ValueError) as exc:
         return _fail(EXIT_PARSE, str(exc))
-    if args.exact_probabilities and not noise.is_zero:
-        return _fail(EXIT_PARSE, "--exact-probabilities requires zero noise")
 
     header = {"command": "benchmark", "n": args.n, **keys}
     input_hash = content_hash(json.dumps(header, sort_keys=True))
@@ -252,7 +248,7 @@ def _cmd_benchmark(args) -> int:
         chunk = range(first, min(first + _CHUNK, args.n))
         chunk_labels = [labels[order[index]] for index in chunk]
         us = [sample_su4(streams[index], tol) for index in chunk]
-        angles = pulse_angles(decompose_many(nearest_unitary(np.array(us)), tol))
+        angles = pulse_angles(decompose_many(np.array(us), tol))
         ests = _estimates(angles, chunk_labels, streams[first:chunk.stop], noise, tol, args)
         psis = [u @ input_state(label) for u, label in zip(us, chunk_labels)]
         ideals = np.array([np.outer(psi, psi.conj()) for psi in psis])
@@ -282,12 +278,8 @@ def _cmd_process_tomo(args) -> int:
     if m is None:
         return _not_unitary(tol)
     u = nearest_unitary(m)
-    if args.exact_probabilities and not noise.is_zero:
-        return _fail(EXIT_PARSE, "--exact-probabilities requires zero noise")
-
-    # one program for all 16 preparations, compiled from u as benchmark
-    # compiles its draws
-    angles = pulse_angles([_compile(u, tol)])
+    # one program for all 16 preparations
+    angles = pulse_angles([decompose(u, tol)])
     labels = TOMOGRAPHY_INPUT_LABELS
     streams = SeededRng(args.seed).spawn(len(labels))
     ests = _estimates(angles.repeat(len(labels), axis=0), labels, streams, noise, tol, args)

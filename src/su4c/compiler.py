@@ -28,6 +28,7 @@ from .gates import (
 from .linalg import (
     _as_complex,
     _factor_tensor_product,
+    _require_shape,
     _require_unitary,
     _require_unitary_rows,
     _special_unitary_projection,
@@ -69,14 +70,16 @@ def local_invariants(u, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     on the input can shift all four invariants by pi together.
     """
     m = _as_complex(u)
+    _require_shape(m, 4)
     _require_unitary(m, tol.unitarity, "local_invariants input")
     return _local_invariants(m[None], tol)[0]
 
 
 def _local_invariants(m: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Sorted invariants of each row of an (N, 4, 4) stack, as (N, 4)."""
+    """Sorted invariants of each row of an (N, 4, 4) stack, as (N, 4): the
+    phases of the class spectrum, which ascend."""
     su, _ = _special_unitary_projection(m, tol)
-    return np.sort(_class_spectrum(su, tol)[0], axis=1)
+    return _class_spectrum(su, tol)[0]
 
 
 def class_parameters(u, tol: Tolerances = DEFAULT_TOL) -> ClassParams:
@@ -135,9 +138,8 @@ def decompose(u, tol: Tolerances = DEFAULT_TOL) -> CircuitParams:
     into tensor products. decompose_many does the same for a stack.
     """
     m = _as_complex(u)
+    _require_shape(m, 4)
     _require_unitary(m, tol.unitarity, "decompose input")
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
     return _decompose_many(m[None], tol)[0]
 
 
@@ -159,19 +161,14 @@ def decompose_many(us, tol: Tolerances = DEFAULT_TOL) -> list[CircuitParams]:
 def _decompose_many(ms: np.ndarray, tol: Tolerances) -> list[CircuitParams]:
     n = len(ms)
     su, zeta = _special_unitary_projection(ms, tol)
-
-    # su is re-projected here on purpose: doing so moves phases that sit on
-    # the branch cut, and reusing the spectrum of su would change the output.
-    # The two spectra are independent, so they are one stack.
-    re_projected, _ = _special_unitary_projection(su, tol)
-    phases, vectors = _class_spectrum(np.concatenate([re_projected, su]), tol)
-    classes = [_class_angles(s) for s in np.sort(phases[:n], axis=1)]
+    # the phases ascend, so they are the sorted invariants; frame_u has
+    # det +1 by construction
+    phases_u, frame_u = _class_spectrum(su, tol)
+    classes = [_class_angles(s) for s in phases_u]
     mus = [_canonical_phase(params) for params in classes]
     # conj(mu) puts the representative on the same determinant sheet as su,
     # so the two symmetric products have identical eigenvalues.
     v_comp = np.conj(np.array(mus))[:, None, None] * _canonical_vs(classes)
-
-    phases_u, frame_u = phases[n:], vectors[n:]  # det +1 by construction
     phases_v, vectors_v = _class_spectrum(v_comp, tol)
     perms = [
         _match_columns(ref, got, 1e-6)
@@ -203,9 +200,10 @@ def _decompose_many(ms: np.ndarray, tol: Tolerances) -> list[CircuitParams]:
     )
     # the four letters are one stack too: a, b, c, d rows in turn
     angles = _su2_params(np.concatenate([a[n:], b[n:], a[:n], b[:n]]), tol)
+    post_phases, pre_phases = phases_f[:n].tolist(), phases_f[n:].tolist()
     out = []
     for k, (params, mu, z) in enumerate(zip(classes, mus, zeta.tolist())):
-        global_phase = complex(z * phases_f[k] * phases_f[n + k] * np.conj(mu))
+        global_phase = complex(z * post_phases[k] * pre_phases[k] * np.conj(mu))
         out.append(
             CircuitParams(
                 class_params=params,

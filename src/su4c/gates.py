@@ -19,6 +19,7 @@ from .linalg import (
     _as_complex,
     _joint_real_diagonalization,
     _kron,
+    _require_shape,
     joint_real_diagonalization,
 )
 
@@ -224,6 +225,8 @@ def class_spectrum(u, tol: Tolerances = DEFAULT_TOL) -> EigenSystem:
     The eigenphases are the local-equivalence invariants; the eigenvectors
     feed the single-qubit factor extraction.
     """
+    u = _as_complex(u)
+    _require_shape(u, 4)
     m = to_magic(u)
     det = np.linalg.det(m)
     if abs(det - 1.0) > tol.determinant:

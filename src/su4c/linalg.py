@@ -72,6 +72,11 @@ def is_unitary(m, atol: float = DEFAULT_TOL.unitarity) -> bool:
     return bool(np.max(np.abs(m @ m.conj().T - eye)) < atol)
 
 
+def _require_shape(m: np.ndarray, n: int) -> None:
+    if m.shape != (n, n):
+        raise ValueError(f"expected a {n}x{n} matrix, got shape {m.shape}")
+
+
 def _require_unitary(m: np.ndarray, atol: float, what: str) -> None:
     if not is_unitary(m, atol):
         defect = np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0])))
@@ -314,36 +319,22 @@ def factor_tensor_product(
     than the configured residual.
     """
     m = _as_complex(m)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+    _require_shape(m, 4)
     _require_unitary(m, tol.unitarity, "factor_tensor_product input")
     a, b, phases = _factor_tensor_product(m[None], tol)
-    return a[0], b[0], phases[0]
-
-
-def _block_norms(blocks: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each 2x2 block of an (N, 2, 2, 2, 2) grid, as
-    norm computes it for one block: sqrt(re . re + im . im) over the block
-    in row order. Each dot runs as the one-row matmul numpy gives to BLAS
-    dot; a norm with an axis argument rounds differently, and a rounding
-    difference can move the argmax between the equal blocks of a named
-    class."""
-    flat = blocks.reshape(-1, 1, 4)
-    re, im = flat.real, flat.imag
-    sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
-    return np.sqrt(sq).reshape(blocks.shape[:3])
+    return a[0], b[0], complex(phases[0])
 
 
 def _factor_tensor_product(
     m: np.ndarray, tol: Tolerances
-) -> tuple[np.ndarray, np.ndarray, list[complex]]:
-    """(N, 4, 4) -> (a (N, 2, 2), b (N, 2, 2), phases), each row as
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(N, 4, 4) -> (a (N, 2, 2), b (N, 2, 2), phases (N,)), each row as
     factor_tensor_product returns it."""
     n = m.shape[0]
     rows = np.arange(n)
     # blocks[k, i, j] is the view m[k, 2i:2i+2, 2j:2j+2].
     blocks = m.reshape(n, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4)
-    norms = _block_norms(blocks)
+    norms = np.linalg.norm(blocks, axis=(3, 4))
     bi, bj = np.divmod(norms.reshape(n, 4).argmax(axis=1), 2)
     # A unitary product has every nonzero block proportional to b with
     # |a[i,j]| * ||b||_F and ||b||_F = sqrt(2) after normalization.
@@ -359,15 +350,12 @@ def _factor_tensor_product(
     a, b = factors[:n], factors[n:]
 
     prod = _kron(a, b)
-    traces = (prod.conj().swapaxes(-1, -2) @ m).trace(axis1=1, axis2=2)
-    phases = []
-    # per row: abs of a complex scalar rounds differently from np.abs
-    for tr in traces:
-        overlap = tr / 4.0
-        if abs(overlap) < 1e-12:
-            raise NotAProductError("no phase aligns the factors with the input")
-        phases.append(complex(overlap / abs(overlap)))
-    residual = np.abs(np.array(phases)[:, None, None] * prod - m).max(axis=(1, 2))
+    overlaps = (prod.conj().swapaxes(-1, -2) @ m).trace(axis1=1, axis2=2) / 4.0
+    sizes = np.abs(overlaps)
+    if (sizes < 1e-12).any():
+        raise NotAProductError("no phase aligns the factors with the input")
+    phases = overlaps / sizes
+    residual = np.abs(phases[:, None, None] * prod - m).max(axis=(1, 2))
     if (residual >= tol.product_residual).any():
         raise NotAProductError(f"tensor-product residual {residual.max():.3e}")
     return a, b, phases
@@ -414,8 +402,7 @@ def su2_params(
     phi = 0; theta within snap of pi forces phiz = 0 and sign = +1.
     """
     m = _as_complex(m)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
+    _require_shape(m, 2)
     _require_unitary(m, tol.unitarity, "su2_params input")
     if abs(np.linalg.det(m) - 1.0) > tol.su2_det:
         raise ValueError("su2_params requires determinant 1")

@@ -37,6 +37,7 @@ from su4c import (
     state_fidelity,
     verify,
 )
+from su4c import compiler
 from su4c.circuits import _pulses
 from su4c.config import DEFAULT_TOL
 from su4c.tomography import (
@@ -108,6 +109,20 @@ class TestDecomposeManyBoundary:
         with pytest.raises(ValueError) as info:
             decompose_many(np.zeros(shape, dtype=complex))
         assert info.type is ValueError
+
+    def test_one_class_spectrum_per_input(self, monkeypatch):
+        # the class angles are read from the spectrum the frames come from:
+        # N inputs and N representatives, not a third spectrum to re-read
+        rows = []
+        original = compiler._class_spectrum
+
+        def counting(u, tol):
+            rows.append(len(u))
+            return original(u, tol)
+
+        monkeypatch.setattr(compiler, "_class_spectrum", counting)
+        decompose_many([sample_su4(SeededRng(k)) for k in range(5)])
+        assert sum(rows) == 10
 
     def test_empty_stack(self):
         assert decompose_many(np.zeros((0, 4, 4), dtype=complex)) == []

@@ -8,18 +8,17 @@ r_pulse_triple uses Python's %. They
 hold for numpy 2.4 on OpenBLAS 0.3.31, but they are not promised by numpy or
 by BLAS, so each one is asserted here on seeded stacks: an upgrade that
 breaks one fails the test named after it, not only an opaque digest in
-test_compile_corpus. Primitives known not to batch exactly (np.arccos,
-np.abs of complex values, np.linalg.norm with an axis, the power of a numpy
-scalar, lstsq with many right-hand sides under threaded BLAS) stay per
-row in the kernels and are not listed here.
+test_compile_corpus. Steps whose batched form rounds differently from the
+scalar form their outputs are pinned to (np.arccos against math.acos, np.abs
+against the abs of a complex scalar in su2_params, the power of a numpy
+scalar, lstsq with many right-hand sides under threaded BLAS) stay per row
+in the kernels and are not listed here.
 """
 
 import math
 
 import numpy as np
 import pytest
-
-from su4c.linalg import _block_norms
 
 N = 64
 
@@ -143,15 +142,32 @@ def test_cos_sin_against_math():
 # Beyond the list above, the kernels rely on these.
 
 
-def test_block_norms_by_one_row_matmul():
-    # _block_norms: np.linalg.norm of each 2x2 block of a 4x4 stack
-    m = unitary_stack(gen(13))
-    blocks = m.reshape(N, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4)
-    got = _block_norms(blocks)
-    for k in range(N):
-        for i in range(2):
-            for j in range(2):
-                assert same(got[k, i, j], np.linalg.norm(blocks[k, i, j]))
+# The factoring's block norms and aligning phases: row k of a stack of N
+# must be what the one-row call gives, at every N up to past the SIMD
+# width and at one odd N beyond, so vector tails are covered.
+SIZES = [*range(1, 10), 37]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_block_norms_with_axis(n):
+    m = unitary_stack(gen(13))[:n]
+    blocks = m.reshape(n, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4)
+    norm = lambda x: np.linalg.norm(x, axis=(3, 4))  # noqa: E731
+    got = norm(blocks)
+    for k in range(n):
+        assert same(got[k], norm(blocks[k : k + 1])[0]), k
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_abs_of_complex_vector(n):
+    g = gen(20)
+    z = g.standard_normal(n) + 1j * g.standard_normal(n)
+    sizes = np.abs(z)
+    quotients = z / sizes
+    for k in range(n):
+        one = z[k : k + 1]
+        assert same(sizes[k], np.abs(one)[0]), k
+        assert same(quotients[k], (one / np.abs(one))[0]), k
 
 
 def test_lexsort_along_rows():

@@ -34,6 +34,23 @@ def clean_env(monkeypatch):
     monkeypatch.delenv(ENV_TOLERANCE, raising=False)
 
 
+def count_calls(monkeypatch, original) -> list:
+    """Replace original under every name a su4c module holds it by with a
+    wrapper that records each call; returns the list of recorded args."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "su4c" or name.startswith("su4c."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting)
+    return calls
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -281,6 +298,13 @@ class TestBenchmark:
         assert code == EXIT_PARSE
         assert "zero noise" in err
 
+    def test_draws_are_compiled_as_drawn(self, capsys, monkeypatch):
+        # sample_su4 draws are unitary already; none is projected again
+        calls = count_calls(monkeypatch, nearest_unitary)
+        code, _, _ = run_cli(capsys, "benchmark", "--n", "32", "--noise", "calibrated")
+        assert code == EXIT_OK
+        assert calls == []
+
     def test_csv_export(self, capsys, tmp_path):
         csv_path = tmp_path / "ops.csv"
         code, out, _ = run_cli(
@@ -409,25 +433,36 @@ class TestProcessTomo:
         assert json.loads(out)["entanglement_fidelity"] == pytest.approx(1.0, abs=1e-9)
 
     def test_compiles_once(self, capsys, unitary_file, monkeypatch):
-        # one program for all 16 preparations: count decompose under every
-        # name a su4c module holds it by
-        calls = []
-        original = compiler.decompose
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if name == "su4c" or name.startswith("su4c."):
-                for key, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, key, counting)
+        # one program for all 16 preparations
+        calls = count_calls(monkeypatch, compiler.decompose)
         code, _, _ = run_cli(
             capsys, "process-tomo", "--unitary", unitary_file, "--shots", "10"
         )
         assert code == EXIT_OK
         assert len(calls) == 1
+
+    def test_projects_once(self, capsys, unitary_file, monkeypatch):
+        # the nearest unitary of the file's matrix is both the compiled
+        # target and the ideal process
+        calls = count_calls(monkeypatch, nearest_unitary)
+        code, _, _ = run_cli(
+            capsys, "process-tomo", "--unitary", unitary_file, "--shots", "10"
+        )
+        assert code == EXIT_OK
+        assert len(calls) == 1
+
+    def test_exact_probabilities_need_zero_noise(self, capsys, tmp_path):
+        # the argument check comes before the matrix is read, so a
+        # non-unitary file exits 2 here, not 3
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(matrix_to_obj(np.zeros((4, 4), dtype=complex))))
+        code, out, err = run_cli(
+            capsys, "process-tomo", "--unitary", str(path), "--exact-probabilities",
+            "--noise", "calibrated",
+        )
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "--exact-probabilities requires zero noise" in err
 
     def test_full_depolarizing_noise_collapses_fidelity(
         self, capsys, unitary_file, tmp_path

@@ -25,7 +25,7 @@ from chamber import FACE_PATTERNS, face_angles, interaction
 
 from su4c import SeededRng, decompose, lower_to_pulses, nearest_unitary, sample_su4, verify
 
-CORPUS_SHA256 = "be38e4a8afb34e80232f78ba4ecd4d8062c37846da946097a3165400d3691fb1"
+CORPUS_SHA256 = "4a0a66493862ac3ccdcb1b24402363e0ad6a1da076ad204635fed75411cbe2a6"
 
 _S, _T = (1 + 1j) / 2, (1 - 1j) / 2
 NAMED = (

@@ -161,6 +161,17 @@ class TestDecompose:
         params = decompose(u)
         assert np.max(np.abs(circuit_to_unitary(params) - u)) < 1e-9
 
+    def test_branch_cut_phases_round_trip_to_rounding(self):
+        # iSWAP has two invariants on the +-pi cut: the class angles must
+        # come from the spectrum the frames come from, or a phase folded to
+        # the other side of the cut leaves the circuit off by about 2e-8
+        iswap = np.array(
+            [[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]], dtype=complex
+        )
+        for m in range(16):
+            u = np.exp(0.125j * math.pi * m) * iswap
+            assert verify(u, decompose(u)).distance < 1e-13, m
+
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitaryError):
             decompose(np.ones((4, 4)))

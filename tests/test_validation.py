@@ -60,6 +60,24 @@ def test_public_function_rejects_bad_input(name):
     assert info.type is expected
 
 
+# Wrong shapes are named as such, before any unitarity test or matrix
+# product can fail on them.
+SHAPE_CASES = {
+    "decompose_stack": lambda: decompose(np.stack([U, U])),
+    "decompose_vector": lambda: decompose(U[0]),
+    "local_invariants": lambda: local_invariants(SU2),
+    "class_parameters": lambda: class_parameters(SU2),
+    "class_spectrum": lambda: class_spectrum(SU2),
+}
+
+
+@pytest.mark.parametrize("name", list(SHAPE_CASES))
+def test_public_function_names_a_wrong_shape(name):
+    with pytest.raises(ValueError, match="expected a 4x4 matrix, got shape") as info:
+        SHAPE_CASES[name]()
+    assert info.type is ValueError
+
+
 def test_cases_are_valid_without_the_defect():
     # the same calls on the repaired inputs succeed, so each case above is
     # rejected for its defect and nothing else
