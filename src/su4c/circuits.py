@@ -23,7 +23,9 @@ from .gates import (
     PAULI_Z,
     ClassParams,
     _ENTRY_FRAME,
-    _exit_frame,
+    _R_HALF_Y,
+    _r_gates,
+    _rz_gates,
     canonical_v,
     embed,
     gate_matrix,
@@ -103,33 +105,8 @@ _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 _RZ_P = rz_gate(math.pi / 2.0)
 _RZ_M = rz_gate(-math.pi / 2.0)
 _H_RZ_P = _HADAMARD @ _RZ_P
-# The last layer does not depend on the class.
-_LAYER3 = (_RZ_M, _HADAMARD @ _RZ_M @ _ENTRY_FRAME)
-
-
-def _v_template_layers(cp: ClassParams) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Single-qubit layers (qubit0, qubit1) realizing the canonical block as
-
-        V ~ L0 . G . L1 . G . L2 . G . L3     (matrix order, ~ global phase)
-
-    The interaction core exp(i (beta XX + alpha YY + delta ZZ) / 2) comes
-    from the identities (C = CNOT(control 0) = (1 x H) CZ (1 x H),
-    CZ = i (Rz(pi/2) x Rz(pi/2)) G):
-
-        exp(i(b XX + d ZZ)/2)  = C (R(b, pi) x Rz(-d)) C
-        exp(i a YY / 2)        = (S x S) C (R(a, pi) x 1) C (S x S)^dag
-
-    whose two inner CNOTs collapse through
-    C (Rz(pi/2) x Rz(pi/2)) C = (Rz(pi/2) x 1) exp(-i pi/4 ZZ), with
-    exp(-i pi/4 ZZ) = e^{-i pi/4} (Z x Z) G. The canonical block's fixed
-    entry/exit frames on qubit 1 are merged into the boundary layers. Three
-    G applications for every class.
-    """
-    a, b, d = cp.alpha, cp.beta, cp.delta
-    layer0 = (_RZ_P, _exit_frame(d) @ _H_RZ_P)
-    layer1 = (r_gate(b, math.pi) @ _RZ_P @ PAULI_Z, _HADAMARD @ rz_gate(-d) @ PAULI_Z)
-    layer2 = (r_gate(a, math.pi) @ _RZ_P, _H_RZ_P)
-    return [layer0, layer1, layer2, _LAYER3]
+# The qubit-1 factor of layer L3 (see pulse_angles), which no class changes.
+_L3_1 = _HADAMARD @ _RZ_M @ _ENTRY_FRAME
 
 
 # (kind, target) of each pulse of every program in application order: 4
@@ -143,21 +120,75 @@ _R_THETA = math.pi / 2.0  # of every R pulse
 def pulse_angles(params: list[CircuitParams]) -> np.ndarray:
     """The pulse programs of the circuits as an angle table (N, 32): row k
     holds, in _TEMPLATE order, the phase of each R and the angle of each Rz
-    pulse of lower_to_pulses(params[k]). The outermost template layers are
-    merged into the single-qubit corrections, leaving four slots per qubit
-    around three G applications. Each slot is phase-normalized (the dropped
-    scalar only shifts the global phase) and written as r_pulse_triple and
-    an Rz. The 8N slots are read as one stack."""
-    slots = []
-    for p in params:
-        layers = _v_template_layers(p.class_params)
-        first = (layers[3][0] @ p.a.matrix(), layers[3][1] @ p.b.matrix())
-        last = (p.c.matrix() @ layers[0][0], p.d.matrix() @ layers[0][1])
-        slots.extend([*first, *layers[2], *layers[1], *last])
-    su, _ = _special_unitary_projection(np.array(slots).reshape(-1, 2, 2), DEFAULT_TOL)
+    pulse of lower_to_pulses(params[k]).
+
+    The canonical block is realized, up to global phase, as
+
+        V ~ L0 . G . L1 . G . L2 . G . L3     (matrix order)
+
+    with single-qubit layers (qubit 0, qubit 1)
+
+        L0 = (Rz(pi/2),             Rz(delta) R(pi/2, pi/2) H Rz(pi/2))
+        L1 = (R(beta, pi) Rz(pi/2) Z, H Rz(-delta) Z)
+        L2 = (R(alpha, pi) Rz(pi/2), H Rz(pi/2))
+        L3 = (Rz(-pi/2),            H Rz(-pi/2) E0)      (E0 as in canonical_v)
+
+    The interaction core exp(i (beta XX + alpha YY + delta ZZ) / 2) comes
+    from the identities (C = CNOT(control 0) = (1 x H) CZ (1 x H),
+    CZ = i (Rz(pi/2) x Rz(pi/2)) G):
+
+        exp(i(b XX + d ZZ)/2)  = C (R(b, pi) x Rz(-d)) C
+        exp(i a YY / 2)        = (S x S) C (R(a, pi) x 1) C (S x S)^dag
+
+    whose two inner CNOTs collapse through
+    C (Rz(pi/2) x Rz(pi/2)) C = (Rz(pi/2) x 1) exp(-i pi/4 ZZ), with
+    exp(-i pi/4 ZZ) = e^{-i pi/4} (Z x Z) G. The canonical block's fixed
+    entry and exit frames on qubit 1 are merged into L3 and L0, and L3 and
+    L0 into the corrections (A, B) and (C, D), leaving four slots per qubit
+    around three G applications for every class. Each slot is
+    phase-normalized (the dropped scalar only shifts the global phase) and
+    written as r_pulse_triple and an Rz.
+
+    The 8N slots are built as one stack: every R and Rz factor of the batch
+    comes from one _r_gates and one _rz_gates call, and each slot is the
+    product of its factors in the order one row alone would take them.
+    """
+    n = len(params)
+    letters = [g for p in params for g in (p.a, p.b, p.c, p.d)]
+    classes = [p.class_params for p in params]
+    alpha = [c.alpha for c in classes]
+    beta = [c.beta for c in classes]
+    delta = [c.delta for c in classes]
+    # rows: the 4N letters, then R(beta, pi) and R(alpha, pi); the 4N
+    # letters, then Rz(-delta) and Rz(delta)
+    r = _r_gates(
+        np.array([g.theta for g in letters] + beta + alpha),
+        np.array([g.phi for g in letters] + [math.pi] * (2 * n)),
+    )
+    rz = _rz_gates(np.array([g.phiz for g in letters] + [-d for d in delta] + delta))
+    signs = np.array([g.sign for g in letters])
+    local = (signs[:, None, None] * rz[: 4 * n]) @ r[: 4 * n]
+    a, b, c, d = local.reshape(n, 4, 2, 2).swapaxes(0, 1)
+    r_beta, r_alpha = r[4 * n : 5 * n], r[5 * n :]
+    rz_minus_delta, rz_delta = rz[4 * n : 5 * n], rz[5 * n :]
+    # application order: L3 after (A, B), L2, L1, then (C, D) after L0
+    slots = np.empty((n, 8, 2, 2), dtype=complex)
+    slots[:, 0] = _RZ_M @ a
+    slots[:, 1] = _L3_1 @ b
+    slots[:, 2] = r_alpha @ _RZ_P
+    slots[:, 3] = _H_RZ_P
+    slots[:, 4] = r_beta @ _RZ_P @ PAULI_Z
+    slots[:, 5] = _HADAMARD @ rz_minus_delta @ PAULI_Z
+    slots[:, 6] = c @ _RZ_P
+    slots[:, 7] = d @ (rz_delta @ _R_HALF_Y @ _H_RZ_P)
+    su, _ = _special_unitary_projection(slots.reshape(-1, 2, 2), DEFAULT_TOL)
     theta, phi, phiz, _ = np.array(_su2_params(su, DEFAULT_TOL)).reshape(-1, 4).T
-    slot = [(phi - _R_THETA) % math.tau, theta % math.tau, (phi + _R_THETA) % math.tau, phiz]
-    return np.stack(slot, axis=-1).reshape(len(params), 32)
+    out = np.empty((8 * n, 4))
+    out[:, 0] = (phi - _R_THETA) % math.tau
+    out[:, 1] = theta % math.tau
+    out[:, 2] = (phi + _R_THETA) % math.tau
+    out[:, 3] = phiz
+    return out.reshape(n, 32)
 
 
 def _pulses(row: np.ndarray) -> list[GateElement]:

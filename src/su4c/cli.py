@@ -41,7 +41,7 @@ from .experiment import (
     input_state,
     run_experiments,
 )
-from .haar import SeededRng, sample_su4
+from .haar import SeededRng, _sample_su4_many, sample_su4
 from .io import (
     _is_finite_number,
     circuit_to_obj,
@@ -247,9 +247,10 @@ def _cmd_benchmark(args) -> int:
     for first in range(0, args.n, _CHUNK):
         chunk = range(first, min(first + _CHUNK, args.n))
         chunk_labels = [labels[order[index]] for index in chunk]
-        us = [sample_su4(streams[index], tol) for index in chunk]
-        angles = pulse_angles(decompose_many(np.array(us), tol))
-        ests = _estimates(angles, chunk_labels, streams[first:chunk.stop], noise, tol, args)
+        chunk_streams = streams[first : chunk.stop]
+        us = _sample_su4_many(chunk_streams, tol)
+        angles = pulse_angles(decompose_many(us, tol))
+        ests = _estimates(angles, chunk_labels, chunk_streams, noise, tol, args)
         psis = [u @ input_state(label) for u, label in zip(us, chunk_labels)]
         ideals = np.array([np.outer(psi, psi.conj()) for psi in psis])
         for index, label, f in zip(chunk, chunk_labels, _state_fidelities(ests, ideals)):

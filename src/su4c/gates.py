@@ -80,6 +80,25 @@ def rz_gate(phiz: float) -> np.ndarray:
     return np.array([[np.exp(-0.5j * phiz), 0.0], [0.0, np.exp(0.5j * phiz)]], dtype=complex)
 
 
+def _r_gates(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """r_gate of each (theta, phi) pair, as an (N, 2, 2) stack; each row
+    is built with r_gate's operations in r_gate's order."""
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    out = np.empty((len(theta), 2, 2), dtype=complex)
+    out[:, 0, 0] = out[:, 1, 1] = c
+    out[:, 0, 1] = -1j * np.exp(-1j * phi) * s
+    out[:, 1, 0] = -1j * np.exp(1j * phi) * s
+    return out
+
+
+def _rz_gates(phiz: np.ndarray) -> np.ndarray:
+    """rz_gate of each angle, as an (N, 2, 2) stack."""
+    out = np.zeros((len(phiz), 2, 2), dtype=complex)
+    out[:, 0, 0] = np.exp(-0.5j * phiz)
+    out[:, 1, 1] = np.exp(0.5j * phiz)
+    return out
+
+
 @dataclass(frozen=True)
 class GateElement:
     """One element of a pulse program.
@@ -155,10 +174,6 @@ _ENTRY_FRAME = rz_gate(-math.pi / 2.0) @ _R_HALF_Y @ rz_gate(-math.pi)
 _ENTRY_LAYER = _kron(_I2, _ENTRY_FRAME)
 
 
-def _exit_frame(delta: float) -> np.ndarray:
-    return rz_gate(delta) @ _R_HALF_Y
-
-
 def _canonical_phase(params: ClassParams) -> complex:
     """Quarter-turn phase convention of the canonical representative.
 
@@ -211,10 +226,7 @@ def _canonical_vs(classes: list[ClassParams]) -> np.ndarray:
     core = np.zeros((n, 4, 4), dtype=complex)
     core[:, diagonal, diagonal] = np.exp(1j * half)
     # the exit frames Rz(delta) R(pi/2, pi/2) on qubit 1
-    rz = np.zeros((n, 2, 2), dtype=complex)
-    rz[:, 0, 0] = np.exp(-0.5j * delta)
-    rz[:, 1, 1] = np.exp(0.5j * delta)
-    left = _kron(_I2, rz @ _R_HALF_Y)
+    left = _kron(_I2, _rz_gates(delta) @ _R_HALF_Y)
     phases = np.array([_canonical_phase(c) for c in classes], dtype=complex)
     return phases[:, None, None] * (left @ from_magic(core) @ _ENTRY_LAYER)
 

@@ -108,9 +108,10 @@ def kron(a, b) -> np.ndarray:
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # The elementwise multiply np.kron performs, without its shape handling;
-    # on (N, 2, 2) stacks, row by row.
+    # on stacks of square matrices, row by row.
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(*out.shape[:-4], 4, 4)
+    n = out.shape[-1] * out.shape[-2]
+    return out.reshape(*out.shape[:-4], n, n)
 
 
 def check_density_matrix(rho: np.ndarray, atol: float = 1e-10) -> np.ndarray:

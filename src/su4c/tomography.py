@@ -25,7 +25,7 @@ from .experiment import (
     _SETTING_FRAMES,
     input_state,
 )
-from .linalg import _as_complex
+from .linalg import _as_complex, _kron
 
 __all__ = [
     "reconstruct_state",
@@ -371,11 +371,13 @@ def reconstruct_process(
     return e
 
 
+_I4 = np.eye(4, dtype=complex)
+
+
 def _tp_correct(e: np.ndarray) -> np.ndarray:
     """Shift onto the trace-preserving set: block partial trace equals I."""
     tr = np.einsum("ikjk->ij", e.reshape(4, 4, 4, 4))
-    delta = np.eye(4, dtype=complex) - tr
-    return e + np.kron(delta, np.eye(4, dtype=complex)) / 4.0
+    return e + _kron(_I4 - tr, _I4) / 4.0
 
 
 def entanglement_fidelity(e1: np.ndarray, e2: np.ndarray) -> float:

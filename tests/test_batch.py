@@ -3,7 +3,8 @@ bit for bit.
 
 decompose_many and pulse_angles must give every row what decompose and
 lower_to_pulses give it alone, whatever the batch size, the order and the
-neighbours of the row. The exact-output corpus of test_compile_corpus is run
+neighbours of the row, and _sample_su4_many every stream what sample_su4
+draws from it. The exact-output corpus of test_compile_corpus is run
 through them in several batch sizes, each angle row hashed through its
 GateElement view, and must hash to the same CORPUS_SHA256.
 The linear reconstruction and the fidelities are checked against copies of
@@ -40,6 +41,7 @@ from su4c import (
 from su4c import compiler
 from su4c.circuits import _pulses
 from su4c.config import DEFAULT_TOL
+from su4c.haar import _sample_su4_many
 from su4c.tomography import (
     _POVM_ROWS,
     _collect_frequencies,
@@ -95,6 +97,14 @@ def test_degenerate_rows_do_not_depend_on_neighbours():
             alone = decompose(u)
             assert list(_fields(p)) == list(_fields(alone))
             assert list(_fields(_pulses(row))) == list(_fields(lower_to_pulses(alone)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 37])
+def test_stacked_draws_match_one_draw_per_stream(n):
+    got = _sample_su4_many(SeededRng(n).spawn(n))
+    assert got.shape == (n, 4, 4)
+    for k, stream in enumerate(SeededRng(n).spawn(n)):
+        assert got[k].tobytes() == sample_su4(stream).tobytes(), k
 
 
 class TestDecomposeManyBoundary:

@@ -1,24 +1,26 @@
 """Platform canary: the numpy primitives the stacked kernels rely on give each
 row of a stack, bit for bit, what they give that row alone.
 
-decompose_many, pulse_angles, _reconstruct_states (linear and MLE) and
-_state_fidelities are bit-identical to one-at-a-time calls only because of
-these equalities; pulse_angles also reduces its phases with np.remainder where
-r_pulse_triple uses Python's %. They
-hold for numpy 2.4 on OpenBLAS 0.3.31, but they are not promised by numpy or
-by BLAS, so each one is asserted here on seeded stacks: an upgrade that
-breaks one fails the test named after it, not only an opaque digest in
-test_compile_corpus. Steps whose batched form rounds differently from the
-scalar form their outputs are pinned to (np.arccos against math.acos, np.abs
-against the abs of a complex scalar in su2_params, the power of a numpy
-scalar, lstsq with many right-hand sides under threaded BLAS) stay per row
-in the kernels and are not listed here.
+decompose_many, pulse_angles, _sample_su4_many, _reconstruct_states (linear
+and MLE) and _state_fidelities are bit-identical to one-at-a-time calls only
+because of these equalities; pulse_angles also reduces its phases with
+np.remainder where r_pulse_triple uses Python's %. They hold for numpy 2.4
+on OpenBLAS 0.3.31, but they are not promised by numpy or by BLAS, so each
+one is asserted here on seeded stacks: an upgrade that breaks one fails the
+test named after it, not only an opaque digest in test_compile_corpus.
+Steps whose batched form rounds differently from the scalar form their
+outputs are pinned to (np.arccos against math.acos, np.abs against the abs
+of a complex scalar in su2_params, the power of a numpy scalar, lstsq with
+many right-hand sides under threaded BLAS) stay per row in the kernels and
+are not listed here.
 """
 
 import math
 
 import numpy as np
 import pytest
+
+from su4c.gates import _r_gates, _rz_gates, r_gate, rz_gate
 
 N = 64
 
@@ -238,3 +240,69 @@ def test_log_of_stack():
     got = np.log(x)
     for k in range(N):
         assert same(got[k], np.log(x[k])), k
+
+
+# The stacked Haar draws (_sample_su4_many) factor and phase-fix a whole
+# chunk at once; each row must be what the one-draw call gives.
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_stacked_qr(n):
+    m = complex_stack(gen(21))[:n] / math.sqrt(2.0)
+    q, r = np.linalg.qr(m)
+    for k in range(n):
+        q1, r1 = np.linalg.qr(m[k])
+        assert same(q[k], q1) and same(r[k], r1), k
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_diagonal_phases(n):
+    _, r = np.linalg.qr(complex_stack(gen(22))[:n])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    phases = d / np.abs(d)
+    for k in range(n):
+        d1 = np.diagonal(r[k])
+        assert same(phases[k], d1 / np.abs(d1)), k
+
+
+# pulse_angles builds every R and Rz factor of a batch in one stacked call
+# and multiplies the (N, 2, 2) stacks with the template's constant factors;
+# each row must be what r_gate, rz_gate and the one-row products give. The
+# angles are Python floats, as the letters hold them, with 0, -0, pi/2 and
+# pi mixed in, and phi = pi (the class layers' phase) on every other row.
+
+
+def angle_list(seed, n):
+    x = gen(seed).uniform(-2.0 * math.pi, 2.0 * math.pi, size=n).tolist()
+    return [[0.0, math.pi, -0.0, math.pi / 2.0][k % 4] if k % 3 == 0 else v for k, v in enumerate(x)]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_r_gates_against_r_gate(n):
+    theta, phi = angle_list(23, n), angle_list(24, n)
+    phi[::2] = [math.pi] * len(phi[::2])
+    got = _r_gates(np.array(theta), np.array(phi))
+    for k in range(n):
+        assert same(got[k], r_gate(theta[k], phi[k])), k
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_rz_gates_against_rz_gate(n):
+    phiz = angle_list(25, n)
+    got = _rz_gates(np.array(phiz))
+    for k in range(n):
+        assert same(got[k], rz_gate(phiz[k])), k
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_signed_2x2_products(n):
+    g = gen(26)
+    a, b, c = complex_stack(g, 2)[:n], complex_stack(g, 2)[:n], complex_stack(g, 2)[-1]
+    a[0, 0, 0] = complex(-0.0, 0.0)  # a signed zero the sign flip must keep
+    signs = g.choice([-1, 1], size=n)
+    signed = (signs[:, None, None] * a) @ b
+    left, right, chain = c @ a, a @ c, a @ c @ c.T
+    for k in range(n):
+        assert same(signed[k], (int(signs[k]) * a[k]) @ b[k]), k
+        assert same(left[k], c @ a[k]) and same(right[k], a[k] @ c), k
+        assert same(chain[k], a[k] @ c @ c.T), k

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from su4c import cli, compiler
+from su4c import circuits, cli, compiler, haar
 from su4c.cli import EXIT_NOT_UNITARY, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
 from su4c.compiler import decompose, verify
 from su4c.config import ENV_TOLERANCE
@@ -304,6 +304,14 @@ class TestBenchmark:
         code, _, _ = run_cli(capsys, "benchmark", "--n", "32", "--noise", "calibrated")
         assert code == EXIT_OK
         assert calls == []
+
+    def test_one_stacked_draw_and_lowering_per_chunk(self, capsys, monkeypatch):
+        draws = count_calls(monkeypatch, haar._sample_su4_many)
+        lowerings = count_calls(monkeypatch, circuits.pulse_angles)
+        code, _, _ = run_cli(capsys, "benchmark", "--n", "32", "--noise", "calibrated")
+        assert code == EXIT_OK
+        assert [len(streams) for streams, *_ in draws] == [16, 16]
+        assert [len(params) for params, *_ in lowerings] == [16, 16]
 
     def test_csv_export(self, capsys, tmp_path):
         csv_path = tmp_path / "ops.csv"

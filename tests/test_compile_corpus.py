@@ -12,7 +12,11 @@ classes and Weyl-chamber face, edge and corner classes, each with random
 single-qubit dressing and a random global phase, half of them perturbed by
 1e-9 to 1e-5 (both sides of the 1e-6 eigenvalue-pairing tolerance).
 
-Re-capture the literal only in a change that means to move compiler outputs
+PULSE_SHA256 pins the raw bytes of the (368, 32) angle table pulse_angles
+returns for the whole corpus in one stacked call, so its lowering is checked
+on every degenerate class, not only through the one-row GateElement view.
+
+Re-capture a literal only in a change that means to move compiler outputs
 (ROADMAP item 6), and record the old and the new digest in CHANGES.md.
 """
 
@@ -23,9 +27,18 @@ import math
 import numpy as np
 from chamber import FACE_PATTERNS, face_angles, interaction
 
-from su4c import SeededRng, decompose, lower_to_pulses, nearest_unitary, sample_su4, verify
+from su4c import (
+    SeededRng,
+    decompose,
+    lower_to_pulses,
+    nearest_unitary,
+    pulse_angles,
+    sample_su4,
+    verify,
+)
 
 CORPUS_SHA256 = "4a0a66493862ac3ccdcb1b24402363e0ad6a1da076ad204635fed75411cbe2a6"
+PULSE_SHA256 = "b6b3f29cbb12952536af140091b9c9af64d9a4e672a3ed269af4b497f9f0e161"
 
 _S, _T = (1 + 1j) / 2, (1 - 1j) / 2
 NAMED = (
@@ -100,3 +113,9 @@ def corpus_digest(inputs) -> str:
 
 def test_compile_outputs_are_unchanged():
     assert corpus_digest(corpus()) == CORPUS_SHA256
+
+
+def test_pulse_angle_table_is_unchanged():
+    angles = pulse_angles([decompose(u) for u in corpus()])
+    assert angles.shape == (368, 32) and angles.dtype == np.float64
+    assert hashlib.sha256(angles.tobytes()).hexdigest() == PULSE_SHA256
