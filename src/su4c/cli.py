@@ -38,8 +38,8 @@ from .experiment import (
     TOMOGRAPHY_INPUT_LABELS,
     NoiseModel,
     _exact_experiments,
+    _sample_counts,
     input_state,
-    run_experiments,
 )
 from .haar import SeededRng, _sample_su4_many, sample_su4
 from .io import (
@@ -53,7 +53,7 @@ from .io import (
 )
 from .linalg import is_unitary, nearest_unitary
 from .tomography import (
-    _reconstruct_states,
+    _estimate_states,
     _state_fidelities,
     entanglement_fidelity,
     mean_fidelity_from_entanglement,
@@ -84,6 +84,12 @@ def _resolve_tolerances(args) -> Tolerances:
     if getattr(args, "tolerance", None) is not None:
         tol = _with_verify_distance(tol, args.tolerance, "--tolerance")
     return tol
+
+
+def _tolerance_keys(tol: Tolerances) -> dict:
+    """All tolerances but the CP/TP loop's, which no option sets and which
+    came after the report layout: reports keep their bytes."""
+    return {k: v for k, v in asdict(tol).items() if not k.startswith("cptp_")}
 
 
 def _resolve_noise(source: str) -> tuple[NoiseModel, dict]:
@@ -172,7 +178,7 @@ def _cmd_compile(args) -> int:
     out = {
         "command": "compile",
         "input_hash": input_hash,
-        "tolerances": asdict(tol),
+        "tolerances": _tolerance_keys(tol),
         "circuit": circuit_to_obj(params),
         "verify": {
             "distance": report.distance,
@@ -216,10 +222,10 @@ def _estimates(angles, labels, rngs, noise, tol, args) -> np.ndarray:
     """Reconstructed output states (N, 4, 4) of each program run on its
     label, sampled with its rng or exact, as the arguments ask."""
     if args.exact_probabilities:
-        results = _exact_experiments(angles, labels)
+        counts = _exact_experiments(angles, labels)
     else:
-        results = run_experiments(angles, labels, noise, args.shots, rngs)
-    return _reconstruct_states(results, args.method, tol)
+        counts = _sample_counts(angles, labels, noise, args.shots, rngs)
+    return _estimate_states(counts, args.method, tol)
 
 
 def _cmd_benchmark(args) -> int:
@@ -260,7 +266,7 @@ def _cmd_benchmark(args) -> int:
     out = {
         **header,
         "input_hash": input_hash,
-        "tolerances": asdict(tol),
+        "tolerances": _tolerance_keys(tol),
         "operations": operations,
         "mean_fidelity": float(arr.mean()),
         "std_fidelity": float(arr.std()),
@@ -293,7 +299,7 @@ def _cmd_process_tomo(args) -> int:
         "command": "process-tomo",
         **keys,
         "input_hash": input_hash,
-        "tolerances": asdict(tol),
+        "tolerances": _tolerance_keys(tol),
         "entanglement_fidelity": f_ent,
         "mean_state_fidelity": mean_state_fidelity(est, ideal),
         "mean_fidelity_from_entanglement": mean_fidelity_from_entanglement(f_ent),

@@ -53,6 +53,10 @@ class Tolerances:
     prob_floor:
         Probabilities are clamped to at least this value inside likelihood
         computations.
+    cptp_max_rounds:
+        Round cap of the CP/TP correction loop of process reconstruction.
+    cptp_negative_eigenvalue:
+        That loop stops once no eigenvalue is below minus this value.
     """
 
     unitarity: float = 1e-8
@@ -68,6 +72,8 @@ class Tolerances:
     mle_stop: float = 1e-10
     mle_max_iter: int = 2000
     prob_floor: float = 1e-12
+    cptp_max_rounds: int = 200
+    cptp_negative_eigenvalue: float = 1e-12
 
 
 DEFAULT_TOL = Tolerances()

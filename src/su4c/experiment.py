@@ -4,10 +4,12 @@ two-qubit Pauli settings.
 
 run_experiments samples the nine settings' counts of many programs in one
 call, and run_experiment is its one-program case; exact_experiment returns
-the exact Born probabilities of a noiseless program. A program is its row of
-32 angles on the fixed pulse template, as pulse_angles emits it, compiled by
-the caller once per operation. apply_channel applies one noise realization
-of a program to a density matrix.
+the exact Born probabilities of a noiseless program. Their record lists are
+the public form of the (N, 9, 4) arrays the package passes from the sampler
+to the estimators. A program is its row of 32 angles on the fixed pulse
+template, as pulse_angles emits it, compiled by the caller once per
+operation. apply_channel applies one noise realization of a program to a
+density matrix.
 
 Noise model, applied to a lowered pulse sequence:
   * every R pulse's rotation angle is scaled by (1 + eps) with eps drawn
@@ -287,19 +289,26 @@ def apply_channel(
 
 def _records(counts, shots: int) -> list[MeasurementRecord]:
     return [
-        MeasurementRecord(setting, tuple(np.asarray(c).tolist()), shots)
+        MeasurementRecord(setting, tuple(c.tolist()), shots)
         for setting, c in zip(MEASUREMENT_SETTINGS, counts)
     ]
 
 
-def _check_shots(shots_per_setting) -> int:
-    if (
-        isinstance(shots_per_setting, bool)
-        or not isinstance(shots_per_setting, (int, np.integer))
-        or shots_per_setting <= 0
-    ):
-        raise ValueError(f"shots_per_setting must be a positive int, got {shots_per_setting!r}")
-    return int(shots_per_setting)
+def _sample_counts(angles, labels, noise: NoiseModel, shots, rngs) -> np.ndarray:
+    """The counts (N, 9, 4) of the program angles[i] run on labels[i]:
+    one multinomial of shots per setting, drawn from rngs[i]."""
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots <= 0:
+        raise ValueError(f"shots_per_setting must be a positive int, got {shots!r}")
+    table = _angle_table(angles, 2)
+    if not len(table) == len(labels) == len(rngs):
+        raise ValueError(
+            f"{len(table)} programs, {len(labels)} labels and {len(rngs)} rngs: "
+            "one label and one rng per program"
+        )
+    if not len(table):
+        return np.zeros((0, 9, 4), dtype=np.int64)
+    p = _outcome_probabilities(table, labels, noise)
+    return np.array([rng.generator.multinomial(shots, pi) for pi, rng in zip(p, rngs)])
 
 
 def run_experiments(
@@ -318,19 +327,11 @@ def run_experiments(
     Multinomial(shots, p) with p its exact outcome distribution under the
     noise model; each program draws them as one multinomial over its nine
     settings from its own rng. Each program's records depend only on its
-    own arguments, not on the others in the call.
+    own arguments, not on the others in the call. The public record form of
+    the package's (N, 9, 4) count sampler.
     """
-    shots = _check_shots(shots_per_setting)
-    table = _angle_table(angles, 2)
-    if not len(table) == len(labels) == len(rngs):
-        raise ValueError(
-            f"{len(table)} programs, {len(labels)} labels and {len(rngs)} rngs: "
-            "one label and one rng per program"
-        )
-    if not len(table):
-        return []
-    p = _outcome_probabilities(table, labels, noise)
-    return [_records(rng.generator.multinomial(shots, pi), shots) for pi, rng in zip(p, rngs)]
+    counts = _sample_counts(angles, labels, noise, shots_per_setting, rngs)
+    return [_records(c, int(shots_per_setting)) for c in counts]
 
 
 def run_experiment(
@@ -346,15 +347,15 @@ def run_experiment(
     return run_experiments(_angle_table(angles, 1)[None], [label], noise, shots_per_setting, [rng])[0]
 
 
-def _exact_experiments(angles, labels) -> list[list[MeasurementRecord]]:
-    """exact_experiment of each angle row on its label, in one stacked pass."""
-    return [_records(p, 1) for p in _outcome_probabilities(angles, labels, NoiseModel())]
+def _exact_experiments(angles, labels) -> np.ndarray:
+    """The exact Born probabilities (N, 9, 4) of noiseless angle rows."""
+    return _outcome_probabilities(angles, labels, NoiseModel())
 
 
 def exact_experiment(angles: np.ndarray, label: Sequence[str]) -> list[MeasurementRecord]:
     """Infinite-shot records of the noiseless program, an angle row (32,):
     the records carry exact Born probabilities instead of sampled counts."""
-    return _exact_experiments(_angle_table(angles, 1)[None], [label])[0]
+    return _records(_exact_experiments(_angle_table(angles, 1)[None], [label])[0], 1)
 
 
 # Stored profile for demonstration runs: tuned so the packaged benchmark's

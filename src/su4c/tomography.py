@@ -1,8 +1,9 @@
 """State and process tomography for two qubits, plus fidelity measures.
 
-State reconstruction consumes the nine-setting measurement records produced
-by the experiment module and shares its prerotation convention, so the
-POVM elements here are by construction the ones the counts were drawn from.
+State reconstruction consumes the nine-setting counts of the experiment
+module (an (N, 9, 4) array; record lists at the public boundary) and shares
+its prerotation convention, so the POVM elements here are by construction
+the ones the counts were drawn from.
 
 The process matrix convention: a channel E acting on two qubits is stored
 as the 16x16 block matrix whose (i, j) block (rows 4i..4i+3, columns
@@ -50,14 +51,23 @@ _POVM_STACK.flags.writeable = False
 _POVM_ROWS.flags.writeable = False
 
 
-class _Frequencies(NamedTuple):
-    """What MLE reads of nine records: the outcomes that occurred, in
-    _POVM_STACK order, each weighted by its record's shot count."""
+# The linear estimate of a frequency row f (36,) is vec(rho) = _LINEAR_MAP f,
+# the least-squares solution against _POVM_ROWS. Every entry of the
+# pseudo-inverse is an integer over 36, so the map is that integer table. It
+# stays in C order: a row's sum runs along memory, so the order sets its bits.
+_LINEAR_MAP = np.rint(36.0 * np.linalg.pinv(_POVM_ROWS)) / 36.0 + 0.0  # + 0.0 drops signed zeros
+_LINEAR_MAP.flags.writeable = False
 
-    rows: np.ndarray  # (n, 16) rows of _POVM_ROWS of the outcomes seen
-    ops: np.ndarray  # (n, 16) their projectors, flattened
-    weights: np.ndarray  # (n,) record weight times frequency
-    total_weight: float
+
+class _Frequencies(NamedTuple):
+    """What MLE reads of a stack of B records with the same number n of
+    seen outcomes: those outcomes, in _POVM_STACK order, each weighted by
+    its record's shot count."""
+
+    rows: np.ndarray  # (B, n, 16) rows of _POVM_ROWS of the outcomes seen
+    ops: np.ndarray  # (B, n, 16) their projectors, flattened
+    weights: np.ndarray  # (B, n) record weight times frequency
+    total_weight: np.ndarray  # (B, 1, 1), to divide a stack of R operators
 
 
 def _count_table(counts, shape: tuple) -> "np.ndarray | None":
@@ -71,43 +81,40 @@ def _count_table(counts, shape: tuple) -> "np.ndarray | None":
     return c if ok else None
 
 
-def _frequency_table(records: Sequence[MeasurementRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """The frequencies (36,) of the records in _POVM_STACK order and the
-    shots (9,) of each setting; all nine settings must be present exactly
-    once, each with four finite counts >= 0 and a positive total."""
-    seen = {}
-    for rec in records:
-        setting = (rec.setting[0], rec.setting[1])
-        if setting not in MEASUREMENT_SETTINGS:
-            raise ValueError(f"unknown measurement setting {setting}")
-        if setting in seen:
-            raise ValueError(f"duplicate measurement setting {setting}")
-        seen[setting] = rec
-    missing = [s for s in MEASUREMENT_SETTINGS if s not in seen]
-    if missing:
-        raise ValueError(f"records missing settings {missing}")
-    ordered = [seen[s] for s in MEASUREMENT_SETTINGS]
-    counts = _count_table([rec.counts for rec in ordered], (9, 4))
+def _count_array(records_list: Sequence[Sequence[MeasurementRecord]]) -> np.ndarray:
+    """The counts (N, 9, 4) of each list of records, in MEASUREMENT_SETTINGS
+    order; every list must hold all nine settings exactly once, each with
+    four finite counts >= 0 and a positive total."""
+    ordered = []
+    for records in records_list:
+        seen = {}
+        for rec in records:
+            setting = (rec.setting[0], rec.setting[1])
+            if setting not in MEASUREMENT_SETTINGS:
+                raise ValueError(f"unknown measurement setting {setting}")
+            if setting in seen:
+                raise ValueError(f"duplicate measurement setting {setting}")
+            seen[setting] = rec
+        missing = [s for s in MEASUREMENT_SETTINGS if s not in seen]
+        if missing:
+            raise ValueError(f"records missing settings {missing}")
+        ordered += [seen[s] for s in MEASUREMENT_SETTINGS]
+    counts = _count_table([rec.counts for rec in ordered] or np.zeros((0, 4)), (len(ordered), 4))
     if counts is None:  # name the first bad record
         bad = next(rec for rec in ordered if _count_table(rec.counts, (4,)) is None)
         raise ValueError(
             f"record {bad.setting} has counts {bad.counts!r}, "
             "not four finite counts >= 0 with a positive total"
         )
-    shots = np.cumsum(counts, axis=1)[:, -1]  # added left to right, as sum() adds
-    return (counts / shots[:, None]).reshape(36), shots
+    return counts.reshape(-1, 9, 4)
 
 
-def _collect_frequencies(records: Sequence[MeasurementRecord]) -> _Frequencies:
-    """The MLE data of the records, checked as _frequency_table checks them."""
-    freqs, shots = _frequency_table(records)
-    keep = freqs > 0.0
-    return _Frequencies(
-        rows=_POVM_ROWS[keep],
-        ops=_POVM_STACK[keep].reshape(-1, 16),
-        weights=(np.repeat(shots, 4) * freqs)[keep],
-        total_weight=sum(shots.tolist()),
-    )
+def _frequency_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The frequencies (N, 36) of a count array (N, 9, 4) in _POVM_STACK
+    order and the shots (N, 9) of each setting."""
+    counts = np.asarray(counts, dtype=float)
+    shots = np.cumsum(counts, axis=-1)[..., -1]  # added left to right, as sum() adds
+    return (counts / shots[..., None]).reshape(-1, 36), shots
 
 
 def _clip_to_density(m: np.ndarray) -> np.ndarray:
@@ -122,33 +129,26 @@ def _clip_to_density(m: np.ndarray) -> np.ndarray:
     return (vecs * (vals / totals[:, None])[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def _linear_estimates(freqs) -> np.ndarray:
-    """Linear estimates of the rows of an (N, 36) frequency table: one
-    least-squares solve per row, then the batched clip. A single solve with
-    N right-hand sides rounds some rows differently once multithreaded BLAS
-    splits the columns (seen from N = 512 on two threads), so each
-    row keeps the bits of its one-row solve whatever the batch."""
-    vecs = [np.linalg.lstsq(_POVM_ROWS, row.astype(complex), rcond=None)[0] for row in freqs]
-    return _clip_to_density(np.array(vecs, dtype=complex).reshape(-1, 4, 4))
-
-
-def _stack_frequencies(datas: Sequence[_Frequencies]) -> _Frequencies:
-    """Records with the same number n of seen outcomes as one _Frequencies
-    whose fields carry a leading axis: (B, n, 16), (B, n, 16), (B, n), and
-    the total weights as (B, 1, 1), to divide a stack of R operators."""
-    rows, ops, weights, totals = (np.array(field) for field in zip(*datas))
-    return _Frequencies(rows, ops, weights, totals.reshape(-1, 1, 1))
+def _linear_estimates(counts: np.ndarray) -> np.ndarray:
+    """Linear estimates of the records of a count array (N, 9, 4): the
+    fixed pseudo-inverse _LINEAR_MAP applied to each frequency row, then
+    the batched clip. The map is an elementwise product and a sum over
+    each row's own axis, with no BLAS call, so a row's bits depend neither
+    on the batch nor on the BLAS thread count."""
+    freqs, _ = _frequency_rows(counts)
+    vecs = (freqs[:, None, :] * _LINEAR_MAP).sum(axis=-1)
+    return _clip_to_density(vecs.reshape(-1, 4, 4))
 
 
 def _take(data: _Frequencies, index: np.ndarray) -> _Frequencies:
     return _Frequencies(*(field[index] for field in data))
 
 
-# The functions below take one record (rho (4, 4), fields as in _Frequencies)
-# or a stack (rho (B, 4, 4), fields with a leading axis, as
-# _stack_frequencies builds them). Every product is a matmul whose slices
-# are the gemv, dot or gemm of the one-record call, so a stacked record gets
-# the bits it gets alone; tests/test_batch_primitives.py pins each.
+# The functions below take one record (rho (4, 4), fields without the
+# leading axis) or a stack (rho (B, 4, 4), fields as _mle_estimates builds
+# them). Every product is a matmul whose slices are the gemv, dot or gemm of
+# the one-record call, so a stacked record gets the bits it gets alone;
+# tests/test_batch_primitives.py pins each.
 
 
 def _probabilities(rho: np.ndarray, data: _Frequencies, floor: float) -> np.ndarray:
@@ -172,29 +172,31 @@ def _normalized(m: np.ndarray) -> np.ndarray:
     return m / m.trace(axis1=-2, axis2=-1).real[..., None, None]
 
 
-def _mle_estimate(
-    data: _Frequencies, tol: Tolerances, trace: "list | None" = None
-) -> np.ndarray:
-    """MLE state of one record; the one-row case of _mle_estimates."""
-    return _mle_estimates([data], tol, None if trace is None else [trace])[0]
-
-
 def _mle_estimates(
-    datas: Sequence[_Frequencies], tol: Tolerances, traces: "Sequence[list] | None" = None
+    counts: np.ndarray, tol: Tolerances, traces: "Sequence[list] | None" = None
 ) -> np.ndarray:
-    """MLE state of each record, as an (N, 4, 4) stack. traces, if given,
-    holds one list per record, which gets the log-likelihood of the start
-    and of every accepted step.
+    """MLE state of each record of a count array (N, 9, 4), as an (N, 4, 4)
+    stack. traces, if given, holds one list per record, which gets the
+    log-likelihood of the start and of every accepted step.
 
     The records are stacked by their number of seen outcomes: padding the
     smaller ones with zero rows would change the rounding of their sums."""
-    rhos = np.empty((len(datas), 4, 4), dtype=complex)
-    groups: dict = {}
-    for k, data in enumerate(datas):
-        groups.setdefault(len(data.weights), []).append(k)
-    for index in groups.values():
-        group_traces = None if traces is None else [traces[k] for k in index]
-        rhos[index] = _mle_stack(_stack_frequencies([datas[k] for k in index]), tol, group_traces)
+    freqs, shots = _frequency_rows(counts)
+    weights = np.repeat(shots, 4, axis=-1) * freqs
+    totals = np.cumsum(shots, axis=-1)[:, -1].reshape(-1, 1, 1)
+    seen = np.count_nonzero(freqs > 0.0, axis=-1)
+    rhos = np.empty((len(freqs), 4, 4), dtype=complex)
+    for n in sorted(set(seen.tolist())):
+        index = np.flatnonzero(seen == n)
+        cols = np.nonzero(freqs[index] > 0.0)[1].reshape(len(index), n)  # the outcomes seen
+        data = _Frequencies(
+            rows=_POVM_ROWS[cols],
+            ops=_POVM_STACK.reshape(36, 16)[cols],
+            weights=np.take_along_axis(weights[index], cols, axis=-1),
+            total_weight=totals[index],
+        )
+        group_traces = None if traces is None else [traces[k] for k in index.tolist()]
+        rhos[index] = _mle_stack(data, tol, group_traces)
     return _clip_to_density(rhos)
 
 
@@ -257,8 +259,9 @@ def reconstruct_state(
 ) -> np.ndarray:
     """Density matrix from counts over the nine measurement settings.
 
-    method "linear": least-squares inversion of the Born equations followed
-    by a projection to the physical set (eigenvalue clip + renormalize).
+    method "linear": the least-squares inversion of the Born equations,
+    applied as one fixed pseudo-inverse, followed by a projection to the
+    physical set (eigenvalue clip + renormalize).
     method "mle": maximum likelihood by iterated R rho R updates, with the
     step diluted toward the identity whenever it would lower the
     likelihood, so the log-likelihood is non-decreasing.
@@ -273,10 +276,15 @@ def _reconstruct_states(
 ) -> np.ndarray:
     """reconstruct_state of each record list, as an (N, 4, 4) stack; each
     record gets the bits it gets alone."""
+    return _estimate_states(_count_array(records_list), method, tol)
+
+
+def _estimate_states(counts: np.ndarray, method: str, tol: Tolerances) -> np.ndarray:
+    """The estimated states (N, 4, 4) of a count array (N, 9, 4)."""
     if method == "linear":
-        return _linear_estimates([_frequency_table(records)[0] for records in records_list])
+        return _linear_estimates(counts)
     if method == "mle":
-        return _mle_estimates([_collect_frequencies(r) for r in records_list], tol)
+        return _mle_estimates(counts, tol)
     raise ValueError(f"unknown reconstruction method {method!r}")
 
 
@@ -334,7 +342,9 @@ def reconstruct_process(
     the operator space, normally the 16 labels in TOMOGRAPHY_INPUT_LABELS.
     The linear inversion is followed by hermitization, an optional clip of
     the negative part (complete positivity), and a trace-preservation
-    correction. On exact data of a unitary channel all three are no-ops.
+    correction, alternated for at most tol.cptp_max_rounds rounds until no
+    eigenvalue is below -tol.cptp_negative_eigenvalue. On exact data of a
+    unitary channel all three are no-ops.
     """
     if len(pairs) < 16:
         raise ValueError("need at least 16 input/output pairs")
@@ -362,9 +372,9 @@ def reconstruct_process(
         # the orthogonal projection onto its constraint set, so the pair
         # converges to a matrix satisfying both. Exact data breaks out at
         # the first check.
-        for _ in range(200):
+        for _ in range(tol.cptp_max_rounds):
             vals, vecs = np.linalg.eigh(e)
-            if vals[0] > -1e-12:
+            if vals[0] > -tol.cptp_negative_eigenvalue:
                 break
             e = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
             e = _tp_correct(e)

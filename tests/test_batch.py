@@ -7,9 +7,12 @@ neighbours of the row, and _sample_su4_many every stream what sample_su4
 draws from it. The exact-output corpus of test_compile_corpus is run
 through them in several batch sizes, each angle row hashed through its
 GateElement view, and must hash to the same CORPUS_SHA256.
-The linear reconstruction and the fidelities are checked against copies of
-the one-matrix code they replaced, and the stacked MLE against the
-one-record kernel of test_tomography.
+The linear reconstruction is checked against the one-row map and the
+one-matrix clip, and against the least-squares solve the map replaced, to
+rounding; the fidelities against a copy of the one-matrix code they
+replaced, and the stacked MLE against the one-record kernel of
+test_tomography. The public record path must give each record what the
+(N, 9, 4) count array core gives its row.
 """
 
 import hashlib
@@ -18,10 +21,11 @@ import numpy as np
 import pytest
 from born import exact_records
 from test_compile_corpus import CORPUS_SHA256, NAMED, _dress, _fields, corpus
-from test_tomography import assert_stacked_mle_matches_one_record, random_density
+from test_tomography import assert_stacked_mle_matches_one_record, count_table, random_density
 
 from su4c import (
     CALIBRATED_NOISE,
+    MEASUREMENT_SETTINGS,
     MeasurementRecord,
     TOMOGRAPHY_INPUT_LABELS,
     NotUnitaryError,
@@ -43,9 +47,9 @@ from su4c.circuits import _pulses
 from su4c.config import DEFAULT_TOL
 from su4c.haar import _sample_su4_many
 from su4c.tomography import (
+    _LINEAR_MAP,
     _POVM_ROWS,
-    _collect_frequencies,
-    _frequency_table,
+    _estimate_states,
     _linear_estimates,
     _reconstruct_states,
     _state_fidelities,
@@ -142,18 +146,40 @@ class TestDecomposeManyBoundary:
         assert decompose_many(us) == [decompose(u) for u in us]
 
 
-def one_matrix_linear(records):
-    """The one-matrix linear estimate that _reconstruct_states replaced."""
-    return one_matrix_linear_freqs(_frequency_table(records)[0])
+def table_frequencies(table):
+    """The frequencies (36,) of one count table (9, 4), each setting's
+    counts over their total, added left to right."""
+    table = np.asarray(table, dtype=float)
+    shots = np.cumsum(table, axis=1)[:, -1]
+    return (table / shots[:, None]).reshape(36)
 
 
-def one_matrix_linear_freqs(freqs):
-    vec, *_ = np.linalg.lstsq(_POVM_ROWS, np.asarray(freqs, dtype=complex), rcond=None)
+def one_matrix_clip(vec):
+    """The one-matrix eigenvalue clip that _clip_to_density stacks."""
     m = vec.reshape(4, 4)
     vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
     vals = np.clip(vals, 0.0, None)
     total = float(np.sum(vals))
     return (vecs * (vals / total)) @ vecs.conj().T
+
+
+def one_matrix_linear_freqs(freqs):
+    """The linear estimate of one frequency row (36,): the map applied to
+    that row alone, then the one-matrix clip."""
+    return one_matrix_clip((np.asarray(freqs)[None, :] * _LINEAR_MAP).sum(axis=-1))
+
+
+def lstsq_linear_freqs(freqs):
+    """The per-record least-squares solve the map replaced: equal to
+    one_matrix_linear_freqs only to rounding."""
+    vec, *_ = np.linalg.lstsq(_POVM_ROWS, np.asarray(freqs, dtype=complex), rcond=None)
+    return one_matrix_clip(vec)
+
+
+def one_matrix_linear(records):
+    """The one-matrix linear estimate of nine records in setting order."""
+    assert [rec.setting for rec in records] == list(MEASUREMENT_SETTINGS)
+    return one_matrix_linear_freqs(table_frequencies([rec.counts for rec in records]))
 
 
 def one_matrix_sqrt(rho):
@@ -197,6 +223,8 @@ def test_linear_reconstruction_and_fidelities_match_one_matrix_code():
             for k, recs in enumerate(chunk):
                 want = one_matrix_linear(recs)
                 assert ests[k].tobytes() == want.tobytes()
+                freqs = table_frequencies([rec.counts for rec in recs])
+                assert np.max(np.abs(want - lstsq_linear_freqs(freqs))) <= 1e-14
                 assert ests[k].tobytes() == reconstruct_state(recs).tobytes()
                 ideal = ideals[start + k]
                 assert fids[k] == one_matrix_fidelity(want, ideal)
@@ -207,11 +235,12 @@ def test_many_random_tables_and_states():
     # enough rows that a rounding difference of a primitive that differs in
     # about 1 case of 1000 would show
     g = np.random.default_rng(44)
-    counts = g.multinomial(100, np.full(4, 0.25), size=(2000, 9)).astype(float)
-    freqs = (counts / 100.0).reshape(-1, 36)
-    ests = _linear_estimates(freqs)
-    for k in range(len(freqs)):
-        assert ests[k].tobytes() == one_matrix_linear_freqs(freqs[k]).tobytes()
+    counts = g.multinomial(100, np.full(4, 0.25), size=(2000, 9))
+    ests = _linear_estimates(counts)
+    for k in range(len(counts)):
+        freqs = table_frequencies(counts[k])
+        assert ests[k].tobytes() == one_matrix_linear_freqs(freqs).tobytes()
+        assert np.max(np.abs(ests[k] - lstsq_linear_freqs(freqs))) <= 1e-14
     half = len(ests) // 2
     fids = _state_fidelities(ests[:half], ests[half:])
     for k in range(half):
@@ -256,19 +285,49 @@ def test_mle_reconstruction_matches_one_record_calls():
     ests = _reconstruct_states(records, "mle", DEFAULT_TOL)
     for est, recs in zip(ests, records):
         assert est.tobytes() == reconstruct_state(recs, "mle").tobytes()
-    datas = [_collect_frequencies(recs) for recs in records]
-    assert len({len(data.weights) for data in datas}) >= 4
-    shuffled = list(np.random.default_rng(46).permutation(len(datas)))
-    for order in (range(len(datas)), range(len(datas))[::-1], shuffled):
-        traces = assert_stacked_mle_matches_one_record([datas[k] for k in order])
+    tables = [count_table(recs) for recs in records]
+    assert len({np.count_nonzero(table) for table in tables}) >= 4
+    shuffled = list(np.random.default_rng(46).permutation(len(tables)))
+    for order in (range(len(tables)), range(len(tables))[::-1], shuffled):
+        traces = assert_stacked_mle_matches_one_record([tables[k] for k in order])
         by_record = dict(zip(order, traces))
         # the premises: the capped record runs all mle_max_iter steps; the
         # last record ends early although its last gain was above mle_stop,
         # so it left on the no-ascent break
-        assert len(by_record[len(datas) - 2]) == DEFAULT_TOL.mle_max_iter + 1
-        last = by_record[len(datas) - 1]
+        assert len(by_record[len(tables) - 2]) == DEFAULT_TOL.mle_max_iter + 1
+        last = by_record[len(tables) - 1]
         assert len(last) <= DEFAULT_TOL.mle_max_iter
         assert last[-1] - last[-2] >= DEFAULT_TOL.mle_stop
+
+
+def public_path_cases():
+    """mixed_records and 29 random 100-shot tables, each as a record list
+    and as its count table: 37 records, their settings shuffled in the
+    random lists."""
+    records, _ = mixed_records()
+    tables = [[rec.counts for rec in recs] for recs in records]
+    g = np.random.default_rng(47)
+    for p in g.dirichlet(np.ones(4), size=(29, 9)):
+        table = np.array([g.multinomial(100, row) for row in p])
+        recs = [MeasurementRecord(s, tuple(c.tolist()), 100) for s, c in zip(MEASUREMENT_SETTINGS, table)]
+        records.append([recs[k] for k in g.permutation(9)])
+        tables.append(table)
+    return records, np.array(tables, dtype=float)
+
+
+@pytest.mark.parametrize("method", ["linear", "mle"])
+def test_public_path_matches_array_core(method):
+    # reconstruct_state(records) is row k of the (N, 9, 4) core, whatever
+    # the batch and the order
+    records, tables = public_path_cases()
+    alone = [reconstruct_state(recs, method).tobytes() for recs in records]
+    for index in (np.arange(len(tables)), np.arange(len(tables))[::-1]):
+        for size in (1, 3, 16, 37):
+            for start in range(0, len(index), size):
+                rows = index[start : start + size]
+                ests = _estimate_states(tables[rows], method, DEFAULT_TOL)
+                for k, est in zip(rows, ests):
+                    assert est.tobytes() == alone[k], (size, k)
 
 
 def test_unknown_method_and_empty_list():

@@ -10,9 +10,8 @@ one is asserted here on seeded stacks: an upgrade that breaks one fails the
 test named after it, not only an opaque digest in test_compile_corpus.
 Steps whose batched form rounds differently from the scalar form their
 outputs are pinned to (np.arccos against math.acos, np.abs against the abs
-of a complex scalar in su2_params, the power of a numpy scalar, lstsq with
-many right-hand sides under threaded BLAS) stay per row in the kernels and
-are not listed here.
+of a complex scalar in su2_params, the power of a numpy scalar) stay per
+row in the kernels and are not listed here.
 """
 
 import math
@@ -21,6 +20,7 @@ import numpy as np
 import pytest
 
 from su4c.gates import _r_gates, _rz_gates, r_gate, rz_gate
+from su4c.tomography import _LINEAR_MAP
 
 N = 64
 
@@ -170,6 +170,20 @@ def test_abs_of_complex_vector(n):
         one = z[k : k + 1]
         assert same(sizes[k], np.abs(one)[0]), k
         assert same(quotients[k], (one / np.abs(one))[0]), k
+
+
+# The linear estimate applies the constant (16, 36) map to each frequency
+# row as an elementwise product and a sum over the last axis, with no
+# BLAS call; row k of a stack of N must be the one-row product, at the
+# sizes above and at a stack as large as a benchmark's records.
+
+
+@pytest.mark.parametrize("n", [*SIZES, 2000])
+def test_last_axis_multiply_sum(n):
+    freqs = gen(27).dirichlet(np.ones(4), size=(n, 9)).reshape(n, 36)
+    got = (freqs[:, None, :] * _LINEAR_MAP).sum(axis=-1)
+    for k in range(n):
+        assert same(got[k], (freqs[k : k + 1, None, :] * _LINEAR_MAP).sum(axis=-1)[0]), k
 
 
 def test_lexsort_along_rows():

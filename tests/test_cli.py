@@ -16,6 +16,7 @@ from su4c import circuits, cli, compiler, haar
 from su4c.cli import EXIT_NOT_UNITARY, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
 from su4c.compiler import decompose, verify
 from su4c.config import ENV_TOLERANCE
+from su4c.experiment import MeasurementRecord, NoiseModel, run_experiment
 from su4c.gates import GateElement
 from su4c.haar import SeededRng, sample_su4
 from su4c.io import matrix_from_obj, matrix_to_obj, save_matrix
@@ -490,8 +491,9 @@ class TestProcessTomo:
 
 
 # sha256 of the stdout report of two seeded runs, captured when the counts
-# came to be drawn from the exact averaged outcome distribution, and of the
-# public pulse view, captured before programs became angle rows (a numpy
+# came to be drawn from the exact averaged outcome distribution (the
+# benchmark's again when linear estimates became one constant map), and of
+# the public pulse view, captured before programs became angle rows (a numpy
 # float in the view would change its bytes). A change to the executor, the
 # compiler or reconstruction that moves one count or one digit of a fidelity
 # or an angle changes a digest; only a change that sets out to move outputs
@@ -499,7 +501,7 @@ class TestProcessTomo:
 GOLDEN_REPORTS = {
     "benchmark": (
         ("benchmark", "--n", "32", "--seed", "0", "--noise", "calibrated"),
-        "bbd07cb68d7f69dc5831a0e439b959b3e990aff1cba87e81f693eb463242f4b7",
+        "92054aabda5eb9a4784ab4cb042ad698fb81df5441121444d30f141a0a928328",
     ),
     "process-tomo": (
         ("process-tomo", "--unitary", None, "--shots", "1000", "--noise", "calibrated",
@@ -568,6 +570,34 @@ class TestAngleTablePath:
         with pytest.raises(AssertionError, match="GateElement built"):
             main(["compile", unitary_file, "--pulses"])  # the patch bites
         capsys.readouterr()
+        code, got, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert got == want
+
+
+class TestCountArrayPath:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("benchmark", "--n", "16", "--noise", "calibrated"),
+            GOLDEN_REPORTS["process-tomo"][0],
+            ("process-tomo", "--unitary", None, "--exact-probabilities", "--method", "mle"),
+        ],
+        ids=["benchmark", "process-tomo", "process-tomo-exact"],
+    )
+    def test_builds_no_record(self, capsys, unitary_file, monkeypatch, argv):
+        # the counts go from the sampler to the estimators as one array:
+        # with MeasurementRecord refusing to be built, the same bytes come out
+        argv = [unitary_file if a is None else a for a in argv]
+        code, want, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("MeasurementRecord built")
+
+        monkeypatch.setattr(MeasurementRecord, "__init__", refuse)
+        with pytest.raises(AssertionError, match="MeasurementRecord built"):
+            run_experiment(np.zeros(32), ("up", "up"), NoiseModel(), 10, SeededRng(0))  # the patch bites
         code, got, _ = run_cli(capsys, *argv)
         assert code == EXIT_OK
         assert got == want

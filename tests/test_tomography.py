@@ -7,6 +7,7 @@ inside the observed distributions.
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,11 +29,13 @@ from su4c.haar import SeededRng, sample_su4
 from su4c.linalg import check_density_matrix, kron, nearest_unitary
 from su4c.tomography import (
     _AXIS_EIGENSTATES,
+    _LINEAR_MAP,
+    _POVM_ROWS,
     _POVM_STACK,
+    _Frequencies,
     _clip_to_density,
-    _collect_frequencies,
+    _count_array,
     _log_likelihood,
-    _mle_estimate,
     _mle_estimates,
     _r_operator,
     apply_process,
@@ -141,6 +144,15 @@ class TestLinearReconstruction:
         assert med[1] > med[0]
         assert med[1] > 0.99
 
+    def test_linear_map_is_the_pseudo_inverse(self):
+        # integers over 36, and a left inverse of the Born rows; in C order,
+        # which sets the order in which a row's products are summed
+        assert _LINEAR_MAP.flags.c_contiguous
+        table = 36.0 * _LINEAR_MAP
+        assert np.array_equal(table, np.rint(table))
+        assert np.max(np.abs(_LINEAR_MAP @ _POVM_ROWS - np.eye(16))) <= 1e-15
+        assert np.max(np.abs(_LINEAR_MAP - np.linalg.pinv(_POVM_ROWS))) <= 1e-15
+
     def test_missing_setting_rejected(self):
         rho = random_density(SeededRng(367))
         with pytest.raises(ValueError):
@@ -186,7 +198,7 @@ class TestMleReconstruction:
                 program(sample_su4(rng)), ("up", "up"), NoiseModel(), 40, SeededRng(seed)
             )
             trace = []
-            _mle_estimate(_collect_frequencies(rec), DEFAULT_TOL, trace=trace)
+            mle_estimate(count_table(rec), DEFAULT_TOL, trace=trace)
             steps = np.diff(np.array(trace))
             assert len(trace) >= 2
             assert np.all(steps >= -1e-12)
@@ -203,7 +215,7 @@ class TestMleReconstruction:
             lin = reconstruct_state(rec, method="linear")
             mle = reconstruct_state(rec, method="mle")
             assert np.linalg.eigvalsh(mle)[0] > -1e-10
-            data = _collect_frequencies(rec)
+            data = record_frequencies(rec)
             floor = DEFAULT_TOL.prob_floor
             assert _log_likelihood(mle, data, floor) >= _log_likelihood(lin, data, floor) - 1e-9
 
@@ -231,6 +243,36 @@ class TestMleReconstruction:
             rec = run_experiment(pulses, ("minus_i", "down"), NoiseModel(), 100, SeededRng(seed))
             fids.append(state_fidelity(reconstruct_state(rec, method="mle"), target))
         assert float(np.median(fids)) > 0.95
+
+
+def count_table(records):
+    """The (9, 4) count table of nine records, in MEASUREMENT_SETTINGS order."""
+    return _count_array([records])[0]
+
+
+def mle_estimate(table, tol, trace=None):
+    """_mle_estimates of one count table (9, 4)."""
+    return _mle_estimates(np.asarray(table)[None], tol, None if trace is None else [trace])[0]
+
+
+def one_record_frequencies(table):
+    """One record's MLE data (fields (n, 16), (n, 16), (n,) and a float),
+    built from its count table (9, 4) as the one-record
+    _collect_frequencies built it before the counts of a call became one
+    array: the oracle of the stacked build in _mle_estimates."""
+    shots = np.cumsum(table, axis=1)[:, -1]
+    freqs = (table / shots[:, None]).reshape(36)
+    keep = freqs > 0.0
+    return _Frequencies(
+        rows=_POVM_ROWS[keep],
+        ops=_POVM_STACK[keep].reshape(-1, 16),
+        weights=(np.repeat(shots, 4) * freqs)[keep],
+        total_weight=sum(shots.tolist()),
+    )
+
+
+def record_frequencies(records):
+    return one_record_frequencies(count_table(records))
 
 
 # Per-outcome reference for the MLE kernel: one trace per outcome, as the
@@ -351,14 +393,15 @@ def one_record_mle_estimate(data, tol, trace=None):
     return _clip_to_density(rho[None])[0]
 
 
-def assert_stacked_mle_matches_one_record(datas, tol=DEFAULT_TOL):
-    """_mle_estimates of the stack gives every record the estimate and the
-    log-likelihood trace of one_record_mle_estimate, bit for bit."""
-    traces = [[] for _ in datas]
-    got = _mle_estimates(datas, tol, traces)
-    for k, data in enumerate(datas):
+def assert_stacked_mle_matches_one_record(tables, tol=DEFAULT_TOL):
+    """_mle_estimates of a stack of count tables (9, 4) gives every record
+    the estimate and the log-likelihood trace that one_record_mle_estimate
+    gives its one_record_frequencies, bit for bit."""
+    traces = [[] for _ in tables]
+    got = _mle_estimates(np.array(tables), tol, traces)
+    for k, table in enumerate(tables):
         trace = []
-        want = one_record_mle_estimate(data, tol, trace)
+        want = one_record_mle_estimate(one_record_frequencies(table), tol, trace)
         assert got[k].tobytes() == want.tobytes(), k
         assert traces[k] == trace, k
     return traces
@@ -388,7 +431,7 @@ class TestMleMatchesLoop:
     @pytest.mark.parametrize("kind,shots,seed", MLE_CASES)
     def test_likelihood_and_r_operator(self, kind, shots, seed):
         records = mle_case_records(kind, shots, seed)
-        data, loop = _collect_frequencies(records), loop_frequencies(records)
+        data, loop = record_frequencies(records), loop_frequencies(records)
         floor = DEFAULT_TOL.prob_floor
         rng = SeededRng(700 + seed)
         # the ground state and the raw inversion put some seen outcomes at
@@ -411,7 +454,7 @@ class TestMleMatchesLoop:
     def test_estimate(self, kind, shots, seed):
         records = mle_case_records(kind, shots, seed)
         trace, loop_trace = [], []
-        got = _mle_estimate(_collect_frequencies(records), DEFAULT_TOL, trace=trace)
+        got = mle_estimate(count_table(records), DEFAULT_TOL, trace=trace)
         expected = loop_mle_estimate(loop_frequencies(records), DEFAULT_TOL, loop_trace)
         gap = np.max(np.abs(got - expected))
         if len(trace) == len(loop_trace):
@@ -430,7 +473,7 @@ class TestMleMatchesLoop:
             MeasurementRecord(s, tuple(np.round(100.0 * setting_probabilities(GROUND, s))), 100)
             for s in MEASUREMENT_SETTINGS
         ]
-        data, loop = _collect_frequencies(records), loop_frequencies(records)
+        data, loop = record_frequencies(records), loop_frequencies(records)
         assert np.isfinite(_log_likelihood(GROUND, data, 0.0))
         assert_likelihood_matches_loop(GROUND, data, loop, 0.0)
         r = _r_operator(GROUND, data, 0.0)
@@ -457,17 +500,18 @@ def test_mle_on_count_tables(table):
         MeasurementRecord(s, tuple(float(c) for c in counts), sum(counts))
         for s, counts in zip(MEASUREMENT_SETTINGS, table)
     ]
-    data, loop = _collect_frequencies(records), loop_frequencies(records)
+    table = count_table(records)
+    data, loop = one_record_frequencies(table), loop_frequencies(records)
     floor = DEFAULT_TOL.prob_floor
     for rho in (I4 / 4.0, GROUND, reconstruct_state(records)):
         assert_likelihood_matches_loop(rho, data, loop, floor)
     trace = []
-    est = _mle_estimate(data, DEFAULT_TOL, trace=trace)
+    est = mle_estimate(table, DEFAULT_TOL, trace=trace)
     check_density_matrix(est, atol=1e-8)
     assert np.all(np.diff(trace) >= 0.0)
     # twice in one stacked call, beside a neighbour
-    neighbour = _collect_frequencies(exact_records(GROUND))
-    assert_stacked_mle_matches_one_record([data, neighbour, data])
+    neighbour = count_table(exact_records(GROUND))
+    assert_stacked_mle_matches_one_record([table, neighbour, table])
 
 
 def random_cp_matrix(rng):
@@ -602,7 +646,8 @@ class TestReconstructProcess:
         with pytest.raises(ValueError):
             reconstruct_process(pairs)
 
-    def test_cp_projection_clips_negative_part(self):
+    @staticmethod
+    def sampled_pairs():
         # finite shots leave the raw estimate slightly non positive
         pulses = program(sample_su4(SeededRng(457)))
         streams = SeededRng(0).spawn(16)
@@ -610,6 +655,10 @@ class TestReconstructProcess:
         for label, srng in zip(TOMOGRAPHY_INPUT_LABELS, streams):
             rec = run_experiment(pulses, label, NoiseModel(), 200, srng)
             pairs.append((label, reconstruct_state(rec)))
+        return pairs
+
+    def test_cp_projection_clips_negative_part(self):
+        pairs = self.sampled_pairs()
         unclipped = reconstruct_process(pairs, cp_projection=False)
         clipped = reconstruct_process(pairs, cp_projection=True)
         assert np.linalg.eigvalsh(unclipped)[0] < -1e-6
@@ -618,6 +667,21 @@ class TestReconstructProcess:
         for e in (unclipped, clipped):
             pt = np.einsum("ikjk->ij", e.reshape(4, 4, 4, 4))
             assert np.max(np.abs(pt - I4)) < 1e-9
+
+    def test_cptp_loop_reads_its_tolerances(self):
+        # no round allowed, or every eigenvalue above minus the threshold:
+        # the first non positive estimate comes back as it is
+        pairs = self.sampled_pairs()
+        unclipped = reconstruct_process(pairs, cp_projection=False)
+        for tol in (
+            replace(DEFAULT_TOL, cptp_max_rounds=0),
+            replace(DEFAULT_TOL, cptp_negative_eigenvalue=1.0),
+        ):
+            got = reconstruct_process(pairs, tol=tol)
+            assert got.tobytes() == unclipped.tobytes()
+        one_round = reconstruct_process(pairs, tol=replace(DEFAULT_TOL, cptp_max_rounds=1))
+        assert np.linalg.eigvalsh(one_round)[0] > np.linalg.eigvalsh(unclipped)[0]
+        assert one_round.tobytes() != reconstruct_process(pairs).tobytes()
 
     def test_sampled_process_tomography_fidelity(self):
         # noiseless circuit, 1000 shots per setting, MLE states; 20-seed
