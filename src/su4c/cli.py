@@ -86,12 +86,6 @@ def _resolve_tolerances(args) -> Tolerances:
     return tol
 
 
-def _tolerance_keys(tol: Tolerances) -> dict:
-    """All tolerances but the CP/TP loop's, which no option sets and which
-    came after the report layout: reports keep their bytes."""
-    return {k: v for k, v in asdict(tol).items() if not k.startswith("cptp_")}
-
-
 def _resolve_noise(source: str) -> tuple[NoiseModel, dict]:
     """Noise model plus a source entry for the report."""
     if source == "zero":
@@ -178,7 +172,7 @@ def _cmd_compile(args) -> int:
     out = {
         "command": "compile",
         "input_hash": input_hash,
-        "tolerances": _tolerance_keys(tol),
+        "tolerances": asdict(tol),
         "circuit": circuit_to_obj(params),
         "verify": {
             "distance": report.distance,
@@ -266,7 +260,7 @@ def _cmd_benchmark(args) -> int:
     out = {
         **header,
         "input_hash": input_hash,
-        "tolerances": _tolerance_keys(tol),
+        "tolerances": asdict(tol),
         "operations": operations,
         "mean_fidelity": float(arr.mean()),
         "std_fidelity": float(arr.std()),
@@ -299,7 +293,7 @@ def _cmd_process_tomo(args) -> int:
         "command": "process-tomo",
         **keys,
         "input_hash": input_hash,
-        "tolerances": _tolerance_keys(tol),
+        "tolerances": asdict(tol),
         "entanglement_fidelity": f_ent,
         "mean_state_fidelity": mean_state_fidelity(est, ideal),
         "mean_fidelity_from_entanglement": mean_fidelity_from_entanglement(f_ent),

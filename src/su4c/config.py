@@ -53,10 +53,6 @@ class Tolerances:
     prob_floor:
         Probabilities are clamped to at least this value inside likelihood
         computations.
-    cptp_max_rounds:
-        Round cap of the CP/TP correction loop of process reconstruction.
-    cptp_negative_eigenvalue:
-        That loop stops once no eigenvalue is below minus this value.
     """
 
     unitarity: float = 1e-8
@@ -72,8 +68,6 @@ class Tolerances:
     mle_stop: float = 1e-10
     mle_max_iter: int = 2000
     prob_floor: float = 1e-12
-    cptp_max_rounds: int = 200
-    cptp_negative_eigenvalue: float = 1e-12
 
 
 DEFAULT_TOL = Tolerances()

@@ -266,17 +266,7 @@ def reconstruct_state(
     step diluted toward the identity whenever it would lower the
     likelihood, so the log-likelihood is non-decreasing.
     """
-    return _reconstruct_states([records], method, tol)[0]
-
-
-def _reconstruct_states(
-    records_list: Sequence[Sequence[MeasurementRecord]],
-    method: str,
-    tol: Tolerances,
-) -> np.ndarray:
-    """reconstruct_state of each record list, as an (N, 4, 4) stack; each
-    record gets the bits it gets alone."""
-    return _estimate_states(_count_array(records_list), method, tol)
+    return _estimate_states(_count_array([records]), method, tol)[0]
 
 
 def _estimate_states(counts: np.ndarray, method: str, tol: Tolerances) -> np.ndarray:
@@ -342,9 +332,7 @@ def reconstruct_process(
     the operator space, normally the 16 labels in TOMOGRAPHY_INPUT_LABELS.
     The linear inversion is followed by hermitization, an optional clip of
     the negative part (complete positivity), and a trace-preservation
-    correction, alternated for at most tol.cptp_max_rounds rounds until no
-    eigenvalue is below -tol.cptp_negative_eigenvalue. On exact data of a
-    unitary channel all three are no-ops.
+    correction. On exact data of a unitary channel all three are no-ops.
     """
     if len(pairs) < 16:
         raise ValueError("need at least 16 input/output pairs")
@@ -372,9 +360,9 @@ def reconstruct_process(
         # the orthogonal projection onto its constraint set, so the pair
         # converges to a matrix satisfying both. Exact data breaks out at
         # the first check.
-        for _ in range(tol.cptp_max_rounds):
+        for _ in range(200):
             vals, vecs = np.linalg.eigh(e)
-            if vals[0] > -tol.cptp_negative_eigenvalue:
+            if vals[0] > -1e-12:
                 break
             e = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
             e = _tp_correct(e)

@@ -49,9 +49,9 @@ from su4c.haar import _sample_su4_many
 from su4c.tomography import (
     _LINEAR_MAP,
     _POVM_ROWS,
+    _count_array,
     _estimate_states,
     _linear_estimates,
-    _reconstruct_states,
     _state_fidelities,
 )
 
@@ -218,7 +218,7 @@ def test_linear_reconstruction_and_fidelities_match_one_matrix_code():
     for size in (1, 3, len(records)):
         for start in range(0, len(records), size):
             chunk = records[start : start + size]
-            ests = _reconstruct_states(chunk, "linear", DEFAULT_TOL)
+            ests = _estimate_states(_count_array(chunk), "linear", DEFAULT_TOL)
             fids = _state_fidelities(ests, np.array(ideals[start : start + size]))
             for k, recs in enumerate(chunk):
                 want = one_matrix_linear(recs)
@@ -282,7 +282,7 @@ def mle_records():
 
 def test_mle_reconstruction_matches_one_record_calls():
     records = mle_records()
-    ests = _reconstruct_states(records, "mle", DEFAULT_TOL)
+    ests = _estimate_states(_count_array(records), "mle", DEFAULT_TOL)
     for est, recs in zip(ests, records):
         assert est.tobytes() == reconstruct_state(recs, "mle").tobytes()
     tables = [count_table(recs) for recs in records]
@@ -333,6 +333,6 @@ def test_public_path_matches_array_core(method):
 def test_unknown_method_and_empty_list():
     records, _ = mixed_records()
     with pytest.raises(ValueError, match="unknown reconstruction method"):
-        _reconstruct_states(records, "lsq", DEFAULT_TOL)
+        _estimate_states(_count_array(records), "lsq", DEFAULT_TOL)
     for method in ("linear", "mle"):
-        assert _reconstruct_states([], method, DEFAULT_TOL).shape == (0, 4, 4)
+        assert _estimate_states(_count_array([]), method, DEFAULT_TOL).shape == (0, 4, 4)

@@ -1,7 +1,7 @@
 """Platform canary: the numpy primitives the stacked kernels rely on give each
 row of a stack, bit for bit, what they give that row alone.
 
-decompose_many, pulse_angles, _sample_su4_many, _reconstruct_states (linear
+decompose_many, pulse_angles, _sample_su4_many, _estimate_states (linear
 and MLE) and _state_fidelities are bit-identical to one-at-a-time calls only
 because of these equalities; pulse_angles also reduces its phases with
 np.remainder where r_pulse_triple uses Python's %. They hold for numpy 2.4

@@ -7,7 +7,6 @@ inside the observed distributions.
 
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -646,8 +645,7 @@ class TestReconstructProcess:
         with pytest.raises(ValueError):
             reconstruct_process(pairs)
 
-    @staticmethod
-    def sampled_pairs():
+    def test_cp_projection_clips_negative_part(self):
         # finite shots leave the raw estimate slightly non positive
         pulses = program(sample_su4(SeededRng(457)))
         streams = SeededRng(0).spawn(16)
@@ -655,10 +653,6 @@ class TestReconstructProcess:
         for label, srng in zip(TOMOGRAPHY_INPUT_LABELS, streams):
             rec = run_experiment(pulses, label, NoiseModel(), 200, srng)
             pairs.append((label, reconstruct_state(rec)))
-        return pairs
-
-    def test_cp_projection_clips_negative_part(self):
-        pairs = self.sampled_pairs()
         unclipped = reconstruct_process(pairs, cp_projection=False)
         clipped = reconstruct_process(pairs, cp_projection=True)
         assert np.linalg.eigvalsh(unclipped)[0] < -1e-6
@@ -667,21 +661,6 @@ class TestReconstructProcess:
         for e in (unclipped, clipped):
             pt = np.einsum("ikjk->ij", e.reshape(4, 4, 4, 4))
             assert np.max(np.abs(pt - I4)) < 1e-9
-
-    def test_cptp_loop_reads_its_tolerances(self):
-        # no round allowed, or every eigenvalue above minus the threshold:
-        # the first non positive estimate comes back as it is
-        pairs = self.sampled_pairs()
-        unclipped = reconstruct_process(pairs, cp_projection=False)
-        for tol in (
-            replace(DEFAULT_TOL, cptp_max_rounds=0),
-            replace(DEFAULT_TOL, cptp_negative_eigenvalue=1.0),
-        ):
-            got = reconstruct_process(pairs, tol=tol)
-            assert got.tobytes() == unclipped.tobytes()
-        one_round = reconstruct_process(pairs, tol=replace(DEFAULT_TOL, cptp_max_rounds=1))
-        assert np.linalg.eigvalsh(one_round)[0] > np.linalg.eigvalsh(unclipped)[0]
-        assert one_round.tobytes() != reconstruct_process(pairs).tobytes()
 
     def test_sampled_process_tomography_fidelity(self):
         # noiseless circuit, 1000 shots per setting, MLE states; 20-seed
