@@ -26,7 +26,7 @@ import csv
 import json
 import sys
 from dataclasses import asdict
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -37,9 +37,9 @@ from .experiment import (
     CALIBRATED_NOISE,
     TOMOGRAPHY_INPUT_LABELS,
     NoiseModel,
+    _PREPARED_VECTORS,
     _exact_experiments,
     _sample_counts,
-    input_state,
 )
 from .haar import SeededRng, _sample_su4_many, sample_su4
 from .io import (
@@ -70,8 +70,10 @@ EXIT_NOT_UNITARY = 3
 EXIT_VERIFY = 4
 
 # benchmark operations drawn, compiled, run and reconstructed per stacked
-# call: one of each preparation, and --n is a multiple of it
-_CHUNK = len(TOMOGRAPHY_INPUT_LABELS)
+# call: a multiple of the 16 preparations, so the paper's 160 operations are
+# one stack and a larger --n streams in stacks of this size, whose
+# temporaries peak near 5 KiB per operation (41 KiB with --method mle)
+_CHUNK = 256
 
 
 def _fail(code: int, message: str) -> int:
@@ -231,28 +233,26 @@ def _cmd_benchmark(args) -> int:
     header = {"command": "benchmark", "n": args.n, **keys}
     input_hash = content_hash(json.dumps(header, sort_keys=True))
 
-    streams = SeededRng(args.seed).spawn(args.n + 1)
-    # random assignment under the equal-usage constraint: every preparation
-    # appears exactly n/16 times, in a seed-determined order
-    labels = [
-        label
-        for _ in range(args.n // len(TOMOGRAPHY_INPUT_LABELS))
-        for label in TOMOGRAPHY_INPUT_LABELS
-    ]
-    order = streams[-1].generator.permutation(args.n)
+    # operation i draws from child i of the seed's stream and child n
+    # assigns the preparations under the equal-usage constraint: operation i
+    # gets preparation order[i] % 16 of a random permutation order of
+    # range(n), so each appears exactly n/16 times
+    root = SeededRng(args.seed)
+    preparations = root._child(args.n).generator.permutation(args.n) % len(TOMOGRAPHY_INPUT_LABELS)
     operations = []
     # draw, compile, run and reconstruct _CHUNK operations at a time, each
-    # stage as one stacked call, so memory stays bounded in n; each
-    # operation keeps its own stream
+    # stage as one stacked call and each stream spawned with its chunk, so
+    # memory stays bounded in n
     for first in range(0, args.n, _CHUNK):
         chunk = range(first, min(first + _CHUNK, args.n))
-        chunk_labels = [labels[order[index]] for index in chunk]
-        chunk_streams = streams[first : chunk.stop]
+        kinds = preparations[first : chunk.stop]
+        chunk_labels = [TOMOGRAPHY_INPUT_LABELS[k] for k in kinds]
+        chunk_streams = root.spawn(len(chunk))
         us = _sample_su4_many(chunk_streams, tol)
         angles = pulse_angles(decompose_many(us, tol))
         ests = _estimates(angles, chunk_labels, chunk_streams, noise, tol, args)
-        psis = [u @ input_state(label) for u, label in zip(us, chunk_labels)]
-        ideals = np.array([np.outer(psi, psi.conj()) for psi in psis])
+        psis = us @ _PREPARED_VECTORS[kinds, :, None]
+        ideals = psis * psis.conj().swapaxes(1, 2)  # each row's np.outer(psi, psi.conj())
         for index, label, f in zip(chunk, chunk_labels, _state_fidelities(ests, ideals)):
             operations.append({"index": index, "input_state": list(label), "fidelity": f})
 
@@ -369,8 +369,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "benchmark" and (args.n <= 0 or args.n % 16 != 0):
         parser.error("--n must be a positive multiple of 16")

@@ -104,13 +104,30 @@ _SETTING_FRAMES = np.array(
 _SETTING_FRAMES.flags.writeable = False
 
 
-def input_state(label: Sequence[str]) -> np.ndarray:
-    """State vector of a product preparation, one label per qubit."""
+# The 16 preparations in TOMOGRAPHY_INPUT_LABELS order, as state vectors
+# (16, 4) and as density matrices (16, 4, 4), each entry the np.outer of
+# its factors.
+_PREPARED_VECTORS = np.array(
+    [np.outer(_STATE_VECTORS[a], _STATE_VECTORS[b]).reshape(4) for a, b in TOMOGRAPHY_INPUT_LABELS]
+)
+_PREPARED_STATES = _PREPARED_VECTORS[:, :, None] * _PREPARED_VECTORS[:, None, :].conj()
+_PREPARED_VECTORS.flags.writeable = False
+_PREPARED_STATES.flags.writeable = False
+_PREPARATION_INDEX = {label: k for k, label in enumerate(TOMOGRAPHY_INPUT_LABELS)}
+
+
+def _preparation_index(label: Sequence[str]) -> int:
+    """Row of a product preparation, one label per qubit, in the tables above."""
     a, b = (str(name) for name in label)
     for name in (a, b):
         if name not in _STATE_VECTORS:
             raise ValueError(f"unknown state label {name!r}; choose from {STATE_LABELS}")
-    return np.outer(_STATE_VECTORS[a], _STATE_VECTORS[b]).reshape(4)
+    return _PREPARATION_INDEX[a, b]
+
+
+def input_state(label: Sequence[str]) -> np.ndarray:
+    """State vector of a product preparation, one label per qubit."""
+    return _PREPARED_VECTORS[_preparation_index(label)].copy()
 
 
 @dataclass(frozen=True)
@@ -187,20 +204,31 @@ def _angle_table(angles, ndim: int) -> np.ndarray:
     return table
 
 
-def _r_channels(theta: np.ndarray, phi: np.ndarray, sigma: float) -> np.ndarray:
-    """R(theta, phi) averaged over a relative over-rotation drawn from N(0, sigma),
-    a superoperator on the target's (row, column) index pair: (..., 4, 4)."""
+# The 16 entries of an R channel's superoperator, row-major, as indices
+# into the eight distinct values _r_channel_values returns.
+_R_ENTRIES = np.array([0, 1, 2, 3, 4, 0, 5, 2, 6, 7, 0, 1, 3, 6, 4, 0])
+
+
+def _r_channel_values(theta: np.ndarray, phi: np.ndarray, sigma: float) -> np.ndarray:
+    """The eight distinct entries (..., 8) of _r_channels, which
+    _R_ENTRIES spreads over the 4x4 superoperator; each is written into
+    one array as it is made, so no stack of all sixteen is held."""
     k = np.exp(-0.5 * (theta * sigma) ** 2)  # the Gaussian mean of cos(theta eps)
     c, s = k * np.cos(theta), k * np.sin(theta)
     a, b = 0.5 * (1.0 + c), 0.5 * (1.0 - c)
     u = np.exp(-1j * phi)  # n = [[0, u], [conj(u), 0]]
     p, q = 0.5j * s * u, 0.5j * s * u.conj()
-    return np.stack([
-        a, q, -p, b,
-        p, a, b * u * u, -p,
-        -q, b * (u * u).conj(), a, q,
-        b, -q, p, a,
-    ], axis=-1).reshape(*theta.shape, 4, 4)
+    values = np.empty((*theta.shape, 8), dtype=complex)
+    values[..., 0], values[..., 1], values[..., 2], values[..., 3] = a, q, -p, b
+    values[..., 4], values[..., 5], values[..., 6] = p, b * u * u, -q
+    values[..., 7] = b * (u * u).conj()
+    return values
+
+
+def _r_channels(theta: np.ndarray, phi: np.ndarray, sigma: float) -> np.ndarray:
+    """R(theta, phi) averaged over a relative over-rotation drawn from N(0, sigma),
+    a superoperator on the target's (row, column) index pair: (..., 4, 4)."""
+    return _r_channel_values(theta, phi, sigma)[..., _R_ENTRIES].reshape(*theta.shape, 4, 4)
 
 
 def _qubit_damping(gamma: float) -> np.ndarray:
@@ -229,12 +257,14 @@ def _output_states(angles, labels, noise: NoiseModel) -> np.ndarray:
     under noise, averaged over the over-rotations. Elementwise products and
     sums along one state's axes only, with no BLAS call, so a program's bits
     depend neither on the others nor on the BLAS thread count."""
-    x = _pass_layout(np.array([np.outer(psi, psi.conj()) for psi in map(input_state, labels)]))
+    x = _pass_layout(_PREPARED_STATES[[_preparation_index(label) for label in labels]])
     # per R pulse its channel on the target's (row, column) index pair,
-    # (M, 4, 4), and per Rz pulse its phases on that pair, (M, 4)
+    # (M, 4, 4), spread from its eight values when its pulse comes, and per
+    # Rz pulse its phases on that pair, (M, 4)
     phi, e = angles[:, _IS_R], np.exp(-1j * angles[:, ~_IS_R])
-    r_ops = iter(_r_channels(np.full_like(phi, _R_THETA), phi, noise.overrotation_sigma).swapaxes(0, 1))
-    rz = iter(np.stack([np.ones_like(e), e, e.conj(), np.ones_like(e)], axis=-1).swapaxes(0, 1))
+    r_values = _r_channel_values(np.full_like(phi, _R_THETA), phi, noise.overrotation_sigma)
+    r_ops = (values[:, _R_ENTRIES].reshape(-1, 4, 4) for values in r_values.swapaxes(0, 1))
+    rz = (np.stack([np.ones_like(z), z, z.conj(), np.ones_like(z)], axis=-1) for z in e.T)
     for kind, target in _TEMPLATE:
         if kind == "G":
             x = x * _G_PHASES
@@ -252,8 +282,10 @@ def _output_states(angles, labels, noise: NoiseModel) -> np.ndarray:
 def _outcome_probabilities(angles, labels, noise: NoiseModel) -> np.ndarray:
     """The exact outcome probabilities (M, 9, 4) of each angle row run on
     its label under noise: the nine settings of each _output_states state."""
-    rho = _output_states(angles, labels, noise)
-    p = (rho.reshape(-1, 1, 1, 16) * _EFFECTS).sum(axis=-1).real
+    rho = _output_states(angles, labels, noise).reshape(-1, 1, 16)
+    p = np.empty((len(rho), 9, 4))
+    for k, effects in enumerate(_EFFECTS):  # one (M, 4, 16) product per setting
+        p[:, k] = (rho * effects).sum(axis=-1).real
     p = np.clip(p, 0.0, None)
     return p / p.sum(axis=-1, keepdims=True)
 

@@ -35,6 +35,13 @@ class SeededRng:
     def spawn(self, n: int) -> list["SeededRng"]:
         return [SeededRng(self.seed, s) for s in self._sequence.spawn(n)]
 
+    def _child(self, index: int) -> "SeededRng":
+        """The stream spawn() hands out as child index of this stream's
+        sequence, made alone: a child is fixed by its spawn key."""
+        seq = self._sequence
+        key = (*seq.spawn_key, index)
+        return SeededRng(self.seed, np.random.SeedSequence(seq.entropy, spawn_key=key, pool_size=seq.pool_size))
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"SeededRng(seed={self.seed})"
 

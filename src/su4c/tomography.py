@@ -23,8 +23,9 @@ from .config import DEFAULT_TOL, Tolerances
 from .experiment import (
     MEASUREMENT_SETTINGS,
     MeasurementRecord,
+    _PREPARED_STATES,
     _SETTING_FRAMES,
-    input_state,
+    _preparation_index,
 )
 from .linalg import _as_complex, _kron
 
@@ -136,7 +137,10 @@ def _linear_estimates(counts: np.ndarray) -> np.ndarray:
     each row's own axis, with no BLAS call, so a row's bits depend neither
     on the batch nor on the BLAS thread count."""
     freqs, _ = _frequency_rows(counts)
-    vecs = (freqs[:, None, :] * _LINEAR_MAP).sum(axis=-1)
+    vecs = np.empty((len(freqs), 16), dtype=complex)
+    for first in range(0, len(freqs), 16):  # a (16, 16, 36) product at a time
+        block = freqs[first : first + 16]
+        vecs[first : first + 16] = (block[:, None, :] * _LINEAR_MAP).sum(axis=-1)
     return _clip_to_density(vecs.reshape(-1, 4, 4))
 
 
@@ -189,14 +193,18 @@ def _mle_estimates(
     for n in sorted(set(seen.tolist())):
         index = np.flatnonzero(seen == n)
         cols = np.nonzero(freqs[index] > 0.0)[1].reshape(len(index), n)  # the outcomes seen
-        data = _Frequencies(
-            rows=_POVM_ROWS[cols],
-            ops=_POVM_STACK.reshape(36, 16)[cols],
-            weights=np.take_along_axis(weights[index], cols, axis=-1),
-            total_weight=totals[index],
-        )
         group_traces = None if traces is None else [traces[k] for k in index.tolist()]
-        rhos[index] = _mle_stack(data, tol, group_traces)
+        # built in the call, so each compaction in _mle_stack frees the rows it drops
+        rhos[index] = _mle_stack(
+            _Frequencies(
+                rows=_POVM_ROWS[cols],
+                ops=_POVM_STACK.reshape(36, 16)[cols],
+                weights=np.take_along_axis(weights[index], cols, axis=-1),
+                total_weight=totals[index],
+            ),
+            tol,
+            group_traces,
+        )
     return _clip_to_density(rhos)
 
 
@@ -336,13 +344,8 @@ def reconstruct_process(
     """
     if len(pairs) < 16:
         raise ValueError("need at least 16 input/output pairs")
-    ins = []
-    outs = []
-    for label, rho_out in pairs:
-        psi = input_state(label)
-        ins.append(np.outer(psi, psi.conj()).reshape(-1))
-        outs.append(_as_complex(rho_out))
-    x = np.asarray(ins)
+    x = _PREPARED_STATES[[_preparation_index(label) for label, _ in pairs]].reshape(-1, 16)
+    outs = [_as_complex(rho_out) for _, rho_out in pairs]
     if np.linalg.matrix_rank(x, tol=1e-8) < 16:
         raise ValueError("input preparations do not span the operator space")
     # coefficients expressing each |i><j| in the prepared inputs

@@ -49,8 +49,10 @@ from su4c.haar import _sample_su4_many
 from su4c.tomography import (
     _LINEAR_MAP,
     _POVM_ROWS,
+    _clip_to_density,
     _count_array,
     _estimate_states,
+    _frequency_rows,
     _linear_estimates,
     _state_fidelities,
 )
@@ -245,6 +247,16 @@ def test_many_random_tables_and_states():
     fids = _state_fidelities(ests[:half], ests[half:])
     for k in range(half):
         assert fids[k] == one_matrix_fidelity(ests[k], ests[half + k])
+
+
+@pytest.mark.parametrize("n", [1, 16, 160])
+def test_linear_estimates_match_one_product(n):
+    # the map applied 16 rows at a time gives the bits of the one
+    # (N, 16, 36) product over all rows
+    counts = np.random.default_rng(45 + n).multinomial(100, np.full(4, 0.25), size=(n, 9))
+    freqs, _ = _frequency_rows(counts)
+    want = _clip_to_density((freqs[:, None, :] * _LINEAR_MAP).sum(axis=-1).reshape(-1, 4, 4))
+    assert _linear_estimates(counts).tobytes() == want.tobytes()
 
 
 def counted(rho, shots, extra=None):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from su4c import circuits, cli, compiler, haar
+from su4c import circuits, cli, compiler, experiment, haar, tomography
 from su4c.cli import EXIT_NOT_UNITARY, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
 from su4c.compiler import decompose, verify
 from su4c.config import ENV_TOLERANCE
@@ -274,15 +274,21 @@ class TestBenchmark:
         assert abs(doc["mean_fidelity"] - 1.0) < 1e-9
         assert doc["std_fidelity"] < 1e-9
 
-    # a calibrated 100-shot run and an exact run, one operation per chunk
-    # and every operation in one chunk, against the default chunk
+    # a calibrated 100-shot run, an exact run and a calibrated MLE run, one
+    # operation per chunk and two chunks of 16, against the default chunk,
+    # which holds all 32 operations
     @pytest.mark.parametrize(
-        "argv", [("--noise", "calibrated", "--seed", "2"), ("--exact-probabilities",)]
+        "argv",
+        [
+            ("--noise", "calibrated", "--seed", "2"),
+            ("--exact-probabilities",),
+            ("--noise", "calibrated", "--shots", "100", "--method", "mle"),
+        ],
     )
     def test_report_does_not_depend_on_chunk_size(self, capsys, monkeypatch, argv):
         args = ("benchmark", "--n", "32", *argv)
         _, expected, _ = run_cli(capsys, *args)
-        for chunk in (1, 32):
+        for chunk in (1, 16):
             monkeypatch.setattr(cli, "_CHUNK", chunk)
             assert run_cli(capsys, *args) == (EXIT_OK, expected, "")
 
@@ -306,13 +312,22 @@ class TestBenchmark:
         assert code == EXIT_OK
         assert calls == []
 
-    def test_one_stacked_draw_and_lowering_per_chunk(self, capsys, monkeypatch):
-        draws = count_calls(monkeypatch, haar._sample_su4_many)
-        lowerings = count_calls(monkeypatch, circuits.pulse_angles)
-        code, _, _ = run_cli(capsys, "benchmark", "--n", "32", "--noise", "calibrated")
+    # the paper's 160 operations are one stack; twice the chunk is two
+    @pytest.mark.parametrize("n,rows", [(160, [160]), (2 * cli._CHUNK, [cli._CHUNK] * 2)])
+    def test_one_call_per_stacked_kernel_per_chunk(self, capsys, monkeypatch, n, rows):
+        kernels = (
+            haar._sample_su4_many,
+            compiler.decompose_many,
+            circuits.pulse_angles,
+            experiment._sample_counts,
+            tomography._estimate_states,
+            tomography._state_fidelities,
+        )
+        calls = [count_calls(monkeypatch, kernel) for kernel in kernels]
+        code, _, _ = run_cli(capsys, "benchmark", "--n", str(n), "--noise", "calibrated")
         assert code == EXIT_OK
-        assert [len(streams) for streams, *_ in draws] == [16, 16]
-        assert [len(params) for params, *_ in lowerings] == [16, 16]
+        for kernel, made in zip(kernels, calls):
+            assert [len(args[0]) for args in made] == rows, kernel.__name__
 
     def test_csv_export(self, capsys, tmp_path):
         csv_path = tmp_path / "ops.csv"
@@ -605,10 +620,11 @@ class TestCountArrayPath:
 
 class TestMemory:
     def test_benchmark_memory_bounded_in_n(self, capsys):
-        # operations are drawn, compiled, run and reconstructed 16 at a
-        # time, so ten times the operations add only their
-        # report entries: 0.8 MiB measured, against several MiB when every
-        # program is compiled before any runs
+        # operations are drawn, compiled, run and reconstructed up to
+        # _CHUNK = 256 at a time, each with its stream spawned with its
+        # chunk, so ten times the operations add only their report entries
+        # and the 192 more rows of a full stack: 1.44 MiB measured, against
+        # several MiB when every program is compiled before any runs
         def peak(n):
             tracemalloc.start()
             try:
@@ -624,6 +640,18 @@ class TestMemory:
 
 
 class TestParser:
+    def test_built_once_per_process(self, capsys, monkeypatch):
+        builds = count_calls(monkeypatch, cli.build_parser)
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert run_cli(capsys, "sample", "--n", "1")[0] == EXIT_OK
+            with pytest.raises(SystemExit):
+                main(["benchmark", "--n", "10"])
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+
     def test_no_subcommand(self):
         with pytest.raises(SystemExit) as info:
             main([])

@@ -21,8 +21,12 @@ from su4c.experiment import (
     run_experiments,
 )
 from su4c.experiment import (
+    _EFFECTS,
+    _PREPARED_STATES,
+    _PREPARED_VECTORS,
     _PREROTATION,
     _SETTING_FRAMES,
+    _STATE_VECTORS,
     _apply,
     _outcome_probabilities,
     _output_states,
@@ -177,6 +181,20 @@ class TestInputStates:
 
     def test_label_set(self):
         assert STATE_LABELS == ("up", "down", "plus", "minus_i")
+
+    def test_tables_hold_each_outer_product(self):
+        # the tables built at import hold, bit for bit, the np.outer of each
+        # label's factors that input_state and the pass once built per call
+        for k, (a, b) in enumerate(TOMOGRAPHY_INPUT_LABELS):
+            psi = np.outer(_STATE_VECTORS[a], _STATE_VECTORS[b]).reshape(4)
+            assert _PREPARED_VECTORS[k].tobytes() == psi.tobytes()
+            assert _PREPARED_STATES[k].tobytes() == np.outer(psi, psi.conj()).tobytes()
+            assert input_state([a, b]).tobytes() == psi.tobytes()
+
+    def test_input_state_is_a_fresh_array(self):
+        psi = input_state(("plus", "up"))
+        psi[:] = 0.0
+        assert np.any(input_state(("plus", "up")) != 0.0)
 
 
 class TestNoiseModel:
@@ -782,6 +800,34 @@ class TestOutputStates:
         (rho_out,) = _output_states(angles[None], [label], noise)
         err = draws.std(axis=0) / math.sqrt(len(draws)) + 1e-15
         assert np.max(np.abs(draws.mean(axis=0) - rho_out) / err) < 5.0
+
+    @pytest.mark.parametrize("n", [1, 16, 160])
+    def test_outcome_probabilities_match_one_product(self, n):
+        # one (M, 4, 16) product per setting gives the bits of the one
+        # (M, 9, 4, 16) product over all nine settings
+        g = np.random.default_rng(n)
+        angles = g.uniform(0.0, 2.0 * math.pi, size=(n, 32))
+        labels = [TOMOGRAPHY_INPUT_LABELS[k] for k in g.integers(0, 16, size=n)]
+        for noise in (CALIBRATED_NOISE, NoiseModel()):
+            rho = _output_states(angles, labels, noise)
+            p = np.clip((rho.reshape(-1, 1, 1, 16) * _EFFECTS).sum(axis=-1).real, 0.0, None)
+            want = p / p.sum(axis=-1, keepdims=True)
+            assert _outcome_probabilities(angles, labels, noise).tobytes() == want.tobytes()
+
+    def test_r_channels_match_one_stack(self):
+        # the channel spread from its eight values is the stack of its
+        # sixteen entries
+        g = np.random.default_rng(5)
+        theta, phi = g.uniform(0.0, 7.0, size=(2, 40, 16))
+        for sigma in (0.0, 0.06, 0.3):
+            k = np.exp(-0.5 * (theta * sigma) ** 2)
+            c, s = k * np.cos(theta), k * np.sin(theta)
+            a, b = 0.5 * (1.0 + c), 0.5 * (1.0 - c)
+            u = np.exp(-1j * phi)
+            p, q = 0.5j * s * u, 0.5j * s * u.conj()
+            entries = [a, q, -p, b, p, a, b * u * u, -p, -q, b * (u * u).conj(), a, q, b, -q, p, a]
+            want = np.stack(entries, axis=-1).reshape(40, 16, 4, 4)
+            assert _r_channels(theta, phi, sigma).tobytes() == want.tobytes()
 
     def test_output_states_are_physical(self):
         states = _output_states(ORACLE_PROGRAMS, ORACLE_LABELS, NoiseModel(0.3, 0.2, 0.3))

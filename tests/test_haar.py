@@ -43,6 +43,19 @@ class TestSeededRng:
         b = r2.spawn(1)[0].generator.random(8)
         assert np.array_equal(a, b)
 
+    def test_child_is_the_spawned_stream(self):
+        root = SeededRng(9)
+        kids = SeededRng(9).spawn(5)
+        for index in (4, 0, 2):
+            a = root._child(index).generator.random(8)
+            assert np.array_equal(a, kids[index].generator.random(8))
+        # spawning in pieces hands out the same children in order
+        pieces = SeededRng(9)
+        again = pieces.spawn(2) + pieces.spawn(3)
+        kids = SeededRng(9).spawn(5)
+        for k1, k2 in zip(again, kids):
+            assert np.array_equal(k1.generator.random(8), k2.generator.random(8))
+
 
 class TestSampleSu4:
     def test_postconditions(self):
