@@ -149,24 +149,38 @@ def pulse_angles(params: list[CircuitParams]) -> np.ndarray:
     phase-normalized (the dropped scalar only shifts the global phase) and
     written as r_pulse_triple and an Rz.
 
+    pulse_angles is the object view of _pulse_angles, which takes the
+    arrays _decompose_arrays returns.
+    """
+    letters = [v for p in params for g in (p.a, p.b, p.c, p.d) for v in (g.theta, g.phi, g.phiz, g.sign)]
+    classes = [v for p in params for v in (p.class_params.alpha, p.class_params.beta, p.class_params.delta)]
+    return _pulse_angles(
+        np.array(classes, dtype=float).reshape(-1, 3), np.array(letters, dtype=float).reshape(-1, 4, 4)
+    )
+
+
+def _pulse_angles(classes: np.ndarray, letters: np.ndarray) -> np.ndarray:
+    """pulse_angles of the circuits with class angles (alpha, beta, delta),
+    (N, 3), and letters A, B, C, D as (theta, phi, phiz, sign) rows,
+    (N, 4, 4).
+
     The 8N slots are built as one stack: every R and Rz factor of the batch
     comes from one _r_gates and one _rz_gates call, and each slot is the
     product of its factors in the order one row alone would take them.
     """
-    n = len(params)
-    letters = [g for p in params for g in (p.a, p.b, p.c, p.d)]
-    classes = [p.class_params for p in params]
-    alpha = [c.alpha for c in classes]
-    beta = [c.beta for c in classes]
-    delta = [c.delta for c in classes]
-    # rows: the 4N letters, then R(beta, pi) and R(alpha, pi); the 4N
-    # letters, then Rz(-delta) and Rz(delta)
-    r = _r_gates(
-        np.array([g.theta for g in letters] + beta + alpha),
-        np.array([g.phi for g in letters] + [math.pi] * (2 * n)),
-    )
-    rz = _rz_gates(np.array([g.phiz for g in letters] + [-d for d in delta] + delta))
-    signs = np.array([g.sign for g in letters])
+    n = len(classes)
+    flat = letters.reshape(4 * n, 4)
+    alpha, beta, delta = classes.T
+    # rows: the angles of R, their phases and the angles of Rz; columns:
+    # the 4N letters, then R(beta, pi), Rz(-delta), then R(alpha, pi),
+    # Rz(delta)
+    table = np.empty((3, 6 * n))
+    table[:, : 4 * n] = flat[:, :3].T
+    table[0, 4 * n : 5 * n], table[0, 5 * n :] = beta, alpha
+    table[1, 4 * n :] = math.pi
+    table[2, 4 * n : 5 * n], table[2, 5 * n :] = -delta, delta
+    r, rz = _r_gates(table[0], table[1]), _rz_gates(table[2])
+    signs = flat[:, 3]
     local = (signs[:, None, None] * rz[: 4 * n]) @ r[: 4 * n]
     a, b, c, d = local.reshape(n, 4, 2, 2).swapaxes(0, 1)
     r_beta, r_alpha = r[4 * n : 5 * n], r[5 * n :]

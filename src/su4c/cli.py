@@ -30,8 +30,8 @@ from functools import cache, partial
 
 import numpy as np
 
-from .circuits import lower_to_pulses, pulse_angles
-from .compiler import decompose, decompose_many, verify
+from .circuits import _pulse_angles, lower_to_pulses
+from .compiler import _decompose_arrays, _unitary_stack, decompose, verify
 from .config import DEFAULT_TOL, Tolerances, _with_verify_distance, tolerances_from_env
 from .experiment import (
     CALIBRATED_NOISE,
@@ -214,6 +214,13 @@ def _prepare_run(args) -> tuple[Tolerances, NoiseModel, dict]:
     return tol, noise, {**keys, "noise": asdict(noise), "noise_meta": noise_meta}
 
 
+def _compile(us, tol: Tolerances) -> np.ndarray:
+    """The pulse angle table (N, 32) of a non-empty (N, 4, 4) stack of
+    unitaries, kept as arrays from the compiler to the pulse template."""
+    classes, letters, _ = _decompose_arrays(_unitary_stack(us, tol), tol)
+    return _pulse_angles(classes, letters)
+
+
 def _estimates(angles, labels, rngs, noise, tol, args) -> np.ndarray:
     """Reconstructed output states (N, 4, 4) of each program run on its
     label, sampled with its rng or exact, as the arguments ask."""
@@ -249,7 +256,7 @@ def _cmd_benchmark(args) -> int:
         chunk_labels = [TOMOGRAPHY_INPUT_LABELS[k] for k in kinds]
         chunk_streams = root.spawn(len(chunk))
         us = _sample_su4_many(chunk_streams, tol)
-        angles = pulse_angles(decompose_many(us, tol))
+        angles = _compile(us, tol)
         ests = _estimates(angles, chunk_labels, chunk_streams, noise, tol, args)
         psis = us @ _PREPARED_VECTORS[kinds, :, None]
         ideals = psis * psis.conj().swapaxes(1, 2)  # each row's np.outer(psi, psi.conj())
@@ -280,7 +287,7 @@ def _cmd_process_tomo(args) -> int:
         return _not_unitary(tol)
     u = nearest_unitary(m)
     # one program for all 16 preparations
-    angles = pulse_angles([decompose(u, tol)])
+    angles = _compile(u[None], tol)
     labels = TOMOGRAPHY_INPUT_LABELS
     streams = SeededRng(args.seed).spawn(len(labels))
     ests = _estimates(angles.repeat(len(labels), axis=0), labels, streams, noise, tol, args)

@@ -89,14 +89,15 @@ def class_parameters(u, tol: Tolerances = DEFAULT_TOL) -> ClassParams:
     labels the same class, this fixed one keeps the output deterministic.
     Results are wrapped into [0, 2pi).
     """
-    return _class_angles(local_invariants(u, tol))
+    return ClassParams(*_class_angles(local_invariants(u, tol)))
 
 
-def _class_angles(s: np.ndarray) -> ClassParams:
+def _class_angles(s: np.ndarray) -> tuple:
+    """(alpha, beta, delta) of one row of sorted invariants."""
     alpha = 0.5 * (s[0] + s[1]) % math.tau
     beta = 0.5 * (s[0] + s[2]) % math.tau
     delta = 0.5 * (s[1] + s[2]) % math.tau
-    return ClassParams(alpha, beta, delta)
+    return alpha, beta, delta
 
 
 def _match_columns(ref_phases: list, phases: list, tol: float) -> list:
@@ -140,7 +141,7 @@ def decompose(u, tol: Tolerances = DEFAULT_TOL) -> CircuitParams:
     m = _as_complex(u)
     _require_shape(m, 4)
     _require_unitary(m, tol.unitarity, "decompose input")
-    return _decompose_many(m[None], tol)[0]
+    return _circuit_params(*_decompose_arrays(m[None], tol))[0]
 
 
 def decompose_many(us, tol: Tolerances = DEFAULT_TOL) -> list[CircuitParams]:
@@ -149,26 +150,53 @@ def decompose_many(us, tol: Tolerances = DEFAULT_TOL) -> list[CircuitParams]:
     other rows are. Raises NotUnitaryError naming the first row that is not
     unitary, and ValueError on any other shape.
     """
+    ms = _unitary_stack(us, tol)
+    return _circuit_params(*_decompose_arrays(ms, tol)) if len(ms) else []
+
+
+def _unitary_stack(us, tol: Tolerances) -> np.ndarray:
+    """us as a complex (N, 4, 4) stack; NotUnitaryError names the first row
+    that is not unitary, ValueError any other shape."""
     ms = _as_complex(us)
     if ms.ndim != 3 or ms.shape[1:] != (4, 4):
         raise ValueError(f"expected an (N, 4, 4) stack, got shape {ms.shape}")
-    if len(ms) == 0:
-        return []
     _require_unitary_rows(ms, tol.unitarity, "decompose_many input")
-    return _decompose_many(ms, tol)
+    return ms
 
 
-def _decompose_many(ms: np.ndarray, tol: Tolerances) -> list[CircuitParams]:
+def _circuit_params(classes, letters, phases) -> list[CircuitParams]:
+    """The CircuitParams view of _decompose_arrays' arrays, one per row."""
+    return [
+        CircuitParams(
+            class_params=ClassParams(*angles),
+            a=LocalGate(*a[:3], int(a[3])),
+            b=LocalGate(*b[:3], int(b[3])),
+            c=LocalGate(*c[:3], int(c[3])),
+            d=LocalGate(*d[:3], int(d[3])),
+            global_phase=phase,
+        )
+        for angles, (a, b, c, d), phase in zip(classes, letters.tolist(), phases.tolist())
+    ]
+
+
+def _decompose_arrays(
+    ms: np.ndarray, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """decompose of each row of a non-empty (N, 4, 4) stack of unitaries, as
+    arrays: the class angles (alpha, beta, delta), (N, 3); the letters A, B,
+    C, D as (theta, phi, phiz, sign) rows, (N, 4, 4); and the global
+    phases, (N,)."""
     n = len(ms)
     su, zeta = _special_unitary_projection(ms, tol)
     # the phases ascend, so they are the sorted invariants; frame_u has
     # det +1 by construction
     phases_u, frame_u = _class_spectrum(su, tol)
-    classes = [_class_angles(s) for s in phases_u]
-    mus = [_canonical_phase(params) for params in classes]
+    classes = np.array([_class_angles(s) for s in phases_u])
+    mus = [_canonical_phase(*angles) for angles in classes.tolist()]
     # conj(mu) puts the representative on the same determinant sheet as su,
     # so the two symmetric products have identical eigenvalues.
-    v_comp = np.conj(np.array(mus))[:, None, None] * _canonical_vs(classes)
+    mu = np.array(mus)
+    v_comp = np.conj(mu)[:, None, None] * _canonical_vs(classes, mu)
     phases_v, vectors_v = _class_spectrum(v_comp, tol)
     perms = [
         _match_columns(ref, got, 1e-6)
@@ -200,21 +228,12 @@ def _decompose_many(ms: np.ndarray, tol: Tolerances) -> list[CircuitParams]:
     )
     # the four letters are one stack too: a, b, c, d rows in turn
     angles = _su2_params(np.concatenate([a[n:], b[n:], a[:n], b[:n]]), tol)
+    letters = np.array(angles).reshape(4, n, 4).swapaxes(0, 1)
     post_phases, pre_phases = phases_f[:n].tolist(), phases_f[n:].tolist()
-    out = []
-    for k, (params, mu, z) in enumerate(zip(classes, mus, zeta.tolist())):
-        global_phase = complex(z * post_phases[k] * pre_phases[k] * np.conj(mu))
-        out.append(
-            CircuitParams(
-                class_params=params,
-                a=LocalGate(*angles[k]),
-                b=LocalGate(*angles[n + k]),
-                c=LocalGate(*angles[2 * n + k]),
-                d=LocalGate(*angles[3 * n + k]),
-                global_phase=global_phase,
-            )
-        )
-    return out
+    global_phases = np.array(
+        [z * post * pre * np.conj(mu) for z, post, pre, mu in zip(zeta.tolist(), post_phases, pre_phases, mus)]
+    )
+    return classes, letters, global_phases
 
 
 @dataclass(frozen=True)

@@ -246,25 +246,34 @@ def _depolarizing_weight(noise: NoiseModel) -> float:
 def _apply(x: np.ndarray, op: np.ndarray, target: int) -> np.ndarray:
     """x (M, 4, 4) in the pass layout after the 4x4 superoperator op, one
     per state (M, 4, 4) or one for all, on the target's (row, column) index
-    pair: qubit 0's pair indexes the rows of x, qubit 1's its columns."""
+    pair: qubit 0's pair indexes the rows of x, qubit 1's its columns.
+
+    Each entry is four elementwise products and three sums, added
+    ((t0 + t1) + t2) + t3 on the rows and (t0 + t1) + (t2 + t3) on the
+    columns: the order in which numpy's sum over an (M, 4, 4, 4) product
+    adds them, so each entry has those bits without that product."""
     if target == 0:
-        return (op[..., :, :, None] * x[:, None]).sum(axis=2)
-    return (x[:, :, None] * op[..., None, :, :]).sum(axis=3)
+        t = [op[..., :, k, None] * x[:, None, k, :] for k in range(4)]
+        return ((t[0] + t[1]) + t[2]) + t[3]
+    t = [x[:, :, k, None] * op[..., None, :, k] for k in range(4)]
+    return (t[0] + t[1]) + (t[2] + t[3])
 
 
 def _output_states(angles, labels, noise: NoiseModel) -> np.ndarray:
     """The exact output states (M, 4, 4) of each angle row run on its label
     under noise, averaged over the over-rotations. Elementwise products and
     sums along one state's axes only, with no BLAS call, so a program's bits
-    depend neither on the others nor on the BLAS thread count."""
+    depend neither on the others nor on the BLAS thread count. Each R
+    pulse's (M, 4, 4) channel is spread from its eight values when the
+    pulse comes; the phases of all 16 Rz pulses are built once, (16, M, 4)."""
     x = _pass_layout(_PREPARED_STATES[[_preparation_index(label) for label in labels]])
-    # per R pulse its channel on the target's (row, column) index pair,
-    # (M, 4, 4), spread from its eight values when its pulse comes, and per
-    # Rz pulse its phases on that pair, (M, 4)
     phi, e = angles[:, _IS_R], np.exp(-1j * angles[:, ~_IS_R])
     r_values = _r_channel_values(np.full_like(phi, _R_THETA), phi, noise.overrotation_sigma)
     r_ops = (values[:, _R_ENTRIES].reshape(-1, 4, 4) for values in r_values.swapaxes(0, 1))
-    rz = (np.stack([np.ones_like(z), z, z.conj(), np.ones_like(z)], axis=-1) for z in e.T)
+    # per Rz pulse its phases on the target's (row, column) index pair
+    rz_phases = np.ones((e.shape[1], len(e), 4), dtype=complex)
+    rz_phases[..., 1], rz_phases[..., 2] = e.T, e.T.conj()
+    rz = iter(rz_phases)
     for kind, target in _TEMPLATE:
         if kind == "G":
             x = x * _G_PHASES

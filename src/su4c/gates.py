@@ -174,15 +174,15 @@ _ENTRY_FRAME = rz_gate(-math.pi / 2.0) @ _R_HALF_Y @ rz_gate(-math.pi)
 _ENTRY_LAYER = _kron(_I2, _ENTRY_FRAME)
 
 
-def _canonical_phase(params: ClassParams) -> complex:
+def _canonical_phase(alpha: float, beta: float, delta: float) -> complex:
     """Quarter-turn phase convention of the canonical representative.
 
     i^m with m = 2*[alpha >= pi] + 3*round((alpha+beta+delta)/pi), all angles
     taken as stored in [0, 2pi). Half-up rounding keeps the rule exact on the
     branch grid.
     """
-    s = params.alpha + params.beta + params.delta
-    m = 2 * (1 if params.alpha >= math.pi else 0)
+    s = alpha + beta + delta
+    m = 2 * (1 if alpha >= math.pi else 0)
     m += 3 * int(math.floor(s / math.pi + 0.5))
     return (1j) ** (m % 4)
 
@@ -202,14 +202,17 @@ def canonical_v(params: ClassParams) -> np.ndarray:
     unity). The eigenvalues of v v^T in the magic frame equal
     exp(i eigenphases) up to one shared half-turn when i^m is imaginary.
     """
-    return _canonical_vs([params])[0]
+    angles = (params.alpha, params.beta, params.delta)
+    phase = np.array([_canonical_phase(*angles)], dtype=complex)
+    return _canonical_vs(np.array([angles], dtype=float), phase)[0]
 
 
-def _canonical_vs(classes: list[ClassParams]) -> np.ndarray:
-    """canonical_v of each class, as an (N, 4, 4) stack."""
-    n = len(classes)
-    angles = np.array([(c.alpha, c.beta, c.delta) for c in classes], dtype=float)
-    alpha, beta, delta = angles.reshape(n, 3).T
+def _canonical_vs(angles: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """canonical_v of each row (alpha, beta, delta) of an (N, 3) angle
+    array, as an (N, 4, 4) stack, given each row's _canonical_phase as an
+    (N,) complex array."""
+    n = len(angles)
+    alpha, beta, delta = angles.T
     # The interaction core exp(i (beta XX + alpha YY + delta ZZ) / 2), built
     # from its magic-frame diagonal so no matrix exponential is needed: the
     # eigenphases of ClassParams(delta, beta, alpha), halved.
@@ -227,7 +230,6 @@ def _canonical_vs(classes: list[ClassParams]) -> np.ndarray:
     core[:, diagonal, diagonal] = np.exp(1j * half)
     # the exit frames Rz(delta) R(pi/2, pi/2) on qubit 1
     left = _kron(_I2, _rz_gates(delta) @ _R_HALF_Y)
-    phases = np.array([_canonical_phase(c) for c in classes], dtype=complex)
     return phases[:, None, None] * (left @ from_magic(core) @ _ENTRY_LAYER)
 
 

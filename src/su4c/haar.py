@@ -59,12 +59,13 @@ def sample_su4(rng: SeededRng, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 def _sample_su4_many(rngs: list[SeededRng], tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """One sample_su4 draw from each stream, as an (N, 4, 4) stack.
 
-    Each stream draws its Ginibre matrix as sample_su4 would, real part
-    first; the QR, the phase fix and the projection then run once on the
-    stack, and each row comes out bit for bit as sample_su4 gives it.
+    Each stream draws its Ginibre matrix as one (2, 4, 4) standard normal
+    draw, real part first; the QR, the phase fix and the projection then
+    run once on the stack, and each row comes out bit for bit as
+    sample_su4 gives it.
     """
-    gens = [rng.generator for rng in rngs]
-    z = np.array([g.standard_normal((4, 4)) + 1j * g.standard_normal((4, 4)) for g in gens])
+    draws = np.array([rng.generator.standard_normal((2, 4, 4)) for rng in rngs])
+    z = draws[:, 0] + 1j * draws[:, 1]
     q, r = np.linalg.qr(z / math.sqrt(2.0))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     su, _ = _special_unitary_projection(q * (d / np.abs(d))[:, None, :], tol)

@@ -66,7 +66,6 @@ class _Frequencies(NamedTuple):
     its record's shot count."""
 
     rows: np.ndarray  # (B, n, 16) rows of _POVM_ROWS of the outcomes seen
-    ops: np.ndarray  # (B, n, 16) their projectors, flattened
     weights: np.ndarray  # (B, n) record weight times frequency
     total_weight: np.ndarray  # (B, 1, 1), to divide a stack of R operators
 
@@ -167,8 +166,10 @@ def _log_likelihood(rho: np.ndarray, data: _Frequencies, floor: float) -> np.nda
 
 
 def _r_operator(rho: np.ndarray, data: _Frequencies, floor: float) -> np.ndarray:
+    """sum_k coeff_k op_k over the outcomes seen: every projector op is
+    Hermitian, so its flattened form is the conjugate of its row vec(op^T)."""
     coeffs = data.weights / _probabilities(rho, data, floor)
-    return (coeffs[..., None, :] @ data.ops).reshape(rho.shape) / data.total_weight
+    return np.conj(coeffs[..., None, :] @ data.rows).reshape(rho.shape) / data.total_weight
 
 
 def _normalized(m: np.ndarray) -> np.ndarray:
@@ -198,7 +199,6 @@ def _mle_estimates(
         rhos[index] = _mle_stack(
             _Frequencies(
                 rows=_POVM_ROWS[cols],
-                ops=_POVM_STACK.reshape(36, 16)[cols],
                 weights=np.take_along_axis(weights[index], cols, axis=-1),
                 total_weight=totals[index],
             ),

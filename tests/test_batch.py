@@ -15,6 +15,7 @@ test_tomography. The public record path must give each record what the
 (N, 9, 4) count array core gives its row.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -43,7 +44,7 @@ from su4c import (
     verify,
 )
 from su4c import compiler
-from su4c.circuits import _pulses
+from su4c.circuits import _pulse_angles, _pulses
 from su4c.config import DEFAULT_TOL
 from su4c.haar import _sample_su4_many
 from su4c.tomography import (
@@ -85,6 +86,25 @@ def test_corpus_in_reversed_order():
     params = decompose_many(np.array(INPUTS[::-1]))
     angles = pulse_angles(params)
     assert digest(INPUTS, params[::-1], angles[::-1]) == CORPUS_SHA256
+
+
+def same(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+def test_array_twins_hold_the_object_fields(order):
+    # _decompose_arrays and _pulse_angles, which benchmark and process-tomo
+    # call, against the objects decompose_many and pulse_angles build
+    us = np.array(INPUTS[::order])
+    classes, letters, phases = compiler._decompose_arrays(us, DEFAULT_TOL)
+    params = decompose_many(us)
+    fields = lambda rows: np.array([[float(v) for v in row] for row in rows])  # noqa: E731
+    assert same(classes, fields([dataclasses.astuple(p.class_params) for p in params]))
+    for k, name in enumerate("abcd"):
+        assert same(letters[:, k], fields([dataclasses.astuple(getattr(p, name)) for p in params]))
+    assert same(phases, np.array([p.global_phase for p in params]))
+    assert same(_pulse_angles(classes, letters), pulse_angles(params))
 
 
 def test_degenerate_rows_do_not_depend_on_neighbours():

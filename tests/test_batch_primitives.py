@@ -8,6 +8,10 @@ np.remainder where r_pulse_triple uses Python's %. They hold for numpy 2.4
 on OpenBLAS 0.3.31, but they are not promised by numpy or by BLAS, so each
 one is asserted here on seeded stacks: an upgrade that breaks one fails the
 test named after it, not only an opaque digest in test_compile_corpus.
+The density-matrix pass also relies on its explicit four-term sums adding
+in the order numpy's sum over the old (M, 4, 4, 4) product added, and the
+stacked Haar draws on one (2, 4, 4) standard normal draw giving the
+normals of two (4, 4) draws; both are asserted at the end of this module.
 Steps whose batched form rounds differently from the scalar form their
 outputs are pinned to (np.arccos against math.acos, np.abs against the abs
 of a complex scalar in su2_params, the power of a numpy scalar) stay per
@@ -19,7 +23,9 @@ import math
 import numpy as np
 import pytest
 
+from su4c.experiment import _apply
 from su4c.gates import _r_gates, _rz_gates, r_gate, rz_gate
+from su4c.haar import SeededRng
 from su4c.tomography import _LINEAR_MAP
 
 N = 64
@@ -225,15 +231,15 @@ def test_broadcast_row_scalars_against_scalar_operands():
 @pytest.mark.parametrize("n", [9, 23, 36])
 def test_mle_stacked_products(n):
     g = gen(17 + n)
-    rows, ops = g.standard_normal((2, N, n, 16)) + 1j * g.standard_normal((2, N, n, 16))
+    rows = g.standard_normal((N, n, 16)) + 1j * g.standard_normal((N, n, 16))
     rho = complex_stack(g)
     coeffs, logs = g.uniform(0.1, 10.0, (N, n)), np.log(g.uniform(1e-3, 1.0, (N, n)))
     born = rows @ rho.reshape(N, 16, 1)  # (B, n, 16) @ (B, 16, 1) complex
-    r = coeffs[:, None, :] @ ops  # (B, 1, n) @ (B, n, 16), real left operand
+    r = np.conj(coeffs[:, None, :] @ rows)  # (B, 1, n) @ (B, n, 16), real left operand
     dots = coeffs[:, None, :] @ logs[..., None]  # (B, 1, n) @ (B, n, 1) real
     for k in range(N):
         assert same(born[k, :, 0], rows[k] @ rho[k].reshape(16)), k
-        assert same(r[k, 0], coeffs[k] @ ops[k]), k
+        assert same(r[k, 0], np.conj(coeffs[k] @ rows[k])), k
         assert same(dots[k, 0, 0], coeffs[k] @ logs[k]), k
 
 
@@ -320,3 +326,41 @@ def test_signed_2x2_products(n):
         assert same(signed[k], (int(signs[k]) * a[k]) @ b[k]), k
         assert same(left[k], c @ a[k]) and same(right[k], a[k] @ c), k
         assert same(chain[k], a[k] @ c @ c.T), k
+
+
+# The density-matrix pass (experiment._apply) writes each superoperator
+# product as four elementwise products and explicit sums; each must equal
+# the reduce over one (M, 4, 4, 4) product that it replaced, for one
+# superoperator per state and one for all, on stacks and on one row.
+
+
+def reduced_apply(x, op, target):
+    if target == 0:
+        return (op[..., :, :, None] * x[:, None]).sum(axis=2)
+    return (x[:, :, None] * op[..., None, :, :]).sum(axis=3)
+
+
+@pytest.mark.parametrize("target", [0, 1])
+@pytest.mark.parametrize("m", [1, 16, 160])
+def test_explicit_sums_match_reduce(m, target):
+    g = gen(28)
+    x = g.standard_normal((m, 4, 4)) + 1j * g.standard_normal((m, 4, 4))
+    x[0, 0, 0] = complex(-0.0, -0.0)  # a signed zero the sums must keep
+    ops = g.standard_normal((m, 4, 4)) + 1j * g.standard_normal((m, 4, 4))
+    for op in (ops, ops[0]):
+        got = _apply(x, op, target)
+        assert same(got, reduced_apply(x, op, target))
+        for k in range(m):
+            one = op[k : k + 1] if op.ndim == 3 else op
+            assert same(got[k], reduced_apply(x[k : k + 1], one, target)[0]), k
+
+
+# _sample_su4_many draws each stream's Ginibre matrix as one (2, 4, 4)
+# standard normal draw, where sample_su4 once made two (4, 4) draws.
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_one_draw_of_two_matrices(seed):
+    one, two = SeededRng(seed).generator, SeededRng(seed).generator
+    assert same(one.standard_normal((2, 4, 4)), np.array([two.standard_normal((4, 4)) for _ in range(2)]))
+    assert same(one.standard_normal(3), two.standard_normal(3))  # the streams stay in step

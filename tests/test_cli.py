@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from su4c import circuits, cli, compiler, experiment, haar, tomography
+from su4c import circuits, cli, compiler, experiment, gates, haar, tomography
 from su4c.cli import EXIT_NOT_UNITARY, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
 from su4c.compiler import decompose, verify
 from su4c.config import ENV_TOLERANCE
@@ -312,13 +312,27 @@ class TestBenchmark:
         assert code == EXIT_OK
         assert calls == []
 
+    @pytest.mark.parametrize("command", ["benchmark", "process-tomo"])
+    def test_compiled_programs_stay_arrays(self, capsys, monkeypatch, unitary_file, command):
+        # the compiled circuits go from the compiler to the executor as
+        # arrays: no per-row objects are built on the way
+        classes = (circuits.CircuitParams, circuits.LocalGate, gates.ClassParams)
+        calls = [count_calls(monkeypatch, cls) for cls in classes]
+        argv = ["--n", "32"] if command == "benchmark" else ["--unitary", unitary_file]
+        code, _, _ = run_cli(capsys, command, *argv, "--noise", "calibrated", "--shots", "10")
+        assert code == EXIT_OK
+        assert calls == [[], [], []]
+        # the same wrappers count the objects the public compiler builds
+        decompose(sample_su4(SeededRng(1)))
+        assert [len(made) for made in calls] == [1, 4, 1]
+
     # the paper's 160 operations are one stack; twice the chunk is two
     @pytest.mark.parametrize("n,rows", [(160, [160]), (2 * cli._CHUNK, [cli._CHUNK] * 2)])
     def test_one_call_per_stacked_kernel_per_chunk(self, capsys, monkeypatch, n, rows):
         kernels = (
             haar._sample_su4_many,
-            compiler.decompose_many,
-            circuits.pulse_angles,
+            compiler._decompose_arrays,
+            circuits._pulse_angles,
             experiment._sample_counts,
             tomography._estimate_states,
             tomography._state_fidelities,
@@ -458,12 +472,12 @@ class TestProcessTomo:
 
     def test_compiles_once(self, capsys, unitary_file, monkeypatch):
         # one program for all 16 preparations
-        calls = count_calls(monkeypatch, compiler.decompose)
+        calls = count_calls(monkeypatch, compiler._decompose_arrays)
         code, _, _ = run_cli(
             capsys, "process-tomo", "--unitary", unitary_file, "--shots", "10"
         )
         assert code == EXIT_OK
-        assert len(calls) == 1
+        assert [len(args[0]) for args in calls] == [1]
 
     def test_projects_once(self, capsys, unitary_file, monkeypatch):
         # the nearest unitary of the file's matrix is both the compiled

@@ -7,6 +7,7 @@ inside the observed distributions.
 
 import math
 import re
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from su4c.tomography import (
     _LINEAR_MAP,
     _POVM_ROWS,
     _POVM_STACK,
-    _Frequencies,
     _clip_to_density,
     _count_array,
     _log_likelihood,
@@ -254,6 +254,17 @@ def mle_estimate(table, tol, trace=None):
     return _mle_estimates(np.asarray(table)[None], tol, None if trace is None else [trace])[0]
 
 
+class OneRecordData(NamedTuple):
+    """One record's MLE data as the one-record kernel read it: the fields
+    of _Frequencies and the flattened projectors ops, a second table the
+    stacked kernel no longer holds."""
+
+    rows: np.ndarray  # (n, 16) rows of _POVM_ROWS of the outcomes seen
+    ops: np.ndarray  # (n, 16) their projectors, flattened
+    weights: np.ndarray  # (n,)
+    total_weight: float
+
+
 def one_record_frequencies(table):
     """One record's MLE data (fields (n, 16), (n, 16), (n,) and a float),
     built from its count table (9, 4) as the one-record
@@ -262,7 +273,7 @@ def one_record_frequencies(table):
     shots = np.cumsum(table, axis=1)[:, -1]
     freqs = (table / shots[:, None]).reshape(36)
     keep = freqs > 0.0
-    return _Frequencies(
+    return OneRecordData(
         rows=_POVM_ROWS[keep],
         ops=_POVM_STACK[keep].reshape(-1, 16),
         weights=(np.repeat(shots, 4) * freqs)[keep],
