@@ -248,15 +248,30 @@ def _apply(x: np.ndarray, op: np.ndarray, target: int) -> np.ndarray:
     per state (M, 4, 4) or one for all, on the target's (row, column) index
     pair: qubit 0's pair indexes the rows of x, qubit 1's its columns.
 
-    Each entry is four elementwise products and three sums, added
+    Each entry is four elementwise products summed in place, added
     ((t0 + t1) + t2) + t3 on the rows and (t0 + t1) + (t2 + t3) on the
     columns: the order in which numpy's sum over an (M, 4, 4, 4) product
     adds them, so each entry has those bits without that product."""
     if target == 0:
-        t = [op[..., :, k, None] * x[:, None, k, :] for k in range(4)]
-        return ((t[0] + t[1]) + t[2]) + t[3]
-    t = [x[:, :, k, None] * op[..., None, :, k] for k in range(4)]
-    return (t[0] + t[1]) + (t[2] + t[3])
+        out = op[..., :, 0, None] * x[:, None, 0, :]
+        for k in (1, 2, 3):
+            out += op[..., :, k, None] * x[:, None, k, :]
+        return out
+    out = x[:, :, 0, None] * op[..., None, :, 0]
+    out += x[:, :, 1, None] * op[..., None, :, 1]
+    right = x[:, :, 2, None] * op[..., None, :, 2]
+    right += x[:, :, 3, None] * op[..., None, :, 3]
+    out += right
+    return out
+
+
+def _rz_phases(angles: np.ndarray) -> np.ndarray:
+    """Per Rz pulse of each angle row (M, 32), its phases on the target's
+    (row, column) index pair, (16, M, 4)."""
+    e = np.exp(-1j * angles[:, ~_IS_R]).T
+    out = np.ones((*e.shape, 4), dtype=complex)
+    out[..., 1], out[..., 2] = e, e.conj()
+    return out
 
 
 def _output_states(angles, labels, noise: NoiseModel) -> np.ndarray:
@@ -267,13 +282,10 @@ def _output_states(angles, labels, noise: NoiseModel) -> np.ndarray:
     pulse's (M, 4, 4) channel is spread from its eight values when the
     pulse comes; the phases of all 16 Rz pulses are built once, (16, M, 4)."""
     x = _pass_layout(_PREPARED_STATES[[_preparation_index(label) for label in labels]])
-    phi, e = angles[:, _IS_R], np.exp(-1j * angles[:, ~_IS_R])
+    phi = angles[:, _IS_R]
     r_values = _r_channel_values(np.full_like(phi, _R_THETA), phi, noise.overrotation_sigma)
     r_ops = (values[:, _R_ENTRIES].reshape(-1, 4, 4) for values in r_values.swapaxes(0, 1))
-    # per Rz pulse its phases on the target's (row, column) index pair
-    rz_phases = np.ones((e.shape[1], len(e), 4), dtype=complex)
-    rz_phases[..., 1], rz_phases[..., 2] = e.T, e.T.conj()
-    rz = iter(rz_phases)
+    rz = iter(_rz_phases(angles))
     for kind, target in _TEMPLATE:
         if kind == "G":
             x = x * _G_PHASES
