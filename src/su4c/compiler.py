@@ -22,12 +22,15 @@ from .gates import (
     _canonical_phase,
     _canonical_vs,
     _class_spectrum,
+    _exit_layers,
     from_magic,
     to_magic,
 )
 from .linalg import (
     _as_complex,
     _factor_tensor_product,
+    _lead_positive,
+    _proper,
     _require_shape,
     _require_unitary,
     _require_unitary_rows,
@@ -51,8 +54,9 @@ __all__ = [
 class RealityViolationError(ValueError):
     """The magic-frame factors that must be real came out complex.
 
-    This signals an eigenvalue-pairing failure between the input and the
-    canonical representative, not a recoverable input problem.
+    This signals a fault in the compiler, a representative frame that does
+    not diagonalize its symmetric product with the input's phases, not a
+    recoverable input problem.
     """
 
 
@@ -98,34 +102,6 @@ def _class_angles(s: np.ndarray) -> tuple:
     beta = 0.5 * (s[0] + s[2]) % math.tau
     delta = 0.5 * (s[1] + s[2]) % math.tau
     return alpha, beta, delta
-
-
-def _match_columns(ref_phases: list, phases: list, tol: float) -> list:
-    """Permutation aligning a second eigenphase list to a reference.
-
-    Greedy nearest-circular-phase assignment; within degenerate groups the
-    choice is arbitrary and harmless because the eigenvalues are equal.
-    """
-    unused = list(range(len(phases)))
-    perm = []
-    for target in ref_phases:
-        best, best_j = math.inf, -1
-        for j in unused:
-            d = _wrap_distance(target, phases[j])
-            if d < best:
-                best, best_j = d, j
-        if best > tol:
-            raise RealityViolationError(
-                f"class eigenvalue mismatch {best:.3e} while pairing frames"
-            )
-        unused.remove(best_j)
-        perm.append(best_j)
-    return perm
-
-
-def _is_odd(perm: list) -> bool:
-    """Parity of a permutation, by counting its inversions."""
-    return sum(p > q for i, p in enumerate(perm) for q in perm[i + 1 :]) % 2 == 1
 
 
 def decompose(u, tol: Tolerances = DEFAULT_TOL) -> CircuitParams:
@@ -179,6 +155,19 @@ def _circuit_params(classes, letters, phases) -> list[CircuitParams]:
     ]
 
 
+def _representatives(classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical representatives of (N, 3) class angles without their
+    quarter turns, and their real magic-frame eigenframes, column k paired
+    with phase k of the sorted invariants the angles were read from.
+
+    Both local layers are real orthogonal in the magic frame, so vm @ vm.T
+    is O diag(exp(2i half)) O.T with O the exit layer's magic-frame matrix,
+    and 2 half of _canonical_vs is (s2, s1, s0, s3) modulo 2 pi.
+    """
+    frames = to_magic(_exit_layers(classes[:, 2])).real[:, :, [2, 1, 0, 3]]
+    return _canonical_vs(classes), _proper(_lead_positive(frames))
+
+
 def _decompose_arrays(
     ms: np.ndarray, tol: Tolerances
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -193,23 +182,7 @@ def _decompose_arrays(
     phases_u, frame_u = _class_spectrum(su, tol)
     classes = np.array([_class_angles(s) for s in phases_u])
     mus = [_canonical_phase(*angles) for angles in classes.tolist()]
-    # conj(mu) puts the representative on the same determinant sheet as su,
-    # so the two symmetric products have identical eigenvalues.
-    mu = np.array(mus)
-    v_comp = np.conj(mu)[:, None, None] * _canonical_vs(classes, mu)
-    phases_v, vectors_v = _class_spectrum(v_comp, tol)
-    perms = [
-        _match_columns(ref, got, 1e-6)
-        for ref, got in zip(phases_u.tolist(), phases_v.tolist())
-    ]
-    rows = np.arange(n)[:, None, None]
-    frame_v = vectors_v[rows, np.arange(4)[:, None], np.array(perms)[:, None, :]]
-    # vectors_v has det +1, so frame_v is improper exactly when its
-    # permutation is odd; negating one column restores a rotation without
-    # disturbing the diagonalization.
-    odd = np.array([_is_odd(perm) for perm in perms], dtype=bool)
-    frame_v[odd, :, -1] = -frame_v[odd, :, -1]
-
+    v_comp, frame_v = _representatives(classes)
     um = to_magic(su)
     vm = to_magic(v_comp)
     post_m = frame_u @ frame_v.swapaxes(-1, -2)

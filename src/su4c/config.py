@@ -2,8 +2,8 @@
 
 The thresholds a caller may want to tune live in one frozen record, so the
 whole stack can be tightened or relaxed coherently. A few internal limits
-with a single sensible value (eigenphase pairing, sign fixes, singular
-blocks, the Jacobi floor) stay literals next to the code that uses them.
+with a single sensible value (sign fixes, singular blocks, the Jacobi
+floor) stay literals next to the code that uses them.
 """
 
 from __future__ import annotations

@@ -281,6 +281,7 @@ def _output_states(angles, labels, noise: NoiseModel) -> np.ndarray:
     depend neither on the others nor on the BLAS thread count. Each R
     pulse's (M, 4, 4) channel is spread from its eight values when the
     pulse comes; the phases of all 16 Rz pulses are built once, (16, M, 4)."""
+    # a copy (fancy index), so the G and Rz pulses multiply it in place
     x = _pass_layout(_PREPARED_STATES[[_preparation_index(label) for label in labels]])
     phi = angles[:, _IS_R]
     r_values = _r_channel_values(np.full_like(phi, _R_THETA), phi, noise.overrotation_sigma)
@@ -288,10 +289,10 @@ def _output_states(angles, labels, noise: NoiseModel) -> np.ndarray:
     rz = iter(_rz_phases(angles))
     for kind, target in _TEMPLATE:
         if kind == "G":
-            x = x * _G_PHASES
+            x *= _G_PHASES
         elif kind == "Rz":
             phases = next(rz)
-            x = x * (phases[:, :, None] if target == 0 else phases[:, None, :])
+            x *= phases[:, :, None] if target == 0 else phases[:, None, :]
         else:
             x = _apply(x, next(r_ops), target)
     q = _depolarizing_weight(noise)

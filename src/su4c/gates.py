@@ -203,14 +203,12 @@ def canonical_v(params: ClassParams) -> np.ndarray:
     exp(i eigenphases) up to one shared half-turn when i^m is imaginary.
     """
     angles = (params.alpha, params.beta, params.delta)
-    phase = np.array([_canonical_phase(*angles)], dtype=complex)
-    return _canonical_vs(np.array([angles], dtype=float), phase)[0]
+    return _canonical_phase(*angles) * _canonical_vs(np.array([angles], dtype=float))[0]
 
 
-def _canonical_vs(angles: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """canonical_v of each row (alpha, beta, delta) of an (N, 3) angle
-    array, as an (N, 4, 4) stack, given each row's _canonical_phase as an
-    (N,) complex array."""
+def _canonical_vs(angles: np.ndarray) -> np.ndarray:
+    """canonical_v without its quarter turn i^m, for each row (alpha, beta,
+    delta) of an (N, 3) angle array, as an (N, 4, 4) stack."""
     n = len(angles)
     alpha, beta, delta = angles.T
     # The interaction core exp(i (beta XX + alpha YY + delta ZZ) / 2), built
@@ -228,9 +226,13 @@ def _canonical_vs(angles: np.ndarray, phases: np.ndarray) -> np.ndarray:
     diagonal = np.arange(4)
     core = np.zeros((n, 4, 4), dtype=complex)
     core[:, diagonal, diagonal] = np.exp(1j * half)
-    # the exit frames Rz(delta) R(pi/2, pi/2) on qubit 1
-    left = _kron(_I2, _rz_gates(delta) @ _R_HALF_Y)
-    return phases[:, None, None] * (left @ from_magic(core) @ _ENTRY_LAYER)
+    return _exit_layers(delta) @ from_magic(core) @ _ENTRY_LAYER
+
+
+def _exit_layers(delta: np.ndarray) -> np.ndarray:
+    """The exit frames I x Rz(delta) R(pi/2, pi/2) of canonical_v, one per
+    angle, as an (N, 4, 4) stack."""
+    return _kron(_I2, _rz_gates(delta) @ _R_HALF_Y)
 
 
 def class_spectrum(u, tol: Tolerances = DEFAULT_TOL) -> EigenSystem:

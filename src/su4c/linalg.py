@@ -228,26 +228,41 @@ def _jacobi_polish(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return basis
 
 
+# The column-sign rule of every real eigenframe in su4c is _lead_positive,
+# then _proper; _canonicalize sorts the columns between the two steps.
+
+
+def _lead_positive(vectors: np.ndarray) -> np.ndarray:
+    """Each column of an (N, n, n) stack negated where its first entry above
+    1e-8 in size is below -1e-8, i.e. negative; a column without such an
+    entry keeps its sign."""
+    rows, cols = np.arange(len(vectors))[:, None], np.arange(vectors.shape[-1])
+    lead = vectors[rows, (np.abs(vectors) > 1e-8).argmax(axis=1), cols]
+    return np.where((lead < -1e-8)[:, None, :], -vectors, vectors)
+
+
+def _proper(vectors: np.ndarray) -> np.ndarray:
+    """An (N, n, n) stack of orthogonal matrices with the last column
+    negated, in place, where the determinant is -1."""
+    improper = np.linalg.det(vectors) < 0
+    vectors[improper, :, -1] = -vectors[improper, :, -1]
+    return vectors
+
+
 def _canonicalize(phases: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Apply the deterministic ordering to (N, n) phases and (N, n, n)
     vectors: sign-fix columns, sort by phase with a lexicographic tie-break,
     then restore det +1 on the last column."""
-    # A column's first entry above 1e-8 in size is below -1e-8 exactly when
-    # it is negative; a column without such an entry keeps its sign.
     n, size = phases.shape
     rows, cols = np.arange(n)[:, None], np.arange(size)
-    lead = vectors[rows, (np.abs(vectors) > 1e-8).argmax(axis=1), cols]
-    vectors = np.where((lead < -1e-8)[:, None, :], -vectors, vectors)
+    vectors = _lead_positive(vectors)
     # Sort by phase, ties by the column's entries rounded to 12 decimals, in
     # row order. lexsort takes its primary key last and is stable, so the
     # order of each row is the one it gets alone.
     keys = vectors.round(12).transpose(1, 0, 2)
     order = np.lexsort((*keys[::-1], phases), axis=-1)
     phases = phases[rows, order]
-    vectors = vectors[rows[:, :, None], cols[:, None], order[:, None, :]]
-    improper = np.linalg.det(vectors) < 0
-    vectors[improper, :, -1] = -vectors[improper, :, -1]
-    return phases, vectors
+    return phases, _proper(vectors[rows[:, :, None], cols[:, None], order[:, None, :]])
 
 
 def joint_real_diagonalization(
@@ -428,6 +443,9 @@ def _su2_params(m: np.ndarray, tol: Tolerances) -> list[tuple[float, float, floa
             sign, phiz = 1, -2.0 * psi
         else:
             sign, phiz = -1, math.tau - 2.0 * psi
+        if phiz >= math.tau:
+            # phiz rounded up to a full turn, and Rz(tau) = -I
+            sign, phiz = -sign, phiz - math.tau
         if theta < tol.angle_snap:
             # Diagonal matrix: all rotation is in Rz.
             out.append((0.0, 0.0, phiz % math.tau, sign))

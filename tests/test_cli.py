@@ -523,7 +523,8 @@ class TestProcessTomo:
 # came to be drawn from the exact averaged outcome distribution (the
 # benchmark's again when linear estimates became one constant map), and of
 # the public pulse view, captured before programs became angle rows (a numpy
-# float in the view would change its bytes). A change to the executor, the
+# float in the view would change its bytes) and again when the compiler's
+# representative frames became closed form. A change to the executor, the
 # compiler or reconstruction that moves one count or one digit of a fidelity
 # or an angle changes a digest; only a change that sets out to move outputs
 # re-captures them, and records the old and the new digest in CHANGES.md.
@@ -539,7 +540,7 @@ GOLDEN_REPORTS = {
     ),
     "compile-pulses": (
         ("compile", None, "--pulses"),
-        "90ceebbc1adc69fef8e28b13920597ea29f121086d5c11cacd5d2fc4787f6fd5",
+        "2bb3a6d1108e2db30135372ab4c2ee72159ca963987973a7a3a8d1bd5b5b390c",
     ),
 }
 

@@ -10,7 +10,7 @@ only means to speed the compiler up must leave CORPUS_SHA256 as it is.
 The corpus is 200 sample_su4 draws of SeededRng(2024), then seeded named
 classes and Weyl-chamber face, edge and corner classes, each with random
 single-qubit dressing and a random global phase, half of them perturbed by
-1e-9 to 1e-5 (both sides of the 1e-6 eigenvalue-pairing tolerance).
+1e-9 to 1e-5, from nearly degenerate to clearly split eigenphases.
 
 PULSE_SHA256 pins the raw bytes of the (368, 32) angle table pulse_angles
 returns for the whole corpus in one stacked call, so its lowering is checked
@@ -28,17 +28,23 @@ import numpy as np
 from chamber import FACE_PATTERNS, face_angles, interaction
 
 from su4c import (
+    DEFAULT_TOL,
     SeededRng,
+    circuit_to_unitary,
     decompose,
     lower_to_pulses,
     nearest_unitary,
     pulse_angles,
     sample_su4,
+    to_magic,
     verify,
 )
+from su4c.compiler import _class_angles, _representatives
+from su4c.gates import _class_spectrum
+from su4c.linalg import _special_unitary_projection
 
-CORPUS_SHA256 = "4a0a66493862ac3ccdcb1b24402363e0ad6a1da076ad204635fed75411cbe2a6"
-PULSE_SHA256 = "b6b3f29cbb12952536af140091b9c9af64d9a4e672a3ed269af4b497f9f0e161"
+CORPUS_SHA256 = "176f7b0008dd8f41b4016e4011df9bfb6ee44f1c058c297764b07e6eda5a0b65"
+PULSE_SHA256 = "18fca685fdbfb161a04f0b79f59778e2fc9a0166179f64001342a2131fd28fc4"
 
 _S, _T = (1 + 1j) / 2, (1 - 1j) / 2
 NAMED = (
@@ -119,3 +125,35 @@ def test_pulse_angle_table_is_unchanged():
     angles = pulse_angles([decompose(u) for u in corpus()])
     assert angles.shape == (368, 32) and angles.dtype == np.float64
     assert hashlib.sha256(angles.tobytes()).hexdigest() == PULSE_SHA256
+
+
+def test_round_trip_keeps_the_global_phase():
+    # verify's distance ignores the global phase, so a letter that comes out
+    # as -m shows only here
+    for k, u in enumerate(corpus()):
+        got = circuit_to_unitary(decompose(u))
+        assert np.max(np.abs(got - nearest_unitary(u))) < 1e-9, k
+
+
+def test_closed_form_representative_frames():
+    # the frames decompose writes in closed form diagonalize each
+    # representative's magic-frame symmetric product with the phases of
+    # its input, and on classes whose phases are well apart they are the
+    # vectors an eigen-solve of the representative returns
+    su, _ = _special_unitary_projection(np.array(corpus()), DEFAULT_TOL)
+    phases, _ = _class_spectrum(su, DEFAULT_TOL)
+    vs, frames = _representatives(np.array([_class_angles(s) for s in phases]))
+    vm = to_magic(vs)
+    diagonal = frames.swapaxes(-1, -2) @ vm @ vm.swapaxes(-1, -2) @ frames
+    want = np.zeros_like(diagonal)
+    want[:, range(4), range(4)] = np.exp(1j * phases)
+    assert np.abs(diagonal - want).max() < 1e-12
+    assert (np.linalg.det(frames) > 0).all()
+
+    gaps = np.abs(np.remainder(phases[:, :, None] - phases[:, None, :] + math.pi, math.tau) - math.pi)
+    gaps[:, range(4), range(4)] = math.inf
+    apart = gaps.min(axis=(1, 2)) > 1e-3
+    assert apart.sum() >= 200
+    solved_phases, solved = _class_spectrum(vs[apart], DEFAULT_TOL)
+    assert np.abs(np.exp(1j * solved_phases) - np.exp(1j * phases[apart])).max() < 1e-12
+    assert np.abs(solved - frames[apart]).max() < 1e-12

@@ -417,6 +417,21 @@ class TestSu2Params:
             rebuilt = sign * rz_gate(phiz) @ r_gate(theta, phi)
             assert np.max(np.abs(rebuilt - m)) < 1e-9
 
+    def test_frame_rotation_rounding_to_a_full_turn_flips_the_sign(self):
+        # phiz = tau - 4e-17 rounds to tau, and Rz(tau) = -I: dropping the
+        # turn without flipping the sign would return -m
+        m = rz_gate(-2e-17) @ r_gate(math.pi / 2.0, 0.3)
+        theta, phi, phiz, sign = su2_params(m)
+        assert (phiz, sign) == (0.0, 1)
+        rebuilt = sign * rz_gate(phiz) @ r_gate(theta, phi)
+        assert np.max(np.abs(rebuilt - m)) < 1e-12
+
+    def test_minus_identity_keeps_its_sign(self):
+        # arg(m00) = -pi on the negative zero gives phiz = tau, so Rz(tau)
+        # must carry the -1
+        m = np.diag([complex(-1.0, -0.0), complex(-1.0, 0.0)])
+        assert su2_params(m) == (0.0, 0.0, 0.0, -1)
+
     def test_rejects_non_unit_determinant(self):
         with pytest.raises(ValueError):
             su2_params(PAULI_X)  # unitary but det -1

@@ -6,9 +6,9 @@ or a class on a face, edge or corner of the Weyl chamber (two class angles
 equal, or one of them 0 or pi/2; built with scipy, see chamber.py), with
 random single-qubit dressing on both sides, a random global phase and a
 random perturbation of size 1e-9 to 1e-5, passed through nearest_unitary.
-The perturbations straddle the compiler's 1e-6 eigenvalue-pairing
-tolerance. These are the inputs where degenerate invariants and branch cuts
-live.
+The perturbations run from nearly degenerate to clearly split
+eigenphases. These are the inputs where degenerate invariants and branch
+cuts live.
 """
 
 import math
