@@ -196,7 +196,7 @@ def _pulse_angles(classes: np.ndarray, letters: np.ndarray) -> np.ndarray:
     slots[:, 6] = c @ _RZ_P
     slots[:, 7] = d @ (rz_delta @ _R_HALF_Y @ _H_RZ_P)
     su, _ = _special_unitary_projection(slots.reshape(-1, 2, 2), DEFAULT_TOL)
-    theta, phi, phiz, _ = np.array(_su2_params(su, DEFAULT_TOL)).reshape(-1, 4).T
+    theta, phi, phiz, _ = _su2_params(su, DEFAULT_TOL).T
     out = np.empty((8 * n, 4))
     out[:, 0] = (phi - _R_THETA) % math.tau
     out[:, 1] = theta % math.tau

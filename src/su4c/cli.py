@@ -31,7 +31,7 @@ from functools import cache, partial
 import numpy as np
 
 from .circuits import _pulse_angles, lower_to_pulses
-from .compiler import _decompose_arrays, _unitary_stack, decompose, verify
+from .compiler import _decompose_arrays, decompose, verify
 from .config import DEFAULT_TOL, Tolerances, _with_verify_distance, tolerances_from_env
 from .experiment import (
     CALIBRATED_NOISE,
@@ -54,7 +54,7 @@ from .io import (
 from .linalg import is_unitary, nearest_unitary
 from .tomography import (
     _estimate_states,
-    _state_fidelities,
+    _pure_state_fidelities,
     entanglement_fidelity,
     mean_fidelity_from_entanglement,
     mean_state_fidelity,
@@ -214,10 +214,11 @@ def _prepare_run(args) -> tuple[Tolerances, NoiseModel, dict]:
     return tol, noise, {**keys, "noise": asdict(noise), "noise_meta": noise_meta}
 
 
-def _compile(us, tol: Tolerances) -> np.ndarray:
-    """The pulse angle table (N, 32) of a non-empty (N, 4, 4) stack of
-    unitaries, kept as arrays from the compiler to the pulse template."""
-    classes, letters, _ = _decompose_arrays(_unitary_stack(us, tol), tol)
+def _compile(us: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The pulse angle table (N, 32) of a non-empty complex (N, 4, 4) stack
+    of unitaries that the package built, kept as arrays from the compiler to
+    the pulse template; the stack is not checked again."""
+    classes, letters, _ = _decompose_arrays(us, tol)
     return _pulse_angles(classes, letters)
 
 
@@ -258,9 +259,9 @@ def _cmd_benchmark(args) -> int:
         us = _sample_su4_many(chunk_streams, tol)
         angles = _compile(us, tol)
         ests = _estimates(angles, chunk_labels, chunk_streams, noise, tol, args)
-        psis = us @ _PREPARED_VECTORS[kinds, :, None]
-        ideals = psis * psis.conj().swapaxes(1, 2)  # each row's np.outer(psi, psi.conj())
-        for index, label, f in zip(chunk, chunk_labels, _state_fidelities(ests, ideals)):
+        # the ideal outputs are pure: U applied to each preparation
+        psis = (us @ _PREPARED_VECTORS[kinds, :, None])[..., 0]
+        for index, label, f in zip(chunk, chunk_labels, _pure_state_fidelities(ests, psis)):
             operations.append({"index": index, "input_state": list(label), "fidelity": f})
 
     arr = np.array([op["fidelity"] for op in operations])

@@ -21,6 +21,7 @@ from .gates import (
     ClassParams,
     _canonical_phase,
     _canonical_vs,
+    _class_eigensystem,
     _class_spectrum,
     _exit_layers,
     from_magic,
@@ -81,9 +82,10 @@ def local_invariants(u, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 def _local_invariants(m: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Sorted invariants of each row of an (N, 4, 4) stack, as (N, 4): the
-    phases of the class spectrum, which ascend."""
+    phases of the class spectrum. Sorting them alone gives the values the
+    spectrum's ordering gives, as its tie-break only orders equal phases."""
     su, _ = _special_unitary_projection(m, tol)
-    return _class_spectrum(su, tol)[0]
+    return np.sort(_class_eigensystem(su, tol)[0], axis=-1)
 
 
 def class_parameters(u, tol: Tolerances = DEFAULT_TOL) -> ClassParams:
@@ -164,8 +166,9 @@ def _representatives(classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     is O diag(exp(2i half)) O.T with O the exit layer's magic-frame matrix,
     and 2 half of _canonical_vs is (s2, s1, s0, s3) modulo 2 pi.
     """
-    frames = to_magic(_exit_layers(classes[:, 2])).real[:, :, [2, 1, 0, 3]]
-    return _canonical_vs(classes), _proper(_lead_positive(frames))
+    exits = _exit_layers(classes[:, 2])
+    frames = to_magic(exits).real[:, :, [2, 1, 0, 3]]
+    return _canonical_vs(classes, exits), _proper(_lead_positive(frames))
 
 
 def _decompose_arrays(
@@ -201,7 +204,7 @@ def _decompose_arrays(
     )
     # the four letters are one stack too: a, b, c, d rows in turn
     angles = _su2_params(np.concatenate([a[n:], b[n:], a[:n], b[:n]]), tol)
-    letters = np.array(angles).reshape(4, n, 4).swapaxes(0, 1)
+    letters = angles.reshape(4, n, 4).swapaxes(0, 1)
     post_phases, pre_phases = phases_f[:n].tolist(), phases_f[n:].tolist()
     global_phases = np.array(
         [z * post * pre * np.conj(mu) for z, post, pre, mu in zip(zeta.tolist(), post_phases, pre_phases, mus)]

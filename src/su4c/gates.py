@@ -17,7 +17,8 @@ from .config import DEFAULT_TOL, Tolerances
 from .linalg import (
     EigenSystem,
     _as_complex,
-    _joint_real_diagonalization,
+    _canonicalize,
+    _joint_real_eigensystem,
     _kron,
     _require_shape,
     joint_real_diagonalization,
@@ -203,12 +204,14 @@ def canonical_v(params: ClassParams) -> np.ndarray:
     exp(i eigenphases) up to one shared half-turn when i^m is imaginary.
     """
     angles = (params.alpha, params.beta, params.delta)
-    return _canonical_phase(*angles) * _canonical_vs(np.array([angles], dtype=float))[0]
+    rows = np.array([angles], dtype=float)
+    return _canonical_phase(*angles) * _canonical_vs(rows, _exit_layers(rows[:, 2]))[0]
 
 
-def _canonical_vs(angles: np.ndarray) -> np.ndarray:
+def _canonical_vs(angles: np.ndarray, exits: np.ndarray) -> np.ndarray:
     """canonical_v without its quarter turn i^m, for each row (alpha, beta,
-    delta) of an (N, 3) angle array, as an (N, 4, 4) stack."""
+    delta) of an (N, 3) angle array, as an (N, 4, 4) stack; exits are the
+    rows' _exit_layers."""
     n = len(angles)
     alpha, beta, delta = angles.T
     # The interaction core exp(i (beta XX + alpha YY + delta ZZ) / 2), built
@@ -226,7 +229,7 @@ def _canonical_vs(angles: np.ndarray) -> np.ndarray:
     diagonal = np.arange(4)
     core = np.zeros((n, 4, 4), dtype=complex)
     core[:, diagonal, diagonal] = np.exp(1j * half)
-    return _exit_layers(delta) @ from_magic(core) @ _ENTRY_LAYER
+    return exits @ from_magic(core) @ _ENTRY_LAYER
 
 
 def _exit_layers(delta: np.ndarray) -> np.ndarray:
@@ -252,5 +255,11 @@ def class_spectrum(u, tol: Tolerances = DEFAULT_TOL) -> EigenSystem:
 
 def _class_spectrum(u: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """(phases, vectors) of class_spectrum for each row of an (N, 4, 4) stack."""
+    return _canonicalize(*_class_eigensystem(u, tol))
+
+
+def _class_eigensystem(u: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """_class_spectrum of each row before its columns are ordered and
+    signed: the same phases, unsorted."""
     m = to_magic(u)
-    return _joint_real_diagonalization(m @ m.swapaxes(-1, -2), tol)
+    return _joint_real_eigensystem(m @ m.swapaxes(-1, -2), tol)

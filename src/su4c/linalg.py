@@ -286,15 +286,17 @@ def joint_real_diagonalization(
     if np.max(np.abs(w - w.T)) > tol.symmetry:
         raise ValueError("input is not symmetric")
     _require_unitary(w, tol.unitarity, "joint_real_diagonalization input")
-    phases, vectors = _joint_real_diagonalization(w[None], tol)
+    phases, vectors = _canonicalize(*_joint_real_eigensystem(w[None], tol))
     return EigenSystem(phases=phases[0], vectors=vectors[0])
 
 
-def _joint_real_diagonalization(
+def _joint_real_eigensystem(
     w: np.ndarray, tol: Tolerances
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(N, n, n) -> (phases (N, n), vectors (N, n, n)), each row as
-    joint_real_diagonalization returns it."""
+    """The phases (N, n) and real orthogonal eigenvectors (N, n, n) of each
+    row of an (N, n, n) stack, column j with phase j, as the eigen-solve and
+    the polish leave them: phases folded into (-pi, pi] but not sorted, and
+    no sign or determinant convention on the columns."""
     w = 0.5 * (w + w.swapaxes(-1, -2))
 
     mix = w.real + _MIX * w.imag  # exactly symmetric, as w is
@@ -311,8 +313,7 @@ def _joint_real_diagonalization(
 
     diag = np.einsum("nip,nij,njp->np", basis, w, basis)
     phases = np.angle(diag)
-    phases = np.where(phases <= -math.pi + tol.branch_tie, math.pi, phases)
-    return _canonicalize(phases, basis)
+    return np.where(phases <= -math.pi + tol.branch_tie, math.pi, phases), basis
 
 
 # ---------------------------------------------------------------------------
@@ -422,38 +423,41 @@ def su2_params(
     _require_unitary(m, tol.unitarity, "su2_params input")
     if abs(np.linalg.det(m) - 1.0) > tol.su2_det:
         raise ValueError("su2_params requires determinant 1")
-    return _su2_params(m[None], tol)[0]
+    theta, phi, phiz, sign = _su2_params(m[None], tol)[0].tolist()
+    return theta, phi, phiz, int(sign)
 
 
-def _su2_params(m: np.ndarray, tol: Tolerances) -> list[tuple[float, float, float, int]]:
-    """(N, 2, 2) -> one su2_params tuple per row."""
+def _su2_params(m: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """(N, 2, 2) -> (N, 4): the (theta, phi, phiz, sign) of su2_params for
+    each row, the sign as +-1.0."""
     # sign * Rz(phiz) R(theta, phi) has entries
     #   m00 = s e^{-i phiz/2} cos(theta/2)
     #   m10 = s e^{+i phiz/2} (-i e^{i phi}) sin(theta/2)
     m00, m10 = m[:, 0, 0], m[:, 1, 0]
-    args00 = np.arctan2(m00.imag, m00.real).tolist()
-    args10 = np.arctan2(m10.imag, m10.real).tolist()
-    out = []
-    # per row: math.acos and the abs of a complex scalar round differently
-    # from np.arccos and np.abs
-    for z, psi, arg10 in zip(m00, args00, args10):
-        theta = 2.0 * math.acos(min(1.0, max(0.0, abs(z))))
-        # psi = arg(m00) equals arg(sign) - phiz/2
-        if psi <= 0.0:
-            sign, phiz = 1, -2.0 * psi
-        else:
-            sign, phiz = -1, math.tau - 2.0 * psi
-        if phiz >= math.tau:
-            # phiz rounded up to a full turn, and Rz(tau) = -I
-            sign, phiz = -sign, phiz - math.tau
-        if theta < tol.angle_snap:
-            # Diagonal matrix: all rotation is in Rz.
-            out.append((0.0, 0.0, phiz % math.tau, sign))
-        elif theta > math.pi - tol.angle_snap:
-            # Anti-diagonal matrix: phiz is degenerate with phi, push it to 0.
-            out.append((math.pi, (arg10 + math.pi / 2.0) % math.tau, 0.0, 1))
-        else:
-            sign_arg = 0.0 if sign == 1 else math.pi
-            phi = (arg10 - sign_arg - phiz / 2.0 + math.pi / 2.0) % math.tau
-            out.append((theta, phi, phiz % math.tau, sign))
+    psi = np.arctan2(m00.imag, m00.real)  # arg(sign) - phiz/2
+    arg10 = np.arctan2(m10.imag, m10.real)
+    # np.hypot is the abs of a complex scalar bit for bit, and never
+    # negative; math.acos stays per row, as np.arccos rounds differently
+    moduli = np.minimum(np.hypot(m00.real, m00.imag), 1.0).tolist()
+    theta = np.array([2.0 * math.acos(x) for x in moduli])
+    negative = psi > 0.0  # sign -1, arg(sign) = pi
+    twice = 2.0 * psi
+    phiz = np.where(negative, math.tau - twice, -twice)
+    full = phiz >= math.tau
+    if full.any():
+        # phiz rounded up to a full turn, and Rz(tau) = -I
+        negative ^= full
+        phiz[full] -= math.tau
+    phi = (arg10 - negative * math.pi - phiz / 2.0 + math.pi / 2.0) % math.tau
+    out = np.array([theta, phi, phiz % math.tau, np.where(negative, -1.0, 1.0)]).T
+    low = theta < tol.angle_snap
+    if low.any():
+        # Diagonal matrix: all rotation is in Rz.
+        out[low, :2] = 0.0
+    high = ~low & (theta > math.pi - tol.angle_snap)
+    if high.any():
+        # Anti-diagonal matrix: phiz is degenerate with phi, push it to 0.
+        out[high, 0] = math.pi
+        out[high, 1] = (arg10[high] + math.pi / 2.0) % math.tau
+        out[high, 2:] = (0.0, 1.0)
     return out

@@ -315,6 +315,22 @@ def _state_fidelities(a: np.ndarray, b: np.ndarray) -> list[float]:
     return [min(max(float(norm**2), 0.0), 1.0) for norm in norms]
 
 
+def _pure_state_fidelities(rhos: np.ndarray, psis: np.ndarray) -> list[float]:
+    """state_fidelity(rhos[k], outer(psis[k], psis[k].conj())) for each row
+    of an (N, 4, 4) stack of states and an (N, 4) stack of unit vectors, to
+    rounding, in closed form: against a pure state, Uhlmann's fidelity is
+    <psi|rho|psi>.
+
+    Written as elementwise products and four-term sums over each row's own
+    axes, with no BLAS call, so a row's bits depend neither on the stack nor
+    on the BLAS thread count."""
+    terms = rhos * psis[:, None, :]
+    images = terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]  # rho psi
+    terms = psis.conj() * images
+    overlaps = (terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]).real
+    return np.clip(overlaps, 0.0, 1.0).tolist()
+
+
 def process_matrix_of_unitary(u: np.ndarray) -> np.ndarray:
     """Block process matrix of rho -> U rho U^dag."""
     m = _as_complex(u)

@@ -10,9 +10,10 @@ GateElement view, and must hash to the same CORPUS_SHA256.
 The linear reconstruction is checked against the one-row map and the
 one-matrix clip, and against the least-squares solve the map replaced, to
 rounding; the fidelities against a copy of the one-matrix code they
-replaced, and the stacked MLE against the one-record kernel of
-test_tomography. The public record path must give each record what the
-(N, 9, 4) count array core gives its row.
+replaced, the closed-form fidelities against pure states against
+state_fidelity to rounding, and the stacked MLE against the one-record
+kernel of test_tomography. The public record path must give each record
+what the (N, 9, 4) count array core gives its row.
 """
 
 import dataclasses
@@ -46,6 +47,7 @@ from su4c import (
 from su4c import compiler
 from su4c.circuits import _pulse_angles, _pulses
 from su4c.config import DEFAULT_TOL
+from su4c.experiment import _exact_experiments, _sample_counts
 from su4c.haar import _sample_su4_many
 from su4c.tomography import (
     _LINEAR_MAP,
@@ -55,6 +57,7 @@ from su4c.tomography import (
     _estimate_states,
     _frequency_rows,
     _linear_estimates,
+    _pure_state_fidelities,
     _state_fidelities,
 )
 
@@ -267,6 +270,41 @@ def test_many_random_tables_and_states():
     fids = _state_fidelities(ests[:half], ests[half:])
     for k in range(half):
         assert fids[k] == one_matrix_fidelity(ests[k], ests[half + k])
+
+
+@pytest.fixture(scope="module")
+def pure_ideal_cases():
+    """Estimates of the output states of 160 seeded operations, operation k
+    on preparation k % 16 as benchmark stacks them: calibrated 100-shot
+    linear and MLE estimates and exact-probability linear estimates; with
+    the ideal output vectors U |psi_in>."""
+    streams = SeededRng(48).spawn(160)
+    us = _sample_su4_many(streams)
+    labels = [TOMOGRAPHY_INPUT_LABELS[k % 16] for k in range(160)]
+    angles = pulse_angles(decompose_many(us))
+    counts = _sample_counts(angles, labels, CALIBRATED_NOISE, 100, streams)
+    ests = {
+        "calibrated": _estimate_states(counts, "linear", DEFAULT_TOL),
+        "mle": _estimate_states(counts, "mle", DEFAULT_TOL),
+        "exact": _estimate_states(_exact_experiments(angles, labels), "linear", DEFAULT_TOL),
+    }
+    return ests, np.array([u @ input_state(label) for u, label in zip(us, labels)])
+
+
+@pytest.mark.parametrize("kind", ["calibrated", "mle", "exact"])
+def test_pure_state_fidelities(pure_ideal_cases, kind):
+    # the closed form <psi|rho|psi> is Uhlmann's fidelity against the pure
+    # ideal to rounding, and each row's bits are the same alone, in a stack
+    # of 3 and in the whole stack
+    ests, psis = pure_ideal_cases[0][kind], pure_ideal_cases[1]
+    fids = _pure_state_fidelities(ests, psis)
+    for k, (est, psi) in enumerate(zip(ests, psis)):
+        assert abs(fids[k] - state_fidelity(est, np.outer(psi, psi.conj()))) <= 1e-14, k
+    for size in (1, 3):
+        for start in range(0, len(ests), size):
+            rows = slice(start, start + size)
+            got = _pure_state_fidelities(ests[rows], psis[rows])
+            assert np.array(got).tobytes() == np.array(fids[rows]).tobytes(), (size, start)
 
 
 @pytest.mark.parametrize("n", [1, 16, 160])

@@ -4,18 +4,19 @@ row of a stack, bit for bit, what they give that row alone.
 decompose_many, pulse_angles, _sample_su4_many, _estimate_states (linear
 and MLE) and _state_fidelities are bit-identical to one-at-a-time calls only
 because of these equalities; pulse_angles also reduces its phases with
-np.remainder where r_pulse_triple uses Python's %. They hold for numpy 2.4
-on OpenBLAS 0.3.31, but they are not promised by numpy or by BLAS, so each
-one is asserted here on seeded stacks: an upgrade that breaks one fails the
-test named after it, not only an opaque digest in test_compile_corpus.
+np.remainder where r_pulse_triple uses Python's %, and su2_params reads
+each modulus with np.hypot where it once took the abs of a complex scalar.
+They hold for numpy 2.4 on OpenBLAS 0.3.31, but they are not promised by
+numpy or by BLAS, so each one is asserted here on seeded stacks: an upgrade
+that breaks one fails the test named after it, not only an opaque digest in
+test_compile_corpus.
 The density-matrix pass also relies on its explicit four-term sums adding
 in the order numpy's sum over the old (M, 4, 4, 4) product added, and the
 stacked Haar draws on one (2, 4, 4) standard normal draw giving the
 normals of two (4, 4) draws; both are asserted at the end of this module.
 Steps whose batched form rounds differently from the scalar form their
-outputs are pinned to (np.arccos against math.acos, np.abs against the abs
-of a complex scalar in su2_params, the power of a numpy scalar) stay per
-row in the kernels and are not listed here.
+outputs are pinned to (np.arccos against math.acos in su2_params, the power
+of a numpy scalar) stay per row in the kernels and are not listed here.
 """
 
 import math
@@ -138,6 +139,18 @@ def test_remainder_against_python_mod():
     for k, v in enumerate(x.tolist()):
         assert got[k] == v % math.tau
         assert math.copysign(1.0, got[k]) == math.copysign(1.0, v % math.tau)
+
+
+@pytest.mark.parametrize("n", [1, 4, 9, 37, 2000])
+def test_hypot_against_abs_of_complex_scalar(n):
+    # on the strided real and imaginary views su2_params takes them from
+    g = gen(12)
+    m = g.standard_normal((n, 2, 2)) + 1j * g.standard_normal((n, 2, 2))
+    m[: min(n, 4), 0, 0] = [complex(0.6, -0.0), complex(-0.0, 0.0), -1.0, 1j][:n]
+    z = m[:, 0, 0]
+    got = np.hypot(z.real, z.imag)
+    for k, v in enumerate(z.tolist()):
+        assert same(got[k], np.float64(abs(v))), k
 
 
 def test_cos_sin_against_math():

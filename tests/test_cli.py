@@ -335,13 +335,29 @@ class TestBenchmark:
             circuits._pulse_angles,
             experiment._sample_counts,
             tomography._estimate_states,
-            tomography._state_fidelities,
+            tomography._pure_state_fidelities,
         )
         calls = [count_calls(monkeypatch, kernel) for kernel in kernels]
         code, _, _ = run_cli(capsys, "benchmark", "--n", str(n), "--noise", "calibrated")
         assert code == EXIT_OK
         for kernel, made in zip(kernels, calls):
             assert [len(args[0]) for args in made] == rows, kernel.__name__
+
+    def test_scores_against_pure_ideals_in_closed_form(self, capsys, monkeypatch):
+        # every ideal output is a pure state, so no fidelity takes a
+        # square root of a state or a singular value decomposition
+        roots = count_calls(monkeypatch, tomography._psd_sqrt)
+        svds = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            svds.append(args)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        code, _, _ = run_cli(capsys, "benchmark", "--n", "160", "--noise", "calibrated")
+        assert code == EXIT_OK
+        assert (roots, svds) == ([], [])
 
     def test_csv_export(self, capsys, tmp_path):
         csv_path = tmp_path / "ops.csv"
@@ -521,7 +537,8 @@ class TestProcessTomo:
 
 # sha256 of the stdout report of two seeded runs, captured when the counts
 # came to be drawn from the exact averaged outcome distribution (the
-# benchmark's again when linear estimates became one constant map), and of
+# benchmark's again when linear estimates became one constant map, and when
+# it came to score against its pure ideal states in closed form), and of
 # the public pulse view, captured before programs became angle rows (a numpy
 # float in the view would change its bytes) and again when the compiler's
 # representative frames became closed form. A change to the executor, the
@@ -531,7 +548,7 @@ class TestProcessTomo:
 GOLDEN_REPORTS = {
     "benchmark": (
         ("benchmark", "--n", "32", "--seed", "0", "--noise", "calibrated"),
-        "92054aabda5eb9a4784ab4cb042ad698fb81df5441121444d30f141a0a928328",
+        "a24e492b6472221aab9bcf02c081a0b5ffdf3a078e9d6224a17ac741d557483d",
     ),
     "process-tomo": (
         ("process-tomo", "--unitary", None, "--shots", "1000", "--noise", "calibrated",

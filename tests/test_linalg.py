@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from su4c.config import DEFAULT_TOL
 from su4c.gates import G_GATE, PAULI_X, PAULI_Z, r_gate, rz_gate, to_magic
@@ -14,6 +16,7 @@ from su4c.linalg import (
     NotAProductError,
     _canonicalize,
     NotUnitaryError,
+    _su2_params,
     factor_tensor_product,
     is_unitary,
     joint_real_diagonalization,
@@ -385,7 +388,97 @@ class TestPhaseInvariantDistance:
             phase_invariant_distance(I2, I4)
 
 
+def su2_params_loop(m, tol=DEFAULT_TOL):
+    """The per-row _su2_params that the stacked one replaced: one tuple per
+    row of an (N, 2, 2) stack, with an int sign."""
+    m00, m10 = m[:, 0, 0], m[:, 1, 0]
+    args00 = np.arctan2(m00.imag, m00.real).tolist()
+    args10 = np.arctan2(m10.imag, m10.real).tolist()
+    out = []
+    for z, psi, arg10 in zip(m00, args00, args10):
+        theta = 2.0 * math.acos(min(1.0, max(0.0, abs(z))))
+        if psi <= 0.0:
+            sign, phiz = 1, -2.0 * psi
+        else:
+            sign, phiz = -1, math.tau - 2.0 * psi
+        if phiz >= math.tau:
+            sign, phiz = -sign, phiz - math.tau
+        if theta < tol.angle_snap:
+            out.append((0.0, 0.0, phiz % math.tau, sign))
+        elif theta > math.pi - tol.angle_snap:
+            out.append((math.pi, (arg10 + math.pi / 2.0) % math.tau, 0.0, 1))
+        else:
+            sign_arg = 0.0 if sign == 1 else math.pi
+            phi = (arg10 - sign_arg - phiz / 2.0 + math.pi / 2.0) % math.tau
+            out.append((theta, phi, phiz % math.tau, sign))
+    return out
+
+
+# Rows at the branch points of su2_params: theta within angle_snap of 0 and
+# of pi (and exactly 0 and pi), phiz rounding up to a full turn in each
+# branch, signed-zero imaginary parts, and -I with either zero.
+SNAP = DEFAULT_TOL.angle_snap
+BRANCH_ROWS = [
+    rz_gate(0.4) @ r_gate(0.5 * SNAP, 1.1),
+    rz_gate(-2.5) @ r_gate(0.0, 0.3),
+    rz_gate(2.0) @ r_gate(math.pi - 0.5 * SNAP, 0.7),
+    -rz_gate(1.0) @ r_gate(math.pi, -0.2),
+    rz_gate(-2e-17) @ r_gate(math.pi / 2.0, 0.3),
+    rz_gate(-2e-17) @ r_gate(0.25 * SNAP, 0.3),
+    rz_gate(-2e-17) @ r_gate(math.pi, 0.3),
+    rz_gate(-2e-17),
+    np.array([[complex(0.6, -0.0), complex(-0.0, 0.8)], [complex(0.0, 0.8), complex(0.6, 0.0)]]),
+    np.array([[complex(0.6, 0.0), complex(-0.8, 0.0)], [complex(0.8, -0.0), complex(0.6, -0.0)]]),
+    np.diag([complex(-1.0, -0.0), complex(-1.0, 0.0)]),
+    np.diag([complex(-1.0, 0.0), complex(-1.0, -0.0)]),
+    -I2,
+]
+
+branch_angles = st.sampled_from([0.0, -0.0, 2e-17, -2e-17, 0.5 * SNAP, math.pi, -math.pi, math.tau])
+# sign * Rz(phiz) R(theta, phi) with free angles or branch values, and SU(2)
+# rows straight from a unit vector (a, b) as [[a, -b*], [b, a*]]
+su2_rows = st.one_of(
+    st.tuples(
+        st.sampled_from([1.0, -1.0]),
+        st.one_of(st.floats(-math.tau, math.tau), branch_angles),
+        st.one_of(
+            st.floats(0.0, math.pi),
+            st.sampled_from([0.0, 0.5 * SNAP, 2.0 * SNAP, math.pi - 0.5 * SNAP, math.pi - 2.0 * SNAP, math.pi]),
+        ),
+        st.one_of(st.floats(-math.tau, math.tau), branch_angles),
+    ).map(lambda t: t[0] * rz_gate(t[1]) @ r_gate(t[2], t[3])),
+    st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
+    .filter(lambda v: math.hypot(*v) > 1e-3)
+    .map(lambda v: np.array(v) / math.hypot(*v))
+    .map(lambda v: np.array([[complex(v[0], v[1]), -complex(v[2], -v[3])], [complex(v[2], v[3]), complex(v[0], -v[1])]])),
+)
+
+
+def assert_matches_loop(stack):
+    got = _su2_params(stack, DEFAULT_TOL)
+    want = np.array(su2_params_loop(stack), dtype=float)
+    assert got.shape == want.shape
+    for k in range(len(stack)):
+        assert got[k].tobytes() == want[k].tobytes(), k
+
+
 class TestSu2Params:
+    def test_stacked_matches_loop_at_branch_points(self):
+        stack = np.array(BRANCH_ROWS)
+        assert_matches_loop(stack)
+        for k, row in enumerate(stack):
+            assert_matches_loop(row[None])
+            assert su2_params(row) == su2_params_loop(row[None])[0], k
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.lists(su2_rows, min_size=1, max_size=40))
+    def test_stacked_matches_loop(self, rows):
+        assert_matches_loop(np.array(rows))
+
+    def test_stacked_matches_loop_on_haar_rows(self):
+        rng = SeededRng(59)
+        assert_matches_loop(np.array([random_su2(rng) for _ in range(4000)]))
+
     def test_identity(self):
         theta, phi, phiz, sign = su2_params(I2)
         assert (theta, phi, phiz, sign) == (0.0, 0.0, 0.0, 1)
