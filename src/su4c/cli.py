@@ -72,7 +72,7 @@ EXIT_VERIFY = 4
 # benchmark operations drawn, compiled, run and reconstructed per stacked
 # call: a multiple of the 16 preparations, so the paper's 160 operations are
 # one stack and a larger --n streams in stacks of this size, whose
-# temporaries peak near 5 KiB per operation (41 KiB with --method mle)
+# temporaries peak near 5 KiB per operation (6.3 KiB with --method mle)
 _CHUNK = 256
 
 

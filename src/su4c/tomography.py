@@ -15,7 +15,7 @@ trace preservation fixes the partial trace of its diagonal blocks.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,16 +58,6 @@ _POVM_ROWS.flags.writeable = False
 # stays in C order: a row's sum runs along memory, so the order sets its bits.
 _LINEAR_MAP = np.rint(36.0 * np.linalg.pinv(_POVM_ROWS)) / 36.0 + 0.0  # + 0.0 drops signed zeros
 _LINEAR_MAP.flags.writeable = False
-
-
-class _Frequencies(NamedTuple):
-    """What MLE reads of a stack of B records with the same number n of
-    seen outcomes: those outcomes, in _POVM_STACK order, each weighted by
-    its record's shot count."""
-
-    rows: np.ndarray  # (B, n, 16) rows of _POVM_ROWS of the outcomes seen
-    weights: np.ndarray  # (B, n) record weight times frequency
-    total_weight: np.ndarray  # (B, 1, 1), to divide a stack of R operators
 
 
 def _count_table(counts, shape: tuple) -> "np.ndarray | None":
@@ -143,33 +133,40 @@ def _linear_estimates(counts: np.ndarray) -> np.ndarray:
     return _clip_to_density(vecs.reshape(-1, 4, 4))
 
 
-def _take(data: _Frequencies, index: np.ndarray) -> _Frequencies:
-    return _Frequencies(*(field[index] for field in data))
-
-
-# The functions below take one record (rho (4, 4), fields without the
-# leading axis) or a stack (rho (B, 4, 4), fields as _mle_estimates builds
-# them). Every product is a matmul whose slices are the gemv, dot or gemm of
-# the one-record call, so a stacked record gets the bits it gets alone;
+# The functions below take one record (rho (4, 4), weights and floors
+# (36,)) or a stack (rho (B, 4, 4), weights and floors (B, 36)) and read
+# all 36 outcomes of _POVM_ROWS; an outcome a record did not see has weight
+# 0. Every product is a matmul whose slices are the gemv, dot or gemm of the
+# one-record call, so a stacked record gets the bits it gets alone;
 # tests/test_batch_primitives.py pins each.
 
 
-def _probabilities(rho: np.ndarray, data: _Frequencies, floor: float) -> np.ndarray:
-    """Born probabilities of the outcomes seen, floored."""
-    born = data.rows @ rho.reshape(*rho.shape[:-2], 16, 1)
-    return np.maximum(born[..., 0].real, floor)
+def _outcome_floors(weights: np.ndarray, floor: float) -> np.ndarray:
+    """The least probability of each outcome: floor where it has weight, 1
+    where it has none, so that an outcome not seen adds exactly nothing to
+    a log-likelihood or an R operator at any floor, 0 included."""
+    return np.where(weights > 0.0, floor, 1.0)
 
 
-def _log_likelihood(rho: np.ndarray, data: _Frequencies, floor: float) -> np.ndarray:
-    logs = np.log(_probabilities(rho, data, floor))
-    return (data.weights[..., None, :] @ logs[..., None])[..., 0, 0]
+def _probabilities(rho: np.ndarray, floors: np.ndarray) -> np.ndarray:
+    """Born probabilities of the 36 outcomes, each raised to its floor."""
+    born = (_POVM_ROWS @ rho.reshape(*rho.shape[:-2], 16, 1))[..., 0].real
+    return np.maximum(born, floors)
 
 
-def _r_operator(rho: np.ndarray, data: _Frequencies, floor: float) -> np.ndarray:
-    """sum_k coeff_k op_k over the outcomes seen: every projector op is
-    Hermitian, so its flattened form is the conjugate of its row vec(op^T)."""
-    coeffs = data.weights / _probabilities(rho, data, floor)
-    return np.conj(coeffs[..., None, :] @ data.rows).reshape(rho.shape) / data.total_weight
+def _log_likelihood(rho: np.ndarray, weights: np.ndarray, floors: np.ndarray) -> np.ndarray:
+    logs = np.log(_probabilities(rho, floors))
+    return (weights[..., None, :] @ logs[..., None])[..., 0, 0]
+
+
+def _r_operator(
+    rho: np.ndarray, weights: np.ndarray, total_weight, floors: np.ndarray
+) -> np.ndarray:
+    """sum_k coeff_k op_k over the 36 outcomes, divided by total_weight (a
+    float, or (B, 1, 1) for a stack): every projector op is Hermitian, so
+    its flattened form is the conjugate of its row vec(op^T)."""
+    coeffs = weights / _probabilities(rho, floors)
+    return np.conj(coeffs[..., None, :] @ _POVM_ROWS).reshape(rho.shape) / total_weight
 
 
 def _normalized(m: np.ndarray) -> np.ndarray:
@@ -182,51 +179,34 @@ def _mle_estimates(
 ) -> np.ndarray:
     """MLE state of each record of a count array (N, 9, 4), as an (N, 4, 4)
     stack. traces, if given, holds one list per record, which gets the
-    log-likelihood of the start and of every accepted step.
-
-    The records are stacked by their number of seen outcomes: padding the
-    smaller ones with zero rows would change the rounding of their sums."""
+    log-likelihood of the start and of every accepted step."""
     freqs, shots = _frequency_rows(counts)
     weights = np.repeat(shots, 4, axis=-1) * freqs
     totals = np.cumsum(shots, axis=-1)[:, -1].reshape(-1, 1, 1)
-    seen = np.count_nonzero(freqs > 0.0, axis=-1)
-    rhos = np.empty((len(freqs), 4, 4), dtype=complex)
-    for n in sorted(set(seen.tolist())):
-        index = np.flatnonzero(seen == n)
-        cols = np.nonzero(freqs[index] > 0.0)[1].reshape(len(index), n)  # the outcomes seen
-        group_traces = None if traces is None else [traces[k] for k in index.tolist()]
-        # built in the call, so each compaction in _mle_stack frees the rows it drops
-        rhos[index] = _mle_stack(
-            _Frequencies(
-                rows=_POVM_ROWS[cols],
-                weights=np.take_along_axis(weights[index], cols, axis=-1),
-                total_weight=totals[index],
-            ),
-            tol,
-            group_traces,
-        )
-    return _clip_to_density(rhos)
+    return _clip_to_density(_mle_stack(weights, totals, tol, traces))
 
 
-def _mle_stack(data: _Frequencies, tol: Tolerances, traces: "list | None") -> np.ndarray:
-    """The diluted R rho R iteration on a stack of records with the same
-    number of seen outcomes, unclipped. A record leaves the active stack
-    when its gain falls below tol.mle_stop, when no dilution of its step
-    ascends, or at tol.mle_max_iter steps; it keeps its last ascending
-    state."""
-    floor = tol.prob_floor
+def _mle_stack(
+    weights: np.ndarray, totals: np.ndarray, tol: Tolerances, traces: "Sequence[list] | None"
+) -> np.ndarray:
+    """The diluted R rho R iteration on a stack of records, given their
+    outcome weights (B, 36) and total weights (B, 1, 1), unclipped. A
+    record leaves the active stack when its gain falls below tol.mle_stop,
+    when no dilution of its step ascends, or at tol.mle_max_iter steps; it
+    keeps its last ascending state."""
+    floors = _outcome_floors(weights, tol.prob_floor)
     eye = np.eye(4, dtype=complex)
-    out = np.empty((len(data.weights), 4, 4), dtype=complex)
-    active = np.arange(len(out))  # group rows still iterating
+    out = np.empty((len(weights), 4, 4), dtype=complex)
+    active = np.arange(len(out))  # stack rows still iterating
     rho = np.repeat(eye[None] / 4.0, len(out), axis=0)
-    ll = _log_likelihood(rho, data, floor)
+    ll = _log_likelihood(rho, weights, floors)
     if traces is not None:
         for trace, value in zip(traces, ll.tolist()):
             trace.append(value)
     for _ in range(tol.mle_max_iter):
-        r = _r_operator(rho, data, floor)
+        r = _r_operator(rho, weights, totals, floors)
         cand = _normalized(r @ rho @ r)
-        ll_cand = _log_likelihood(cand, data, floor)
+        ll_cand = _log_likelihood(cand, weights, floors)
         fell = ll_cand < ll
         falling = np.count_nonzero(fell)
         if falling:
@@ -238,7 +218,8 @@ def _mle_stack(data: _Frequencies, tol: Tolerances, traces: "list | None") -> np
                 eps *= 0.5
                 op = eye + eps * r[low]
                 diluted = _normalized(op @ rho[low] @ op.conj().swapaxes(-1, -2))
-                cand[low], ll_cand[low] = diluted, _log_likelihood(diluted, _take(data, low), floor)
+                cand[low] = diluted
+                ll_cand[low] = _log_likelihood(diluted, weights[low], floors[low])
                 low = low[ll_cand[low] < ll[low]]
             fell = ll_cand < ll
             falling = np.count_nonzero(fell)
@@ -253,7 +234,7 @@ def _mle_stack(data: _Frequencies, tol: Tolerances, traces: "list | None") -> np
             out[active[done]] = rho[done]
             keep = ~done
             active, rho, ll = active[keep], rho[keep], ll[keep]
-            data = _take(data, keep)
+            weights, floors, totals = weights[keep], floors[keep], totals[keep]
             if not active.size:
                 return out
     out[active] = rho
@@ -362,10 +343,10 @@ def reconstruct_process(
         raise ValueError("need at least 16 input/output pairs")
     x = _PREPARED_STATES[[_preparation_index(label) for label, _ in pairs]].reshape(-1, 16)
     outs = [_as_complex(rho_out) for _, rho_out in pairs]
-    if np.linalg.matrix_rank(x, tol=1e-8) < 16:
-        raise ValueError("input preparations do not span the operator space")
     # coefficients expressing each |i><j| in the prepared inputs
-    coeff, *_ = np.linalg.lstsq(x.T, np.eye(16, dtype=complex), rcond=None)
+    coeff, _, rank, _ = np.linalg.lstsq(x.T, np.eye(16, dtype=complex), rcond=None)
+    if rank < 16:
+        raise ValueError("input preparations do not span the operator space")
     e = np.zeros((16, 16), dtype=complex)
     stacked = np.stack(outs)
     for i in range(4):

@@ -22,6 +22,7 @@ import hashlib
 import numpy as np
 import pytest
 from born import exact_records
+from test_cli import count_calls
 from test_compile_corpus import CORPUS_SHA256, NAMED, _dress, _fields, corpus
 from test_tomography import assert_stacked_mle_matches_one_record, count_table, random_density
 
@@ -44,7 +45,7 @@ from su4c import (
     state_fidelity,
     verify,
 )
-from su4c import compiler
+from su4c import compiler, tomography
 from su4c.circuits import _pulse_angles, _pulses
 from su4c.config import DEFAULT_TOL
 from su4c.experiment import _exact_experiments, _sample_counts
@@ -346,7 +347,7 @@ def mle_records():
     states = SeededRng(77)
     capped = [random_density(states) for _ in range(3)][-1]
     records += [exact_records(ground), counted(ground, 100), exact_records(capped)]
-    records.append(counted(ground, 10**6, extra=(0, 0)))  # the no-ascent end
+    records.append(counted(ground, 10**6, extra=(1, 0)))  # the no-ascent end
     return records
 
 
@@ -368,6 +369,21 @@ def test_mle_reconstruction_matches_one_record_calls():
         last = by_record[len(tables) - 1]
         assert len(last) <= DEFAULT_TOL.mle_max_iter
         assert last[-1] - last[-2] >= DEFAULT_TOL.mle_stop
+
+
+def test_one_mle_stack_per_call(monkeypatch):
+    # every record reads all 36 outcomes, so records that saw different
+    # numbers of them still iterate as one stack
+    ground = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    rng = SeededRng(48)
+    angles = pulse_angles([decompose(sample_su4(rng)) for _ in range(3)])
+    labels = TOMOGRAPHY_INPUT_LABELS[:3]
+    calibrated = run_experiments(angles, labels, CALIBRATED_NOISE, 1000, rng.spawn(3))
+    counts = _count_array([exact_records(ground), *calibrated, exact_records(ground)])
+    assert len({np.count_nonzero(table) for table in counts}) >= 2  # the premise
+    calls = count_calls(monkeypatch, tomography._mle_stack)
+    _estimate_states(counts, "mle", DEFAULT_TOL)
+    assert [len(args[0]) for args in calls] == [len(counts)]
 
 
 def public_path_cases():

@@ -27,7 +27,7 @@ import pytest
 from su4c.experiment import _apply
 from su4c.gates import _r_gates, _rz_gates, r_gate, rz_gate
 from su4c.haar import SeededRng
-from su4c.tomography import _LINEAR_MAP
+from su4c.tomography import _LINEAR_MAP, _POVM_ROWS
 
 N = 64
 
@@ -237,22 +237,27 @@ def test_broadcast_row_scalars_against_scalar_operands():
 
 
 # The stacked MLE iteration (_mle_estimates) runs each record's products as
-# one slice of a stacked matmul; each must equal the one-record call it
-# replaced, for every number n of seen outcomes.
+# one slice of a stacked matmul against the constant (36, 16) table of
+# outcome rows; each must equal the one-record call, for every number n of
+# seen outcomes, the other 36 - n at weight 0. Checked on _POVM_ROWS and on
+# a random table.
 
 
 @pytest.mark.parametrize("n", [9, 23, 36])
 def test_mle_stacked_products(n):
     g = gen(17 + n)
-    rows = g.standard_normal((N, n, 16)) + 1j * g.standard_normal((N, n, 16))
     rho = complex_stack(g)
-    coeffs, logs = g.uniform(0.1, 10.0, (N, n)), np.log(g.uniform(1e-3, 1.0, (N, n)))
-    born = rows @ rho.reshape(N, 16, 1)  # (B, n, 16) @ (B, 16, 1) complex
-    r = np.conj(coeffs[:, None, :] @ rows)  # (B, 1, n) @ (B, n, 16), real left operand
-    dots = coeffs[:, None, :] @ logs[..., None]  # (B, 1, n) @ (B, n, 1) real
+    coeffs, logs = g.uniform(0.1, 10.0, (N, 36)), np.log(g.uniform(1e-3, 1.0, (N, 36)))
     for k in range(N):
-        assert same(born[k, :, 0], rows[k] @ rho[k].reshape(16)), k
-        assert same(r[k, 0], np.conj(coeffs[k] @ rows[k])), k
+        coeffs[k, g.permutation(36)[n:]] = 0.0  # the outcomes not seen
+    dots = coeffs[:, None, :] @ logs[..., None]  # (B, 1, 36) @ (B, 36, 1) real
+    for rows in (_POVM_ROWS, g.standard_normal((36, 16)) + 1j * g.standard_normal((36, 16))):
+        born = rows @ rho.reshape(N, 16, 1)  # (36, 16) @ (B, 16, 1) complex
+        r = np.conj(coeffs[:, None, :] @ rows)  # (B, 1, 36) @ (36, 16), real left operand
+        for k in range(N):
+            assert same(born[k, :, 0], rows @ rho[k].reshape(16)), k
+            assert same(r[k, 0], np.conj(coeffs[k] @ rows)), k
+    for k in range(N):
         assert same(dots[k, 0, 0], coeffs[k] @ logs[k]), k
 
 

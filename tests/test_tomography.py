@@ -36,6 +36,7 @@ from su4c.tomography import (
     _count_array,
     _log_likelihood,
     _mle_estimates,
+    _outcome_floors,
     _r_operator,
     apply_process,
     entanglement_fidelity,
@@ -214,9 +215,9 @@ class TestMleReconstruction:
             lin = reconstruct_state(rec, method="linear")
             mle = reconstruct_state(rec, method="mle")
             assert np.linalg.eigvalsh(mle)[0] > -1e-10
-            data = record_frequencies(rec)
-            floor = DEFAULT_TOL.prob_floor
-            assert _log_likelihood(mle, data, floor) >= _log_likelihood(lin, data, floor) - 1e-9
+            w = record_frequencies(rec).weights
+            floors = _outcome_floors(w, DEFAULT_TOL.prob_floor)
+            assert _log_likelihood(mle, w, floors) >= _log_likelihood(lin, w, floors) - 1e-9
 
     def test_ground_state_fidelity_median(self):
         # 100 shots per setting on the identity circuit; pilot over the same
@@ -255,30 +256,21 @@ def mle_estimate(table, tol, trace=None):
 
 
 class OneRecordData(NamedTuple):
-    """One record's MLE data as the one-record kernel read it: the fields
-    of _Frequencies and the flattened projectors ops, a second table the
-    stacked kernel no longer holds."""
+    """One record's MLE data as the one-record kernel reads it."""
 
-    rows: np.ndarray  # (n, 16) rows of _POVM_ROWS of the outcomes seen
-    ops: np.ndarray  # (n, 16) their projectors, flattened
-    weights: np.ndarray  # (n,)
+    weights: np.ndarray  # (36,) weight of each outcome, 0 where not seen
     total_weight: float
 
 
 def one_record_frequencies(table):
-    """One record's MLE data (fields (n, 16), (n, 16), (n,) and a float),
-    built from its count table (9, 4) as the one-record
-    _collect_frequencies built it before the counts of a call became one
-    array: the oracle of the stacked build in _mle_estimates."""
+    """One record's MLE data (fields (36,) and a float), built from its
+    count table (9, 4) as the one-record _collect_frequencies built it
+    before the counts of a call became one array, with the outcomes it did
+    not see kept at weight 0: the oracle of the stacked build in
+    _mle_estimates."""
     shots = np.cumsum(table, axis=1)[:, -1]
     freqs = (table / shots[:, None]).reshape(36)
-    keep = freqs > 0.0
-    return OneRecordData(
-        rows=_POVM_ROWS[keep],
-        ops=_POVM_STACK[keep].reshape(-1, 16),
-        weights=(np.repeat(shots, 4) * freqs)[keep],
-        total_weight=sum(shots.tolist()),
-    )
+    return OneRecordData(weights=np.repeat(shots, 4) * freqs, total_weight=sum(shots.tolist()))
 
 
 def record_frequencies(records):
@@ -352,14 +344,18 @@ def loop_mle_estimate(data, tol, trace=None):
     return _clip_to_density(rho[None])[0]
 
 
-# The one-record MLE kernel that the stacked _mle_estimates replaced,
-# verbatim: the bit-for-bit oracle of tests/test_batch.py and of
-# test_mle_on_count_tables.
+# The one-record MLE kernel that the stacked _mle_estimates replaced, over
+# all 36 outcomes with the unseen ones at weight 0: the bit-for-bit oracle
+# of tests/test_batch.py and of test_mle_on_count_tables. It sums the R
+# operator over the flattened projectors, not the conjugated rows.
+
+_POVM_OPS = _POVM_STACK.reshape(36, 16)
 
 
 def one_record_probabilities(rho, data, floor):
-    """Born probabilities of the outcomes seen, floored."""
-    return np.maximum((data.rows @ rho.reshape(16)).real, floor)
+    """Born probabilities of the 36 outcomes, floored; 1 where unseen."""
+    born = (_POVM_ROWS @ rho.reshape(16)).real
+    return np.where(data.weights > 0.0, np.maximum(born, floor), 1.0)
 
 
 def one_record_log_likelihood(rho, data, floor):
@@ -368,7 +364,7 @@ def one_record_log_likelihood(rho, data, floor):
 
 def one_record_r_operator(rho, data, floor):
     coeffs = data.weights / one_record_probabilities(rho, data, floor)
-    return (coeffs @ data.ops).reshape(4, 4) / data.total_weight
+    return (coeffs @ _POVM_OPS).reshape(4, 4) / data.total_weight
 
 
 def one_record_mle_estimate(data, tol, trace=None):
@@ -434,7 +430,8 @@ def mle_case_records(kind, shots, seed):
 
 def assert_likelihood_matches_loop(rho, data, loop, floor):
     expected = loop_log_likelihood(rho, loop, floor)
-    assert abs(_log_likelihood(rho, data, floor) - expected) <= 1e-12 * abs(expected)
+    floors = _outcome_floors(data.weights, floor)
+    assert abs(_log_likelihood(rho, data.weights, floors) - expected) <= 1e-12 * abs(expected)
 
 
 class TestMleMatchesLoop:
@@ -457,7 +454,9 @@ class TestMleMatchesLoop:
         for rho in states:
             assert_likelihood_matches_loop(rho, data, loop, floor)
             expected = loop_r_operator(rho, loop, floor)
-            gap = np.max(np.abs(_r_operator(rho, data, floor) - expected))
+            floors = _outcome_floors(data.weights, floor)
+            r = _r_operator(rho, data.weights, data.total_weight, floors)
+            gap = np.max(np.abs(r - expected))
             assert gap <= 1e-12 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("kind,shots,seed", MLE_CASES)
@@ -484,9 +483,10 @@ class TestMleMatchesLoop:
             for s in MEASUREMENT_SETTINGS
         ]
         data, loop = record_frequencies(records), loop_frequencies(records)
-        assert np.isfinite(_log_likelihood(GROUND, data, 0.0))
+        floors = _outcome_floors(data.weights, 0.0)
+        assert np.isfinite(_log_likelihood(GROUND, data.weights, floors))
         assert_likelihood_matches_loop(GROUND, data, loop, 0.0)
-        r = _r_operator(GROUND, data, 0.0)
+        r = _r_operator(GROUND, data.weights, data.total_weight, floors)
         assert np.max(np.abs(r - loop_r_operator(GROUND, loop, 0.0))) <= 1e-12
 
 
@@ -634,10 +634,13 @@ class TestReconstructProcess:
     def test_exact_data_inverts(self):
         rng = SeededRng(439)
         worst = 0.0
-        for _ in range(20):
+        for k in range(20):
             u = sample_su4(rng)
-            e = reconstruct_process(self.exact_pairs(u))
-            worst = max(worst, float(np.max(np.abs(e - process_matrix_of_unitary(u)))))
+            pairs = self.exact_pairs(u)
+            # all 16 labels, then the same with label k % 16 given twice
+            for extra in ([], [pairs[k % 16]]):
+                e = reconstruct_process(pairs + extra)
+                worst = max(worst, float(np.max(np.abs(e - process_matrix_of_unitary(u)))))
         assert worst < 1e-9
 
     def test_depolarizing_channel_inverts(self):
@@ -652,9 +655,16 @@ class TestReconstructProcess:
 
     def test_degenerate_preparations_rejected(self):
         rho = random_density(SeededRng(449))
-        pairs = [(("up", "up"), rho)] * 16  # rank-1 preparation set
         with pytest.raises(ValueError):
-            reconstruct_process(pairs)
+            reconstruct_process([(("up", "up"), rho)] * 16)  # rank-1 preparation set
+        # 16 pairs that span only 15 dimensions: one label missing, another
+        # given twice
+        pairs = self.exact_pairs(sample_su4(SeededRng(451)))
+        for missing in range(16):
+            kept = pairs[:missing] + pairs[missing + 1 :]
+            for twice in kept:
+                with pytest.raises(ValueError, match="span"):
+                    reconstruct_process(kept + [twice])
 
     def test_cp_projection_clips_negative_part(self):
         # finite shots leave the raw estimate slightly non positive
