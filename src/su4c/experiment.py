@@ -76,10 +76,14 @@ __all__ = [
     "exact_experiment",
 ]
 
+# The six single-qubit Pauli eigenstates. The preparations use four of them;
+# the probes of mean_state_fidelity use all six.
 _STATE_VECTORS = {
     "up": np.array([1.0, 0.0], dtype=complex),
     "down": np.array([0.0, 1.0], dtype=complex),
     "plus": np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0),
+    "minus": np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0),
+    "plus_i": np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0),
     "minus_i": np.array([1.0, -1.0j], dtype=complex) / math.sqrt(2.0),
 }
 
@@ -104,15 +108,19 @@ _SETTING_FRAMES = np.array(
 _SETTING_FRAMES.flags.writeable = False
 
 
-# The 16 preparations in TOMOGRAPHY_INPUT_LABELS order, as state vectors
-# (16, 4) and as density matrices (16, 4, 4), each entry the np.outer of
-# its factors.
-_PREPARED_VECTORS = np.array(
-    [np.outer(_STATE_VECTORS[a], _STATE_VECTORS[b]).reshape(4) for a, b in TOMOGRAPHY_INPUT_LABELS]
-)
-_PREPARED_STATES = _PREPARED_VECTORS[:, :, None] * _PREPARED_VECTORS[:, None, :].conj()
-_PREPARED_VECTORS.flags.writeable = False
-_PREPARED_STATES.flags.writeable = False
+def _product_states(labels) -> tuple[np.ndarray, np.ndarray]:
+    """The products of _STATE_VECTORS named by label pairs, in order, as
+    read-only state vectors (n, 4) and density matrices (n, 4, 4), each entry
+    the np.outer of its factors."""
+    vectors = np.array([np.outer(_STATE_VECTORS[a], _STATE_VECTORS[b]).reshape(4) for a, b in labels])
+    states = vectors[:, :, None] * vectors[:, None, :].conj()
+    vectors.flags.writeable = False
+    states.flags.writeable = False
+    return vectors, states
+
+
+# The 16 preparations in TOMOGRAPHY_INPUT_LABELS order.
+_PREPARED_VECTORS, _PREPARED_STATES = _product_states(TOMOGRAPHY_INPUT_LABELS)
 _PREPARATION_INDEX = {label: k for k, label in enumerate(TOMOGRAPHY_INPUT_LABELS)}
 
 
@@ -120,7 +128,7 @@ def _preparation_index(label: Sequence[str]) -> int:
     """Row of a product preparation, one label per qubit, in the tables above."""
     a, b = (str(name) for name in label)
     for name in (a, b):
-        if name not in _STATE_VECTORS:
+        if name not in STATE_LABELS:
             raise ValueError(f"unknown state label {name!r}; choose from {STATE_LABELS}")
     return _PREPARATION_INDEX[a, b]
 
@@ -179,7 +187,10 @@ _G_PHASES = _pass_layout((np.diag(G_GATE)[:, None] * np.diag(G_GATE).conj()).res
 
 # Per setting and outcome o, W[o, i] conj(W[o, j]) for the setting's frame
 # W, (9, 4, 16): the outcome's probability is Re sum(effect * rho.ravel()).
+# Outcome o projects onto W^dagger |o>, so each row is vec(op^T) of its
+# projector op; tomography reads the same table as its 36 Born rows.
 _EFFECTS = (_SETTING_FRAMES[..., :, None] * _SETTING_FRAMES[..., None, :].conj()).reshape(9, 4, 16)
+_EFFECTS.flags.writeable = False
 
 # I/4 in the pass layout.
 _MIXED = _pass_layout(np.eye(4, dtype=complex).reshape(1, 4, 4) / 4.0)[0]
@@ -210,9 +221,11 @@ _R_ENTRIES = np.array([0, 1, 2, 3, 4, 0, 5, 2, 6, 7, 0, 1, 3, 6, 4, 0])
 
 
 def _r_channel_values(theta: np.ndarray, phi: np.ndarray, sigma: float) -> np.ndarray:
-    """The eight distinct entries (..., 8) of _r_channels, which
-    _R_ENTRIES spreads over the 4x4 superoperator; each is written into
-    one array as it is made, so no stack of all sixteen is held."""
+    """The eight distinct entries (..., 8) of R(theta, phi) averaged over a
+    relative over-rotation drawn from N(0, sigma), a superoperator on the
+    target's (row, column) index pair that _R_ENTRIES spreads over 4x4; each
+    is written into one array as it is made, so no stack of all sixteen is
+    held."""
     k = np.exp(-0.5 * (theta * sigma) ** 2)  # the Gaussian mean of cos(theta eps)
     c, s = k * np.cos(theta), k * np.sin(theta)
     a, b = 0.5 * (1.0 + c), 0.5 * (1.0 - c)
@@ -223,12 +236,6 @@ def _r_channel_values(theta: np.ndarray, phi: np.ndarray, sigma: float) -> np.nd
     values[..., 4], values[..., 5], values[..., 6] = p, b * u * u, -q
     values[..., 7] = b * (u * u).conj()
     return values
-
-
-def _r_channels(theta: np.ndarray, phi: np.ndarray, sigma: float) -> np.ndarray:
-    """R(theta, phi) averaged over a relative over-rotation drawn from N(0, sigma),
-    a superoperator on the target's (row, column) index pair: (..., 4, 4)."""
-    return _r_channel_values(theta, phi, sigma)[..., _R_ENTRIES].reshape(*theta.shape, 4, 4)
 
 
 def _qubit_damping(gamma: float) -> np.ndarray:

@@ -14,7 +14,6 @@ trace preservation fixes the partial trace of its diagonal blocks.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -23,9 +22,10 @@ from .config import DEFAULT_TOL, Tolerances
 from .experiment import (
     MEASUREMENT_SETTINGS,
     MeasurementRecord,
+    _EFFECTS,
     _PREPARED_STATES,
-    _SETTING_FRAMES,
     _preparation_index,
+    _product_states,
 )
 from .linalg import _as_complex, _kron
 
@@ -41,15 +41,11 @@ __all__ = [
 ]
 
 
-# The 36 outcome projectors, setting-major, as a (36, 4, 4) stack and as a
-# (36, 16) matrix of rows vec(op^T), so that Tr(op rho) = row . vec(rho) and
-# all 36 Born probabilities of rho are one matrix-vector product. Outcome k
-# of a setting with frame W projects onto W^dagger |k>, whose conjugate is
-# row k of W.
-_POVM_STACK = np.array([np.outer(w[k].conj(), w[k]) for w in _SETTING_FRAMES for k in range(4)])
-_POVM_ROWS = np.ascontiguousarray(_POVM_STACK.transpose(0, 2, 1).reshape(36, 16))
-_POVM_STACK.flags.writeable = False
-_POVM_ROWS.flags.writeable = False
+# The 36 outcome projectors op, setting-major, as a (36, 16) matrix of rows
+# vec(op^T), so that Tr(op rho) = row . vec(rho) and all 36 Born
+# probabilities of rho are one matrix-vector product: a read-only view of
+# the experiment's own table, which the counts were drawn from.
+_POVM_ROWS = _EFFECTS.reshape(36, 16)
 
 
 # The linear estimate of a frequency row f (36,) is vec(rho) = _LINEAR_MAP f,
@@ -100,7 +96,7 @@ def _count_array(records_list: Sequence[Sequence[MeasurementRecord]]) -> np.ndar
 
 
 def _frequency_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The frequencies (N, 36) of a count array (N, 9, 4) in _POVM_STACK
+    """The frequencies (N, 36) of a count array (N, 9, 4) in _POVM_ROWS
     order and the shots (N, 9) of each setting."""
     counts = np.asarray(counts, dtype=float)
     shots = np.cumsum(counts, axis=-1)[..., -1]  # added left to right, as sum() adds
@@ -335,24 +331,25 @@ def reconstruct_process(
 
     pairs: (input label, output density matrix) for preparations that span
     the operator space, normally the 16 labels in TOMOGRAPHY_INPUT_LABELS.
-    The linear inversion is followed by hermitization, an optional clip of
-    the negative part (complete positivity), and a trace-preservation
-    correction. On exact data of a unitary channel all three are no-ops.
+    Each output is linear in its input, so all 16 blocks E(|i><j|) are one
+    least-squares solve against the prepared inputs. The result is then
+    hermitized and shifted onto the trace-preserving set; with cp_projection
+    a clip of the negative part (complete positivity) and that shift then
+    alternate until the clip has nothing left to do. On exact data of a
+    unitary channel each step is a no-op.
     """
     if len(pairs) < 16:
         raise ValueError("need at least 16 input/output pairs")
     x = _PREPARED_STATES[[_preparation_index(label) for label, _ in pairs]].reshape(-1, 16)
-    outs = [_as_complex(rho_out) for _, rho_out in pairs]
-    # coefficients expressing each |i><j| in the prepared inputs
-    coeff, _, rank, _ = np.linalg.lstsq(x.T, np.eye(16, dtype=complex), rcond=None)
+    outs = np.stack([_as_complex(rho_out) for _, rho_out in pairs])
+    if outs.shape[1:] != (4, 4):
+        raise ValueError(f"each output must be a 4x4 matrix, got shape {outs.shape[1:]}")
+    outs = outs.reshape(-1, 16)
+    # row 4i + j of blocks is vec E(|i><j|)
+    blocks, _, rank, _ = np.linalg.lstsq(x, outs, rcond=None)
     if rank < 16:
         raise ValueError("input preparations do not span the operator space")
-    e = np.zeros((16, 16), dtype=complex)
-    stacked = np.stack(outs)
-    for i in range(4):
-        for j in range(4):
-            block = np.tensordot(coeff[:, 4 * i + j], stacked, axes=(0, 0))
-            e[4 * i : 4 * i + 4, 4 * j : 4 * j + 4] = block
+    e = blocks.reshape(4, 4, 4, 4).swapaxes(1, 2).reshape(16, 16)
     e = 0.5 * (e + e.conj().T)
     e = _tp_correct(e)
     if cp_projection:
@@ -389,47 +386,19 @@ def entanglement_fidelity(e1: np.ndarray, e2: np.ndarray) -> float:
     return float(val.real)
 
 
-_AXIS_EIGENSTATES = {
-    "x": (
-        np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0),
-        np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0),
-    ),
-    "y": (
-        np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0),
-        np.array([1.0, -1.0j], dtype=complex) / math.sqrt(2.0),
-    ),
-    "z": (
-        np.array([1.0, 0.0], dtype=complex),
-        np.array([0.0, 1.0], dtype=complex),
-    ),
-}
-
-
-def _probe_states() -> np.ndarray:
-    """The 36 products of single-qubit Pauli eigenstates as a (36, 4, 4)
-    stack of density matrices, fixed order: axes x, y, z per qubit, +1
-    eigenstate before -1."""
-    probes = []
-    for axis0 in ("x", "y", "z"):
-        for axis1 in ("x", "y", "z"):
-            for v0 in _AXIS_EIGENSTATES[axis0]:
-                for v1 in _AXIS_EIGENSTATES[axis1]:
-                    psi = np.kron(v0, v1)
-                    probes.append(np.outer(psi, psi.conj()))
-    return np.array(probes)
-
-
-_PROBES = _probe_states()
-_PROBES.flags.writeable = False
+# The 36 products of single-qubit Pauli eigenstates as a (36, 4, 4) stack
+# of density matrices, fixed order: axes x, y, z per qubit, +1 eigenstate
+# before -1.
+_AXES = (("plus", "minus"), ("plus_i", "minus_i"), ("up", "down"))
+_, _PROBES = _product_states(
+    [(a, b) for axis0 in _AXES for axis1 in _AXES for a in axis0 for b in axis1]
+)
 
 
 def mean_state_fidelity(e1: np.ndarray, e2: np.ndarray) -> float:
     """Average output-state fidelity over the 36 Pauli product eigenstates."""
     fids = _state_fidelities(apply_process(e1, _PROBES), apply_process(e2, _PROBES))
-    total = 0.0
-    for f in fids:  # added in probe order, as 36 state_fidelity calls would be
-        total += f
-    return total / len(_PROBES)
+    return sum(fids) / len(_PROBES)  # added in probe order, as 36 state_fidelity calls would be
 
 
 _DIM = 4  # Hilbert-space dimension of two qubits

@@ -36,7 +36,8 @@ def clean_env(monkeypatch):
 
 
 def count_calls(monkeypatch, original) -> list:
-    """Replace original under every name a su4c module holds it by with a
+    """Replace original under every name a su4c module, or the module that
+    exports it (numpy.linalg for np.linalg.lstsq), holds it by with a
     wrapper that records each call; returns the list of recorded args."""
     calls = []
 
@@ -45,7 +46,7 @@ def count_calls(monkeypatch, original) -> list:
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name == "su4c" or name.startswith("su4c."):
+        if name == "su4c" or name.startswith("su4c.") or name == original.__module__:
             for key, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, key, counting)
@@ -553,7 +554,7 @@ GOLDEN_REPORTS = {
     "process-tomo": (
         ("process-tomo", "--unitary", None, "--shots", "1000", "--noise", "calibrated",
          "--method", "mle"),
-        "6439d29762ab1190aaf3ba5fe3da1eae6174f3f29b62ee60c50e3ccb4252748f",
+        "cb49d57d2a02c220576cf812fe7f9e1f248f3870711fb03018a217b0495963c7",
     ),
     "compile-pulses": (
         ("compile", None, "--pulses"),

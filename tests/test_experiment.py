@@ -1,6 +1,7 @@
 """Noisy pulse-level simulation and projective measurement."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,17 +26,19 @@ from su4c.experiment import (
     _PREPARED_STATES,
     _PREPARED_VECTORS,
     _PREROTATION,
+    _R_ENTRIES,
     _SETTING_FRAMES,
     _STATE_VECTORS,
     _apply,
     _outcome_probabilities,
     _output_states,
     _pass_layout,
-    _r_channels,
+    _r_channel_values,
 )
 from su4c.gates import G_GATE, embed, r_gate, rz_gate
 from su4c.haar import SeededRng, sample_su4
 from su4c.linalg import _kron, kron
+from su4c.tomography import reconstruct_process
 from born import setting_probabilities
 from programs import program
 
@@ -178,6 +181,13 @@ class TestInputStates:
             input_state(("up", "sideways"))
         with pytest.raises(ValueError, match="left"):
             input_state(("left", "up"))
+        # Pauli eigenstates that are not preparations are unknown labels too
+        for label in (("minus", "up"), ("up", "plus_i")):
+            with pytest.raises(ValueError, match=re.escape(str(STATE_LABELS))):
+                input_state(label)
+        pairs = [(label, I4 / 4.0) for label in TOMOGRAPHY_INPUT_LABELS]
+        with pytest.raises(ValueError, match=re.escape(str(STATE_LABELS))):
+            reconstruct_process(pairs + [(("minus", "up"), I4 / 4.0)])
 
     def test_label_set(self):
         assert STATE_LABELS == ("up", "down", "plus", "minus_i")
@@ -757,7 +767,7 @@ class TestOutputStates:
         # Gaussian average of the over-rotated r_gate conjugation by
         # 60-point Gauss-Hermite quadrature
         labels = TOMOGRAPHY_INPUT_LABELS
-        op = _r_channels(np.array(theta), np.array(phi), sigma)
+        op = _r_channel_values(np.array(theta), np.array(phi), sigma)[_R_ENTRIES].reshape(4, 4)
         x = _pass_layout(np.array([ideal_output(I4, label) for label in labels]))
         out = _pass_layout(_apply(x, op, target))
         nodes, weights = np.polynomial.hermite.hermgauss(60)
@@ -827,7 +837,8 @@ class TestOutputStates:
             p, q = 0.5j * s * u, 0.5j * s * u.conj()
             entries = [a, q, -p, b, p, a, b * u * u, -p, -q, b * (u * u).conj(), a, q, b, -q, p, a]
             want = np.stack(entries, axis=-1).reshape(40, 16, 4, 4)
-            assert _r_channels(theta, phi, sigma).tobytes() == want.tobytes()
+            got = _r_channel_values(theta, phi, sigma)[..., _R_ENTRIES].reshape(40, 16, 4, 4)
+            assert got.tobytes() == want.tobytes()
 
     def test_output_states_are_physical(self):
         states = _output_states(ORACLE_PROGRAMS, ORACLE_LABELS, NoiseModel(0.3, 0.2, 0.3))

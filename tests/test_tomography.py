@@ -22,16 +22,16 @@ from su4c.experiment import (
     TOMOGRAPHY_INPUT_LABELS,
     MeasurementRecord,
     NoiseModel,
+    _EFFECTS,
     input_state,
     run_experiment,
 )
 from su4c.haar import SeededRng, sample_su4
 from su4c.linalg import check_density_matrix, kron, nearest_unitary
 from su4c.tomography import (
-    _AXIS_EIGENSTATES,
     _LINEAR_MAP,
     _POVM_ROWS,
-    _POVM_STACK,
+    _PROBES,
     _clip_to_density,
     _count_array,
     _log_likelihood,
@@ -50,9 +50,14 @@ from su4c.tomography import (
 from born import exact_records, setting_probabilities
 from programs import program
 from reference_data import M1
+from test_cli import count_calls
 
 I4 = np.eye(4, dtype=complex)
 E_DEPOL = np.eye(16, dtype=complex) / 4.0  # fully depolarizing process
+
+# The 36 outcome projectors, setting-major, (36, 4, 4): each row of
+# _POVM_ROWS is vec(op^T) of a Hermitian op, so its conjugate is vec(op).
+_POVM_STACK = _POVM_ROWS.conj().reshape(36, 4, 4)
 
 
 def random_density(rng, rank=4):
@@ -531,18 +536,44 @@ def random_cp_matrix(rng):
     return 4.0 * e / np.trace(e).real
 
 
-def probe_loop_mean_state_fidelity(e1, e2):
-    """The 36-call mean_state_fidelity that the stacked one replaced."""
-    blocks = [np.asarray(e, dtype=complex).reshape(4, 4, 4, 4) for e in (e1, e2)]
-    total = 0.0
+# Each axis's +1 and -1 eigenstates: the probe oracle's own table, apart
+# from the package's.
+_AXIS_EIGENSTATES = {
+    "x": (
+        np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0),
+        np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0),
+    ),
+    "y": (
+        np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0),
+        np.array([1.0, -1.0j], dtype=complex) / math.sqrt(2.0),
+    ),
+    "z": (
+        np.array([1.0, 0.0], dtype=complex),
+        np.array([0.0, 1.0], dtype=complex),
+    ),
+}
+
+
+def probe_states():
+    """The 36 Pauli product eigenstates as np.outer density matrices: axes
+    x, y, z per qubit, +1 eigenstate before -1."""
+    probes = []
     for axis0 in ("x", "y", "z"):
         for axis1 in ("x", "y", "z"):
             for v0 in _AXIS_EIGENSTATES[axis0]:
                 for v1 in _AXIS_EIGENSTATES[axis1]:
                     psi = np.kron(v0, v1)
-                    rho = np.outer(psi, psi.conj())
-                    out1, out2 = (np.einsum("ij,ikjl->kl", rho, b) for b in blocks)
-                    total += state_fidelity(out1, out2)
+                    probes.append(np.outer(psi, psi.conj()))
+    return np.array(probes)
+
+
+def probe_loop_mean_state_fidelity(e1, e2):
+    """The 36-call mean_state_fidelity that the stacked one replaced."""
+    blocks = [np.asarray(e, dtype=complex).reshape(4, 4, 4, 4) for e in (e1, e2)]
+    total = 0.0
+    for rho in probe_states():
+        out1, out2 = (np.einsum("ij,ikjl->kl", rho, b) for b in blocks)
+        total += state_fidelity(out1, out2)
     return total / 36
 
 
@@ -643,6 +674,16 @@ class TestReconstructProcess:
                 worst = max(worst, float(np.max(np.abs(e - process_matrix_of_unitary(u)))))
         assert worst < 1e-9
 
+    def test_one_table_and_one_solve(self, monkeypatch):
+        # tomography reads the experiment's measurement table, and all 16
+        # blocks come from one least-squares solve
+        assert np.shares_memory(_POVM_ROWS, _EFFECTS)
+        pairs = self.exact_pairs(sample_su4(SeededRng(443)))
+        solves = count_calls(monkeypatch, np.linalg.lstsq)
+        contractions = count_calls(monkeypatch, np.tensordot)
+        reconstruct_process(pairs)
+        assert (len(solves), len(contractions)) == (1, 0)
+
     def test_depolarizing_channel_inverts(self):
         pairs = [(label, I4 / 4.0) for label in TOMOGRAPHY_INPUT_LABELS]
         e = reconstruct_process(pairs)
@@ -652,6 +693,13 @@ class TestReconstructProcess:
         u = sample_su4(SeededRng(443))
         with pytest.raises(ValueError):
             reconstruct_process(self.exact_pairs(u)[:10])
+
+    def test_misshapen_outputs_rejected(self):
+        # sixteen entries that are not a 4x4 matrix are not an output
+        pairs = self.exact_pairs(sample_su4(SeededRng(443)))
+        for shape in ((16,), (2, 8)):
+            with pytest.raises(ValueError, match="4x4"):
+                reconstruct_process([(label, rho.reshape(shape)) for label, rho in pairs])
 
     def test_degenerate_preparations_rejected(self):
         rho = random_density(SeededRng(449))
@@ -734,6 +782,9 @@ class TestFidelityMetrics:
         u = sample_su4(SeededRng(487))
         e = process_matrix_of_unitary(u)
         assert mean_state_fidelity(e, E_DEPOL) == pytest.approx(0.25, abs=1e-12)
+
+    def test_probes_are_the_outer_products(self):
+        assert _PROBES.tobytes() == probe_states().tobytes()
 
     def test_mean_state_fidelity_matches_36_calls(self):
         # bit for bit what one state_fidelity call per probe state gives
