@@ -32,7 +32,7 @@ from .gates import (
     r_gate,
     rz_gate,
 )
-from .linalg import _kron, _special_unitary_projection, _su2_params
+from .linalg import _kron, _su2_params
 
 __all__ = [
     "LocalGate",
@@ -115,6 +115,9 @@ _SLOT = tuple((kind, target) for target in (0, 1) for kind in ("R", "Rz", "R", "
 _TEMPLATE = (*_SLOT, ("G", None)) * 3 + _SLOT
 PULSE_COUNT = len(_TEMPLATE)  # 8 slots x (R, Rz, R, Rz) + 3 G applications
 _R_THETA = math.pi / 2.0  # of every R pulse
+# The square root of each slot's determinant: H and Z (det -1) enter slots
+# 1, 3, 4 and 7 once each, and every other factor has det 1.
+_SLOT_ROOTS = np.array([1, 1j, 1, 1j, 1j, 1, 1, 1j])
 
 
 def pulse_angles(params: list[CircuitParams]) -> np.ndarray:
@@ -146,8 +149,8 @@ def pulse_angles(params: list[CircuitParams]) -> np.ndarray:
     entry and exit frames on qubit 1 are merged into L3 and L0, and L3 and
     L0 into the corrections (A, B) and (C, D), leaving four slots per qubit
     around three G applications for every class. Each slot is
-    phase-normalized (the dropped scalar only shifts the global phase) and
-    written as r_pulse_triple and an Rz.
+    divided by the square root of its fixed determinant (the dropped scalar
+    only shifts the global phase) and written as r_pulse_triple and an Rz.
 
     pulse_angles is the object view of _pulse_angles, which takes the
     arrays _decompose_arrays returns.
@@ -162,12 +165,22 @@ def pulse_angles(params: list[CircuitParams]) -> np.ndarray:
 def _pulse_angles(classes: np.ndarray, letters: np.ndarray) -> np.ndarray:
     """pulse_angles of the circuits with class angles (alpha, beta, delta),
     (N, 3), and letters A, B, C, D as (theta, phi, phiz, sign) rows,
-    (N, 4, 4).
+    (N, 4, 4): each slot divided by its entry of _SLOT_ROOTS, read as an R
+    triple and an Rz."""
+    su = _slots(classes, letters) / _SLOT_ROOTS[:, None, None]
+    theta, phi, phiz, _ = _su2_params(su.reshape(-1, 2, 2), DEFAULT_TOL).T
+    out = np.empty((len(theta), 4))
+    out[:, 0] = (phi - _R_THETA) % math.tau
+    out[:, 1] = theta % math.tau
+    out[:, 2] = (phi + _R_THETA) % math.tau
+    out[:, 3] = phiz
+    return out.reshape(-1, 32)
 
-    The 8N slots are built as one stack: every R and Rz factor of the batch
-    comes from one _r_gates and one _rz_gates call, and each slot is the
-    product of its factors in the order one row alone would take them.
-    """
+
+def _slots(classes: np.ndarray, letters: np.ndarray) -> np.ndarray:
+    """The eight slots (N, 8, 2, 2) of each program of _pulse_angles, in
+    application order, before _SLOT_ROOTS; every R and Rz factor of the
+    batch comes from one _r_gates and one _rz_gates call."""
     n = len(classes)
     flat = letters.reshape(4 * n, 4)
     alpha, beta, delta = classes.T
@@ -195,14 +208,7 @@ def _pulse_angles(classes: np.ndarray, letters: np.ndarray) -> np.ndarray:
     slots[:, 5] = _HADAMARD @ rz_minus_delta @ PAULI_Z
     slots[:, 6] = c @ _RZ_P
     slots[:, 7] = d @ (rz_delta @ _R_HALF_Y @ _H_RZ_P)
-    su, _ = _special_unitary_projection(slots.reshape(-1, 2, 2), DEFAULT_TOL)
-    theta, phi, phiz, _ = _su2_params(su, DEFAULT_TOL).T
-    out = np.empty((8 * n, 4))
-    out[:, 0] = (phi - _R_THETA) % math.tau
-    out[:, 1] = theta % math.tau
-    out[:, 2] = (phi + _R_THETA) % math.tau
-    out[:, 3] = phiz
-    return out.reshape(n, 32)
+    return slots
 
 
 def _pulses(row: np.ndarray) -> list[GateElement]:

@@ -95,15 +95,13 @@ def class_parameters(u, tol: Tolerances = DEFAULT_TOL) -> ClassParams:
     labels the same class, this fixed one keeps the output deterministic.
     Results are wrapped into [0, 2pi).
     """
-    return ClassParams(*_class_angles(local_invariants(u, tol)))
+    return ClassParams(*_class_angles(local_invariants(u, tol)[None])[0].tolist())
 
 
-def _class_angles(s: np.ndarray) -> tuple:
-    """(alpha, beta, delta) of one row of sorted invariants."""
-    alpha = 0.5 * (s[0] + s[1]) % math.tau
-    beta = 0.5 * (s[0] + s[2]) % math.tau
-    delta = 0.5 * (s[1] + s[2]) % math.tau
-    return alpha, beta, delta
+def _class_angles(s: np.ndarray) -> np.ndarray:
+    """(alpha, beta, delta), (N, 3), of each row of sorted invariants (N, 4):
+    the means of phase pairs (0, 1), (0, 2) and (1, 2)."""
+    return 0.5 * (s[:, [0, 0, 1]] + s[:, [1, 2, 2]]) % math.tau
 
 
 def decompose(u, tol: Tolerances = DEFAULT_TOL) -> CircuitParams:
@@ -183,8 +181,7 @@ def _decompose_arrays(
     # the phases ascend, so they are the sorted invariants; frame_u has
     # det +1 by construction
     phases_u, frame_u = _class_spectrum(su, tol)
-    classes = np.array([_class_angles(s) for s in phases_u])
-    mus = [_canonical_phase(*angles) for angles in classes.tolist()]
+    classes = _class_angles(phases_u)
     v_comp, frame_v = _representatives(classes)
     um = to_magic(su)
     vm = to_magic(v_comp)
@@ -205,10 +202,7 @@ def _decompose_arrays(
     # the four letters are one stack too: a, b, c, d rows in turn
     angles = _su2_params(np.concatenate([a[n:], b[n:], a[:n], b[:n]]), tol)
     letters = angles.reshape(4, n, 4).swapaxes(0, 1)
-    post_phases, pre_phases = phases_f[:n].tolist(), phases_f[n:].tolist()
-    global_phases = np.array(
-        [z * post * pre * np.conj(mu) for z, post, pre, mu in zip(zeta.tolist(), post_phases, pre_phases, mus)]
-    )
+    global_phases = zeta * phases_f[:n] * phases_f[n:] * np.conj(_canonical_phase(classes))
     return classes, letters, global_phases
 
 

@@ -1,9 +1,15 @@
 """Central tolerance configuration.
 
 The thresholds a caller may want to tune live in one frozen record, so the
-whole stack can be tightened or relaxed coherently. A few internal limits
-with a single sensible value (sign fixes, singular blocks, the Jacobi
-floor) stay literals next to the code that uses them.
+whole stack can be tightened or relaxed coherently. These thresholds are
+still literals, next to the functions that use them:
+
+- linalg: _lead_positive 1e-8; _canonicalize 12 decimals; _jacobi_polish
+  1e-13 (_POLISH_FLOOR) and 30 sweeps; _factor_tensor_product 1e-12;
+  phase_invariant_distance 1e-12, else a 360-point scan;
+  check_density_matrix 1e-10, and 1e-9 from experiment.apply_channel.
+- tomography: _mle_stack's dilution floor 1e-12; _psd_sqrt 16 eps;
+  reconstruct_process 200 CP rounds and -1e-12; entanglement_fidelity 1e-6.
 """
 
 from __future__ import annotations

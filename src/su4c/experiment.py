@@ -220,18 +220,18 @@ def _angle_table(angles, ndim: int) -> np.ndarray:
 _R_ENTRIES = np.array([0, 1, 2, 3, 4, 0, 5, 2, 6, 7, 0, 1, 3, 6, 4, 0])
 
 
-def _r_channel_values(theta: np.ndarray, phi: np.ndarray, sigma: float) -> np.ndarray:
+def _r_channel_values(theta: "float | np.ndarray", phi: np.ndarray, sigma: float) -> np.ndarray:
     """The eight distinct entries (..., 8) of R(theta, phi) averaged over a
     relative over-rotation drawn from N(0, sigma), a superoperator on the
     target's (row, column) index pair that _R_ENTRIES spreads over 4x4; each
     is written into one array as it is made, so no stack of all sixteen is
-    held."""
+    held. theta may be one angle for all phases."""
     k = np.exp(-0.5 * (theta * sigma) ** 2)  # the Gaussian mean of cos(theta eps)
     c, s = k * np.cos(theta), k * np.sin(theta)
     a, b = 0.5 * (1.0 + c), 0.5 * (1.0 - c)
     u = np.exp(-1j * phi)  # n = [[0, u], [conj(u), 0]]
     p, q = 0.5j * s * u, 0.5j * s * u.conj()
-    values = np.empty((*theta.shape, 8), dtype=complex)
+    values = np.empty((*p.shape, 8), dtype=complex)
     values[..., 0], values[..., 1], values[..., 2], values[..., 3] = a, q, -p, b
     values[..., 4], values[..., 5], values[..., 6] = p, b * u * u, -q
     values[..., 7] = b * (u * u).conj()
@@ -255,20 +255,13 @@ def _apply(x: np.ndarray, op: np.ndarray, target: int) -> np.ndarray:
     per state (M, 4, 4) or one for all, on the target's (row, column) index
     pair: qubit 0's pair indexes the rows of x, qubit 1's its columns.
 
-    Each entry is four elementwise products summed in place, added
-    ((t0 + t1) + t2) + t3 on the rows and (t0 + t1) + (t2 + t3) on the
-    columns: the order in which numpy's sum over an (M, 4, 4, 4) product
-    adds them, so each entry has those bits without that product."""
-    if target == 0:
-        out = op[..., :, 0, None] * x[:, None, 0, :]
-        for k in (1, 2, 3):
-            out += op[..., :, k, None] * x[:, None, k, :]
-        return out
-    out = x[:, :, 0, None] * op[..., None, :, 0]
-    out += x[:, :, 1, None] * op[..., None, :, 1]
-    right = x[:, :, 2, None] * op[..., None, :, 2]
-    right += x[:, :, 3, None] * op[..., None, :, 3]
-    out += right
+    Each entry is four elementwise products added in place, in index
+    order; target 1 is target 0 on the transposes."""
+    if target == 1:
+        return _apply(x.swapaxes(-1, -2), op, 0).swapaxes(-1, -2)
+    out = op[..., :, 0, None] * x[:, None, 0, :]
+    for k in (1, 2, 3):
+        out += op[..., :, k, None] * x[:, None, k, :]
     return out
 
 
@@ -291,7 +284,7 @@ def _output_states(angles, labels, noise: NoiseModel) -> np.ndarray:
     # a copy (fancy index), so the G and Rz pulses multiply it in place
     x = _pass_layout(_PREPARED_STATES[[_preparation_index(label) for label in labels]])
     phi = angles[:, _IS_R]
-    r_values = _r_channel_values(np.full_like(phi, _R_THETA), phi, noise.overrotation_sigma)
+    r_values = _r_channel_values(_R_THETA, phi, noise.overrotation_sigma)
     r_ops = (values[:, _R_ENTRIES].reshape(-1, 4, 4) for values in r_values.swapaxes(0, 1))
     rz = iter(_rz_phases(angles))
     for kind, target in _TEMPLATE:

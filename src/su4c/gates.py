@@ -175,17 +175,20 @@ _ENTRY_FRAME = rz_gate(-math.pi / 2.0) @ _R_HALF_Y @ rz_gate(-math.pi)
 _ENTRY_LAYER = _kron(_I2, _ENTRY_FRAME)
 
 
-def _canonical_phase(alpha: float, beta: float, delta: float) -> complex:
-    """Quarter-turn phase convention of the canonical representative.
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
+
+
+def _canonical_phase(angles: np.ndarray) -> np.ndarray:
+    """Quarter-turn phase convention of the canonical representative, for
+    each row (alpha, beta, delta) of an (N, 3) angle array, as (N,).
 
     i^m with m = 2*[alpha >= pi] + 3*round((alpha+beta+delta)/pi), all angles
     taken as stored in [0, 2pi). Half-up rounding keeps the rule exact on the
     branch grid.
     """
-    s = alpha + beta + delta
-    m = 2 * (1 if alpha >= math.pi else 0)
-    m += 3 * int(math.floor(s / math.pi + 0.5))
-    return (1j) ** (m % 4)
+    alpha, beta, delta = angles.T
+    m = 2 * (alpha >= math.pi) + 3 * np.floor((alpha + beta + delta) / math.pi + 0.5).astype(int)
+    return _QUARTER_TURNS[m % 4]
 
 
 def canonical_v(params: ClassParams) -> np.ndarray:
@@ -203,9 +206,8 @@ def canonical_v(params: ClassParams) -> np.ndarray:
     unity). The eigenvalues of v v^T in the magic frame equal
     exp(i eigenphases) up to one shared half-turn when i^m is imaginary.
     """
-    angles = (params.alpha, params.beta, params.delta)
-    rows = np.array([angles], dtype=float)
-    return _canonical_phase(*angles) * _canonical_vs(rows, _exit_layers(rows[:, 2]))[0]
+    rows = np.array([[params.alpha, params.beta, params.delta]], dtype=float)
+    return _canonical_phase(rows)[0] * _canonical_vs(rows, _exit_layers(rows[:, 2]))[0]
 
 
 def _canonical_vs(angles: np.ndarray, exits: np.ndarray) -> np.ndarray:

@@ -9,9 +9,7 @@ Each public function checks its input. Its private twin of the same name
 with a leading underscore is the same computation without the checks, for
 matrices the package built itself and knows to be valid. The twins take a
 stack of matrices with a leading batch axis, and a public function is their
-one-row case. Each row of a stack gets, bit for bit, what it gets alone:
-every step that would round differently on a stack than on one matrix runs
-per row (see the kernels below).
+one-row case. Each row of a stack gets, bit for bit, what it gets alone.
 """
 
 from __future__ import annotations
@@ -360,7 +358,7 @@ def _factor_tensor_product(
 
     # a and b as one stack of 2n factors
     factors = np.concatenate([a, b])
-    dets = np.linalg.det(factors)
+    dets = factors[:, 0, 0] * factors[:, 1, 1] - factors[:, 0, 1] * factors[:, 1, 0]
     if (np.abs(dets) < 1e-12).any():
         raise NotAProductError("block structure is singular; not a tensor product")
     factors = factors / np.sqrt(dets)[:, None, None]  # principal square roots
@@ -436,10 +434,8 @@ def _su2_params(m: np.ndarray, tol: Tolerances) -> np.ndarray:
     m00, m10 = m[:, 0, 0], m[:, 1, 0]
     psi = np.arctan2(m00.imag, m00.real)  # arg(sign) - phiz/2
     arg10 = np.arctan2(m10.imag, m10.real)
-    # np.hypot is the abs of a complex scalar bit for bit, and never
-    # negative; math.acos stays per row, as np.arccos rounds differently
-    moduli = np.minimum(np.hypot(m00.real, m00.imag), 1.0).tolist()
-    theta = np.array([2.0 * math.acos(x) for x in moduli])
+    # the modulus is never negative; rounding can put it just above 1
+    theta = 2.0 * np.arccos(np.minimum(np.hypot(m00.real, m00.imag), 1.0))
     negative = psi > 0.0  # sign -1, arg(sign) = pi
     twice = 2.0 * psi
     phiz = np.where(negative, math.tau - twice, -twice)

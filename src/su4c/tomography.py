@@ -99,13 +99,14 @@ def _frequency_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The frequencies (N, 36) of a count array (N, 9, 4) in _POVM_ROWS
     order and the shots (N, 9) of each setting."""
     counts = np.asarray(counts, dtype=float)
-    shots = np.cumsum(counts, axis=-1)[..., -1]  # added left to right, as sum() adds
+    shots = counts.sum(axis=-1)
     return (counts / shots[..., None]).reshape(-1, 36), shots
 
 
 def _clip_to_density(m: np.ndarray) -> np.ndarray:
-    """Nearest-in-spirit physical state of each row of an (N, 4, 4) stack:
-    hermitize, drop negative eigenvalues, renormalize the trace."""
+    """A density matrix from each row of an (N, 4, 4) stack: hermitize,
+    clip negative eigenvalues to 0, renormalize the trace. Not the nearest
+    density matrix."""
     h = 0.5 * (m + m.conj().swapaxes(-1, -2))
     vals, vecs = np.linalg.eigh(h)
     vals = np.clip(vals, 0.0, None)
@@ -178,7 +179,7 @@ def _mle_estimates(
     log-likelihood of the start and of every accepted step."""
     freqs, shots = _frequency_rows(counts)
     weights = np.repeat(shots, 4, axis=-1) * freqs
-    totals = np.cumsum(shots, axis=-1)[:, -1].reshape(-1, 1, 1)
+    totals = shots.sum(axis=-1).reshape(-1, 1, 1)
     return _clip_to_density(_mle_stack(weights, totals, tol, traces))
 
 
@@ -245,8 +246,9 @@ def reconstruct_state(
     """Density matrix from counts over the nine measurement settings.
 
     method "linear": the least-squares inversion of the Born equations,
-    applied as one fixed pseudo-inverse, followed by a projection to the
-    physical set (eigenvalue clip + renormalize).
+    applied as one fixed pseudo-inverse, then its negative eigenvalues
+    clipped to 0 and the trace renormalized, which gives a density matrix
+    but not the nearest one.
     method "mle": maximum likelihood by iterated R rho R updates, with the
     step diluted toward the identity whenever it would lower the
     likelihood, so the log-likelihood is non-decreasing.
@@ -279,17 +281,15 @@ def state_fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
     Evaluated as the squared nuclear norm of sqrt(rho1) sqrt(rho2), which
     is the same quantity but avoids square roots of eigenvalues that are
     zero up to rounding."""
-    return _state_fidelities(_as_complex(rho1)[None], _as_complex(rho2)[None])[0]
+    return float(_state_fidelities(_as_complex(rho1)[None], _as_complex(rho2)[None])[0])
 
 
-def _state_fidelities(a: np.ndarray, b: np.ndarray) -> list[float]:
+def _state_fidelities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """state_fidelity(a[k], b[k]) for each row of two (N, 4, 4) stacks."""
     s1 = _psd_sqrt(a)
     s2 = _psd_sqrt(b)
     norms = np.sum(np.linalg.svd(s1 @ s2, compute_uv=False), axis=1)
-    # squared per row: the power of a numpy scalar rounds differently from
-    # the power of an array
-    return [min(max(float(norm**2), 0.0), 1.0) for norm in norms]
+    return np.clip(norms**2, 0.0, 1.0)
 
 
 def _pure_state_fidelities(rhos: np.ndarray, psis: np.ndarray) -> list[float]:
@@ -335,8 +335,9 @@ def reconstruct_process(
     least-squares solve against the prepared inputs. The result is then
     hermitized and shifted onto the trace-preserving set; with cp_projection
     a clip of the negative part (complete positivity) and that shift then
-    alternate until the clip has nothing left to do. On exact data of a
-    unitary channel each step is a no-op.
+    alternate until the clip has nothing left to do, or for at most 200
+    rounds, which is not reported. On exact data of a unitary channel each
+    step is a no-op.
     """
     if len(pairs) < 16:
         raise ValueError("need at least 16 input/output pairs")
@@ -353,10 +354,11 @@ def reconstruct_process(
     e = 0.5 * (e + e.conj().T)
     e = _tp_correct(e)
     if cp_projection:
-        # alternate the PSD clip with the trace-preservation shift: each is
-        # the orthogonal projection onto its constraint set, so the pair
-        # converges to a matrix satisfying both. Exact data breaks out at
-        # the first check.
+        # alternate the PSD clip with the trace-preservation shift, each the
+        # orthogonal projection onto its set: the pair lands on some CPTP
+        # matrix, not the nearest one, and a run cut at 200 rounds returns
+        # where it stopped without saying so. Exact data breaks out at the
+        # first check.
         for _ in range(200):
             vals, vecs = np.linalg.eigh(e)
             if vals[0] > -1e-12:
@@ -397,8 +399,7 @@ _, _PROBES = _product_states(
 
 def mean_state_fidelity(e1: np.ndarray, e2: np.ndarray) -> float:
     """Average output-state fidelity over the 36 Pauli product eigenstates."""
-    fids = _state_fidelities(apply_process(e1, _PROBES), apply_process(e2, _PROBES))
-    return sum(fids) / len(_PROBES)  # added in probe order, as 36 state_fidelity calls would be
+    return float(_state_fidelities(apply_process(e1, _PROBES), apply_process(e2, _PROBES)).mean())
 
 
 _DIM = 4  # Hilbert-space dimension of two qubits

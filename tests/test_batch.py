@@ -9,8 +9,8 @@ through them in several batch sizes, each angle row hashed through its
 GateElement view, and must hash to the same CORPUS_SHA256.
 The linear reconstruction is checked against the one-row map and the
 one-matrix clip, and against the least-squares solve the map replaced, to
-rounding; the fidelities against a copy of the one-matrix code they
-replaced, the closed-form fidelities against pure states against
+rounding; the fidelities against the one-matrix code written out, the
+closed-form fidelities against pure states against
 state_fidelity to rounding, and the stacked MLE against the one-record
 kernel of test_tomography. The public record path must give each record
 what the (N, 9, 4) count array core gives its row.
@@ -22,6 +22,7 @@ import hashlib
 import numpy as np
 import pytest
 from born import exact_records
+from numpy_build import numpy_build
 from test_cli import count_calls
 from test_compile_corpus import CORPUS_SHA256, NAMED, _dress, _fields, corpus
 from test_tomography import assert_stacked_mle_matches_one_record, count_table, random_density
@@ -83,13 +84,13 @@ def test_corpus_in_batches(size):
         chunk = decompose_many(np.array(INPUTS[start : start + size]))
         params += chunk
         angles += list(pulse_angles(chunk))
-    assert digest(INPUTS, params, angles) == CORPUS_SHA256
+    assert digest(INPUTS, params, angles) == CORPUS_SHA256, numpy_build()
 
 
 def test_corpus_in_reversed_order():
     params = decompose_many(np.array(INPUTS[::-1]))
     angles = pulse_angles(params)
-    assert digest(INPUTS, params[::-1], angles[::-1]) == CORPUS_SHA256
+    assert digest(INPUTS, params[::-1], angles[::-1]) == CORPUS_SHA256, numpy_build()
 
 
 def same(a, b):
@@ -216,9 +217,9 @@ def one_matrix_sqrt(rho):
 
 
 def one_matrix_fidelity(rho1, rho2):
-    """The one-matrix state_fidelity that _state_fidelities replaced."""
-    s = np.linalg.svd(one_matrix_sqrt(rho1) @ one_matrix_sqrt(rho2), compute_uv=False)
-    return min(max(float(np.sum(s) ** 2), 0.0), 1.0)
+    """state_fidelity of one pair of matrices, written out."""
+    norm = np.sum(np.linalg.svd(one_matrix_sqrt(rho1) @ one_matrix_sqrt(rho2), compute_uv=False))
+    return min(max(float(norm * norm), 0.0), 1.0)
 
 
 def mixed_records():

@@ -5,27 +5,32 @@ decompose_many, pulse_angles, _sample_su4_many, _estimate_states (linear
 and MLE) and _state_fidelities are bit-identical to one-at-a-time calls only
 because of these equalities; pulse_angles also reduces its phases with
 np.remainder where r_pulse_triple uses Python's %, and su2_params reads
-each modulus with np.hypot where it once took the abs of a complex scalar.
-They hold for numpy 2.4 on OpenBLAS 0.3.31, but they are not promised by
-numpy or by BLAS, so each one is asserted here on seeded stacks: an upgrade
-that breaks one fails the test named after it, not only an opaque digest in
-test_compile_corpus.
-The density-matrix pass also relies on its explicit four-term sums adding
-in the order numpy's sum over the old (M, 4, 4, 4) product added, and the
-stacked Haar draws on one (2, 4, 4) standard normal draw giving the
-normals of two (4, 4) draws; both are asserted at the end of this module.
-Steps whose batched form rounds differently from the scalar form their
-outputs are pinned to (np.arccos against math.acos in su2_params, the power
-of a numpy scalar) stay per row in the kernels and are not listed here.
+each modulus with np.hypot. They hold for numpy 2.4 on OpenBLAS 0.3.31, but
+they are not promised by numpy or by BLAS, so each one is asserted here on
+seeded stacks: an upgrade that breaks one fails the test named after it,
+not only an opaque digest in test_compile_corpus.
+The density-matrix pass adds its four-term sums in index order, on the
+transposes for qubit 1, and the stacked Haar draws rely on one (2, 4, 4)
+standard normal draw giving the normals of two (4, 4) draws; both are
+asserted at the end of this module. So are the steps of the compile and
+scoring paths that run as one stack with no per-row oracle, each on stacks
+of 1, 16 and 160 rows and on the same rows shuffled: np.arccos of the
+moduli (su2_params), the array square (state_fidelity), np.remainder of
+the pair means (_class_angles), the quarter turns (_canonical_phase), the
+2x2 determinants ad - bc (_factor_tensor_product), the product of the
+global phases (decompose) and the division by _SLOT_ROOTS (pulse_angles).
 """
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 
+from su4c.circuits import _SLOT_ROOTS
+from su4c.compiler import _class_angles
 from su4c.experiment import _apply
-from su4c.gates import _r_gates, _rz_gates, r_gate, rz_gate
+from su4c.gates import _canonical_phase, _r_gates, _rz_gates, r_gate, rz_gate
 from su4c.haar import SeededRng
 from su4c.tomography import _LINEAR_MAP, _POVM_ROWS
 
@@ -143,7 +148,7 @@ def test_remainder_against_python_mod():
 
 @pytest.mark.parametrize("n", [1, 4, 9, 37, 2000])
 def test_hypot_against_abs_of_complex_scalar(n):
-    # on the strided real and imaginary views su2_params takes them from
+    # on the strided real and imaginary views su2_params reads the moduli of
     g = gen(12)
     m = g.standard_normal((n, 2, 2)) + 1j * g.standard_normal((n, 2, 2))
     m[: min(n, 4), 0, 0] = [complex(0.6, -0.0), complex(-0.0, 0.0), -1.0, 1j][:n]
@@ -347,15 +352,19 @@ def test_signed_2x2_products(n):
 
 
 # The density-matrix pass (experiment._apply) writes each superoperator
-# product as four elementwise products and explicit sums; each must equal
-# the reduce over one (M, 4, 4, 4) product that it replaced, for one
-# superoperator per state and one for all, on stacks and on one row.
+# product as four elementwise products op * x added in index order, and
+# qubit 1's as qubit 0's on the transposes; each must equal the products
+# added one after another (numpy's complex product of op and x need not be
+# that of x and op), for one superoperator per state and one for all, and
+# each row must be what it gets alone and in a shuffled stack.
 
 
 def reduced_apply(x, op, target):
     if target == 0:
-        return (op[..., :, :, None] * x[:, None]).sum(axis=2)
-    return (x[:, :, None] * op[..., None, :, :]).sum(axis=3)
+        terms = [op[..., :, k, None] * x[:, None, k, :] for k in range(4)]
+    else:
+        terms = [op[..., None, :, k] * x[:, :, k, None] for k in range(4)]
+    return reduce(np.add, terms)
 
 
 @pytest.mark.parametrize("target", [0, 1])
@@ -365,12 +374,15 @@ def test_explicit_sums_match_reduce(m, target):
     x = g.standard_normal((m, 4, 4)) + 1j * g.standard_normal((m, 4, 4))
     x[0, 0, 0] = complex(-0.0, -0.0)  # a signed zero the sums must keep
     ops = g.standard_normal((m, 4, 4)) + 1j * g.standard_normal((m, 4, 4))
+    order = g.permutation(m)
     for op in (ops, ops[0]):
         got = _apply(x, op, target)
-        assert same(got, reduced_apply(x, op, target))
+        assert same(np.ascontiguousarray(got), reduced_apply(x, op, target))
+        shuffled = _apply(x[order], op[order] if op.ndim == 3 else op, target)
+        assert same(np.ascontiguousarray(shuffled), np.ascontiguousarray(got[order]))
         for k in range(m):
             one = op[k : k + 1] if op.ndim == 3 else op
-            assert same(got[k], reduced_apply(x[k : k + 1], one, target)[0]), k
+            assert same(got[k], _apply(x[k : k + 1], one, target)[0]), k
 
 
 # _sample_su4_many draws each stream's Ginibre matrix as one (2, 4, 4)
@@ -382,3 +394,82 @@ def test_one_draw_of_two_matrices(seed):
     one, two = SeededRng(seed).generator, SeededRng(seed).generator
     assert same(one.standard_normal((2, 4, 4)), np.array([two.standard_normal((4, 4)) for _ in range(2)]))
     assert same(one.standard_normal(3), two.standard_normal(3))  # the streams stay in step
+
+
+# The compile and scoring steps that run as one stack with no per-row
+# oracle: row k of a stack is what the one-row call gives, at 1, 16 and 160
+# rows, and a shuffled stack gives the shuffled rows.
+STACKS = [1, 16, 160]
+
+
+def rows_alone_and_shuffled(batched, x, seed):
+    got = batched(x)
+    order = gen(seed).permutation(len(x))
+    assert same(batched(x[order]), got[order])
+    for k in range(len(x)):
+        assert same(got[k], batched(x[k : k + 1])[0]), k
+
+
+def with_rows(x, rows):
+    """x with its first rows replaced by the given edge cases, as many as fit."""
+    x[: len(rows)] = rows[: len(x)]
+    return x
+
+
+@pytest.mark.parametrize("n", STACKS)
+def test_arccos_of_moduli(n):
+    # su2_params' 2 arccos(min(|m00|, 1)): moduli in [0, 1], many near 1
+    x = 1.0 - 10.0 ** gen(29).uniform(-16.0, 0.0, n)
+    x = with_rows(x, [1.0, 0.0, 0.5, 1.0 - 2.0**-53, 2.0**-1074, 0.7071067811865476])
+    rows_alone_and_shuffled(lambda v: 2.0 * np.arccos(np.minimum(v, 1.0)), x, 30)
+
+
+@pytest.mark.parametrize("n", STACKS)
+def test_square_of_norms(n):
+    # state_fidelity's squared nuclear norms, around and above 1
+    x = with_rows(gen(31).uniform(0.0, 1.2, n), [1.0, 0.0, 1.0 + 2.0**-52])
+    rows_alone_and_shuffled(lambda v: np.clip(v**2, 0.0, 1.0), x, 32)
+
+
+@pytest.mark.parametrize("n", STACKS)
+def test_remainder_of_pair_means(n):
+    # sorted invariants, with pair means that round to just below 0, to 0
+    # and to pi
+    s = np.sort(gen(33).uniform(-math.pi, math.pi, (n, 4)), axis=1)
+    edge = [[-1e-16, 0.0, 1e-16, 1.0], [-math.pi, 0.0, math.pi, math.pi], [-2.0, -1.0, 1.0, 2.0]]
+    rows_alone_and_shuffled(_class_angles, with_rows(s, np.array(edge)), 34)
+
+
+@pytest.mark.parametrize("n", STACKS)
+def test_canonical_quarter_turns(n):
+    # class angles in [0, 2 pi), with alpha at pi and sums on the
+    # half-integer grid of pi
+    angles = gen(35).uniform(0.0, math.tau, (n, 3))
+    pi, half = math.pi, math.pi / 2.0
+    edge = [[pi, 0.0, 0.0], [pi, half, 0.0], [half, half, half], [0.0, 0.0, 0.0], [3 * half, pi, 0.0]]
+    rows_alone_and_shuffled(_canonical_phase, with_rows(angles, np.array(edge)), 36)
+
+
+@pytest.mark.parametrize("n", STACKS)
+def test_determinants_ad_minus_bc(n):
+    g = gen(37)
+    m = g.standard_normal((n, 2, 2)) + 1j * g.standard_normal((n, 2, 2))
+    m[0, 0, 0] = complex(-0.0, 0.0)
+    rows_alone_and_shuffled(lambda f: f[:, 0, 0] * f[:, 1, 1] - f[:, 0, 1] * f[:, 1, 0], m, 38)
+
+
+@pytest.mark.parametrize("n", STACKS)
+def test_product_of_global_phases(n):
+    # decompose's zeta * post * pre * conj(i^m), on unit-modulus rows
+    g = gen(39)
+    z = np.exp(1j * g.uniform(-math.pi, math.pi, (n, 3)))
+    mu = np.array([1, 1j, -1, -1j])[g.integers(0, 4, n)]
+    stack = np.concatenate([z, mu[:, None]], axis=1)
+    rows_alone_and_shuffled(lambda r: r[:, 0] * r[:, 1] * r[:, 2] * np.conj(r[:, 3]), stack, 40)
+
+
+@pytest.mark.parametrize("n", STACKS)
+def test_division_by_slot_roots(n):
+    g = gen(41)
+    slots = g.standard_normal((n, 8, 2, 2)) + 1j * g.standard_normal((n, 8, 2, 2))
+    rows_alone_and_shuffled(lambda m: m / _SLOT_ROOTS[:, None, None], slots, 42)

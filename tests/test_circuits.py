@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from test_compile_corpus import NAMED, _dress
 
 from su4c.circuits import (
+    _SLOT_ROOTS,
+    _slots,
     PULSE_COUNT,
     CircuitParams,
     LocalGate,
@@ -14,7 +17,8 @@ from su4c.circuits import (
     lower_to_pulses,
     r_pulse_triple,
 )
-from su4c.compiler import decompose
+from su4c.compiler import _decompose_arrays, decompose
+from su4c.config import DEFAULT_TOL
 from su4c.gates import G_GATE, ClassParams, canonical_v, gate_matrix, r_gate, rz_gate
 from su4c.haar import SeededRng, sample_su4
 from su4c.linalg import kron, phase_invariant_distance
@@ -149,6 +153,37 @@ class TestLowerToPulses:
             params = decompose(u)
             composed = compose_pulses(lower_to_pulses(params))
             assert phase_invariant_distance(composed, u) < 1e-9
+
+
+class TestSlotRoots:
+    """pulse_angles divides each slot by a constant root and takes no
+    determinant: H or Z enters slots 1, 3, 4 and 7 once and every other
+    factor has determinant 1, so each slot's determinant is its root
+    squared whatever the class and the letters."""
+
+    @staticmethod
+    def assert_fixed_determinants(classes, letters):
+        dets = np.linalg.det(_slots(classes, letters))
+        assert np.abs(dets - _SLOT_ROOTS**2).max() < 1e-12
+
+    def test_haar_letters(self):
+        rng = SeededRng(83)
+        us = np.array([sample_su4(rng) for _ in range(200)])
+        self.assert_fixed_determinants(*_decompose_arrays(us, DEFAULT_TOL)[:2])
+
+    def test_dressed_named_classes(self):
+        gen = np.random.default_rng(83)
+        us = np.array([_dress(gen, u, perturb=k % 2 == 1) for k in range(8) for u in NAMED])
+        self.assert_fixed_determinants(*_decompose_arrays(us, DEFAULT_TOL)[:2])
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi])
+    def test_letters_at_the_branch_points(self, theta):
+        gen = np.random.default_rng(84)
+        letters = np.empty((64, 4, 4))
+        letters[..., 0] = theta
+        letters[..., 1:3] = gen.uniform(0.0, math.tau, (64, 4, 2))
+        letters[..., 3] = gen.choice([-1.0, 1.0], (64, 4))
+        self.assert_fixed_determinants(gen.uniform(0.0, math.tau, (64, 3)), letters)
 
 
 class TestComposePulses:

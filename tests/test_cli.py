@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy_build import numpy_build
 
 from su4c import circuits, cli, compiler, experiment, gates, haar, tomography
 from su4c.cli import EXIT_NOT_UNITARY, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
@@ -542,10 +543,14 @@ class TestProcessTomo:
 # it came to score against its pure ideal states in closed form), and of
 # the public pulse view, captured before programs became angle rows (a numpy
 # float in the view would change its bytes) and again when the compiler's
-# representative frames became closed form. A change to the executor, the
-# compiler or reconstruction that moves one count or one digit of a fidelity
-# or an angle changes a digest; only a change that sets out to move outputs
-# re-captures them, and records the old and the new digest in CHANGES.md.
+# representative frames became closed form; the process-tomo and pulse
+# digests again when the compile and scoring steps became plain stacked
+# arithmetic (mean_state_fidelity and the angles moved by at most 9e-16).
+# A change to the executor, the compiler or reconstruction that moves one
+# count or one digit of a fidelity or an angle changes a digest; only a
+# change that sets out to move outputs re-captures them, and records the old
+# and the new digest in CHANGES.md. The digests hold for one numpy build and
+# CPU family, so a failure names both (numpy_build).
 GOLDEN_REPORTS = {
     "benchmark": (
         ("benchmark", "--n", "32", "--seed", "0", "--noise", "calibrated"),
@@ -554,11 +559,11 @@ GOLDEN_REPORTS = {
     "process-tomo": (
         ("process-tomo", "--unitary", None, "--shots", "1000", "--noise", "calibrated",
          "--method", "mle"),
-        "cb49d57d2a02c220576cf812fe7f9e1f248f3870711fb03018a217b0495963c7",
+        "9fecd5a81f799c3978c2aded32cebd1748bb7254c6a8303a0fecbff320b892fb",
     ),
     "compile-pulses": (
         ("compile", None, "--pulses"),
-        "2bb3a6d1108e2db30135372ab4c2ee72159ca963987973a7a3a8d1bd5b5b390c",
+        "791f62501cd84f2f934a8176b523bc4c59ba7dcf8276daa7ee7019428ccccb1c",
     ),
 }
 
@@ -569,7 +574,7 @@ class TestGoldenReports:
         argv, digest = GOLDEN_REPORTS[name]
         code, out, _ = run_cli(capsys, *(unitary_file if a is None else a for a in argv))
         assert code == EXIT_OK
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, numpy_build()
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
     def test_report_does_not_depend_on_blas_threads(self, unitary_file, name):
@@ -590,8 +595,8 @@ class TestGoldenReports:
                 env=env, capture_output=True, check=True,
             )
             outs.append(done.stdout)
-        assert outs[0] == outs[1]
-        assert hashlib.sha256(outs[0]).hexdigest() == digest
+        assert outs[0] == outs[1], numpy_build()
+        assert hashlib.sha256(outs[0]).hexdigest() == digest, numpy_build()
 
 
 class TestAngleTablePath:

@@ -10,6 +10,7 @@ import pytest
 from reference_data import ONE_ROW_PER_MATRIX, PINNED_ROWS, row_to_params
 from su4c.circuits import CircuitParams, circuit_to_unitary
 from su4c.compiler import (
+    _class_angles,
     RealityViolationError,
     VerificationReport,
     class_parameters,
@@ -98,6 +99,16 @@ class TestClassParameters:
             inv = local_invariants(u)
             cp = class_parameters(u)
             assert wrap_gap(cp.eigenphases(), inv) < 1e-8
+
+    def test_stacked_pair_means_match_the_scalar_form(self):
+        # _class_angles on a stack against the three pair means per row, in
+        # Python floats, with sums that round to just below 0
+        g = np.random.default_rng(132)
+        s = np.sort(g.uniform(-math.pi, math.pi, (500, 4)), axis=1)
+        s[0] = [-1e-16, 0.0, 1e-16, 1.0]
+        for row, got in zip(s.tolist(), _class_angles(s).tolist()):
+            pairs = ((0, 1), (0, 2), (1, 2))
+            assert got == [0.5 * (row[i] + row[j]) % math.tau for i, j in pairs]
 
     def test_entangling_gate_class(self):
         cp = class_parameters(G_GATE)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from su4c.gates import (
+    _canonical_phase,
     G_GATE,
     MAGIC,
     PAULI_X,
@@ -147,6 +148,17 @@ class TestCanonicalV:
             v = canonical_v(ClassParams(a, b, d))
             assert is_unitary(v, atol=1e-10)
             assert abs(np.linalg.det(v) - 1.0) < 1e-10
+
+    def test_quarter_turns_follow_the_scalar_rule(self):
+        # the stacked i^m against the rule written per row, on random angles
+        # and on the grid of eighth turns where alpha >= pi and the rounding
+        # of the sum switch
+        g = np.random.default_rng(80)
+        grid = np.array([[a, b, d] for a in range(8) for b in range(8) for d in range(8)]) * math.pi / 4.0
+        angles = np.concatenate([grid, g.uniform(0.0, 2.0 * math.pi, (512, 3))])
+        for (alpha, beta, delta), got in zip(angles.tolist(), _canonical_phase(angles).tolist()):
+            m = 2 * (alpha >= math.pi) + 3 * math.floor((alpha + beta + delta) / math.pi + 0.5)
+            assert got == 1j ** (m % 4)
 
     def test_deterministic(self):
         cp = ClassParams(0.3, 1.7, 5.1)

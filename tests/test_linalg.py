@@ -389,14 +389,14 @@ class TestPhaseInvariantDistance:
 
 
 def su2_params_loop(m, tol=DEFAULT_TOL):
-    """The per-row _su2_params that the stacked one replaced: one tuple per
-    row of an (N, 2, 2) stack, with an int sign."""
+    """_su2_params written as a loop over the rows of an (N, 2, 2) stack, one
+    tuple per row with an int sign; numpy's arccos of each modulus."""
     m00, m10 = m[:, 0, 0], m[:, 1, 0]
     args00 = np.arctan2(m00.imag, m00.real).tolist()
     args10 = np.arctan2(m10.imag, m10.real).tolist()
     out = []
     for z, psi, arg10 in zip(m00, args00, args10):
-        theta = 2.0 * math.acos(min(1.0, max(0.0, abs(z))))
+        theta = 2.0 * float(np.arccos(min(1.0, abs(z))))
         if psi <= 0.0:
             sign, phiz = 1, -2.0 * psi
         else:
