@@ -38,7 +38,7 @@ from .experiment import (
     TOMOGRAPHY_INPUT_LABELS,
     NoiseModel,
     _PREPARED_VECTORS,
-    _exact_experiments,
+    _outcome_probabilities,
     _sample_counts,
 )
 from .haar import SeededRng, _sample_su4_many, sample_su4
@@ -204,12 +204,9 @@ def _cmd_sample(args) -> int:
 
 def _prepare_run(args) -> tuple[Tolerances, NoiseModel, dict]:
     """Tolerances and noise model of a benchmark or process-tomo run, and
-    the report keys of its arguments that both commands write; ValueError
-    when --exact-probabilities meets a nonzero noise model."""
+    the report keys of its arguments that both commands write."""
     tol = _resolve_tolerances(args)
     noise, noise_meta = _resolve_noise(args.noise)
-    if args.exact_probabilities and not noise.is_zero:
-        raise ValueError("--exact-probabilities requires zero noise")
     keys = {name: getattr(args, name) for name in ("seed", "shots", "method", "exact_probabilities")}
     return tol, noise, {**keys, "noise": asdict(noise), "noise_meta": noise_meta}
 
@@ -222,13 +219,14 @@ def _compile(us: np.ndarray, tol: Tolerances) -> np.ndarray:
     return _pulse_angles(classes, letters)
 
 
-def _estimates(angles, labels, rngs, noise, tol, args) -> np.ndarray:
+def _estimates(angles, prepared, rngs, noise, tol, args) -> np.ndarray:
     """Reconstructed output states (N, 4, 4) of each program run on its
-    label, sampled with its rng or exact, as the arguments ask."""
+    preparation row under noise, from counts sampled with its rng or from
+    the exact outcome probabilities, as the arguments ask."""
     if args.exact_probabilities:
-        counts = _exact_experiments(angles, labels)
+        counts = _outcome_probabilities(angles, prepared, noise)
     else:
-        counts = _sample_counts(angles, labels, noise, args.shots, rngs)
+        counts = _sample_counts(angles, prepared, noise, args.shots, rngs)
     return _estimate_states(counts, args.method, tol)
 
 
@@ -254,15 +252,15 @@ def _cmd_benchmark(args) -> int:
     for first in range(0, args.n, _CHUNK):
         chunk = range(first, min(first + _CHUNK, args.n))
         kinds = preparations[first : chunk.stop]
-        chunk_labels = [TOMOGRAPHY_INPUT_LABELS[k] for k in kinds]
         chunk_streams = root.spawn(len(chunk))
         us = _sample_su4_many(chunk_streams, tol)
         angles = _compile(us, tol)
-        ests = _estimates(angles, chunk_labels, chunk_streams, noise, tol, args)
+        ests = _estimates(angles, kinds, chunk_streams, noise, tol, args)
         # the ideal outputs are pure: U applied to each preparation
         psis = (us @ _PREPARED_VECTORS[kinds, :, None])[..., 0]
-        for index, label, f in zip(chunk, chunk_labels, _pure_state_fidelities(ests, psis)):
-            operations.append({"index": index, "input_state": list(label), "fidelity": f})
+        for index, k, f in zip(chunk, kinds, _pure_state_fidelities(ests, psis)):
+            label = list(TOMOGRAPHY_INPUT_LABELS[k])
+            operations.append({"index": index, "input_state": label, "fidelity": f})
 
     arr = np.array([op["fidelity"] for op in operations])
     out = {
@@ -291,7 +289,7 @@ def _cmd_process_tomo(args) -> int:
     angles = _compile(u[None], tol)
     labels = TOMOGRAPHY_INPUT_LABELS
     streams = SeededRng(args.seed).spawn(len(labels))
-    ests = _estimates(angles.repeat(len(labels), axis=0), labels, streams, noise, tol, args)
+    ests = _estimates(angles.repeat(len(labels), axis=0), np.arange(len(labels)), streams, noise, tol, args)
     est = reconstruct_process(
         list(zip(labels, ests)), cp_projection=not args.no_cp_projection, tol=tol
     )
@@ -325,7 +323,7 @@ def _add_common(parser, shots_default: int) -> None:
     )
     parser.add_argument(
         "--exact-probabilities", action="store_true",
-        help="skip sampling and feed exact Born probabilities (zero noise only)",
+        help="skip sampling and feed the exact outcome probabilities under --noise",
     )
     parser.add_argument("--tolerance", type=float, default=None,
                         help="verification distance threshold")

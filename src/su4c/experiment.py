@@ -4,12 +4,15 @@ two-qubit Pauli settings.
 
 run_experiments samples the nine settings' counts of many programs in one
 call, and run_experiment is its one-program case; exact_experiment returns
-the exact Born probabilities of a noiseless program. Their record lists are
-the public form of the (N, 9, 4) arrays the package passes from the sampler
-to the estimators. A program is its row of 32 angles on the fixed pulse
-template, as pulse_angles emits it, compiled by the caller once per
-operation. apply_channel applies one noise realization of a program to a
-density matrix.
+the exact Born probabilities of a noiseless program. These public entry
+points check their arguments once; the kernels below them name each
+preparation by its row in TOMOGRAPHY_INPUT_LABELS and trust their callers.
+Their record lists are the public form of the (N, 9, 4) arrays the package
+passes to the estimators: counts from the sampler, or the exact outcome
+probabilities under any noise model. A program is its row of 32 angles on
+the fixed pulse template, as pulse_angles emits it, compiled by the caller
+once per operation. apply_channel applies one noise realization of a
+program to a density matrix.
 
 Noise model, applied to a lowered pulse sequence:
   * every R pulse's rotation angle is scaled by (1 + eps) with eps drawn
@@ -152,14 +155,6 @@ class NoiseModel:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
 
-    @property
-    def is_zero(self) -> bool:
-        return (
-            self.overrotation_sigma == 0.0
-            and self.depolarizing_per_g == 0.0
-            and self.damping_per_circuit == 0.0
-        )
-
 
 @dataclass(frozen=True)
 class MeasurementRecord:
@@ -274,15 +269,16 @@ def _rz_phases(angles: np.ndarray) -> np.ndarray:
     return out
 
 
-def _output_states(angles, labels, noise: NoiseModel) -> np.ndarray:
-    """The exact output states (M, 4, 4) of each angle row run on its label
-    under noise, averaged over the over-rotations. Elementwise products and
-    sums along one state's axes only, with no BLAS call, so a program's bits
-    depend neither on the others nor on the BLAS thread count. Each R
+def _output_states(angles, prepared, noise: NoiseModel) -> np.ndarray:
+    """The exact output states (M, 4, 4) of each angle row run on its
+    preparation row, an index into _PREPARED_STATES, under noise, averaged
+    over the over-rotations. Elementwise products and sums along one
+    state's axes only, with no BLAS call, so a program's bits depend
+    neither on the others nor on the BLAS thread count. Each R
     pulse's (M, 4, 4) channel is spread from its eight values when the
     pulse comes; the phases of all 16 Rz pulses are built once, (16, M, 4)."""
     # a copy (fancy index), so the G and Rz pulses multiply it in place
-    x = _pass_layout(_PREPARED_STATES[[_preparation_index(label) for label in labels]])
+    x = _pass_layout(_PREPARED_STATES[prepared])
     phi = angles[:, _IS_R]
     r_values = _r_channel_values(_R_THETA, phi, noise.overrotation_sigma)
     r_ops = (values[:, _R_ENTRIES].reshape(-1, 4, 4) for values in r_values.swapaxes(0, 1))
@@ -301,10 +297,11 @@ def _output_states(angles, labels, noise: NoiseModel) -> np.ndarray:
     return _pass_layout(x)
 
 
-def _outcome_probabilities(angles, labels, noise: NoiseModel) -> np.ndarray:
+def _outcome_probabilities(angles, prepared, noise: NoiseModel) -> np.ndarray:
     """The exact outcome probabilities (M, 9, 4) of each angle row run on
-    its label under noise: the nine settings of each _output_states state."""
-    rho = _output_states(angles, labels, noise).reshape(-1, 1, 16)
+    its preparation row under noise: the nine settings of each
+    _output_states state."""
+    rho = _output_states(angles, prepared, noise).reshape(-1, 1, 16)
     p = np.empty((len(rho), 9, 4))
     for k, effects in enumerate(_EFFECTS):  # one (M, 4, 16) product per setting
         p[:, k] = (rho * effects).sum(axis=-1).real
@@ -348,20 +345,10 @@ def _records(counts, shots: int) -> list[MeasurementRecord]:
     ]
 
 
-def _sample_counts(angles, labels, noise: NoiseModel, shots, rngs) -> np.ndarray:
-    """The counts (N, 9, 4) of the program angles[i] run on labels[i]:
-    one multinomial of shots per setting, drawn from rngs[i]."""
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots <= 0:
-        raise ValueError(f"shots_per_setting must be a positive int, got {shots!r}")
-    table = _angle_table(angles, 2)
-    if not len(table) == len(labels) == len(rngs):
-        raise ValueError(
-            f"{len(table)} programs, {len(labels)} labels and {len(rngs)} rngs: "
-            "one label and one rng per program"
-        )
-    if not len(table):
-        return np.zeros((0, 9, 4), dtype=np.int64)
-    p = _outcome_probabilities(table, labels, noise)
+def _sample_counts(angles, prepared, noise: NoiseModel, shots: int, rngs) -> np.ndarray:
+    """The counts (N, 9, 4) of the program angles[i] run on the preparation
+    row prepared[i]: one multinomial of shots per setting, drawn from rngs[i]."""
+    p = _outcome_probabilities(angles, prepared, noise)
     return np.array([rng.generator.multinomial(shots, pi) for pi, rng in zip(p, rngs)])
 
 
@@ -384,8 +371,18 @@ def run_experiments(
     own arguments, not on the others in the call. The public record form of
     the package's (N, 9, 4) count sampler.
     """
-    counts = _sample_counts(angles, labels, noise, shots_per_setting, rngs)
-    return [_records(c, int(shots_per_setting)) for c in counts]
+    shots = shots_per_setting
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots <= 0:
+        raise ValueError(f"shots_per_setting must be a positive int, got {shots!r}")
+    table = _angle_table(angles, 2)
+    prepared = [_preparation_index(label) for label in labels]
+    if not len(table) == len(prepared) == len(rngs):
+        raise ValueError(
+            f"{len(table)} programs, {len(prepared)} labels and {len(rngs)} rngs: "
+            "one label and one rng per program"
+        )
+    counts = _sample_counts(table, prepared, noise, shots, rngs)
+    return [_records(c, int(shots)) for c in counts]
 
 
 def run_experiment(
@@ -401,15 +398,11 @@ def run_experiment(
     return run_experiments(_angle_table(angles, 1)[None], [label], noise, shots_per_setting, [rng])[0]
 
 
-def _exact_experiments(angles, labels) -> np.ndarray:
-    """The exact Born probabilities (N, 9, 4) of noiseless angle rows."""
-    return _outcome_probabilities(angles, labels, NoiseModel())
-
-
 def exact_experiment(angles: np.ndarray, label: Sequence[str]) -> list[MeasurementRecord]:
     """Infinite-shot records of the noiseless program, an angle row (32,):
     the records carry exact Born probabilities instead of sampled counts."""
-    return _records(_exact_experiments(_angle_table(angles, 1)[None], [label])[0], 1)
+    table = _angle_table(angles, 1)[None]
+    return _records(_outcome_probabilities(table, [_preparation_index(label)], NoiseModel())[0], 1)
 
 
 # Stored profile for demonstration runs: tuned so the packaged benchmark's

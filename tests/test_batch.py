@@ -49,7 +49,7 @@ from su4c import (
 from su4c import compiler, tomography
 from su4c.circuits import _pulse_angles, _pulses
 from su4c.config import DEFAULT_TOL
-from su4c.experiment import _exact_experiments, _sample_counts
+from su4c.experiment import NoiseModel, _outcome_probabilities, _sample_counts
 from su4c.haar import _sample_su4_many
 from su4c.tomography import (
     _LINEAR_MAP,
@@ -282,15 +282,15 @@ def pure_ideal_cases():
     the ideal output vectors U |psi_in>."""
     streams = SeededRng(48).spawn(160)
     us = _sample_su4_many(streams)
-    labels = [TOMOGRAPHY_INPUT_LABELS[k % 16] for k in range(160)]
+    prepared = np.arange(160) % 16
     angles = pulse_angles(decompose_many(us))
-    counts = _sample_counts(angles, labels, CALIBRATED_NOISE, 100, streams)
+    counts = _sample_counts(angles, prepared, CALIBRATED_NOISE, 100, streams)
     ests = {
         "calibrated": _estimate_states(counts, "linear", DEFAULT_TOL),
         "mle": _estimate_states(counts, "mle", DEFAULT_TOL),
-        "exact": _estimate_states(_exact_experiments(angles, labels), "linear", DEFAULT_TOL),
+        "exact": _estimate_states(_outcome_probabilities(angles, prepared, NoiseModel()), "linear", DEFAULT_TOL),
     }
-    return ests, np.array([u @ input_state(label) for u, label in zip(us, labels)])
+    return ests, np.array([u @ input_state(TOMOGRAPHY_INPUT_LABELS[k]) for u, k in zip(us, prepared)])
 
 
 @pytest.mark.parametrize("kind", ["calibrated", "mle", "exact"])

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy_build import numpy_build
+from programs import program
 
 from su4c import circuits, cli, compiler, experiment, gates, haar, tomography
 from su4c.cli import EXIT_NOT_UNITARY, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
@@ -22,6 +23,10 @@ from su4c.gates import GateElement
 from su4c.haar import SeededRng, sample_su4
 from su4c.io import matrix_from_obj, matrix_to_obj, save_matrix
 from su4c.linalg import nearest_unitary
+
+
+# A noise model whose channel draws nothing: depolarizing and damping only.
+NO_SIGMA_NOISE = {"overrotation_sigma": 0.0, "depolarizing_per_g": 0.07, "damping_per_circuit": 0.05}
 
 
 @pytest.fixture
@@ -276,7 +281,8 @@ class TestBenchmark:
         assert abs(doc["mean_fidelity"] - 1.0) < 1e-9
         assert doc["std_fidelity"] < 1e-9
 
-    # a calibrated 100-shot run, an exact run and a calibrated MLE run, one
+    # a calibrated 100-shot run, exact runs without and with noise and a
+    # calibrated MLE run, one
     # operation per chunk and two chunks of 16, against the default chunk,
     # which holds all 32 operations
     @pytest.mark.parametrize(
@@ -284,6 +290,7 @@ class TestBenchmark:
         [
             ("--noise", "calibrated", "--seed", "2"),
             ("--exact-probabilities",),
+            ("--exact-probabilities", "--noise", "calibrated"),
             ("--noise", "calibrated", "--shots", "100", "--method", "mle"),
         ],
     )
@@ -299,13 +306,24 @@ class TestBenchmark:
             main(["benchmark", "--n", "10"])
         assert info.value.code == EXIT_PARSE
 
-    def test_exact_probabilities_need_zero_noise(self, capsys):
-        code, _, err = run_cli(
-            capsys, "benchmark", "--n", "16", "--exact-probabilities",
-            "--noise", "calibrated",
+    def test_noisy_exact_run_is_the_channel(self, capsys, tmp_path):
+        # with no over-rotation the noise draws nothing, so each exact
+        # fidelity is <U psi| E(|psi><psi|) |U psi> for the channel E that
+        # apply_channel applies
+        noise_path = tmp_path / "noise.json"
+        noise_path.write_text(json.dumps(NO_SIGMA_NOISE))
+        code, out, _ = run_cli(
+            capsys, "benchmark", "--n", "16", "--seed", "5", "--exact-probabilities",
+            "--method", "linear", "--noise", str(noise_path),
         )
-        assert code == EXIT_PARSE
-        assert "zero noise" in err
+        assert code == EXIT_OK
+        operations = json.loads(out)["operations"]
+        for op, stream in zip(operations, SeededRng(5).spawn(16)):
+            u = sample_su4(stream)
+            psi = experiment.input_state(op["input_state"])
+            rho = experiment.apply_channel(np.outer(psi, psi.conj()), program(u), NoiseModel(**NO_SIGMA_NOISE))
+            assert abs(op["fidelity"] - np.vdot(u @ psi, rho @ u @ psi).real) < 1e-12
+        assert max(op["fidelity"] for op in operations) < 0.95  # the noise bites
 
     def test_draws_are_compiled_as_drawn(self, capsys, monkeypatch):
         # sample_su4 draws are unitary already; none is projected again
@@ -507,18 +525,26 @@ class TestProcessTomo:
         assert code == EXIT_OK
         assert len(calls) == 1
 
-    def test_exact_probabilities_need_zero_noise(self, capsys, tmp_path):
-        # the argument check comes before the matrix is read, so a
-        # non-unitary file exits 2 here, not 3
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(matrix_to_obj(np.zeros((4, 4), dtype=complex))))
-        code, out, err = run_cli(
-            capsys, "process-tomo", "--unitary", str(path), "--exact-probabilities",
-            "--noise", "calibrated",
+    def test_noisy_exact_run_is_the_channel(self, capsys, unitary_file, tmp_path):
+        # F_e of the process reconstructed from the 16 output states that
+        # apply_channel gives, with no over-rotation to draw
+        noise_path = tmp_path / "noise.json"
+        noise_path.write_text(json.dumps(NO_SIGMA_NOISE))
+        code, out, _ = run_cli(
+            capsys, "process-tomo", "--unitary", unitary_file, "--exact-probabilities",
+            "--method", "linear", "--noise", str(noise_path),
         )
-        assert code == EXIT_PARSE
-        assert out == ""
-        assert "--exact-probabilities requires zero noise" in err
+        assert code == EXIT_OK
+        u = nearest_unitary(matrix_from_obj(json.loads(Path(unitary_file).read_text()), (4, 4)))
+        labels = experiment.TOMOGRAPHY_INPUT_LABELS
+        outputs = [
+            experiment.apply_channel(np.outer(psi, psi.conj()), program(u), NoiseModel(**NO_SIGMA_NOISE))
+            for psi in map(experiment.input_state, labels)
+        ]
+        process = tomography.reconstruct_process(list(zip(labels, outputs)))
+        want = tomography.entanglement_fidelity(process, tomography.process_matrix_of_unitary(u))
+        assert abs(json.loads(out)["entanglement_fidelity"] - want) < 1e-12
+        assert want < 0.95  # the noise bites
 
     def test_full_depolarizing_noise_collapses_fidelity(
         self, capsys, unitary_file, tmp_path
@@ -545,7 +571,9 @@ class TestProcessTomo:
 # float in the view would change its bytes) and again when the compiler's
 # representative frames became closed form; the process-tomo and pulse
 # digests again when the compile and scoring steps became plain stacked
-# arithmetic (mean_state_fidelity and the angles moved by at most 9e-16).
+# arithmetic (mean_state_fidelity and the angles moved by at most 9e-16);
+# and of an exact-probability benchmark under the calibrated noise,
+# captured when exact runs came to take any noise model.
 # A change to the executor, the compiler or reconstruction that moves one
 # count or one digit of a fidelity or an angle changes a digest; only a
 # change that sets out to move outputs re-captures them, and records the old
@@ -555,6 +583,10 @@ GOLDEN_REPORTS = {
     "benchmark": (
         ("benchmark", "--n", "32", "--seed", "0", "--noise", "calibrated"),
         "a24e492b6472221aab9bcf02c081a0b5ffdf3a078e9d6224a17ac741d557483d",
+    ),
+    "benchmark-exact": (
+        ("benchmark", "--n", "32", "--exact-probabilities", "--noise", "calibrated"),
+        "2853721b1d98c192ceeae28aa2dc5af5c5f0050c5ec4bb818bf44cec6bdef649",
     ),
     "process-tomo": (
         ("process-tomo", "--unitary", None, "--shots", "1000", "--noise", "calibrated",

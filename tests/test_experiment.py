@@ -210,8 +210,7 @@ class TestInputStates:
 class TestNoiseModel:
     def test_defaults_are_zero(self):
         noise = NoiseModel()
-        assert noise.is_zero
-        assert noise.overrotation_sigma == 0.0
+        assert (noise.overrotation_sigma, noise.depolarizing_per_g, noise.damping_per_circuit) == (0.0, 0.0, 0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -226,13 +225,7 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(overrotation_sigma=sigma)
 
-    def test_is_zero_flag(self):
-        assert not NoiseModel(overrotation_sigma=0.01).is_zero
-        assert not NoiseModel(depolarizing_per_g=0.01).is_zero
-        assert not NoiseModel(damping_per_circuit=0.01).is_zero
-
     def test_calibrated_profile(self):
-        assert not CALIBRATED_NOISE.is_zero
         assert 0.0 < CALIBRATED_NOISE.overrotation_sigma < 0.5
         assert 0.0 < CALIBRATED_NOISE.depolarizing_per_g < 0.5
         assert 0.0 < CALIBRATED_NOISE.damping_per_circuit < 0.5
@@ -483,7 +476,7 @@ def loop_run_experiment(angles, label, noise, shots, rng):
     pulses = _pulses(angles)
     frames = (_SETTING_FRAMES[:, None] @ loop_damping_kraus(noise.damping_per_circuit)).reshape(-1, 16, 4)
     psi0 = input_state(label).reshape(4, 1)
-    if noise.is_zero:
+    if noise == NoiseModel():
         psi = loop_evolve(psi0, pulses, loop_overrotations(pulses, noise, None, 1))
         p = [loop_probabilities(f, psi, 0.0)[:, 0] for f in frames]
         return [tuple(rng.generator.multinomial(shots, pf).tolist()) for pf in p]
@@ -524,6 +517,8 @@ ORACLE_NOISE = {
 ORACLE_SHOTS = (1, 7, 100, 455, 1000, 1500, 5000)
 ORACLE_PROGRAMS = np.array([program(sample_su4(SeededRng(600 + k))) for k in range(5)])
 ORACLE_LABELS = [("plus", "down"), ("up", "up"), ("minus_i", "plus"), ("down", "minus_i"), ("up", "plus")]
+# The same preparations as rows of TOMOGRAPHY_INPUT_LABELS, as the kernels take them.
+ORACLE_ROWS = [TOMOGRAPHY_INPUT_LABELS.index(label) for label in ORACLE_LABELS]
 # Programs stacked per run_experiments call, against the shot counts: one
 # program per call, or all of them in one.
 WIDTH_CASES = [(1, 1), (1, 7), (100, 1), (100, 7), (100, 100), (100, 455), (100, 1000)]
@@ -559,13 +554,14 @@ def assert_groupings_agree(programs, labels, noise, shots, seed, *groupings):
         records = [None] * len(programs)
         p = np.empty((len(programs), 9, 4))
         for group in groups:
-            members = (programs[group], [labels[i] for i in group])
-            results = run_experiments(*members, noise, shots, [rngs[i] for i in group])
+            group_labels = [labels[i] for i in group]
+            results = run_experiments(programs[group], group_labels, noise, shots, [rngs[i] for i in group])
             assert len(results) == len(group)
             for i, result in zip(group, results):
                 assert all(r.shots == shots and type(r.shots) is int for r in result)
                 records[i] = result
-            p[group] = _outcome_probabilities(*members, noise)
+            rows = [TOMOGRAPHY_INPUT_LABELS.index(tuple(label)) for label in group_labels]
+            p[group] = _outcome_probabilities(programs[group], rows, noise)
         runs.append((records, p.tobytes(), [rng.generator.bit_generator.state for rng in rngs]))
     assert all(run == runs[0] for run in runs)
 
@@ -587,7 +583,7 @@ class TestRunExperiments:
             loop_run_experiment(angles, label, noise, shots, rng)
             for angles, label, rng in zip(ORACLE_PROGRAMS, ORACLE_LABELS, rngs)
         ]
-        p = _outcome_probabilities(ORACLE_PROGRAMS, ORACLE_LABELS, noise)
+        p = _outcome_probabilities(ORACLE_PROGRAMS, ORACLE_ROWS, noise)
         assert chi2_pvalue(counts, p, shots, seed=shots) > 1e-3
 
     def test_chi2_detects_a_wrong_distribution(self):
@@ -599,13 +595,13 @@ class TestRunExperiments:
             for angles, label, rng in zip(ORACLE_PROGRAMS, ORACLE_LABELS, rngs)
         ]
         noise = NoiseModel(overrotation_sigma=0.06, depolarizing_per_g=0.05, damping_per_circuit=0.1)
-        p = _outcome_probabilities(ORACLE_PROGRAMS, ORACLE_LABELS, noise)
+        p = _outcome_probabilities(ORACLE_PROGRAMS, ORACLE_ROWS, noise)
         assert chi2_pvalue(counts, p, 5000, seed=1) < 1e-3
 
     def test_counts_are_one_multinomial_draw_per_program(self):
         rngs, copies = SeededRng(5).spawn(len(ORACLE_PROGRAMS)), SeededRng(5).spawn(len(ORACLE_PROGRAMS))
         results = run_experiments(ORACLE_PROGRAMS, ORACLE_LABELS, CALIBRATED_NOISE, 100, rngs)
-        p = _outcome_probabilities(ORACLE_PROGRAMS, ORACLE_LABELS, CALIBRATED_NOISE)
+        p = _outcome_probabilities(ORACLE_PROGRAMS, ORACLE_ROWS, CALIBRATED_NOISE)
         for records, pi, rng, copy in zip(results, p, rngs, copies):
             assert [r.counts for r in records] == [tuple(c) for c in copy.generator.multinomial(100, pi).tolist()]
             assert rng.generator.bit_generator.state == copy.generator.bit_generator.state
@@ -795,7 +791,7 @@ class TestOutputStates:
         noise = ORACLE_NOISE[name]
         for k, angles in enumerate(ORACLE_PROGRAMS[:2]):
             labels = TOMOGRAPHY_INPUT_LABELS
-            out = _output_states(ORACLE_PROGRAMS[[k] * len(labels)], labels, noise)
+            out = _output_states(ORACLE_PROGRAMS[[k] * len(labels)], np.arange(len(labels)), noise)
             for label, rho_out in zip(labels, out):
                 ref = apply_channel(ideal_output(I4, label), angles, noise)
                 assert np.max(np.abs(rho_out - ref)) < 1e-12
@@ -807,7 +803,7 @@ class TestOutputStates:
         angles, label = ORACLE_PROGRAMS[2], ORACLE_LABELS[2]
         rng = SeededRng(811)
         draws = np.array([apply_channel(ideal_output(I4, label), angles, noise, rng) for _ in range(1500)])
-        (rho_out,) = _output_states(angles[None], [label], noise)
+        (rho_out,) = _output_states(angles[None], ORACLE_ROWS[2:3], noise)
         err = draws.std(axis=0) / math.sqrt(len(draws)) + 1e-15
         assert np.max(np.abs(draws.mean(axis=0) - rho_out) / err) < 5.0
 
@@ -817,12 +813,12 @@ class TestOutputStates:
         # (M, 9, 4, 16) product over all nine settings
         g = np.random.default_rng(n)
         angles = g.uniform(0.0, 2.0 * math.pi, size=(n, 32))
-        labels = [TOMOGRAPHY_INPUT_LABELS[k] for k in g.integers(0, 16, size=n)]
+        prepared = g.integers(0, 16, size=n)
         for noise in (CALIBRATED_NOISE, NoiseModel()):
-            rho = _output_states(angles, labels, noise)
+            rho = _output_states(angles, prepared, noise)
             p = np.clip((rho.reshape(-1, 1, 1, 16) * _EFFECTS).sum(axis=-1).real, 0.0, None)
             want = p / p.sum(axis=-1, keepdims=True)
-            assert _outcome_probabilities(angles, labels, noise).tobytes() == want.tobytes()
+            assert _outcome_probabilities(angles, prepared, noise).tobytes() == want.tobytes()
 
     def test_r_channels_match_one_stack(self):
         # the channel spread from its eight values is the stack of its
@@ -841,7 +837,7 @@ class TestOutputStates:
             assert got.tobytes() == want.tobytes()
 
     def test_output_states_are_physical(self):
-        states = _output_states(ORACLE_PROGRAMS, ORACLE_LABELS, NoiseModel(0.3, 0.2, 0.3))
+        states = _output_states(ORACLE_PROGRAMS, ORACLE_ROWS, NoiseModel(0.3, 0.2, 0.3))
         for rho in states:
             assert abs(np.trace(rho).real - 1.0) < 1e-12
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
