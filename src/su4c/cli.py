@@ -15,8 +15,9 @@ circuit failed verification.
 
 Every command is deterministic for a fixed --seed. Reports embed the seed,
 a content hash of the inputs, and the tolerance configuration. The
-SU4C_TOLERANCE environment variable overrides the default verification
-threshold; --tolerance overrides both.
+verification threshold applies to compile: the SU4C_TOLERANCE environment
+variable overrides its default, and compile --tolerance overrides both.
+benchmark and process-tomo run with the default tolerances.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .circuits import _pulse_angles, lower_to_pulses
 from .compiler import _decompose_arrays, decompose, verify
-from .config import DEFAULT_TOL, Tolerances, _with_verify_distance, tolerances_from_env
+from .config import DEFAULT_TOL, _with_verify_distance, tolerances_from_env
 from .experiment import (
     CALIBRATED_NOISE,
     TOMOGRAPHY_INPUT_LABELS,
@@ -79,13 +80,6 @@ _CHUNK = 256
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
-
-
-def _resolve_tolerances(args) -> Tolerances:
-    tol = tolerances_from_env(DEFAULT_TOL)
-    if getattr(args, "tolerance", None) is not None:
-        tol = _with_verify_distance(tol, args.tolerance, "--tolerance")
-    return tol
 
 
 def _resolve_noise(source: str) -> tuple[NoiseModel, dict]:
@@ -141,7 +135,7 @@ def _pulse_obj(pulse) -> dict:
     return {"kind": pulse.kind, "target": pulse.target, **{name: getattr(pulse, name) for name in names}}
 
 
-def _load_matrix(path: str, tol: Tolerances):
+def _load_matrix(path: str):
     """Read and gate a user matrix; returns (matrix as read, hash), the
     matrix None when it is not unitary within the input tolerance."""
     with open(path, "rb") as fp:
@@ -151,21 +145,23 @@ def _load_matrix(path: str, tol: Tolerances):
     except (ValueError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot parse {path}: {exc}") from None
     m = matrix_from_obj(obj, (4, 4))
-    return (m if is_unitary(m, tol.input_unitarity) else None), content_hash(raw)
+    return (m if is_unitary(m, DEFAULT_TOL.input_unitarity) else None), content_hash(raw)
 
 
-def _not_unitary(tol: Tolerances) -> int:
-    return _fail(EXIT_NOT_UNITARY, f"input matrix is not unitary within {tol.input_unitarity:g}")
+def _not_unitary() -> int:
+    return _fail(EXIT_NOT_UNITARY, f"input matrix is not unitary within {DEFAULT_TOL.input_unitarity:g}")
 
 
 def _cmd_compile(args) -> int:
     try:
-        tol = _resolve_tolerances(args)
-        m, input_hash = _load_matrix(args.matrix, tol)
+        tol = tolerances_from_env(DEFAULT_TOL)
+        if args.tolerance is not None:
+            tol = _with_verify_distance(tol, args.tolerance, "--tolerance")
+        m, input_hash = _load_matrix(args.matrix)
     except (OSError, ValueError) as exc:
         return _fail(EXIT_PARSE, str(exc))
     if m is None:
-        return _not_unitary(tol)
+        return _not_unitary()
     # a file's matrix may be rounded, so compile its nearest unitary
     params = decompose(nearest_unitary(m), tol)
     # against the file's matrix, so a rounded input reports how far it is
@@ -202,24 +198,23 @@ def _cmd_sample(args) -> int:
     return _write_outputs(matrices, args.out)
 
 
-def _prepare_run(args) -> tuple[Tolerances, NoiseModel, dict]:
-    """Tolerances and noise model of a benchmark or process-tomo run, and
-    the report keys of its arguments that both commands write."""
-    tol = _resolve_tolerances(args)
+def _prepare_run(args) -> tuple[NoiseModel, dict]:
+    """Noise model of a benchmark or process-tomo run, and the report keys
+    of its arguments that both commands write."""
     noise, noise_meta = _resolve_noise(args.noise)
     keys = {name: getattr(args, name) for name in ("seed", "shots", "method", "exact_probabilities")}
-    return tol, noise, {**keys, "noise": asdict(noise), "noise_meta": noise_meta}
+    return noise, {**keys, "noise": asdict(noise), "noise_meta": noise_meta}
 
 
-def _compile(us: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _compile(us: np.ndarray) -> np.ndarray:
     """The pulse angle table (N, 32) of a non-empty complex (N, 4, 4) stack
     of unitaries that the package built, kept as arrays from the compiler to
     the pulse template; the stack is not checked again."""
-    classes, letters, _ = _decompose_arrays(us, tol)
+    classes, letters, _ = _decompose_arrays(us, DEFAULT_TOL)
     return _pulse_angles(classes, letters)
 
 
-def _estimates(angles, prepared, rngs, noise, tol, args) -> np.ndarray:
+def _estimates(angles, prepared, rngs, noise, args) -> np.ndarray:
     """Reconstructed output states (N, 4, 4) of each program run on its
     preparation row under noise, from counts sampled with its rng or from
     the exact outcome probabilities, as the arguments ask."""
@@ -227,12 +222,12 @@ def _estimates(angles, prepared, rngs, noise, tol, args) -> np.ndarray:
         counts = _outcome_probabilities(angles, prepared, noise)
     else:
         counts = _sample_counts(angles, prepared, noise, args.shots, rngs)
-    return _estimate_states(counts, args.method, tol)
+    return _estimate_states(counts, args.method, DEFAULT_TOL)
 
 
 def _cmd_benchmark(args) -> int:
     try:
-        tol, noise, keys = _prepare_run(args)
+        noise, keys = _prepare_run(args)
     except (OSError, ValueError) as exc:
         return _fail(EXIT_PARSE, str(exc))
 
@@ -253,9 +248,9 @@ def _cmd_benchmark(args) -> int:
         chunk = range(first, min(first + _CHUNK, args.n))
         kinds = preparations[first : chunk.stop]
         chunk_streams = root.spawn(len(chunk))
-        us = _sample_su4_many(chunk_streams, tol)
-        angles = _compile(us, tol)
-        ests = _estimates(angles, kinds, chunk_streams, noise, tol, args)
+        us = _sample_su4_many(chunk_streams)
+        angles = _compile(us)
+        ests = _estimates(angles, kinds, chunk_streams, noise, args)
         # the ideal outputs are pure: U applied to each preparation
         psis = (us @ _PREPARED_VECTORS[kinds, :, None])[..., 0]
         for index, k, f in zip(chunk, kinds, _pure_state_fidelities(ests, psis)):
@@ -266,7 +261,7 @@ def _cmd_benchmark(args) -> int:
     out = {
         **header,
         "input_hash": input_hash,
-        "tolerances": asdict(tol),
+        "tolerances": asdict(DEFAULT_TOL),
         "operations": operations,
         "mean_fidelity": float(arr.mean()),
         "std_fidelity": float(arr.std()),
@@ -278,28 +273,26 @@ def _cmd_benchmark(args) -> int:
 
 def _cmd_process_tomo(args) -> int:
     try:
-        tol, noise, keys = _prepare_run(args)
-        m, input_hash = _load_matrix(args.unitary, tol)
+        noise, keys = _prepare_run(args)
+        m, input_hash = _load_matrix(args.unitary)
     except (OSError, ValueError) as exc:
         return _fail(EXIT_PARSE, str(exc))
     if m is None:
-        return _not_unitary(tol)
+        return _not_unitary()
     u = nearest_unitary(m)
     # one program for all 16 preparations
-    angles = _compile(u[None], tol)
+    angles = _compile(u[None])
     labels = TOMOGRAPHY_INPUT_LABELS
     streams = SeededRng(args.seed).spawn(len(labels))
-    ests = _estimates(angles.repeat(len(labels), axis=0), np.arange(len(labels)), streams, noise, tol, args)
-    est = reconstruct_process(
-        list(zip(labels, ests)), cp_projection=not args.no_cp_projection, tol=tol
-    )
+    ests = _estimates(angles.repeat(len(labels), axis=0), np.arange(len(labels)), streams, noise, args)
+    est = reconstruct_process(list(zip(labels, ests)), cp_projection=not args.no_cp_projection)
     ideal = process_matrix_of_unitary(u)
     f_ent = entanglement_fidelity(est, ideal)
     out = {
         "command": "process-tomo",
         **keys,
         "input_hash": input_hash,
-        "tolerances": asdict(tol),
+        "tolerances": asdict(DEFAULT_TOL),
         "entanglement_fidelity": f_ent,
         "mean_state_fidelity": mean_state_fidelity(est, ideal),
         "mean_fidelity_from_entanglement": mean_fidelity_from_entanglement(f_ent),
@@ -325,8 +318,6 @@ def _add_common(parser, shots_default: int) -> None:
         "--exact-probabilities", action="store_true",
         help="skip sampling and feed the exact outcome probabilities under --noise",
     )
-    parser.add_argument("--tolerance", type=float, default=None,
-                        help="verification distance threshold")
     parser.add_argument("--out", default=None, help="write report JSON here")
 
 

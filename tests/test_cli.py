@@ -1,6 +1,7 @@
 """Command-line interface, exercised in process through main(argv)."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -17,7 +18,7 @@ from programs import program
 from su4c import circuits, cli, compiler, experiment, gates, haar, tomography
 from su4c.cli import EXIT_NOT_UNITARY, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
 from su4c.compiler import decompose, verify
-from su4c.config import ENV_TOLERANCE
+from su4c.config import DEFAULT_TOL, ENV_TOLERANCE
 from su4c.experiment import MeasurementRecord, NoiseModel, run_experiment
 from su4c.gates import GateElement
 from su4c.haar import SeededRng, sample_su4
@@ -736,6 +737,19 @@ class TestParser:
         with pytest.raises(SystemExit) as info:
             main(["process-tomo", "--unitary", unitary_file, "--method", "bayes"])
         assert info.value.code == EXIT_PARSE
+
+    @pytest.mark.parametrize("argv", [["benchmark", "--n", "16"], ["process-tomo", "--unitary", None]])
+    def test_tolerance_is_a_compile_option(self, capsys, unitary_file, monkeypatch, argv):
+        # only compile verifies, so only compile takes --tolerance; the
+        # runs report the default tolerances whatever SU4C_TOLERANCE says
+        argv = [unitary_file if a is None else a for a in argv]
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--tolerance", "1e-3"])
+        assert info.value.code == EXIT_PARSE
+        monkeypatch.setenv(ENV_TOLERANCE, "1e-3")
+        code, out, _ = run_cli(capsys, *argv, "--shots", "10")
+        assert code == EXIT_OK
+        assert json.loads(out)["tolerances"] == dataclasses.asdict(DEFAULT_TOL)
 
     def test_shots_must_be_positive(self, capsys):
         with pytest.raises(SystemExit) as info:
