@@ -434,8 +434,7 @@ def _su2_params(m: np.ndarray, tol: Tolerances) -> np.ndarray:
     m00, m10 = m[:, 0, 0], m[:, 1, 0]
     psi = np.arctan2(m00.imag, m00.real)  # arg(sign) - phiz/2
     arg10 = np.arctan2(m10.imag, m10.real)
-    # the modulus is never negative; rounding can put it just above 1
-    theta = 2.0 * np.arccos(np.minimum(np.hypot(m00.real, m00.imag), 1.0))
+    theta = 2.0 * np.arctan2(np.hypot(m10.real, m10.imag), np.hypot(m00.real, m00.imag))
     negative = psi > 0.0  # sign -1, arg(sign) = pi
     twice = 2.0 * psi
     phiz = np.where(negative, math.tau - twice, -twice)

@@ -14,7 +14,7 @@ transposes for qubit 1, and the stacked Haar draws rely on one (2, 4, 4)
 standard normal draw giving the normals of two (4, 4) draws; both are
 asserted at the end of this module. So are the steps of the compile and
 scoring paths that run as one stack with no per-row oracle, each on stacks
-of 1, 16 and 160 rows and on the same rows shuffled: np.arccos of the
+of 1, 16 and 160 rows and on the same rows shuffled: np.arctan2 of the
 moduli (su2_params), the array square (state_fidelity), np.remainder of
 the pair means (_class_angles), the quarter turns (_canonical_phase), the
 2x2 determinants ad - bc (_factor_tensor_product), the product of the
@@ -417,8 +417,19 @@ def with_rows(x, rows):
 
 
 @pytest.mark.parametrize("n", STACKS)
+def test_arctan2_of_moduli(n):
+    # su2_params' 2 arctan2(|m10|, |m00|): unit pairs, many with |m10| tiny
+    y = 10.0 ** gen(43).uniform(-16.0, 0.0, n)
+    edge = [[0.0, 1.0], [1.0, 0.0], [2.0**-1074, 1.0], [0.7071067811865476] * 2, [5e-9, 1.0]]
+    pairs = with_rows(np.stack([y, np.sqrt(1.0 - y * y)], axis=1), np.array(edge))
+    rows_alone_and_shuffled(lambda v: 2.0 * np.arctan2(v[:, 0], v[:, 1]), pairs, 44)
+
+
+@pytest.mark.parametrize("n", STACKS)
 def test_arccos_of_moduli(n):
-    # su2_params' 2 arccos(min(|m00|, 1)): moduli in [0, 1], many near 1
+    # 2 arccos(min(|m00|, 1)), the theta su2_params read before it read
+    # both moduli: moduli in [0, 1], many near 1; no package path calls
+    # np.arccos now
     x = 1.0 - 10.0 ** gen(29).uniform(-16.0, 0.0, n)
     x = with_rows(x, [1.0, 0.0, 0.5, 1.0 - 2.0**-53, 2.0**-1074, 0.7071067811865476])
     rows_alone_and_shuffled(lambda v: 2.0 * np.arccos(np.minimum(v, 1.0)), x, 30)

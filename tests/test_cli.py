@@ -574,7 +574,10 @@ class TestProcessTomo:
 # digests again when the compile and scoring steps became plain stacked
 # arithmetic (mean_state_fidelity and the angles moved by at most 9e-16);
 # and of an exact-probability benchmark under the calibrated noise,
-# captured when exact runs came to take any noise model.
+# captured when exact runs came to take any noise model. The pulse and
+# exact-benchmark digests were re-captured when su2_params came to read
+# theta from both moduli (pulse angles moved by at most 8.9e-16, exact
+# fidelities by at most 1.4e-15; sampled reports kept their bytes).
 # A change to the executor, the compiler or reconstruction that moves one
 # count or one digit of a fidelity or an angle changes a digest; only a
 # change that sets out to move outputs re-captures them, and records the old
@@ -587,7 +590,7 @@ GOLDEN_REPORTS = {
     ),
     "benchmark-exact": (
         ("benchmark", "--n", "32", "--exact-probabilities", "--noise", "calibrated"),
-        "2853721b1d98c192ceeae28aa2dc5af5c5f0050c5ec4bb818bf44cec6bdef649",
+        "2c19975f8996e53c1d2c159900014e97e0838762018b50f7299a57f7560a7291",
     ),
     "process-tomo": (
         ("process-tomo", "--unitary", None, "--shots", "1000", "--noise", "calibrated",
@@ -596,7 +599,7 @@ GOLDEN_REPORTS = {
     ),
     "compile-pulses": (
         ("compile", None, "--pulses"),
-        "791f62501cd84f2f934a8176b523bc4c59ba7dcf8276daa7ee7019428ccccb1c",
+        "74e25456ac9c1bf35d4c8b1fabd357277cb6c01a9da1801f412f6cf453d6242b",
     ),
 }
 

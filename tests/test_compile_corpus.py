@@ -48,8 +48,8 @@ from su4c.compiler import _class_angles, _representatives
 from su4c.gates import _class_spectrum
 from su4c.linalg import _special_unitary_projection
 
-CORPUS_SHA256 = "8a956866bf3e1d8f57a16f9b104bb6f73f75be9a60830456a35595583ff65cab"
-PULSE_SHA256 = "1afdc77dd768bfc2cbc532467ddecca3c8bf4d8b6bcc4931275210ea9c6f62b7"
+CORPUS_SHA256 = "4dcdfc1fade30000c37198a222387a15f7b70728089c9d5f9375f60f494580bf"
+PULSE_SHA256 = "c34d0c8be40cbbb083af3c07ca6d700f28498571484e3d5c9cebfb0228df434c"
 
 _S, _T = (1 + 1j) / 2, (1 - 1j) / 2
 NAMED = (

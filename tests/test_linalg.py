@@ -390,13 +390,13 @@ class TestPhaseInvariantDistance:
 
 def su2_params_loop(m, tol=DEFAULT_TOL):
     """_su2_params written as a loop over the rows of an (N, 2, 2) stack, one
-    tuple per row with an int sign; numpy's arccos of each modulus."""
+    tuple per row with an int sign; numpy's arctan2 of the two moduli."""
     m00, m10 = m[:, 0, 0], m[:, 1, 0]
     args00 = np.arctan2(m00.imag, m00.real).tolist()
     args10 = np.arctan2(m10.imag, m10.real).tolist()
     out = []
-    for z, psi, arg10 in zip(m00, args00, args10):
-        theta = 2.0 * float(np.arccos(min(1.0, abs(z))))
+    for z, w, psi, arg10 in zip(m00, m10, args00, args10):
+        theta = 2.0 * float(np.arctan2(abs(w), abs(z)))
         if psi <= 0.0:
             sign, phiz = 1, -2.0 * psi
         else:
@@ -497,6 +497,14 @@ class TestSu2Params:
         assert np.max(np.abs(rebuilt - m)) < 1e-12
         assert theta == pytest.approx(0.7, abs=1e-9)
         assert phi == pytest.approx(2.0, abs=1e-9)
+
+    @pytest.mark.parametrize("t", [1e-7, 2e-8, 1e-8])
+    def test_small_angles_keep_their_precision(self, t):
+        # |m00| = cos(t/2) rounds to 1 for t near 1e-8, above angle_snap,
+        # so theta is read from both moduli, not from |m00| alone
+        theta, phi, phiz, sign = su2_params(rz_gate(0.4) @ r_gate(t, 1.1))
+        assert abs(theta - t) <= 2 * np.spacing(t)
+        assert (phi, phiz, sign) == (pytest.approx(1.1, abs=1e-12), pytest.approx(0.4, abs=1e-12), 1)
 
     def test_random_round_trips(self):
         rng = SeededRng(53)
