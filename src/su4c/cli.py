@@ -285,12 +285,14 @@ def _cmd_process_tomo(args) -> int:
     labels = TOMOGRAPHY_INPUT_LABELS
     streams = SeededRng(args.seed).spawn(len(labels))
     ests = _estimates(angles.repeat(len(labels), axis=0), np.arange(len(labels)), streams, noise, args)
-    est = reconstruct_process(list(zip(labels, ests)), cp_projection=not args.no_cp_projection)
+    cp_projection = not args.no_cp_projection
+    est = reconstruct_process(list(zip(labels, ests)), cp_projection=cp_projection)
     ideal = process_matrix_of_unitary(u)
     f_ent = entanglement_fidelity(est, ideal)
     out = {
         "command": "process-tomo",
         **keys,
+        "cp_projection": cp_projection,
         "input_hash": input_hash,
         "tolerances": asdict(DEFAULT_TOL),
         "entanglement_fidelity": f_ent,

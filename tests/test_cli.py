@@ -547,6 +547,13 @@ class TestProcessTomo:
         assert abs(json.loads(out)["entanglement_fidelity"] - want) < 1e-12
         assert want < 0.95  # the noise bites
 
+    def test_report_records_the_cp_setting(self, capsys, unitary_file):
+        # two reports whose F_e differ only by the projection say so
+        args = ("process-tomo", "--unitary", unitary_file, "--shots", "100", "--noise", "calibrated")
+        docs = [json.loads(run_cli(capsys, *args, *flag)[1]) for flag in ((), ("--no-cp-projection",))]
+        assert [doc["cp_projection"] for doc in docs] == [True, False]
+        assert docs[0]["entanglement_fidelity"] != docs[1]["entanglement_fidelity"]
+
     def test_full_depolarizing_noise_collapses_fidelity(
         self, capsys, unitary_file, tmp_path
     ):
@@ -577,7 +584,8 @@ class TestProcessTomo:
 # captured when exact runs came to take any noise model. The pulse and
 # exact-benchmark digests were re-captured when su2_params came to read
 # theta from both moduli (pulse angles moved by at most 8.9e-16, exact
-# fidelities by at most 1.4e-15; sampled reports kept their bytes).
+# fidelities by at most 1.4e-15; sampled reports kept their bytes), and the
+# process-tomo digest when its report came to record cp_projection.
 # A change to the executor, the compiler or reconstruction that moves one
 # count or one digit of a fidelity or an angle changes a digest; only a
 # change that sets out to move outputs re-captures them, and records the old
@@ -595,7 +603,7 @@ GOLDEN_REPORTS = {
     "process-tomo": (
         ("process-tomo", "--unitary", None, "--shots", "1000", "--noise", "calibrated",
          "--method", "mle"),
-        "9fecd5a81f799c3978c2aded32cebd1748bb7254c6a8303a0fecbff320b892fb",
+        "a116eac4a341ecb7b03e19d7f2b9f99873c18d90b4b2f398874a1a2a43e64884",
     ),
     "compile-pulses": (
         ("compile", None, "--pulses"),
