@@ -427,9 +427,8 @@ def test_arctan2_of_moduli(n):
 
 @pytest.mark.parametrize("n", STACKS)
 def test_arccos_of_moduli(n):
-    # 2 arccos(min(|m00|, 1)), the theta su2_params read before it read
-    # both moduli: moduli in [0, 1], many near 1; no package path calls
-    # np.arccos now
+    # 2 arccos(min(v, 1)) on moduli in [0, 1], many near 1; no su4c path
+    # calls np.arccos since su2_params reads theta with arctan2
     x = 1.0 - 10.0 ** gen(29).uniform(-16.0, 0.0, n)
     x = with_rows(x, [1.0, 0.0, 0.5, 1.0 - 2.0**-53, 2.0**-1074, 0.7071067811865476])
     rows_alone_and_shuffled(lambda v: 2.0 * np.arccos(np.minimum(v, 1.0)), x, 30)
