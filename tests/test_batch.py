@@ -285,10 +285,11 @@ def pure_ideal_cases():
     prepared = np.arange(160) % 16
     angles = pulse_angles(decompose_many(us))
     counts = _sample_counts(angles, prepared, CALIBRATED_NOISE, 100, streams)
+    exact = _outcome_probabilities(angles, prepared, NoiseModel())
     ests = {
         "calibrated": _estimate_states(counts, "linear", DEFAULT_TOL),
         "mle": _estimate_states(counts, "mle", DEFAULT_TOL),
-        "exact": _estimate_states(_outcome_probabilities(angles, prepared, NoiseModel()), "linear", DEFAULT_TOL),
+        "exact": _estimate_states(exact, "linear", DEFAULT_TOL),
     }
     return ests, np.array([u @ input_state(TOMOGRAPHY_INPUT_LABELS[k]) for u, k in zip(us, prepared)])
 

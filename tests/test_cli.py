@@ -283,9 +283,8 @@ class TestBenchmark:
         assert doc["std_fidelity"] < 1e-9
 
     # a calibrated 100-shot run, exact runs without and with noise and a
-    # calibrated MLE run, one
-    # operation per chunk and two chunks of 16, against the default chunk,
-    # which holds all 32 operations
+    # calibrated MLE run, one operation per chunk and two chunks of 16,
+    # against the default chunk, which holds all 32 operations
     @pytest.mark.parametrize(
         "argv",
         [
@@ -584,7 +583,7 @@ class TestProcessTomo:
 # captured when exact runs came to take any noise model. The pulse and
 # exact-benchmark digests were re-captured when su2_params came to read
 # theta from both moduli (pulse angles moved by at most 8.9e-16, exact
-# fidelities by at most 1.4e-15; sampled reports kept their bytes), and the
+# fidelities by at most 1.3e-15; sampled reports kept their bytes), and the
 # process-tomo digest when its report came to record cp_projection.
 # A change to the executor, the compiler or reconstruction that moves one
 # count or one digit of a fidelity or an angle changes a digest; only a
