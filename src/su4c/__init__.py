@@ -6,142 +6,25 @@ lowered to the angles of one fixed calibrated pulse template (`pulse_angles`),
 executed on a simulated noisy device (`run_experiments`, or
 `run_experiment` for one program), and validated by state or process
 tomography and fidelity measures.
+
+The package exports the `__all__` of each of its eight modules; each module
+states its own public names once.
 """
 
-from .circuits import (
-    PULSE_COUNT,
-    CircuitParams,
-    LocalGate,
-    circuit_to_unitary,
-    compose_pulses,
-    lower_to_pulses,
-    pulse_angles,
-    r_pulse_triple,
-)
-from .compiler import (
-    RealityViolationError,
-    VerificationReport,
-    class_parameters,
-    decompose,
-    decompose_many,
-    local_invariants,
-    verify,
-)
-from .config import DEFAULT_TOL, Tolerances, tolerances_from_env
-from .experiment import (
-    CALIBRATED_NOISE,
-    MEASUREMENT_SETTINGS,
-    STATE_LABELS,
-    TOMOGRAPHY_INPUT_LABELS,
-    MeasurementRecord,
-    NoiseModel,
-    apply_channel,
-    exact_experiment,
-    input_state,
-    run_experiment,
-    run_experiments,
-)
-from .gates import (
-    G_GATE,
-    MAGIC,
-    ClassParams,
-    GateElement,
-    canonical_v,
-    class_spectrum,
-    embed,
-    from_magic,
-    gate_matrix,
-    r_gate,
-    rz_gate,
-    to_magic,
-)
-from .haar import SeededRng, sample_su4
-from .linalg import (
-    NotAProductError,
-    NotUnitaryError,
-    check_density_matrix,
-    factor_tensor_product,
-    is_unitary,
-    joint_real_diagonalization,
-    nearest_unitary,
-    phase_invariant_distance,
-    special_unitary_projection,
-    su2_params,
-)
-from .tomography import (
-    apply_process,
-    entanglement_fidelity,
-    mean_fidelity_from_entanglement,
-    mean_state_fidelity,
-    process_matrix_of_unitary,
-    reconstruct_process,
-    reconstruct_state,
-    state_fidelity,
-)
+from . import circuits, compiler, config, experiment, gates, haar, linalg, tomography
+from .circuits import *
+from .compiler import *
+from .config import *
+from .experiment import *
+from .gates import *
+from .haar import *
+from .linalg import *
+from .tomography import *
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "PULSE_COUNT",
-    "CircuitParams",
-    "LocalGate",
-    "circuit_to_unitary",
-    "compose_pulses",
-    "lower_to_pulses",
-    "pulse_angles",
-    "r_pulse_triple",
-    "RealityViolationError",
-    "VerificationReport",
-    "class_parameters",
-    "decompose",
-    "decompose_many",
-    "local_invariants",
-    "verify",
-    "DEFAULT_TOL",
-    "Tolerances",
-    "tolerances_from_env",
-    "CALIBRATED_NOISE",
-    "MEASUREMENT_SETTINGS",
-    "STATE_LABELS",
-    "TOMOGRAPHY_INPUT_LABELS",
-    "MeasurementRecord",
-    "NoiseModel",
-    "apply_channel",
-    "exact_experiment",
-    "input_state",
-    "run_experiment",
-    "run_experiments",
-    "G_GATE",
-    "MAGIC",
-    "ClassParams",
-    "GateElement",
-    "canonical_v",
-    "class_spectrum",
-    "embed",
-    "from_magic",
-    "gate_matrix",
-    "r_gate",
-    "rz_gate",
-    "to_magic",
-    "SeededRng",
-    "sample_su4",
-    "NotAProductError",
-    "NotUnitaryError",
-    "check_density_matrix",
-    "factor_tensor_product",
-    "is_unitary",
-    "joint_real_diagonalization",
-    "nearest_unitary",
-    "phase_invariant_distance",
-    "special_unitary_projection",
-    "su2_params",
-    "apply_process",
-    "entanglement_fidelity",
-    "mean_fidelity_from_entanglement",
-    "mean_state_fidelity",
-    "process_matrix_of_unitary",
-    "reconstruct_process",
-    "reconstruct_state",
-    "state_fidelity",
+__all__ = ["__version__"] + [
+    name
+    for module in (circuits, compiler, config, experiment, gates, haar, linalg, tomography)
+    for name in module.__all__
 ]

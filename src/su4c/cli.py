@@ -9,9 +9,10 @@ Subcommands
   process-tomo  full process tomography of one operation, reporting
                 entanglement fidelity and mean state fidelity
 
-Exit codes: 0 success, 2 bad arguments, unreadable input or an unwritable
-output path, 3 input matrix not unitary within the input tolerance, 4 compiled
-circuit failed verification.
+Exit codes: 0 success, 2 bad arguments (a --shots outside 1..2**63 - 1, the
+counts the multinomial sampler draws, included), unreadable input or an
+unwritable output path, 3 input matrix not unitary within the input
+tolerance, 4 compiled circuit failed verification.
 
 Every command is deterministic for a fixed --seed. Reports embed the seed,
 a content hash of the inputs, and the tolerance configuration. The
@@ -41,6 +42,7 @@ from .experiment import (
     _PREPARED_VECTORS,
     _outcome_probabilities,
     _sample_counts,
+    _shot_count,
 )
 from .haar import SeededRng, _sample_su4_many, sample_su4
 from .io import (
@@ -381,8 +383,11 @@ def main(argv=None) -> int:
         parser.error("--n must be a positive multiple of 16")
     if args.command == "sample" and args.n <= 0:
         parser.error("--n must be positive")
-    if getattr(args, "shots", 1) <= 0:
-        parser.error("--shots must be positive")
+    if hasattr(args, "shots"):
+        try:
+            _shot_count(args.shots, "--shots")
+        except ValueError as exc:
+            parser.error(str(exc))
     if getattr(args, "seed", 0) < 0:
         parser.error("--seed must be non-negative")
     return args.func(args)

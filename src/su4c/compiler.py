@@ -34,7 +34,6 @@ from .linalg import (
     _proper,
     _require_shape,
     _require_unitary,
-    _require_unitary_rows,
     _special_unitary_projection,
     _su2_params,
     nearest_unitary,
@@ -136,7 +135,7 @@ def _unitary_stack(us, tol: Tolerances) -> np.ndarray:
     ms = _as_complex(us)
     if ms.ndim != 3 or ms.shape[1:] != (4, 4):
         raise ValueError(f"expected an (N, 4, 4) stack, got shape {ms.shape}")
-    _require_unitary_rows(ms, tol.unitarity, "decompose_many input")
+    _require_unitary(ms, tol.unitarity, "decompose_many input")
     return ms
 
 

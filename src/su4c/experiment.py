@@ -352,6 +352,15 @@ def _sample_counts(angles, prepared, noise: NoiseModel, shots: int, rngs) -> np.
     return np.array([rng.generator.multinomial(shots, pi) for pi, rng in zip(p, rngs)])
 
 
+def _shot_count(shots, what: str = "shots_per_setting") -> int:
+    """shots as an int from 1 to 2**63 - 1, the largest count
+    Generator.multinomial draws; ValueError naming what otherwise, a bool
+    included."""
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or not 0 < shots < 2**63:
+        raise ValueError(f"{what} must be an int from 1 to 2**63 - 1, got {shots!r}")
+    return int(shots)
+
+
 def run_experiments(
     angles: np.ndarray,
     labels: Sequence[Sequence[str]],
@@ -371,9 +380,7 @@ def run_experiments(
     own arguments, not on the others in the call. The public record form of
     the package's (N, 9, 4) count sampler.
     """
-    shots = shots_per_setting
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots <= 0:
-        raise ValueError(f"shots_per_setting must be a positive int, got {shots!r}")
+    shots = _shot_count(shots_per_setting)
     table = _angle_table(angles, 2)
     prepared = [_preparation_index(label) for label in labels]
     if not len(table) == len(prepared) == len(rngs):
@@ -382,7 +389,7 @@ def run_experiments(
             "one label and one rng per program"
         )
     counts = _sample_counts(table, prepared, noise, shots, rngs)
-    return [_records(c, int(shots)) for c in counts]
+    return [_records(c, shots) for c in counts]
 
 
 def run_experiment(

@@ -21,7 +21,7 @@ from .linalg import (
     _joint_real_eigensystem,
     _kron,
     _require_shape,
-    joint_real_diagonalization,
+    _require_unitary,
 )
 
 __all__ = [
@@ -37,6 +37,8 @@ __all__ = [
     "from_magic",
     "ClassParams",
     "canonical_v",
+    "class_spectrum",
+    "embed",
 ]
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -248,11 +250,12 @@ def class_spectrum(u, tol: Tolerances = DEFAULT_TOL) -> EigenSystem:
     """
     u = _as_complex(u)
     _require_shape(u, 4)
-    m = to_magic(u)
-    det = np.linalg.det(m)
+    det = np.linalg.det(u)
     if abs(det - 1.0) > tol.determinant:
         raise ValueError(f"class_spectrum needs determinant 1, got {det}")
-    return joint_real_diagonalization(m @ m.T, tol)
+    _require_unitary(u, tol.unitarity, "class_spectrum input")
+    phases, vectors = _class_spectrum(u[None], tol)
+    return EigenSystem(phases=phases[0], vectors=vectors[0])
 
 
 def _class_spectrum(u: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:

@@ -61,36 +61,35 @@ def _as_complex(m) -> np.ndarray:
     return np.asarray(m, dtype=complex)
 
 
+def _unitarity_defects(m: np.ndarray) -> np.ndarray:
+    """max |m @ m^dag - I| of a square matrix, or of each row of a stack."""
+    eye = np.eye(m.shape[-1])
+    return np.abs(m @ m.conj().swapaxes(-1, -2) - eye).max(axis=(-2, -1))
+
+
 def is_unitary(m, atol: float = DEFAULT_TOL.unitarity) -> bool:
     """True if ``m @ m.conj().T`` is the identity within ``atol`` (max norm)."""
     m = _as_complex(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    eye = np.eye(m.shape[0])
-    return bool(np.max(np.abs(m @ m.conj().T - eye)) < atol)
+    return m.ndim == 2 and m.shape[0] == m.shape[1] and bool(_unitarity_defects(m) < atol)
 
 
-def _require_shape(m: np.ndarray, n: int) -> None:
-    if m.shape != (n, n):
-        raise ValueError(f"expected a {n}x{n} matrix, got shape {m.shape}")
+def _require_shape(m: np.ndarray, n: int | None = None) -> None:
+    """ValueError unless m is an n x n matrix; with n None, any square one."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or n not in (None, m.shape[0]):
+        what = "square" if n is None else f"{n}x{n}"
+        raise ValueError(f"expected a {what} matrix, got shape {m.shape}")
 
 
 def _require_unitary(m: np.ndarray, atol: float, what: str) -> None:
-    if not is_unitary(m, atol):
-        defect = np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0])))
-        raise NotUnitaryError(f"{what} is not unitary (defect {defect:.3e}, atol {atol:.1e})")
-
-
-def _require_unitary_rows(ms: np.ndarray, atol: float, what: str) -> None:
-    """is_unitary on every row of an (N, n, n) stack; the error names the
-    first row that fails."""
-    eye = np.eye(ms.shape[-1])
-    defects = np.max(np.abs(ms @ ms.conj().swapaxes(-1, -2) - eye), axis=(-2, -1))
-    bad = np.flatnonzero(~(defects < atol))
-    if bad.size:
-        k = int(bad[0])
+    """NotUnitaryError unless is_unitary holds for a square matrix, or for
+    every row of an (N, n, n) stack; for a stack the error names the first
+    row that fails."""
+    defects = _unitarity_defects(m)
+    if not (defects < atol).all():
+        k = int(np.argmin(defects < atol))
+        where = f"{what} row {k}" if m.ndim == 3 else what
         raise NotUnitaryError(
-            f"{what} row {k} is not unitary (defect {defects[k]:.3e}, atol {atol:.1e})"
+            f"{where} is not unitary (defect {defects.flat[k]:.3e}, atol {atol:.1e})"
         )
 
 
@@ -144,8 +143,7 @@ def special_unitary_projection(
     that ``u = phase * su`` exactly.
     """
     u = _as_complex(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {u.shape}")
+    _require_shape(u)
     _require_unitary(u, tol.unitarity, "special_unitary_projection input")
     su, phase = _special_unitary_projection(u[None], tol)
     return su[0], complex(phase[0])
@@ -279,8 +277,7 @@ def joint_real_diagonalization(
     sign-canonicalized, det +1 eigenvectors.
     """
     w = _as_complex(w)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {w.shape}")
+    _require_shape(w)
     if np.max(np.abs(w - w.T)) > tol.symmetry:
         raise ValueError("input is not symmetric")
     _require_unitary(w, tol.unitarity, "joint_real_diagonalization input")

@@ -325,7 +325,6 @@ def apply_process(e: np.ndarray, rho: np.ndarray) -> np.ndarray:
 def reconstruct_process(
     pairs: Sequence[tuple],
     cp_projection: bool = True,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> np.ndarray:
     """Process matrix from reconstructed outputs of spanning preparations.
 

@@ -426,15 +426,6 @@ def test_arctan2_of_moduli(n):
 
 
 @pytest.mark.parametrize("n", STACKS)
-def test_arccos_of_moduli(n):
-    # 2 arccos(min(v, 1)) on moduli in [0, 1], many near 1; no su4c path
-    # calls np.arccos since su2_params reads theta with arctan2
-    x = 1.0 - 10.0 ** gen(29).uniform(-16.0, 0.0, n)
-    x = with_rows(x, [1.0, 0.0, 0.5, 1.0 - 2.0**-53, 2.0**-1074, 0.7071067811865476])
-    rows_alone_and_shuffled(lambda v: 2.0 * np.arccos(np.minimum(v, 1.0)), x, 30)
-
-
-@pytest.mark.parametrize("n", STACKS)
 def test_square_of_norms(n):
     # state_fidelity's squared nuclear norms, around and above 1
     x = with_rows(gen(31).uniform(0.0, 1.2, n), [1.0, 0.0, 1.0 + 2.0**-52])

@@ -766,6 +766,25 @@ class TestParser:
             main(["benchmark", "--n", "16", "--shots", "0"])
         assert info.value.code == EXIT_PARSE
 
+    @pytest.mark.parametrize("argv", [["benchmark", "--n", "16"], ["process-tomo", "--unitary", None]])
+    def test_shots_beyond_the_sampler(self, unitary_file, tmp_path, argv):
+        # 10**19 shots is above 2**63 - 1, the largest count the multinomial
+        # sampler draws: a parser error from a fresh interpreter, with no
+        # traceback and no report
+        report = tmp_path / "report.json"
+        argv = [unitary_file if a is None else a for a in argv]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from su4c.cli import main; sys.exit(main(sys.argv[1:]))",
+             *argv, "--shots", "10000000000000000000", "--out", str(report)],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+            capture_output=True, text=True,
+        )
+        assert done.returncode == EXIT_PARSE
+        assert "--shots must be an int from 1 to 2**63 - 1, got 10000000000000000000" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not report.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -715,9 +715,10 @@ class TestAngleBoundary:
 
 class TestShotCount:
     """The shot count is checked once, at the public boundary, whatever the
-    noise model: a positive int or numpy integer, not a bool."""
+    noise model: an int or numpy integer from 1 to 2**63 - 1, the largest
+    count Generator.multinomial draws, not a bool."""
 
-    @pytest.mark.parametrize("shots", [2.5, 3.0, True, False, "5", None, 0, -3, np.int64(0)])
+    @pytest.mark.parametrize("shots", [2.5, 3.0, True, False, "5", None, 0, -3, np.int64(0), 2**63, np.uint64(2**63)])
     @pytest.mark.parametrize("noise", [NoiseModel(), CALIBRATED_NOISE], ids=["noiseless", "noisy"])
     def test_rejected(self, noise, shots):
         with pytest.raises(ValueError, match="shots_per_setting"):
@@ -732,6 +733,12 @@ class TestShotCount:
         records = run_experiment(angles, ("plus", "up"), noise, shots, SeededRng(2))
         assert records == run_experiment(angles, ("plus", "up"), noise, 12, SeededRng(2))
         assert all(type(r.shots) is int and sum(r.counts) == 12 for r in records)
+
+    @pytest.mark.parametrize("noise", [NoiseModel(), CALIBRATED_NOISE], ids=["noiseless", "noisy"])
+    def test_largest_count(self, noise):
+        shots = 2**63 - 1
+        records = run_experiments([program(I4)], [("plus", "up")], noise, shots, [SeededRng(5)])[0]
+        assert all(r.shots == shots and sum(r.counts) == shots for r in records)
 
 
 class TestExactExperiment:

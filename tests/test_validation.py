@@ -17,6 +17,7 @@ from su4c import (
     class_spectrum,
     decompose,
     factor_tensor_product,
+    from_magic,
     joint_real_diagonalization,
     local_invariants,
     r_gate,
@@ -35,6 +36,11 @@ SU2 = rz_gate(0.9) @ r_gate(1.3, 0.2)
 SYMMETRIC = 1.1 * to_magic(U) @ to_magic(U).T
 # det 1 but not unitary: the determinant gate passes, the unitarity one fires
 DET_ONE = np.diag([1.1, 1.0 / 1.1, 1.0, 1.0]).astype(complex)
+# complex orthogonal in the magic frame, det 1 and not unitary: its
+# magic-frame product u @ u.T is the identity, so only a test of u itself
+# rejects it
+COMPLEX_ORTHOGONAL = np.eye(4, dtype=complex)
+COMPLEX_ORTHOGONAL[:2, :2] = [[np.cosh(0.7), 1j * np.sinh(0.7)], [-1j * np.sinh(0.7), np.cosh(0.7)]]
 
 CASES = {
     "decompose": (lambda: decompose(1.1 * U), NotUnitaryError),
@@ -49,6 +55,9 @@ CASES = {
     "class_spectrum": (lambda: class_spectrum(1.1 * U), ValueError),
     "class_spectrum_det_one": (lambda: class_spectrum(DET_ONE), NotUnitaryError),
     "class_spectrum_det": (lambda: class_spectrum(1j ** 0.5 * U), ValueError),
+    "class_spectrum_complex_orthogonal": (
+        lambda: class_spectrum(from_magic(COMPLEX_ORTHOGONAL)), NotUnitaryError
+    ),
 }
 
 
