@@ -57,6 +57,8 @@ from .io import (
 from .linalg import is_unitary, nearest_unitary
 from .tomography import (
     _estimate_states,
+    _mean_pure_state_fidelity,
+    _mle_estimates,
     _pure_state_fidelities,
     entanglement_fidelity,
     mean_fidelity_from_entanglement,
@@ -216,15 +218,29 @@ def _compile(us: np.ndarray) -> np.ndarray:
     return _pulse_angles(classes, letters)
 
 
-def _estimates(angles, prepared, rngs, noise, args) -> np.ndarray:
+def _estimates(angles, prepared, rngs, noise, args, name) -> np.ndarray:
     """Reconstructed output states (N, 4, 4) of each program run on its
     preparation row under noise, from counts sampled with its rng or from
-    the exact outcome probabilities, as the arguments ask."""
+    the exact outcome probabilities, as the arguments ask. An MLE estimate
+    that stopped at mle_max_iter uncertified is named, by name(row), in a
+    warning on stderr."""
     if args.exact_probabilities:
         counts = _outcome_probabilities(angles, prepared, noise)
     else:
         counts = _sample_counts(angles, prepared, noise, args.shots, rngs)
-    return _estimate_states(counts, args.method, DEFAULT_TOL)
+    if args.method == "linear":
+        return _estimate_states(counts, "linear", DEFAULT_TOL)
+    fit = _mle_estimates(counts, DEFAULT_TOL)
+    late = np.flatnonzero(fit.certificates > DEFAULT_TOL.mle_stop)
+    if late.size:
+        print(
+            f"warning: {late.size} MLE estimate(s) stopped uncertified at mle_max_iter "
+            f"{DEFAULT_TOL.mle_max_iter}, largest lambda_max(R) - 1 "
+            f"{fit.certificates[late].max():.3e} > mle_stop {DEFAULT_TOL.mle_stop:g}: "
+            + ", ".join(name(k) for k in late),
+            file=sys.stderr,
+        )
+    return fit.states
 
 
 def _cmd_benchmark(args) -> int:
@@ -252,7 +268,7 @@ def _cmd_benchmark(args) -> int:
         chunk_streams = root.spawn(len(chunk))
         us = _sample_su4_many(chunk_streams)
         angles = _compile(us)
-        ests = _estimates(angles, kinds, chunk_streams, noise, args)
+        ests = _estimates(angles, kinds, chunk_streams, noise, args, lambda k: f"operation {chunk[k]}")
         # the ideal outputs are pure: U applied to each preparation
         psis = (us @ _PREPARED_VECTORS[kinds, :, None])[..., 0]
         for index, k, f in zip(chunk, kinds, _pure_state_fidelities(ests, psis)):
@@ -286,11 +302,21 @@ def _cmd_process_tomo(args) -> int:
     angles = _compile(u[None])
     labels = TOMOGRAPHY_INPUT_LABELS
     streams = SeededRng(args.seed).spawn(len(labels))
-    ests = _estimates(angles.repeat(len(labels), axis=0), np.arange(len(labels)), streams, noise, args)
+    ests = _estimates(
+        angles.repeat(len(labels), axis=0), np.arange(len(labels)), streams, noise, args,
+        lambda k: "preparation {},{}".format(*labels[k]),
+    )
     cp_projection = not args.no_cp_projection
     est = reconstruct_process(list(zip(labels, ests)), cp_projection=cp_projection)
     ideal = process_matrix_of_unitary(u)
     f_ent = entanglement_fidelity(est, ideal)
+    # the ideal outputs U|probe> are pure, so a completely positive estimate
+    # is scored in closed form; without the CP projection a probe output
+    # need not be a state, and the Uhlmann score, which clips it, is kept
+    if cp_projection:
+        probes = _mean_pure_state_fidelity(est, u)
+    else:
+        probes = mean_state_fidelity(est, ideal)
     out = {
         "command": "process-tomo",
         **keys,
@@ -298,7 +324,7 @@ def _cmd_process_tomo(args) -> int:
         "input_hash": input_hash,
         "tolerances": asdict(DEFAULT_TOL),
         "entanglement_fidelity": f_ent,
-        "mean_state_fidelity": mean_state_fidelity(est, ideal),
+        "mean_state_fidelity": probes,
         "mean_fidelity_from_entanglement": mean_fidelity_from_entanglement(f_ent),
     }
     return _write_outputs(out, args.out, (args.process_out, partial(save_matrix, est)))

@@ -224,6 +224,7 @@ def verify(
     unitary, while distance is measured against the matrix as given.
     """
     m = _as_complex(u)
+    _require_shape(m, 4)
     composed = circuit_to_unitary(params)
     distance = phase_invariant_distance(m, composed)
 

@@ -8,8 +8,10 @@ still literals, next to the functions that use them:
   1e-13 (_POLISH_FLOOR) and 30 sweeps; _factor_tensor_product 1e-12;
   phase_invariant_distance 1e-12, else a 360-point scan;
   check_density_matrix 1e-10, and 1e-9 from experiment.apply_channel.
-- tomography: _mle_stack's dilution floor 1e-12; _psd_sqrt 16 eps;
-  reconstruct_process 200 CP rounds and -1e-12; entanglement_fidelity 1e-6.
+- tomography: _mle_stack's barrier path (_MU_START 1e-2, _MU_SHRINK 0.05,
+  _CENTRED 1, _BOUNDARY 0.1, _ARMIJO 0.25, _HALVINGS 50, and a floor of
+  mle_stop / 16 under mu); _psd_sqrt 16 eps; reconstruct_process 200 CP
+  rounds and -1e-12; entanglement_fidelity 1e-6.
 """
 
 from __future__ import annotations
@@ -52,13 +54,13 @@ class Tolerances:
         Looser gate applied by the CLI to user-supplied matrices (which may
         be printed to few decimals) before projecting to the nearest unitary.
     mle_stop:
-        Log-likelihood improvement below which the iterative reconstruction
-        stops.
+        Certificate at which a maximum-likelihood estimate is accepted: the
+        estimate's log-likelihood per shot is within this much of the
+        maximum over all density matrices. A bound per shot, so it means
+        the same at any shot count.
     mle_max_iter:
-        Iteration cap for the iterative reconstruction.
-    prob_floor:
-        Probabilities are clamped to at least this value inside likelihood
-        computations.
+        Safety cap on the Newton steps of one maximum-likelihood estimate;
+        a record that reaches it is returned uncertified.
     """
 
     unitarity: float = 1e-8
@@ -71,9 +73,8 @@ class Tolerances:
     reality: float = 1e-6
     verify_distance: float = 1e-6
     input_unitarity: float = 2e-2
-    mle_stop: float = 1e-10
-    mle_max_iter: int = 2000
-    prob_floor: float = 1e-12
+    mle_stop: float = 1e-12
+    mle_max_iter: int = 100
 
 
 DEFAULT_TOL = Tolerances()

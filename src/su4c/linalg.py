@@ -112,8 +112,10 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def check_density_matrix(rho: np.ndarray, atol: float = 1e-10) -> np.ndarray:
-    """Validate Hermiticity, unit trace, and positivity; returns the array."""
+    """Validate shape, Hermiticity, unit trace, and positivity; returns the
+    array."""
     m = _as_complex(rho)
+    _require_shape(m)
     if np.max(np.abs(m - m.conj().T)) > atol:
         raise ValueError("density matrix is not Hermitian")
     if abs(np.trace(m) - 1.0) > atol:

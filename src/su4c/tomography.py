@@ -14,7 +14,7 @@ trace preservation fixes the partial trace of its diagonal blocks.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,12 +95,11 @@ def _count_array(records_list: Sequence[Sequence[MeasurementRecord]]) -> np.ndar
     return counts.reshape(-1, 9, 4)
 
 
-def _frequency_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _frequency_rows(counts: np.ndarray) -> np.ndarray:
     """The frequencies (N, 36) of a count array (N, 9, 4) in _POVM_ROWS
-    order and the shots (N, 9) of each setting."""
+    order."""
     counts = np.asarray(counts, dtype=float)
-    shots = counts.sum(axis=-1)
-    return (counts / shots[..., None]).reshape(-1, 36), shots
+    return (counts / counts.sum(axis=-1, keepdims=True)).reshape(-1, 36)
 
 
 def _clip_to_density(m: np.ndarray) -> np.ndarray:
@@ -122,7 +121,7 @@ def _linear_estimates(counts: np.ndarray) -> np.ndarray:
     the batched clip. The map is an elementwise product and a sum over
     each row's own axis, with no BLAS call, so a row's bits depend neither
     on the batch nor on the BLAS thread count."""
-    freqs, _ = _frequency_rows(counts)
+    freqs = _frequency_rows(counts)
     vecs = np.empty((len(freqs), 16), dtype=complex)
     for first in range(0, len(freqs), 16):  # a (16, 16, 36) product at a time
         block = freqs[first : first + 16]
@@ -130,112 +129,183 @@ def _linear_estimates(counts: np.ndarray) -> np.ndarray:
     return _clip_to_density(vecs.reshape(-1, 4, 4))
 
 
-# The functions below take one record (rho (4, 4), weights and floors
-# (36,)) or a stack (rho (B, 4, 4), weights and floors (B, 36)) and read
-# all 36 outcomes of _POVM_ROWS; an outcome a record did not see has weight
-# 0. Every product is a matmul whose slices are the gemv, dot or gemm of the
-# one-record call, so a stacked record gets the bits it gets alone;
-# tests/test_batch_primitives.py pins each.
+# MLE works on trace-one Hermitian 4x4 matrices in 15 real coordinates,
+# rho(x) = (I + sum_j x_j P_j) / 4 over the 15 two-qubit Paulis P_j other
+# than the identity: each P_j is Hermitian, so its row vec(P_j) conjugated
+# is vec(P_j^T), and it has one entry in each row, P_j[a, _PAULI_SOURCE[j,
+# a]] = _PAULI_PHASE[j, a], so P_j X is a gather of the rows of X.
+_SIGMAS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_PAULIS = _kron(_SIGMAS[:, None], _SIGMAS[None, :]).reshape(16, 4, 4)[1:]
+_PAULI_ROWS = _PAULIS.reshape(15, 16)
+_PAULI_SOURCE = _PAULIS.nonzero()[-1].reshape(15, 4)
+_PAULI_PHASE = _PAULIS[_PAULIS != 0].reshape(15, 4, 1)
+_EYE_ROW = np.eye(4, dtype=complex).reshape(16)
+
+# The Born map of rho(x): the 36 outcome probabilities are 1/4 + _BORN @ x,
+# with _BORN[k, j] = Tr(op_k P_j) / 4, one of 0 and +-1/4; row k of
+# _BORN_OUTER is the outer product of row k of _BORN with itself, so that
+# sum_k w_k outer(born_k, born_k) is one product with a (36,) row.
+_BORN = np.rint((_POVM_ROWS @ _PAULI_ROWS.T).real) / 4.0 + 0.0
+_BORN_T = np.ascontiguousarray(_BORN.T)
+_BORN_OUTER = (_BORN[:, :, None] * _BORN[:, None, :]).reshape(36, 225)
+
+# The barrier path of _mle_stack. The weight mu of log det rho starts at
+# _MU_START. A row is centred once its Newton decrement is below _CENTRED *
+# mu; its mu then shrinks by _MU_SHRINK, or further, to mu^2 times the pull
+# of the barrier gradient over _CENTRED, the least mu whose centre the
+# decrement predicts to be within _CENTRED * mu of the row; never below
+# mle_stop / 16, where the certificate at the centre is at most 4 mu. A
+# step keeps every eigenvalue of rho above _BOUNDARY times its value, and
+# is halved up to _HALVINGS times until the barrier objective rises by
+# _ARMIJO times the decrement the step predicts.
+_MU_START = 1e-2
+_MU_SHRINK = 0.05
+_CENTRED = 1.0
+_BOUNDARY = 0.1
+_ARMIJO = 0.25
+_HALVINGS = 50
+
+# Every product below is an elementwise operation or a stacked matmul,
+# eigh, eigvalsh or solve whose slices are the calls one record makes
+# alone, and every step size and mu is a row's own, so a stacked record
+# gets the bits it gets alone; tests/test_batch_primitives.py pins each.
 
 
-def _outcome_floors(weights: np.ndarray, floor: float) -> np.ndarray:
-    """The least probability of each outcome: floor where it has weight, 1
-    where it has none, so that an outcome not seen adds exactly nothing to
-    a log-likelihood or an R operator at any floor, 0 included."""
-    return np.where(weights > 0.0, floor, 1.0)
+class _MleFit(NamedTuple):
+    """What _mle_estimates returns for a stack of N records."""
+
+    states: np.ndarray  # (N, 4, 4) positive definite, trace one
+    steps: np.ndarray  # (N,) Newton steps each record took
+    certificates: np.ndarray  # (N,) lambda_max(R(rho)) - 1 at the state returned
 
 
-def _probabilities(rho: np.ndarray, floors: np.ndarray) -> np.ndarray:
-    """Born probabilities of the 36 outcomes, each raised to its floor."""
-    born = (_POVM_ROWS @ rho.reshape(*rho.shape[:-2], 16, 1))[..., 0].real
-    return np.maximum(born, floors)
+def _states(x: np.ndarray) -> np.ndarray:
+    """rho(x) of each row of a (B, 15) coordinate stack, as (B, 4, 4)."""
+    return ((_EYE_ROW + (x[:, None, :] @ _PAULI_ROWS)[:, 0]) / 4.0).reshape(-1, 4, 4)
 
 
-def _log_likelihood(rho: np.ndarray, weights: np.ndarray, floors: np.ndarray) -> np.ndarray:
-    logs = np.log(_probabilities(rho, floors))
-    return (weights[..., None, :] @ logs[..., None])[..., 0, 0]
+def _born(x: np.ndarray) -> np.ndarray:
+    """The 36 outcome probabilities (B, 36) of rho(x)."""
+    return 0.25 + (x[:, None, :] @ _BORN_T)[:, 0]
 
 
-def _r_operator(
-    rho: np.ndarray, weights: np.ndarray, total_weight, floors: np.ndarray
-) -> np.ndarray:
-    """sum_k coeff_k op_k over the 36 outcomes, divided by total_weight (a
-    float, or (B, 1, 1) for a stack): every projector op is Hermitian, so
-    its flattened form is the conjugate of its row vec(op^T)."""
-    coeffs = weights / _probabilities(rho, floors)
-    return np.conj(coeffs[..., None, :] @ _POVM_ROWS).reshape(rho.shape) / total_weight
+def _r_operator(ratios: np.ndarray) -> np.ndarray:
+    """R = sum_k ratio_k op_k over the 36 outcomes, (B, 4, 4), from the
+    ratios (B, 36) of each outcome's share of the shots to its probability:
+    every projector op is Hermitian, so its flattened form is the conjugate
+    of its row vec(op^T)."""
+    return np.conj(ratios[:, None, :] @ _POVM_ROWS).reshape(-1, 4, 4)
 
 
-def _normalized(m: np.ndarray) -> np.ndarray:
-    """Each matrix of a stack divided by the real part of its trace."""
-    return m / m.trace(axis1=-2, axis2=-1).real[..., None, None]
+def _log_det_terms(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gradient (B, 15) of log det rho, Tr(P_j rho^-1) / 4, and minus
+    its Hessian (B, 15, 15), Tr(P_i rho^-1 P_j rho^-1) / 16, from the
+    eigenvalues (B, 4) and eigenvectors (B, 4, 4) of each rho."""
+    inverse = (vecs / vals[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+    products = np.take(inverse, _PAULI_SOURCE, axis=1)  # P_j rho^-1, (B, 15, 4, 4)
+    products *= _PAULI_PHASE
+    # the trace as an explicit four-term sum: np.trace's order of addition
+    # depends on the stack
+    diagonal = products[..., 0, 0] + products[..., 1, 1] + products[..., 2, 2] + products[..., 3, 3]
+    swapped = products.swapaxes(-1, -2).reshape(-1, 15, 16)
+    curvature = products.reshape(-1, 15, 16) @ swapped.swapaxes(-1, -2)
+    return diagonal.real / 4.0, curvature.real / 16.0
 
 
-def _mle_estimates(
-    counts: np.ndarray, tol: Tolerances, traces: "Sequence[list] | None" = None
-) -> np.ndarray:
-    """MLE state of each record of a count array (N, 9, 4), as an (N, 4, 4)
-    stack. traces, if given, holds one list per record, which gets the
-    log-likelihood of the start and of every accepted step."""
-    freqs, shots = _frequency_rows(counts)
-    weights = np.repeat(shots, 4, axis=-1) * freqs
-    totals = shots.sum(axis=-1).reshape(-1, 1, 1)
-    return _clip_to_density(_mle_stack(weights, totals, tol, traces))
+def _newton_step(shares, probs, mu, vals, vecs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Newton step (B, 15) of sum_k share_k log p_k + mu log det rho at
+    each row, from its shares (B, 36), probabilities (B, 36), weights mu (B,)
+    and the eigenvalues (B, 4) and eigenvectors (B, 4, 4) of its rho; the
+    decrement g . H^-1 g (B,) the step predicts, and the pull b . H^-1 b
+    (B,) of the barrier gradient b."""
+    ratios = shares / probs
+    barrier, curvature = _log_det_terms(vals, vecs)
+    gradient = (ratios[:, None, :] @ _BORN)[:, 0] + mu[:, None] * barrier
+    hessian = ((ratios / probs)[:, None, :] @ _BORN_OUTER).reshape(-1, 15, 15)
+    hessian += mu[:, None, None] * curvature
+    solved = np.linalg.solve(hessian, np.stack([gradient, barrier], axis=-1))
+    step = solved[..., 0]
+    decrement = (gradient[:, None, :] @ solved[..., :1])[:, 0, 0]
+    pull = (barrier[:, None, :] @ solved[..., 1:])[:, 0, 0]
+    return step, decrement, pull
 
 
-def _mle_stack(
-    weights: np.ndarray, totals: np.ndarray, tol: Tolerances, traces: "Sequence[list] | None"
-) -> np.ndarray:
-    """The diluted R rho R iteration on a stack of records, given their
-    outcome weights (B, 36) and total weights (B, 1, 1), unclipped. A
-    record leaves the active stack when its gain falls below tol.mle_stop,
-    when no dilution of its step ascends, or at tol.mle_max_iter steps; it
-    keeps its last ascending state."""
-    floors = _outcome_floors(weights, tol.prob_floor)
-    eye = np.eye(4, dtype=complex)
-    out = np.empty((len(weights), 4, 4), dtype=complex)
-    active = np.arange(len(out))  # stack rows still iterating
-    rho = np.repeat(eye[None] / 4.0, len(out), axis=0)
-    ll = _log_likelihood(rho, weights, floors)
-    if traces is not None:
-        for trace, value in zip(traces, ll.tolist()):
-            trace.append(value)
-    for _ in range(tol.mle_max_iter):
-        r = _r_operator(rho, weights, totals, floors)
-        cand = _normalized(r @ rho @ r)
-        ll_cand = _log_likelihood(cand, weights, floors)
-        fell = ll_cand < ll
-        falling = np.count_nonzero(fell)
-        if falling:
-            # shrink toward the identity direction until the step ascends;
-            # all rows still descending share the same eps
-            eps = 1.0
-            low = fell.nonzero()[0]
-            while low.size and eps > 1e-12:
-                eps *= 0.5
-                op = eye + eps * r[low]
-                diluted = _normalized(op @ rho[low] @ op.conj().swapaxes(-1, -2))
-                cand[low] = diluted
-                ll_cand[low] = _log_likelihood(diluted, weights[low], floors[low])
-                low = low[ll_cand[low] < ll[low]]
-            fell = ll_cand < ll
-            falling = np.count_nonzero(fell)
-        herm = 0.5 * (cand + cand.conj().swapaxes(-1, -2))
-        rho = np.where(fell[:, None, None], rho, herm) if falling else herm
-        if traces is not None:
-            for k in (~fell).nonzero()[0].tolist():
-                traces[active[k]].append(float(ll_cand[k]))
-        done = fell | (ll_cand - ll < tol.mle_stop)
-        ll = ll_cand
-        if np.count_nonzero(done):
-            out[active[done]] = rho[done]
+def _step_sizes(shares, probs, mu, vals, vecs, step, decrement) -> np.ndarray:
+    """The size t (B,) of each row's step: at most 1, no eigenvalue of rho
+    below _BOUNDARY times its value, and halved until the barrier objective
+    rises by _ARMIJO t times the decrement; 0 for a row whose objective
+    never rises that much."""
+    # rho + t D = rho^1/2 (I + t M) rho^1/2 with M = rho^-1/2 D rho^-1/2, so
+    # the eigenvalues of M bound the step and give the change of log det
+    scaled = vecs / np.sqrt(vals)[:, None, :]
+    move = ((step[:, None, :] @ _PAULI_ROWS)[:, 0] / 4.0).reshape(-1, 4, 4)
+    spread = np.linalg.eigvalsh(scaled.conj().swapaxes(-1, -2) @ move @ scaled)
+    rates = (step[:, None, :] @ _BORN_T)[:, 0] / probs
+    with np.errstate(divide="ignore"):
+        sizes = np.minimum(1.0, (1.0 - _BOUNDARY) / np.maximum(-spread[:, 0], 0.0))
+    for _ in range(_HALVINGS):
+        # each log1p reads a relative change, so a short step's gain keeps
+        # its digits
+        gain = (shares * np.log1p(sizes[:, None] * rates)).sum(axis=-1)
+        gain += mu * np.log1p(sizes[:, None] * spread).sum(axis=-1)
+        short = ~(gain >= _ARMIJO * sizes * decrement)
+        if not short.any():
+            return sizes
+        sizes = np.where(short, 0.5 * sizes, sizes)
+    return np.where(short, 0.0, sizes)
+
+
+def _mle_estimates(counts: np.ndarray, tol: Tolerances) -> _MleFit:
+    """MLE state of each record of a count array (N, 9, 4), with the steps
+    and the certificate of each."""
+    counts = np.asarray(counts, dtype=float).reshape(-1, 36)
+    return _mle_stack(counts / counts.sum(axis=-1, keepdims=True), tol)
+
+
+def _mle_stack(shares: np.ndarray, tol: Tolerances) -> _MleFit:
+    """Maximise the per-shot log-likelihood sum_k share_k log p_k of each
+    row of a stack of outcome shares (B, 36) (each outcome's count over the
+    record's total) over positive definite trace-one rho, by damped Newton
+    steps on the barrier objective log-likelihood + mu log det rho.
+
+    For every density matrix sigma, concavity gives L(sigma) - L(rho) <=
+    Tr(R(rho) sigma) - Tr(R(rho) rho) <= lambda_max(R(rho)) - 1, as Tr(R(rho)
+    rho) = 1. A record leaves the stack once that certificate is at most
+    tol.mle_stop, or after tol.mle_max_iter steps, uncertified."""
+    n = len(shares)
+    found = np.empty((n, 15))
+    steps = np.zeros(n, dtype=int)
+    certificates = np.empty(n)
+    active = np.arange(n)
+    x = np.zeros((n, 15))
+    mu = np.full(n, _MU_START)
+    vals, vecs = np.linalg.eigh(_states(x))
+    for count in range(tol.mle_max_iter + 1):
+        probs = _born(x)
+        certificate = np.linalg.eigvalsh(_r_operator(shares / probs))[:, -1] - 1.0
+        done = certificate <= tol.mle_stop if count < tol.mle_max_iter else np.ones(len(x), bool)
+        if done.any():
+            rows = active[done]
+            found[rows], steps[rows], certificates[rows] = x[done], count, certificate[done]
             keep = ~done
-            active, rho, ll = active[keep], rho[keep], ll[keep]
-            weights, floors, totals = weights[keep], floors[keep], totals[keep]
-            if not active.size:
-                return out
-    out[active] = rho
-    return out
+            active, x, mu, vals, vecs = active[keep], x[keep], mu[keep], vals[keep], vecs[keep]
+            shares, probs = shares[keep], probs[keep]
+        if not active.size:
+            break
+        step, decrement, pull = _newton_step(shares, probs, mu, vals, vecs)
+        sizes = _step_sizes(shares, probs, mu, vals, vecs, step, decrement)
+        centred = (sizes == 0.0) | ((sizes == 1.0) & (decrement < _CENTRED * mu))
+        shrunk = np.minimum(_MU_SHRINK * mu, mu * mu * pull / _CENTRED)
+        mu = np.where(centred, np.maximum(shrunk, tol.mle_stop / 16.0), mu)
+        moved = x + sizes[:, None] * step
+        moved_vals, moved_vecs = np.linalg.eigh(_states(moved))
+        # a step that rounding takes out of the positive definite set is not
+        # taken
+        kept = moved_vals[:, 0] > 0.0
+        x = np.where(kept[:, None], moved, x)
+        vals = np.where(kept[:, None], moved_vals, vals)
+        vecs = np.where(kept[:, None, None], moved_vecs, vecs)
+    return _MleFit(_states(found), steps, certificates)
 
 
 def reconstruct_state(
@@ -249,9 +319,12 @@ def reconstruct_state(
     applied as one fixed pseudo-inverse, then its negative eigenvalues
     clipped to 0 and the trace renormalized, which gives a density matrix
     but not the nearest one.
-    method "mle": maximum likelihood by iterated R rho R updates, with the
-    step diluted toward the identity whenever it would lower the
-    likelihood, so the log-likelihood is non-decreasing.
+    method "mle": maximum likelihood (Hradil et al., LNP 649, 2004) by
+    damped Newton steps on a log-det barrier path. The estimate is positive
+    definite, and its per-shot log-likelihood is within tol.mle_stop of the
+    maximum over all density matrices, certified by lambda_max(R(rho)) - 1
+    <= tol.mle_stop; a record not certified after tol.mle_max_iter steps
+    returns its last state.
     """
     return _estimate_states(_count_array([records]), method, tol)[0]
 
@@ -261,7 +334,7 @@ def _estimate_states(counts: np.ndarray, method: str, tol: Tolerances) -> np.nda
     if method == "linear":
         return _linear_estimates(counts)
     if method == "mle":
-        return _mle_estimates(counts, tol)
+        return _mle_estimates(counts, tol).states
     raise ValueError(f"unknown reconstruction method {method!r}")
 
 
@@ -391,7 +464,7 @@ def entanglement_fidelity(e1: np.ndarray, e2: np.ndarray) -> float:
 # of density matrices, fixed order: axes x, y, z per qubit, +1 eigenstate
 # before -1.
 _AXES = (("plus", "minus"), ("plus_i", "minus_i"), ("up", "down"))
-_, _PROBES = _product_states(
+_PROBE_VECTORS, _PROBES = _product_states(
     [(a, b) for axis0 in _AXES for axis1 in _AXES for a in axis0 for b in axis1]
 )
 
@@ -399,6 +472,14 @@ _, _PROBES = _product_states(
 def mean_state_fidelity(e1: np.ndarray, e2: np.ndarray) -> float:
     """Average output-state fidelity over the 36 Pauli product eigenstates."""
     return float(_state_fidelities(apply_process(e1, _PROBES), apply_process(e2, _PROBES)).mean())
+
+
+def _mean_pure_state_fidelity(e: np.ndarray, u: np.ndarray) -> float:
+    """mean_state_fidelity(e, process_matrix_of_unitary(u)) to rounding, for
+    a completely positive e, in closed form: each ideal output U|probe> is
+    pure."""
+    ideals = (u @ _PROBE_VECTORS[..., None])[..., 0]
+    return float(np.mean(_pure_state_fidelities(apply_process(e, _PROBES), ideals)))
 
 
 _DIM = 4  # Hilbert-space dimension of two qubits

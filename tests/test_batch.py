@@ -11,9 +11,9 @@ The linear reconstruction is checked against the one-row map and the
 one-matrix clip, and against the least-squares solve the map replaced, to
 rounding; the fidelities against the one-matrix code written out, the
 closed-form fidelities against pure states against
-state_fidelity to rounding, and the stacked MLE against the one-record
-kernel of test_tomography. The public record path must give each record
-what the (N, 9, 4) count array core gives its row.
+state_fidelity to rounding, and the stacked MLE against the same solver
+on one record. The public record path must give each record what the
+(N, 9, 4) count array core gives its row.
 """
 
 import dataclasses
@@ -25,7 +25,7 @@ from born import exact_records
 from numpy_build import numpy_build
 from test_cli import count_calls
 from test_compile_corpus import CORPUS_SHA256, NAMED, _dress, _fields, corpus
-from test_tomography import assert_stacked_mle_matches_one_record, count_table, random_density
+from test_tomography import count_table, random_density
 
 from su4c import (
     CALIBRATED_NOISE,
@@ -59,6 +59,7 @@ from su4c.tomography import (
     _estimate_states,
     _frequency_rows,
     _linear_estimates,
+    _mle_estimates,
     _pure_state_fidelities,
     _state_fidelities,
 )
@@ -315,7 +316,7 @@ def test_linear_estimates_match_one_product(n):
     # the map applied 16 rows at a time gives the bits of the one
     # (N, 16, 36) product over all rows
     counts = np.random.default_rng(45 + n).multinomial(100, np.full(4, 0.25), size=(n, 9))
-    freqs, _ = _frequency_rows(counts)
+    freqs = _frequency_rows(counts)
     want = _clip_to_density((freqs[:, None, :] * _LINEAR_MAP).sum(axis=-1).reshape(-1, 4, 4))
     assert _linear_estimates(counts).tobytes() == want.tobytes()
 
@@ -334,10 +335,10 @@ def counted(rho, shots, extra=None):
 
 def mle_records():
     """Record lists whose MLE runs differ in their number of seen outcomes,
-    their length and the way they end: calibrated records at 30, 100 and
-    1000 shots, exact probabilities, settings with a single outcome, a run
-    to the mle_max_iter cap and a run that ends on a step no dilution makes
-    ascend."""
+    their length and where their maximum lies: calibrated records at 30, 100
+    and 1000 shots, exact probabilities of mixed and of pure states (a
+    maximum inside the set and on its boundary), settings with a single
+    outcome, and 10^6-shot counts of |00> with one stray count."""
     records, _ = mixed_records()
     rng = SeededRng(45)
     us = [sample_su4(rng) for _ in range(4)]
@@ -347,30 +348,30 @@ def mle_records():
         records += run_experiments(angles, labels, CALIBRATED_NOISE, shots, rng.spawn(4))
     ground = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
     states = SeededRng(77)
-    capped = [random_density(states) for _ in range(3)][-1]
-    records += [exact_records(ground), counted(ground, 100), exact_records(capped)]
-    records.append(counted(ground, 10**6, extra=(1, 0)))  # the no-ascent end
+    mixed = [random_density(states) for _ in range(3)][-1]
+    records += [exact_records(ground), counted(ground, 100), exact_records(mixed)]
+    records.append(counted(ground, 10**6, extra=(1, 0)))
     return records
 
 
 def test_mle_reconstruction_matches_one_record_calls():
+    # every row of a stacked call gets the bytes of the state, the step
+    # count and the certificate it gets alone, in any order and beside any
+    # rows; every record is certified, after different numbers of steps
     records = mle_records()
-    ests = _estimate_states(_count_array(records), "mle", DEFAULT_TOL)
-    for est, recs in zip(ests, records):
-        assert est.tobytes() == reconstruct_state(recs, "mle").tobytes()
-    tables = [count_table(recs) for recs in records]
+    tables = np.array([count_table(recs) for recs in records])
     assert len({np.count_nonzero(table) for table in tables}) >= 4
+    alone = [_mle_estimates(table[None], DEFAULT_TOL) for table in tables]
+    for recs, fit in zip(records, alone):
+        assert reconstruct_state(recs, "mle").tobytes() == fit.states[0].tobytes()
+        assert fit.certificates[0] <= DEFAULT_TOL.mle_stop
+    assert len({int(fit.steps[0]) for fit in alone}) >= 4
     shuffled = list(np.random.default_rng(46).permutation(len(tables)))
     for order in (range(len(tables)), range(len(tables))[::-1], shuffled):
-        traces = assert_stacked_mle_matches_one_record([tables[k] for k in order])
-        by_record = dict(zip(order, traces))
-        # the premises: the capped record runs all mle_max_iter steps; the
-        # last record ends early although its last gain was above mle_stop,
-        # so it left on the no-ascent break
-        assert len(by_record[len(tables) - 2]) == DEFAULT_TOL.mle_max_iter + 1
-        last = by_record[len(tables) - 1]
-        assert len(last) <= DEFAULT_TOL.mle_max_iter
-        assert last[-1] - last[-2] >= DEFAULT_TOL.mle_stop
+        stacked = _mle_estimates(tables[list(order)], DEFAULT_TOL)
+        for row, k in enumerate(order):
+            for got, want in zip(stacked, alone[k]):
+                assert got[row].tobytes() == want[0].tobytes(), (row, k)
 
 
 def test_one_mle_stack_per_call(monkeypatch):

@@ -32,7 +32,16 @@ from su4c.compiler import _class_angles
 from su4c.experiment import _apply
 from su4c.gates import _canonical_phase, _r_gates, _rz_gates, r_gate, rz_gate
 from su4c.haar import SeededRng
-from su4c.tomography import _LINEAR_MAP, _POVM_ROWS
+from su4c.tomography import (
+    _BORN,
+    _BORN_OUTER,
+    _BORN_T,
+    _LINEAR_MAP,
+    _PAULI_PHASE,
+    _PAULI_ROWS,
+    _PAULI_SOURCE,
+    _POVM_ROWS,
+)
 
 N = 64
 
@@ -241,48 +250,92 @@ def test_broadcast_row_scalars_against_scalar_operands():
         assert same(mul_v[k], m[k] * v[k])
 
 
-# The stacked MLE iteration (_mle_estimates) runs each record's products as
-# one slice of a stacked matmul against the constant (36, 16) table of
-# outcome rows; each must equal the one-record call, for every number n of
-# seen outcomes, the other 36 - n at weight 0. Checked on _POVM_ROWS and on
-# a random table.
+# The stacked MLE solver (_mle_stack) runs each record's products as one
+# slice of a stacked matmul, solve, eigh or eigvalsh, a gather, or an
+# elementwise sum in a fixed order; each must give row k of a stack what it
+# gives a stack of that row alone, for every number n of seen outcomes, the
+# other 36 - n at share 0.
+
+
+def stack_rows_match(fn, *stacks):
+    """fn(*stacks)[k] equals fn(*(s[k:k + 1] for s in stacks))[0] for every
+    row k, for every output of fn."""
+    got = fn(*stacks)
+    got = got if isinstance(got, tuple) else (got,)
+    for k in range(len(stacks[0])):
+        want = fn(*(s[k : k + 1] for s in stacks))
+        want = want if isinstance(want, tuple) else (want,)
+        for g, w in zip(got, want):
+            assert same(g[k], w[0]), k
+
+
+def hermitian_stack(g, n=4):
+    m = complex_stack(g, n)
+    return m + m.conj().swapaxes(-1, -2)
 
 
 @pytest.mark.parametrize("n", [9, 23, 36])
 def test_mle_stacked_products(n):
     g = gen(17 + n)
-    rho = complex_stack(g)
-    coeffs, logs = g.uniform(0.1, 10.0, (N, 36)), np.log(g.uniform(1e-3, 1.0, (N, 36)))
+    x, dx = g.standard_normal((N, 15)), g.standard_normal((N, 15))
+    shares, probs = g.uniform(0.1, 10.0, (N, 36)), g.uniform(1e-3, 1.0, (N, 36))
     for k in range(N):
-        coeffs[k, g.permutation(36)[n:]] = 0.0  # the outcomes not seen
-    dots = coeffs[:, None, :] @ logs[..., None]  # (B, 1, 36) @ (B, 36, 1) real
-    for rows in (_POVM_ROWS, g.standard_normal((36, 16)) + 1j * g.standard_normal((36, 16))):
-        born = rows @ rho.reshape(N, 16, 1)  # (36, 16) @ (B, 16, 1) complex
-        r = np.conj(coeffs[:, None, :] @ rows)  # (B, 1, 36) @ (36, 16), real left operand
-        for k in range(N):
-            assert same(born[k, :, 0], rows @ rho[k].reshape(16)), k
-            assert same(r[k, 0], np.conj(coeffs[k] @ rows)), k
-    for k in range(N):
-        assert same(dots[k, 0, 0], coeffs[k] @ logs[k]), k
+        shares[k, g.permutation(36)[n:]] = 0.0  # the outcomes not seen
+    ratios = shares / probs
+    solved = g.standard_normal((N, 15, 2))
+    stack_rows_match(lambda x: x[:, None, :] @ _PAULI_ROWS, x)  # rho(x), the step in rho
+    stack_rows_match(lambda x: x[:, None, :] @ _BORN_T, x)  # probabilities, rates
+    stack_rows_match(lambda r: r[:, None, :] @ _POVM_ROWS, ratios)  # R operator
+    stack_rows_match(lambda r: r[:, None, :] @ _BORN, ratios)  # likelihood gradient
+    stack_rows_match(lambda r, p: (r / p)[:, None, :] @ _BORN_OUTER, ratios, probs)  # Hessian
+    # the decrement and the pull read strided columns of the solved pair
+    stack_rows_match(lambda x, s: (x[:, None, :] @ s[..., :1], x[:, None, :] @ s[..., 1:]), dx, solved)
 
 
 def test_mle_triple_products_and_trace():
     g = gen(18)
-    op, rho = complex_stack(g), complex_stack(g)
-    diluted = op @ rho @ op.conj().swapaxes(-1, -2)
-    squared = op @ rho @ op
-    traces = np.trace(diluted, axis1=1, axis2=2)
-    for k in range(N):
-        assert same(diluted[k], op[k] @ rho[k] @ op[k].conj().T), k
-        assert same(squared[k], op[k] @ rho[k] @ op[k]), k
-        assert same(traces[k], np.trace(diluted[k])), k
+    vals, vecs = np.linalg.eigh(hermitian_stack(g))
+    vals = np.abs(vals) + 0.1
+    move = hermitian_stack(g)
+
+    def inverse(vals, vecs):
+        return (vecs / vals[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+
+    def barrier(vals, vecs):
+        products = np.take(inverse(vals, vecs), _PAULI_SOURCE, axis=1)
+        products *= _PAULI_PHASE
+        flat = products.reshape(-1, 15, 16)
+        swapped = products.swapaxes(-1, -2).reshape(-1, 15, 16)
+        diagonal = products[..., 0, 0] + products[..., 1, 1] + products[..., 2, 2] + products[..., 3, 3]
+        return diagonal, flat @ swapped.swapaxes(-1, -2)
+
+    def spread(vals, vecs, move):
+        scaled = vecs / np.sqrt(vals)[:, None, :]
+        return scaled.conj().swapaxes(-1, -2) @ move @ scaled
+
+    stack_rows_match(inverse, vals, vecs)
+    stack_rows_match(barrier, vals, vecs)
+    stack_rows_match(spread, vals, vecs, move)
+
+
+def test_mle_solve_and_eigvalsh():
+    g = gen(20)
+    a = g.standard_normal((N, 15, 15))
+    stack_rows_match(np.linalg.solve, a @ a.swapaxes(-1, -2) + np.eye(15), g.standard_normal((N, 15, 2)))
+    stack_rows_match(np.linalg.eigvalsh, hermitian_stack(g))
 
 
 def test_log_of_stack():
-    x = gen(19).uniform(1e-12, 1.0, (N, 36))
+    g = gen(19)
+    x = g.uniform(1e-12, 1.0, (N, 36))
     got = np.log(x)
     for k in range(N):
         assert same(got[k], np.log(x[k])), k
+    # the gain of a step: log1p of relative changes, summed over each
+    # row's 36 outcomes and 4 eigenvalues
+    stack_rows_match(lambda y: (y * np.log1p(y - 1.0)).sum(axis=-1), x)
+    stack_rows_match(lambda y: np.log1p(y - 1.0).sum(axis=-1), x[:, :4])
+    stack_rows_match(lambda y: y / y.sum(axis=-1, keepdims=True), x)
 
 
 # The stacked Haar draws (_sample_su4_many) factor and phase-fix a whole

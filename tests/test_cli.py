@@ -584,7 +584,13 @@ class TestProcessTomo:
 # exact-benchmark digests were re-captured when su2_params came to read
 # theta from both moduli (pulse angles moved by at most 8.9e-16, exact
 # fidelities by at most 1.3e-15; sampled reports kept their bytes), and the
-# process-tomo digest when its report came to record cp_projection.
+# process-tomo digest when its report came to record cp_projection. All
+# four were re-captured when MLE became a certified Newton solver: the
+# tolerance block every report writes lost prob_floor and took mle_stop
+# 1e-12 and mle_max_iter 100, which is all that moved in the benchmark,
+# exact-benchmark and pulse reports, and process-tomo's fidelities moved by
+# at most 3.3e-8, the MLE states with them and mean_state_fidelity to its
+# closed form against the pure ideal outputs.
 # A change to the executor, the compiler or reconstruction that moves one
 # count or one digit of a fidelity or an angle changes a digest; only a
 # change that sets out to move outputs re-captures them, and records the old
@@ -593,22 +599,112 @@ class TestProcessTomo:
 GOLDEN_REPORTS = {
     "benchmark": (
         ("benchmark", "--n", "32", "--seed", "0", "--noise", "calibrated"),
-        "a24e492b6472221aab9bcf02c081a0b5ffdf3a078e9d6224a17ac741d557483d",
+        "2cf0578de40268b245567bfd48bb4c2fed9daa06e15dc123d6fb4cabf3a4f26d",
     ),
     "benchmark-exact": (
         ("benchmark", "--n", "32", "--exact-probabilities", "--noise", "calibrated"),
-        "2c19975f8996e53c1d2c159900014e97e0838762018b50f7299a57f7560a7291",
+        "76da8be869b37c859a4e6c81ded4074c6b5ef6dc7070e20e50e47d88f9c47a22",
     ),
     "process-tomo": (
         ("process-tomo", "--unitary", None, "--shots", "1000", "--noise", "calibrated",
          "--method", "mle"),
-        "a116eac4a341ecb7b03e19d7f2b9f99873c18d90b4b2f398874a1a2a43e64884",
+        "cd88bae6b5eb2a08dd1c9ad641adc0680e35b1f9764948cad3a6d5150a26d1dd",
     ),
     "compile-pulses": (
         ("compile", None, "--pulses"),
-        "74e25456ac9c1bf35d4c8b1fabd357277cb6c01a9da1801f412f6cf453d6242b",
+        "74c0b3239efea81266bb452856d315cb6f2cbe3b74cffbdbad1810ac68c9b482",
     ),
 }
+
+
+def recorded_fits(monkeypatch) -> list:
+    """Record the fit of every MLE call the CLI makes."""
+    fits = []
+
+    def recording(counts, tol):
+        fits.append(tomography._mle_estimates(counts, tol))
+        return fits[-1]
+
+    monkeypatch.setattr(cli, "_mle_estimates", recording)
+    return fits
+
+
+def process_tomo_files(tmp_path, n):
+    """The first n Haar draws of SeededRng(0) as matrix files, as the
+    benchmark's process-tomo workload writes its pool; the first is the
+    fingerprint's matrix."""
+    rng = SeededRng(0)
+    paths = []
+    for i in range(n):
+        path = tmp_path / f"unitary-{i}.json"
+        save_matrix(sample_su4(rng), str(path))
+        paths.append(str(path))
+    return paths
+
+
+MLE_RUNS = {
+    "benchmark": ("benchmark", "--n", "32", "--shots", "100", "--noise", "calibrated", "--method", "mle"),
+    "process-tomo": ("process-tomo", "--unitary", None, "--shots", "1000", "--noise", "calibrated", "--method", "mle"),
+}
+
+# The most Newton steps of one MLE stack in the survey below (40 process-tomo
+# runs and 10 MLE benchmark runs, certified at mle_stop 1e-12): 12 and 29.
+# The budgets leave a quarter more.
+MLE_STEP_BUDGET = {"process-tomo": 15, "benchmark": 36}
+
+
+class TestMleRuns:
+    @pytest.mark.parametrize("command", sorted(MLE_RUNS))
+    def test_warns_when_a_record_stops_uncertified(self, capsys, monkeypatch, unitary_file, command):
+        monkeypatch.setattr(cli, "DEFAULT_TOL", dataclasses.replace(DEFAULT_TOL, mle_max_iter=2))
+        argv = [unitary_file if a is None else a for a in MLE_RUNS[command]]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert json.loads(out)["tolerances"]["mle_max_iter"] == 2
+        n = 32 if command == "benchmark" else 16
+        first = "operation 0" if command == "benchmark" else "preparation up,up"
+        assert err.startswith(f"warning: {n} MLE estimate(s) stopped uncertified at mle_max_iter 2, ")
+        assert f"> mle_stop 1e-12: {first}, " in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", sorted(MLE_RUNS))
+    def test_default_run_is_silent(self, capsys, unitary_file, command):
+        argv = [unitary_file if a is None else a for a in MLE_RUNS[command]]
+        assert run_cli(capsys, *argv)[::2] == (EXIT_OK, "")
+
+    def test_survey_is_certified_below_the_cap(self, capsys, monkeypatch, tmp_path):
+        # 40 process-tomo runs on the benchmark's pool of Haar files and the
+        # paper's 160-operation MLE benchmark at seeds 0 to 9: every record
+        # is certified, none near the cap
+        fits = recorded_fits(monkeypatch)
+        for k, path in enumerate(process_tomo_files(tmp_path, 40)):
+            argv = ("process-tomo", "--unitary", path, "--seed", str(k), "--shots", "1000",
+                    "--noise", "calibrated", "--method", "mle")
+            assert run_cli(capsys, *argv)[::2] == (EXIT_OK, "")
+        for seed in range(10):
+            argv = ("benchmark", "--n", "160", "--seed", str(seed), "--shots", "100",
+                    "--noise", "calibrated", "--method", "mle")
+            assert run_cli(capsys, *argv)[::2] == (EXIT_OK, "")
+        assert [len(fit.steps) for fit in fits] == [16] * 40 + [160] * 10
+        for fit in fits:
+            assert np.all(fit.certificates <= DEFAULT_TOL.mle_stop)
+        assert max(fit.steps.max() for fit in fits[:40]) <= MLE_STEP_BUDGET["process-tomo"]
+        assert max(fit.steps.max() for fit in fits[40:]) <= MLE_STEP_BUDGET["benchmark"]
+
+    def test_step_budget(self, capsys, monkeypatch, tmp_path):
+        # the fingerprint's process-tomo run and the seed-0 MLE benchmark
+        # each finish their one stack within the budget, so a convergence
+        # regression fails here
+        fits = recorded_fits(monkeypatch)
+        argv = ("process-tomo", "--unitary", process_tomo_files(tmp_path, 1)[0], "--seed", "0",
+                "--shots", "1000", "--noise", "calibrated", "--method", "mle")
+        assert run_cli(capsys, *argv)[0] == EXIT_OK
+        argv = ("benchmark", "--n", "160", "--seed", "0", "--shots", "100",
+                "--noise", "calibrated", "--method", "mle")
+        assert run_cli(capsys, *argv)[0] == EXIT_OK
+        process, bench = fits
+        assert process.steps.max() <= MLE_STEP_BUDGET["process-tomo"]
+        assert bench.steps.max() <= MLE_STEP_BUDGET["benchmark"]
 
 
 class TestGoldenReports:

@@ -13,9 +13,8 @@ def test_defaults():
     assert tol.su2_det == 1e-9
     assert tol.verify_distance == 1e-6
     assert tol.input_unitarity == 2e-2
-    assert tol.mle_stop == 1e-10
-    assert tol.mle_max_iter == 2000
-    assert tol.prob_floor == 1e-12
+    assert tol.mle_stop == 1e-12
+    assert tol.mle_max_iter == 100
     assert DEFAULT_TOL == tol
 
 

@@ -13,6 +13,7 @@ import pytest
 from su4c import (
     NotUnitaryError,
     SeededRng,
+    check_density_matrix,
     class_parameters,
     class_spectrum,
     decompose,
@@ -77,6 +78,7 @@ SHAPE_CASES = {
     "local_invariants": lambda: local_invariants(SU2),
     "class_parameters": lambda: class_parameters(SU2),
     "class_spectrum": lambda: class_spectrum(SU2),
+    "verify_target": lambda: verify(np.eye(2), decompose(U)),
 }
 
 
@@ -84,6 +86,23 @@ SHAPE_CASES = {
 def test_public_function_names_a_wrong_shape(name):
     with pytest.raises(ValueError, match="expected a 4x4 matrix, got shape") as info:
         SHAPE_CASES[name]()
+    assert info.type is ValueError
+
+
+# A density matrix may be any size, but must be one square matrix: a stack
+# holding a valid state, or a non-square array, is named as a wrong shape
+# rather than failing the Hermiticity test or a broadcast.
+DENSITY_SHAPE_CASES = {
+    "stack": np.eye(4)[None] / 4.0,
+    "non_square": np.zeros((2, 3)),
+    "vector": np.full(4, 0.25),
+}
+
+
+@pytest.mark.parametrize("name", list(DENSITY_SHAPE_CASES))
+def test_check_density_matrix_names_a_wrong_shape(name):
+    with pytest.raises(ValueError, match="expected a square matrix, got shape") as info:
+        check_density_matrix(DENSITY_SHAPE_CASES[name])
     assert info.type is ValueError
 
 
@@ -99,6 +118,8 @@ def test_cases_are_valid_without_the_defect():
     factor_tensor_product(LOCAL)
     su2_params(SU2)
     class_spectrum(U)
+    check_density_matrix(np.eye(4) / 4.0)
+    check_density_matrix(np.eye(2) / 2.0)
 
 
 def test_bound_is_the_documented_one():
