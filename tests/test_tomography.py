@@ -7,7 +7,6 @@ inside the observed distributions.
 
 import math
 import re
-from typing import NamedTuple
 
 import numpy as np
 import pytest
