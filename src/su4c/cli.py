@@ -18,7 +18,9 @@ Every command is deterministic for a fixed --seed. Reports embed the seed,
 a content hash of the inputs, and the tolerance configuration. The
 verification threshold applies to compile: the SU4C_TOLERANCE environment
 variable overrides its default, and compile --tolerance overrides both.
-benchmark and process-tomo run with the default tolerances.
+benchmark and process-tomo run with the default tolerances; with --method
+mle they warn on stderr, and still exit 0, when an estimate stops at
+mle_max_iter without its certificate.
 """
 
 from __future__ import annotations
