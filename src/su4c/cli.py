@@ -15,7 +15,9 @@ unwritable output path, 3 input matrix not unitary within the input
 tolerance, 4 compiled circuit failed verification.
 
 Every command is deterministic for a fixed --seed. Reports embed the seed,
-a content hash of the inputs, and the tolerance configuration. The
+a content hash of the inputs, and the tolerance configuration; with
+--exact-probabilities no shot is drawn, so shots is null, and so is
+process-tomo's seed, as it reads no stream. The
 verification threshold applies to compile: the SU4C_TOLERANCE environment
 variable overrides its default, and compile --tolerance overrides both.
 benchmark and process-tomo run with the default tolerances; with --method
@@ -46,7 +48,7 @@ from .experiment import (
     _sample_counts,
     _shot_count,
 )
-from .haar import SeededRng, _sample_su4_many, sample_su4
+from .haar import SeededRng, _sample_su4_many
 from .io import (
     _is_finite_number,
     circuit_to_obj,
@@ -199,16 +201,18 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    rng = SeededRng(args.seed)
-    matrices = [matrix_to_obj(sample_su4(rng)) for _ in range(args.n)]
+    matrices = [matrix_to_obj(u) for u in _sample_su4_many(SeededRng(args.seed), args.n)]
     return _write_outputs(matrices, args.out)
 
 
 def _prepare_run(args) -> tuple[NoiseModel, dict]:
     """Noise model of a benchmark or process-tomo run, and the report keys
-    of its arguments that both commands write."""
+    of its arguments that both commands write; an exact run draws no shot,
+    so its shots is None."""
     noise, noise_meta = _resolve_noise(args.noise)
     keys = {name: getattr(args, name) for name in ("seed", "shots", "method", "exact_probabilities")}
+    if args.exact_probabilities:
+        keys["shots"] = None
     return noise, {**keys, "noise": asdict(noise), "noise_meta": noise_meta}
 
 
@@ -220,16 +224,16 @@ def _compile(us: np.ndarray) -> np.ndarray:
     return _pulse_angles(classes, letters)
 
 
-def _estimates(angles, prepared, rngs, noise, args, name) -> np.ndarray:
+def _estimates(angles, prepared, rng, noise, args, name) -> np.ndarray:
     """Reconstructed output states (N, 4, 4) of each program run on its
-    preparation row under noise, from counts sampled with its rng or from
-    the exact outcome probabilities, as the arguments ask. An MLE estimate
-    that stopped at mle_max_iter uncertified is named, by name(row), in a
-    warning on stderr."""
+    preparation row under noise, from counts drawn from rng in program order
+    or from the exact outcome probabilities, as the arguments ask. An MLE
+    estimate that stopped at mle_max_iter uncertified is named, by
+    name(row), in a warning on stderr."""
     if args.exact_probabilities:
         counts = _outcome_probabilities(angles, prepared, noise)
     else:
-        counts = _sample_counts(angles, prepared, noise, args.shots, rngs)
+        counts = _sample_counts(angles, prepared, noise, args.shots, rng)
     if args.method == "linear":
         return _estimate_states(counts, "linear", DEFAULT_TOL)
     fit = _mle_estimates(counts, DEFAULT_TOL)
@@ -254,23 +258,25 @@ def _cmd_benchmark(args) -> int:
     header = {"command": "benchmark", "n": args.n, **keys}
     input_hash = content_hash(json.dumps(header, sort_keys=True))
 
-    # operation i draws from child i of the seed's stream and child n
-    # assigns the preparations under the equal-usage constraint: operation i
-    # gets preparation order[i] % 16 of a random permutation order of
-    # range(n), so each appears exactly n/16 times
-    root = SeededRng(args.seed)
-    preparations = root._child(args.n).generator.permutation(args.n) % len(TOMOGRAPHY_INPUT_LABELS)
+    # one stream per purpose, each read in operation order: the seed's own
+    # stream draws the unitaries, so operation i's is entry i of `sample
+    # --seed`; child 0 assigns the preparations under the equal-usage
+    # constraint, operation i getting preparation order[i] % 16 of a random
+    # permutation order of range(n), so each appears exactly n/16 times;
+    # child 1 draws the counts
+    unitary_rng = SeededRng(args.seed)
+    preparations = unitary_rng._child(0).generator.permutation(args.n) % len(TOMOGRAPHY_INPUT_LABELS)
+    count_rng = unitary_rng._child(1)
     operations = []
     # draw, compile, run and reconstruct _CHUNK operations at a time, each
-    # stage as one stacked call and each stream spawned with its chunk, so
-    # memory stays bounded in n
+    # stage as one stacked call, so memory stays bounded in n; numpy fills
+    # each stacked draw row by row, so the chunk size sets no byte
     for first in range(0, args.n, _CHUNK):
         chunk = range(first, min(first + _CHUNK, args.n))
         kinds = preparations[first : chunk.stop]
-        chunk_streams = root.spawn(len(chunk))
-        us = _sample_su4_many(chunk_streams)
+        us = _sample_su4_many(unitary_rng, len(chunk))
         angles = _compile(us)
-        ests = _estimates(angles, kinds, chunk_streams, noise, args, lambda k: f"operation {chunk[k]}")
+        ests = _estimates(angles, kinds, count_rng, noise, args, lambda k: f"operation {chunk[k]}")
         # the ideal outputs are pure: U applied to each preparation
         psis = (us @ _PREPARED_VECTORS[kinds, :, None])[..., 0]
         for index, k, f in zip(chunk, kinds, _pure_state_fidelities(ests, psis)):
@@ -299,13 +305,14 @@ def _cmd_process_tomo(args) -> int:
         return _fail(EXIT_PARSE, str(exc))
     if m is None:
         return _not_unitary()
+    if args.exact_probabilities:
+        keys["seed"] = None  # no stream is read
     u = nearest_unitary(m)
-    # one program for all 16 preparations
+    # one program for all 16 preparations, whose counts are one draw
     angles = _compile(u[None])
     labels = TOMOGRAPHY_INPUT_LABELS
-    streams = SeededRng(args.seed).spawn(len(labels))
     ests = _estimates(
-        angles.repeat(len(labels), axis=0), np.arange(len(labels)), streams, noise, args,
+        angles.repeat(len(labels), axis=0), np.arange(len(labels)), SeededRng(args.seed), noise, args,
         lambda k: "preparation {},{}".format(*labels[k]),
     )
     cp_projection = not args.no_cp_projection

@@ -53,18 +53,19 @@ def sample_su4(rng: SeededRng, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     out the determinant phase. Without the rescaling step QR's implicit
     diagonal convention biases the distribution.
     """
-    return _sample_su4_many([rng], tol)[0]
+    return _sample_su4_many(rng, 1, tol)[0]
 
 
-def _sample_su4_many(rngs: list[SeededRng], tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """One sample_su4 draw from each stream, as an (N, 4, 4) stack.
+def _sample_su4_many(rng: SeededRng, n: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """n successive sample_su4 draws from rng, as an (n, 4, 4) stack.
 
-    Each stream draws its Ginibre matrix as one (2, 4, 4) standard normal
-    draw, real part first; the QR, the phase fix and the projection then
-    run once on the stack, and each row comes out bit for bit as
-    sample_su4 gives it.
+    The Ginibre matrices are one (n, 2, 4, 4) standard normal draw, real
+    parts first, which numpy fills row by row: row i is the (2, 4, 4) draw
+    the i-th sample_su4 call would make, and the stream ends where n such
+    calls leave it. The QR, the phase fix and the projection then run once
+    on the stack, and each row comes out bit for bit as sample_su4 gives it.
     """
-    draws = np.array([rng.generator.standard_normal((2, 4, 4)) for rng in rngs])
+    draws = rng.generator.standard_normal((n, 2, 4, 4))
     z = draws[:, 0] + 1j * draws[:, 1]
     q, r = np.linalg.qr(z / math.sqrt(2.0))
     d = np.diagonal(r, axis1=-2, axis2=-1)

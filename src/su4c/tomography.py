@@ -48,11 +48,23 @@ __all__ = [
 _POVM_ROWS = _EFFECTS.reshape(36, 16)
 
 
+# The 16 two-qubit Paulis P = s_a (x) s_b, identity first, and the table
+# _SIGNS[k, j] = Tr(op_k P_j) (36, 16): the eigenvalue +-1 of P_j that
+# outcome k reads when its setting measures P_j, and 0 when it does not.
+_SIGMAS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_ALL_PAULIS = _kron(_SIGMAS[:, None], _SIGMAS[None, :]).reshape(16, 4, 4)
+_SIGNS = np.rint((_POVM_ROWS @ _ALL_PAULIS.reshape(16, 16).T).real)
+
 # The linear estimate of a frequency row f (36,) is vec(rho) = _LINEAR_MAP f,
-# the least-squares solution against _POVM_ROWS. Every entry of the
-# pseudo-inverse is an integer over 36, so the map is that integer table. It
-# stays in C order: a row's sum runs along memory, so the order sets its bits.
-_LINEAR_MAP = np.rint(36.0 * np.linalg.pinv(_POVM_ROWS)) / 36.0 + 0.0  # + 0.0 drops signed zeros
+# rho = sum_j <P_j> P_j / 4 with <P_j> the mean of sum_k _SIGNS[k, j] f_k
+# over the 9, 3 or 1 settings that measure P_j (four outcomes each): the
+# least-squares solution against _POVM_ROWS, built with no matrix
+# factorization. Every entry is an integer over 36, a sum of +-1 or +-i
+# times 36 / (4 x settings), so the integer table is exact before the one
+# division. It stays in C order: a row's sum runs along memory, so the
+# order sets its bits.
+_SETTING_WEIGHTS = 36.0 / np.count_nonzero(_SIGNS, axis=0)
+_LINEAR_MAP = (_ALL_PAULIS.reshape(16, 16).T * _SETTING_WEIGHTS) @ _SIGNS.T / 36.0 + 0.0  # + 0.0 drops signed zeros
 _LINEAR_MAP.flags.writeable = False
 
 
@@ -134,8 +146,7 @@ def _linear_estimates(counts: np.ndarray) -> np.ndarray:
 # than the identity: each P_j is Hermitian, so its row vec(P_j) conjugated
 # is vec(P_j^T), and it has one entry in each row, P_j[a, _PAULI_SOURCE[j,
 # a]] = _PAULI_PHASE[j, a], so P_j X is a gather of the rows of X.
-_SIGMAS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-_PAULIS = _kron(_SIGMAS[:, None], _SIGMAS[None, :]).reshape(16, 4, 4)[1:]
+_PAULIS = _ALL_PAULIS[1:]
 _PAULI_ROWS = _PAULIS.reshape(15, 16)
 _PAULI_SOURCE = _PAULIS.nonzero()[-1].reshape(15, 4)
 _PAULI_PHASE = _PAULIS[_PAULIS != 0].reshape(15, 4, 1)
@@ -145,7 +156,7 @@ _EYE_ROW = np.eye(4, dtype=complex).reshape(16)
 # with _BORN[k, j] = Tr(op_k P_j) / 4, one of 0 and +-1/4; row k of
 # _BORN_OUTER is the outer product of row k of _BORN with itself, so that
 # sum_k w_k outer(born_k, born_k) is one product with a (36,) row.
-_BORN = np.rint((_POVM_ROWS @ _PAULI_ROWS.T).real) / 4.0 + 0.0
+_BORN = _SIGNS[:, 1:] / 4.0 + 0.0
 _BORN_T = np.ascontiguousarray(_BORN.T)
 _BORN_OUTER = (_BORN[:, :, None] * _BORN[:, None, :]).reshape(36, 225)
 

@@ -3,10 +3,11 @@ bit for bit.
 
 decompose_many and pulse_angles must give every row what decompose and
 lower_to_pulses give it alone, whatever the batch size, the order and the
-neighbours of the row, and _sample_su4_many every stream what sample_su4
-draws from it. The exact-output corpus of test_compile_corpus is run
-through them in several batch sizes, each angle row hashed through its
-GateElement view, and must hash to the same CORPUS_SHA256.
+neighbours of the row, and _sample_su4_many the rows that successive
+sample_su4 calls draw from its stream. The exact-output corpus of
+test_compile_corpus is run through them in several batch sizes, each angle
+row hashed through its GateElement view, and must hash to the same
+CORPUS_SHA256.
 The linear reconstruction is checked against the one-row map and the
 one-matrix clip, and against the least-squares solve the map replaced, to
 rounding; the fidelities against the one-matrix code written out, the
@@ -133,10 +134,14 @@ def test_degenerate_rows_do_not_depend_on_neighbours():
 
 @pytest.mark.parametrize("n", [1, 2, 5, 16, 37])
 def test_stacked_draws_match_one_draw_per_stream(n):
-    got = _sample_su4_many(SeededRng(n).spawn(n))
+    # row k is the k-th sample_su4 draw of the same stream, and the stream
+    # ends where the n draws leave it
+    stacked, one = SeededRng(n), SeededRng(n)
+    got = _sample_su4_many(stacked, n)
     assert got.shape == (n, 4, 4)
-    for k, stream in enumerate(SeededRng(n).spawn(n)):
-        assert got[k].tobytes() == sample_su4(stream).tobytes(), k
+    for k in range(n):
+        assert got[k].tobytes() == sample_su4(one).tobytes(), k
+    assert stacked.generator.random(4).tobytes() == one.generator.random(4).tobytes()
 
 
 class TestDecomposeManyBoundary:
@@ -281,11 +286,11 @@ def pure_ideal_cases():
     on preparation k % 16 as benchmark stacks them: calibrated 100-shot
     linear and MLE estimates and exact-probability linear estimates; with
     the ideal output vectors U |psi_in>."""
-    streams = SeededRng(48).spawn(160)
-    us = _sample_su4_many(streams)
+    rng = SeededRng(48)
+    us = _sample_su4_many(rng, 160)
     prepared = np.arange(160) % 16
     angles = pulse_angles(decompose_many(us))
-    counts = _sample_counts(angles, prepared, CALIBRATED_NOISE, 100, streams)
+    counts = _sample_counts(angles, prepared, CALIBRATED_NOISE, 100, rng._child(1))
     exact = _outcome_probabilities(angles, prepared, NoiseModel())
     ests = {
         "calibrated": _estimate_states(counts, "linear", DEFAULT_TOL),

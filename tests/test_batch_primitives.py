@@ -10,8 +10,11 @@ they are not promised by numpy or by BLAS, so each one is asserted here on
 seeded stacks: an upgrade that breaks one fails the test named after it,
 not only an opaque digest in test_compile_corpus.
 The density-matrix pass adds its four-term sums in index order, on the
-transposes for qubit 1, and the stacked Haar draws rely on one (2, 4, 4)
-standard normal draw giving the normals of two (4, 4) draws; both are
+transposes for qubit 1. The stacked draws rely on numpy filling a stacked
+draw row by row: one (2, 4, 4) standard normal draw gives the normals of
+two (4, 4) draws, one (n, 2, 4, 4) draw those of n (2, 4, 4) draws, and one
+multinomial over an (N, 9, 4) table the counts of N (9, 4) draws, each
+leaving the generator where the draws one at a time leave it. All are
 asserted at the end of this module. So are the steps of the compile and
 scoring paths that run as one stack with no per-row oracle, each on stacks
 of 1, 16 and 160 rows and on the same rows shuffled: np.arctan2 of the
@@ -438,8 +441,12 @@ def test_explicit_sums_match_reduce(m, target):
             assert same(got[k], _apply(x[k : k + 1], one, target)[0]), k
 
 
-# _sample_su4_many draws each stream's Ginibre matrix as one (2, 4, 4)
-# standard normal draw, where sample_su4 once made two (4, 4) draws.
+# _sample_su4_many draws each Ginibre matrix as one (2, 4, 4) standard
+# normal draw, where sample_su4 once made two (4, 4) draws, and a chunk's n
+# matrices as one (n, 2, 4, 4) draw; _sample_counts draws a chunk's counts
+# as one multinomial over its (N, 9, 4) outcome probabilities. Each stacked
+# draw must give the rows, and leave the stream where, one draw per row
+# would.
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -447,6 +454,25 @@ def test_one_draw_of_two_matrices(seed):
     one, two = SeededRng(seed).generator, SeededRng(seed).generator
     assert same(one.standard_normal((2, 4, 4)), np.array([two.standard_normal((4, 4)) for _ in range(2)]))
     assert same(one.standard_normal(3), two.standard_normal(3))  # the streams stay in step
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 37, 160])
+def test_one_draw_of_many_ginibre_pairs(n):
+    many, one = SeededRng(n).generator, SeededRng(n).generator
+    assert same(many.standard_normal((n, 2, 4, 4)), np.array([one.standard_normal((2, 4, 4)) for _ in range(n)]))
+    assert same(many.standard_normal(3), one.standard_normal(3))
+
+
+@pytest.mark.parametrize("shots", [1, 100, 1000, 2**40])
+@pytest.mark.parametrize("n", [1, 16, 160])
+def test_one_multinomial_of_many_tables(n, shots):
+    # random (9, 4) rows with, as exact outcome probabilities can have, a
+    # certain outcome and zero probabilities among them
+    p = gen(n).dirichlet(np.ones(4), size=(n, 9))
+    p = with_rows(p.reshape(-1, 4), np.array([[0.0, 1.0, 0.0, 0.0], [0.5, 0.0, 0.5, 0.0]])).reshape(n, 9, 4)
+    many, one = SeededRng(shots).generator, SeededRng(shots).generator
+    assert same(many.multinomial(shots, p), np.array([one.multinomial(shots, row) for row in p]))
+    assert same(many.standard_normal(3), one.standard_normal(3))
 
 
 # The compile and scoring steps that run as one stack with no per-row

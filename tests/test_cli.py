@@ -22,7 +22,7 @@ from su4c.config import DEFAULT_TOL, ENV_TOLERANCE
 from su4c.experiment import MeasurementRecord, NoiseModel, run_experiment
 from su4c.gates import GateElement
 from su4c.haar import SeededRng, sample_su4
-from su4c.io import matrix_from_obj, matrix_to_obj, save_matrix
+from su4c.io import dump_json, matrix_from_obj, matrix_to_obj, save_matrix
 from su4c.linalg import nearest_unitary
 
 
@@ -252,6 +252,14 @@ class TestSample:
             main(["sample", "--n", "0"])
         assert info.value.code == EXIT_PARSE
 
+    def test_batch_is_successive_draws_of_one_stream(self, capsys):
+        # entry i is the i-th sample_su4 draw of the seed's stream, the
+        # stream benchmark draws its unitaries from, byte for byte
+        code, out, _ = run_cli(capsys, "sample", "--n", "37", "--seed", "4")
+        assert code == EXIT_OK
+        rng = SeededRng(4)
+        assert out == dump_json([matrix_to_obj(sample_su4(rng)) for _ in range(37)], None) + "\n"
+
 
 class TestBenchmark:
     def test_small_noiseless_run(self, capsys):
@@ -281,6 +289,27 @@ class TestBenchmark:
         doc = json.loads(out)
         assert abs(doc["mean_fidelity"] - 1.0) < 1e-9
         assert doc["std_fidelity"] < 1e-9
+
+    def test_exact_report_writes_no_shots(self, capsys):
+        # an exact run draws no shot, so --shots changes no byte; the seed
+        # still draws the unitaries and the preparations
+        runs = [
+            run_cli(capsys, "benchmark", "--n", "16", "--exact-probabilities", "--noise", "calibrated", *argv)
+            for argv in (("--shots", "5"), ("--shots", "5000"), ("--seed", "1"))
+        ]
+        assert runs[0] == runs[1]
+        first, other = (json.loads(out) for _, out, _ in runs[1:])
+        assert first["shots"] is None and first["seed"] == 0
+        assert other["seed"] == 1 and other["operations"] != first["operations"]
+
+    def test_paper_runs_land_in_the_paper_band(self, capsys):
+        # the paper's 160-operation calibrated linear run at seeds 0 to 9:
+        # every mean lies within 0.79 +- 0.015, the band the benchmark
+        # checks each of its paper-size runs against (0.7805 to 0.7946)
+        for seed in range(10):
+            code, out, _ = run_cli(capsys, "benchmark", "--n", "160", "--seed", str(seed), "--noise", "calibrated")
+            assert code == EXIT_OK
+            assert abs(json.loads(out)["mean_fidelity"] - 0.79) <= 0.015, seed
 
     # a calibrated 100-shot run, exact runs without and with noise and a
     # calibrated MLE run, one operation per chunk and two chunks of 16,
@@ -318,7 +347,8 @@ class TestBenchmark:
         )
         assert code == EXIT_OK
         operations = json.loads(out)["operations"]
-        for op, stream in zip(operations, SeededRng(5).spawn(16)):
+        stream = SeededRng(5)  # U_i is the i-th draw of the seed's stream
+        for op in operations:
             u = sample_su4(stream)
             psi = experiment.input_state(op["input_state"])
             rho = experiment.apply_channel(np.outer(psi, psi.conj()), program(u), NoiseModel(**NO_SIGMA_NOISE))
@@ -360,8 +390,10 @@ class TestBenchmark:
         calls = [count_calls(monkeypatch, kernel) for kernel in kernels]
         code, _, _ = run_cli(capsys, "benchmark", "--n", str(n), "--noise", "calibrated")
         assert code == EXIT_OK
-        for kernel, made in zip(kernels, calls):
-            assert [len(args[0]) for args in made] == rows, kernel.__name__
+        # _sample_su4_many(rng, n) takes its row count as n
+        sizes = [[args[1] for args in calls[0]]] + [[len(args[0]) for args in made] for made in calls[1:]]
+        for kernel, got in zip(kernels, sizes):
+            assert got == rows, kernel.__name__
 
     def test_scores_against_pure_ideals_in_closed_form(self, capsys, monkeypatch):
         # every ideal output is a pure state, so no fidelity takes a
@@ -463,6 +495,18 @@ class TestProcessTomo:
         assert doc["entanglement_fidelity"] == pytest.approx(1.0, abs=1e-9)
         assert doc["mean_state_fidelity"] == pytest.approx(1.0, abs=1e-9)
         assert doc["mean_fidelity_from_entanglement"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_exact_report_reads_no_shots_or_seed(self, capsys, unitary_file):
+        # an exact run draws no shot and reads no stream: both are null,
+        # and runs that differ only in them write the same bytes
+        runs = [
+            run_cli(capsys, "process-tomo", "--unitary", unitary_file, "--exact-probabilities",
+                    "--noise", "calibrated", "--shots", shots, "--seed", seed)
+            for shots, seed in (("5", "1"), ("5000", "2"))
+        ]
+        assert runs[0] == runs[1]
+        doc = json.loads(runs[0][1])
+        assert doc["shots"] is None and doc["seed"] is None
 
     def test_process_matrix_export(self, capsys, unitary_file, tmp_path):
         proc_path = tmp_path / "e.json"
@@ -590,7 +634,10 @@ class TestProcessTomo:
 # 1e-12 and mle_max_iter 100, which is all that moved in the benchmark,
 # exact-benchmark and pulse reports, and process-tomo's fidelities moved by
 # at most 3.3e-8, the MLE states with them and mean_state_fidelity to its
-# closed form against the pure ideal outputs.
+# closed form against the pure ideal outputs. The benchmark, exact-benchmark
+# and process-tomo digests were re-captured when each run came to read one
+# stream per purpose (unitaries, preparations, counts) and exact runs came
+# to write null for the shots they do not draw.
 # A change to the executor, the compiler or reconstruction that moves one
 # count or one digit of a fidelity or an angle changes a digest; only a
 # change that sets out to move outputs re-captures them, and records the old
@@ -599,16 +646,16 @@ class TestProcessTomo:
 GOLDEN_REPORTS = {
     "benchmark": (
         ("benchmark", "--n", "32", "--seed", "0", "--noise", "calibrated"),
-        "2cf0578de40268b245567bfd48bb4c2fed9daa06e15dc123d6fb4cabf3a4f26d",
+        "ae0e652557e1dedb6083da97d8cee7c4a191415b69ae494beabb967b71da325c",
     ),
     "benchmark-exact": (
         ("benchmark", "--n", "32", "--exact-probabilities", "--noise", "calibrated"),
-        "76da8be869b37c859a4e6c81ded4074c6b5ef6dc7070e20e50e47d88f9c47a22",
+        "ce70cb4ff140390799360a376a70084479f87212b04632585bd913bd29935561",
     ),
     "process-tomo": (
         ("process-tomo", "--unitary", None, "--shots", "1000", "--noise", "calibrated",
          "--method", "mle"),
-        "cd88bae6b5eb2a08dd1c9ad641adc0680e35b1f9764948cad3a6d5150a26d1dd",
+        "b9292876d54e7f55a86c2bea9cb9eadf16966c98cd004277c29002b74b6ac40d",
     ),
     "compile-pulses": (
         ("compile", None, "--pulses"),
@@ -798,10 +845,10 @@ class TestCountArrayPath:
 class TestMemory:
     def test_benchmark_memory_bounded_in_n(self, capsys):
         # operations are drawn, compiled, run and reconstructed up to
-        # _CHUNK = 256 at a time, each with its stream spawned with its
-        # chunk, so ten times the operations add only their report entries
-        # and the 192 more rows of a full stack: 1.44 MiB measured, against
-        # several MiB when every program is compiled before any runs
+        # _CHUNK = 256 at a time, so ten times the operations add only their
+        # report entries and the 192 more rows of a full stack: 0.96 MiB
+        # measured, against several MiB when every program is compiled
+        # before any runs
         def peak(n):
             tracemalloc.start()
             try:

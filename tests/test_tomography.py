@@ -6,7 +6,11 @@ inside the observed distributions.
 """
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +160,24 @@ class TestLinearReconstruction:
         assert np.array_equal(table, np.rint(table))
         assert np.max(np.abs(_LINEAR_MAP @ _POVM_ROWS - np.eye(16))) <= 1e-15
         assert np.max(np.abs(_LINEAR_MAP - np.linalg.pinv(_POVM_ROWS))) <= 1e-15
+        # the Pauli sum the map is built from is the pseudo-inverse rounded
+        # to integers over 36, bit for bit, signed zeros dropped
+        want = np.rint(36.0 * np.linalg.pinv(_POVM_ROWS)) / 36.0 + 0.0
+        assert _LINEAR_MAP.tobytes() == want.tobytes()
+
+    def test_import_factors_no_matrix(self):
+        # the module tables are built without an SVD, whose LAPACK pages
+        # would add about 1.2 MB to the peak memory of importing su4c
+        src = str(Path(tomography.__file__).resolve().parents[1])
+        code = (
+            "import numpy.linalg as la\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise AssertionError('factorization at import')\n"
+            "la.svd = la.pinv = la.lstsq = refuse\n"
+            "import su4c.cli\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     def test_missing_setting_rejected(self):
         rho = random_density(SeededRng(367))
