@@ -20,30 +20,21 @@ import numpy as np
 from .config import DEFAULT_TOL
 from .gates import (
     GateElement,
-    PAULI_Z,
     ClassParams,
     _ENTRY_FRAME,
+    _PAULI_Z,
     _R_HALF_Y,
+    _canonical_phase,
+    _canonical_vs,
+    _exit_layers,
     _r_gates,
     _rz_gates,
-    canonical_v,
-    embed,
-    gate_matrix,
     r_gate,
     rz_gate,
 )
 from .linalg import _kron, _su2_params
 
-__all__ = [
-    "LocalGate",
-    "CircuitParams",
-    "circuit_to_unitary",
-    "r_pulse_triple",
-    "pulse_angles",
-    "lower_to_pulses",
-    "compose_pulses",
-    "PULSE_COUNT",
-]
+__all__ = ["LocalGate", "CircuitParams", "circuit_to_unitary", "pulse_angles", "lower_to_pulses", "PULSE_COUNT"]
 
 
 @dataclass(frozen=True)
@@ -79,25 +70,15 @@ class CircuitParams:
 
 
 def circuit_to_unitary(params: CircuitParams) -> np.ndarray:
-    """Compose the stored parameterization back into a 4x4 matrix."""
+    """Compose the stored parameterization back into a 4x4 matrix, with the
+    canonical representative of its class (gates._canonical_vs) and that
+    representative's quarter turn."""
     pre = _kron(params.a.matrix(), params.b.matrix())
     post = _kron(params.c.matrix(), params.d.matrix())
-    v = canonical_v(params.class_params)
+    cp = params.class_params
+    rows = np.array([[cp.alpha, cp.beta, cp.delta]], dtype=float)
+    v = _canonical_phase(rows)[0] * _canonical_vs(rows, _exit_layers(rows[:, 2]))[0]
     return params.global_phase * post @ v @ pre
-
-
-def r_pulse_triple(theta: float, phi: float, target: int = 0) -> list[GateElement]:
-    """R(theta, phi) out of two calibrated pi/2 pulses and a frame advance:
-
-        R(theta, phi) = R(pi/2, phi + pi/2) Rz(theta) R(pi/2, phi - pi/2)
-
-    Returned in application order, on qubit target. Exact for every (theta, phi).
-    """
-    return [
-        GateElement("R", theta=math.pi / 2.0, phi=(phi - math.pi / 2.0) % math.tau, target=target),
-        GateElement("Rz", phiz=theta % math.tau, target=target),
-        GateElement("R", theta=math.pi / 2.0, phi=(phi + math.pi / 2.0) % math.tau, target=target),
-    ]
 
 
 # Fixed 2x2 ingredients of the entangling-block template.
@@ -134,7 +115,7 @@ def pulse_angles(params: list[CircuitParams]) -> np.ndarray:
         L0 = (Rz(pi/2),             Rz(delta) R(pi/2, pi/2) H Rz(pi/2))
         L1 = (R(beta, pi) Rz(pi/2) Z, H Rz(-delta) Z)
         L2 = (R(alpha, pi) Rz(pi/2), H Rz(pi/2))
-        L3 = (Rz(-pi/2),            H Rz(-pi/2) E0)      (E0 as in canonical_v)
+        L3 = (Rz(-pi/2),            H Rz(-pi/2) E0)      (E0 of _canonical_vs)
 
     The interaction core exp(i (beta XX + alpha YY + delta ZZ) / 2) comes
     from the identities (C = CNOT(control 0) = (1 x H) CZ (1 x H),
@@ -150,7 +131,12 @@ def pulse_angles(params: list[CircuitParams]) -> np.ndarray:
     L0 into the corrections (A, B) and (C, D), leaving four slots per qubit
     around three G applications for every class. Each slot is
     divided by the square root of its fixed determinant (the dropped scalar
-    only shifts the global phase) and written as r_pulse_triple and an Rz.
+    only shifts the global phase), written as sign * Rz(phiz) R(theta, phi),
+    and R(theta, phi) as the triple
+
+        R(theta, phi) = R(pi/2, phi + pi/2) Rz(theta) R(pi/2, phi - pi/2),
+
+    which is exact for every (theta, phi).
 
     pulse_angles is the object view of _pulse_angles, which takes the
     arrays _decompose_arrays returns.
@@ -204,8 +190,8 @@ def _slots(classes: np.ndarray, letters: np.ndarray) -> np.ndarray:
     slots[:, 1] = _L3_1 @ b
     slots[:, 2] = r_alpha @ _RZ_P
     slots[:, 3] = _H_RZ_P
-    slots[:, 4] = r_beta @ _RZ_P @ PAULI_Z
-    slots[:, 5] = _HADAMARD @ rz_minus_delta @ PAULI_Z
+    slots[:, 4] = r_beta @ _RZ_P @ _PAULI_Z
+    slots[:, 5] = _HADAMARD @ rz_minus_delta @ _PAULI_Z
     slots[:, 6] = c @ _RZ_P
     slots[:, 7] = d @ (rz_delta @ _R_HALF_Y @ _H_RZ_P)
     return slots
@@ -225,11 +211,3 @@ def lower_to_pulses(params: CircuitParams) -> list[GateElement]:
     reproduces circuit_to_unitary(params) up to global phase."""
     return _pulses(pulse_angles([params])[0])
 
-
-def compose_pulses(seq: list[GateElement]) -> np.ndarray:
-    """Multiply a pulse program into a 4x4 matrix (application order)."""
-    out = np.eye(4, dtype=complex)
-    for elem in seq:
-        m = gate_matrix(elem)
-        out = (m if elem.kind == "G" else embed(m, elem.target)) @ out
-    return out

@@ -24,8 +24,8 @@ from .gates import (
     _class_eigensystem,
     _class_spectrum,
     _exit_layers,
-    from_magic,
-    to_magic,
+    _from_magic,
+    _to_magic,
 )
 from .linalg import (
     _as_complex,
@@ -164,7 +164,7 @@ def _representatives(classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and 2 half of _canonical_vs is (s2, s1, s0, s3) modulo 2 pi.
     """
     exits = _exit_layers(classes[:, 2])
-    frames = to_magic(exits).real[:, :, [2, 1, 0, 3]]
+    frames = _to_magic(exits).real[:, :, [2, 1, 0, 3]]
     return _canonical_vs(classes, exits), _proper(_lead_positive(frames))
 
 
@@ -182,8 +182,8 @@ def _decompose_arrays(
     phases_u, frame_u = _class_spectrum(su, tol)
     classes = _class_angles(phases_u)
     v_comp, frame_v = _representatives(classes)
-    um = to_magic(su)
-    vm = to_magic(v_comp)
+    um = _to_magic(su)
+    vm = _to_magic(v_comp)
     post_m = frame_u @ frame_v.swapaxes(-1, -2)
     pre_m = vm.conj().swapaxes(-1, -2) @ frame_v @ frame_u.swapaxes(-1, -2) @ um
 
@@ -196,7 +196,7 @@ def _decompose_arrays(
 
     # both factorings are one stack: post rows, then pre rows
     a, b, phases_f = _factor_tensor_product(
-        np.concatenate([from_magic(post_m), from_magic(pre_m)]), tol
+        np.concatenate([_from_magic(post_m), _from_magic(pre_m)]), tol
     )
     # the four letters are one stack too: a, b, c, d rows in turn
     angles = _su2_params(np.concatenate([a[n:], b[n:], a[:n], b[:n]]), tol)

@@ -6,8 +6,7 @@ still literals, next to the functions that use them:
 
 - linalg: _lead_positive 1e-8; _canonicalize 12 decimals; _jacobi_polish
   1e-13 (_POLISH_FLOOR) and 30 sweeps; _factor_tensor_product 1e-12;
-  phase_invariant_distance 1e-12, else a 360-point scan;
-  check_density_matrix 1e-10, and 1e-9 from experiment.apply_channel.
+  phase_invariant_distance 1e-12, else a 360-point scan.
 - tomography: _mle_stack's barrier path (_MU_START 1e-2, _MU_SHRINK 0.05,
   _CENTRED 1, _BOUNDARY 0.1, _ARMIJO 0.25, _HALVINGS 50, and a floor of
   mle_stop / 16 under mu); _psd_sqrt 16 eps; reconstruct_process 200 CP
@@ -32,12 +31,10 @@ class Tolerances:
     unitarity:
         Max-norm bound on ``M @ M.conj().T - I`` for matrices required to be
         unitary on input.
-    symmetry:
-        Max-norm bound on ``M - M.T`` for matrices required to be symmetric.
-    determinant:
-        Acceptable deviation of a determinant from its target value.
-    su2_det:
-        Determinant gate for 2x2 special-unitary inputs.
+    symmetry, determinant, su2_det:
+        The symmetry and determinant gates of checked entry points to the
+        compiler's kernels that are no longer public. No check reads them;
+        they stay because every report prints the whole record.
     angle_snap:
         Below this, a rotation angle is treated as exactly 0 or pi for the
         purpose of convention special cases.

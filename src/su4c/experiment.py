@@ -11,8 +11,7 @@ Their record lists are the public form of the (N, 9, 4) arrays the package
 passes to the estimators: counts from the sampler, or the exact outcome
 probabilities under any noise model. A program is its row of 32 angles on
 the fixed pulse template, as pulse_angles emits it, compiled by the caller
-once per operation. apply_channel applies one noise realization of a
-program to a density matrix.
+once per operation.
 
 Noise model, applied to a lowered pulse sequence:
   * every R pulse's rotation angle is scaled by (1 + eps) with eps drawn
@@ -56,16 +55,16 @@ order (first basis state of qubit 0 first).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .circuits import _R_THETA, _TEMPLATE, _pulses, compose_pulses
+from .circuits import _R_THETA, _TEMPLATE
 from .gates import G_GATE, r_gate
 from .haar import SeededRng
-from .linalg import _kron, check_density_matrix
+from .linalg import _kron
 
 __all__ = [
     "STATE_LABELS",
@@ -75,7 +74,6 @@ __all__ = [
     "NoiseModel",
     "MeasurementRecord",
     "input_state",
-    "apply_channel",
     "run_experiments",
     "run_experiment",
     "exact_experiment",
@@ -309,35 +307,6 @@ def _outcome_probabilities(angles, prepared, noise: NoiseModel) -> np.ndarray:
         p[:, k] = (rho * effects).sum(axis=-1).real
     p = np.clip(p, 0.0, None)
     return p / p.sum(axis=-1, keepdims=True)
-
-
-def apply_channel(
-    rho: np.ndarray,
-    angles: np.ndarray,
-    noise: NoiseModel,
-    rng: SeededRng | None = None,
-) -> np.ndarray:
-    """One noise realization of the program, an angle row (32,), acting on
-    rho: its GateElement view after one normal(size=(n_R, 1)) draw of
-    relative over-rotations, one per R pulse.
-
-    rng may be omitted only when the noise model draws nothing
-    (overrotation_sigma == 0).
-    """
-    m = check_density_matrix(rho, atol=1e-9)
-    pulses = _pulses(_angle_table(angles, 1))
-    if noise.overrotation_sigma > 0.0 and rng is None:
-        raise ValueError("stochastic noise requires an rng")
-    if noise.overrotation_sigma > 0.0:
-        draws = iter(rng.generator.normal(0.0, noise.overrotation_sigma, size=(_IS_R.sum(), 1))[:, 0])
-        pulses = [replace(p, theta=p.theta * (1.0 + next(draws))) if p.kind == "R" else p for p in pulses]
-    u = compose_pulses(pulses)
-    q = _depolarizing_weight(noise)
-    out = (1.0 - q) * (u @ m @ u.conj().T) + q * np.eye(4) / 4.0
-    k = _qubit_damping(noise.damping_per_circuit)
-    kraus = np.array([_kron(ka, kb) for ka in k for kb in k])
-    out = np.sum(kraus @ out @ kraus.conj().transpose(0, 2, 1), axis=0)
-    return 0.5 * (out + out.conj().T)
 
 
 def _records(counts, shots: int) -> list[MeasurementRecord]:

@@ -13,36 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
-from .linalg import (
-    EigenSystem,
-    _as_complex,
-    _canonicalize,
-    _joint_real_eigensystem,
-    _kron,
-    _require_shape,
-    _require_unitary,
-)
+from .config import Tolerances
+from .linalg import _canonicalize, _joint_real_eigensystem, _kron
 
-__all__ = [
-    "PAULI_X",
-    "PAULI_Z",
-    "G_GATE",
-    "MAGIC",
-    "GateElement",
-    "gate_matrix",
-    "r_gate",
-    "rz_gate",
-    "to_magic",
-    "from_magic",
-    "ClassParams",
-    "canonical_v",
-    "class_spectrum",
-    "embed",
-]
+__all__ = ["G_GATE", "GateElement", "r_gate", "rz_gate", "ClassParams"]
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 # Entangling gate: exp(-i pi/4) exp(i pi/4 Z x Z). Determinant -1, so it is
 # not special unitary on its own.
@@ -51,7 +27,7 @@ G_GATE = np.diag([1.0, -1j, -1j, 1.0]).astype(complex)
 # Basis change to the magic (Bell-phase) frame in which local gates become
 # real orthogonal and the entangling content of a unitary sits in the
 # symmetric form u @ u.T.
-MAGIC = np.array(
+_MAGIC = np.array(
     [
         [1, 1j, 0, 0],
         [0, 0, 1j, 1],
@@ -60,7 +36,7 @@ MAGIC = np.array(
     ],
     dtype=complex,
 ) / math.sqrt(2.0)
-_MAGIC_DAG = MAGIC.conj().T
+_MAGIC_DAG = _MAGIC.conj().T
 
 _I2 = np.eye(2, dtype=complex)
 
@@ -128,29 +104,15 @@ class GateElement:
                 raise ValueError(f"single-qubit gate needs target 0 or 1, got {self.target}")
 
 
-def gate_matrix(elem: GateElement) -> np.ndarray:
-    """Matrix of a library element: 2x2 for R/Rz, 4x4 for G."""
-    if elem.kind == "R":
-        return r_gate(elem.theta, elem.phi)
-    if elem.kind == "Rz":
-        return rz_gate(elem.phiz)
-    return G_GATE.copy()
+def _to_magic(u: np.ndarray) -> np.ndarray:
+    """Conjugate into the magic frame: _MAGIC^dag @ u @ _MAGIC (row by row
+    on a stack of matrices)."""
+    return _MAGIC_DAG @ u @ _MAGIC
 
 
-def embed(m: np.ndarray, target: int) -> np.ndarray:
-    """Promote a 2x2 matrix to the two-qubit space on the given qubit."""
-    return _kron(m, _I2) if target == 0 else _kron(_I2, m)
-
-
-def to_magic(u) -> np.ndarray:
-    """Conjugate into the magic frame: MAGIC^dag @ u @ MAGIC (row by row on
-    a stack of matrices)."""
-    return _MAGIC_DAG @ _as_complex(u) @ MAGIC
-
-
-def from_magic(u) -> np.ndarray:
-    """Inverse of to_magic, row by row on a stack too."""
-    return MAGIC @ _as_complex(u) @ _MAGIC_DAG
+def _from_magic(u: np.ndarray) -> np.ndarray:
+    """Inverse of _to_magic, row by row on a stack too."""
+    return _MAGIC @ u @ _MAGIC_DAG
 
 
 @dataclass(frozen=True)
@@ -181,8 +143,8 @@ _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 
 
 def _canonical_phase(angles: np.ndarray) -> np.ndarray:
-    """Quarter-turn phase convention of the canonical representative, for
-    each row (alpha, beta, delta) of an (N, 3) angle array, as (N,).
+    """The quarter turn i^m of the canonical representative (_canonical_vs),
+    for each row (alpha, beta, delta) of an (N, 3) angle array, as (N,).
 
     i^m with m = 2*[alpha >= pi] + 3*round((alpha+beta+delta)/pi), all angles
     taken as stored in [0, 2pi). Half-up rounding keeps the rule exact on the
@@ -193,8 +155,10 @@ def _canonical_phase(angles: np.ndarray) -> np.ndarray:
     return _QUARTER_TURNS[m % 4]
 
 
-def canonical_v(params: ClassParams) -> np.ndarray:
-    """Canonical entangling representative of a class.
+def _canonical_vs(angles: np.ndarray, exits: np.ndarray) -> np.ndarray:
+    """The canonical entangling representative of each class (alpha, beta,
+    delta), a row of an (N, 3) angle array, without its quarter turn, as an
+    (N, 4, 4) stack; exits are the rows' _exit_layers.
 
     The representative is not a bare magic-frame diagonal: it carries fixed
     single-qubit dressing on qubit 1,
@@ -205,17 +169,9 @@ def canonical_v(params: ClassParams) -> np.ndarray:
     with E1(delta) = Rz(delta) R(pi/2, pi/2), E0 = Rz(-pi/2) R(pi/2, pi/2)
     Rz(-pi) and the quarter turn i^m from _canonical_phase. det V = 1 always
     (every factor has unit determinant and the phase is a fourth root of
-    unity). The eigenvalues of v v^T in the magic frame equal
+    unity). The eigenvalues of V V^T in the magic frame equal
     exp(i eigenphases) up to one shared half-turn when i^m is imaginary.
     """
-    rows = np.array([[params.alpha, params.beta, params.delta]], dtype=float)
-    return _canonical_phase(rows)[0] * _canonical_vs(rows, _exit_layers(rows[:, 2]))[0]
-
-
-def _canonical_vs(angles: np.ndarray, exits: np.ndarray) -> np.ndarray:
-    """canonical_v without its quarter turn i^m, for each row (alpha, beta,
-    delta) of an (N, 3) angle array, as an (N, 4, 4) stack; exits are the
-    rows' _exit_layers."""
     n = len(angles)
     alpha, beta, delta = angles.T
     # The interaction core exp(i (beta XX + alpha YY + delta ZZ) / 2), built
@@ -233,38 +189,26 @@ def _canonical_vs(angles: np.ndarray, exits: np.ndarray) -> np.ndarray:
     diagonal = np.arange(4)
     core = np.zeros((n, 4, 4), dtype=complex)
     core[:, diagonal, diagonal] = np.exp(1j * half)
-    return exits @ from_magic(core) @ _ENTRY_LAYER
+    return exits @ _from_magic(core) @ _ENTRY_LAYER
 
 
 def _exit_layers(delta: np.ndarray) -> np.ndarray:
-    """The exit frames I x Rz(delta) R(pi/2, pi/2) of canonical_v, one per
-    angle, as an (N, 4, 4) stack."""
+    """The exit frames I x E1(delta) = I x Rz(delta) R(pi/2, pi/2) of
+    _canonical_vs, one per angle, as an (N, 4, 4) stack."""
     return _kron(_I2, _rz_gates(delta) @ _R_HALF_Y)
 
 
-def class_spectrum(u, tol: Tolerances = DEFAULT_TOL) -> EigenSystem:
-    """Eigensystem of u @ u.T in the magic frame (u must be det-1 unitary).
-
-    The eigenphases are the local-equivalence invariants; the eigenvectors
-    feed the single-qubit factor extraction.
-    """
-    u = _as_complex(u)
-    _require_shape(u, 4)
-    det = np.linalg.det(u)
-    if abs(det - 1.0) > tol.determinant:
-        raise ValueError(f"class_spectrum needs determinant 1, got {det}")
-    _require_unitary(u, tol.unitarity, "class_spectrum input")
-    phases, vectors = _class_spectrum(u[None], tol)
-    return EigenSystem(phases=phases[0], vectors=vectors[0])
-
-
 def _class_spectrum(u: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """(phases, vectors) of class_spectrum for each row of an (N, 4, 4) stack."""
+    """The eigensystem of u @ u.T in the magic frame, for each det-1 unitary
+    u of an (N, 4, 4) stack: the phases (N, 4), ascending in (-pi, pi], are
+    the local-equivalence invariants; the real eigenvectors (N, 4, 4), det
+    +1 and sign-fixed by _canonicalize, feed the single-qubit factor
+    extraction."""
     return _canonicalize(*_class_eigensystem(u, tol))
 
 
 def _class_eigensystem(u: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """_class_spectrum of each row before its columns are ordered and
     signed: the same phases, unsorted."""
-    m = to_magic(u)
+    m = _to_magic(u)
     return _joint_real_eigensystem(m @ m.swapaxes(-1, -2), tol)

@@ -5,36 +5,22 @@ branch cuts and sign fixes are all pinned down so that the decomposition
 built on top of them is deterministic. Everything operates on plain numpy
 arrays.
 
-Each public function checks its input. Its private twin of the same name
-with a leading underscore is the same computation without the checks, for
-matrices the package built itself and knows to be valid. The twins take a
-stack of matrices with a leading batch axis, and a public function is their
-one-row case. Each row of a stack gets, bit for bit, what it gets alone.
+The kernels are private: they take a stack of matrices with a leading batch
+axis, trust their callers, and give each row, bit for bit, what it gets
+alone. Their inputs are matrices the package built itself or ones a public
+entry point checked once, with the two gates here: one shape rule and one
+unitarity defect, which is_unitary reads too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 
-__all__ = [
-    "NotUnitaryError",
-    "NotAProductError",
-    "EigenSystem",
-    "check_density_matrix",
-    "kron",
-    "is_unitary",
-    "nearest_unitary",
-    "special_unitary_projection",
-    "joint_real_diagonalization",
-    "factor_tensor_product",
-    "phase_invariant_distance",
-    "su2_params",
-]
+__all__ = ["NotUnitaryError", "NotAProductError", "is_unitary", "nearest_unitary", "phase_invariant_distance"]
 
 
 class NotUnitaryError(ValueError):
@@ -43,18 +29,6 @@ class NotUnitaryError(ValueError):
 
 class NotAProductError(ValueError):
     """Raised when a 4x4 matrix is not a tensor product of 2x2 factors."""
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Real orthogonal eigenvectors and unit-circle eigenphases.
-
-    ``vectors[:, j]`` belongs to phase ``phases[j]``. Phases live in
-    (-pi, pi], sorted ascending, and ``vectors`` has determinant +1.
-    """
-
-    phases: np.ndarray
-    vectors: np.ndarray
 
 
 def _as_complex(m) -> np.ndarray:
@@ -93,36 +67,13 @@ def _require_unitary(m: np.ndarray, atol: float, what: str) -> None:
         )
 
 
-def kron(a, b) -> np.ndarray:
-    """The package's Kronecker product of two 2x2 matrices, first factor on
-    qubit 0; every two-qubit product in su4c is its unchecked twin _kron."""
-    a = _as_complex(a)
-    b = _as_complex(b)
-    if a.shape != (2, 2) or b.shape != (2, 2):
-        raise ValueError(f"kron expects 2x2 factors, got {a.shape} and {b.shape}")
-    return _kron(a, b)
-
-
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # The elementwise multiply np.kron performs, without its shape handling;
-    # on stacks of square matrices, row by row.
+    """The package's Kronecker product, first factor on qubit 0: the
+    elementwise multiply np.kron performs, and its bits, without its shape
+    handling; on stacks of square matrices, row by row."""
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
     n = out.shape[-1] * out.shape[-2]
     return out.reshape(*out.shape[:-4], n, n)
-
-
-def check_density_matrix(rho: np.ndarray, atol: float = 1e-10) -> np.ndarray:
-    """Validate shape, Hermiticity, unit trace, and positivity; returns the
-    array."""
-    m = _as_complex(rho)
-    _require_shape(m)
-    if np.max(np.abs(m - m.conj().T)) > atol:
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(m) - 1.0) > atol:
-        raise ValueError("density matrix trace is not 1")
-    if np.min(np.linalg.eigvalsh(m)) < -atol:
-        raise ValueError("density matrix has a negative eigenvalue")
-    return m
 
 
 def nearest_unitary(m) -> np.ndarray:
@@ -135,26 +86,12 @@ def nearest_unitary(m) -> np.ndarray:
     return w @ vh
 
 
-def special_unitary_projection(
-    u, tol: Tolerances = DEFAULT_TOL
-) -> tuple[np.ndarray, complex]:
-    """Split a unitary into ``(su, phase)`` with ``det(su) = 1``.
-
-    The phase is the principal n-th root of ``det(u)`` for an n x n input,
-    i.e. the root whose argument lies in (-pi/n, pi/n]. Returns ``su`` such
-    that ``u = phase * su`` exactly.
-    """
-    u = _as_complex(u)
-    _require_shape(u)
-    _require_unitary(u, tol.unitarity, "special_unitary_projection input")
-    su, phase = _special_unitary_projection(u[None], tol)
-    return su[0], complex(phase[0])
-
-
 def _special_unitary_projection(
     u: np.ndarray, tol: Tolerances
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(N, n, n) -> (su, phases) with ``u[k] = phases[k] * su[k]``."""
+    """Split each unitary of an (N, n, n) stack as ``u[k] = phases[k] *
+    su[k]`` with ``det(su[k]) = 1``: the phase is the principal n-th root of
+    ``det(u[k])``, the root whose argument lies in (-pi/n, pi/n]."""
     n = u.shape[-1]
     det = np.linalg.det(u)
     # Principal root: divide the argument, fold ties at -pi/n up to +pi/n.
@@ -263,37 +200,23 @@ def _canonicalize(phases: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, 
     return phases, _proper(vectors[rows[:, :, None], cols[:, None], order[:, None, :]])
 
 
-def joint_real_diagonalization(
-    w, tol: Tolerances = DEFAULT_TOL
-) -> EigenSystem:
-    """Diagonalize a unitary symmetric matrix with a real orthogonal basis.
+def _joint_real_eigensystem(
+    w: np.ndarray, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonalize each unitary symmetric matrix of an (N, n, n) stack with a
+    real orthogonal basis.
 
     A unitary symmetric ``w`` has commuting real and imaginary parts, hence a
     shared real eigenbasis: ``w = O @ diag(exp(i phases)) @ O.T``. The fast
     path diagonalizes ``Re(w) + c Im(w)``; because any single combination is
-    blind to pairs aligned with its circle extremum, the result is polished
-    with exact-angle Jacobi rotations on the complex symmetric form, which
-    is accurate regardless of eigenphase gaps.
+    blind to pairs aligned with its circle extremum, the rows it leaves
+    unconverged are polished with exact-angle Jacobi rotations on the complex
+    symmetric form, which is accurate regardless of eigenphase gaps.
 
-    Returns phases in (-pi, pi], ascending, ties at -pi folded to +pi, with
-    sign-canonicalized, det +1 eigenvectors.
-    """
-    w = _as_complex(w)
-    _require_shape(w)
-    if np.max(np.abs(w - w.T)) > tol.symmetry:
-        raise ValueError("input is not symmetric")
-    _require_unitary(w, tol.unitarity, "joint_real_diagonalization input")
-    phases, vectors = _canonicalize(*_joint_real_eigensystem(w[None], tol))
-    return EigenSystem(phases=phases[0], vectors=vectors[0])
-
-
-def _joint_real_eigensystem(
-    w: np.ndarray, tol: Tolerances
-) -> tuple[np.ndarray, np.ndarray]:
-    """The phases (N, n) and real orthogonal eigenvectors (N, n, n) of each
-    row of an (N, n, n) stack, column j with phase j, as the eigen-solve and
-    the polish leave them: phases folded into (-pi, pi] but not sorted, and
-    no sign or determinant convention on the columns."""
+    Returns the phases (N, n), folded into (-pi, pi] with ties at -pi taken
+    to +pi, and the eigenvectors (N, n, n), column j with phase j, as the
+    solve leaves them: unsorted, with no sign or determinant convention.
+    _canonicalize sorts them and fixes the columns."""
     w = 0.5 * (w + w.swapaxes(-1, -2))
 
     mix = w.real + _MIX * w.imag  # exactly symmetric, as w is
@@ -318,32 +241,20 @@ def _joint_real_eigensystem(
 # ---------------------------------------------------------------------------
 
 
-def factor_tensor_product(
-    m, tol: Tolerances = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray, complex]:
-    """Factor a 4x4 unitary as ``phase * kron(a, b)`` with det-1 factors.
-
-    Views ``m`` as a 2x2 grid of 2x2 blocks ``m[2i:2i+2, 2j:2j+2] = a[i, j] b``.
-    The largest block fixes ``b`` up to normalization, the block overlaps fix
-    ``a``, and both factors are then rescaled to determinant one with the
-    residual scalar returned as ``phase``. For det-1 inputs the phase is a
-    fourth root of unity.
-
-    Raises NotAProductError when the rebuilt product misses ``m`` by more
-    than the configured residual.
-    """
-    m = _as_complex(m)
-    _require_shape(m, 4)
-    _require_unitary(m, tol.unitarity, "factor_tensor_product input")
-    a, b, phases = _factor_tensor_product(m[None], tol)
-    return a[0], b[0], complex(phases[0])
-
-
 def _factor_tensor_product(
     m: np.ndarray, tol: Tolerances
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(N, 4, 4) -> (a (N, 2, 2), b (N, 2, 2), phases (N,)), each row as
-    factor_tensor_product returns it."""
+    """Factor each unitary of an (N, 4, 4) stack as ``phases[k] *
+    kron(a[k], b[k])`` with det-1 factors a, b (N, 2, 2).
+
+    Views each row as a 2x2 grid of 2x2 blocks ``m[2i:2i+2, 2j:2j+2] = a[i,
+    j] b``. The largest block fixes ``b`` up to normalization, the block
+    overlaps fix ``a``, and both factors are then rescaled to determinant one
+    with the residual scalar returned as the phase. For det-1 inputs the
+    phase is a fourth root of unity.
+
+    Raises NotAProductError when a rebuilt product misses its row by more
+    than tol.product_residual."""
     n = m.shape[0]
     rows = np.arange(n)
     # blocks[k, i, j] is the view m[k, 2i:2i+2, 2j:2j+2].
@@ -403,30 +314,16 @@ def phase_invariant_distance(u, w) -> float:
 # ---------------------------------------------------------------------------
 
 
-def su2_params(
-    m, tol: Tolerances = DEFAULT_TOL
-) -> tuple[float, float, float, int]:
-    """Write a det-1 2x2 unitary as ``sign * Rz(phiz) @ R(theta, phi)``.
-
-    Returns ``(theta, phi, phiz, sign)`` with theta in [0, pi], phi and phiz
-    in [0, 2 pi), sign in {+1, -1}. The sign absorbs the Rz double cover so
-    that phiz can stay in a single turn.
-
-    Conventions at the branch points: theta below the snap threshold forces
-    phi = 0; theta within snap of pi forces phiz = 0 and sign = +1.
-    """
-    m = _as_complex(m)
-    _require_shape(m, 2)
-    _require_unitary(m, tol.unitarity, "su2_params input")
-    if abs(np.linalg.det(m) - 1.0) > tol.su2_det:
-        raise ValueError("su2_params requires determinant 1")
-    theta, phi, phiz, sign = _su2_params(m[None], tol)[0].tolist()
-    return theta, phi, phiz, int(sign)
-
-
 def _su2_params(m: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """(N, 2, 2) -> (N, 4): the (theta, phi, phiz, sign) of su2_params for
-    each row, the sign as +-1.0."""
+    """Write each det-1 2x2 unitary of an (N, 2, 2) stack as ``sign *
+    Rz(phiz) @ R(theta, phi)``, as the row (theta, phi, phiz, sign) of an
+    (N, 4) array.
+
+    theta lies in [0, pi], read as 2 arctan2(|m10|, |m00|) so small angles
+    keep their digits; phi and phiz lie in [0, 2 pi) and sign is +-1.0, which
+    absorbs the Rz double cover so that phiz can stay in a single turn. At
+    the branch points, theta below tol.angle_snap forces phi = 0, and theta
+    within it of pi forces phiz = 0 and sign = +1."""
     # sign * Rz(phiz) R(theta, phi) has entries
     #   m00 = s e^{-i phiz/2} cos(theta/2)
     #   m10 = s e^{+i phiz/2} (-i e^{i phi}) sin(theta/2)

@@ -27,13 +27,12 @@ from .experiment import (
     _preparation_index,
     _product_states,
 )
-from .linalg import _as_complex, _kron
+from .linalg import _as_complex, _kron, _require_shape
 
 __all__ = [
     "reconstruct_state",
     "state_fidelity",
     "process_matrix_of_unitary",
-    "apply_process",
     "reconstruct_process",
     "entanglement_fidelity",
     "mean_state_fidelity",
@@ -364,8 +363,12 @@ def state_fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
 
     Evaluated as the squared nuclear norm of sqrt(rho1) sqrt(rho2), which
     is the same quantity but avoids square roots of eigenvalues that are
-    zero up to rounding."""
-    return float(_state_fidelities(_as_complex(rho1)[None], _as_complex(rho2)[None])[0])
+    zero up to rounding. ValueError unless both are square matrices of one
+    shape."""
+    a, b = _as_complex(rho1), _as_complex(rho2)
+    _require_shape(a)
+    _require_shape(b, a.shape[0])
+    return float(_state_fidelities(a[None], b[None])[0])
 
 
 def _state_fidelities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -393,17 +396,27 @@ def _pure_state_fidelities(rhos: np.ndarray, psis: np.ndarray) -> list[float]:
 
 
 def process_matrix_of_unitary(u: np.ndarray) -> np.ndarray:
-    """Block process matrix of rho -> U rho U^dag."""
+    """Block process matrix of rho -> U rho U^dag, for a 4x4 matrix U."""
     m = _as_complex(u)
+    _require_shape(m, 4)
     blocks = np.einsum("ki,lj->ikjl", m, m.conj())
     return np.ascontiguousarray(blocks.reshape(16, 16))
 
 
-def apply_process(e: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Channel output sum_ij rho[i, j] E(|i><j|), of one state or of each
-    state of an (N, 4, 4) stack."""
+def _apply_process(e: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Channel output sum_ij rho[i, j] E(|i><j|) of a process matrix e, of
+    one state or of each state of an (N, 4, 4) stack."""
     blocks = np.asarray(e, dtype=complex).reshape(4, 4, 4, 4)
     return np.einsum("...ij,ikjl->...kl", np.asarray(rho, dtype=complex), blocks)
+
+
+def _process_pair(e1, e2) -> tuple[np.ndarray, np.ndarray]:
+    """e1 and e2 as complex arrays; ValueError unless each is a 16x16
+    process matrix."""
+    e1, e2 = _as_complex(e1), _as_complex(e2)
+    _require_shape(e1, 16)
+    _require_shape(e2, 16)
+    return e1, e2
 
 
 def reconstruct_process(
@@ -465,7 +478,8 @@ def entanglement_fidelity(e1: np.ndarray, e2: np.ndarray) -> float:
 
     For unitary channels this equals |Tr(U^dag V)|^2 / 16.
     """
-    val = np.trace(_as_complex(e1) @ _as_complex(e2)) / 16.0
+    e1, e2 = _process_pair(e1, e2)
+    val = np.trace(e1 @ e2) / 16.0
     if abs(val.imag) > 1e-6:
         raise ValueError("process overlap has a large imaginary part")
     return float(val.real)
@@ -481,8 +495,10 @@ _PROBE_VECTORS, _PROBES = _product_states(
 
 
 def mean_state_fidelity(e1: np.ndarray, e2: np.ndarray) -> float:
-    """Average output-state fidelity over the 36 Pauli product eigenstates."""
-    return float(_state_fidelities(apply_process(e1, _PROBES), apply_process(e2, _PROBES)).mean())
+    """Average output-state fidelity over the 36 Pauli product eigenstates,
+    of two 16x16 process matrices."""
+    e1, e2 = _process_pair(e1, e2)
+    return float(_state_fidelities(_apply_process(e1, _PROBES), _apply_process(e2, _PROBES)).mean())
 
 
 def _mean_pure_state_fidelity(e: np.ndarray, u: np.ndarray) -> float:
@@ -490,7 +506,7 @@ def _mean_pure_state_fidelity(e: np.ndarray, u: np.ndarray) -> float:
     a completely positive e, in closed form: each ideal output U|probe> is
     pure."""
     ideals = (u @ _PROBE_VECTORS[..., None])[..., 0]
-    return float(np.mean(_pure_state_fidelities(apply_process(e, _PROBES), ideals)))
+    return float(np.mean(_pure_state_fidelities(_apply_process(e, _PROBES), ideals)))
 
 
 _DIM = 4  # Hilbert-space dimension of two qubits

@@ -1,11 +1,11 @@
 """Two-qubit unitaries on the faces, edges and corners of the Weyl chamber.
 
 A class (alpha, beta, delta) is built as expm(i (beta XX + alpha YY + delta
-ZZ) / 2) with scipy, independently of su4c's canonical_v. The faces are
-where two class angles are equal or one is 0 or pi/2; edges and corners are
-where several of these hold at once. FACE_PATTERNS lists every such pattern:
-each slot is a free angle "a" or "b" (slots with the same letter share the
-value) or a fixed 0 or pi/2.
+ZZ) / 2) with scipy, independently of su4c's canonical representative. The
+faces are where two class angles are equal or one is 0 or pi/2; edges and
+corners are where several of these hold at once. FACE_PATTERNS lists every
+such pattern: each slot is a free angle "a" or "b" (slots with the same
+letter share the value) or a fixed 0 or pi/2.
 """
 
 import math

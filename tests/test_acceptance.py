@@ -13,23 +13,19 @@ import time
 import numpy as np
 
 from born import exact_records
+from oracles import gate_matrix, r_pulse_triple
 from programs import program
 from reference_data import PINNED_ROWS, row_to_params
-from su4c.circuits import (
-    PULSE_COUNT,
-    circuit_to_unitary,
-    lower_to_pulses,
-    r_pulse_triple,
-)
+from su4c.circuits import PULSE_COUNT, circuit_to_unitary, lower_to_pulses
 from su4c.cli import main
 from su4c.compiler import decompose, local_invariants
 from su4c.experiment import (
     TOMOGRAPHY_INPUT_LABELS,
     exact_experiment,
 )
-from su4c.gates import G_GATE, gate_matrix, r_gate
+from su4c.gates import G_GATE, r_gate
 from su4c.haar import SeededRng, sample_su4
-from su4c.linalg import kron, phase_invariant_distance
+from su4c.linalg import phase_invariant_distance
 from su4c.tomography import (
     entanglement_fidelity,
     mean_fidelity_from_entanglement,
@@ -96,7 +92,7 @@ def test_criterion_03_compiler_round_trip():
     targets = [sample_su4(rng) for _ in range(1000)]
     targets += [I4, G_GATE.astype(complex)]
     for _ in range(10):  # forced locally degenerate inputs
-        targets.append(kron(random_su2(rng), random_su2(rng)))
+        targets.append(np.kron(random_su2(rng), random_su2(rng)))
     worst = 0.0
     for u in targets:
         worst = max(
@@ -112,7 +108,7 @@ def test_criterion_04_local_invariance():
     worst = 0.0
     for _ in range(500):
         u = sample_su4(rng)
-        dressed = kron(random_su2(rng), random_su2(rng)) @ u @ kron(
+        dressed = np.kron(random_su2(rng), random_su2(rng)) @ u @ np.kron(
             random_su2(rng), random_su2(rng)
         )
         worst = max(worst, wrap_gap(local_invariants(u), local_invariants(dressed)))
@@ -132,7 +128,7 @@ def test_criterion_05_pulse_lowering():
         worst = max(worst, float(np.max(np.abs(triple - r_gate(theta, phi)))))
 
     # fixed schedule: every compiled circuit has the same gate skeleton
-    specials = [I4, G_GATE.astype(complex), kron(random_su2(rng), random_su2(rng))]
+    specials = [I4, G_GATE.astype(complex), np.kron(random_su2(rng), random_su2(rng))]
     schedules = [
         lower_to_pulses(decompose(u))
         for u in specials + [sample_su4(rng) for _ in range(25)]

@@ -4,11 +4,11 @@ row of a stack, bit for bit, what they give that row alone.
 decompose_many, pulse_angles, _sample_su4_many, _estimate_states (linear
 and MLE) and _state_fidelities are bit-identical to one-at-a-time calls only
 because of these equalities; pulse_angles also reduces its phases with
-np.remainder where r_pulse_triple uses Python's %, and su2_params reads
-each modulus with np.hypot. They hold for numpy 2.4 on OpenBLAS 0.3.31, but
-they are not promised by numpy or by BLAS, so each one is asserted here on
-seeded stacks: an upgrade that breaks one fails the test named after it,
-not only an opaque digest in test_compile_corpus.
+np.remainder where the r_pulse_triple oracle uses Python's %, and
+_su2_params reads each modulus with np.hypot. They hold for numpy 2.4 on
+OpenBLAS 0.3.31, but they are not promised by numpy or by BLAS, so each one
+is asserted here on seeded stacks: an upgrade that breaks one fails the test
+named after it, not only an opaque digest in test_compile_corpus.
 The density-matrix pass adds its four-term sums in index order, on the
 transposes for qubit 1. The stacked draws rely on numpy filling a stacked
 draw row by row: one (2, 4, 4) standard normal draw gives the normals of
@@ -18,7 +18,7 @@ leaving the generator where the draws one at a time leave it. All are
 asserted at the end of this module. So are the steps of the compile and
 scoring paths that run as one stack with no per-row oracle, each on stacks
 of 1, 16 and 160 rows and on the same rows shuffled: np.arctan2 of the
-moduli (su2_params), the array square (state_fidelity), np.remainder of
+moduli (_su2_params), the array square (state_fidelity), np.remainder of
 the pair means (_class_angles), the quarter turns (_canonical_phase), the
 2x2 determinants ad - bc (_factor_tensor_product), the product of the
 global phases (decompose) and the division by _SLOT_ROOTS (pulse_angles).
@@ -160,7 +160,7 @@ def test_remainder_against_python_mod():
 
 @pytest.mark.parametrize("n", [1, 4, 9, 37, 2000])
 def test_hypot_against_abs_of_complex_scalar(n):
-    # on the strided real and imaginary views su2_params reads the moduli of
+    # on the strided real and imaginary views _su2_params reads the moduli of
     g = gen(12)
     m = g.standard_normal((n, 2, 2)) + 1j * g.standard_normal((n, 2, 2))
     m[: min(n, 4), 0, 0] = [complex(0.6, -0.0), complex(-0.0, 0.0), -1.0, 1j][:n]
@@ -497,7 +497,7 @@ def with_rows(x, rows):
 
 @pytest.mark.parametrize("n", STACKS)
 def test_arctan2_of_moduli(n):
-    # su2_params' 2 arctan2(|m10|, |m00|): unit pairs, many with |m10| tiny
+    # _su2_params' 2 arctan2(|m10|, |m00|): unit pairs, many with |m10| tiny
     y = 10.0 ** gen(43).uniform(-16.0, 0.0, n)
     edge = [[0.0, 1.0], [1.0, 0.0], [2.0**-1074, 1.0], [0.7071067811865476] * 2, [5e-9, 1.0]]
     pairs = with_rows(np.stack([y, np.sqrt(1.0 - y * y)], axis=1), np.array(edge))

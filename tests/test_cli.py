@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy_build import numpy_build
+from oracles import apply_channel
 from programs import program
 
 from su4c import circuits, cli, compiler, experiment, gates, haar, tomography
@@ -351,7 +352,7 @@ class TestBenchmark:
         for op in operations:
             u = sample_su4(stream)
             psi = experiment.input_state(op["input_state"])
-            rho = experiment.apply_channel(np.outer(psi, psi.conj()), program(u), NoiseModel(**NO_SIGMA_NOISE))
+            rho = apply_channel(np.outer(psi, psi.conj()), program(u), NoiseModel(**NO_SIGMA_NOISE))
             assert abs(op["fidelity"] - np.vdot(u @ psi, rho @ u @ psi).real) < 1e-12
         assert max(op["fidelity"] for op in operations) < 0.95  # the noise bites
 
@@ -582,7 +583,7 @@ class TestProcessTomo:
         u = nearest_unitary(matrix_from_obj(json.loads(Path(unitary_file).read_text()), (4, 4)))
         labels = experiment.TOMOGRAPHY_INPUT_LABELS
         outputs = [
-            experiment.apply_channel(np.outer(psi, psi.conj()), program(u), NoiseModel(**NO_SIGMA_NOISE))
+            apply_channel(np.outer(psi, psi.conj()), program(u), NoiseModel(**NO_SIGMA_NOISE))
             for psi in map(experiment.input_state, labels)
         ]
         process = tomography.reconstruct_process(list(zip(labels, outputs)))

@@ -41,11 +41,10 @@ from su4c import (
     nearest_unitary,
     pulse_angles,
     sample_su4,
-    to_magic,
     verify,
 )
 from su4c.compiler import _class_angles, _representatives
-from su4c.gates import _class_spectrum
+from su4c.gates import _class_spectrum, _to_magic
 from su4c.linalg import _special_unitary_projection
 
 CORPUS_SHA256 = "4dcdfc1fade30000c37198a222387a15f7b70728089c9d5f9375f60f494580bf"
@@ -148,7 +147,7 @@ def test_closed_form_representative_frames():
     su, _ = _special_unitary_projection(np.array(corpus()), DEFAULT_TOL)
     phases, _ = _class_spectrum(su, DEFAULT_TOL)
     vs, frames = _representatives(_class_angles(phases))
-    vm = to_magic(vs)
+    vm = _to_magic(vs)
     diagonal = frames.swapaxes(-1, -2) @ vm @ vm.swapaxes(-1, -2) @ frames
     want = np.zeros_like(diagonal)
     want[:, range(4), range(4)] = np.exp(1j * phases)

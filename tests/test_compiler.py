@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import canonical_v
 from reference_data import ONE_ROW_PER_MATRIX, PINNED_ROWS, row_to_params
 from su4c.circuits import CircuitParams, circuit_to_unitary
 from su4c.compiler import (
@@ -19,9 +20,9 @@ from su4c.compiler import (
     verify,
 )
 from su4c.config import DEFAULT_TOL
-from su4c.gates import G_GATE, canonical_v
+from su4c.gates import G_GATE
 from su4c.haar import SeededRng, sample_su4
-from su4c.linalg import NotUnitaryError, kron, nearest_unitary, phase_invariant_distance
+from su4c.linalg import NotUnitaryError, nearest_unitary, phase_invariant_distance
 
 I4 = np.eye(4, dtype=complex)
 SWAP = np.array(
@@ -67,9 +68,9 @@ class TestLocalInvariants:
         for _ in range(100):
             u = sample_su4(rng)
             dressed = (
-                kron(random_su2(rng), random_su2(rng))
+                np.kron(random_su2(rng), random_su2(rng))
                 @ u
-                @ kron(random_su2(rng), random_su2(rng))
+                @ np.kron(random_su2(rng), random_su2(rng))
             )
             assert wrap_gap(local_invariants(u), local_invariants(dressed)) < 1e-8
 
@@ -141,7 +142,7 @@ class TestDecompose:
     def test_local_product_round_trip(self):
         rng = SeededRng(139)
         for _ in range(50):
-            u = kron(random_su2(rng), random_su2(rng))
+            u = np.kron(random_su2(rng), random_su2(rng))
             params = decompose(u)
             assert np.max(np.abs(circuit_to_unitary(params) - u)) < 1e-9
 

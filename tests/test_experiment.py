@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from su4c.circuits import _pulses, compose_pulses
+from su4c.circuits import _pulses
 from su4c.experiment import (
     CALIBRATED_NOISE,
     MEASUREMENT_SETTINGS,
@@ -15,7 +15,6 @@ from su4c.experiment import (
     TOMOGRAPHY_INPUT_LABELS,
     MeasurementRecord,
     NoiseModel,
-    apply_channel,
     exact_experiment,
     input_state,
     run_experiment,
@@ -35,11 +34,12 @@ from su4c.experiment import (
     _pass_layout,
     _r_channel_values,
 )
-from su4c.gates import G_GATE, embed, r_gate, rz_gate
+from su4c.gates import G_GATE, r_gate, rz_gate
 from su4c.haar import SeededRng, sample_su4
-from su4c.linalg import _kron, kron
+from su4c.linalg import _kron
 from su4c.tomography import reconstruct_process
 from born import setting_probabilities
+from oracles import apply_channel, compose_pulses, embed
 from programs import program
 
 I4 = np.eye(4, dtype=complex)

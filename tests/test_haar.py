@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from su4c.config import DEFAULT_TOL
 from su4c.haar import SeededRng, sample_su4
-from su4c.linalg import is_unitary, special_unitary_projection
+from su4c.linalg import _special_unitary_projection, is_unitary
 
 
 class TestSeededRng:
@@ -105,6 +106,6 @@ class TestSampleSu4:
                 gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
             ) / np.sqrt(2.0)
             q, _ = np.linalg.qr(g)  # deliberately skipping the phase fix
-            su, _ = special_unitary_projection(q)
-            acc += abs(np.trace(su)) ** 2
+            su, _ = _special_unitary_projection(q[None], DEFAULT_TOL)
+            acc += abs(np.trace(su[0])) ** 2
         assert abs(acc / n - 1.0) > 0.5

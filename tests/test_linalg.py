@@ -1,7 +1,11 @@
 """Dense linear-algebra primitives: projections, joint diagonalization,
-tensor factoring, phase-invariant comparison, SU(2) angle readout."""
+tensor factoring, phase-invariant comparison, SU(2) angle readout.
+
+The kernels take stacks and trust their callers; the tests call them on
+one-row stacks of valid inputs through the helpers below."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -9,26 +13,58 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import PAULI_X
 from su4c.config import DEFAULT_TOL
-from su4c.gates import G_GATE, PAULI_X, PAULI_Z, r_gate, rz_gate, to_magic
+from su4c.gates import G_GATE, _PAULI_Z, _to_magic, r_gate, rz_gate
 from su4c.haar import SeededRng, sample_su4
 from su4c.linalg import (
     NotAProductError,
     _canonicalize,
-    NotUnitaryError,
+    _factor_tensor_product,
+    _joint_real_eigensystem,
+    _kron,
+    _special_unitary_projection,
     _su2_params,
-    factor_tensor_product,
     is_unitary,
-    joint_real_diagonalization,
-    kron,
     nearest_unitary,
     phase_invariant_distance,
-    special_unitary_projection,
-    su2_params,
 )
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
+
+
+def _row(m):
+    return np.asarray(m, dtype=complex)[None]
+
+
+def special_unitary_projection(u):
+    """(su, phase) of one unitary."""
+    su, phases = _special_unitary_projection(_row(u), DEFAULT_TOL)
+    return su[0], complex(phases[0])
+
+
+class EigenSystem(NamedTuple):
+    phases: np.ndarray
+    vectors: np.ndarray
+
+
+def joint_real_diagonalization(w):
+    """The sorted, sign-fixed real eigensystem of one unitary symmetric w."""
+    phases, vectors = _canonicalize(*_joint_real_eigensystem(_row(w), DEFAULT_TOL))
+    return EigenSystem(phases[0], vectors[0])
+
+
+def factor_tensor_product(m):
+    """(a, b, phase) of one 4x4 unitary product."""
+    a, b, phases = _factor_tensor_product(_row(m), DEFAULT_TOL)
+    return a[0], b[0], complex(phases[0])
+
+
+def su2_params(m):
+    """(theta, phi, phiz, sign) of one det-1 2x2 unitary, sign an int."""
+    theta, phi, phiz, sign = _su2_params(_row(m), DEFAULT_TOL)[0].tolist()
+    return theta, phi, phiz, int(sign)
 
 
 def random_orthogonal(rng, n=4):
@@ -49,15 +85,15 @@ def random_su2(rng):
 
 class TestKron:
     def test_identity(self):
-        assert np.array_equal(kron(I2, I2), I4)
+        assert np.array_equal(_kron(I2, I2), I4)
 
     def test_pauli_zz(self):
-        assert np.allclose(kron(PAULI_Z, PAULI_Z), np.diag([1, -1, -1, 1]))
+        assert np.allclose(_kron(_PAULI_Z, _PAULI_Z), np.diag([1, -1, -1, 1]))
 
     def test_first_factor_acts_on_first_qubit(self):
         # R(pi,0) = -i sigma_x flips the first qubit of |down,up>
         state = np.array([0, 0, 1, 0], dtype=complex)
-        out = kron(r_gate(math.pi, 0.0), I2) @ state
+        out = _kron(r_gate(math.pi, 0.0), I2) @ state
         assert np.allclose(out, [-1j, 0, 0, 0], atol=1e-12)
 
 
@@ -66,7 +102,7 @@ class TestKron:
         for _ in range(200):
             a, b = random_su2(rng), random_su2(rng)
             for x, y in ((a, b), (a, I2), (I2, b), (PAULI_X, b)):
-                assert kron(x, y).tobytes() == np.kron(x, y).tobytes()
+                assert _kron(x, y).tobytes() == np.kron(x, y).tobytes()
 
 
 class TestIsUnitary:
@@ -113,10 +149,6 @@ class TestSpecialUnitaryProjection:
             assert -math.pi / 4.0 - 1e-12 < np.angle(phase) <= math.pi / 4.0 + 1e-12
             assert np.allclose(phase * su, u, atol=1e-12)
 
-    def test_rejects_non_unitary(self):
-        with pytest.raises(NotUnitaryError):
-            special_unitary_projection(np.ones((4, 4)))
-
 
 class TestJointRealDiagonalization:
     def test_identity(self):
@@ -133,7 +165,7 @@ class TestJointRealDiagonalization:
 
     def test_entangling_gate_product(self):
         su, _ = special_unitary_projection(G_GATE)
-        m = to_magic(su)
+        m = _to_magic(su)
         w = m @ m.T
         sys = joint_real_diagonalization(w)
         self._check_reconstruction(w, sys)
@@ -176,11 +208,6 @@ class TestJointRealDiagonalization:
             sys = joint_real_diagonalization(w)
             rebuilt = sys.vectors @ np.diag(np.exp(1j * sys.phases)) @ sys.vectors.T
             assert np.max(np.abs(rebuilt - w)) < 1e-9
-
-    def test_rejects_asymmetric(self):
-        u = sample_su4(SeededRng(5))
-        with pytest.raises(ValueError):
-            joint_real_diagonalization(u)
 
 
 def _canonicalize_sorted(phases, vectors):
@@ -334,12 +361,12 @@ class TestNearestUnitary:
 class TestFactorTensorProduct:
     def test_identity(self):
         a, b, phase = factor_tensor_product(I4)
-        assert np.allclose(phase * kron(a, b), I4, atol=1e-12)
+        assert np.allclose(phase * _kron(a, b), I4, atol=1e-12)
 
     def test_single_qubit_embedding(self):
-        m = kron(-1j * PAULI_X, I2)
+        m = _kron(-1j * PAULI_X, I2)
         a, b, phase = factor_tensor_product(m)
-        assert np.allclose(phase * kron(a, b), m, atol=1e-12)
+        assert np.allclose(phase * _kron(a, b), m, atol=1e-12)
         assert abs(np.linalg.det(a) - 1.0) < 1e-12
         assert abs(np.linalg.det(b) - 1.0) < 1e-12
 
@@ -353,9 +380,9 @@ class TestFactorTensorProduct:
             a = random_su2(rng)
             b = random_su2(rng)
             k = rng.generator.integers(0, 4)
-            m = (1j) ** k * kron(a, b)
+            m = (1j) ** k * _kron(a, b)
             fa, fb, phase = factor_tensor_product(m)
-            assert np.max(np.abs(phase * kron(fa, fb) - m)) < 1e-9
+            assert np.max(np.abs(phase * _kron(fa, fb) - m)) < 1e-9
             assert abs(np.linalg.det(fa) - 1.0) < 1e-9
             assert abs(np.linalg.det(fb) - 1.0) < 1e-9
 
@@ -532,15 +559,3 @@ class TestSu2Params:
         # must carry the -1
         m = np.diag([complex(-1.0, -0.0), complex(-1.0, 0.0)])
         assert su2_params(m) == (0.0, 0.0, 0.0, -1)
-
-    def test_rejects_non_unit_determinant(self):
-        with pytest.raises(ValueError):
-            su2_params(PAULI_X)  # unitary but det -1
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(NotUnitaryError):
-            su2_params(2.0 * I2)
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            su2_params(I4)

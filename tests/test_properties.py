@@ -17,10 +17,10 @@ import numpy as np
 from chamber import FACE_PATTERNS, face_angles, interaction
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import compose_pulses
 
 from su4c import (
     DEFAULT_TOL,
-    compose_pulses,
     decompose,
     local_invariants,
     lower_to_pulses,

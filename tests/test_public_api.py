@@ -1,6 +1,7 @@
 """The public surface: every exported name resolves, so a star import of
 the package or of any of its modules works; the package exports exactly
-what its modules export; and no function takes a parameter it never reads."""
+what its modules export, the pinned list below; the benchmark's traced
+names resolve; and no function takes a parameter it never reads."""
 
 import ast
 import importlib
@@ -38,6 +39,52 @@ def test_package_exports_the_module_lists():
     union = [name for m in PACKAGE_MODULES for name in importlib.import_module(f"su4c.{m}").__all__]
     assert len(set(union)) == len(union), "a name exported by two modules"
     assert sorted(su4c.__all__) == sorted(["__version__", *union])
+
+
+# The pipeline: compile, verify and lower; the executor; tomography and its
+# scores; the names they take and return; and the tolerances. Widening or
+# narrowing it is a change to this list.
+PUBLIC_NAMES = [
+    "CALIBRATED_NOISE", "CircuitParams", "ClassParams", "DEFAULT_TOL", "G_GATE", "GateElement",
+    "LocalGate", "MEASUREMENT_SETTINGS", "MeasurementRecord", "NoiseModel", "NotAProductError",
+    "NotUnitaryError", "PULSE_COUNT", "RealityViolationError", "STATE_LABELS", "SeededRng",
+    "TOMOGRAPHY_INPUT_LABELS", "Tolerances", "VerificationReport", "__version__",
+    "circuit_to_unitary", "class_parameters", "decompose", "decompose_many",
+    "entanglement_fidelity", "exact_experiment", "input_state", "is_unitary", "local_invariants",
+    "lower_to_pulses", "mean_fidelity_from_entanglement", "mean_state_fidelity", "nearest_unitary",
+    "phase_invariant_distance", "process_matrix_of_unitary", "pulse_angles", "r_gate",
+    "reconstruct_process", "reconstruct_state", "run_experiment", "run_experiments", "rz_gate",
+    "sample_su4", "state_fidelity", "tolerances_from_env", "verify",
+]
+
+
+def test_package_exports_the_pinned_list():
+    assert len(PUBLIC_NAMES) == 46
+    assert sorted(su4c.__all__) == PUBLIC_NAMES
+
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def traced_names() -> dict:
+    """perfbench's TRACED table, span name -> (module, attribute), read from
+    the source without importing the benchmark."""
+    for node in ast.parse(TRACING.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no TRACED table in {TRACING}")
+
+
+def test_benchmark_names_resolve():
+    # the traced benchmark run looks these up with getattr, and reads the
+    # pulse count, the child streams and the default tolerances
+    traced = traced_names()
+    assert traced
+    missing = [f"{m}.{a}" for m, a in traced.values() if not callable(getattr(importlib.import_module(m), a, None))]
+    assert missing == []
+    assert su4c.PULSE_COUNT == 35
+    assert callable(su4c.SeededRng.spawn)
+    assert isinstance(su4c.DEFAULT_TOL, su4c.Tolerances)
 
 
 def unread_parameters(path: Path) -> list[str]:

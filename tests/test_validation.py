@@ -9,37 +9,27 @@ to targets quoted to a few decimals.
 
 import numpy as np
 import pytest
+from oracles import check_density_matrix
 
 from su4c import (
     NotUnitaryError,
     SeededRng,
-    check_density_matrix,
     class_parameters,
-    class_spectrum,
     decompose,
-    factor_tensor_product,
-    from_magic,
-    joint_real_diagonalization,
+    entanglement_fidelity,
     local_invariants,
-    r_gate,
-    rz_gate,
+    mean_state_fidelity,
+    process_matrix_of_unitary,
     sample_su4,
-    special_unitary_projection,
-    su2_params,
-    to_magic,
+    state_fidelity,
     verify,
 )
+from su4c.gates import _from_magic
 
 U = sample_su4(SeededRng(11))
-LOCAL = np.kron(r_gate(0.4, 1.2) @ rz_gate(0.3), r_gate(2.0, -0.7))
-SU2 = rz_gate(0.9) @ r_gate(1.3, 0.2)
-# symmetric (u @ u.T in the magic frame) but not unitary
-SYMMETRIC = 1.1 * to_magic(U) @ to_magic(U).T
-# det 1 but not unitary: the determinant gate passes, the unitarity one fires
-DET_ONE = np.diag([1.1, 1.0 / 1.1, 1.0, 1.0]).astype(complex)
 # complex orthogonal in the magic frame, det 1 and not unitary: its
 # magic-frame product u @ u.T is the identity, so only a test of u itself
-# rejects it
+# keeps it from reading as the identity's class
 COMPLEX_ORTHOGONAL = np.eye(4, dtype=complex)
 COMPLEX_ORTHOGONAL[:2, :2] = [[np.cosh(0.7), 1j * np.sinh(0.7)], [-1j * np.sinh(0.7), np.cosh(0.7)]]
 
@@ -48,16 +38,8 @@ CASES = {
     "verify": (lambda: verify(1.1 * U, decompose(U)), NotUnitaryError),
     "local_invariants": (lambda: local_invariants(1.1 * U), NotUnitaryError),
     "class_parameters": (lambda: class_parameters(1.1 * U), NotUnitaryError),
-    "special_unitary_projection": (lambda: special_unitary_projection(1.1 * U), NotUnitaryError),
-    "joint_real_diagonalization": (lambda: joint_real_diagonalization(SYMMETRIC), NotUnitaryError),
-    "factor_tensor_product": (lambda: factor_tensor_product(1.1 * LOCAL), NotUnitaryError),
-    "su2_params": (lambda: su2_params(1.1 * SU2), NotUnitaryError),
-    "su2_params_det": (lambda: su2_params(1j * SU2), ValueError),
-    "class_spectrum": (lambda: class_spectrum(1.1 * U), ValueError),
-    "class_spectrum_det_one": (lambda: class_spectrum(DET_ONE), NotUnitaryError),
-    "class_spectrum_det": (lambda: class_spectrum(1j ** 0.5 * U), ValueError),
-    "class_spectrum_complex_orthogonal": (
-        lambda: class_spectrum(from_magic(COMPLEX_ORTHOGONAL)), NotUnitaryError
+    "local_invariants_complex_orthogonal": (
+        lambda: local_invariants(_from_magic(COMPLEX_ORTHOGONAL)), NotUnitaryError
     ),
 }
 
@@ -75,9 +57,8 @@ def test_public_function_rejects_bad_input(name):
 SHAPE_CASES = {
     "decompose_stack": lambda: decompose(np.stack([U, U])),
     "decompose_vector": lambda: decompose(U[0]),
-    "local_invariants": lambda: local_invariants(SU2),
-    "class_parameters": lambda: class_parameters(SU2),
-    "class_spectrum": lambda: class_spectrum(SU2),
+    "local_invariants": lambda: local_invariants(np.eye(2)),
+    "class_parameters": lambda: class_parameters(np.eye(2)),
     "verify_target": lambda: verify(np.eye(2), decompose(U)),
 }
 
@@ -89,9 +70,10 @@ def test_public_function_names_a_wrong_shape(name):
     assert info.type is ValueError
 
 
-# A density matrix may be any size, but must be one square matrix: a stack
-# holding a valid state, or a non-square array, is named as a wrong shape
-# rather than failing the Hermiticity test or a broadcast.
+# The density-matrix check of tests/oracles.py takes a matrix of any size,
+# but one square matrix: a stack holding a valid state, or a non-square
+# array, is named as a wrong shape rather than failing the Hermiticity test
+# or a broadcast.
 DENSITY_SHAPE_CASES = {
     "stack": np.eye(4)[None] / 4.0,
     "non_square": np.zeros((2, 3)),
@@ -106,6 +88,27 @@ def test_check_density_matrix_names_a_wrong_shape(name):
     assert info.type is ValueError
 
 
+# The scores name a wrong shape as well: a process matrix is 16x16, the
+# unitary of process_matrix_of_unitary 4x4, and the two states of
+# state_fidelity square matrices of one shape.
+SCORE_SHAPE_CASES = {
+    "entanglement_fidelity": (lambda: entanglement_fidelity(np.eye(4), np.eye(4)), "16x16"),
+    "entanglement_fidelity_second": (lambda: entanglement_fidelity(np.eye(16), np.eye(4)), "16x16"),
+    "mean_state_fidelity": (lambda: mean_state_fidelity(np.eye(4), np.eye(4)), "16x16"),
+    "process_matrix_of_unitary": (lambda: process_matrix_of_unitary(np.eye(2)), "4x4"),
+    "state_fidelity_vectors": (lambda: state_fidelity(np.full(4, 0.5), np.full(4, 0.5)), "square"),
+    "state_fidelity_mismatch": (lambda: state_fidelity(np.eye(4) / 4.0, np.eye(2) / 2.0), "4x4"),
+}
+
+
+@pytest.mark.parametrize("name", list(SCORE_SHAPE_CASES))
+def test_score_names_a_wrong_shape(name):
+    call, what = SCORE_SHAPE_CASES[name]
+    with pytest.raises(ValueError, match=f"expected a {what} matrix, got shape") as info:
+        call()
+    assert info.type is ValueError
+
+
 def test_cases_are_valid_without_the_defect():
     # the same calls on the repaired inputs succeed, so each case above is
     # rejected for its defect and nothing else
@@ -113,13 +116,13 @@ def test_cases_are_valid_without_the_defect():
     assert verify(U, params).passed
     local_invariants(U)
     class_parameters(U)
-    special_unitary_projection(U)
-    joint_real_diagonalization(SYMMETRIC / 1.1)
-    factor_tensor_product(LOCAL)
-    su2_params(SU2)
-    class_spectrum(U)
     check_density_matrix(np.eye(4) / 4.0)
     check_density_matrix(np.eye(2) / 2.0)
+    e = process_matrix_of_unitary(U)
+    assert entanglement_fidelity(e, e) == pytest.approx(1.0)
+    assert mean_state_fidelity(e, e) == pytest.approx(1.0)
+    assert state_fidelity(np.eye(4) / 4.0, np.eye(4) / 4.0) == pytest.approx(1.0)
+    assert state_fidelity(np.eye(2) / 2.0, np.eye(2) / 2.0) == pytest.approx(1.0)
 
 
 def test_bound_is_the_documented_one():
