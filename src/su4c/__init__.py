@@ -5,7 +5,10 @@ single-qubit letters around a canonical entangling block (`decompose`),
 lowered to the angles of one fixed calibrated pulse template (`pulse_angles`),
 executed on a simulated noisy device (`run_experiments`, or
 `run_experiment` for one program), and validated by state or process
-tomography and fidelity measures.
+tomography and fidelity measures. Data passes between the stages as
+arrays: angle rows (N, 32), count tables (N, 9, 4) with rows in
+`MEASUREMENT_SETTINGS` order, and the output states (16, 4, 4) of the
+preparations in `TOMOGRAPHY_INPUT_LABELS` order.
 
 The package exports the `__all__` of each of its eight modules; each module
 states its own public names once.

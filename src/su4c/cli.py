@@ -316,7 +316,7 @@ def _cmd_process_tomo(args) -> int:
         lambda k: "preparation {},{}".format(*labels[k]),
     )
     cp_projection = not args.no_cp_projection
-    est = reconstruct_process(list(zip(labels, ests)), cp_projection=cp_projection)
+    est = reconstruct_process(ests, cp_projection=cp_projection)
     ideal = process_matrix_of_unitary(u)
     f_ent = entanglement_fidelity(est, ideal)
     # the ideal outputs U|probe> are pure, so a completely positive estimate

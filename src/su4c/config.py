@@ -57,7 +57,7 @@ class Tolerances:
         the same at any shot count.
     mle_max_iter:
         Safety cap on the Newton steps of one maximum-likelihood estimate;
-        a record that reaches it is returned uncertified.
+        an estimate that reaches it is returned uncertified.
     """
 
     unitarity: float = 1e-8

@@ -3,15 +3,15 @@ execution of pulse programs, and projective measurement in the nine
 two-qubit Pauli settings.
 
 run_experiments samples the nine settings' counts of many programs in one
-call, and run_experiment is its one-program case; exact_experiment returns
-the exact Born probabilities of a noiseless program. These public entry
-points check their arguments once; the kernels below them name each
-preparation by its row in TOMOGRAPHY_INPUT_LABELS and trust their callers.
-Their record lists are the public form of the (N, 9, 4) arrays the package
-passes to the estimators: counts from the sampler, or the exact outcome
-probabilities under any noise model. A program is its row of 32 angles on
-the fixed pulse template, as pulse_angles emits it, compiled by the caller
-once per operation.
+call, as an int64 array (N, 9, 4), and run_experiment is its one-program
+case, (9, 4); exact_experiment returns the exact Born probabilities (9, 4)
+of a noiseless program. Rows follow MEASUREMENT_SETTINGS and columns the
+four outcomes, the form the estimators of the tomography module read.
+These public entry points check their arguments once; the kernels below
+them name each preparation by its row in TOMOGRAPHY_INPUT_LABELS and trust
+their callers. A program is its row of 32 angles on the fixed pulse
+template, as pulse_angles emits it, compiled by the caller once per
+operation.
 
 Noise model, applied to a lowered pulse sequence:
   * every R pulse's rotation angle is scaled by (1 + eps) with eps drawn
@@ -41,7 +41,7 @@ pulse channel maps I/4 to itself, so each mix commutes with every later
 pulse. One density-matrix pass per (program, preparation) thus gives the
 exact p of all nine settings at any shot count. run_experiments draws each
 program's counts as one multinomial from that program's own rng, so a
-program's records do not depend on the others in the call; the pass runs
+program's counts do not depend on the others in the call; the pass runs
 the programs together along the template, with no sum across programs. The
 CLI's runs instead draw the counts of a whole stack of programs as one
 multinomial from one stream (_sample_counts), in program order.
@@ -72,7 +72,6 @@ __all__ = [
     "MEASUREMENT_SETTINGS",
     "CALIBRATED_NOISE",
     "NoiseModel",
-    "MeasurementRecord",
     "input_state",
     "run_experiments",
     "run_experiment",
@@ -154,20 +153,6 @@ class NoiseModel:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """Counts for one measurement setting.
-
-    counts follows the computational-basis outcome order after the setting's
-    prerotations. Reconstruction reads only the frequencies, so exact
-    (infinite-shot) surrogates can carry probabilities instead of counts.
-    """
-
-    setting: tuple[str, str]
-    counts: tuple[float, float, float, float]
-    shots: int
 
 
 def _pass_layout(m: np.ndarray) -> np.ndarray:
@@ -309,13 +294,6 @@ def _outcome_probabilities(angles, prepared, noise: NoiseModel) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
-def _records(counts, shots: int) -> list[MeasurementRecord]:
-    return [
-        MeasurementRecord(setting, tuple(c.tolist()), shots)
-        for setting, c in zip(MEASUREMENT_SETTINGS, counts)
-    ]
-
-
 def _sample_counts(angles, prepared, noise: NoiseModel, shots: int, rng: SeededRng) -> np.ndarray:
     """The counts (N, 9, 4) of the program angles[i] run on the preparation
     row prepared[i]: one multinomial of shots per setting, all drawn from rng
@@ -339,18 +317,17 @@ def run_experiments(
     noise: NoiseModel,
     shots_per_setting: int,
     rngs: Sequence[SeededRng],
-) -> list[list[MeasurementRecord]]:
+) -> np.ndarray:
     """Prepare each labeled product state, execute its pulse program, and
-    sample the counts of all nine settings: the records of the program
-    angles[i], a row of the (N, 32) table pulse_angles returns, run on
-    labels[i] with rngs[i].
+    sample the counts of all nine settings: the counts (N, 9, 4), int64, of
+    the program angles[i], a row of the (N, 32) table pulse_angles returns,
+    run on labels[i] with rngs[i].
 
     Every shot sees a fresh noise realization, so each setting's counts are
     Multinomial(shots, p) with p its exact outcome distribution under the
     noise model; each program draws them as one multinomial over its nine
-    settings from its own rng. Each program's records depend only on its
-    own arguments, not on the others in the call. The public record form of
-    the package's (N, 9, 4) count sampler.
+    settings from its own rng. Each program's counts depend only on its own
+    arguments, not on the others in the call.
     """
     shots = _shot_count(shots_per_setting)
     table = _angle_table(angles, 2)
@@ -361,7 +338,8 @@ def run_experiments(
             "one label and one rng per program"
         )
     p = _outcome_probabilities(table, prepared, noise)
-    return [_records(rng.generator.multinomial(shots, pi), shots) for pi, rng in zip(p, rngs)]
+    counts = [rng.generator.multinomial(shots, pi) for pi, rng in zip(p, rngs)]
+    return np.array(counts, dtype=np.int64).reshape(-1, 9, 4)
 
 
 def run_experiment(
@@ -370,18 +348,19 @@ def run_experiment(
     noise: NoiseModel,
     shots_per_setting: int,
     rng: SeededRng,
-) -> list[MeasurementRecord]:
+) -> np.ndarray:
     """Prepare the labeled product state, execute the program, an angle row
-    (32,), and sample the counts of all nine settings: run_experiments of
-    one program."""
+    (32,), and sample the counts (9, 4) of all nine settings: run_experiments
+    of one program."""
     return run_experiments(_angle_table(angles, 1)[None], [label], noise, shots_per_setting, [rng])[0]
 
 
-def exact_experiment(angles: np.ndarray, label: Sequence[str]) -> list[MeasurementRecord]:
-    """Infinite-shot records of the noiseless program, an angle row (32,):
-    the records carry exact Born probabilities instead of sampled counts."""
+def exact_experiment(angles: np.ndarray, label: Sequence[str]) -> np.ndarray:
+    """The exact Born probabilities (9, 4) of the noiseless program, an
+    angle row (32,), on the labeled preparation: the infinite-shot limit of
+    the frequencies, which the estimators read in place of counts."""
     table = _angle_table(angles, 1)[None]
-    return _records(_outcome_probabilities(table, [_preparation_index(label)], NoiseModel())[0], 1)
+    return _outcome_probabilities(table, [_preparation_index(label)], NoiseModel())[0]
 
 
 # Stored profile for demonstration runs: tuned so the packaged benchmark's

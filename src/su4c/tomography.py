@@ -1,9 +1,12 @@
 """State and process tomography for two qubits, plus fidelity measures.
 
 State reconstruction consumes the nine-setting counts of the experiment
-module (an (N, 9, 4) array; record lists at the public boundary) and shares
-its prerotation convention, so the POVM elements here are by construction
-the ones the counts were drawn from.
+module, a (9, 4) table per state with rows in MEASUREMENT_SETTINGS order
+and the package's stacks (N, 9, 4) inside, and shares its prerotation
+convention, so the POVM elements here are by construction the ones the
+counts were drawn from. Process reconstruction consumes the 16 output
+states of the preparations in TOMOGRAPHY_INPUT_LABELS order, a (16, 4, 4)
+stack.
 
 The process matrix convention: a channel E acting on two qubits is stored
 as the 16x16 block matrix whose (i, j) block (rows 4i..4i+3, columns
@@ -14,19 +17,12 @@ trace preservation fixes the partial trace of its diagonal blocks.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .experiment import (
-    MEASUREMENT_SETTINGS,
-    MeasurementRecord,
-    _EFFECTS,
-    _PREPARED_STATES,
-    _preparation_index,
-    _product_states,
-)
+from .experiment import _EFFECTS, _PREPARED_STATES, _product_states
 from .linalg import _as_complex, _kron, _require_shape
 
 __all__ = [
@@ -67,43 +63,18 @@ _LINEAR_MAP = (_ALL_PAULIS.reshape(16, 16).T * _SETTING_WEIGHTS) @ _SIGNS.T / 36
 _LINEAR_MAP.flags.writeable = False
 
 
-def _count_table(counts, shape: tuple) -> "np.ndarray | None":
-    """counts as a float array of shape, or None unless every entry is a
+def _count_table(counts) -> np.ndarray:
+    """counts as a float (9, 4) table; ValueError unless every entry is a
     finite count >= 0 and every row has a positive total."""
     try:
         c = np.array(counts, dtype=float)
-    except (TypeError, ValueError):
-        return None
-    ok = c.shape == shape and np.all((c >= 0.0) & (c < np.inf)) and np.all(c.sum(axis=-1) > 0.0)
-    return c if ok else None
-
-
-def _count_array(records_list: Sequence[Sequence[MeasurementRecord]]) -> np.ndarray:
-    """The counts (N, 9, 4) of each list of records, in MEASUREMENT_SETTINGS
-    order; every list must hold all nine settings exactly once, each with
-    four finite counts >= 0 and a positive total."""
-    ordered = []
-    for records in records_list:
-        seen = {}
-        for rec in records:
-            setting = (rec.setting[0], rec.setting[1])
-            if setting not in MEASUREMENT_SETTINGS:
-                raise ValueError(f"unknown measurement setting {setting}")
-            if setting in seen:
-                raise ValueError(f"duplicate measurement setting {setting}")
-            seen[setting] = rec
-        missing = [s for s in MEASUREMENT_SETTINGS if s not in seen]
-        if missing:
-            raise ValueError(f"records missing settings {missing}")
-        ordered += [seen[s] for s in MEASUREMENT_SETTINGS]
-    counts = _count_table([rec.counts for rec in ordered] or np.zeros((0, 4)), (len(ordered), 4))
-    if counts is None:  # name the first bad record
-        bad = next(rec for rec in ordered if _count_table(rec.counts, (4,)) is None)
-        raise ValueError(
-            f"record {bad.setting} has counts {bad.counts!r}, "
-            "not four finite counts >= 0 with a positive total"
-        )
-    return counts.reshape(-1, 9, 4)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"counts must be an array of numbers: {exc}") from None
+    if c.shape != (9, 4):
+        raise ValueError(f"counts must have shape (9, 4), one row per measurement setting, got {c.shape}")
+    if not (np.all((c >= 0.0) & (c < np.inf)) and np.all(c.sum(axis=-1) > 0.0)):
+        raise ValueError("counts must be finite and >= 0, with a positive total in every row")
+    return c
 
 
 def _frequency_rows(counts: np.ndarray) -> np.ndarray:
@@ -127,7 +98,7 @@ def _clip_to_density(m: np.ndarray) -> np.ndarray:
 
 
 def _linear_estimates(counts: np.ndarray) -> np.ndarray:
-    """Linear estimates of the records of a count array (N, 9, 4): the
+    """Linear estimates of the tables of a count array (N, 9, 4): the
     fixed pseudo-inverse _LINEAR_MAP applied to each frequency row, then
     the batched clip. The map is an elementwise product and a sum over
     each row's own axis, with no BLAS call, so a row's bits depend neither
@@ -176,16 +147,16 @@ _ARMIJO = 0.25
 _HALVINGS = 50
 
 # Every product below is an elementwise operation or a stacked matmul,
-# eigh, eigvalsh or solve whose slices are the calls one record makes
-# alone, and every step size and mu is a row's own, so a stacked record
+# eigh, eigvalsh or solve whose slices are the calls one table makes
+# alone, and every step size and mu is a row's own, so a stacked table
 # gets the bits it gets alone; tests/test_batch_primitives.py pins each.
 
 
 class _MleFit(NamedTuple):
-    """What _mle_estimates returns for a stack of N records."""
+    """What _mle_estimates returns for a stack of N count tables."""
 
     states: np.ndarray  # (N, 4, 4) positive definite, trace one
-    steps: np.ndarray  # (N,) Newton steps each record took
+    steps: np.ndarray  # (N,) Newton steps each table took
     certificates: np.ndarray  # (N,) lambda_max(R(rho)) - 1 at the state returned
 
 
@@ -266,7 +237,7 @@ def _step_sizes(shares, probs, mu, vals, vecs, step, decrement) -> np.ndarray:
 
 
 def _mle_estimates(counts: np.ndarray, tol: Tolerances) -> _MleFit:
-    """MLE state of each record of a count array (N, 9, 4), with the steps
+    """MLE state of each table of a count array (N, 9, 4), with the steps
     and the certificate of each."""
     counts = np.asarray(counts, dtype=float).reshape(-1, 36)
     return _mle_stack(counts / counts.sum(axis=-1, keepdims=True), tol)
@@ -275,12 +246,12 @@ def _mle_estimates(counts: np.ndarray, tol: Tolerances) -> _MleFit:
 def _mle_stack(shares: np.ndarray, tol: Tolerances) -> _MleFit:
     """Maximise the per-shot log-likelihood sum_k share_k log p_k of each
     row of a stack of outcome shares (B, 36) (each outcome's count over the
-    record's total) over positive definite trace-one rho, by damped Newton
+    table's total) over positive definite trace-one rho, by damped Newton
     steps on the barrier objective log-likelihood + mu log det rho.
 
     For every density matrix sigma, concavity gives L(sigma) - L(rho) <=
     Tr(R(rho) sigma) - Tr(R(rho) rho) <= lambda_max(R(rho)) - 1, as Tr(R(rho)
-    rho) = 1. A record leaves the stack once that certificate is at most
+    rho) = 1. A row leaves the stack once that certificate is at most
     tol.mle_stop, or after tol.mle_max_iter steps, uncertified."""
     n = len(shares)
     found = np.empty((n, 15))
@@ -319,11 +290,14 @@ def _mle_stack(shares: np.ndarray, tol: Tolerances) -> _MleFit:
 
 
 def reconstruct_state(
-    records: Sequence[MeasurementRecord],
+    counts: np.ndarray,
     method: str = "linear",
     tol: Tolerances = DEFAULT_TOL,
 ) -> np.ndarray:
-    """Density matrix from counts over the nine measurement settings.
+    """Density matrix from the counts (9, 4) of the nine measurement
+    settings, rows in MEASUREMENT_SETTINGS order, as run_experiment returns
+    them; only the frequencies are read, so exact_experiment's
+    probabilities stand in for infinite-shot counts.
 
     method "linear": the least-squares inversion of the Born equations,
     applied as one fixed pseudo-inverse, then its negative eigenvalues
@@ -333,10 +307,10 @@ def reconstruct_state(
     damped Newton steps on a log-det barrier path. The estimate is positive
     definite, and its per-shot log-likelihood is within tol.mle_stop of the
     maximum over all density matrices, certified by lambda_max(R(rho)) - 1
-    <= tol.mle_stop; a record not certified after tol.mle_max_iter steps
+    <= tol.mle_stop; an estimate not certified after tol.mle_max_iter steps
     returns its last state.
     """
-    return _estimate_states(_count_array([records]), method, tol)[0]
+    return _estimate_states(_count_table(counts)[None], method, tol)[0]
 
 
 def _estimate_states(counts: np.ndarray, method: str, tol: Tolerances) -> np.ndarray:
@@ -420,32 +394,25 @@ def _process_pair(e1, e2) -> tuple[np.ndarray, np.ndarray]:
 
 
 def reconstruct_process(
-    pairs: Sequence[tuple],
+    outputs: np.ndarray,
     cp_projection: bool = True,
 ) -> np.ndarray:
-    """Process matrix from reconstructed outputs of spanning preparations.
+    """Process matrix from the reconstructed output states (16, 4, 4) of the
+    16 preparations, in TOMOGRAPHY_INPUT_LABELS order.
 
-    pairs: (input label, output density matrix) for preparations that span
-    the operator space, normally the 16 labels in TOMOGRAPHY_INPUT_LABELS.
-    Each output is linear in its input, so all 16 blocks E(|i><j|) are one
-    least-squares solve against the prepared inputs. The result is then
-    hermitized and shifted onto the trace-preserving set; with cp_projection
-    a clip of the negative part (complete positivity) and that shift then
-    alternate until the clip has nothing left to do, or for at most 200
-    rounds, which is not reported. On exact data of a unitary channel each
-    step is a no-op.
+    The preparations span the operator space and each output is linear in
+    its input, so all 16 blocks E(|i><j|) are one least-squares solve
+    against the prepared inputs. The result is then hermitized and shifted
+    onto the trace-preserving set; with cp_projection a clip of the
+    negative part (complete positivity) and that shift then alternate until
+    the clip has nothing left to do, or for at most 200 rounds, which is not
+    reported. On exact data of a unitary channel each step is a no-op.
     """
-    if len(pairs) < 16:
-        raise ValueError("need at least 16 input/output pairs")
-    x = _PREPARED_STATES[[_preparation_index(label) for label, _ in pairs]].reshape(-1, 16)
-    outs = np.stack([_as_complex(rho_out) for _, rho_out in pairs])
-    if outs.shape[1:] != (4, 4):
-        raise ValueError(f"each output must be a 4x4 matrix, got shape {outs.shape[1:]}")
-    outs = outs.reshape(-1, 16)
+    outs = _as_complex(outputs)
+    if outs.shape != (16, 4, 4):
+        raise ValueError(f"outputs must be the 16 output states as a (16, 4, 4) stack, got shape {outs.shape}")
     # row 4i + j of blocks is vec E(|i><j|)
-    blocks, _, rank, _ = np.linalg.lstsq(x, outs, rcond=None)
-    if rank < 16:
-        raise ValueError("input preparations do not span the operator space")
+    blocks = np.linalg.lstsq(_PREPARED_STATES.reshape(16, 16), outs.reshape(16, 16), rcond=None)[0]
     e = blocks.reshape(4, 4, 4, 4).swapaxes(1, 2).reshape(16, 16)
     e = 0.5 * (e + e.conj().T)
     e = _tp_correct(e)

@@ -1,15 +1,15 @@
 """Born probabilities of a density matrix in the nine measurement settings,
-for tests that need exact records of a given state.
+for tests that need the exact count table of a given state.
 
 Outcome k of a setting with prerotation frame W has probability
 <k| W rho W^dagger |k>. The frames come from experiment._SETTING_FRAMES, the
 ones the executor measures in, and not from tomography's stacked POVM rows,
-so the records stay an independent input to the reconstruction under test.
+so the table stays an independent input to the reconstruction under test.
 """
 
 import numpy as np
 
-from su4c.experiment import _SETTING_FRAMES, MEASUREMENT_SETTINGS, MeasurementRecord
+from su4c.experiment import _SETTING_FRAMES, MEASUREMENT_SETTINGS
 
 
 def setting_probabilities(rho, setting):
@@ -20,9 +20,7 @@ def setting_probabilities(rho, setting):
     return p / p.sum()
 
 
-def exact_records(rho):
-    """Infinite-shot records of rho: probabilities in place of counts."""
-    return [
-        MeasurementRecord(s, tuple(float(p) for p in setting_probabilities(rho, s)), 1)
-        for s in MEASUREMENT_SETTINGS
-    ]
+def exact_table(rho):
+    """The infinite-shot count table (9, 4) of rho: probabilities in place
+    of counts, rows in MEASUREMENT_SETTINGS order."""
+    return np.array([setting_probabilities(rho, s) for s in MEASUREMENT_SETTINGS])

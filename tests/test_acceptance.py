@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from born import exact_records
+from born import exact_table
 from oracles import gate_matrix, r_pulse_triple
 from programs import program
 from reference_data import PINNED_ROWS, row_to_params
@@ -158,18 +158,18 @@ def test_criterion_06_exact_tomography_inversion():
         )
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
-        est = reconstruct_state(exact_records(rho), method="linear")
+        est = reconstruct_state(exact_table(rho), method="linear")
         worst_state = max(worst_state, float(np.max(np.abs(est - rho))))
 
     worst_process = 0.0
     for _ in range(100):
         u = sample_su4(rng)
         pulses = program(u)
-        pairs = [
-            (label, reconstruct_state(exact_experiment(pulses, label), method="linear"))
+        outputs = [
+            reconstruct_state(exact_experiment(pulses, label), method="linear")
             for label in TOMOGRAPHY_INPUT_LABELS
         ]
-        est = reconstruct_process(pairs)
+        est = reconstruct_process(outputs)
         worst_process = max(
             worst_process, float(np.max(np.abs(est - process_matrix_of_unitary(u))))
         )

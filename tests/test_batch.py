@@ -13,8 +13,8 @@ one-matrix clip, and against the least-squares solve the map replaced, to
 rounding; the fidelities against the one-matrix code written out, the
 closed-form fidelities against pure states against
 state_fidelity to rounding, and the stacked MLE against the same solver
-on one record. The public record path must give each record what the
-(N, 9, 4) count array core gives its row.
+on one table. The public one-table path must give each count table what
+the (N, 9, 4) count array core gives its row.
 """
 
 import dataclasses
@@ -22,16 +22,14 @@ import hashlib
 
 import numpy as np
 import pytest
-from born import exact_records
+from born import exact_table
 from numpy_build import numpy_build
 from test_cli import count_calls
 from test_compile_corpus import CORPUS_SHA256, NAMED, _dress, _fields, corpus
-from test_tomography import count_table, random_density
+from test_tomography import random_density
 
 from su4c import (
     CALIBRATED_NOISE,
-    MEASUREMENT_SETTINGS,
-    MeasurementRecord,
     TOMOGRAPHY_INPUT_LABELS,
     NotUnitaryError,
     SeededRng,
@@ -56,7 +54,6 @@ from su4c.tomography import (
     _LINEAR_MAP,
     _POVM_ROWS,
     _clip_to_density,
-    _count_array,
     _estimate_states,
     _frequency_rows,
     _linear_estimates,
@@ -203,16 +200,15 @@ def one_matrix_linear_freqs(freqs):
 
 
 def lstsq_linear_freqs(freqs):
-    """The per-record least-squares solve the map replaced: equal to
+    """The per-table least-squares solve the map replaced: equal to
     one_matrix_linear_freqs only to rounding."""
     vec, *_ = np.linalg.lstsq(_POVM_ROWS, np.asarray(freqs, dtype=complex), rcond=None)
     return one_matrix_clip(vec)
 
 
-def one_matrix_linear(records):
-    """The one-matrix linear estimate of nine records in setting order."""
-    assert [rec.setting for rec in records] == list(MEASUREMENT_SETTINGS)
-    return one_matrix_linear_freqs(table_frequencies([rec.counts for rec in records]))
+def one_matrix_linear(table):
+    """The one-matrix linear estimate of one count table (9, 4)."""
+    return one_matrix_linear_freqs(table_frequencies(table))
 
 
 def one_matrix_sqrt(rho):
@@ -228,37 +224,36 @@ def one_matrix_fidelity(rho1, rho2):
     return min(max(float(norm * norm), 0.0), 1.0)
 
 
-def mixed_records():
-    """Calibrated 100-shot records and exact-probability records of seeded
-    operations, interleaved, with their ideal output states."""
+def mixed_tables():
+    """Calibrated 100-shot count tables and exact-probability tables of
+    seeded operations, interleaved, with their ideal output states."""
     rng = SeededRng(43)
     us = [sample_su4(rng) for _ in range(8)]
     angles = pulse_angles([decompose(u) for u in us])
     labels = [TOMOGRAPHY_INPUT_LABELS[3 * k % 16] for k in range(8)]
     sampled = run_experiments(angles[:4], labels[:4], CALIBRATED_NOISE, 100, rng.spawn(4))
     exact = [exact_experiment(row, label) for row, label in zip(angles[4:], labels[4:])]
-    records = [r for pair in zip(sampled, exact) for r in pair]
+    tables = [t for pair in zip(sampled, exact) for t in pair]
     order = [0, 4, 1, 5, 2, 6, 3, 7]
     ideals = []
     for k in order:
         psi = us[k] @ input_state(labels[k])
         ideals.append(np.outer(psi, psi.conj()))
-    return records, ideals
+    return tables, ideals
 
 
 def test_linear_reconstruction_and_fidelities_match_one_matrix_code():
-    records, ideals = mixed_records()
-    for size in (1, 3, len(records)):
-        for start in range(0, len(records), size):
-            chunk = records[start : start + size]
-            ests = _estimate_states(_count_array(chunk), "linear", DEFAULT_TOL)
+    tables, ideals = mixed_tables()
+    for size in (1, 3, len(tables)):
+        for start in range(0, len(tables), size):
+            chunk = tables[start : start + size]
+            ests = _estimate_states(np.array(chunk, dtype=float), "linear", DEFAULT_TOL)
             fids = _state_fidelities(ests, np.array(ideals[start : start + size]))
-            for k, recs in enumerate(chunk):
-                want = one_matrix_linear(recs)
+            for k, table in enumerate(chunk):
+                want = one_matrix_linear(table)
                 assert ests[k].tobytes() == want.tobytes()
-                freqs = table_frequencies([rec.counts for rec in recs])
-                assert np.max(np.abs(want - lstsq_linear_freqs(freqs))) <= 1e-14
-                assert ests[k].tobytes() == reconstruct_state(recs).tobytes()
+                assert np.max(np.abs(want - lstsq_linear_freqs(table_frequencies(table)))) <= 1e-14
+                assert ests[k].tobytes() == reconstruct_state(table).tobytes()
                 ideal = ideals[start + k]
                 assert fids[k] == one_matrix_fidelity(want, ideal)
                 assert fids[k] == state_fidelity(ests[k], ideal)
@@ -327,48 +322,45 @@ def test_linear_estimates_match_one_product(n):
 
 
 def counted(rho, shots, extra=None):
-    """Records of rho with each setting's counts rounded from shots times
-    its probabilities; extra = (setting index, outcome) adds one count."""
-    records = []
-    for k, rec in enumerate(exact_records(rho)):
-        counts = [round(shots * p) for p in rec.counts]
-        if extra is not None and extra[0] == k:
-            counts[extra[1]] += 1
-        records.append(MeasurementRecord(rec.setting, tuple(counts), sum(counts)))
-    return records
+    """The count table of rho with each setting's counts rounded from shots
+    times its probabilities; extra = (setting index, outcome) adds one
+    count."""
+    table = np.round(shots * exact_table(rho))
+    if extra is not None:
+        table[extra] += 1
+    return table
 
 
-def mle_records():
-    """Record lists whose MLE runs differ in their number of seen outcomes,
-    their length and where their maximum lies: calibrated records at 30, 100
+def mle_tables():
+    """Count tables whose MLE runs differ in their number of seen outcomes,
+    their length and where their maximum lies: calibrated counts at 30, 100
     and 1000 shots, exact probabilities of mixed and of pure states (a
     maximum inside the set and on its boundary), settings with a single
     outcome, and 10^6-shot counts of |00> with one stray count."""
-    records, _ = mixed_records()
+    tables, _ = mixed_tables()
     rng = SeededRng(45)
     us = [sample_su4(rng) for _ in range(4)]
     angles = pulse_angles([decompose(u) for u in us])
     labels = TOMOGRAPHY_INPUT_LABELS[:4]
     for shots in (30, 1000):
-        records += run_experiments(angles, labels, CALIBRATED_NOISE, shots, rng.spawn(4))
+        tables += list(run_experiments(angles, labels, CALIBRATED_NOISE, shots, rng.spawn(4)))
     ground = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
     states = SeededRng(77)
     mixed = [random_density(states) for _ in range(3)][-1]
-    records += [exact_records(ground), counted(ground, 100), exact_records(mixed)]
-    records.append(counted(ground, 10**6, extra=(1, 0)))
-    return records
+    tables += [exact_table(ground), counted(ground, 100), exact_table(mixed)]
+    tables.append(counted(ground, 10**6, extra=(1, 0)))
+    return tables
 
 
 def test_mle_reconstruction_matches_one_record_calls():
     # every row of a stacked call gets the bytes of the state, the step
     # count and the certificate it gets alone, in any order and beside any
-    # rows; every record is certified, after different numbers of steps
-    records = mle_records()
-    tables = np.array([count_table(recs) for recs in records])
+    # rows; every table is certified, after different numbers of steps
+    tables = np.array(mle_tables(), dtype=float)
     assert len({np.count_nonzero(table) for table in tables}) >= 4
     alone = [_mle_estimates(table[None], DEFAULT_TOL) for table in tables]
-    for recs, fit in zip(records, alone):
-        assert reconstruct_state(recs, "mle").tobytes() == fit.states[0].tobytes()
+    for table, fit in zip(tables, alone):
+        assert reconstruct_state(table, "mle").tobytes() == fit.states[0].tobytes()
         assert fit.certificates[0] <= DEFAULT_TOL.mle_stop
     assert len({int(fit.steps[0]) for fit in alone}) >= 4
     shuffled = list(np.random.default_rng(46).permutation(len(tables)))
@@ -380,14 +372,14 @@ def test_mle_reconstruction_matches_one_record_calls():
 
 
 def test_one_mle_stack_per_call(monkeypatch):
-    # every record reads all 36 outcomes, so records that saw different
+    # every table reads all 36 outcomes, so tables that saw different
     # numbers of them still iterate as one stack
     ground = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
     rng = SeededRng(48)
     angles = pulse_angles([decompose(sample_su4(rng)) for _ in range(3)])
     labels = TOMOGRAPHY_INPUT_LABELS[:3]
     calibrated = run_experiments(angles, labels, CALIBRATED_NOISE, 1000, rng.spawn(3))
-    counts = _count_array([exact_records(ground), *calibrated, exact_records(ground)])
+    counts = np.array([exact_table(ground), *calibrated, exact_table(ground)])
     assert len({np.count_nonzero(table) for table in counts}) >= 2  # the premise
     calls = count_calls(monkeypatch, tomography._mle_stack)
     _estimate_states(counts, "mle", DEFAULT_TOL)
@@ -395,26 +387,21 @@ def test_one_mle_stack_per_call(monkeypatch):
 
 
 def public_path_cases():
-    """mixed_records and 29 random 100-shot tables, each as a record list
-    and as its count table: 37 records, their settings shuffled in the
-    random lists."""
-    records, _ = mixed_records()
-    tables = [[rec.counts for rec in recs] for recs in records]
+    """mixed_tables and 29 random 100-shot int64 tables: 37 count tables,
+    as given and as one float stack."""
+    tables, _ = mixed_tables()
     g = np.random.default_rng(47)
     for p in g.dirichlet(np.ones(4), size=(29, 9)):
-        table = np.array([g.multinomial(100, row) for row in p])
-        recs = [MeasurementRecord(s, tuple(c.tolist()), 100) for s, c in zip(MEASUREMENT_SETTINGS, table)]
-        records.append([recs[k] for k in g.permutation(9)])
-        tables.append(table)
-    return records, np.array(tables, dtype=float)
+        tables.append(np.array([g.multinomial(100, row) for row in p]))
+    return tables, np.array(tables, dtype=float)
 
 
 @pytest.mark.parametrize("method", ["linear", "mle"])
 def test_public_path_matches_array_core(method):
-    # reconstruct_state(records) is row k of the (N, 9, 4) core, whatever
+    # reconstruct_state(table) is row k of the (N, 9, 4) core, whatever
     # the batch and the order
-    records, tables = public_path_cases()
-    alone = [reconstruct_state(recs, method).tobytes() for recs in records]
+    given, tables = public_path_cases()
+    alone = [reconstruct_state(table, method).tobytes() for table in given]
     for index in (np.arange(len(tables)), np.arange(len(tables))[::-1]):
         for size in (1, 3, 16, 37):
             for start in range(0, len(index), size):
@@ -425,8 +412,8 @@ def test_public_path_matches_array_core(method):
 
 
 def test_unknown_method_and_empty_list():
-    records, _ = mixed_records()
+    tables, _ = mixed_tables()
     with pytest.raises(ValueError, match="unknown reconstruction method"):
-        _estimate_states(_count_array(records), "lsq", DEFAULT_TOL)
+        _estimate_states(np.array(tables, dtype=float), "lsq", DEFAULT_TOL)
     for method in ("linear", "mle"):
-        assert _estimate_states(_count_array([]), method, DEFAULT_TOL).shape == (0, 4, 4)
+        assert _estimate_states(np.zeros((0, 9, 4)), method, DEFAULT_TOL).shape == (0, 4, 4)

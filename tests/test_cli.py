@@ -20,7 +20,7 @@ from su4c import circuits, cli, compiler, experiment, gates, haar, tomography
 from su4c.cli import EXIT_NOT_UNITARY, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
 from su4c.compiler import decompose, verify
 from su4c.config import DEFAULT_TOL, ENV_TOLERANCE
-from su4c.experiment import MeasurementRecord, NoiseModel, run_experiment
+from su4c.experiment import NoiseModel
 from su4c.gates import GateElement
 from su4c.haar import SeededRng, sample_su4
 from su4c.io import dump_json, matrix_from_obj, matrix_to_obj, save_matrix
@@ -581,12 +581,11 @@ class TestProcessTomo:
         )
         assert code == EXIT_OK
         u = nearest_unitary(matrix_from_obj(json.loads(Path(unitary_file).read_text()), (4, 4)))
-        labels = experiment.TOMOGRAPHY_INPUT_LABELS
         outputs = [
             apply_channel(np.outer(psi, psi.conj()), program(u), NoiseModel(**NO_SIGMA_NOISE))
-            for psi in map(experiment.input_state, labels)
+            for psi in map(experiment.input_state, experiment.TOMOGRAPHY_INPUT_LABELS)
         ]
-        process = tomography.reconstruct_process(list(zip(labels, outputs)))
+        process = tomography.reconstruct_process(outputs)
         want = tomography.entanglement_fidelity(process, tomography.process_matrix_of_unitary(u))
         assert abs(json.loads(out)["entanglement_fidelity"] - want) < 1e-12
         assert want < 0.95  # the noise bites
@@ -810,34 +809,6 @@ class TestAngleTablePath:
         with pytest.raises(AssertionError, match="GateElement built"):
             main(["compile", unitary_file, "--pulses"])  # the patch bites
         capsys.readouterr()
-        code, got, _ = run_cli(capsys, *argv)
-        assert code == EXIT_OK
-        assert got == want
-
-
-class TestCountArrayPath:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("benchmark", "--n", "16", "--noise", "calibrated"),
-            GOLDEN_REPORTS["process-tomo"][0],
-            ("process-tomo", "--unitary", None, "--exact-probabilities", "--method", "mle"),
-        ],
-        ids=["benchmark", "process-tomo", "process-tomo-exact"],
-    )
-    def test_builds_no_record(self, capsys, unitary_file, monkeypatch, argv):
-        # the counts go from the sampler to the estimators as one array:
-        # with MeasurementRecord refusing to be built, the same bytes come out
-        argv = [unitary_file if a is None else a for a in argv]
-        code, want, _ = run_cli(capsys, *argv)
-        assert code == EXIT_OK
-
-        def refuse(self, *args, **kwargs):
-            raise AssertionError("MeasurementRecord built")
-
-        monkeypatch.setattr(MeasurementRecord, "__init__", refuse)
-        with pytest.raises(AssertionError, match="MeasurementRecord built"):
-            run_experiment(np.zeros(32), ("up", "up"), NoiseModel(), 10, SeededRng(0))  # the patch bites
         code, got, _ = run_cli(capsys, *argv)
         assert code == EXIT_OK
         assert got == want

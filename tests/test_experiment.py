@@ -1,5 +1,6 @@
 """Noisy pulse-level simulation and projective measurement."""
 
+import hashlib
 import math
 import re
 import tracemalloc
@@ -13,7 +14,6 @@ from su4c.experiment import (
     MEASUREMENT_SETTINGS,
     STATE_LABELS,
     TOMOGRAPHY_INPUT_LABELS,
-    MeasurementRecord,
     NoiseModel,
     exact_experiment,
     input_state,
@@ -37,7 +37,6 @@ from su4c.experiment import (
 from su4c.gates import G_GATE, r_gate, rz_gate
 from su4c.haar import SeededRng, sample_su4
 from su4c.linalg import _kron
-from su4c.tomography import reconstruct_process
 from born import setting_probabilities
 from oracles import apply_channel, compose_pulses, embed
 from programs import program
@@ -86,12 +85,12 @@ def reference_channel(rho, angles, noise, rng):
     return out
 
 
-# run_experiment records of fixed cases: (Haar seed, label, noise, shots,
-# rng seed, the nine count tuples). Equal counts pin both the exact outcome
+# run_experiment counts of fixed cases: (Haar seed, label, noise, shots,
+# rng seed, the nine count rows). Equal counts pin both the exact outcome
 # distribution and the one multinomial draw per program. The noisy entries
 # were captured when the counts came to be drawn from the exact averaged
 # distribution; noiseless-100 is older and did not move.
-GOLDEN_RECORDS = {
+GOLDEN_COUNTS = {
     "sigma-only": (
         11, ("plus", "down"), NoiseModel(overrotation_sigma=0.08), 100, 101,
         (
@@ -185,9 +184,6 @@ class TestInputStates:
         for label in (("minus", "up"), ("up", "plus_i")):
             with pytest.raises(ValueError, match=re.escape(str(STATE_LABELS))):
                 input_state(label)
-        pairs = [(label, I4 / 4.0) for label in TOMOGRAPHY_INPUT_LABELS]
-        with pytest.raises(ValueError, match=re.escape(str(STATE_LABELS))):
-            reconstruct_process(pairs + [(("minus", "up"), I4 / 4.0)])
 
     def test_label_set(self):
         assert STATE_LABELS == ("up", "down", "plus", "minus_i")
@@ -323,23 +319,23 @@ CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=
 
 class TestMeasure:
     """Projective measurement in the nine settings, read from the exact
-    records of compiled programs."""
+    probabilities of compiled programs; row 0 is the ZZ setting."""
 
     def test_ground_state_is_deterministic_in_z(self):
+        assert MEASUREMENT_SETTINGS[0] == ("Z", "Z")
         zz = exact_experiment(program(I4), ("up", "up"))[0]
-        assert zz.setting == ("Z", "Z")
-        assert np.max(np.abs(np.array(zz.counts) - [1, 0, 0, 0])) < 1e-12
+        assert np.max(np.abs(zz - [1, 0, 0, 0])) < 1e-12
 
     def test_plus_state_is_deterministic_in_x(self):
         # the X prerotation maps the +1 eigenstate onto a basis state
-        records = exact_experiment(program(I4), ("plus", "up"))
-        probs = np.array(records[MEASUREMENT_SETTINGS.index(("X", "Z"))].counts)
+        table = exact_experiment(program(I4), ("plus", "up"))
+        probs = table[MEASUREMENT_SETTINGS.index(("X", "Z"))]
         hot = int(np.argmax(probs))
         assert probs[hot] == pytest.approx(1.0, abs=1e-12)
 
     def test_bell_state_splits_evenly(self):
         zz = exact_experiment(program(CNOT), ("plus", "up"))[0]
-        assert np.max(np.abs(np.array(zz.counts) - [0.5, 0, 0, 0.5])) < 1e-12
+        assert np.max(np.abs(zz - [0.5, 0, 0, 0.5])) < 1e-12
 
     def test_born_probabilities(self):
         # every setting of every label against <k| W rho W^dag |k>
@@ -349,68 +345,64 @@ class TestMeasure:
             angles = program(u)
             for label in TOMOGRAPHY_INPUT_LABELS:
                 rho = ideal_output(u, label)
-                for rec in exact_experiment(angles, label):
-                    p = np.array(rec.counts)
+                for setting, p in zip(MEASUREMENT_SETTINGS, exact_experiment(angles, label)):
                     assert np.all(p >= 0.0)
                     assert p.sum() == pytest.approx(1.0, abs=1e-12)
-                    assert np.max(np.abs(p - setting_probabilities(rho, rec.setting))) < 1e-9
+                    assert np.max(np.abs(p - setting_probabilities(rho, setting))) < 1e-9
 
     def test_marginal_consistency(self):
-        # tracing the record over the second qubit must match the reduced
-        # state measured in the first qubit's frame
+        # tracing each setting's probabilities over the second qubit must
+        # match the reduced state measured in the first qubit's frame
         rng = SeededRng(257)
         u = sample_su4(rng)
         rho = ideal_output(u, ("minus_i", "plus"))
         reduced = np.einsum("ijkj->ik", rho.reshape(2, 2, 2, 2))
-        for rec in exact_experiment(program(u), ("minus_i", "plus")):
-            p = rec.counts
+        for setting, p in zip(MEASUREMENT_SETTINGS, exact_experiment(program(u), ("minus_i", "plus"))):
             marg = np.array([p[0] + p[1], p[2] + p[3]])
-            w = _PREROTATION[rec.setting[0]]
+            w = _PREROTATION[setting[0]]
             expected = np.real(np.diag(w @ reduced @ w.conj().T))
             assert np.max(np.abs(marg - expected)) < 1e-9
 
 
 class TestRunExperiment:
     def test_record_layout(self):
-        records = run_experiment(
+        # one row of four outcome counts per setting, each row all the shots
+        counts = run_experiment(
             program(sample_su4(SeededRng(263))), ("up", "up"), NoiseModel(), 100, SeededRng(269)
         )
-        assert len(records) == 9
-        assert tuple(r.setting for r in records) == MEASUREMENT_SETTINGS
-        for r in records:
-            assert isinstance(r, MeasurementRecord)
-            assert sum(r.counts) == 100
+        assert counts.shape == (len(MEASUREMENT_SETTINGS), 4)
+        assert counts.dtype == np.int64
+        assert np.all(counts.sum(axis=-1) == 100)
 
     def test_identity_circuit_leaves_ground_state(self):
-        records = run_experiment(program(I4), ("up", "up"), NoiseModel(), 300, SeededRng(271))
-        zz = records[0]
-        assert zz.setting == ("Z", "Z")
-        assert zz.counts == (300, 0, 0, 0)
+        counts = run_experiment(program(I4), ("up", "up"), NoiseModel(), 300, SeededRng(271))
+        assert MEASUREMENT_SETTINGS[0] == ("Z", "Z")
+        assert counts[0].tolist() == [300, 0, 0, 0]
 
     def test_deterministic_given_seed(self):
         angles = program(sample_su4(SeededRng(277)))
         a = run_experiment(angles, ("plus", "down"), CALIBRATED_NOISE, 50, SeededRng(281))
         b = run_experiment(angles, ("plus", "down"), CALIBRATED_NOISE, 50, SeededRng(281))
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_noise_changes_counts(self):
         angles = program(sample_su4(SeededRng(283)))
         clean = run_experiment(angles, ("up", "down"), NoiseModel(), 2000, SeededRng(293))
         noisy = run_experiment(angles, ("up", "down"), CALIBRATED_NOISE, 2000, SeededRng(293))
-        assert clean != noisy
+        assert not np.array_equal(clean, noisy)
 
     def test_rejects_nonpositive_shots(self):
         with pytest.raises(ValueError):
             run_experiment(program(I4), ("up", "up"), NoiseModel(), 0, SeededRng(1))
 
-    @pytest.mark.parametrize("name", sorted(GOLDEN_RECORDS))
+    @pytest.mark.parametrize("name", sorted(GOLDEN_COUNTS))
     def test_golden_counts(self, name):
-        haar, label, noise, shots, seed, expected = GOLDEN_RECORDS[name]
-        records = run_experiment(
+        haar, label, noise, shots, seed, expected = GOLDEN_COUNTS[name]
+        counts = run_experiment(
             program(sample_su4(SeededRng(haar))), label, noise, shots, SeededRng(seed)
         )
-        assert tuple(r.counts for r in records) == expected
-        assert all(isinstance(c, int) for r in records for c in r.counts)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [list(row) for row in expected]
 
     def test_memory_bounded_in_shots(self):
         angles = program(sample_su4(SeededRng(337)))
@@ -504,7 +496,7 @@ def loop_run_experiment(angles, label, noise, shots, rng):
     return [tuple(c.tolist()) for c in counts]
 
 
-# Every noise model of GOLDEN_RECORDS, programs of several operations on
+# Every noise model of GOLDEN_COUNTS, programs of several operations on
 # mixed labels, and shot counts from one to thousands.
 ORACLE_NOISE = {
     "sigma-only": NoiseModel(overrotation_sigma=0.08),
@@ -546,23 +538,20 @@ def assert_groupings_agree(programs, labels, noise, shots, seed, *groupings):
     """Each grouping, a list of index lists, runs the programs in one
     run_experiments call per list, every program with the same stream as in
     the other groupings. Every grouping must give each program the same
-    records, the same outcome probabilities to the bit, and leave its rng in
+    counts, the same outcome probabilities to the bit, and leave its rng in
     the same state."""
     runs = []
     for groups in groupings:
         rngs = SeededRng(seed).spawn(len(programs))
-        records = [None] * len(programs)
+        counts = np.empty((len(programs), 9, 4), dtype=np.int64)
         p = np.empty((len(programs), 9, 4))
         for group in groups:
             group_labels = [labels[i] for i in group]
-            results = run_experiments(programs[group], group_labels, noise, shots, [rngs[i] for i in group])
-            assert len(results) == len(group)
-            for i, result in zip(group, results):
-                assert all(r.shots == shots and type(r.shots) is int for r in result)
-                records[i] = result
+            counts[group] = run_experiments(programs[group], group_labels, noise, shots, [rngs[i] for i in group])
             rows = [TOMOGRAPHY_INPUT_LABELS.index(tuple(label)) for label in group_labels]
             p[group] = _outcome_probabilities(programs[group], rows, noise)
-        runs.append((records, p.tobytes(), [rng.generator.bit_generator.state for rng in rngs]))
+        assert np.all(counts.sum(axis=-1) == shots)
+        runs.append((counts.tobytes(), p.tobytes(), [rng.generator.bit_generator.state for rng in rngs]))
     assert all(run == runs[0] for run in runs)
 
 
@@ -602,8 +591,8 @@ class TestRunExperiments:
         rngs, copies = SeededRng(5).spawn(len(ORACLE_PROGRAMS)), SeededRng(5).spawn(len(ORACLE_PROGRAMS))
         results = run_experiments(ORACLE_PROGRAMS, ORACLE_LABELS, CALIBRATED_NOISE, 100, rngs)
         p = _outcome_probabilities(ORACLE_PROGRAMS, ORACLE_ROWS, CALIBRATED_NOISE)
-        for records, pi, rng, copy in zip(results, p, rngs, copies):
-            assert [r.counts for r in records] == [tuple(c) for c in copy.generator.multinomial(100, pi).tolist()]
+        for counts, pi, rng, copy in zip(results, p, rngs, copies):
+            assert np.array_equal(counts, copy.generator.multinomial(100, pi))
             assert rng.generator.bit_generator.state == copy.generator.bit_generator.state
 
     @pytest.mark.parametrize("width,shots", WIDTH_CASES)
@@ -630,10 +619,11 @@ class TestRunExperiments:
         angles, label = ORACLE_PROGRAMS[0], ORACLE_LABELS[0]
         a = run_experiment(angles, label, CALIBRATED_NOISE, 100, SeededRng(5))
         (b,) = run_experiments([angles], [label], CALIBRATED_NOISE, 100, [SeededRng(5)])
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_no_programs(self):
-        assert run_experiments([], [], CALIBRATED_NOISE, 100, []) == []
+        counts = run_experiments([], [], CALIBRATED_NOISE, 100, [])
+        assert counts.shape == (0, 9, 4) and counts.dtype == np.int64
 
     @pytest.mark.parametrize("noise", [CALIBRATED_NOISE, NoiseModel()], ids=["noisy", "noiseless"])
     def test_bad_label_rejected_before_any_draw(self, noise):
@@ -650,6 +640,40 @@ class TestRunExperiments:
                 ORACLE_PROGRAMS[:2], ORACLE_LABELS[:n_labels], CALIBRATED_NOISE, 10,
                 SeededRng(1).spawn(n_rngs),
             )
+
+
+# sha256 of the counts of fixed runs in MEASUREMENT_SETTINGS order: int64
+# counts of sampled runs, float64 probabilities of an exact one. Captured
+# when the executor returned one record per setting, from those records, so
+# equal digests mean the same numbers from the same streams.
+COUNT_SHA256 = {
+    "run_experiments": "90331eef9b6fdb591d6f2a1273398a504bfa15561df34123ca8313afde4ace20",
+    "run_experiment": "bd4cdc06c264c61bf3fc9679bee2024a32b2cbe316855d6a323255de879cd28d",
+    "exact_experiment": "4c2d5d49d3d803bcdaf9b41ce59b09438906c9daa7e65f180c5dbcc852678140",
+}
+
+
+def count_digest(tables, dtype):
+    """sha256 of a stack of count tables as dtype. A table given as
+    per-setting records, the form earlier versions returned, is read by
+    their counts field, so the pins run against those versions too."""
+    rows = [[getattr(row, "counts", row) for row in table] for table in tables]
+    return hashlib.sha256(np.array(rows, dtype=dtype).tobytes()).hexdigest()
+
+
+class TestCountPins:
+    def test_run_experiments(self):
+        counts = run_experiments(ORACLE_PROGRAMS, ORACLE_LABELS, CALIBRATED_NOISE, 100, SeededRng(5).spawn(5))
+        assert count_digest(counts, np.int64) == COUNT_SHA256["run_experiments"]
+
+    def test_run_experiment(self):
+        angles = program(sample_su4(SeededRng(14)))
+        counts = run_experiment(angles, ("up", "minus_i"), CALIBRATED_NOISE, 1000, SeededRng(104))
+        assert count_digest([counts], np.int64) == COUNT_SHA256["run_experiment"]
+
+    def test_exact_experiment(self):
+        table = exact_experiment(program(sample_su4(SeededRng(313))), ("minus_i", "plus"))
+        assert count_digest([table], np.float64) == COUNT_SHA256["exact_experiment"]
 
 
 def with_entry(table, index, value):
@@ -729,36 +753,36 @@ class TestShotCount:
     @pytest.mark.parametrize("shots", [np.int64(12), np.int32(12), np.uint8(12)])
     @pytest.mark.parametrize("noise", [NoiseModel(), CALIBRATED_NOISE], ids=["noiseless", "noisy"])
     def test_numpy_integer_stored_as_int(self, noise, shots):
+        # the counts of a numpy integer are those of the int, as int64
         angles = program(sample_su4(SeededRng(3)))
-        records = run_experiment(angles, ("plus", "up"), noise, shots, SeededRng(2))
-        assert records == run_experiment(angles, ("plus", "up"), noise, 12, SeededRng(2))
-        assert all(type(r.shots) is int and sum(r.counts) == 12 for r in records)
+        counts = run_experiment(angles, ("plus", "up"), noise, shots, SeededRng(2))
+        assert np.array_equal(counts, run_experiment(angles, ("plus", "up"), noise, 12, SeededRng(2)))
+        assert counts.dtype == np.int64 and np.all(counts.sum(axis=-1) == 12)
 
     @pytest.mark.parametrize("noise", [NoiseModel(), CALIBRATED_NOISE], ids=["noiseless", "noisy"])
     def test_largest_count(self, noise):
         shots = 2**63 - 1
-        records = run_experiments([program(I4)], [("plus", "up")], noise, shots, [SeededRng(5)])[0]
-        assert all(r.shots == shots and sum(r.counts) == shots for r in records)
+        counts = run_experiments([program(I4)], [("plus", "up")], noise, shots, [SeededRng(5)])[0]
+        assert all(sum(row) == shots for row in counts.tolist())
 
 
 class TestExactExperiment:
     def test_probabilities_match_ideal_output(self):
         u = sample_su4(SeededRng(313))
-        records = exact_experiment(program(u), ("minus_i", "plus"))
+        table = exact_experiment(program(u), ("minus_i", "plus"))
         rho = ideal_output(u, ("minus_i", "plus"))
-        for rec in records:
-            p = setting_probabilities(rho, rec.setting)
-            assert np.max(np.abs(np.array(rec.counts) - p)) < 1e-9
+        assert table.shape == (len(MEASUREMENT_SETTINGS), 4)
+        for setting, p in zip(MEASUREMENT_SETTINGS, table):
+            assert np.max(np.abs(p - setting_probabilities(rho, setting))) < 1e-9
 
     def test_frequencies_are_probabilities(self):
-        records = exact_experiment(program(sample_su4(SeededRng(317))), ("up", "up"))
-        for rec in records:
-            assert min(rec.counts) >= 0.0
-            assert sum(rec.counts) == pytest.approx(1.0, abs=1e-12)
+        table = exact_experiment(program(sample_su4(SeededRng(317))), ("up", "up"))
+        assert table.min() >= 0.0
+        assert np.max(np.abs(table.sum(axis=-1) - 1.0)) <= 1e-12
 
 
 class TestOutputStates:
-    """The density-matrix pass behind every sampled and exact record."""
+    """The density-matrix pass behind every sampled and exact count table."""
 
     @pytest.mark.parametrize("target", [0, 1])
     @pytest.mark.parametrize(
@@ -788,7 +812,7 @@ class TestOutputStates:
             for label in TOMOGRAPHY_INPUT_LABELS:
                 psi = loop_evolve(input_state(label).reshape(4, 1), pulses, np.zeros((n_r, 1)))
                 expected = [loop_probabilities(f, psi, 0.0)[:, 0] for f in frames]
-                got = [rec.counts for rec in exact_experiment(angles, label)]
+                got = exact_experiment(angles, label)
                 assert np.max(np.abs(np.array(got) - expected)) < 1e-14
 
     @pytest.mark.parametrize("name", ["depolarizing-only", "damping-only", "no-sigma", "noiseless"])

@@ -23,9 +23,9 @@ from su4c.experiment import (
     CALIBRATED_NOISE,
     MEASUREMENT_SETTINGS,
     TOMOGRAPHY_INPUT_LABELS,
-    MeasurementRecord,
     NoiseModel,
     _EFFECTS,
+    _PREPARED_STATES,
     input_state,
     run_experiment,
 )
@@ -38,7 +38,6 @@ from su4c.tomography import (
     _PROBES,
     _born,
     _clip_to_density,
-    _count_array,
     _mle_estimates,
     _apply_process,
     _r_operator,
@@ -50,7 +49,7 @@ from su4c.tomography import (
     reconstruct_state,
     state_fidelity,
 )
-from born import exact_records, setting_probabilities
+from born import exact_table, setting_probabilities
 from oracles import check_density_matrix
 from programs import program
 from reference_data import M1
@@ -77,16 +76,16 @@ def setting_projectors(setting):
     return _POVM_STACK.reshape(9, 4, 4, 4)[MEASUREMENT_SETTINGS.index(tuple(setting))]
 
 
-def frequencies(record):
-    """The record's counts divided by their total."""
-    return np.asarray(record.counts, dtype=float) / float(sum(record.counts))
+def frequencies(counts):
+    """One setting's counts divided by their total."""
+    return np.asarray(counts, dtype=float) / float(sum(counts))
 
 
-def raw_linear_inversion(records):
+def raw_linear_inversion(table):
     """Plain least squares with no physicality projection (test oracle)."""
     rows, vals = [], []
-    for rec in records:
-        for op, f in zip(setting_projectors(rec.setting), frequencies(rec)):
+    for setting, counts in zip(MEASUREMENT_SETTINGS, table):
+        for op, f in zip(setting_projectors(setting), frequencies(counts)):
             rows.append(op.T.reshape(-1))
             vals.append(f)
     sol, *_ = np.linalg.lstsq(np.array(rows), np.array(vals), rcond=None)
@@ -119,7 +118,7 @@ class TestLinearReconstruction:
         worst = 0.0
         for _ in range(200):
             rho = random_density(rng)
-            est = reconstruct_state(exact_records(rho))
+            est = reconstruct_state(exact_table(rho))
             worst = max(worst, float(np.max(np.abs(est - rho))))
         assert worst < 1e-9
 
@@ -127,15 +126,15 @@ class TestLinearReconstruction:
         rng = SeededRng(349)
         for _ in range(50):
             rho = random_density(rng, rank=1)
-            est = reconstruct_state(exact_records(rho))
+            est = reconstruct_state(exact_table(rho))
             assert np.max(np.abs(est - rho)) < 1e-9
 
     def test_output_is_physical_even_from_noisy_counts(self):
         rng = SeededRng(353)
         for seed in range(20):
             u = sample_su4(rng)
-            rec = run_experiment(program(u), ("up", "up"), NoiseModel(), 25, SeededRng(seed))
-            est = reconstruct_state(rec)
+            counts = run_experiment(program(u), ("up", "up"), NoiseModel(), 25, SeededRng(seed))
+            est = reconstruct_state(counts)
             check_density_matrix(est, atol=1e-8)
 
     def test_more_shots_get_closer(self):
@@ -147,8 +146,8 @@ class TestLinearReconstruction:
         for shots in (50, 5000):
             fids = []
             for seed in range(15):
-                rec = run_experiment(pulses, ("up", "down"), NoiseModel(), shots, SeededRng(seed))
-                fids.append(state_fidelity(reconstruct_state(rec), target))
+                counts = run_experiment(pulses, ("up", "down"), NoiseModel(), shots, SeededRng(seed))
+                fids.append(state_fidelity(reconstruct_state(counts), target))
             med.append(float(np.median(fids)))
         assert med[1] > med[0]
         assert med[1] > 0.99
@@ -182,21 +181,29 @@ class TestLinearReconstruction:
 
     def test_missing_setting_rejected(self):
         rho = random_density(SeededRng(367))
-        with pytest.raises(ValueError):
-            reconstruct_state(exact_records(rho)[:8])
+        with pytest.raises(ValueError, match=re.escape("(8, 4)")):
+            reconstruct_state(exact_table(rho)[:8])
 
     def test_duplicate_setting_rejected(self):
-        records = exact_records(random_density(SeededRng(373)))
-        records[1] = MeasurementRecord(("Z", "Z"), records[0].counts, records[0].shots)
-        with pytest.raises(ValueError):
-            reconstruct_state(records)
+        # the ZZ row given twice is a tenth row
+        table = exact_table(random_density(SeededRng(373)))
+        with pytest.raises(ValueError, match=re.escape("(10, 4)")):
+            reconstruct_state(np.vstack([table, table[:1]]))
+
+    # the table's own entries in another shape, and one table as a stack
+    @pytest.mark.parametrize("method", ["linear", "mle"])
+    @pytest.mark.parametrize("shape", [(36,), (4, 9), (1, 9, 4)])
+    def test_other_shapes_rejected(self, method, shape):
+        table = exact_table(random_density(SeededRng(379)))
+        with pytest.raises(ValueError, match=re.escape(f"shape (9, 4), one row per measurement setting, got {shape}")):
+            reconstruct_state(table.reshape(shape), method=method)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
-            reconstruct_state(exact_records(I4 / 4.0), method="bayes")
+            reconstruct_state(exact_table(I4 / 4.0), method="bayes")
 
-    # one record of nine with too few or too many counts, a negative or a
-    # non-finite count, or no counts: rejected by name, whatever the method
+    # one row of nine with too few or too many counts, a negative or a
+    # non-finite count, or no counts: rejected, whatever the method
     @pytest.mark.parametrize("method", ["linear", "mle"])
     @pytest.mark.parametrize(
         "counts",
@@ -204,10 +211,10 @@ class TestLinearReconstruction:
          (math.inf, 0, 0, 0), (0, 0, 0, 0)],
     )
     def test_malformed_counts_rejected(self, method, counts):
-        records = [MeasurementRecord(s, (25, 25, 25, 25), 100) for s in MEASUREMENT_SETTINGS]
-        records[5] = MeasurementRecord(MEASUREMENT_SETTINGS[5], counts, 100)
-        with pytest.raises(ValueError, match=re.escape(str(MEASUREMENT_SETTINGS[5]))):
-            reconstruct_state(records, method=method)
+        rows = [(25, 25, 25, 25)] * 9
+        rows[5] = counts
+        with pytest.raises(ValueError, match="counts must"):
+            reconstruct_state(rows, method=method)
 
 
 class TestMleReconstruction:
@@ -217,7 +224,7 @@ class TestMleReconstruction:
         rng = SeededRng(379)
         for _ in range(10):
             rho = random_density(rng)
-            est = reconstruct_state(exact_records(rho), method="mle")
+            est = reconstruct_state(exact_table(rho), method="mle")
             assert np.max(np.abs(est - rho)) < 1e-9
 
     def test_rank_one_exact_state_is_certified(self):
@@ -226,7 +233,7 @@ class TestMleReconstruction:
         rng = SeededRng(389)
         for _ in range(10):
             rho = random_density(rng, rank=1)
-            fit = mle_fit(count_table(exact_records(rho)))
+            fit = mle_fit(exact_table(rho))
             assert fit.certificates[0] <= DEFAULT_TOL.mle_stop
             assert fit.steps[0] < DEFAULT_TOL.mle_max_iter
             assert np.linalg.eigvalsh(fit.states[0])[0] > 0.0
@@ -238,14 +245,13 @@ class TestMleReconstruction:
         # random states and pure states
         rng = SeededRng(383)
         for seed in range(5):
-            rec = run_experiment(
+            table = run_experiment(
                 program(sample_su4(rng)), ("up", "up"), NoiseModel(), 40, SeededRng(seed)
             )
-            table = count_table(rec)
             fit = mle_fit(table)
             assert fit.certificates[0] <= DEFAULT_TOL.mle_stop
             ll = per_shot_log_likelihood(fit.states[0], table)
-            others = [I4 / 4.0, reconstruct_state(rec)]
+            others = [I4 / 4.0, reconstruct_state(table)]
             others += [random_density(rng, rank) for rank in (1, 2, 4) for _ in range(10)]
             for sigma in others:
                 assert per_shot_log_likelihood(sigma, table) <= ll + fit.certificates[0] + 1e-15
@@ -256,14 +262,13 @@ class TestMleReconstruction:
         # linear one
         for seed in range(6):
             u = sample_su4(SeededRng(1000 + seed))
-            rec = run_experiment(program(u), ("up", "up"), NoiseModel(), 30, SeededRng(seed))
-            raw = raw_linear_inversion(rec)
+            counts = run_experiment(program(u), ("up", "up"), NoiseModel(), 30, SeededRng(seed))
+            raw = raw_linear_inversion(counts)
             assert np.linalg.eigvalsh(raw)[0] < -1e-3  # the premise
-            lin = reconstruct_state(rec, method="linear")
-            mle = reconstruct_state(rec, method="mle")
+            lin = reconstruct_state(counts, method="linear")
+            mle = reconstruct_state(counts, method="mle")
             assert np.linalg.eigvalsh(mle)[0] > 0.0
-            table = count_table(rec)
-            assert per_shot_log_likelihood(mle, table) >= per_shot_log_likelihood(lin, table)
+            assert per_shot_log_likelihood(mle, counts) >= per_shot_log_likelihood(lin, counts)
 
     def test_ground_state_fidelity_median(self):
         # 100 shots per setting on the identity circuit; pilot over the same
@@ -273,8 +278,8 @@ class TestMleReconstruction:
         fids = []
         pulses = program(I4)
         for seed in range(100):
-            rec = run_experiment(pulses, ("up", "up"), NoiseModel(), 100, SeededRng(seed))
-            fids.append(state_fidelity(reconstruct_state(rec, method="mle"), target))
+            counts = run_experiment(pulses, ("up", "up"), NoiseModel(), 100, SeededRng(seed))
+            fids.append(state_fidelity(reconstruct_state(counts, method="mle"), target))
         assert float(np.median(fids)) > 0.99
 
     def test_pinned_matrix_state_reconstruction(self):
@@ -286,8 +291,8 @@ class TestMleReconstruction:
         target = np.outer(psi, psi.conj())
         fids = []
         for seed in range(15):
-            rec = run_experiment(pulses, ("minus_i", "down"), NoiseModel(), 100, SeededRng(seed))
-            fids.append(state_fidelity(reconstruct_state(rec, method="mle"), target))
+            counts = run_experiment(pulses, ("minus_i", "down"), NoiseModel(), 100, SeededRng(seed))
+            fids.append(state_fidelity(reconstruct_state(counts, method="mle"), target))
         assert float(np.median(fids)) > 0.95
 
     def test_a_step_rounded_out_of_the_set_is_not_taken(self, monkeypatch):
@@ -306,17 +311,12 @@ class TestMleReconstruction:
 
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         rng = SeededRng(397)
-        tables = [count_table(exact_records(random_density(rng, rank))) for rank in (1, 2) * 8]
-        tables += [count_table(mle_case_records("calibrated", 30, seed)) for seed in (0, 1)]
+        tables = [exact_table(random_density(rng, rank)) for rank in (1, 2) * 8]
+        tables += [mle_case_table("calibrated", 30, seed) for seed in (0, 1)]
         fit = _mle_estimates(np.array(tables), DEFAULT_TOL)
         assert min(least) <= 0.0  # the premise: a step left the set
         assert np.all(np.linalg.eigvalsh(fit.states)[:, 0] > 0.0)
         assert np.all(fit.certificates <= DEFAULT_TOL.mle_stop)
-
-
-def count_table(records):
-    """The (9, 4) count table of nine records, in MEASUREMENT_SETTINGS order."""
-    return _count_array([records])[0]
 
 
 def mle_fit(table, tol=DEFAULT_TOL):
@@ -344,12 +344,11 @@ ORACLE_STOP = 1e-10  # the oracle stops once a step gains less than this
 ORACLE_MAX_ITER = 2000
 
 
-def loop_frequencies(records):
+def loop_frequencies(table):
     """(outcome projectors, frequencies, weight) per setting."""
-    by_setting = {tuple(rec.setting): rec for rec in records}
     return [
-        (setting_projectors(s), frequencies(by_setting[s]), float(sum(by_setting[s].counts)))
-        for s in MEASUREMENT_SETTINGS
+        (setting_projectors(s), frequencies(counts), float(sum(counts)))
+        for s, counts in zip(MEASUREMENT_SETTINGS, table)
     ]
 
 
@@ -409,14 +408,14 @@ def pauli_coordinates(rho):
 
 GROUND = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
 
-# calibrated-noise records at three shot counts, and exact probabilities
+# calibrated-noise counts at three shot counts, and exact probabilities
 MLE_CASES = [("calibrated", shots, seed) for shots in (30, 100, 1000) for seed in (0, 1)]
 MLE_CASES += [("exact", 1, seed) for seed in (0, 1)]
 
 
-def mle_case_records(kind, shots, seed):
+def mle_case_table(kind, shots, seed):
     if kind == "exact":
-        return exact_records(random_density(SeededRng(600 + seed)))
+        return exact_table(random_density(SeededRng(600 + seed)))
     u = sample_su4(SeededRng(500 + seed))
     label = TOMOGRAPHY_INPUT_LABELS[seed]
     return run_experiment(program(u), label, CALIBRATED_NOISE, shots, SeededRng(seed))
@@ -437,15 +436,15 @@ def assert_born_and_r_operator_match_loop(rho, table, loop):
 class TestMleMatchesLoop:
     @pytest.mark.parametrize("kind,shots,seed", MLE_CASES)
     def test_likelihood_and_r_operator(self, kind, shots, seed):
-        records = mle_case_records(kind, shots, seed)
-        table, loop = count_table(records), loop_frequencies(records)
+        table = mle_case_table(kind, shots, seed)
+        loop = loop_frequencies(table)
         rng = SeededRng(700 + seed)
         # positive definite states, the only ones the solver visits
         states = [
             I4 / 4.0,
             random_density(rng),
             0.9 * random_density(rng, rank=1) + 0.1 * I4 / 4.0,
-            reconstruct_state(records, method="mle"),
+            reconstruct_state(table, method="mle"),
         ]
         for rho in states:
             assert_born_and_r_operator_match_loop(rho, table, loop)
@@ -456,11 +455,10 @@ class TestMleMatchesLoop:
     def test_estimate(self, kind, shots, seed):
         # the certified estimate is at least as likely as the R rho R
         # oracle's, up to the certificate bound
-        records = mle_case_records(kind, shots, seed)
-        table = count_table(records)
+        table = mle_case_table(kind, shots, seed)
         fit = mle_fit(table)
         assert fit.certificates[0] <= DEFAULT_TOL.mle_stop
-        oracle = loop_mle_estimate(loop_frequencies(records))
+        oracle = loop_mle_estimate(loop_frequencies(table))
         ll = per_shot_log_likelihood(fit.states[0], table)
         assert ll >= per_shot_log_likelihood(oracle, table) - DEFAULT_TOL.mle_stop
 
@@ -468,11 +466,8 @@ class TestMleMatchesLoop:
         # |00> counted exactly: ZZ never sees 01, 10 or 11. An outcome not
         # seen has share 0, so it adds exactly nothing to the R operator,
         # and the estimate of those counts is certified next to |00>
-        records = [
-            MeasurementRecord(s, tuple(np.round(100.0 * setting_probabilities(GROUND, s))), 100)
-            for s in MEASUREMENT_SETTINGS
-        ]
-        table, loop = count_table(records), loop_frequencies(records)
+        table = np.array([np.round(100.0 * setting_probabilities(GROUND, s)) for s in MEASUREMENT_SETTINGS])
+        loop = loop_frequencies(table)
         assert np.count_nonzero(table) < 36  # the premise
         assert_born_and_r_operator_match_loop(0.99 * GROUND + 0.01 * I4 / 4.0, table, loop)
         fit = mle_fit(table)
@@ -496,18 +491,14 @@ setting_counts = st.one_of(
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(st.lists(setting_counts, min_size=9, max_size=9))
 def test_mle_on_count_tables(table):
-    records = [
-        MeasurementRecord(s, tuple(float(c) for c in counts), sum(counts))
-        for s, counts in zip(MEASUREMENT_SETTINGS, table)
-    ]
-    table = count_table(records)
+    table = np.array(table, dtype=float)
     fit = mle_fit(table)
     assert fit.certificates[0] <= DEFAULT_TOL.mle_stop
     check_density_matrix(fit.states[0], atol=1e-8)
     assert np.linalg.eigvalsh(fit.states[0])[0] > 0.0
     # twice in one stacked call, beside a neighbour, with the bytes it
     # gets alone
-    neighbour = count_table(exact_records(GROUND))
+    neighbour = exact_table(GROUND)
     stacked = _mle_estimates(np.array([table, neighbour, table]), DEFAULT_TOL)
     for k in (0, 2):
         for got, want in zip(stacked, fit):
@@ -639,76 +630,64 @@ class TestProcessMatrix:
 
 class TestReconstructProcess:
     @staticmethod
-    def exact_pairs(u):
-        pairs = []
+    def exact_outputs(u):
+        """U rho U^dagger of each preparation, (16, 4, 4)."""
+        outputs = []
         for label in TOMOGRAPHY_INPUT_LABELS:
             psi = input_state(label)
-            rho_in = np.outer(psi, psi.conj())
-            pairs.append((label, u @ rho_in @ u.conj().T))
-        return pairs
+            outputs.append(u @ np.outer(psi, psi.conj()) @ u.conj().T)
+        return np.array(outputs)
 
     def test_exact_data_inverts(self):
         rng = SeededRng(439)
         worst = 0.0
-        for k in range(20):
+        for _ in range(20):
             u = sample_su4(rng)
-            pairs = self.exact_pairs(u)
-            # all 16 labels, then the same with label k % 16 given twice
-            for extra in ([], [pairs[k % 16]]):
-                e = reconstruct_process(pairs + extra)
-                worst = max(worst, float(np.max(np.abs(e - process_matrix_of_unitary(u)))))
+            e = reconstruct_process(self.exact_outputs(u))
+            worst = max(worst, float(np.max(np.abs(e - process_matrix_of_unitary(u)))))
         assert worst < 1e-9
 
     def test_one_table_and_one_solve(self, monkeypatch):
         # tomography reads the experiment's measurement table, and all 16
         # blocks come from one least-squares solve
         assert np.shares_memory(_POVM_ROWS, _EFFECTS)
-        pairs = self.exact_pairs(sample_su4(SeededRng(443)))
+        outputs = self.exact_outputs(sample_su4(SeededRng(443)))
         solves = count_calls(monkeypatch, np.linalg.lstsq)
         contractions = count_calls(monkeypatch, np.tensordot)
-        reconstruct_process(pairs)
+        reconstruct_process(outputs)
         assert (len(solves), len(contractions)) == (1, 0)
 
     def test_depolarizing_channel_inverts(self):
-        pairs = [(label, I4 / 4.0) for label in TOMOGRAPHY_INPUT_LABELS]
-        e = reconstruct_process(pairs)
+        e = reconstruct_process([I4 / 4.0] * len(TOMOGRAPHY_INPUT_LABELS))
         assert np.max(np.abs(e - E_DEPOL)) < 1e-9
 
     def test_too_few_pairs(self):
         u = sample_su4(SeededRng(443))
-        with pytest.raises(ValueError):
-            reconstruct_process(self.exact_pairs(u)[:10])
+        with pytest.raises(ValueError, match=re.escape("got shape (10, 4, 4)")):
+            reconstruct_process(self.exact_outputs(u)[:10])
 
     def test_misshapen_outputs_rejected(self):
-        # sixteen entries that are not a 4x4 matrix are not an output
-        pairs = self.exact_pairs(sample_su4(SeededRng(443)))
-        for shape in ((16,), (2, 8)):
-            with pytest.raises(ValueError, match="4x4"):
-                reconstruct_process([(label, rho.reshape(shape)) for label, rho in pairs])
+        # the 16 outputs' entries in any other shape are not the stack
+        outputs = self.exact_outputs(sample_su4(SeededRng(443)))
+        for shape in ((16, 16), (16, 2, 8), (1, 16, 4, 4), (4, 4, 4, 4)):
+            with pytest.raises(ValueError, match=re.escape(f"(16, 4, 4) stack, got shape {shape}")):
+                reconstruct_process(outputs.reshape(shape))
 
-    def test_degenerate_preparations_rejected(self):
-        rho = random_density(SeededRng(449))
-        with pytest.raises(ValueError):
-            reconstruct_process([(("up", "up"), rho)] * 16)  # rank-1 preparation set
-        # 16 pairs that span only 15 dimensions: one label missing, another
-        # given twice
-        pairs = self.exact_pairs(sample_su4(SeededRng(451)))
-        for missing in range(16):
-            kept = pairs[:missing] + pairs[missing + 1 :]
-            for twice in kept:
-                with pytest.raises(ValueError, match="span"):
-                    reconstruct_process(kept + [twice])
+    def test_preparations_span_the_operator_space(self):
+        # the fixed preparations are independent, so the one solve is
+        # determined; no input can make it degenerate
+        assert np.linalg.matrix_rank(_PREPARED_STATES.reshape(16, 16)) == 16
 
     def test_cp_projection_clips_negative_part(self):
         # finite shots leave the raw estimate slightly non positive
         pulses = program(sample_su4(SeededRng(457)))
         streams = SeededRng(0).spawn(16)
-        pairs = []
-        for label, srng in zip(TOMOGRAPHY_INPUT_LABELS, streams):
-            rec = run_experiment(pulses, label, NoiseModel(), 200, srng)
-            pairs.append((label, reconstruct_state(rec)))
-        unclipped = reconstruct_process(pairs, cp_projection=False)
-        clipped = reconstruct_process(pairs, cp_projection=True)
+        outputs = [
+            reconstruct_state(run_experiment(pulses, label, NoiseModel(), 200, srng))
+            for label, srng in zip(TOMOGRAPHY_INPUT_LABELS, streams)
+        ]
+        unclipped = reconstruct_process(outputs, cp_projection=False)
+        clipped = reconstruct_process(outputs, cp_projection=True)
         assert np.linalg.eigvalsh(unclipped)[0] < -1e-6
         assert np.linalg.eigvalsh(clipped)[0] > -1e-10
         # both keep trace preservation: partial trace over the output leg is I
@@ -723,11 +702,11 @@ class TestReconstructProcess:
             u = sample_su4(SeededRng(2000 + seed))
             pulses = program(u)
             streams = SeededRng(seed).spawn(16)
-            pairs = []
-            for label, srng in zip(TOMOGRAPHY_INPUT_LABELS, streams):
-                rec = run_experiment(pulses, label, NoiseModel(), 1000, srng)
-                pairs.append((label, reconstruct_state(rec, method="mle")))
-            e_hat = reconstruct_process(pairs)
+            outputs = [
+                reconstruct_state(run_experiment(pulses, label, NoiseModel(), 1000, srng), method="mle")
+                for label, srng in zip(TOMOGRAPHY_INPUT_LABELS, streams)
+            ]
+            e_hat = reconstruct_process(outputs)
             f = entanglement_fidelity(e_hat, process_matrix_of_unitary(u))
             assert f > 0.97
 
