@@ -31,10 +31,6 @@ class Tolerances:
     unitarity:
         Max-norm bound on ``M @ M.conj().T - I`` for matrices required to be
         unitary on input.
-    symmetry, determinant, su2_det:
-        The symmetry and determinant gates of checked entry points to the
-        compiler's kernels that are no longer public. No check reads them;
-        they stay because every report prints the whole record.
     angle_snap:
         Below this, a rotation angle is treated as exactly 0 or pi for the
         purpose of convention special cases.
@@ -61,9 +57,6 @@ class Tolerances:
     """
 
     unitarity: float = 1e-8
-    symmetry: float = 1e-8
-    determinant: float = 1e-10
-    su2_det: float = 1e-9
     angle_snap: float = 1e-9
     branch_tie: float = 1e-12
     product_residual: float = 1e-6

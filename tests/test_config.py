@@ -10,7 +10,7 @@ from su4c.config import DEFAULT_TOL, ENV_TOLERANCE, Tolerances, tolerances_from_
 def test_defaults():
     tol = Tolerances()
     assert tol.unitarity == 1e-8
-    assert tol.su2_det == 1e-9
+    assert tol.angle_snap == 1e-9
     assert tol.verify_distance == 1e-6
     assert tol.input_unitarity == 2e-2
     assert tol.mle_stop == 1e-12
@@ -29,7 +29,7 @@ def test_env_override(monkeypatch):
     assert tol.verify_distance == 5e-3
     # only the verification threshold moves
     assert tol.unitarity == DEFAULT_TOL.unitarity
-    assert tol.symmetry == DEFAULT_TOL.symmetry
+    assert tol.input_unitarity == DEFAULT_TOL.input_unitarity
 
 
 def test_env_unset_keeps_base(monkeypatch):
