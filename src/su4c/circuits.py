@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL
 from .gates import (
     GateElement,
     ClassParams,
@@ -154,7 +153,7 @@ def _pulse_angles(classes: np.ndarray, letters: np.ndarray) -> np.ndarray:
     (N, 4, 4): each slot divided by its entry of _SLOT_ROOTS, read as an R
     triple and an Rz."""
     su = _slots(classes, letters) / _SLOT_ROOTS[:, None, None]
-    theta, phi, phiz, _ = _su2_params(su.reshape(-1, 2, 2), DEFAULT_TOL).T
+    theta, phi, phiz, _ = _su2_params(su.reshape(-1, 2, 2)).T
     out = np.empty((len(theta), 4))
     out[:, 0] = (phi - _R_THETA) % math.tau
     out[:, 1] = theta % math.tau

@@ -96,9 +96,7 @@ def _resolve_noise(source: str) -> tuple[NoiseModel, dict]:
         return NoiseModel(), {"source": "zero"}
     if source == "calibrated":
         return CALIBRATED_NOISE, {"source": "calibrated"}
-    with open(source, "rb") as fp:
-        raw = fp.read()
-    obj = json.loads(raw.decode("utf-8"))
+    obj, input_hash = _read_json(source)
     if not isinstance(obj, dict):
         raise ValueError("noise JSON must be an object")
     allowed = {"overrotation_sigma", "depolarizing_per_g", "damping_per_circuit"}
@@ -109,7 +107,7 @@ def _resolve_noise(source: str) -> tuple[NoiseModel, dict]:
         if not _is_finite_number(v):
             raise ValueError(f"noise field {k!r} is {v!r}, not a finite number")
     model = NoiseModel(**{k: float(v) for k, v in obj.items()})
-    return model, {"source": "file", "hash": content_hash(raw)}
+    return model, {"source": "file", "hash": input_hash}
 
 
 def _write_outputs(report: dict, out: "str | None", *files) -> int:
@@ -143,17 +141,24 @@ def _pulse_obj(pulse) -> dict:
     return {"kind": pulse.kind, "target": pulse.target, **{name: getattr(pulse, name) for name in names}}
 
 
-def _load_matrix(path: str):
-    """Read and gate a user matrix; returns (matrix as read, hash), the
-    matrix None when it is not unitary within the input tolerance."""
+def _read_json(path: str) -> tuple[object, str]:
+    """The JSON value of a user file and the content hash of its bytes;
+    ValueError naming the path when the file is not UTF-8 JSON."""
     with open(path, "rb") as fp:
         raw = fp.read()
     try:
         obj = json.loads(raw.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError alike
         raise ValueError(f"cannot parse {path}: {exc}") from None
+    return obj, content_hash(raw)
+
+
+def _load_matrix(path: str):
+    """Read and gate a user matrix; returns (matrix as read, hash), the
+    matrix None when it is not unitary within the input tolerance."""
+    obj, input_hash = _read_json(path)
     m = matrix_from_obj(obj, (4, 4))
-    return (m if is_unitary(m, DEFAULT_TOL.input_unitarity) else None), content_hash(raw)
+    return (m if is_unitary(m, DEFAULT_TOL.input_unitarity) else None), input_hash
 
 
 def _not_unitary() -> int:
@@ -162,19 +167,19 @@ def _not_unitary() -> int:
 
 def _cmd_compile(args) -> int:
     try:
-        tol = tolerances_from_env(DEFAULT_TOL)
+        tol = tolerances_from_env()
         if args.tolerance is not None:
-            tol = _with_verify_distance(tol, args.tolerance, "--tolerance")
+            tol = _with_verify_distance(args.tolerance, "--tolerance")
         m, input_hash = _load_matrix(args.matrix)
     except (OSError, ValueError) as exc:
         return _fail(EXIT_PARSE, str(exc))
     if m is None:
         return _not_unitary()
     # a file's matrix may be rounded, so compile its nearest unitary
-    params = decompose(nearest_unitary(m), tol)
+    params = decompose(nearest_unitary(m))
     # against the file's matrix, so a rounded input reports how far it is
     # from the compiled circuit
-    report = verify(m, params, tol)
+    report = verify(m, params, tol.verify_distance)
     out = {
         "command": "compile",
         "input_hash": input_hash,
@@ -220,7 +225,7 @@ def _compile(us: np.ndarray) -> np.ndarray:
     """The pulse angle table (N, 32) of a non-empty complex (N, 4, 4) stack
     of unitaries that the package built, kept as arrays from the compiler to
     the pulse template; the stack is not checked again."""
-    classes, letters, _ = _decompose_arrays(us, DEFAULT_TOL)
+    classes, letters, _ = _decompose_arrays(us)
     return _pulse_angles(classes, letters)
 
 
@@ -235,8 +240,8 @@ def _estimates(angles, prepared, rng, noise, args, name) -> np.ndarray:
     else:
         counts = _sample_counts(angles, prepared, noise, args.shots, rng)
     if args.method == "linear":
-        return _estimate_states(counts, "linear", DEFAULT_TOL)
-    fit = _mle_estimates(counts, DEFAULT_TOL)
+        return _estimate_states(counts, "linear")
+    fit = _mle_estimates(counts)
     late = np.flatnonzero(fit.certificates > DEFAULT_TOL.mle_stop)
     if late.size:
         print(
@@ -265,8 +270,8 @@ def _cmd_benchmark(args) -> int:
     # permutation order of range(n), so each appears exactly n/16 times;
     # child 1 draws the counts
     unitary_rng = SeededRng(args.seed)
-    preparations = unitary_rng._child(0).generator.permutation(args.n) % len(TOMOGRAPHY_INPUT_LABELS)
-    count_rng = unitary_rng._child(1)
+    preparation_rng, count_rng = unitary_rng.spawn(2)
+    preparations = preparation_rng.generator.permutation(args.n) % len(TOMOGRAPHY_INPUT_LABELS)
     operations = []
     # draw, compile, run and reconstruct _CHUNK operations at a time, each
     # stage as one stacked call, so memory stays bounded in n; numpy fills

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import CircuitParams, LocalGate, circuit_to_unitary
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL
 from .gates import (
     ClassParams,
     _canonical_phase,
@@ -65,7 +65,7 @@ def _wrap_distance(a: float, b: float) -> float:
     return abs(math.remainder(a - b, math.tau))
 
 
-def local_invariants(u, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def local_invariants(u) -> np.ndarray:
     """Sorted eigenphases of the magic-frame symmetric product, in (-pi, pi].
 
     Two unitaries are equivalent up to single-qubit operations exactly when
@@ -75,26 +75,26 @@ def local_invariants(u, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """
     m = _as_complex(u)
     _require_shape(m, 4)
-    _require_unitary(m, tol.unitarity, "local_invariants input")
-    return _local_invariants(m[None], tol)[0]
+    _require_unitary(m, DEFAULT_TOL.unitarity, "local_invariants input")
+    return _local_invariants(m[None])[0]
 
 
-def _local_invariants(m: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _local_invariants(m: np.ndarray) -> np.ndarray:
     """Sorted invariants of each row of an (N, 4, 4) stack, as (N, 4): the
     phases of the class spectrum. Sorting them alone gives the values the
     spectrum's ordering gives, as its tie-break only orders equal phases."""
-    su, _ = _special_unitary_projection(m, tol)
-    return np.sort(_class_eigensystem(su, tol)[0], axis=-1)
+    su, _ = _special_unitary_projection(m)
+    return np.sort(_class_eigensystem(su)[0], axis=-1)
 
 
-def class_parameters(u, tol: Tolerances = DEFAULT_TOL) -> ClassParams:
+def class_parameters(u) -> ClassParams:
     """Class angles (alpha, beta, delta) from the sorted invariants.
 
     Uses pair means of the first three sorted phases; any valid pairing
     labels the same class, this fixed one keeps the output deterministic.
     Results are wrapped into [0, 2pi).
     """
-    return ClassParams(*_class_angles(local_invariants(u, tol)[None])[0].tolist())
+    return ClassParams(*_class_angles(local_invariants(u)[None])[0].tolist())
 
 
 def _class_angles(s: np.ndarray) -> np.ndarray:
@@ -103,7 +103,7 @@ def _class_angles(s: np.ndarray) -> np.ndarray:
     return 0.5 * (s[:, [0, 0, 1]] + s[:, [1, 2, 2]]) % math.tau
 
 
-def decompose(u, tol: Tolerances = DEFAULT_TOL) -> CircuitParams:
+def decompose(u) -> CircuitParams:
     """Factor a two-qubit unitary into letters around the canonical block.
 
     Returns CircuitParams such that circuit_to_unitary reproduces the input
@@ -115,27 +115,27 @@ def decompose(u, tol: Tolerances = DEFAULT_TOL) -> CircuitParams:
     """
     m = _as_complex(u)
     _require_shape(m, 4)
-    _require_unitary(m, tol.unitarity, "decompose input")
-    return _circuit_params(*_decompose_arrays(m[None], tol))[0]
+    _require_unitary(m, DEFAULT_TOL.unitarity, "decompose input")
+    return _circuit_params(*_decompose_arrays(m[None]))[0]
 
 
-def decompose_many(us, tol: Tolerances = DEFAULT_TOL) -> list[CircuitParams]:
+def decompose_many(us) -> list[CircuitParams]:
     """decompose for each matrix of an (N, 4, 4) stack, in one pass of
     stacked kernels. Entry k is decompose(us[k]) bit for bit, whatever the
     other rows are. Raises NotUnitaryError naming the first row that is not
     unitary, and ValueError on any other shape.
     """
-    ms = _unitary_stack(us, tol)
-    return _circuit_params(*_decompose_arrays(ms, tol)) if len(ms) else []
+    ms = _unitary_stack(us)
+    return _circuit_params(*_decompose_arrays(ms)) if len(ms) else []
 
 
-def _unitary_stack(us, tol: Tolerances) -> np.ndarray:
+def _unitary_stack(us) -> np.ndarray:
     """us as a complex (N, 4, 4) stack; NotUnitaryError names the first row
     that is not unitary, ValueError any other shape."""
     ms = _as_complex(us)
     if ms.ndim != 3 or ms.shape[1:] != (4, 4):
         raise ValueError(f"expected an (N, 4, 4) stack, got shape {ms.shape}")
-    _require_unitary(ms, tol.unitarity, "decompose_many input")
+    _require_unitary(ms, DEFAULT_TOL.unitarity, "decompose_many input")
     return ms
 
 
@@ -168,18 +168,16 @@ def _representatives(classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _canonical_vs(classes, exits), _proper(_lead_positive(frames))
 
 
-def _decompose_arrays(
-    ms: np.ndarray, tol: Tolerances
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _decompose_arrays(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """decompose of each row of a non-empty (N, 4, 4) stack of unitaries, as
     arrays: the class angles (alpha, beta, delta), (N, 3); the letters A, B,
     C, D as (theta, phi, phiz, sign) rows, (N, 4, 4); and the global
     phases, (N,)."""
     n = len(ms)
-    su, zeta = _special_unitary_projection(ms, tol)
+    su, zeta = _special_unitary_projection(ms)
     # the phases ascend, so they are the sorted invariants; frame_u has
     # det +1 by construction
-    phases_u, frame_u = _class_spectrum(su, tol)
+    phases_u, frame_u = _class_spectrum(su)
     classes = _class_angles(phases_u)
     v_comp, frame_v = _representatives(classes)
     um = _to_magic(su)
@@ -188,18 +186,16 @@ def _decompose_arrays(
     pre_m = vm.conj().swapaxes(-1, -2) @ frame_v @ frame_u.swapaxes(-1, -2) @ um
 
     imag_residue = np.abs(pre_m.imag).max(axis=(1, 2))
-    if (imag_residue >= tol.reality).any():
+    if (imag_residue >= DEFAULT_TOL.reality).any():
         raise RealityViolationError(
             f"pre-rotation has imaginary residue {imag_residue.max():.3e}"
         )
     pre_m = pre_m.real.astype(complex)
 
     # both factorings are one stack: post rows, then pre rows
-    a, b, phases_f = _factor_tensor_product(
-        np.concatenate([_from_magic(post_m), _from_magic(pre_m)]), tol
-    )
+    a, b, phases_f = _factor_tensor_product(np.concatenate([_from_magic(post_m), _from_magic(pre_m)]))
     # the four letters are one stack too: a, b, c, d rows in turn
-    angles = _su2_params(np.concatenate([a[n:], b[n:], a[:n], b[:n]]), tol)
+    angles = _su2_params(np.concatenate([a[n:], b[n:], a[:n], b[:n]]))
     letters = angles.reshape(4, n, 4).swapaxes(0, 1)
     global_phases = zeta * phases_f[:n] * phases_f[n:] * np.conj(_canonical_phase(classes))
     return classes, letters, global_phases
@@ -213,23 +209,24 @@ class VerificationReport:
 
 
 def verify(
-    u, params: CircuitParams, tol: Tolerances = DEFAULT_TOL
+    u, params: CircuitParams, max_distance: float = DEFAULT_TOL.verify_distance
 ) -> VerificationReport:
     """Check a compiled circuit against its target.
 
     distance ignores global phase; invariant_error compares the sorted class
     phases modulo the shared half-turn that a determinant-sheet flip
-    introduces. passed gates on distance alone. Targets quoted to a few
-    decimals are accepted: the invariant comparison works on the nearest
-    unitary, while distance is measured against the matrix as given.
+    introduces. passed is distance < max_distance, the package's one
+    threshold a caller sets. Targets quoted to a few decimals are accepted:
+    the invariant comparison works on the nearest unitary, while distance
+    is measured against the matrix as given.
     """
     m = _as_complex(u)
     _require_shape(m, 4)
     composed = circuit_to_unitary(params)
     distance = phase_invariant_distance(m, composed)
 
-    _require_unitary(m, tol.input_unitarity, "verify target")
-    inv_u, inv_c = _local_invariants(np.stack([nearest_unitary(m), composed]), tol)
+    _require_unitary(m, DEFAULT_TOL.input_unitarity, "verify target")
+    inv_u, inv_c = _local_invariants(np.stack([nearest_unitary(m), composed]))
     errors = []
     for shift in (0.0, math.pi):
         shifted = np.sort([math.remainder(p + shift, math.tau) for p in inv_c])
@@ -240,5 +237,5 @@ def verify(
     return VerificationReport(
         distance=float(distance),
         invariant_error=float(invariant_error),
-        passed=bool(distance < tol.verify_distance),
+        passed=bool(distance < max_distance),
     )

@@ -1,8 +1,12 @@
-"""Central tolerance configuration.
+"""The package's numerical thresholds.
 
-The thresholds a caller may want to tune live in one frozen record, so the
-whole stack can be tightened or relaxed coherently. These thresholds are
-still literals, next to the functions that use them:
+The thresholds are the fields of one frozen record, DEFAULT_TOL: constants
+the kernels read where they use them, and the record every report prints.
+The one a caller sets is the verification threshold, verify_distance:
+verify's max_distance parameter, the SU4C_TOLERANCE environment variable
+and compile --tolerance.
+
+Some thresholds are still literals, next to the functions that use them:
 
 - linalg: _lead_positive 1e-8; _canonicalize 12 decimals; _jacobi_polish
   1e-13 (_POLISH_FLOOR) and 30 sweeps; _factor_tensor_product 1e-12;
@@ -24,7 +28,11 @@ __all__ = ["Tolerances", "DEFAULT_TOL", "tolerances_from_env"]
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds shared across the package.
+    """The package's numerical thresholds, the record every report prints.
+
+    The kernels read each field from DEFAULT_TOL. verify_distance is the
+    one a caller sets, through verify's max_distance, SU4C_TOLERANCE or
+    compile --tolerance; tolerances_from_env gives the record with it set.
 
     Attributes
     ----------
@@ -44,8 +52,8 @@ class Tolerances:
     verify_distance:
         Default pass threshold for compiled-circuit verification.
     input_unitarity:
-        Looser gate applied by the CLI to user-supplied matrices (which may
-        be printed to few decimals) before projecting to the nearest unitary.
+        Looser gate applied to user-supplied matrices (which may be printed
+        to few decimals) before projecting to the nearest unitary.
     mle_stop:
         Certificate at which a maximum-likelihood estimate is accepted: the
         estimate's log-likelihood per shot is within this much of the
@@ -72,22 +80,22 @@ DEFAULT_TOL = Tolerances()
 ENV_TOLERANCE = "SU4C_TOLERANCE"
 
 
-def tolerances_from_env(base: Tolerances = DEFAULT_TOL) -> Tolerances:
-    """Return ``base`` with the verification threshold overridden by the
+def tolerances_from_env() -> Tolerances:
+    """DEFAULT_TOL with the verification threshold overridden by the
     ``SU4C_TOLERANCE`` environment variable when it is set."""
     raw = os.environ.get(ENV_TOLERANCE)
     if raw is None:
-        return base
+        return DEFAULT_TOL
     try:
         value = float(raw)
     except ValueError as exc:
         raise ValueError(f"{ENV_TOLERANCE} must be a float, got {raw!r}") from exc
-    return _with_verify_distance(base, value, ENV_TOLERANCE)
+    return _with_verify_distance(value, ENV_TOLERANCE)
 
 
-def _with_verify_distance(base: Tolerances, value: float, source: str) -> Tolerances:
-    """``base`` with the verification threshold set to ``value``, the one
+def _with_verify_distance(value: float, source: str) -> Tolerances:
+    """DEFAULT_TOL with the verification threshold set to ``value``, the one
     check of every route that sets it; ``source`` names the route."""
     if not math.isfinite(value) or value <= 0:
         raise ValueError(f"{source} must be finite and positive, got {value}")
-    return replace(base, verify_distance=value)
+    return replace(DEFAULT_TOL, verify_distance=value)

@@ -128,6 +128,8 @@ _PREPARATION_INDEX = {label: k for k, label in enumerate(TOMOGRAPHY_INPUT_LABELS
 
 def _preparation_index(label: Sequence[str]) -> int:
     """Row of a product preparation, one label per qubit, in the tables above."""
+    if isinstance(label, str) or len(label) != 2:
+        raise ValueError(f"a preparation label is a pair of state labels, one per qubit; got {label!r}")
     a, b = (str(name) for name in label)
     for name in (a, b):
         if name not in STATE_LABELS:

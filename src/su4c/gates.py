@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Tolerances
 from .linalg import _canonicalize, _joint_real_eigensystem, _kron
 
 __all__ = ["G_GATE", "GateElement", "r_gate", "rz_gate", "ClassParams"]
@@ -198,17 +197,17 @@ def _exit_layers(delta: np.ndarray) -> np.ndarray:
     return _kron(_I2, _rz_gates(delta) @ _R_HALF_Y)
 
 
-def _class_spectrum(u: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+def _class_spectrum(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The eigensystem of u @ u.T in the magic frame, for each det-1 unitary
     u of an (N, 4, 4) stack: the phases (N, 4), ascending in (-pi, pi], are
     the local-equivalence invariants; the real eigenvectors (N, 4, 4), det
     +1 and sign-fixed by _canonicalize, feed the single-qubit factor
     extraction."""
-    return _canonicalize(*_class_eigensystem(u, tol))
+    return _canonicalize(*_class_eigensystem(u))
 
 
-def _class_eigensystem(u: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+def _class_eigensystem(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_class_spectrum of each row before its columns are ordered and
     signed: the same phases, unsorted."""
     m = _to_magic(u)
-    return _joint_real_eigensystem(m @ m.swapaxes(-1, -2), tol)
+    return _joint_real_eigensystem(m @ m.swapaxes(-1, -2))

@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
 from .linalg import _special_unitary_projection
 
 __all__ = ["SeededRng", "sample_su4"]
@@ -35,28 +34,21 @@ class SeededRng:
     def spawn(self, n: int) -> list["SeededRng"]:
         return [SeededRng(self.seed, s) for s in self._sequence.spawn(n)]
 
-    def _child(self, index: int) -> "SeededRng":
-        """The stream spawn() hands out as child index of this stream's
-        sequence, made alone: a child is fixed by its spawn key."""
-        seq = self._sequence
-        key = (*seq.spawn_key, index)
-        return SeededRng(self.seed, np.random.SeedSequence(seq.entropy, spawn_key=key, pool_size=seq.pool_size))
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"SeededRng(seed={self.seed})"
 
 
-def sample_su4(rng: SeededRng, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def sample_su4(rng: SeededRng) -> np.ndarray:
     """One Haar sample from SU(4).
 
     Ginibre -> QR -> rescale Q's columns by the phases of diag(R) -> project
     out the determinant phase. Without the rescaling step QR's implicit
     diagonal convention biases the distribution.
     """
-    return _sample_su4_many(rng, 1, tol)[0]
+    return _sample_su4_many(rng, 1)[0]
 
 
-def _sample_su4_many(rng: SeededRng, n: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def _sample_su4_many(rng: SeededRng, n: int) -> np.ndarray:
     """n successive sample_su4 draws from rng, as an (n, 4, 4) stack.
 
     The Ginibre matrices are one (n, 2, 4, 4) standard normal draw, real
@@ -69,5 +61,5 @@ def _sample_su4_many(rng: SeededRng, n: int, tol: Tolerances = DEFAULT_TOL) -> n
     z = draws[:, 0] + 1j * draws[:, 1]
     q, r = np.linalg.qr(z / math.sqrt(2.0))
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    su, _ = _special_unitary_projection(q * (d / np.abs(d))[:, None, :], tol)
+    su, _ = _special_unitary_projection(q * (d / np.abs(d))[:, None, :])
     return su

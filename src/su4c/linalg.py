@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL
 
 __all__ = ["NotUnitaryError", "NotAProductError", "is_unitary", "nearest_unitary", "phase_invariant_distance"]
 
@@ -86,9 +86,7 @@ def nearest_unitary(m) -> np.ndarray:
     return w @ vh
 
 
-def _special_unitary_projection(
-    u: np.ndarray, tol: Tolerances
-) -> tuple[np.ndarray, np.ndarray]:
+def _special_unitary_projection(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split each unitary of an (N, n, n) stack as ``u[k] = phases[k] *
     su[k]`` with ``det(su[k]) = 1``: the phase is the principal n-th root of
     ``det(u[k])``, the root whose argument lies in (-pi/n, pi/n]."""
@@ -96,7 +94,7 @@ def _special_unitary_projection(
     det = np.linalg.det(u)
     # Principal root: divide the argument, fold ties at -pi/n up to +pi/n.
     arg = np.arctan2(det.imag, det.real) / n
-    tie = arg <= -math.pi / n + tol.branch_tie / n
+    tie = arg <= -math.pi / n + DEFAULT_TOL.branch_tie / n
     if tie.any():
         arg[tie] += 2.0 * math.pi / n
     phase = np.exp(1j * arg)
@@ -200,9 +198,7 @@ def _canonicalize(phases: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, 
     return phases, _proper(vectors[rows[:, :, None], cols[:, None], order[:, None, :]])
 
 
-def _joint_real_eigensystem(
-    w: np.ndarray, tol: Tolerances
-) -> tuple[np.ndarray, np.ndarray]:
+def _joint_real_eigensystem(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize each unitary symmetric matrix of an (N, n, n) stack with a
     real orthogonal basis.
 
@@ -233,7 +229,7 @@ def _joint_real_eigensystem(
 
     diag = np.einsum("nip,nij,njp->np", basis, w, basis)
     phases = np.angle(diag)
-    return np.where(phases <= -math.pi + tol.branch_tie, math.pi, phases), basis
+    return np.where(phases <= -math.pi + DEFAULT_TOL.branch_tie, math.pi, phases), basis
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +237,7 @@ def _joint_real_eigensystem(
 # ---------------------------------------------------------------------------
 
 
-def _factor_tensor_product(
-    m: np.ndarray, tol: Tolerances
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _factor_tensor_product(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Factor each unitary of an (N, 4, 4) stack as ``phases[k] *
     kron(a[k], b[k])`` with det-1 factors a, b (N, 2, 2).
 
@@ -254,7 +248,7 @@ def _factor_tensor_product(
     phase is a fourth root of unity.
 
     Raises NotAProductError when a rebuilt product misses its row by more
-    than tol.product_residual."""
+    than DEFAULT_TOL.product_residual."""
     n = m.shape[0]
     rows = np.arange(n)
     # blocks[k, i, j] is the view m[k, 2i:2i+2, 2j:2j+2].
@@ -281,7 +275,7 @@ def _factor_tensor_product(
         raise NotAProductError("no phase aligns the factors with the input")
     phases = overlaps / sizes
     residual = np.abs(phases[:, None, None] * prod - m).max(axis=(1, 2))
-    if (residual >= tol.product_residual).any():
+    if (residual >= DEFAULT_TOL.product_residual).any():
         raise NotAProductError(f"tensor-product residual {residual.max():.3e}")
     return a, b, phases
 
@@ -314,7 +308,7 @@ def phase_invariant_distance(u, w) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _su2_params(m: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _su2_params(m: np.ndarray) -> np.ndarray:
     """Write each det-1 2x2 unitary of an (N, 2, 2) stack as ``sign *
     Rz(phiz) @ R(theta, phi)``, as the row (theta, phi, phiz, sign) of an
     (N, 4) array.
@@ -322,8 +316,8 @@ def _su2_params(m: np.ndarray, tol: Tolerances) -> np.ndarray:
     theta lies in [0, pi], read as 2 arctan2(|m10|, |m00|) so small angles
     keep their digits; phi and phiz lie in [0, 2 pi) and sign is +-1.0, which
     absorbs the Rz double cover so that phiz can stay in a single turn. At
-    the branch points, theta below tol.angle_snap forces phi = 0, and theta
-    within it of pi forces phiz = 0 and sign = +1."""
+    the branch points, theta below the angle_snap threshold forces phi = 0,
+    and theta within it of pi forces phiz = 0 and sign = +1."""
     # sign * Rz(phiz) R(theta, phi) has entries
     #   m00 = s e^{-i phiz/2} cos(theta/2)
     #   m10 = s e^{+i phiz/2} (-i e^{i phi}) sin(theta/2)
@@ -341,11 +335,11 @@ def _su2_params(m: np.ndarray, tol: Tolerances) -> np.ndarray:
         phiz[full] -= math.tau
     phi = (arg10 - negative * math.pi - phiz / 2.0 + math.pi / 2.0) % math.tau
     out = np.array([theta, phi, phiz % math.tau, np.where(negative, -1.0, 1.0)]).T
-    low = theta < tol.angle_snap
+    low = theta < DEFAULT_TOL.angle_snap
     if low.any():
         # Diagonal matrix: all rotation is in Rz.
         out[low, :2] = 0.0
-    high = ~low & (theta > math.pi - tol.angle_snap)
+    high = ~low & (theta > math.pi - DEFAULT_TOL.angle_snap)
     if high.any():
         # Anti-diagonal matrix: phiz is degenerate with phi, push it to 0.
         out[high, 0] = math.pi

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL
 from .experiment import _EFFECTS, _PREPARED_STATES, _product_states
 from .linalg import _as_complex, _kron, _require_shape
 
@@ -236,14 +236,14 @@ def _step_sizes(shares, probs, mu, vals, vecs, step, decrement) -> np.ndarray:
     return np.where(short, 0.0, sizes)
 
 
-def _mle_estimates(counts: np.ndarray, tol: Tolerances) -> _MleFit:
+def _mle_estimates(counts: np.ndarray) -> _MleFit:
     """MLE state of each table of a count array (N, 9, 4), with the steps
     and the certificate of each."""
     counts = np.asarray(counts, dtype=float).reshape(-1, 36)
-    return _mle_stack(counts / counts.sum(axis=-1, keepdims=True), tol)
+    return _mle_stack(counts / counts.sum(axis=-1, keepdims=True))
 
 
-def _mle_stack(shares: np.ndarray, tol: Tolerances) -> _MleFit:
+def _mle_stack(shares: np.ndarray) -> _MleFit:
     """Maximise the per-shot log-likelihood sum_k share_k log p_k of each
     row of a stack of outcome shares (B, 36) (each outcome's count over the
     table's total) over positive definite trace-one rho, by damped Newton
@@ -252,7 +252,9 @@ def _mle_stack(shares: np.ndarray, tol: Tolerances) -> _MleFit:
     For every density matrix sigma, concavity gives L(sigma) - L(rho) <=
     Tr(R(rho) sigma) - Tr(R(rho) rho) <= lambda_max(R(rho)) - 1, as Tr(R(rho)
     rho) = 1. A row leaves the stack once that certificate is at most
-    tol.mle_stop, or after tol.mle_max_iter steps, uncertified."""
+    mle_stop, or after mle_max_iter steps, uncertified; both are read from
+    DEFAULT_TOL."""
+    stop, max_iter = DEFAULT_TOL.mle_stop, DEFAULT_TOL.mle_max_iter
     n = len(shares)
     found = np.empty((n, 15))
     steps = np.zeros(n, dtype=int)
@@ -261,10 +263,10 @@ def _mle_stack(shares: np.ndarray, tol: Tolerances) -> _MleFit:
     x = np.zeros((n, 15))
     mu = np.full(n, _MU_START)
     vals, vecs = np.linalg.eigh(_states(x))
-    for count in range(tol.mle_max_iter + 1):
+    for count in range(max_iter + 1):
         probs = _born(x)
         certificate = np.linalg.eigvalsh(_r_operator(shares / probs))[:, -1] - 1.0
-        done = certificate <= tol.mle_stop if count < tol.mle_max_iter else np.ones(len(x), bool)
+        done = certificate <= stop if count < max_iter else np.ones(len(x), bool)
         if done.any():
             rows = active[done]
             found[rows], steps[rows], certificates[rows] = x[done], count, certificate[done]
@@ -277,7 +279,7 @@ def _mle_stack(shares: np.ndarray, tol: Tolerances) -> _MleFit:
         sizes = _step_sizes(shares, probs, mu, vals, vecs, step, decrement)
         centred = (sizes == 0.0) | ((sizes == 1.0) & (decrement < _CENTRED * mu))
         shrunk = np.minimum(_MU_SHRINK * mu, mu * mu * pull / _CENTRED)
-        mu = np.where(centred, np.maximum(shrunk, tol.mle_stop / 16.0), mu)
+        mu = np.where(centred, np.maximum(shrunk, stop / 16.0), mu)
         moved = x + sizes[:, None] * step
         moved_vals, moved_vecs = np.linalg.eigh(_states(moved))
         # a step that rounding takes out of the positive definite set is not
@@ -289,11 +291,7 @@ def _mle_stack(shares: np.ndarray, tol: Tolerances) -> _MleFit:
     return _MleFit(_states(found), steps, certificates)
 
 
-def reconstruct_state(
-    counts: np.ndarray,
-    method: str = "linear",
-    tol: Tolerances = DEFAULT_TOL,
-) -> np.ndarray:
+def reconstruct_state(counts: np.ndarray, method: str = "linear") -> np.ndarray:
     """Density matrix from the counts (9, 4) of the nine measurement
     settings, rows in MEASUREMENT_SETTINGS order, as run_experiment returns
     them; only the frequencies are read, so exact_experiment's
@@ -305,20 +303,21 @@ def reconstruct_state(
     but not the nearest one.
     method "mle": maximum likelihood (Hradil et al., LNP 649, 2004) by
     damped Newton steps on a log-det barrier path. The estimate is positive
-    definite, and its per-shot log-likelihood is within tol.mle_stop of the
-    maximum over all density matrices, certified by lambda_max(R(rho)) - 1
-    <= tol.mle_stop; an estimate not certified after tol.mle_max_iter steps
-    returns its last state.
+    definite, and its per-shot log-likelihood is within
+    DEFAULT_TOL.mle_stop of the maximum over all density matrices,
+    certified by lambda_max(R(rho)) - 1 <= mle_stop; an estimate not
+    certified after DEFAULT_TOL.mle_max_iter steps returns its last state.
+    Both are the package's constants, printed in every report.
     """
-    return _estimate_states(_count_table(counts)[None], method, tol)[0]
+    return _estimate_states(_count_table(counts)[None], method)[0]
 
 
-def _estimate_states(counts: np.ndarray, method: str, tol: Tolerances) -> np.ndarray:
+def _estimate_states(counts: np.ndarray, method: str) -> np.ndarray:
     """The estimated states (N, 4, 4) of a count array (N, 9, 4)."""
     if method == "linear":
         return _linear_estimates(counts)
     if method == "mle":
-        return _mle_estimates(counts, tol).states
+        return _mle_estimates(counts).states
     raise ValueError(f"unknown reconstruction method {method!r}")
 
 

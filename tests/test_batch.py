@@ -101,7 +101,7 @@ def test_array_twins_hold_the_object_fields(order):
     # _decompose_arrays and _pulse_angles, which benchmark and process-tomo
     # call, against the objects decompose_many and pulse_angles build
     us = np.array(INPUTS[::order])
-    classes, letters, phases = compiler._decompose_arrays(us, DEFAULT_TOL)
+    classes, letters, phases = compiler._decompose_arrays(us)
     params = decompose_many(us)
     fields = lambda rows: np.array([[float(v) for v in row] for row in rows])  # noqa: E731
     assert same(classes, fields([dataclasses.astuple(p.class_params) for p in params]))
@@ -160,9 +160,9 @@ class TestDecomposeManyBoundary:
         rows = []
         original = compiler._class_spectrum
 
-        def counting(u, tol):
+        def counting(u):
             rows.append(len(u))
-            return original(u, tol)
+            return original(u)
 
         monkeypatch.setattr(compiler, "_class_spectrum", counting)
         decompose_many([sample_su4(SeededRng(k)) for k in range(5)])
@@ -247,7 +247,7 @@ def test_linear_reconstruction_and_fidelities_match_one_matrix_code():
     for size in (1, 3, len(tables)):
         for start in range(0, len(tables), size):
             chunk = tables[start : start + size]
-            ests = _estimate_states(np.array(chunk, dtype=float), "linear", DEFAULT_TOL)
+            ests = _estimate_states(np.array(chunk, dtype=float), "linear")
             fids = _state_fidelities(ests, np.array(ideals[start : start + size]))
             for k, table in enumerate(chunk):
                 want = one_matrix_linear(table)
@@ -285,12 +285,12 @@ def pure_ideal_cases():
     us = _sample_su4_many(rng, 160)
     prepared = np.arange(160) % 16
     angles = pulse_angles(decompose_many(us))
-    counts = _sample_counts(angles, prepared, CALIBRATED_NOISE, 100, rng._child(1))
+    counts = _sample_counts(angles, prepared, CALIBRATED_NOISE, 100, rng.spawn(2)[1])
     exact = _outcome_probabilities(angles, prepared, NoiseModel())
     ests = {
-        "calibrated": _estimate_states(counts, "linear", DEFAULT_TOL),
-        "mle": _estimate_states(counts, "mle", DEFAULT_TOL),
-        "exact": _estimate_states(exact, "linear", DEFAULT_TOL),
+        "calibrated": _estimate_states(counts, "linear"),
+        "mle": _estimate_states(counts, "mle"),
+        "exact": _estimate_states(exact, "linear"),
     }
     return ests, np.array([u @ input_state(TOMOGRAPHY_INPUT_LABELS[k]) for u, k in zip(us, prepared)])
 
@@ -358,14 +358,14 @@ def test_mle_reconstruction_matches_one_record_calls():
     # rows; every table is certified, after different numbers of steps
     tables = np.array(mle_tables(), dtype=float)
     assert len({np.count_nonzero(table) for table in tables}) >= 4
-    alone = [_mle_estimates(table[None], DEFAULT_TOL) for table in tables]
+    alone = [_mle_estimates(table[None]) for table in tables]
     for table, fit in zip(tables, alone):
         assert reconstruct_state(table, "mle").tobytes() == fit.states[0].tobytes()
         assert fit.certificates[0] <= DEFAULT_TOL.mle_stop
     assert len({int(fit.steps[0]) for fit in alone}) >= 4
     shuffled = list(np.random.default_rng(46).permutation(len(tables)))
     for order in (range(len(tables)), range(len(tables))[::-1], shuffled):
-        stacked = _mle_estimates(tables[list(order)], DEFAULT_TOL)
+        stacked = _mle_estimates(tables[list(order)])
         for row, k in enumerate(order):
             for got, want in zip(stacked, alone[k]):
                 assert got[row].tobytes() == want[0].tobytes(), (row, k)
@@ -382,7 +382,7 @@ def test_one_mle_stack_per_call(monkeypatch):
     counts = np.array([exact_table(ground), *calibrated, exact_table(ground)])
     assert len({np.count_nonzero(table) for table in counts}) >= 2  # the premise
     calls = count_calls(monkeypatch, tomography._mle_stack)
-    _estimate_states(counts, "mle", DEFAULT_TOL)
+    _estimate_states(counts, "mle")
     assert [len(args[0]) for args in calls] == [len(counts)]
 
 
@@ -406,7 +406,7 @@ def test_public_path_matches_array_core(method):
         for size in (1, 3, 16, 37):
             for start in range(0, len(index), size):
                 rows = index[start : start + size]
-                ests = _estimate_states(tables[rows], method, DEFAULT_TOL)
+                ests = _estimate_states(tables[rows], method)
                 for k, est in zip(rows, ests):
                     assert est.tobytes() == alone[k], (size, k)
 
@@ -414,6 +414,6 @@ def test_public_path_matches_array_core(method):
 def test_unknown_method_and_empty_list():
     tables, _ = mixed_tables()
     with pytest.raises(ValueError, match="unknown reconstruction method"):
-        _estimate_states(np.array(tables, dtype=float), "lsq", DEFAULT_TOL)
+        _estimate_states(np.array(tables, dtype=float), "lsq")
     for method in ("linear", "mle"):
-        assert _estimate_states(np.zeros((0, 9, 4)), method, DEFAULT_TOL).shape == (0, 4, 4)
+        assert _estimate_states(np.zeros((0, 9, 4)), method).shape == (0, 4, 4)

@@ -17,7 +17,6 @@ from su4c.circuits import (
     lower_to_pulses,
 )
 from su4c.compiler import _decompose_arrays, decompose
-from su4c.config import DEFAULT_TOL
 from su4c.gates import G_GATE, ClassParams, r_gate, rz_gate
 from su4c.haar import SeededRng, sample_su4
 from su4c.linalg import phase_invariant_distance
@@ -168,12 +167,12 @@ class TestSlotRoots:
     def test_haar_letters(self):
         rng = SeededRng(83)
         us = np.array([sample_su4(rng) for _ in range(200)])
-        self.assert_fixed_determinants(*_decompose_arrays(us, DEFAULT_TOL)[:2])
+        self.assert_fixed_determinants(*_decompose_arrays(us)[:2])
 
     def test_dressed_named_classes(self):
         gen = np.random.default_rng(83)
         us = np.array([_dress(gen, u, perturb=k % 2 == 1) for k in range(8) for u in NAMED])
-        self.assert_fixed_determinants(*_decompose_arrays(us, DEFAULT_TOL)[:2])
+        self.assert_fixed_determinants(*_decompose_arrays(us)[:2])
 
     @pytest.mark.parametrize("theta", [0.0, math.pi])
     def test_letters_at_the_branch_points(self, theta):

@@ -485,6 +485,17 @@ class TestBenchmark:
         assert code == EXIT_PARSE
         assert out == ""
 
+    # a trailing comma and a byte that is not UTF-8: the error names the
+    # file, as it does for a matrix file
+    @pytest.mark.parametrize("raw", [b'{"overrotation_sigma": 0.1,}', b'{"overrotation_sigma": 0.1\xff}'])
+    def test_unparseable_noise_file_is_named(self, capsys, tmp_path, raw):
+        noise_path = tmp_path / "noise.json"
+        noise_path.write_bytes(raw)
+        code, out, err = run_cli(capsys, "benchmark", "--n", "16", "--noise", str(noise_path))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith(f"error: cannot parse {noise_path}: ")
+
 
 class TestProcessTomo:
     def test_exact_probabilities_recover_process(self, capsys, unitary_file):
@@ -670,8 +681,8 @@ def recorded_fits(monkeypatch) -> list:
     """Record the fit of every MLE call the CLI makes."""
     fits = []
 
-    def recording(counts, tol):
-        fits.append(tomography._mle_estimates(counts, tol))
+    def recording(counts):
+        fits.append(tomography._mle_estimates(counts))
         return fits[-1]
 
     monkeypatch.setattr(cli, "_mle_estimates", recording)
@@ -705,7 +716,11 @@ MLE_STEP_BUDGET = {"process-tomo": 15, "benchmark": 36}
 class TestMleRuns:
     @pytest.mark.parametrize("command", sorted(MLE_RUNS))
     def test_warns_when_a_record_stops_uncertified(self, capsys, monkeypatch, unitary_file, command):
-        monkeypatch.setattr(cli, "DEFAULT_TOL", dataclasses.replace(DEFAULT_TOL, mle_max_iter=2))
+        # the report and the warning read cli's record, the MLE kernel
+        # tomography's
+        capped = dataclasses.replace(DEFAULT_TOL, mle_max_iter=2)
+        monkeypatch.setattr(cli, "DEFAULT_TOL", capped)
+        monkeypatch.setattr(tomography, "DEFAULT_TOL", capped)
         argv = [unitary_file if a is None else a for a in MLE_RUNS[command]]
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_OK

@@ -144,8 +144,8 @@ def test_closed_form_representative_frames():
     # representative's magic-frame symmetric product with the phases of
     # its input, and on classes whose phases are well apart they are the
     # vectors an eigen-solve of the representative returns
-    su, _ = _special_unitary_projection(np.array(corpus()), DEFAULT_TOL)
-    phases, _ = _class_spectrum(su, DEFAULT_TOL)
+    su, _ = _special_unitary_projection(np.array(corpus()))
+    phases, _ = _class_spectrum(su)
     vs, frames = _representatives(_class_angles(phases))
     vm = _to_magic(vs)
     diagonal = frames.swapaxes(-1, -2) @ vm @ vm.swapaxes(-1, -2) @ frames
@@ -158,6 +158,6 @@ def test_closed_form_representative_frames():
     gaps[:, range(4), range(4)] = math.inf
     apart = gaps.min(axis=(1, 2)) > 1e-3
     assert apart.sum() >= 200
-    solved_phases, solved = _class_spectrum(vs[apart], DEFAULT_TOL)
+    solved_phases, solved = _class_spectrum(vs[apart])
     assert np.abs(np.exp(1j * solved_phases) - np.exp(1j * phases[apart])).max() < 1e-12
     assert np.abs(solved - frames[apart]).max() < 1e-12

@@ -2,7 +2,6 @@
 verification. Pinned rows from external tables live in reference_data."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from su4c.compiler import (
     local_invariants,
     verify,
 )
-from su4c.config import DEFAULT_TOL
 from su4c.gates import G_GATE
 from su4c.haar import SeededRng, sample_su4
 from su4c.linalg import NotUnitaryError, nearest_unitary, phase_invariant_distance
@@ -211,8 +209,7 @@ class TestVerify:
     def test_distance_gates_the_outcome(self):
         u = sample_su4(SeededRng(179))
         params = decompose(u)
-        tight = replace(DEFAULT_TOL, verify_distance=1e-300)
-        assert not verify(u, params, tight).passed
+        assert not verify(u, params, max_distance=1e-300).passed
 
 
 class TestPinnedRows:
@@ -227,8 +224,7 @@ class TestPinnedRows:
     @pytest.mark.parametrize("idx", range(len(PINNED_ROWS)))
     def test_row_verifies(self, idx):
         row = PINNED_ROWS[idx]
-        tol = replace(DEFAULT_TOL, verify_distance=5e-3)
-        report = verify(row[0], row_to_params(row), tol)
+        report = verify(row[0], row_to_params(row), max_distance=5e-3)
         assert report.passed
         assert report.invariant_error < 5e-3
 

@@ -185,6 +185,23 @@ class TestInputStates:
             with pytest.raises(ValueError, match=re.escape(str(STATE_LABELS))):
                 input_state(label)
 
+    # a string is not read as its characters, and a label of one or three
+    # names is not unpacked: each entry point names the pair rule and the
+    # label
+    @pytest.mark.parametrize("label", ["up", "uu", ("up",), ("up", "up", "up")])
+    @pytest.mark.parametrize("entry", ["input_state", "run_experiment", "run_experiments", "exact_experiment"])
+    def test_label_must_be_a_pair(self, entry, label):
+        calls = {
+            "input_state": lambda: input_state(label),
+            "run_experiment": lambda: run_experiment(ORACLE_PROGRAMS[0], label, CALIBRATED_NOISE, 10, SeededRng(1)),
+            "run_experiments": lambda: run_experiments(
+                ORACLE_PROGRAMS[:1], [label], CALIBRATED_NOISE, 10, [SeededRng(1)]
+            ),
+            "exact_experiment": lambda: exact_experiment(ORACLE_PROGRAMS[0], label),
+        }
+        with pytest.raises(ValueError, match=re.escape(f"a pair of state labels, one per qubit; got {label!r}")):
+            calls[entry]()
+
     def test_label_set(self):
         assert STATE_LABELS == ("up", "down", "plus", "minus_i")
 

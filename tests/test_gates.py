@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from oracles import PAULI_X, canonical_v, embed, gate_matrix
-from su4c.config import DEFAULT_TOL
 from su4c.gates import (
     _MAGIC,
     _canonical_phase,
@@ -28,7 +27,7 @@ I4 = np.eye(4, dtype=complex)
 
 def class_phases(u):
     """The class spectrum's phases of one det-1 unitary."""
-    return _class_spectrum(np.asarray(u, dtype=complex)[None], DEFAULT_TOL)[0][0]
+    return _class_spectrum(np.asarray(u, dtype=complex)[None])[0][0]
 
 
 def random_su2(rng):

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from su4c.config import DEFAULT_TOL
 from su4c.haar import SeededRng, sample_su4
 from su4c.linalg import _special_unitary_projection, is_unitary
 
@@ -45,17 +44,15 @@ class TestSeededRng:
         assert np.array_equal(a, b)
 
     def test_child_is_the_spawned_stream(self):
-        root = SeededRng(9)
-        kids = SeededRng(9).spawn(5)
-        for index in (4, 0, 2):
-            a = root._child(index).generator.random(8)
-            assert np.array_equal(a, kids[index].generator.random(8))
         # spawning in pieces hands out the same children in order
         pieces = SeededRng(9)
         again = pieces.spawn(2) + pieces.spawn(3)
         kids = SeededRng(9).spawn(5)
         for k1, k2 in zip(again, kids):
             assert np.array_equal(k1.generator.random(8), k2.generator.random(8))
+        # and spawning leaves the parent's own draws where they were, so
+        # benchmark's unitaries do not depend on the streams it spawns
+        assert np.array_equal(pieces.generator.random(8), SeededRng(9).generator.random(8))
 
 
 class TestSampleSu4:
@@ -106,6 +103,6 @@ class TestSampleSu4:
                 gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
             ) / np.sqrt(2.0)
             q, _ = np.linalg.qr(g)  # deliberately skipping the phase fix
-            su, _ = _special_unitary_projection(q[None], DEFAULT_TOL)
+            su, _ = _special_unitary_projection(q[None])
             acc += abs(np.trace(su[0])) ** 2
         assert abs(acc / n - 1.0) > 0.5

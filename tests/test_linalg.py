@@ -40,7 +40,7 @@ def _row(m):
 
 def special_unitary_projection(u):
     """(su, phase) of one unitary."""
-    su, phases = _special_unitary_projection(_row(u), DEFAULT_TOL)
+    su, phases = _special_unitary_projection(_row(u))
     return su[0], complex(phases[0])
 
 
@@ -51,19 +51,19 @@ class EigenSystem(NamedTuple):
 
 def joint_real_diagonalization(w):
     """The sorted, sign-fixed real eigensystem of one unitary symmetric w."""
-    phases, vectors = _canonicalize(*_joint_real_eigensystem(_row(w), DEFAULT_TOL))
+    phases, vectors = _canonicalize(*_joint_real_eigensystem(_row(w)))
     return EigenSystem(phases[0], vectors[0])
 
 
 def factor_tensor_product(m):
     """(a, b, phase) of one 4x4 unitary product."""
-    a, b, phases = _factor_tensor_product(_row(m), DEFAULT_TOL)
+    a, b, phases = _factor_tensor_product(_row(m))
     return a[0], b[0], complex(phases[0])
 
 
 def su2_params(m):
     """(theta, phi, phiz, sign) of one det-1 2x2 unitary, sign an int."""
-    theta, phi, phiz, sign = _su2_params(_row(m), DEFAULT_TOL)[0].tolist()
+    theta, phi, phiz, sign = _su2_params(_row(m))[0].tolist()
     return theta, phi, phiz, int(sign)
 
 
@@ -415,7 +415,7 @@ class TestPhaseInvariantDistance:
             phase_invariant_distance(I2, I4)
 
 
-def su2_params_loop(m, tol=DEFAULT_TOL):
+def su2_params_loop(m):
     """_su2_params written as a loop over the rows of an (N, 2, 2) stack, one
     tuple per row with an int sign; numpy's arctan2 of the two moduli."""
     m00, m10 = m[:, 0, 0], m[:, 1, 0]
@@ -430,9 +430,9 @@ def su2_params_loop(m, tol=DEFAULT_TOL):
             sign, phiz = -1, math.tau - 2.0 * psi
         if phiz >= math.tau:
             sign, phiz = -sign, phiz - math.tau
-        if theta < tol.angle_snap:
+        if theta < SNAP:
             out.append((0.0, 0.0, phiz % math.tau, sign))
-        elif theta > math.pi - tol.angle_snap:
+        elif theta > math.pi - SNAP:
             out.append((math.pi, (arg10 + math.pi / 2.0) % math.tau, 0.0, 1))
         else:
             sign_arg = 0.0 if sign == 1 else math.pi
@@ -482,7 +482,7 @@ su2_rows = st.one_of(
 
 
 def assert_matches_loop(stack):
-    got = _su2_params(stack, DEFAULT_TOL)
+    got = _su2_params(stack)
     want = np.array(su2_params_loop(stack), dtype=float)
     assert got.shape == want.shape
     for k in range(len(stack)):

@@ -1,10 +1,14 @@
 """The public surface: every exported name resolves, so a star import of
 the package or of any of its modules works; the package exports exactly
 what its modules export, the pinned list below; the benchmark's traced
-names resolve; and no function takes a parameter it never reads."""
+names resolve; no function takes a parameter it never reads; and the
+thresholds are constants that some kernel reads, verify's the one a caller
+sets."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -110,3 +114,37 @@ def test_no_unread_parameters():
     sources = sorted(Path(su4c.__file__).parent.glob("*.py"))
     assert sources
     assert [p for path in sources for p in unread_parameters(path)] == []
+
+
+def test_every_tolerance_is_read():
+    # a field no code reads is printed in every report and checks nothing
+    read = {
+        node.attr
+        for path in Path(su4c.__file__).parent.glob("*.py")
+        if path.name != "config.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    fields = [field.name for field in dataclasses.fields(su4c.Tolerances)]
+    assert len(fields) == 9
+    assert [name for name in fields if name not in read] == []
+
+
+def test_one_threshold_parameter():
+    # the thresholds are the package's constants: no public function takes
+    # a Tolerances record, and the one whose threshold a caller sets is
+    # verify's; is_unitary, the unitarity predicate, takes its tolerance
+    # as its argument, as it is used at two (unitarity, input_unitarity)
+    values = {v for v in dataclasses.astuple(su4c.DEFAULT_TOL) if isinstance(v, float)}
+    records, thresholds = [], {}
+    for name in su4c.__all__:
+        function = getattr(su4c, name)
+        if not inspect.isfunction(function):
+            continue
+        for param in inspect.signature(function).parameters.values():
+            if param.name == "tol" or "Tolerances" in str(param.annotation):
+                records.append(f"{name}.{param.name}")
+            elif isinstance(param.default, float) and param.default in values:
+                thresholds.setdefault(name, []).append(param.name)
+    assert records == []
+    assert thresholds == {"verify": ["max_distance"], "is_unitary": ["atol"]}

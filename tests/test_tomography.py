@@ -313,15 +313,15 @@ class TestMleReconstruction:
         rng = SeededRng(397)
         tables = [exact_table(random_density(rng, rank)) for rank in (1, 2) * 8]
         tables += [mle_case_table("calibrated", 30, seed) for seed in (0, 1)]
-        fit = _mle_estimates(np.array(tables), DEFAULT_TOL)
+        fit = _mle_estimates(np.array(tables))
         assert min(least) <= 0.0  # the premise: a step left the set
         assert np.all(np.linalg.eigvalsh(fit.states)[:, 0] > 0.0)
         assert np.all(fit.certificates <= DEFAULT_TOL.mle_stop)
 
 
-def mle_fit(table, tol=DEFAULT_TOL):
+def mle_fit(table):
     """_mle_estimates of one count table (9, 4)."""
-    return _mle_estimates(np.asarray(table)[None], tol)
+    return _mle_estimates(np.asarray(table)[None])
 
 
 def per_shot_log_likelihood(rho, table):
@@ -499,7 +499,7 @@ def test_mle_on_count_tables(table):
     # twice in one stacked call, beside a neighbour, with the bytes it
     # gets alone
     neighbour = exact_table(GROUND)
-    stacked = _mle_estimates(np.array([table, neighbour, table]), DEFAULT_TOL)
+    stacked = _mle_estimates(np.array([table, neighbour, table]))
     for k in (0, 2):
         for got, want in zip(stacked, fit):
             assert got[k].tobytes() == want[0].tobytes()
