@@ -20,14 +20,10 @@ import numpy as np
 from .gates import (
     GateElement,
     ClassParams,
-    _ENTRY_FRAME,
-    _PAULI_Z,
-    _R_HALF_Y,
     _canonical_phase,
     _canonical_vs,
     _exit_layers,
-    _r_gates,
-    _rz_gates,
+    _four_term_sum,
     r_gate,
     rz_gate,
 )
@@ -80,14 +76,36 @@ def circuit_to_unitary(params: CircuitParams) -> np.ndarray:
     return params.global_phase * post @ v @ pre
 
 
-# Fixed 2x2 ingredients of the entangling-block template.
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
-_RZ_P = rz_gate(math.pi / 2.0)
-_RZ_M = rz_gate(-math.pi / 2.0)
-_H_RZ_P = _HADAMARD @ _RZ_P
-# The qubit-1 factor of layer L3 (see pulse_angles), which no class changes.
-_L3_1 = _HADAMARD @ _RZ_M @ _ENTRY_FRAME
+def _left(p) -> np.ndarray:
+    """The matrix of q -> p q, the Hamilton product by p on the left."""
+    p0, p1, p2, p3 = p
+    return np.array([[p0, -p1, -p2, -p3], [p1, p0, -p3, p2], [p2, p3, p0, -p1], [p3, -p2, p1, p0]])
 
+
+def _right(p) -> np.ndarray:
+    """The matrix of q -> q p, the Hamilton product by p on the right."""
+    p0, p1, p2, p3 = p
+    return np.array([[p0, -p1, -p2, -p3], [p1, p0, p3, -p2], [p2, -p3, p0, p1], [p3, p2, -p1, p0]])
+
+
+# The constant factors of the eight slots of pulse_angles, in application
+# order, as one matrix each, the left factor's times the right factor's
+# (unit quaternions, see _su2_params; H and Z enter divided by i, so the
+# scalar dropped only shifts the global phase): slot s is _SLOT_MAPS[s]
+# applied to the slot's one varying quaternion.
+_R2 = math.sqrt(0.5)
+_SLOT_MAPS = np.array([
+    _left([_R2, 0.0, 0.0, -_R2]),  # Rz(-pi/2) A
+    _left([0.0, -1.0, 0.0, 0.0]),  # H Rz(-pi/2) E0 B, E0 of _canonical_vs
+    _right([_R2, 0.0, 0.0, _R2]),  # R(alpha, pi) Rz(pi/2)
+    _left([-0.5, 0.5, -0.5, 0.5]),  # H Rz(pi/2) 1
+    _right([-_R2, 0.0, 0.0, _R2]),  # R(beta, pi) Rz(pi/2) Z
+    _left([0.0, -_R2, 0.0, -_R2]) @ _right([0.0, 0.0, 0.0, 1.0]),  # H Rz(-delta) Z, with i^2 = -1
+    _right([_R2, 0.0, 0.0, _R2]),  # C Rz(pi/2)
+    _right([0.0, _R2, -_R2, 0.0]),  # D Rz(delta) R(pi/2, pi/2) H Rz(pi/2)
+])
+# _SLOT_COLUMNS[j, s] is column j of _SLOT_MAPS[s]
+_SLOT_COLUMNS = _SLOT_MAPS.transpose(2, 0, 1).copy()
 
 # (kind, target) of each pulse of every program in application order: 4
 # slots of [R, Rz, R, Rz] on qubit 0 and on qubit 1, with G between slots.
@@ -95,9 +113,6 @@ _SLOT = tuple((kind, target) for target in (0, 1) for kind in ("R", "Rz", "R", "
 _TEMPLATE = (*_SLOT, ("G", None)) * 3 + _SLOT
 PULSE_COUNT = len(_TEMPLATE)  # 8 slots x (R, Rz, R, Rz) + 3 G applications
 _R_THETA = math.pi / 2.0  # of every R pulse
-# The square root of each slot's determinant: H and Z (det -1) enter slots
-# 1, 3, 4 and 7 once each, and every other factor has det 1.
-_SLOT_ROOTS = np.array([1, 1j, 1, 1j, 1j, 1, 1, 1j])
 
 
 def pulse_angles(params: list[CircuitParams]) -> np.ndarray:
@@ -128,32 +143,45 @@ def pulse_angles(params: list[CircuitParams]) -> np.ndarray:
     exp(-i pi/4 ZZ) = e^{-i pi/4} (Z x Z) G. The canonical block's fixed
     entry and exit frames on qubit 1 are merged into L3 and L0, and L3 and
     L0 into the corrections (A, B) and (C, D), leaving four slots per qubit
-    around three G applications for every class. Each slot is
-    divided by the square root of its fixed determinant (the dropped scalar
-    only shifts the global phase), written as sign * Rz(phiz) R(theta, phi),
-    and R(theta, phi) as the triple
+    around three G applications for every class.
+
+    Each slot is a unit quaternion (see _su2_params): the Hamilton product
+    of one varying quaternion, a letter or a class rotation built from its
+    angles in closed form, with the slot's constant factors (_SLOT_MAPS).
+    It is written as sign * Rz(phiz) R(theta, phi), and R(theta, phi) as
+    the triple
 
         R(theta, phi) = R(pi/2, phi + pi/2) Rz(theta) R(pi/2, phi - pi/2),
 
     which is exact for every (theta, phi).
 
     pulse_angles is the object view of _pulse_angles, which takes the
-    arrays _decompose_arrays returns.
+    arrays _decompose_arrays returns, with letters from _quaternions.
     """
     letters = [v for p in params for g in (p.a, p.b, p.c, p.d) for v in (g.theta, g.phi, g.phiz, g.sign)]
     classes = [v for p in params for v in (p.class_params.alpha, p.class_params.beta, p.class_params.delta)]
-    return _pulse_angles(
-        np.array(classes, dtype=float).reshape(-1, 3), np.array(letters, dtype=float).reshape(-1, 4, 4)
-    )
+    quaternions = _quaternions(np.array(letters, dtype=float).reshape(-1, 4))
+    return _pulse_angles(np.array(classes, dtype=float).reshape(-1, 3), quaternions.reshape(-1, 4, 4))
+
+
+def _quaternions(letters: np.ndarray) -> np.ndarray:
+    """The unit quaternion (N, 4) of each letter sign * Rz(phiz) R(theta,
+    phi), a (theta, phi, phiz, sign) row of an (N, 4) array, in closed form:
+    sign (cos(phiz/2) cos(theta/2), sin(theta/2) cos(phi + phiz/2),
+    sin(theta/2) sin(phi + phiz/2), sin(phiz/2) cos(theta/2))."""
+    theta, phi, phiz, sign = letters.T
+    cos, sin = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    turn = phi + phiz / 2.0
+    return sign[:, None] * np.array(
+        [np.cos(phiz / 2.0) * cos, sin * np.cos(turn), sin * np.sin(turn), np.sin(phiz / 2.0) * cos]
+    ).T
 
 
 def _pulse_angles(classes: np.ndarray, letters: np.ndarray) -> np.ndarray:
     """pulse_angles of the circuits with class angles (alpha, beta, delta),
-    (N, 3), and letters A, B, C, D as (theta, phi, phiz, sign) rows,
-    (N, 4, 4): each slot divided by its entry of _SLOT_ROOTS, read as an R
-    triple and an Rz."""
-    su = _slots(classes, letters) / _SLOT_ROOTS[:, None, None]
-    theta, phi, phiz, _ = _su2_params(su.reshape(-1, 2, 2)).T
+    (N, 3), and letters A, B, C, D as unit quaternions, (N, 4, 4): each
+    slot of _slot_quaternions read as an R triple and an Rz."""
+    theta, phi, phiz, _ = _su2_params(_slot_quaternions(classes, letters).reshape(-1, 4)).T
     out = np.empty((len(theta), 4))
     out[:, 0] = (phi - _R_THETA) % math.tau
     out[:, 1] = theta % math.tau
@@ -162,38 +190,26 @@ def _pulse_angles(classes: np.ndarray, letters: np.ndarray) -> np.ndarray:
     return out.reshape(-1, 32)
 
 
-def _slots(classes: np.ndarray, letters: np.ndarray) -> np.ndarray:
-    """The eight slots (N, 8, 2, 2) of each program of _pulse_angles, in
-    application order, before _SLOT_ROOTS; every R and Rz factor of the
-    batch comes from one _r_gates and one _rz_gates call."""
+# D k = (-d3, d2, -d1, d0): the Hamilton product of D by the unit k
+_TIMES_K = np.array([-1.0, 1.0, -1.0, 1.0])
+
+
+def _slot_quaternions(classes: np.ndarray, letters: np.ndarray) -> np.ndarray:
+    """The eight slots (N, 8, 4) of each program of _pulse_angles, in
+    application order, as unit quaternions: each slot's varying quaternion,
+    the class rotations built from their angles in closed form, under the
+    slot's _SLOT_MAPS matrix, as four-term sums."""
     n = len(classes)
-    flat = letters.reshape(4 * n, 4)
-    alpha, beta, delta = classes.T
-    # rows: the angles of R, their phases and the angles of Rz; columns:
-    # the 4N letters, then R(beta, pi), Rz(-delta), then R(alpha, pi),
-    # Rz(delta)
-    table = np.empty((3, 6 * n))
-    table[:, : 4 * n] = flat[:, :3].T
-    table[0, 4 * n : 5 * n], table[0, 5 * n :] = beta, alpha
-    table[1, 4 * n :] = math.pi
-    table[2, 4 * n : 5 * n], table[2, 5 * n :] = -delta, delta
-    r, rz = _r_gates(table[0], table[1]), _rz_gates(table[2])
-    signs = flat[:, 3]
-    local = (signs[:, None, None] * rz[: 4 * n]) @ r[: 4 * n]
-    a, b, c, d = local.reshape(n, 4, 2, 2).swapaxes(0, 1)
-    r_beta, r_alpha = r[4 * n : 5 * n], r[5 * n :]
-    rz_minus_delta, rz_delta = rz[4 * n : 5 * n], rz[5 * n :]
-    # application order: L3 after (A, B), L2, L1, then (C, D) after L0
-    slots = np.empty((n, 8, 2, 2), dtype=complex)
-    slots[:, 0] = _RZ_M @ a
-    slots[:, 1] = _L3_1 @ b
-    slots[:, 2] = r_alpha @ _RZ_P
-    slots[:, 3] = _H_RZ_P
-    slots[:, 4] = r_beta @ _RZ_P @ _PAULI_Z
-    slots[:, 5] = _HADAMARD @ rz_minus_delta @ _PAULI_Z
-    slots[:, 6] = c @ _RZ_P
-    slots[:, 7] = d @ (rz_delta @ _R_HALF_Y @ _H_RZ_P)
-    return slots
+    cos, sin = np.cos(classes / 2.0), np.sin(classes / 2.0)
+    varying = np.zeros((n, 8, 4))
+    varying[:, [0, 1, 6]] = letters[:, :3]
+    varying[:, 3, 0] = 1.0
+    varying[:, [2, 4], 0] = cos[:, :2]  # R(alpha, pi) and R(beta, pi)
+    varying[:, [2, 4], 1] = -sin[:, :2]
+    varying[:, 5, 0], varying[:, 5, 3] = cos[:, 2], -sin[:, 2]  # Rz(-delta)
+    d = letters[:, 3]
+    varying[:, 7] = cos[:, 2:] * d + sin[:, 2:] * d[:, ::-1] * _TIMES_K  # D Rz(delta)
+    return _four_term_sum(varying.swapaxes(1, 2)[..., None] * _SLOT_COLUMNS)
 
 
 def _pulses(row: np.ndarray) -> list[GateElement]:

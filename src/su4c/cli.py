@@ -36,8 +36,8 @@ from functools import cache, partial
 
 import numpy as np
 
-from .circuits import _pulse_angles, lower_to_pulses
-from .compiler import _decompose_arrays, decompose, verify
+from .circuits import _pulse_angles, _pulses
+from .compiler import _circuit_params, _decompose_arrays, verify
 from .config import DEFAULT_TOL, _with_verify_distance, tolerances_from_env
 from .experiment import (
     CALIBRATED_NOISE,
@@ -97,16 +97,18 @@ def _resolve_noise(source: str) -> tuple[NoiseModel, dict]:
     if source == "calibrated":
         return CALIBRATED_NOISE, {"source": "calibrated"}
     obj, input_hash = _read_json(source)
-    if not isinstance(obj, dict):
-        raise ValueError("noise JSON must be an object")
-    allowed = {"overrotation_sigma", "depolarizing_per_g", "damping_per_circuit"}
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ValueError(f"unknown noise fields {sorted(unknown)}")
-    for k, v in obj.items():
-        if not _is_finite_number(v):
-            raise ValueError(f"noise field {k!r} is {v!r}, not a finite number")
-    model = NoiseModel(**{k: float(v) for k, v in obj.items()})
+    try:
+        if not isinstance(obj, dict):
+            raise ValueError("noise JSON must be an object")
+        unknown = set(obj) - {"overrotation_sigma", "depolarizing_per_g", "damping_per_circuit"}
+        if unknown:
+            raise ValueError(f"unknown noise fields {sorted(unknown)}")
+        for k, v in obj.items():
+            if not _is_finite_number(v):
+                raise ValueError(f"noise field {k!r} is {v!r}, not a finite number")
+        model = NoiseModel(**{k: float(v) for k, v in obj.items()})
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
     return model, {"source": "file", "hash": input_hash}
 
 
@@ -175,8 +177,10 @@ def _cmd_compile(args) -> int:
         return _fail(EXIT_PARSE, str(exc))
     if m is None:
         return _not_unitary()
-    # a file's matrix may be rounded, so compile its nearest unitary
-    params = decompose(nearest_unitary(m))
+    # a file's matrix may be rounded, so compile its nearest unitary, kept
+    # as arrays for the pulse program
+    classes, letters, phases = _decompose_arrays(nearest_unitary(m)[None])
+    params = _circuit_params(classes, letters, phases)[0]
     # against the file's matrix, so a rounded input reports how far it is
     # from the compiled circuit
     report = verify(m, params, tol.verify_distance)
@@ -192,7 +196,7 @@ def _cmd_compile(args) -> int:
         },
     }
     if args.pulses:
-        out["pulses"] = [_pulse_obj(p) for p in lower_to_pulses(params)]
+        out["pulses"] = [_pulse_obj(p) for p in _pulses(_pulse_angles(classes, letters)[0])]
     code = _write_outputs(out, args.out)
     if code != EXIT_OK:
         return code

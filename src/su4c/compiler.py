@@ -20,16 +20,15 @@ from .config import DEFAULT_TOL
 from .gates import (
     ClassParams,
     _canonical_phase,
-    _canonical_vs,
+    _canonical_vms,
     _class_eigensystem,
     _class_spectrum,
     _exit_layers,
-    _from_magic,
+    _magic_factors,
     _to_magic,
 )
 from .linalg import (
     _as_complex,
-    _factor_tensor_product,
     _lead_positive,
     _proper,
     _require_shape,
@@ -140,7 +139,9 @@ def _unitary_stack(us) -> np.ndarray:
 
 
 def _circuit_params(classes, letters, phases) -> list[CircuitParams]:
-    """The CircuitParams view of _decompose_arrays' arrays, one per row."""
+    """The CircuitParams view of _decompose_arrays' arrays, one per row:
+    each letter's quaternion read as (theta, phi, phiz, sign)."""
+    rows = _su2_params(letters.reshape(-1, 4)).reshape(-1, 4, 4)
     return [
         CircuitParams(
             class_params=ClassParams(*angles),
@@ -150,28 +151,27 @@ def _circuit_params(classes, letters, phases) -> list[CircuitParams]:
             d=LocalGate(*d[:3], int(d[3])),
             global_phase=phase,
         )
-        for angles, (a, b, c, d), phase in zip(classes, letters.tolist(), phases.tolist())
+        for angles, (a, b, c, d), phase in zip(classes, rows.tolist(), phases.tolist())
     ]
 
 
 def _representatives(classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The canonical representatives of (N, 3) class angles without their
-    quarter turns, and their real magic-frame eigenframes, column k paired
+    """The magic-frame canonical representatives of (N, 3) class angles
+    without their quarter turns, and their real eigenframes, column k paired
     with phase k of the sorted invariants the angles were read from.
 
     Both local layers are real orthogonal in the magic frame, so vm @ vm.T
     is O diag(exp(2i half)) O.T with O the exit layer's magic-frame matrix,
-    and 2 half of _canonical_vs is (s2, s1, s0, s3) modulo 2 pi.
+    and 2 half of _canonical_vms is (s2, s1, s0, s3) modulo 2 pi.
     """
-    exits = _exit_layers(classes[:, 2])
-    frames = _to_magic(exits).real[:, :, [2, 1, 0, 3]]
-    return _canonical_vs(classes, exits), _proper(_lead_positive(frames))
+    exits = _to_magic(_exit_layers(classes[:, 2])).real
+    return _canonical_vms(classes, exits), _proper(_lead_positive(exits[:, :, [2, 1, 0, 3]]))
 
 
 def _decompose_arrays(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """decompose of each row of a non-empty (N, 4, 4) stack of unitaries, as
     arrays: the class angles (alpha, beta, delta), (N, 3); the letters A, B,
-    C, D as (theta, phi, phiz, sign) rows, (N, 4, 4); and the global
+    C, D as unit quaternions (see _su2_params), (N, 4, 4); and the global
     phases, (N,)."""
     n = len(ms)
     su, zeta = _special_unitary_projection(ms)
@@ -179,25 +179,22 @@ def _decompose_arrays(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     # det +1 by construction
     phases_u, frame_u = _class_spectrum(su)
     classes = _class_angles(phases_u)
-    v_comp, frame_v = _representatives(classes)
+    vm, frame_v = _representatives(classes)
     um = _to_magic(su)
-    vm = _to_magic(v_comp)
     post_m = frame_u @ frame_v.swapaxes(-1, -2)
-    pre_m = vm.conj().swapaxes(-1, -2) @ frame_v @ frame_u.swapaxes(-1, -2) @ um
+    pre_m = vm.conj().swapaxes(-1, -2) @ post_m.swapaxes(-1, -2) @ um
 
     imag_residue = np.abs(pre_m.imag).max(axis=(1, 2))
     if (imag_residue >= DEFAULT_TOL.reality).any():
         raise RealityViolationError(
             f"pre-rotation has imaginary residue {imag_residue.max():.3e}"
         )
-    pre_m = pre_m.real.astype(complex)
 
-    # both factorings are one stack: post rows, then pre rows
-    a, b, phases_f = _factor_tensor_product(np.concatenate([_from_magic(post_m), _from_magic(pre_m)]))
-    # the four letters are one stack too: a, b, c, d rows in turn
-    angles = _su2_params(np.concatenate([a[n:], b[n:], a[:n], b[:n]]))
-    letters = angles.reshape(4, n, 4).swapaxes(0, 1)
-    global_phases = zeta * phases_f[:n] * phases_f[n:] * np.conj(_canonical_phase(classes))
+    # both rotations are one stack, post rows then pre rows; each is
+    # kron(a, b) in the magic frame, so no factoring scalar is left over
+    a, b = _magic_factors(np.concatenate([post_m, pre_m.real]))
+    letters = np.stack([a[n:], b[n:], a[:n], b[:n]], axis=1)
+    global_phases = zeta * np.conj(_canonical_phase(classes))
     return classes, letters, global_phases
 
 

@@ -55,9 +55,9 @@ order (first basis state of qubit 0 first).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence, Sized
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
 
 import numpy as np
 
@@ -128,7 +128,7 @@ _PREPARATION_INDEX = {label: k for k, label in enumerate(TOMOGRAPHY_INPUT_LABELS
 
 def _preparation_index(label: Sequence[str]) -> int:
     """Row of a product preparation, one label per qubit, in the tables above."""
-    if isinstance(label, str) or len(label) != 2:
+    if isinstance(label, str) or not isinstance(label, Sized) or len(label) != 2:
         raise ValueError(f"a preparation label is a pair of state labels, one per qubit; got {label!r}")
     a, b = (str(name) for name in label)
     for name in (a, b):

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _canonicalize, _joint_real_eigensystem, _kron
+from .config import DEFAULT_TOL
+from .linalg import NotAProductError, _canonicalize, _joint_real_eigensystem, _kron
 
 __all__ = ["G_GATE", "GateElement", "r_gate", "rz_gate", "ClassParams"]
-
-_PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 # Entangling gate: exp(-i pi/4) exp(i pi/4 Z x Z). Determinant -1, so it is
 # not special unitary on its own.
@@ -56,17 +55,6 @@ def r_gate(theta: float, phi: float) -> np.ndarray:
 def rz_gate(phiz: float) -> np.ndarray:
     """Frame rotation diag(exp(-i phiz / 2), exp(i phiz / 2))."""
     return np.array([[np.exp(-0.5j * phiz), 0.0], [0.0, np.exp(0.5j * phiz)]], dtype=complex)
-
-
-def _r_gates(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """r_gate of each (theta, phi) pair, as an (N, 2, 2) stack; each row
-    is built with r_gate's operations in r_gate's order."""
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    out = np.empty((len(theta), 2, 2), dtype=complex)
-    out[:, 0, 0] = out[:, 1, 1] = c
-    out[:, 0, 1] = -1j * np.exp(-1j * phi) * s
-    out[:, 1, 0] = -1j * np.exp(1j * phi) * s
-    return out
 
 
 def _rz_gates(phiz: np.ndarray) -> np.ndarray:
@@ -114,6 +102,54 @@ def _from_magic(u: np.ndarray) -> np.ndarray:
     return _MAGIC @ u @ _MAGIC_DAG
 
 
+# The letters of the quaternion units 1, i, j, k: the quaternion q is the
+# SU(2) element q0 I - i (q1 X + q2 Y + q3 Z), and Hamilton products are
+# matrix products.
+_UNIT_LETTERS = np.array([[[1, 0], [0, 1]], [[0, -1j], [-1j, 0]], [[0, -1], [1, 0]], [[-1j, 0], [0, 1j]]])
+# Row 4k + l of _ASSOCIATE is the magic-frame image of kron(unit k, unit l),
+# flattened: real, with four entries +-1, and _ASSOCIATE.T @ _ASSOCIATE = 4 I.
+# So O = _to_magic(kron(a, b)) for unit quaternions a, b is linear in the
+# associate matrix a b^T, and a b^T = (_ASSOCIATE @ O.ravel()) / 4, each
+# entry a sum of four entries of O.
+_ASSOCIATE = _to_magic(_kron(_UNIT_LETTERS[:, None], _UNIT_LETTERS[None])).real.round().reshape(16, 16)
+# the four terms of entry (k, l) of the associate matrix: term t of every
+# entry sits in column 4k + l of row t of these
+_ASSOCIATE_INDEX = _ASSOCIATE.nonzero()[1].reshape(16, 4).T
+_ASSOCIATE_SIGN = _ASSOCIATE[np.arange(16), _ASSOCIATE_INDEX] / 4.0
+
+
+def _four_term_sum(t: np.ndarray) -> np.ndarray:
+    """t[:, 0] + t[:, 1] + t[:, 2] + t[:, 3], added in that order."""
+    return t[:, 0] + t[:, 1] + t[:, 2] + t[:, 3]
+
+
+def _magic_factors(o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit quaternions a, b (N, 4) with _to_magic(kron(a, b)) = O, for each
+    real det +1 orthogonal O of an (N, 4, 4) stack: a on qubit 0, b on
+    qubit 1.
+
+    The associate matrix K = a b^T is one four-term sum per entry. b is
+    K's largest row, normalized, and a = K b. Of the two signs (a, b) and
+    (-a, -b), the one kept gives a's letter a positive real part in m00,
+    or in m01 when |m01| is the larger (a0^2 + a3^2 < a1^2 + a2^2).
+
+    Raises NotAProductError when K misses a b^T by
+    DEFAULT_TOL.product_residual or more, as it does for det -1 input."""
+    k = _four_term_sum(o.reshape(-1, 16)[:, _ASSOCIATE_INDEX] * _ASSOCIATE_SIGN).reshape(-1, 4, 4)
+    rows = np.arange(len(k))
+    norms = _four_term_sum((k * k).swapaxes(1, 2))  # a_i^2 |b|^2
+    top = norms.argmax(axis=1)
+    b = k[rows, top] / np.sqrt(norms[rows, top])[:, None]
+    a = _four_term_sum((k * b[:, None, :]).swapaxes(1, 2))  # a_top > 0
+    diagonal = norms[:, 0] + norms[:, 3] >= norms[:, 1] + norms[:, 2]
+    sign = np.where(np.where(diagonal, a[:, 0] < 0.0, a[:, 2] > 0.0), -1.0, 1.0)[:, None]
+    a, b = sign * a, sign * b
+    residual = np.abs(k - a[:, :, None] * b[:, None, :]).max(axis=(1, 2))
+    if not (residual < DEFAULT_TOL.product_residual).all():
+        raise NotAProductError(f"tensor-product residual {residual.max():.3e}")
+    return a, b
+
+
 @dataclass(frozen=True)
 class ClassParams:
     """Three angles (alpha, beta, delta) labeling a local-equivalence class.
@@ -135,7 +171,7 @@ class ClassParams:
 _R_HALF_Y = r_gate(math.pi / 2.0, math.pi / 2.0)
 # Fixed single-qubit dressing applied to qubit 1 before the interaction core.
 _ENTRY_FRAME = rz_gate(-math.pi / 2.0) @ _R_HALF_Y @ rz_gate(-math.pi)
-_ENTRY_LAYER = _kron(_I2, _ENTRY_FRAME)
+_ENTRY_MAGIC = _to_magic(_kron(_I2, _ENTRY_FRAME)).real  # real, as the layer is local
 
 
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
@@ -171,24 +207,17 @@ def _canonical_vs(angles: np.ndarray, exits: np.ndarray) -> np.ndarray:
     unity). The eigenvalues of V V^T in the magic frame equal
     exp(i eigenphases) up to one shared half-turn when i^m is imaginary.
     """
-    n = len(angles)
+    return _from_magic(_canonical_vms(angles, _to_magic(exits).real))
+
+
+def _canonical_vms(angles: np.ndarray, exit_frames: np.ndarray) -> np.ndarray:
+    """_canonical_vs in the magic frame, from the rows' magic-frame exit
+    layers (real, as the layers are local): the interaction core is
+    diagonal there, with the eigenphases of ClassParams(delta, beta, alpha),
+    halved, so no matrix exponential is needed."""
     alpha, beta, delta = angles.T
-    # The interaction core exp(i (beta XX + alpha YY + delta ZZ) / 2), built
-    # from its magic-frame diagonal so no matrix exponential is needed: the
-    # eigenphases of ClassParams(delta, beta, alpha), halved.
-    half = np.stack(
-        [
-            delta + beta - alpha,
-            delta - beta + alpha,
-            -delta + beta + alpha,
-            -delta - beta - alpha,
-        ],
-        axis=1,
-    ) / 2.0
-    diagonal = np.arange(4)
-    core = np.zeros((n, 4, 4), dtype=complex)
-    core[:, diagonal, diagonal] = np.exp(1j * half)
-    return exits @ _from_magic(core) @ _ENTRY_LAYER
+    halves = [delta + beta - alpha, delta - beta + alpha, -delta + beta + alpha, -delta - beta - alpha]
+    return exit_frames @ (np.exp(1j * np.stack(halves, axis=1) / 2.0)[:, :, None] * _ENTRY_MAGIC)
 
 
 def _exit_layers(delta: np.ndarray) -> np.ndarray:

@@ -233,54 +233,6 @@ def _joint_real_eigensystem(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Tensor-product factoring
-# ---------------------------------------------------------------------------
-
-
-def _factor_tensor_product(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Factor each unitary of an (N, 4, 4) stack as ``phases[k] *
-    kron(a[k], b[k])`` with det-1 factors a, b (N, 2, 2).
-
-    Views each row as a 2x2 grid of 2x2 blocks ``m[2i:2i+2, 2j:2j+2] = a[i,
-    j] b``. The largest block fixes ``b`` up to normalization, the block
-    overlaps fix ``a``, and both factors are then rescaled to determinant one
-    with the residual scalar returned as the phase. For det-1 inputs the
-    phase is a fourth root of unity.
-
-    Raises NotAProductError when a rebuilt product misses its row by more
-    than DEFAULT_TOL.product_residual."""
-    n = m.shape[0]
-    rows = np.arange(n)
-    # blocks[k, i, j] is the view m[k, 2i:2i+2, 2j:2j+2].
-    blocks = m.reshape(n, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4)
-    norms = np.linalg.norm(blocks, axis=(3, 4))
-    bi, bj = np.divmod(norms.reshape(n, 4).argmax(axis=1), 2)
-    # A unitary product has every nonzero block proportional to b with
-    # |a[i,j]| * ||b||_F and ||b||_F = sqrt(2) after normalization.
-    b = blocks[rows, bi, bj] / (norms[rows, bi, bj] / math.sqrt(2.0))[:, None, None]
-    a = (b.conj().swapaxes(-1, -2)[:, None, None] @ blocks).trace(axis1=3, axis2=4) / 2.0
-
-    # a and b as one stack of 2n factors
-    factors = np.concatenate([a, b])
-    dets = factors[:, 0, 0] * factors[:, 1, 1] - factors[:, 0, 1] * factors[:, 1, 0]
-    if (np.abs(dets) < 1e-12).any():
-        raise NotAProductError("block structure is singular; not a tensor product")
-    factors = factors / np.sqrt(dets)[:, None, None]  # principal square roots
-    a, b = factors[:n], factors[n:]
-
-    prod = _kron(a, b)
-    overlaps = (prod.conj().swapaxes(-1, -2) @ m).trace(axis1=1, axis2=2) / 4.0
-    sizes = np.abs(overlaps)
-    if (sizes < 1e-12).any():
-        raise NotAProductError("no phase aligns the factors with the input")
-    phases = overlaps / sizes
-    residual = np.abs(phases[:, None, None] * prod - m).max(axis=(1, 2))
-    if (residual >= DEFAULT_TOL.product_residual).any():
-        raise NotAProductError(f"tensor-product residual {residual.max():.3e}")
-    return a, b, phases
-
-
-# ---------------------------------------------------------------------------
 # Phase-invariant distance
 # ---------------------------------------------------------------------------
 
@@ -308,23 +260,24 @@ def phase_invariant_distance(u, w) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _su2_params(m: np.ndarray) -> np.ndarray:
-    """Write each det-1 2x2 unitary of an (N, 2, 2) stack as ``sign *
-    Rz(phiz) @ R(theta, phi)``, as the row (theta, phi, phiz, sign) of an
-    (N, 4) array.
+def _su2_params(q: np.ndarray) -> np.ndarray:
+    """Write each unit quaternion (q0, q1, q2, q3) of an (N, 4) stack, the
+    SU(2) element q0 I - i (q1 X + q2 Y + q3 Z), as ``sign * Rz(phiz) @
+    R(theta, phi)``, the row (theta, phi, phiz, sign) of an (N, 4) array.
 
     theta lies in [0, pi], read as 2 arctan2(|m10|, |m00|) so small angles
     keep their digits; phi and phiz lie in [0, 2 pi) and sign is +-1.0, which
     absorbs the Rz double cover so that phiz can stay in a single turn. At
     the branch points, theta below the angle_snap threshold forces phi = 0,
     and theta within it of pi forces phiz = 0 and sign = +1."""
-    # sign * Rz(phiz) R(theta, phi) has entries
+    # the matrix has m00 = q0 - i q3 and m10 = q2 - i q1, and sign * Rz(phiz)
+    # R(theta, phi) has entries
     #   m00 = s e^{-i phiz/2} cos(theta/2)
     #   m10 = s e^{+i phiz/2} (-i e^{i phi}) sin(theta/2)
-    m00, m10 = m[:, 0, 0], m[:, 1, 0]
-    psi = np.arctan2(m00.imag, m00.real)  # arg(sign) - phiz/2
-    arg10 = np.arctan2(m10.imag, m10.real)
-    theta = 2.0 * np.arctan2(np.hypot(m10.real, m10.imag), np.hypot(m00.real, m00.imag))
+    q0, q1, q2, q3 = q.T
+    psi = np.arctan2(-q3, q0)  # arg(sign) - phiz/2
+    arg10 = np.arctan2(-q1, q2)
+    theta = 2.0 * np.arctan2(np.hypot(q2, q1), np.hypot(q0, q3))
     negative = psi > 0.0  # sign -1, arg(sign) = pi
     twice = 2.0 * psi
     phiz = np.where(negative, math.tau - twice, -twice)

@@ -19,6 +19,7 @@ the (N, 9, 4) count array core gives its row.
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -50,6 +51,7 @@ from su4c.circuits import _pulse_angles, _pulses
 from su4c.config import DEFAULT_TOL
 from su4c.experiment import NoiseModel, _outcome_probabilities, _sample_counts
 from su4c.haar import _sample_su4_many
+from su4c.linalg import _su2_params
 from su4c.tomography import (
     _LINEAR_MAP,
     _POVM_ROWS,
@@ -99,16 +101,23 @@ def same(a, b):
 @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
 def test_array_twins_hold_the_object_fields(order):
     # _decompose_arrays and _pulse_angles, which benchmark and process-tomo
-    # call, against the objects decompose_many and pulse_angles build
+    # call, against the objects decompose_many and pulse_angles build, and
+    # row for row against the forward stack
     us = np.array(INPUTS[::order])
     classes, letters, phases = compiler._decompose_arrays(us)
     params = decompose_many(us)
     fields = lambda rows: np.array([[float(v) for v in row] for row in rows])  # noqa: E731
     assert same(classes, fields([dataclasses.astuple(p.class_params) for p in params]))
     for k, name in enumerate("abcd"):
-        assert same(letters[:, k], fields([dataclasses.astuple(getattr(p, name)) for p in params]))
+        assert same(_su2_params(letters[:, k]), fields([dataclasses.astuple(getattr(p, name)) for p in params]))
     assert same(phases, np.array([p.global_phase for p in params]))
-    assert same(_pulse_angles(classes, letters), pulse_angles(params))
+    angles = _pulse_angles(classes, letters)
+    # pulse_angles builds each letter's quaternion again from its angles,
+    # so the two agree to rounding, modulo 2 pi
+    assert np.abs(np.remainder(angles - pulse_angles(params) + math.pi, math.tau) - math.pi).max() < 1e-12
+    forward = compiler._decompose_arrays(np.array(INPUTS))
+    for got, want in zip((classes, letters, phases, angles), (*forward, _pulse_angles(*forward[:2]))):
+        assert same(got, want[::order])
 
 
 def test_degenerate_rows_do_not_depend_on_neighbours():

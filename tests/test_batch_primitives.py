@@ -20,8 +20,8 @@ scoring paths that run as one stack with no per-row oracle, each on stacks
 of 1, 16 and 160 rows and on the same rows shuffled: np.arctan2 of the
 moduli (_su2_params), the array square (state_fidelity), np.remainder of
 the pair means (_class_angles), the quarter turns (_canonical_phase), the
-2x2 determinants ad - bc (_factor_tensor_product), the product of the
-global phases (decompose) and the division by _SLOT_ROOTS (pulse_angles).
+magic-frame factoring (_magic_factors), the global phases (decompose) and
+the slot quaternions (pulse_angles).
 """
 
 import math
@@ -30,10 +30,11 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from su4c.circuits import _SLOT_ROOTS
+from oracles import su2
+from su4c.circuits import _quaternions, _slot_quaternions
 from su4c.compiler import _class_angles
 from su4c.experiment import _apply
-from su4c.gates import _canonical_phase, _r_gates, _rz_gates, r_gate, rz_gate
+from su4c.gates import _canonical_phase, _magic_factors, _rz_gates, _to_magic, r_gate, rz_gate
 from su4c.haar import SeededRng
 from su4c.tomography import (
     _BORN,
@@ -180,9 +181,11 @@ def test_cos_sin_against_math():
 # Beyond the list above, the kernels rely on these.
 
 
-# The factoring's block norms and aligning phases: row k of a stack of N
-# must be what the one-row call gives, at every N up to past the SIMD
-# width and at one odd N beyond, so vector tails are covered.
+# The block norms and aligning phases of the block factoring that
+# tests/oracles.py keeps as the magic-frame factoring's reference, the
+# latter also in _sample_su4_many: row k of a stack of N must be what the
+# one-row call gives, at every N up to past the SIMD width and at one odd
+# N beyond, so vector tails are covered.
 SIZES = [*range(1, 10), 37]
 
 
@@ -364,11 +367,13 @@ def test_diagonal_phases(n):
         assert same(phases[k], d1 / np.abs(d1)), k
 
 
-# pulse_angles builds every R and Rz factor of a batch in one stacked call
-# and multiplies the (N, 2, 2) stacks with the template's constant factors;
-# each row must be what r_gate, rz_gate and the one-row products give. The
-# angles are Python floats, as the letters hold them, with 0, -0, pi/2 and
-# pi mixed in, and phi = pi (the class layers' phase) on every other row.
+# pulse_angles builds the quaternion of every letter of a batch in one
+# closed-form call, _exit_layers every Rz factor in one stacked call and
+# multiplies the (N, 2, 2) stack with a constant factor; each row must be
+# what the one-row call gives, and r_gate and rz_gate to rounding or bit for
+# bit. The angles are Python floats, as the letters hold them, with 0, -0,
+# pi/2 and pi mixed in, and phi = pi (the class layers' phase) on every
+# other row.
 
 
 def angle_list(seed, n):
@@ -378,11 +383,14 @@ def angle_list(seed, n):
 
 @pytest.mark.parametrize("n", SIZES)
 def test_r_gates_against_r_gate(n):
+    # R(theta, phi) is the letter (theta, phi, 0, +1)
     theta, phi = angle_list(23, n), angle_list(24, n)
     phi[::2] = [math.pi] * len(phi[::2])
-    got = _r_gates(np.array(theta), np.array(phi))
+    letters = np.array([[t, p, 0.0, 1.0] for t, p in zip(theta, phi)])
+    got = _quaternions(letters)
     for k in range(n):
-        assert same(got[k], r_gate(theta[k], phi[k])), k
+        assert same(got[k], _quaternions(letters[k : k + 1])[0]), k
+        assert np.abs(su2(got[k]) - r_gate(theta[k], phi[k])).max() < 4 * np.finfo(float).eps, k
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -530,26 +538,34 @@ def test_canonical_quarter_turns(n):
     rows_alone_and_shuffled(_canonical_phase, with_rows(angles, np.array(edge)), 36)
 
 
+def unit_quaternions(g, shape):
+    q = g.standard_normal((*shape, 4))
+    return q / np.sqrt((q * q).sum(axis=-1))[..., None]
+
+
 @pytest.mark.parametrize("n", STACKS)
-def test_determinants_ad_minus_bc(n):
-    g = gen(37)
-    m = g.standard_normal((n, 2, 2)) + 1j * g.standard_normal((n, 2, 2))
-    m[0, 0, 0] = complex(-0.0, 0.0)
-    rows_alone_and_shuffled(lambda f: f[:, 0, 0] * f[:, 1, 1] - f[:, 0, 1] * f[:, 1, 0], m, 38)
+def test_magic_factors(n):
+    # the associate sums, the largest row and the sign rule, on magic-frame
+    # rotations of products, the first of them I x I, whose rows tie
+    pairs = unit_quaternions(gen(37), (n, 2))
+    pairs[0] = [[1.0, 0.0, 0.0, 0.0]] * 2
+    o = _to_magic(np.array([np.kron(a, b) for a, b in su2(pairs)])).real
+    rows_alone_and_shuffled(lambda x: np.concatenate(_magic_factors(x), axis=1), o, 38)
 
 
 @pytest.mark.parametrize("n", STACKS)
 def test_product_of_global_phases(n):
-    # decompose's zeta * post * pre * conj(i^m), on unit-modulus rows
+    # decompose's zeta * conj(i^m), on unit-modulus rows
     g = gen(39)
-    z = np.exp(1j * g.uniform(-math.pi, math.pi, (n, 3)))
+    z = np.exp(1j * g.uniform(-math.pi, math.pi, n))
     mu = np.array([1, 1j, -1, -1j])[g.integers(0, 4, n)]
-    stack = np.concatenate([z, mu[:, None]], axis=1)
-    rows_alone_and_shuffled(lambda r: r[:, 0] * r[:, 1] * r[:, 2] * np.conj(r[:, 3]), stack, 40)
+    stack = np.stack([z, mu], axis=1)
+    rows_alone_and_shuffled(lambda r: r[:, 0] * np.conj(r[:, 1]), stack, 40)
 
 
 @pytest.mark.parametrize("n", STACKS)
-def test_division_by_slot_roots(n):
+def test_slot_quaternions(n):
+    # class angles in [0, 2 pi) and unit letters, one row each
     g = gen(41)
-    slots = g.standard_normal((n, 8, 2, 2)) + 1j * g.standard_normal((n, 8, 2, 2))
-    rows_alone_and_shuffled(lambda m: m / _SLOT_ROOTS[:, None, None], slots, 42)
+    rows = np.concatenate([g.uniform(0.0, math.tau, (n, 3)), unit_quaternions(g, (n, 4)).reshape(n, 16)], axis=1)
+    rows_alone_and_shuffled(lambda r: _slot_quaternions(r[:, :3], r[:, 3:].reshape(-1, 4, 4)), rows, 42)

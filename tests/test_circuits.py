@@ -4,21 +4,28 @@ import math
 
 import numpy as np
 import pytest
-from oracles import canonical_v, compose_pulses, gate_matrix, r_pulse_triple
-from test_compile_corpus import NAMED, _dress
+from oracles import SLOT_ROOTS, canonical_v, compose_pulses, gate_matrix, quaternion, r_pulse_triple, slot_matrices, su2
+from test_compile_corpus import NAMED, _dress, corpus
 
+from su4c import DEFAULT_TOL
 from su4c.circuits import (
-    _SLOT_ROOTS,
-    _slots,
+    _SLOT_MAPS,
+    _left,
+    _pulses,
+    _quaternions,
+    _right,
+    _slot_quaternions,
     PULSE_COUNT,
     CircuitParams,
     LocalGate,
     circuit_to_unitary,
     lower_to_pulses,
+    pulse_angles,
 )
+from su4c.cli import _compile
 from su4c.compiler import _decompose_arrays, decompose
-from su4c.gates import G_GATE, ClassParams, r_gate, rz_gate
-from su4c.haar import SeededRng, sample_su4
+from su4c.gates import _ENTRY_FRAME, G_GATE, ClassParams, r_gate, rz_gate
+from su4c.haar import SeededRng, _sample_su4_many, sample_su4
 from su4c.linalg import phase_invariant_distance
 
 I2 = np.eye(2, dtype=complex)
@@ -154,25 +161,25 @@ class TestLowerToPulses:
 
 
 class TestSlotRoots:
-    """pulse_angles divides each slot by a constant root and takes no
-    determinant: H or Z enters slots 1, 3, 4 and 7 once and every other
-    factor has determinant 1, so each slot's determinant is its root
-    squared whatever the class and the letters."""
+    """Each slot pulse_angles reads is the unit quaternion of the slot's 2x2
+    matrix product (tests/oracles.py slot_matrices) divided by its constant
+    root: H or Z enters slots 1, 3, 4 and 7 once and every other factor has
+    determinant 1, whatever the class and the letters."""
 
     @staticmethod
-    def assert_fixed_determinants(classes, letters):
-        dets = np.linalg.det(_slots(classes, letters))
-        assert np.abs(dets - _SLOT_ROOTS**2).max() < 1e-12
+    def assert_slots_are_the_products(classes, letters):
+        got = su2(_slot_quaternions(classes, letters)) * SLOT_ROOTS[:, None, None]
+        assert np.abs(got - slot_matrices(classes, letters)).max() < 1e-14
 
     def test_haar_letters(self):
         rng = SeededRng(83)
         us = np.array([sample_su4(rng) for _ in range(200)])
-        self.assert_fixed_determinants(*_decompose_arrays(us)[:2])
+        self.assert_slots_are_the_products(*_decompose_arrays(us)[:2])
 
     def test_dressed_named_classes(self):
         gen = np.random.default_rng(83)
         us = np.array([_dress(gen, u, perturb=k % 2 == 1) for k in range(8) for u in NAMED])
-        self.assert_fixed_determinants(*_decompose_arrays(us)[:2])
+        self.assert_slots_are_the_products(*_decompose_arrays(us)[:2])
 
     @pytest.mark.parametrize("theta", [0.0, math.pi])
     def test_letters_at_the_branch_points(self, theta):
@@ -181,7 +188,59 @@ class TestSlotRoots:
         letters[..., 0] = theta
         letters[..., 1:3] = gen.uniform(0.0, math.tau, (64, 4, 2))
         letters[..., 3] = gen.choice([-1.0, 1.0], (64, 4))
-        self.assert_fixed_determinants(gen.uniform(0.0, math.tau, (64, 3)), letters)
+        quaternions = _quaternions(letters.reshape(-1, 4)).reshape(64, 4, 4)
+        self.assert_slots_are_the_products(gen.uniform(0.0, math.tau, (64, 3)), quaternions)
+
+    def test_slot_constants(self):
+        # each constant map, on random unit quaternions q, against the 2x2
+        # product it stands for, with H and Z divided by i
+        hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
+        z = np.diag([1.0, -1.0]).astype(complex)
+        rz_p, rz_m = rz_gate(math.pi / 2.0), rz_gate(-math.pi / 2.0)
+        half_y = r_gate(math.pi / 2.0, math.pi / 2.0)
+        products = [
+            lambda m: rz_m @ m,
+            lambda m: hadamard @ rz_m @ _ENTRY_FRAME @ m / 1j,
+            lambda m: m @ rz_p,
+            lambda m: hadamard @ rz_p @ m / 1j,
+            lambda m: m @ rz_p @ z / 1j,
+            lambda m: hadamard @ m @ z,
+            lambda m: m @ rz_p,
+            lambda m: m @ half_y @ hadamard @ rz_p / 1j,
+        ]
+        q = np.random.default_rng(85).standard_normal((50, 4))
+        q /= np.linalg.norm(q, axis=1)[:, None]
+        for s, product in enumerate(products):
+            for row in q:
+                assert np.abs(su2(_SLOT_MAPS[s] @ row) - product(su2(row))).max() < 1e-15, s
+
+
+class TestQuaternions:
+    def test_hamilton_products_are_matrix_products(self):
+        p, q = np.random.default_rng(86).standard_normal((2, 200, 4))
+        for a, b in zip(p, q):
+            assert np.abs(su2(_left(a) @ b) - su2(a) @ su2(b)).max() < 1e-14
+            assert np.abs(su2(_right(a) @ b) - su2(b) @ su2(a)).max() < 1e-14
+
+    def test_letters_in_closed_form(self):
+        gen = np.random.default_rng(87)
+        letters = np.column_stack([
+            gen.uniform(0.0, math.pi, 500), gen.uniform(0.0, math.tau, (500, 2)), gen.choice([-1.0, 1.0], 500)
+        ])
+        for row, q in zip(letters, _quaternions(letters)):
+            want = LocalGate(*row[:3], int(row[3])).matrix()
+            assert np.abs(su2(q) - want).max() < 1e-15
+            assert np.abs(q - quaternion(want)).max() < 1e-15
+
+
+def test_programs_compose_to_their_inputs():
+    # every program benchmark and process-tomo run (_compile), and the
+    # object path's, multiplied out by the tests' own gate matrices
+    for us in (np.array(corpus()), _sample_su4_many(SeededRng(0), 160)):
+        for angles in (_compile(us), pulse_angles([decompose(u) for u in us])):
+            for u, row in zip(us, angles):
+                distance = phase_invariant_distance(compose_pulses(_pulses(row)), u)
+                assert distance < DEFAULT_TOL.verify_distance
 
 
 class TestComposePulses:

@@ -106,6 +106,22 @@ class TestCompile:
             if p["kind"] == "R":
                 assert p["theta"] == pytest.approx(np.pi / 2.0)
 
+    def test_pulses_are_the_lowered_circuit(self, capsys, tmp_path):
+        # compile lowers the arrays its decomposition returned; the object
+        # path rebuilds each letter from its angles, so the two agree to
+        # rounding, modulo 2 pi
+        rng = SeededRng(547)
+        for k in range(20):
+            u = sample_su4(rng)
+            path = tmp_path / f"u{k}.json"
+            save_matrix(u, str(path))
+            code, out, _ = run_cli(capsys, "compile", str(path), "--pulses")
+            assert code == EXIT_OK
+            got = [p.get("phi", p.get("phiz")) for p in json.loads(out)["pulses"] if p["kind"] != "G"]
+            lowered = circuits.lower_to_pulses(decompose(nearest_unitary(u)))
+            want = [p.phi if p.kind == "R" else p.phiz for p in lowered if p.kind != "G"]
+            assert np.abs(np.remainder(np.array(got) - want + np.pi, 2 * np.pi) - np.pi).max() < 1e-12
+
     def test_output_file(self, capsys, unitary_file, tmp_path):
         out_path = tmp_path / "report.json"
         code, out, _ = run_cli(capsys, "compile", unitary_file, "--out", str(out_path))
@@ -496,6 +512,21 @@ class TestBenchmark:
         assert out == ""
         assert err.startswith(f"error: cannot parse {noise_path}: ")
 
+    # a file that parses but holds no noise model: an array, an unknown
+    # field, a value outside its range; the error names the file
+    @pytest.mark.parametrize(
+        "obj,reason",
+        [([0.1], "noise JSON must be an object"), ({"sigma": 0.1}, "unknown noise fields ['sigma']"),
+         ({"depolarizing_per_g": 1.5}, "depolarizing_per_g must lie in [0, 1]")],
+    )
+    def test_wrong_noise_file_is_named(self, capsys, tmp_path, obj, reason):
+        noise_path = tmp_path / "noise.json"
+        noise_path.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "benchmark", "--n", "16", "--noise", str(noise_path))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == f"error: {noise_path}: {reason}\n"
+
 
 class TestProcessTomo:
     def test_exact_probabilities_recover_process(self, capsys, unitary_file):
@@ -663,7 +694,7 @@ GOLDEN_REPORTS = {
     ),
     "benchmark-exact": (
         ("benchmark", "--n", "32", "--exact-probabilities", "--noise", "calibrated"),
-        "860af3ce62182a99f82a05ad08a68934343d627e0f102b286ea78bffb94b5062",
+        "e33cf14d0c38caa4468e54938229291855bfd7266fa7bebd68d63401edcb3cff",
     ),
     "process-tomo": (
         ("process-tomo", "--unitary", None, "--shots", "1000", "--noise", "calibrated",
@@ -672,7 +703,7 @@ GOLDEN_REPORTS = {
     ),
     "compile-pulses": (
         ("compile", None, "--pulses"),
-        "fbf114c73fdf20f2f610a11138cb55e76802640d12b4d182dd51ded62eb38065",
+        "97ff970144e3f05462111decd9285acd87d55787cd421210466268e0cbf8d850",
     ),
 }
 

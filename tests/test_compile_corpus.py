@@ -44,11 +44,11 @@ from su4c import (
     verify,
 )
 from su4c.compiler import _class_angles, _representatives
-from su4c.gates import _class_spectrum, _to_magic
+from su4c.gates import _class_spectrum, _from_magic
 from su4c.linalg import _special_unitary_projection
 
-CORPUS_SHA256 = "4dcdfc1fade30000c37198a222387a15f7b70728089c9d5f9375f60f494580bf"
-PULSE_SHA256 = "c34d0c8be40cbbb083af3c07ca6d700f28498571484e3d5c9cebfb0228df434c"
+CORPUS_SHA256 = "0cfbe966a5e7fa4a47977b9e2d66cbb647423d963ba0db9041ab7c467bf1979c"
+PULSE_SHA256 = "76cc5fad31291a4374425eeff5bb0ddc8d2462c8649cb9d56c6d2e76cf330054"
 
 _S, _T = (1 + 1j) / 2, (1 - 1j) / 2
 NAMED = (
@@ -146,8 +146,7 @@ def test_closed_form_representative_frames():
     # vectors an eigen-solve of the representative returns
     su, _ = _special_unitary_projection(np.array(corpus()))
     phases, _ = _class_spectrum(su)
-    vs, frames = _representatives(_class_angles(phases))
-    vm = _to_magic(vs)
+    vm, frames = _representatives(_class_angles(phases))
     diagonal = frames.swapaxes(-1, -2) @ vm @ vm.swapaxes(-1, -2) @ frames
     want = np.zeros_like(diagonal)
     want[:, range(4), range(4)] = np.exp(1j * phases)
@@ -158,6 +157,6 @@ def test_closed_form_representative_frames():
     gaps[:, range(4), range(4)] = math.inf
     apart = gaps.min(axis=(1, 2)) > 1e-3
     assert apart.sum() >= 200
-    solved_phases, solved = _class_spectrum(vs[apart])
+    solved_phases, solved = _class_spectrum(_from_magic(vm[apart]))
     assert np.abs(np.exp(1j * solved_phases) - np.exp(1j * phases[apart])).max() < 1e-12
     assert np.abs(solved - frames[apart]).max() < 1e-12

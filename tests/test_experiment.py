@@ -185,10 +185,10 @@ class TestInputStates:
             with pytest.raises(ValueError, match=re.escape(str(STATE_LABELS))):
                 input_state(label)
 
-    # a string is not read as its characters, and a label of one or three
-    # names is not unpacked: each entry point names the pair rule and the
-    # label
-    @pytest.mark.parametrize("label", ["up", "uu", ("up",), ("up", "up", "up")])
+    # a string is not read as its characters, a label of one or three names
+    # is not unpacked, and one without a length is no pair either: each
+    # entry point names the pair rule and the label
+    @pytest.mark.parametrize("label", ["up", "uu", ("up",), ("up", "up", "up"), 5, None])
     @pytest.mark.parametrize("entry", ["input_state", "run_experiment", "run_experiments", "exact_experiment"])
     def test_label_must_be_a_pair(self, entry, label):
         calls = {
@@ -662,11 +662,13 @@ class TestRunExperiments:
 # sha256 of the counts of fixed runs in MEASUREMENT_SETTINGS order: int64
 # counts of sampled runs, float64 probabilities of an exact one. Captured
 # when the executor returned one record per setting, from those records, so
-# equal digests mean the same numbers from the same streams.
+# equal digests mean the same numbers from the same streams. The exact one
+# was re-captured when the letters became quaternions, which moved its
+# program's angles, and its probabilities by at most 5.3e-16.
 COUNT_SHA256 = {
     "run_experiments": "90331eef9b6fdb591d6f2a1273398a504bfa15561df34123ca8313afde4ace20",
     "run_experiment": "bd4cdc06c264c61bf3fc9679bee2024a32b2cbe316855d6a323255de879cd28d",
-    "exact_experiment": "4c2d5d49d3d803bcdaf9b41ce59b09438906c9daa7e65f180c5dbcc852678140",
+    "exact_experiment": "37923944c584b64c6a885fc1e24dea93723a50655dfcef16f09c7ea32dcdaa99",
 }
 
 

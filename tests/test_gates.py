@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import PAULI_X, canonical_v, embed, gate_matrix
+from oracles import PAULI_X, canonical_v, embed, factor_tensor_products, gate_matrix, su2
 from su4c.gates import (
     _MAGIC,
     _canonical_phase,
     _class_spectrum,
     _from_magic,
+    _magic_factors,
     _to_magic,
     G_GATE,
     ClassParams,
@@ -19,7 +20,7 @@ from su4c.gates import (
     rz_gate,
 )
 from su4c.haar import SeededRng, sample_su4
-from su4c.linalg import is_unitary
+from su4c.linalg import NotAProductError, is_unitary
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -127,6 +128,53 @@ class TestMagicFrame:
             m = _to_magic(np.kron(random_su2(rng), random_su2(rng)))
             assert np.max(np.abs(m.imag)) < 1e-9
             assert np.allclose(m @ m.T, I4, atol=1e-9)
+
+
+class TestMagicFactors:
+    """_magic_factors reads the quaternions of a magic-frame rotation from
+    its associate matrix; the block factoring of tests/oracles.py is the
+    reference for its sign convention."""
+
+    @staticmethod
+    def products(rng, n):
+        pairs = [(random_su2(rng), random_su2(rng)) for _ in range(n)]
+        # the axes and Clifford corners, where entries of the letters vanish
+        # or tie in modulus
+        corners = [I2, -1j * PAULI_X, r_gate(math.pi / 2.0, 0.3), rz_gate(math.pi / 2.0), rz_gate(-math.pi)]
+        pairs += [(a, b) for a in corners for b in corners]
+        return np.array([np.kron(a, b) for a, b in pairs])
+
+    def test_rebuilds_the_product(self):
+        m = self.products(SeededRng(73), 2000)
+        a, b = _magic_factors(_to_magic(m).real)
+        assert np.abs((a * a).sum(axis=1) - 1.0).max() < 1e-14
+        rebuilt = np.array([np.kron(x, y) for x, y in zip(su2(a), su2(b))])
+        assert np.abs(rebuilt - m).max() < 1e-14
+
+    def test_signs_follow_the_block_factoring(self):
+        # the block factoring of _from_magic(O), as the compiler ran it
+        # before: on the Haar pairs its aligning phase comes out 1, so its
+        # factors are the letters themselves, with the sign _magic_factors
+        # picks; a corner whose largest letter entry is imaginary sits on
+        # the branch cut of the oracle's square roots, which then moves a
+        # sign into its phase
+        o = _to_magic(self.products(SeededRng(79), 2000)).real
+        a, b = _magic_factors(o)
+        fa, fb, phases = factor_tensor_products(_from_magic(o))
+        aligned = np.abs(phases - 1.0) < 1e-14
+        assert aligned[:2000].all() and aligned.sum() > 2000
+        assert np.abs(su2(a) - fa)[aligned].max() < 1e-14
+        assert np.abs(su2(b) - fb)[aligned].max() < 1e-14
+
+    def test_rejects_an_improper_rotation(self):
+        # det -1: the magic image of SWAP, and a product with one axis flipped
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        flipped = _to_magic(np.kron(random_su2(SeededRng(83)), random_su2(SeededRng(89)))).real
+        flipped[:, 0] = -flipped[:, 0]
+        for o in (_to_magic(swap).real, flipped):
+            assert np.linalg.det(o) == pytest.approx(-1.0)
+            with pytest.raises(NotAProductError, match="residual"):
+                _magic_factors(o[None])
 
 
 class TestClassParams:

@@ -13,14 +13,13 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import PAULI_X
+from oracles import PAULI_X, factor_tensor_products, quaternion
 from su4c.config import DEFAULT_TOL
-from su4c.gates import G_GATE, _PAULI_Z, _to_magic, r_gate, rz_gate
+from su4c.gates import G_GATE, _to_magic, r_gate, rz_gate
 from su4c.haar import SeededRng, sample_su4
 from su4c.linalg import (
     NotAProductError,
     _canonicalize,
-    _factor_tensor_product,
     _joint_real_eigensystem,
     _kron,
     _special_unitary_projection,
@@ -32,6 +31,7 @@ from su4c.linalg import (
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
+PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 
 
 def _row(m):
@@ -57,13 +57,13 @@ def joint_real_diagonalization(w):
 
 def factor_tensor_product(m):
     """(a, b, phase) of one 4x4 unitary product."""
-    a, b, phases = _factor_tensor_product(_row(m))
+    a, b, phases = factor_tensor_products(_row(m))
     return a[0], b[0], complex(phases[0])
 
 
 def su2_params(m):
     """(theta, phi, phiz, sign) of one det-1 2x2 unitary, sign an int."""
-    theta, phi, phiz, sign = _su2_params(_row(m))[0].tolist()
+    theta, phi, phiz, sign = _su2_params(quaternion(_row(m)))[0].tolist()
     return theta, phi, phiz, int(sign)
 
 
@@ -88,7 +88,7 @@ class TestKron:
         assert np.array_equal(_kron(I2, I2), I4)
 
     def test_pauli_zz(self):
-        assert np.allclose(_kron(_PAULI_Z, _PAULI_Z), np.diag([1, -1, -1, 1]))
+        assert np.allclose(_kron(PAULI_Z, PAULI_Z), np.diag([1, -1, -1, 1]))
 
     def test_first_factor_acts_on_first_qubit(self):
         # R(pi,0) = -i sigma_x flips the first qubit of |down,up>
@@ -359,6 +359,9 @@ class TestNearestUnitary:
 
 
 class TestFactorTensorProduct:
+    """The block factoring of tests/oracles.py, the reference for the sign
+    convention of the magic-frame factoring (test_gates)."""
+
     def test_identity(self):
         a, b, phase = factor_tensor_product(I4)
         assert np.allclose(phase * _kron(a, b), I4, atol=1e-12)
@@ -482,7 +485,7 @@ su2_rows = st.one_of(
 
 
 def assert_matches_loop(stack):
-    got = _su2_params(stack)
+    got = _su2_params(quaternion(stack))
     want = np.array(su2_params_loop(stack), dtype=float)
     assert got.shape == want.shape
     for k in range(len(stack)):
