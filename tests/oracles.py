@@ -32,6 +32,8 @@ from su4c.haar import SeededRng
 from su4c.linalg import NotAProductError, _as_complex, _kron, _require_shape
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 
 _I2 = np.eye(2, dtype=complex)
 
@@ -176,8 +178,6 @@ def factor_tensor_products(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     return a, b, phases
 
 
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
-_PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 # the square root of each slot's determinant: H and Z (det -1) enter slots
 # 1, 3, 4 and 7 once each, and every other factor has det 1
 SLOT_ROOTS = np.array([1, 1j, 1, 1j, 1j, 1, 1, 1j])
@@ -194,12 +194,12 @@ def slot_matrices(classes: np.ndarray, letters: np.ndarray) -> np.ndarray:
     for (alpha, beta, delta), (a, b, c, d) in zip(classes.tolist(), su2(letters)):
         out.append([
             rz_m @ a,
-            _HADAMARD @ rz_m @ _ENTRY_FRAME @ b,
+            HADAMARD @ rz_m @ _ENTRY_FRAME @ b,
             r_gate(alpha, math.pi) @ rz_p,
-            _HADAMARD @ rz_p,
-            r_gate(beta, math.pi) @ rz_p @ _PAULI_Z,
-            _HADAMARD @ rz_gate(-delta) @ _PAULI_Z,
+            HADAMARD @ rz_p,
+            r_gate(beta, math.pi) @ rz_p @ PAULI_Z,
+            HADAMARD @ rz_gate(-delta) @ PAULI_Z,
             c @ rz_p,
-            d @ rz_gate(delta) @ half_y @ _HADAMARD @ rz_p,
+            d @ rz_gate(delta) @ half_y @ HADAMARD @ rz_p,
         ])
     return np.array(out).reshape(-1, 8, 2, 2)

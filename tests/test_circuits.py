@@ -4,7 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from oracles import SLOT_ROOTS, canonical_v, compose_pulses, gate_matrix, quaternion, r_pulse_triple, slot_matrices, su2
+from oracles import (
+    HADAMARD,
+    PAULI_Z,
+    SLOT_ROOTS,
+    canonical_v,
+    compose_pulses,
+    gate_matrix,
+    quaternion,
+    r_pulse_triple,
+    slot_matrices,
+    su2,
+)
 from test_compile_corpus import NAMED, _dress, corpus
 
 from su4c import DEFAULT_TOL
@@ -194,19 +205,17 @@ class TestSlotRoots:
     def test_slot_constants(self):
         # each constant map, on random unit quaternions q, against the 2x2
         # product it stands for, with H and Z divided by i
-        hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
-        z = np.diag([1.0, -1.0]).astype(complex)
         rz_p, rz_m = rz_gate(math.pi / 2.0), rz_gate(-math.pi / 2.0)
         half_y = r_gate(math.pi / 2.0, math.pi / 2.0)
         products = [
             lambda m: rz_m @ m,
-            lambda m: hadamard @ rz_m @ _ENTRY_FRAME @ m / 1j,
+            lambda m: HADAMARD @ rz_m @ _ENTRY_FRAME @ m / 1j,
             lambda m: m @ rz_p,
-            lambda m: hadamard @ rz_p @ m / 1j,
-            lambda m: m @ rz_p @ z / 1j,
-            lambda m: hadamard @ m @ z,
+            lambda m: HADAMARD @ rz_p @ m / 1j,
+            lambda m: m @ rz_p @ PAULI_Z / 1j,
+            lambda m: HADAMARD @ m @ PAULI_Z,
             lambda m: m @ rz_p,
-            lambda m: m @ half_y @ hadamard @ rz_p / 1j,
+            lambda m: m @ half_y @ HADAMARD @ rz_p / 1j,
         ]
         q = np.random.default_rng(85).standard_normal((50, 4))
         q /= np.linalg.norm(q, axis=1)[:, None]

@@ -13,7 +13,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import PAULI_X, factor_tensor_products, quaternion
+from oracles import PAULI_X, PAULI_Z, factor_tensor_products, quaternion
 from su4c.config import DEFAULT_TOL
 from su4c.gates import G_GATE, _to_magic, r_gate, rz_gate
 from su4c.haar import SeededRng, sample_su4
@@ -31,7 +31,6 @@ from su4c.linalg import (
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
-PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 
 
 def _row(m):
