@@ -83,7 +83,7 @@ def _local_invariants(m: np.ndarray) -> np.ndarray:
     phases of the class spectrum. Sorting them alone gives the values the
     spectrum's ordering gives, as its tie-break only orders equal phases."""
     su, _ = _special_unitary_projection(m)
-    return np.sort(_class_eigensystem(su)[0], axis=-1)
+    return np.sort(_class_eigensystem(_to_magic(su))[0], axis=-1)
 
 
 def class_parameters(u) -> ClassParams:
@@ -175,12 +175,12 @@ def _decompose_arrays(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     phases, (N,)."""
     n = len(ms)
     su, zeta = _special_unitary_projection(ms)
+    um = _to_magic(su)
     # the phases ascend, so they are the sorted invariants; frame_u has
     # det +1 by construction
-    phases_u, frame_u = _class_spectrum(su)
+    phases_u, frame_u = _class_spectrum(um)
     classes = _class_angles(phases_u)
     vm, frame_v = _representatives(classes)
-    um = _to_magic(su)
     post_m = frame_u @ frame_v.swapaxes(-1, -2)
     pre_m = vm.conj().swapaxes(-1, -2) @ post_m.swapaxes(-1, -2) @ um
 

@@ -11,9 +11,11 @@ Some thresholds are still literals, next to the functions that use them:
 - linalg: _lead_positive 1e-8; _canonicalize 12 decimals; _jacobi_polish
   1e-13 (_POLISH_FLOOR) and 30 sweeps; phase_invariant_distance 1e-12,
   else a 360-point scan.
-- tomography: _mle_stack's barrier path (_MU_START 1e-2, _MU_SHRINK 0.05,
-  _CENTRED 1, _BOUNDARY 0.1, _ARMIJO 0.25, _HALVINGS 50, and a floor of
-  mle_stop / 16 under mu); _psd_sqrt 16 eps; reconstruct_process 200 CP
+- tomography: _mle_stack's barrier path (a start at the linear estimate
+  mixed with _START_MIX 0.05 of I/4; a first mu of _MU_SHRINK times the
+  certificate there, at most _MU_START 1e-2; _MU_SHRINK 0.05, _CENTRED 1,
+  _BOUNDARY 0.1, _ARMIJO 0.25, _HALVINGS 50, and a floor of mle_stop / 16
+  under mu); _psd_sqrt 16 eps; reconstruct_process 200 CP
   rounds and -1e-12; entanglement_fidelity 1e-6.
 """
 

@@ -226,17 +226,16 @@ def _exit_layers(delta: np.ndarray) -> np.ndarray:
     return _kron(_I2, _rz_gates(delta) @ _R_HALF_Y)
 
 
-def _class_spectrum(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The eigensystem of u @ u.T in the magic frame, for each det-1 unitary
-    u of an (N, 4, 4) stack: the phases (N, 4), ascending in (-pi, pi], are
-    the local-equivalence invariants; the real eigenvectors (N, 4, 4), det
-    +1 and sign-fixed by _canonicalize, feed the single-qubit factor
-    extraction."""
-    return _canonicalize(*_class_eigensystem(u))
+def _class_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigensystem of m @ m.T, for the magic-frame image m =
+    _to_magic(u) of each det-1 unitary u of an (N, 4, 4) stack: the phases
+    (N, 4), ascending in (-pi, pi], are the local-equivalence invariants;
+    the real eigenvectors (N, 4, 4), det +1 and sign-fixed by
+    _canonicalize, feed the single-qubit factor extraction."""
+    return _canonicalize(*_class_eigensystem(m))
 
 
-def _class_eigensystem(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_class_spectrum of each row before its columns are ordered and
-    signed: the same phases, unsorted."""
-    m = _to_magic(u)
+def _class_eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_class_spectrum of each magic-frame image before its columns are
+    ordered and signed: the same phases, unsorted."""
     return _joint_real_eigensystem(m @ m.swapaxes(-1, -2))

@@ -130,15 +130,21 @@ _BORN = _SIGNS[:, 1:] / 4.0 + 0.0
 _BORN_T = np.ascontiguousarray(_BORN.T)
 _BORN_OUTER = (_BORN[:, :, None] * _BORN[:, None, :]).reshape(36, 225)
 
-# The barrier path of _mle_stack. The weight mu of log det rho starts at
-# _MU_START. A row is centred once its Newton decrement is below _CENTRED *
-# mu; its mu then shrinks by _MU_SHRINK, or further, to mu^2 times the pull
-# of the barrier gradient over _CENTRED, the least mu whose centre the
-# decrement predicts to be within _CENTRED * mu of the row; never below
-# mle_stop / 16, where the certificate at the centre is at most 4 mu. A
-# step keeps every eigenvalue of rho above _BOUNDARY times its value, and
-# is halved up to _HALVINGS times until the barrier objective rises by
-# _ARMIJO times the decrement the step predicts.
+# The barrier path of _mle_stack. A row starts at its linear estimate mixed
+# with _START_MIX of I/4, positive definite with every eigenvalue at least
+# _START_MIX / 4, near the maximum, and the weight mu of log det rho starts
+# at _MU_SHRINK times the certificate there, the start's bound on its gap
+# to the maximum, held between mle_stop / 16 and _MU_START. A row is
+# centred once its Newton decrement is below _CENTRED * mu; its mu then
+# shrinks by _MU_SHRINK, or further, to mu^2 times the pull of the barrier
+# gradient over _CENTRED, the least mu whose centre the decrement predicts
+# to be within _CENTRED * mu of the row; never below mle_stop / 16, where
+# the certificate at the centre is at most 4 mu. A step keeps every
+# eigenvalue of rho above _BOUNDARY times its value, and is halved up to
+# _HALVINGS times until the barrier objective rises by _ARMIJO times the
+# decrement the step predicts; a step that rounding takes out of the set is
+# dropped, and the row's next step reaches at most half as far.
+_START_MIX = 0.05
 _MU_START = 1e-2
 _MU_SHRINK = 0.05
 _CENTRED = 1.0
@@ -211,11 +217,11 @@ def _newton_step(shares, probs, mu, vals, vecs) -> tuple[np.ndarray, np.ndarray,
     return step, decrement, pull
 
 
-def _step_sizes(shares, probs, mu, vals, vecs, step, decrement) -> np.ndarray:
-    """The size t (B,) of each row's step: at most 1, no eigenvalue of rho
-    below _BOUNDARY times its value, and halved until the barrier objective
-    rises by _ARMIJO t times the decrement; 0 for a row whose objective
-    never rises that much."""
+def _step_sizes(shares, probs, mu, vals, vecs, step, decrement, reach) -> np.ndarray:
+    """The size t (B,) of each row's step: at most its reach (B,), no
+    eigenvalue of rho below _BOUNDARY times its value, and halved until the
+    barrier objective rises by _ARMIJO t times the decrement; 0 for a row
+    whose objective never rises that much."""
     # rho + t D = rho^1/2 (I + t M) rho^1/2 with M = rho^-1/2 D rho^-1/2, so
     # the eigenvalues of M bound the step and give the change of log det
     scaled = vecs / np.sqrt(vals)[:, None, :]
@@ -223,7 +229,7 @@ def _step_sizes(shares, probs, mu, vals, vecs, step, decrement) -> np.ndarray:
     spread = np.linalg.eigvalsh(scaled.conj().swapaxes(-1, -2) @ move @ scaled)
     rates = (step[:, None, :] @ _BORN_T)[:, 0] / probs
     with np.errstate(divide="ignore"):
-        sizes = np.minimum(1.0, (1.0 - _BOUNDARY) / np.maximum(-spread[:, 0], 0.0))
+        sizes = np.minimum(reach, (1.0 - _BOUNDARY) / np.maximum(-spread[:, 0], 0.0))
     for _ in range(_HALVINGS):
         # each log1p reads a relative change, so a short step's gain keeps
         # its digits
@@ -238,16 +244,31 @@ def _step_sizes(shares, probs, mu, vals, vecs, step, decrement) -> np.ndarray:
 
 def _mle_estimates(counts: np.ndarray) -> _MleFit:
     """MLE state of each table of a count array (N, 9, 4), with the steps
-    and the certificate of each."""
-    counts = np.asarray(counts, dtype=float).reshape(-1, 36)
-    return _mle_stack(counts / counts.sum(axis=-1, keepdims=True))
+    and the certificate of each, started at its linear estimate mixed with
+    _START_MIX of I/4."""
+    counts = np.asarray(counts, dtype=float)
+    flat = counts.reshape(-1, 36)
+    return _mle_stack(flat / flat.sum(axis=-1, keepdims=True), _mle_start(counts))
 
 
-def _mle_stack(shares: np.ndarray) -> _MleFit:
+def _mle_start(counts: np.ndarray) -> np.ndarray:
+    """The Pauli coordinates (N, 15), x_j = Tr(P_j rho), of each table's
+    linear estimate mixed with _START_MIX of I/4, from its counts (N, 9, 4)."""
+    rho = (1.0 - _START_MIX) * _linear_estimates(counts) + _START_MIX * np.eye(4) / 4.0
+    # Tr(P_j rho) = sum_a P_j[a, s] rho[s, a] with s = _PAULI_SOURCE[j, a],
+    # as an explicit four-term sum over each row's own entries
+    terms = rho[:, _PAULI_SOURCE, np.arange(4)] * _PAULI_PHASE[..., 0]
+    return (terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]).real
+
+
+def _mle_stack(shares: np.ndarray, start: np.ndarray) -> _MleFit:
     """Maximise the per-shot log-likelihood sum_k share_k log p_k of each
     row of a stack of outcome shares (B, 36) (each outcome's count over the
     table's total) over positive definite trace-one rho, by damped Newton
-    steps on the barrier objective log-likelihood + mu log det rho.
+    steps on the barrier objective log-likelihood + mu log det rho, from the
+    Pauli coordinates start (B, 15) of a positive definite rho. A row's first
+    mu is _MU_SHRINK times its certificate at the start, held between
+    mle_stop / 16 and _MU_START.
 
     For every density matrix sigma, concavity gives L(sigma) - L(rho) <=
     Tr(R(rho) sigma) - Tr(R(rho) rho) <= lambda_max(R(rho)) - 1, as Tr(R(rho)
@@ -260,31 +281,33 @@ def _mle_stack(shares: np.ndarray) -> _MleFit:
     steps = np.zeros(n, dtype=int)
     certificates = np.empty(n)
     active = np.arange(n)
-    x = np.zeros((n, 15))
-    mu = np.full(n, _MU_START)
+    x = start
+    reach = np.ones(n)
     vals, vecs = np.linalg.eigh(_states(x))
     for count in range(max_iter + 1):
         probs = _born(x)
         certificate = np.linalg.eigvalsh(_r_operator(shares / probs))[:, -1] - 1.0
+        if count == 0:
+            mu = np.clip(_MU_SHRINK * certificate, stop / 16.0, _MU_START)
         done = certificate <= stop if count < max_iter else np.ones(len(x), bool)
         if done.any():
             rows = active[done]
             found[rows], steps[rows], certificates[rows] = x[done], count, certificate[done]
             keep = ~done
-            active, x, mu, vals, vecs = active[keep], x[keep], mu[keep], vals[keep], vecs[keep]
+            active, x, mu, reach = active[keep], x[keep], mu[keep], reach[keep]
+            vals, vecs = vals[keep], vecs[keep]
             shares, probs = shares[keep], probs[keep]
         if not active.size:
             break
         step, decrement, pull = _newton_step(shares, probs, mu, vals, vecs)
-        sizes = _step_sizes(shares, probs, mu, vals, vecs, step, decrement)
+        sizes = _step_sizes(shares, probs, mu, vals, vecs, step, decrement, reach)
         centred = (sizes == 0.0) | ((sizes == 1.0) & (decrement < _CENTRED * mu))
         shrunk = np.minimum(_MU_SHRINK * mu, mu * mu * pull / _CENTRED)
         mu = np.where(centred, np.maximum(shrunk, stop / 16.0), mu)
         moved = x + sizes[:, None] * step
         moved_vals, moved_vecs = np.linalg.eigh(_states(moved))
-        # a step that rounding takes out of the positive definite set is not
-        # taken
         kept = moved_vals[:, 0] > 0.0
+        reach = np.where(kept, 1.0, 0.5 * sizes)
         x = np.where(kept[:, None], moved, x)
         vals = np.where(kept[:, None], moved_vals, vals)
         vecs = np.where(kept[:, None, None], moved_vecs, vecs)
@@ -302,7 +325,9 @@ def reconstruct_state(counts: np.ndarray, method: str = "linear") -> np.ndarray:
     clipped to 0 and the trace renormalized, which gives a density matrix
     but not the nearest one.
     method "mle": maximum likelihood (Hradil et al., LNP 649, 2004) by
-    damped Newton steps on a log-det barrier path. The estimate is positive
+    damped Newton steps on a log-det barrier path, started at the linear
+    estimate mixed with 5 % of I/4, with a first barrier weight in
+    proportion to the certificate there. The estimate is positive
     definite, and its per-shot log-likelihood is within
     DEFAULT_TOL.mle_stop of the maximum over all density matrices,
     certified by lambda_max(R(rho)) - 1 <= mle_stop; an estimate not

@@ -345,7 +345,9 @@ def mle_tables():
     their length and where their maximum lies: calibrated counts at 30, 100
     and 1000 shots, exact probabilities of mixed and of pure states (a
     maximum inside the set and on its boundary), settings with a single
-    outcome, and 10^6-shot counts of |00> with one stray count."""
+    outcome, 10^6-shot counts of |00> with one stray count, and calibrated
+    counts at 2 shots, whose linear estimate, the MLE's start before its
+    mixing, is rank-deficient."""
     tables, _ = mixed_tables()
     rng = SeededRng(45)
     us = [sample_su4(rng) for _ in range(4)]
@@ -358,6 +360,7 @@ def mle_tables():
     mixed = [random_density(states) for _ in range(3)][-1]
     tables += [exact_table(ground), counted(ground, 100), exact_table(mixed)]
     tables.append(counted(ground, 10**6, extra=(1, 0)))
+    tables += list(run_experiments(angles[:1], labels[:1], CALIBRATED_NOISE, 2, rng.spawn(1)))
     return tables
 
 
@@ -367,6 +370,7 @@ def test_mle_reconstruction_matches_one_record_calls():
     # rows; every table is certified, after different numbers of steps
     tables = np.array(mle_tables(), dtype=float)
     assert len({np.count_nonzero(table) for table in tables}) >= 4
+    assert np.linalg.eigvalsh(_linear_estimates(tables[-1:]))[0, 0] <= 0.0  # a rank-deficient start
     alone = [_mle_estimates(table[None]) for table in tables]
     for table, fit in zip(tables, alone):
         assert reconstruct_state(table, "mle").tobytes() == fit.states[0].tobytes()

@@ -681,7 +681,9 @@ class TestProcessTomo:
 # stream per purpose (unitaries, preparations, counts) and exact runs came
 # to write null for the shots they do not draw. All four were re-captured
 # when the tolerance block lost symmetry, determinant and su2_det, which no
-# check read; nothing else in any report moved.
+# check read; nothing else in any report moved. The process-tomo digest was
+# re-captured when MLE came to start at the linear estimate: its three
+# fidelities moved by at most 3.3e-16 (entanglement_fidelity).
 # A change to the executor, the compiler or reconstruction that moves one
 # count or one digit of a fidelity or an angle changes a digest; only a
 # change that sets out to move outputs re-captures them, and records the old
@@ -699,7 +701,7 @@ GOLDEN_REPORTS = {
     "process-tomo": (
         ("process-tomo", "--unitary", None, "--shots", "1000", "--noise", "calibrated",
          "--method", "mle"),
-        "81e338f72f3a76df43ee50b1baba98900581833e7c7bf9461738ed4eb6ee224d",
+        "2e62b2fa3aa63c7ff44d4ddb3224672882d5d226214aab3d785e31a99f098d02",
     ),
     "compile-pulses": (
         ("compile", None, "--pulses"),
@@ -739,9 +741,9 @@ MLE_RUNS = {
 }
 
 # The most Newton steps of one MLE stack in the survey below (40 process-tomo
-# runs and 10 MLE benchmark runs, certified at mle_stop 1e-12): 12 and 29.
-# The budgets leave a quarter more.
-MLE_STEP_BUDGET = {"process-tomo": 15, "benchmark": 36}
+# runs and 10 MLE benchmark runs, certified at mle_stop 1e-12), started at
+# the linear estimate: 8 and 27. The budgets leave a quarter more.
+MLE_STEP_BUDGET = {"process-tomo": 10, "benchmark": 33}
 
 
 class TestMleRuns:

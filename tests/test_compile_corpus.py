@@ -44,7 +44,7 @@ from su4c import (
     verify,
 )
 from su4c.compiler import _class_angles, _representatives
-from su4c.gates import _class_spectrum, _from_magic
+from su4c.gates import _class_spectrum, _to_magic
 from su4c.linalg import _special_unitary_projection
 
 CORPUS_SHA256 = "0cfbe966a5e7fa4a47977b9e2d66cbb647423d963ba0db9041ab7c467bf1979c"
@@ -145,7 +145,7 @@ def test_closed_form_representative_frames():
     # its input, and on classes whose phases are well apart they are the
     # vectors an eigen-solve of the representative returns
     su, _ = _special_unitary_projection(np.array(corpus()))
-    phases, _ = _class_spectrum(su)
+    phases, _ = _class_spectrum(_to_magic(su))
     vm, frames = _representatives(_class_angles(phases))
     diagonal = frames.swapaxes(-1, -2) @ vm @ vm.swapaxes(-1, -2) @ frames
     want = np.zeros_like(diagonal)
@@ -157,6 +157,6 @@ def test_closed_form_representative_frames():
     gaps[:, range(4), range(4)] = math.inf
     apart = gaps.min(axis=(1, 2)) > 1e-3
     assert apart.sum() >= 200
-    solved_phases, solved = _class_spectrum(_from_magic(vm[apart]))
+    solved_phases, solved = _class_spectrum(vm[apart])
     assert np.abs(np.exp(1j * solved_phases) - np.exp(1j * phases[apart])).max() < 1e-12
     assert np.abs(solved - frames[apart]).max() < 1e-12

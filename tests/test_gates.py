@@ -28,7 +28,7 @@ I4 = np.eye(4, dtype=complex)
 
 def class_phases(u):
     """The class spectrum's phases of one det-1 unitary."""
-    return _class_spectrum(np.asarray(u, dtype=complex)[None])[0][0]
+    return _class_spectrum(_to_magic(np.asarray(u, dtype=complex)[None]))[0][0]
 
 
 def random_su2(rng):

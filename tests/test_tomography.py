@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from su4c.config import DEFAULT_TOL
@@ -39,6 +39,7 @@ from su4c.tomography import (
     _born,
     _clip_to_density,
     _mle_estimates,
+    _mle_start,
     _apply_process,
     _r_operator,
     entanglement_fidelity,
@@ -298,22 +299,32 @@ class TestMleReconstruction:
     def test_a_step_rounded_out_of_the_set_is_not_taken(self, monkeypatch):
         # with a margin of 1e-12 a step may end within rounding of the
         # boundary, where an eigenvalue can come out at or below zero; such
-        # a step is dropped, and every estimate is still positive definite
-        # and certified
+        # a step is dropped, and every estimate is still positive definite.
+        # Only the solver's own eigh calls are recorded: the clip of the
+        # linear estimate sees eigenvalues at or below zero as a matter of
+        # course. No step of the first 18 tables leaves the set; steps of
+        # the few-shot table do, and that row's next step then reaches half
+        # as far
         monkeypatch.setattr(tomography, "_BOUNDARY", 1e-12)
+        rng = SeededRng(397)
+        tables = [exact_table(random_density(rng, rank)) for rank in (1, 2) * 8]
+        tables += [mle_case_table("calibrated", 30, seed) for seed in (0, 1)]
+        tables.append([(0, 0, 0, 1), (2, 0, 0, 0), (0, 0, 1, 0), (0, 0, 1, 0), (0, 0, 0, 2),
+                       (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 2), (0, 0, 0, 2)])
         least = []
-        eigh = np.linalg.eigh
+        eigh, stack = np.linalg.eigh, tomography._mle_stack
 
         def recording_eigh(m):
             vals, vecs = eigh(m)
             least.append(vals[:, 0].min(initial=1.0))
             return vals, vecs
 
-        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-        rng = SeededRng(397)
-        tables = [exact_table(random_density(rng, rank)) for rank in (1, 2) * 8]
-        tables += [mle_case_table("calibrated", 30, seed) for seed in (0, 1)]
-        fit = _mle_estimates(np.array(tables))
+        def recording_stack(shares, start):
+            monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+            return stack(shares, start)
+
+        monkeypatch.setattr(tomography, "_mle_stack", recording_stack)
+        fit = _mle_estimates(np.array(tables, dtype=float))
         assert min(least) <= 0.0  # the premise: a step left the set
         assert np.all(np.linalg.eigvalsh(fit.states)[:, 0] > 0.0)
         assert np.all(fit.certificates <= DEFAULT_TOL.mle_stop)
@@ -474,6 +485,17 @@ class TestMleMatchesLoop:
         assert fit.certificates[0] <= DEFAULT_TOL.mle_stop
         assert state_fidelity(fit.states[0], GROUND) > 0.99
 
+    @pytest.mark.parametrize("kind,shots,seed", MLE_CASES)
+    def test_start_is_the_mixed_linear_estimate(self, kind, shots, seed):
+        # the Pauli coordinates of the linear estimate mixed with
+        # _START_MIX of I/4, every eigenvalue at least _START_MIX / 4
+        table = mle_case_table(kind, shots, seed)
+        mix = tomography._START_MIX
+        want = (1.0 - mix) * reconstruct_state(table, method="linear") + mix * I4 / 4.0
+        start = _mle_start(np.asarray(table, dtype=float)[None])[0]
+        assert np.abs(start - pauli_coordinates(want)).max() <= 1e-15
+        assert np.linalg.eigvalsh(tomography._states(start[None]))[0, 0] >= mix / 4.0 - 1e-15
+
 
 def _single_outcome(pick):
     outcome, count = pick
@@ -488,12 +510,21 @@ setting_counts = st.one_of(
 )
 
 
+# one or two shots a setting, each a single outcome: the linear estimate is
+# rank-deficient and the start sits on the mixing floor. A fixed first mu of
+# 1e-4 stops here uncertified at 100 steps; the first mu read from the
+# start's certificate does not
+FEW_SHOT_TABLE = [(1, 0, 0, 0), (0, 0, 0, 1)] + [(1, 0, 0, 0)] * 4 + [(0, 0, 0, 1), (1, 0, 0, 0), (2, 0, 0, 0)]
+
+
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(st.lists(setting_counts, min_size=9, max_size=9))
+@example(FEW_SHOT_TABLE)
 def test_mle_on_count_tables(table):
     table = np.array(table, dtype=float)
     fit = mle_fit(table)
     assert fit.certificates[0] <= DEFAULT_TOL.mle_stop
+    assert fit.steps[0] < DEFAULT_TOL.mle_max_iter
     check_density_matrix(fit.states[0], atol=1e-8)
     assert np.linalg.eigvalsh(fit.states[0])[0] > 0.0
     # twice in one stacked call, beside a neighbour, with the bytes it
