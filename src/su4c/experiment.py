@@ -26,25 +26,30 @@ Noise model, applied to a lowered pulse sequence:
 Every shot draws its over-rotations independently of the other shots and
 then one outcome, so the counts of a setting are exactly Multinomial(shots,
 p), where p is the setting's outcome distribution averaged over the
-over-rotations. That average is closed-form. R(theta, phi) =
-exp(-i theta n / 2), with n = cos(phi) X + sin(phi) Y on its target qubit,
-averages over a Gaussian eps to the channel
+over-rotations. That average is closed-form on the real Pauli table T[a, b]
+= Tr(rho s_a (x) s_b) of a state. R(theta, phi) = exp(-i theta n / 2), with
+n = cos(phi) X + sin(phi) Y on its target qubit, averages over a Gaussian
+eps to a map of the target's Bloch vector r (a row of T for qubit 0, a
+column for qubit 1),
 
-    rho -> (1 + c)/2 rho + (1 - c)/2 n rho n + (s/2) i [rho, n],
+    r -> c r + (1 - c) (n . r) n + s n x r,
     c = k cos(theta), s = k sin(theta), k = exp(-theta^2 sigma^2 / 2),
 
-k being the mean of cos(theta eps). Rz and G are diagonal and conjugate
-rho exactly. The mixes after the n_G applications of G, each of weight
-d = depolarizing_per_g, are applied as one mix toward I/4 of weight
-1 - (1 - d)^n_G before the damping at the end, which is exact because every
-pulse channel maps I/4 to itself, so each mix commutes with every later
-pulse. One density-matrix pass per (program, preparation) thus gives the
-exact p of all nine settings at any shot count. run_experiments draws each
-program's counts as one multinomial from that program's own rng, so a
-program's counts do not depend on the others in the call; the pass runs
-the programs together along the template, with no sum across programs. The
-CLI's runs instead draw the counts of a whole stack of programs as one
-multinomial from one stream (_sample_counts), in program order.
+k being the mean of cos(theta eps). Rz turns r about the z axis, and G
+permutes the 16 entries of T with fixed signs. The mixes after the n_G
+applications of G, each of weight d = depolarizing_per_g, are applied as
+one mix toward I/4 of weight 1 - (1 - d)^n_G before the damping at the end,
+which is exact because every pulse channel maps I/4 to itself; it scales
+every entry but T[0, 0] = 1. Damping with probability g scales x and y by
+sqrt(1 - g) and maps z to (1 - g) z + g. An outcome's probability is then a
+four-term sum of +-T[a, b] / 4. One pass per (program, preparation) thus
+gives the exact p of all nine settings at any shot count. run_experiments
+draws each program's counts as one multinomial from that program's own
+rng, so a program's counts do not depend on the others in the call; the
+pass runs the programs together along the template, with no sum across
+programs. The CLI's runs instead draw the counts of a whole stack of
+programs as one multinomial from one stream (_sample_counts), in program
+order.
 
 Measurement settings are labeled by a Pauli letter per qubit. X and Y are
 read out by prerotating with R(pi/2, pi/2) and R(pi/2, 0) respectively and
@@ -157,15 +162,12 @@ class NoiseModel:
                 raise ValueError(f"{name} must lie in [0, 1]")
 
 
-def _pass_layout(m: np.ndarray) -> np.ndarray:
-    """X[(a, a'), (b, b')] = m[(a, b), (a', b')] of each matrix of a stack
-    (m, 4, 4): the layout of the density-matrix pass, qubit 0's row and
-    column index first. Its own inverse."""
-    return m.reshape(-1, 2, 2, 2, 2).swapaxes(2, 3).reshape(m.shape)
-
-
-# G's diagonal conjugation in the pass layout: X *= g_ab conj(g_a'b').
-_G_PHASES = _pass_layout((np.diag(G_GATE)[:, None] * np.diag(G_GATE).conj()).reshape(1, 4, 4))[0]
+# The 16 two-qubit Paulis P_j = s_a (x) s_b, identity first, j = 4 a + b. The
+# pass carries each state as its real Pauli table T[a, b] = Tr(rho P_j),
+# rho = sum_j T_j P_j / 4: qubit 0's Pauli indexes the rows, and T[0, 0] = 1.
+_SIGMAS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_ALL_PAULIS = _kron(_SIGMAS[:, None], _SIGMAS[None, :]).reshape(16, 4, 4)
+_ALL_PAULIS.flags.writeable = False
 
 # Per setting and outcome o, W[o, i] conj(W[o, j]) for the setting's frame
 # W, (9, 4, 16): the outcome's probability is Re sum(effect * rho.ravel()).
@@ -174,12 +176,38 @@ _G_PHASES = _pass_layout((np.diag(G_GATE)[:, None] * np.diag(G_GATE).conj()).res
 _EFFECTS = (_SETTING_FRAMES[..., :, None] * _SETTING_FRAMES[..., None, :].conj()).reshape(9, 4, 16)
 _EFFECTS.flags.writeable = False
 
-# I/4 in the pass layout.
-_MIXED = _pass_layout(np.eye(4, dtype=complex).reshape(1, 4, 4) / 4.0)[0]
+# _SIGNS[k, j] = Tr(op_k P_j) (36, 16): the eigenvalue +-1 of P_j that
+# outcome k reads when its setting measures P_j, and 0 when it does not.
+# Each row has four nonzero entries, so the Born rule Tr(op_k rho) is the
+# four-term sum of T_j _SIGNS[k, j] / 4 over them: _BORN_COLUMNS lists their
+# columns row by row, (144,), and _BORN_WEIGHTS holds _SIGNS / 4 there.
+_SIGNS = np.rint((_EFFECTS.reshape(36, 16) @ _ALL_PAULIS.reshape(16, 16).T).real)
+_SIGNS.flags.writeable = False
+_BORN_COLUMNS = _SIGNS.nonzero()[1]
+_BORN_WEIGHTS = _SIGNS[_SIGNS != 0].reshape(36, 4) / 4.0
 
+
+def _pauli_table(ops: np.ndarray) -> np.ndarray:
+    """Tr(op P_j) (n, 16) of each Hermitian op (n, 4, 4) with integer Pauli
+    coordinates: vec(op) . conj(vec(P_j)), rounded, signed zeros dropped."""
+    return np.rint((ops.reshape(-1, 16) @ _ALL_PAULIS.reshape(16, 16).conj().T).real) + 0.0
+
+
+# The Pauli tables (16, 4, 4) of the preparations, and G's transfer matrix
+# Tr(P_i G P_j G^dagger) / 4, a signed permutation: entry i of a table after
+# G is _G_SIGNS[i] times entry _G_SOURCE[i] before.
+_PREPARED_TABLES = _pauli_table(_PREPARED_STATES).reshape(16, 4, 4)
+_PREPARED_TABLES.flags.writeable = False
+_G_TRANSFER = _pauli_table(G_GATE @ _ALL_PAULIS @ G_GATE.conj()).T / 4.0
+_G_SOURCE = np.abs(_G_TRANSFER).argmax(axis=1)
+_G_SIGNS = _G_TRANSFER[np.arange(16), _G_SOURCE].reshape(4, 4)
 
 # Whether each column of an angle row is an R pulse's phase, not an Rz angle.
 _IS_R = np.array([kind == "R" for kind, _ in _TEMPLATE if kind != "G"])
+
+# _TEMPLATE as the pass runs it: the target of each slot of pulses R, Rz, R,
+# Rz on one qubit, four consecutive angles of a row, or None for a G.
+_STEPS = (0, 1, None) * 3 + (0, 1)
 
 
 def _angle_table(angles, ndim: int) -> np.ndarray:
@@ -197,34 +225,38 @@ def _angle_table(angles, ndim: int) -> np.ndarray:
     return table
 
 
-# The 16 entries of an R channel's superoperator, row-major, as indices
-# into the eight distinct values _r_channel_values returns.
-_R_ENTRIES = np.array([0, 1, 2, 3, 4, 0, 5, 2, 6, 7, 0, 1, 3, 6, 4, 0])
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b of 3x3 blocks a (3, 3, ...) and blocks b (3, n, ...), stacked
+    along the trailing axes: each entry three elementwise products added in
+    index order, so its bits depend on its own operands only."""
+    return a[:, 0, None] * b[None, 0] + a[:, 1, None] * b[None, 1] + a[:, 2, None] * b[None, 2]
 
 
-def _r_channel_values(theta: "float | np.ndarray", phi: np.ndarray, sigma: float) -> np.ndarray:
-    """The eight distinct entries (..., 8) of R(theta, phi) averaged over a
-    relative over-rotation drawn from N(0, sigma), a superoperator on the
-    target's (row, column) index pair that _R_ENTRIES spreads over 4x4; each
-    is written into one array as it is made, so no stack of all sixteen is
-    held. theta may be one angle for all phases."""
+def _pulse_blocks(theta: float, phi: np.ndarray, z: np.ndarray, sigma: float) -> np.ndarray:
+    """The Bloch-vector map (3, 3, ...) of R(theta, phi) averaged over a
+    relative over-rotation drawn from N(0, sigma), as the module docstring
+    gives it, then Rz(z), the turn Z(z) by z about the z axis, for each phase
+    phi and angle z. With (p, q) = Z(z) (cos phi, sin phi), each entry is a
+    sum of at most two products."""
     k = np.exp(-0.5 * (theta * sigma) ** 2)  # the Gaussian mean of cos(theta eps)
     c, s = k * np.cos(theta), k * np.sin(theta)
-    a, b = 0.5 * (1.0 + c), 0.5 * (1.0 - c)
-    u = np.exp(-1j * phi)  # n = [[0, u], [conj(u), 0]]
-    p, q = 0.5j * s * u, 0.5j * s * u.conj()
-    values = np.empty((*p.shape, 8), dtype=complex)
-    values[..., 0], values[..., 1], values[..., 2], values[..., 3] = a, q, -p, b
-    values[..., 4], values[..., 5], values[..., 6] = p, b * u * u, -q
-    values[..., 7] = b * (u * u).conj()
-    return values
+    x, y, u, v = np.cos(phi), np.sin(phi), np.cos(z), np.sin(z)
+    p, q = u * x - v * y, v * x + u * y
+    bx, by = (1.0 - c) * x, (1.0 - c) * y
+    out = np.empty((3, 3, *x.shape))
+    out[0, 0], out[0, 1], out[0, 2] = u * c + bx * p, by * p - v * c, s * q
+    out[1, 0], out[1, 1], out[1, 2] = v * c + bx * q, u * c + by * q, -s * p
+    out[2, 0], out[2, 1], out[2, 2] = -s * y, s * x, c
+    return out
 
 
-def _qubit_damping(gamma: float) -> np.ndarray:
-    """The two Kraus operators of amplitude damping on one qubit, (2, 2, 2)."""
-    return np.array(
-        [[[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], [[0.0, math.sqrt(gamma)], [0.0, 0.0]]], dtype=complex
-    )
+def _slot_blocks(angles: np.ndarray, sigma: float) -> np.ndarray:
+    """The Bloch-vector map (3, 3, 8, M) of each slot of each angle row (M,
+    32), programs last: its two R pulses, averaged over the over-rotations,
+    each followed by its Rz."""
+    pairs = np.ascontiguousarray(angles.T).reshape(8, 2, 2, -1)  # slot, pulse, (R phase, Rz angle), program
+    blocks = _pulse_blocks(_R_THETA, pairs[:, :, 0], pairs[:, :, 1], sigma)
+    return _product(blocks[:, :, :, 1], blocks[:, :, :, 0])
 
 
 def _depolarizing_weight(noise: NoiseModel) -> float:
@@ -232,68 +264,40 @@ def _depolarizing_weight(noise: NoiseModel) -> float:
     return 1.0 - (1.0 - noise.depolarizing_per_g) ** _TEMPLATE.count(("G", None))
 
 
-def _apply(x: np.ndarray, op: np.ndarray, target: int) -> np.ndarray:
-    """x (M, 4, 4) in the pass layout after the 4x4 superoperator op, one
-    per state (M, 4, 4) or one for all, on the target's (row, column) index
-    pair: qubit 0's pair indexes the rows of x, qubit 1's its columns.
-
-    Each entry is four elementwise products added in place, in index
-    order; target 1 is target 0 on the transposes."""
-    if target == 1:
-        return _apply(x.swapaxes(-1, -2), op, 0).swapaxes(-1, -2)
-    out = op[..., :, 0, None] * x[:, None, 0, :]
-    for k in (1, 2, 3):
-        out += op[..., :, k, None] * x[:, None, k, :]
-    return out
-
-
-def _rz_phases(angles: np.ndarray) -> np.ndarray:
-    """Per Rz pulse of each angle row (M, 32), its phases on the target's
-    (row, column) index pair, (16, M, 4)."""
-    e = np.exp(-1j * angles[:, ~_IS_R]).T
-    out = np.ones((*e.shape, 4), dtype=complex)
-    out[..., 1], out[..., 2] = e, e.conj()
-    return out
-
-
-def _output_states(angles, prepared, noise: NoiseModel) -> np.ndarray:
-    """The exact output states (M, 4, 4) of each angle row run on its
-    preparation row, an index into _PREPARED_STATES, under noise, averaged
-    over the over-rotations. Elementwise products and sums along one
-    state's axes only, with no BLAS call, so a program's bits depend
-    neither on the others nor on the BLAS thread count. Each R
-    pulse's (M, 4, 4) channel is spread from its eight values when the
-    pulse comes; the phases of all 16 Rz pulses are built once, (16, M, 4)."""
-    # a copy (fancy index), so the G and Rz pulses multiply it in place
-    x = _pass_layout(_PREPARED_STATES[prepared])
-    phi = angles[:, _IS_R]
-    r_values = _r_channel_values(_R_THETA, phi, noise.overrotation_sigma)
-    r_ops = (values[:, _R_ENTRIES].reshape(-1, 4, 4) for values in r_values.swapaxes(0, 1))
-    rz = iter(_rz_phases(angles))
-    for kind, target in _TEMPLATE:
-        if kind == "G":
-            x *= _G_PHASES
-        elif kind == "Rz":
-            phases = next(rz)
-            x *= phases[:, :, None] if target == 0 else phases[:, None, :]
+def _output_tables(angles, prepared, noise: NoiseModel) -> np.ndarray:
+    """The exact output states, as Pauli tables (4, 4, M), programs last, of
+    each angle row run on its preparation row, an index into
+    _PREPARED_TABLES, under noise, averaged over the over-rotations. Each
+    step is elementwise, a three-term sum in a fixed order or a gather, with
+    no BLAS call, so a program's bits depend neither on the others nor on
+    the BLAS thread count."""
+    t = _PREPARED_TABLES.transpose(1, 2, 0)[:, :, prepared]  # a copy (fancy index), updated in place
+    slots = iter(_slot_blocks(angles, noise.overrotation_sigma).transpose(2, 0, 1, 3))
+    for target in _STEPS:
+        if target is None:
+            t = t.reshape(16, -1)[_G_SOURCE].reshape(t.shape) * _G_SIGNS[:, :, None]
         else:
-            x = _apply(x, next(r_ops), target)
-    q = _depolarizing_weight(noise)
-    damping = sum(_kron(k, k.conj()) for k in _qubit_damping(noise.damping_per_circuit))
-    x = _apply(_apply((1.0 - q) * x + q * _MIXED, damping, 0), damping, 1)
-    return _pass_layout(x)
+            x = t if target == 0 else t.swapaxes(0, 1)  # the target's Pauli first
+            x[1:] = _product(next(slots), x[1:])
+    keep = 1.0 - _depolarizing_weight(noise)  # the mix toward I/4 keeps T[0, 0]
+    t[1:] *= keep
+    t[0, 1:] *= keep
+    gamma = noise.damping_per_circuit
+    for x in (t, t.swapaxes(0, 1)):  # on qubit 0, then qubit 1
+        x[1:3] *= math.sqrt(1.0 - gamma)
+        x[3] = (1.0 - gamma) * x[3] + gamma * x[0]
+    return t
 
 
 def _outcome_probabilities(angles, prepared, noise: NoiseModel) -> np.ndarray:
     """The exact outcome probabilities (M, 9, 4) of each angle row run on
     its preparation row under noise: the nine settings of each
-    _output_states state."""
-    rho = _output_states(angles, prepared, noise).reshape(-1, 1, 16)
-    p = np.empty((len(rho), 9, 4))
-    for k, effects in enumerate(_EFFECTS):  # one (M, 4, 16) product per setting
-        p[:, k] = (rho * effects).sum(axis=-1).real
-    p = np.clip(p, 0.0, None)
-    return p / p.sum(axis=-1, keepdims=True)
+    _output_tables state, by the four-term sums of the Born rule."""
+    terms = _output_tables(angles, prepared, noise).reshape(16, -1)[_BORN_COLUMNS].reshape(36, 4, -1)
+    terms *= _BORN_WEIGHTS[:, :, None]
+    p = np.clip(terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3], 0.0, None).reshape(9, 4, -1)
+    p /= p.sum(axis=1, keepdims=True)
+    return np.ascontiguousarray(p.transpose(2, 0, 1))
 
 
 def _sample_counts(angles, prepared, noise: NoiseModel, shots: int, rng: SeededRng) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .experiment import _EFFECTS, _PREPARED_STATES, _product_states
+from .experiment import _ALL_PAULIS, _EFFECTS, _PREPARED_STATES, _SIGNS, _product_states
 from .linalg import _as_complex, _kron, _require_shape
 
 __all__ = [
@@ -39,16 +39,11 @@ __all__ = [
 # The 36 outcome projectors op, setting-major, as a (36, 16) matrix of rows
 # vec(op^T), so that Tr(op rho) = row . vec(rho) and all 36 Born
 # probabilities of rho are one matrix-vector product: a read-only view of
-# the experiment's own table, which the counts were drawn from.
+# the experiment's own table, which the counts were drawn from. The 16
+# two-qubit Paulis _ALL_PAULIS and the table _SIGNS[k, j] = Tr(op_k P_j) are
+# the experiment's too, which its Born rule reads.
 _POVM_ROWS = _EFFECTS.reshape(36, 16)
 
-
-# The 16 two-qubit Paulis P = s_a (x) s_b, identity first, and the table
-# _SIGNS[k, j] = Tr(op_k P_j) (36, 16): the eigenvalue +-1 of P_j that
-# outcome k reads when its setting measures P_j, and 0 when it does not.
-_SIGMAS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-_ALL_PAULIS = _kron(_SIGMAS[:, None], _SIGMAS[None, :]).reshape(16, 4, 4)
-_SIGNS = np.rint((_POVM_ROWS @ _ALL_PAULIS.reshape(16, 16).T).real)
 
 # The linear estimate of a frequency row f (36,) is vec(rho) = _LINEAR_MAP f,
 # rho = sum_j <P_j> P_j / 4 with <P_j> the mean of sum_k _SIGNS[k, j] f_k

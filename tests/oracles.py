@@ -3,10 +3,10 @@
 Each is the plain, one-matrix-at-a-time form of something su4c computes in
 stacked form, written from the gate definitions: the matrix of a pulse and
 of a pulse list, the R triple of the pulse template, a density-matrix check,
-one noise realization of a program applied to a density matrix, the 2x2
-matrix of a quaternion, the block factoring of a tensor product and the
-matrix slots of the pulse template. None of them is part of the package's
-pipeline.
+one noise realization of a program applied to a density matrix, the complex
+density-matrix pass of the executor, the 2x2 matrix of a quaternion, the
+block factoring of a tensor product and the matrix slots of the pulse
+template. None of them is part of the package's pipeline.
 """
 
 import math
@@ -14,8 +14,15 @@ from dataclasses import replace
 
 import numpy as np
 
-from su4c.circuits import _pulses
-from su4c.experiment import NoiseModel, _angle_table, _depolarizing_weight, _IS_R, _qubit_damping
+from su4c.circuits import _R_THETA, _TEMPLATE, _pulses
+from su4c.experiment import (
+    _EFFECTS,
+    _IS_R,
+    _PREPARED_STATES,
+    NoiseModel,
+    _angle_table,
+    _depolarizing_weight,
+)
 from su4c.config import DEFAULT_TOL
 from su4c.gates import (
     _ENTRY_FRAME,
@@ -112,10 +119,109 @@ def apply_channel(
     u = compose_pulses(pulses)
     q = _depolarizing_weight(noise)
     out = (1.0 - q) * (u @ m @ u.conj().T) + q * np.eye(4) / 4.0
-    k = _qubit_damping(noise.damping_per_circuit)
+    k = qubit_damping(noise.damping_per_circuit)
     kraus = np.array([_kron(ka, kb) for ka in k for kb in k])
     out = np.sum(kraus @ out @ kraus.conj().transpose(0, 2, 1), axis=0)
     return 0.5 * (out + out.conj().T)
+
+
+def qubit_damping(gamma: float) -> np.ndarray:
+    """The two Kraus operators of amplitude damping on one qubit, (2, 2, 2)."""
+    return np.array(
+        [[[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], [[0.0, math.sqrt(gamma)], [0.0, 0.0]]], dtype=complex
+    )
+
+
+# The exact pass on complex density matrices, the reference the executor's
+# Pauli-transfer pass is held to: each R pulse is a superoperator on its
+# target's (row, column) index pair, Rz and G are phases, and the outcome
+# probabilities are one product with the effects of each setting.
+
+
+def pass_layout(m: np.ndarray) -> np.ndarray:
+    """X[(a, a'), (b, b')] = m[(a, b), (a', b')] of each matrix of a stack
+    (m, 4, 4): the layout of the density-matrix pass, qubit 0's row and
+    column index first. Its own inverse."""
+    return m.reshape(-1, 2, 2, 2, 2).swapaxes(2, 3).reshape(m.shape)
+
+
+# G's diagonal conjugation in the pass layout: X *= g_ab conj(g_a'b').
+G_PHASES = pass_layout((np.diag(G_GATE)[:, None] * np.diag(G_GATE).conj()).reshape(1, 4, 4))[0]
+
+# I/4 in the pass layout.
+MIXED = pass_layout(np.eye(4, dtype=complex).reshape(1, 4, 4) / 4.0)[0]
+
+# The 16 entries of an R channel's superoperator, row-major, as indices
+# into the eight distinct values r_channel_values returns.
+R_ENTRIES = np.array([0, 1, 2, 3, 4, 0, 5, 2, 6, 7, 0, 1, 3, 6, 4, 0])
+
+
+def r_channel_values(theta, phi: np.ndarray, sigma: float) -> np.ndarray:
+    """The eight distinct entries (..., 8) of R(theta, phi) averaged over a
+    relative over-rotation drawn from N(0, sigma), a superoperator on the
+    target's (row, column) index pair that R_ENTRIES spreads over 4x4:
+
+        rho -> (1 + c)/2 rho + (1 - c)/2 n rho n + (s/2) i [rho, n],
+
+    c = k cos(theta), s = k sin(theta), k = exp(-theta^2 sigma^2 / 2)."""
+    k = np.exp(-0.5 * (theta * sigma) ** 2)
+    c, s = k * np.cos(theta), k * np.sin(theta)
+    a, b = 0.5 * (1.0 + c), 0.5 * (1.0 - c)
+    u = np.exp(-1j * phi)  # n = [[0, u], [conj(u), 0]]
+    p, q = 0.5j * s * u, 0.5j * s * u.conj()
+    values = np.empty((*p.shape, 8), dtype=complex)
+    values[..., 0], values[..., 1], values[..., 2], values[..., 3] = a, q, -p, b
+    values[..., 4], values[..., 5], values[..., 6] = p, b * u * u, -q
+    values[..., 7] = b * (u * u).conj()
+    return values
+
+
+def apply_superoperator(x: np.ndarray, op: np.ndarray, target: int) -> np.ndarray:
+    """x (M, 4, 4) in the pass layout after the 4x4 superoperator op, one
+    per state (M, 4, 4) or one for all, on the target's (row, column) index
+    pair: qubit 0's pair indexes the rows of x, qubit 1's its columns."""
+    if target == 1:
+        return apply_superoperator(x.swapaxes(-1, -2), op, 0).swapaxes(-1, -2)
+    out = op[..., :, 0, None] * x[:, None, 0, :]
+    for k in (1, 2, 3):
+        out += op[..., :, k, None] * x[:, None, k, :]
+    return out
+
+
+def reference_output_states(angles, prepared, noise: NoiseModel) -> np.ndarray:
+    """The exact output states (M, 4, 4) of each angle row (M, 32) run on its
+    preparation row, an index into TOMOGRAPHY_INPUT_LABELS, under noise,
+    averaged over the over-rotations, by the complex density-matrix pass."""
+    x = pass_layout(_PREPARED_STATES[prepared])
+    r_values = r_channel_values(_R_THETA, angles[:, _IS_R], noise.overrotation_sigma)
+    r_ops = (values[:, R_ENTRIES].reshape(-1, 4, 4) for values in r_values.swapaxes(0, 1))
+    rz = iter(np.exp(-1j * angles[:, ~_IS_R]).T)
+    for kind, target in _TEMPLATE:
+        if kind == "G":
+            x = x * G_PHASES
+        elif kind == "Rz":
+            e = next(rz)
+            phases = np.stack([np.ones_like(e), e, e.conj(), np.ones_like(e)], axis=-1)
+            x = x * (phases[:, :, None] if target == 0 else phases[:, None, :])
+        else:
+            x = apply_superoperator(x, next(r_ops), target)
+    q = _depolarizing_weight(noise)
+    damping = sum(_kron(k, k.conj()) for k in qubit_damping(noise.damping_per_circuit))
+    x = apply_superoperator(apply_superoperator((1.0 - q) * x + q * MIXED, damping, 0), damping, 1)
+    return pass_layout(x)
+
+
+def reference_probabilities(angles, prepared, noise: NoiseModel) -> np.ndarray:
+    """The exact outcome probabilities (M, 9, 4) of each angle row run on its
+    preparation row under noise: each reference_output_states state's
+    product with the nine settings' effects, one setting at a time, clipped
+    at 0 and normalized per setting."""
+    rho = reference_output_states(angles, prepared, noise).reshape(-1, 1, 16)
+    p = np.empty((len(rho), 9, 4))
+    for k, effects in enumerate(_EFFECTS):
+        p[:, k] = (rho * effects).sum(axis=-1).real
+    p = np.clip(p, 0.0, None)
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def canonical_v(params: ClassParams) -> np.ndarray:

@@ -9,12 +9,13 @@ _su2_params reads each modulus with np.hypot. They hold for numpy 2.4 on
 OpenBLAS 0.3.31, but they are not promised by numpy or by BLAS, so each one
 is asserted here on seeded stacks: an upgrade that breaks one fails the test
 named after it, not only an opaque digest in test_compile_corpus.
-The density-matrix pass adds its four-term sums in index order, on the
-transposes for qubit 1. The stacked draws rely on numpy filling a stacked
-draw row by row: one (2, 4, 4) standard normal draw gives the normals of
-two (4, 4) draws, one (n, 2, 4, 4) draw those of n (2, 4, 4) draws, and one
-multinomial over an (N, 9, 4) table the counts of N (9, 4) draws, each
-leaving the generator where the draws one at a time leave it. All are
+The Pauli-transfer pass adds its three-term sums in index order, on the
+transposed view for qubit 1, and applies G as a gather with fixed signs.
+The stacked draws rely on numpy filling a stacked draw row by row: one
+(2, 4, 4) standard normal draw gives the normals of two (4, 4) draws, one
+(n, 2, 4, 4) draw those of n (2, 4, 4) draws, and one multinomial over an
+(N, 9, 4) table the counts of N (9, 4) draws, each leaving the generator
+where the draws one at a time leave it. All are
 asserted at the end of this module. So are the steps of the compile and
 scoring paths that run as one stack with no per-row oracle, each on stacks
 of 1, 16 and 160 rows and on the same rows shuffled: np.arctan2 of the
@@ -33,7 +34,7 @@ import pytest
 from oracles import su2
 from su4c.circuits import _quaternions, _slot_quaternions
 from su4c.compiler import _class_angles
-from su4c.experiment import _apply
+from su4c.experiment import _G_SIGNS, _G_SOURCE, _product
 from su4c.gates import _canonical_phase, _magic_factors, _rz_gates, _to_magic, r_gate, rz_gate
 from su4c.haar import SeededRng
 from su4c.tomography import (
@@ -403,50 +404,51 @@ def test_rz_gates_against_rz_gate(n):
 
 @pytest.mark.parametrize("n", SIZES)
 def test_signed_2x2_products(n):
+    # _exit_layers' stack times a constant 2x2 factor, with a signed zero in
+    # the stack
     g = gen(26)
-    a, b, c = complex_stack(g, 2)[:n], complex_stack(g, 2)[:n], complex_stack(g, 2)[-1]
-    a[0, 0, 0] = complex(-0.0, 0.0)  # a signed zero the sign flip must keep
-    signs = g.choice([-1, 1], size=n)
-    signed = (signs[:, None, None] * a) @ b
+    a, c = complex_stack(g, 2)[:n], complex_stack(g, 2)[-1]
+    a[0, 0, 0] = complex(-0.0, 0.0)
     left, right, chain = c @ a, a @ c, a @ c @ c.T
     for k in range(n):
-        assert same(signed[k], (int(signs[k]) * a[k]) @ b[k]), k
         assert same(left[k], c @ a[k]) and same(right[k], a[k] @ c), k
         assert same(chain[k], a[k] @ c @ c.T), k
 
 
-# The density-matrix pass (experiment._apply) writes each superoperator
-# product as four elementwise products op * x added in index order, and
-# qubit 1's as qubit 0's on the transposes; each must equal the products
-# added one after another (numpy's complex product of op and x need not be
-# that of x and op), for one superoperator per state and one for all, and
-# each row must be what it gets alone and in a shuffled stack.
+# The Pauli-transfer pass (experiment._output_tables) maps a target's rows
+# of each table, programs last, by three-term sums of elementwise products
+# in index order (experiment._product), qubit 1's on the transposed view, and
+# applies G as a gather of the 16 entries times fixed signs. Each must equal
+# the products added one after another, and each program's entries must be
+# what they are alone and in a shuffled stack, signed zeros included.
 
 
-def reduced_apply(x, op, target):
-    if target == 0:
-        terms = [op[..., :, k, None] * x[:, None, k, :] for k in range(4)]
-    else:
-        terms = [op[..., None, :, k] * x[:, :, k, None] for k in range(4)]
-    return reduce(np.add, terms)
+def reduced_product(a, b):
+    return reduce(np.add, [a[:, k, None] * b[None, k] for k in range(3)])
 
 
 @pytest.mark.parametrize("target", [0, 1])
 @pytest.mark.parametrize("m", [1, 16, 160])
 def test_explicit_sums_match_reduce(m, target):
     g = gen(28)
-    x = g.standard_normal((m, 4, 4)) + 1j * g.standard_normal((m, 4, 4))
-    x[0, 0, 0] = complex(-0.0, -0.0)  # a signed zero the sums must keep
-    ops = g.standard_normal((m, 4, 4)) + 1j * g.standard_normal((m, 4, 4))
+    t, blocks = g.standard_normal((4, 4, m)), g.standard_normal((3, 3, m))
+    t[..., 0], blocks[..., 0] = -0.0, 0.0  # program 0's sums are -0.0, which they must keep
     order = g.permutation(m)
-    for op in (ops, ops[0]):
-        got = _apply(x, op, target)
-        assert same(np.ascontiguousarray(got), reduced_apply(x, op, target))
-        shuffled = _apply(x[order], op[order] if op.ndim == 3 else op, target)
-        assert same(np.ascontiguousarray(shuffled), np.ascontiguousarray(got[order]))
-        for k in range(m):
-            one = op[k : k + 1] if op.ndim == 3 else op
-            assert same(got[k], _apply(x[k : k + 1], one, target)[0]), k
+
+    def step(t, blocks):
+        # one slot on the target, then G, as the pass takes them
+        t = t.copy()
+        x = t if target == 0 else t.swapaxes(0, 1)
+        x[1:] = _product(blocks, x[1:])
+        return t.reshape(16, -1)[_G_SOURCE].reshape(t.shape) * _G_SIGNS[:, :, None]
+
+    rows = (t if target == 0 else t.swapaxes(0, 1))[1:]
+    sums = _product(blocks, rows)
+    assert same(sums, reduced_product(blocks, rows)) and np.signbit(sums[..., 0]).all()
+    got = step(t, blocks)
+    assert same(step(t[..., order], blocks[..., order]), got[..., order])
+    for k in range(m):
+        assert same(step(t[..., k : k + 1], blocks[..., k : k + 1])[..., 0], got[..., k]), k
 
 
 # _sample_su4_many draws each Ginibre matrix as one (2, 4, 4) standard

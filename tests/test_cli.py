@@ -683,7 +683,9 @@ class TestProcessTomo:
 # when the tolerance block lost symmetry, determinant and su2_det, which no
 # check read; nothing else in any report moved. The process-tomo digest was
 # re-captured when MLE came to start at the linear estimate: its three
-# fidelities moved by at most 3.3e-16 (entanglement_fidelity).
+# fidelities moved by at most 3.3e-16 (entanglement_fidelity). The
+# exact-benchmark digest was re-captured when the exact pass came to carry
+# Pauli tables: 34 of its values moved, by at most 1.2e-15 (a fidelity).
 # A change to the executor, the compiler or reconstruction that moves one
 # count or one digit of a fidelity or an angle changes a digest; only a
 # change that sets out to move outputs re-captures them, and records the old
@@ -696,7 +698,7 @@ GOLDEN_REPORTS = {
     ),
     "benchmark-exact": (
         ("benchmark", "--n", "32", "--exact-probabilities", "--noise", "calibrated"),
-        "e33cf14d0c38caa4468e54938229291855bfd7266fa7bebd68d63401edcb3cff",
+        "f6ce94d7cf974c8f21aa1a199abad0d8c8839c35c42a2a2afaca4a58091343b6",
     ),
     "process-tomo": (
         ("process-tomo", "--unitary", None, "--shots", "1000", "--noise", "calibrated",

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from su4c.circuits import _pulses
+from su4c.circuits import _TEMPLATE, _pulses
 from su4c.experiment import (
     CALIBRATED_NOISE,
     MEASUREMENT_SETTINGS,
@@ -21,24 +21,25 @@ from su4c.experiment import (
     run_experiments,
 )
 from su4c.experiment import (
-    _EFFECTS,
+    _ALL_PAULIS,
     _PREPARED_STATES,
+    _PREPARED_TABLES,
     _PREPARED_VECTORS,
     _PREROTATION,
-    _R_ENTRIES,
     _SETTING_FRAMES,
+    _SIGNS,
     _STATE_VECTORS,
-    _apply,
+    _STEPS,
     _outcome_probabilities,
-    _output_states,
-    _pass_layout,
-    _r_channel_values,
+    _output_tables,
+    _pulse_blocks,
+    _sample_counts,
 )
 from su4c.gates import G_GATE, r_gate, rz_gate
 from su4c.haar import SeededRng, sample_su4
 from su4c.linalg import _kron
 from born import setting_probabilities
-from oracles import apply_channel, compose_pulses, embed
+from oracles import apply_channel, compose_pulses, embed, reference_output_states, reference_probabilities
 from programs import program
 
 I4 = np.eye(4, dtype=complex)
@@ -48,6 +49,12 @@ def random_density(rng):
     g = rng.generator.standard_normal((4, 4)) + 1j * rng.generator.standard_normal((4, 4))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def density(tables):
+    """The density matrices (M, 4, 4) of Pauli tables (4, 4, M), programs
+    last: sum_j T_j P_j / 4."""
+    return (tables.reshape(16, -1).T @ _ALL_PAULIS.reshape(16, 16)).reshape(-1, 4, 4) / 4.0
 
 
 def ideal_output(u, label):
@@ -643,6 +650,18 @@ class TestRunExperiments:
         assert counts.shape == (0, 9, 4) and counts.dtype == np.int64
 
     @pytest.mark.parametrize("noise", [CALIBRATED_NOISE, NoiseModel()], ids=["noisy", "noiseless"])
+    def test_empty_table(self, noise):
+        # an empty (0, 32) table through the public call and through the
+        # CLI's one-stream sampler: int64 (0, 9, 4) counts and no draw
+        counts = run_experiments(np.empty((0, 32)), [], noise, 100, [])
+        assert counts.shape == (0, 9, 4) and counts.dtype == np.int64
+        rng = SeededRng(3)
+        before = rng.generator.bit_generator.state
+        counts = _sample_counts(np.empty((0, 32)), np.empty(0, dtype=int), noise, 100, rng)
+        assert counts.shape == (0, 9, 4) and counts.dtype == np.int64
+        assert rng.generator.bit_generator.state == before
+
+    @pytest.mark.parametrize("noise", [CALIBRATED_NOISE, NoiseModel()], ids=["noisy", "noiseless"])
     def test_bad_label_rejected_before_any_draw(self, noise):
         rngs = SeededRng(4).spawn(2)
         before = [rng.generator.bit_generator.state for rng in rngs]
@@ -664,11 +683,13 @@ class TestRunExperiments:
 # when the executor returned one record per setting, from those records, so
 # equal digests mean the same numbers from the same streams. The exact one
 # was re-captured when the letters became quaternions, which moved its
-# program's angles, and its probabilities by at most 5.3e-16.
+# program's angles, and its probabilities by at most 5.3e-16, and again when
+# the exact pass came to carry Pauli tables, which moved them by at most
+# 5.6e-16.
 COUNT_SHA256 = {
     "run_experiments": "90331eef9b6fdb591d6f2a1273398a504bfa15561df34123ca8313afde4ace20",
     "run_experiment": "bd4cdc06c264c61bf3fc9679bee2024a32b2cbe316855d6a323255de879cd28d",
-    "exact_experiment": "37923944c584b64c6a885fc1e24dea93723a50655dfcef16f09c7ea32dcdaa99",
+    "exact_experiment": "a13dbb44211af641b05aef13e47a6d0e504287a5fe86f63afbb8d895b27f4074",
 }
 
 
@@ -801,27 +822,31 @@ class TestExactExperiment:
 
 
 class TestOutputStates:
-    """The density-matrix pass behind every sampled and exact count table."""
+    """The Pauli-transfer pass behind every sampled and exact count table."""
 
     @pytest.mark.parametrize("target", [0, 1])
     @pytest.mark.parametrize(
         "theta,phi,sigma", [(math.pi / 2, 0.3, 0.06), (math.pi / 2, 4.0, 0.3), (2.2, 1.1, 0.15), (0.7, 5.9, 0.0)]
     )
     def test_r_pulse_is_gauss_hermite_average(self, theta, phi, sigma, target):
-        # the pass's channel of one R pulse on the sixteen preparations,
-        # which span the operator space and so fix the channel, against the
-        # Gaussian average of the over-rotated r_gate conjugation by
-        # 60-point Gauss-Hermite quadrature
-        labels = TOMOGRAPHY_INPUT_LABELS
-        op = _r_channel_values(np.array(theta), np.array(phi), sigma)[_R_ENTRIES].reshape(4, 4)
-        x = _pass_layout(np.array([ideal_output(I4, label) for label in labels]))
-        out = _pass_layout(_apply(x, op, target))
+        # the R transfer block, with no Rz after it, on the sixteen
+        # preparations, which span the operator space and so fix the
+        # channel, against the Gaussian average of the over-rotated r_gate
+        # conjugation by 60-point Gauss-Hermite quadrature
+        block = _pulse_blocks(theta, np.array(phi), np.array(0.0), sigma)
+        tables = _PREPARED_TABLES.transpose(1, 2, 0).copy()
+        x = tables if target == 0 else tables.swapaxes(0, 1)
+        x[1:] = np.einsum("ij,jkm->ikm", block, x[1:])
         nodes, weights = np.polynomial.hermite.hermgauss(60)
         gates = [embed(r_gate(theta * (1.0 + sigma * math.sqrt(2.0) * x), phi), target) for x in nodes]
-        for label, rho_out in zip(labels, out):
-            rho = ideal_output(I4, label)
+        for rho, rho_out in zip(_PREPARED_STATES, density(tables)):
             ref = sum(w * g @ rho @ g.conj().T for w, g in zip(weights, gates)) / math.sqrt(math.pi)
             assert np.max(np.abs(rho_out - ref)) < 1e-12
+
+    def test_steps_spell_the_template(self):
+        # each slot of the pass is R, Rz, R, Rz on its target, four angles
+        pulses = [(("R", t), ("Rz", t)) * 2 if t is not None else (("G", None),) for t in _STEPS]
+        assert tuple(p for slot in pulses for p in slot) == _TEMPLATE
 
     def test_noiseless_probabilities_match_state_vector_evolution(self):
         frames = (_SETTING_FRAMES[:, None] @ loop_damping_kraus(0.0)).reshape(-1, 16, 4)
@@ -841,7 +866,7 @@ class TestOutputStates:
         noise = ORACLE_NOISE[name]
         for k, angles in enumerate(ORACLE_PROGRAMS[:2]):
             labels = TOMOGRAPHY_INPUT_LABELS
-            out = _output_states(ORACLE_PROGRAMS[[k] * len(labels)], np.arange(len(labels)), noise)
+            out = density(_output_tables(ORACLE_PROGRAMS[[k] * len(labels)], np.arange(len(labels)), noise))
             for label, rho_out in zip(labels, out):
                 ref = apply_channel(ideal_output(I4, label), angles, noise)
                 assert np.max(np.abs(rho_out - ref)) < 1e-12
@@ -853,42 +878,81 @@ class TestOutputStates:
         angles, label = ORACLE_PROGRAMS[2], ORACLE_LABELS[2]
         rng = SeededRng(811)
         draws = np.array([apply_channel(ideal_output(I4, label), angles, noise, rng) for _ in range(1500)])
-        (rho_out,) = _output_states(angles[None], ORACLE_ROWS[2:3], noise)
+        (rho_out,) = density(_output_tables(angles[None], ORACLE_ROWS[2:3], noise))
         err = draws.std(axis=0) / math.sqrt(len(draws)) + 1e-15
         assert np.max(np.abs(draws.mean(axis=0) - rho_out) / err) < 5.0
 
     @pytest.mark.parametrize("n", [1, 16, 160])
     def test_outcome_probabilities_match_one_product(self, n):
-        # one (M, 4, 16) product per setting gives the bits of the one
-        # (M, 9, 4, 16) product over all nine settings
+        # the four-term sums of the Born rule against the one product of
+        # each Pauli table with the whole sign table, clipped and normalized
+        # alike
         g = np.random.default_rng(n)
         angles = g.uniform(0.0, 2.0 * math.pi, size=(n, 32))
         prepared = g.integers(0, 16, size=n)
         for noise in (CALIBRATED_NOISE, NoiseModel()):
-            rho = _output_states(angles, prepared, noise)
-            p = np.clip((rho.reshape(-1, 1, 1, 16) * _EFFECTS).sum(axis=-1).real, 0.0, None)
+            tables = _output_tables(angles, prepared, noise).reshape(16, -1).T
+            p = np.clip((tables @ _SIGNS.T / 4.0).reshape(-1, 9, 4), 0.0, None)
             want = p / p.sum(axis=-1, keepdims=True)
-            assert _outcome_probabilities(angles, prepared, noise).tobytes() == want.tobytes()
+            assert np.max(np.abs(_outcome_probabilities(angles, prepared, noise) - want)) < 1e-15
 
     def test_r_channels_match_one_stack(self):
-        # the channel spread from its eight values is the stack of its
-        # sixteen entries
+        # the blocks of a stack of pulses are, bit for bit, those of each
+        # pulse alone, and each is the turn Z(z) after the pulse's R block
         g = np.random.default_rng(5)
-        theta, phi = g.uniform(0.0, 7.0, size=(2, 40, 16))
+        phi, z = g.uniform(0.0, 7.0, size=(2, 40, 16))
+        phi[0, :4], z[0, :4] = [0.0, -0.0, math.pi, 0.0], [0.0, math.pi / 2, -0.0, math.pi]
         for sigma in (0.0, 0.06, 0.3):
-            k = np.exp(-0.5 * (theta * sigma) ** 2)
-            c, s = k * np.cos(theta), k * np.sin(theta)
-            a, b = 0.5 * (1.0 + c), 0.5 * (1.0 - c)
-            u = np.exp(-1j * phi)
-            p, q = 0.5j * s * u, 0.5j * s * u.conj()
-            entries = [a, q, -p, b, p, a, b * u * u, -p, -q, b * (u * u).conj(), a, q, b, -q, p, a]
-            want = np.stack(entries, axis=-1).reshape(40, 16, 4, 4)
-            got = _r_channel_values(theta, phi, sigma)[..., _R_ENTRIES].reshape(40, 16, 4, 4)
-            assert got.tobytes() == want.tobytes()
+            got = _pulse_blocks(math.pi / 2, phi, z, sigma)
+            for k in range(40):
+                for j in range(16):
+                    one = _pulse_blocks(math.pi / 2, phi[k, j], z[k, j], sigma)
+                    assert got[:, :, k, j].tobytes() == one.tobytes()
+            turns = np.zeros((40, 16, 3, 3))
+            turns[..., 0, 0], turns[..., 0, 1], turns[..., 1, 0] = np.cos(z), -np.sin(z), np.sin(z)
+            turns[..., 1, 1], turns[..., 2, 2] = np.cos(z), 1.0
+            r = _pulse_blocks(math.pi / 2, phi, np.zeros_like(z), sigma).transpose(2, 3, 0, 1)
+            assert np.max(np.abs(turns @ r - got.transpose(2, 3, 0, 1))) < 1e-15
 
     def test_output_states_are_physical(self):
-        states = _output_states(ORACLE_PROGRAMS, ORACLE_ROWS, NoiseModel(0.3, 0.2, 0.3))
+        states = density(_output_tables(ORACLE_PROGRAMS, ORACLE_ROWS, NoiseModel(0.3, 0.2, 0.3)))
         for rho in states:
             assert abs(np.trace(rho).real - 1.0) < 1e-12
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
             assert np.linalg.eigvalsh(rho)[0] > -1e-12
+
+
+# The complex density-matrix pass of tests/oracles.py against the transfer
+# pass: every preparation of the oracle programs and random angle tables,
+# under no noise, the calibrated profile, a strong mix of all three terms
+# and each term at its largest.
+REFERENCE_NOISE = {
+    "zero": NoiseModel(),
+    "calibrated": CALIBRATED_NOISE,
+    "strong": NoiseModel(0.3, 0.2, 0.3),
+    "sigma-1": NoiseModel(overrotation_sigma=1.0),
+    "depolarizing-1": NoiseModel(depolarizing_per_g=1.0),
+    "damping-1": NoiseModel(damping_per_circuit=1.0),
+}
+
+
+class TestTransferPassMatchesReference:
+    @pytest.mark.parametrize("name", sorted(REFERENCE_NOISE))
+    def test_oracle_programs_on_every_preparation(self, name):
+        noise = REFERENCE_NOISE[name]
+        n, m = len(ORACLE_PROGRAMS), len(TOMOGRAPHY_INPUT_LABELS)
+        angles, prepared = np.repeat(ORACLE_PROGRAMS, m, axis=0), np.tile(np.arange(m), n)
+        got = _outcome_probabilities(angles, prepared, noise)
+        assert np.max(np.abs(got - reference_probabilities(angles, prepared, noise))) < 1e-14
+        states = density(_output_tables(angles, prepared, noise))
+        assert np.max(np.abs(states - reference_output_states(angles, prepared, noise))) < 1e-14
+
+    @pytest.mark.parametrize("n", [1, 16, 160])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_NOISE))
+    def test_random_tables(self, name, n):
+        g = np.random.default_rng(900 + n)
+        angles = g.uniform(-2.0 * math.pi, 4.0 * math.pi, size=(n, 32))
+        prepared = g.integers(0, 16, size=n)
+        noise = REFERENCE_NOISE[name]
+        got = _outcome_probabilities(angles, prepared, noise)
+        assert np.max(np.abs(got - reference_probabilities(angles, prepared, noise))) < 1e-14

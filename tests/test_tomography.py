@@ -31,7 +31,7 @@ from su4c.experiment import (
 )
 from su4c.haar import SeededRng, sample_su4
 from su4c.linalg import nearest_unitary
-from su4c import tomography
+from su4c import experiment, tomography
 from su4c.tomography import (
     _LINEAR_MAP,
     _POVM_ROWS,
@@ -687,6 +687,12 @@ class TestReconstructProcess:
         contractions = count_calls(monkeypatch, np.tensordot)
         reconstruct_process(outputs)
         assert (len(solves), len(contractions)) == (1, 0)
+
+    def test_one_sign_table(self):
+        # tomography inverts the Paulis and the sign table the experiment's
+        # Born rule reads, not copies of them
+        assert np.shares_memory(tomography._SIGNS, experiment._SIGNS)
+        assert np.shares_memory(tomography._ALL_PAULIS, experiment._ALL_PAULIS)
 
     def test_depolarizing_channel_inverts(self):
         e = reconstruct_process([I4 / 4.0] * len(TOMOGRAPHY_INPUT_LABELS))
