@@ -81,7 +81,8 @@ EXIT_VERIFY = 4
 # benchmark operations drawn, compiled, run and reconstructed per stacked
 # call: a multiple of the 16 preparations, so the paper's 160 operations are
 # one stack and a larger --n streams in stacks of this size, whose
-# temporaries peak near 4.2 KiB per operation (16.8 KiB with --method mle)
+# temporaries peak near 4.2 KiB per operation (16.8 KiB with --method mle;
+# tracemalloc's peak over a second in-process run of --n 256)
 _CHUNK = 256
 
 

@@ -172,7 +172,7 @@ _ALL_PAULIS.flags.writeable = False
 # Per setting and outcome o, W[o, i] conj(W[o, j]) for the setting's frame
 # W, (9, 4, 16): the outcome's probability is Re sum(effect * rho.ravel()).
 # Outcome o projects onto W^dagger |o>, so each row is vec(op^T) of its
-# projector op; tomography reads the same table as its 36 Born rows.
+# projector op.
 _EFFECTS = (_SETTING_FRAMES[..., :, None] * _SETTING_FRAMES[..., None, :].conj()).reshape(9, 4, 16)
 _EFFECTS.flags.writeable = False
 

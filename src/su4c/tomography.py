@@ -3,10 +3,10 @@
 State reconstruction consumes the nine-setting counts of the experiment
 module, a (9, 4) table per state with rows in MEASUREMENT_SETTINGS order
 and the package's stacks (N, 9, 4) inside, and shares its prerotation
-convention, so the POVM elements here are by construction the ones the
-counts were drawn from. Process reconstruction consumes the 16 output
-states of the preparations in TOMOGRAPHY_INPUT_LABELS order, a (16, 4, 4)
-stack.
+convention, so the outcome projectors here, read through the executor's
+sign table, are by construction the ones the counts were drawn from.
+Process reconstruction consumes the 16 output states of the preparations
+in TOMOGRAPHY_INPUT_LABELS order, a (16, 4, 4) stack.
 
 The process matrix convention: a channel E acting on two qubits is stored
 as the 16x16 block matrix whose (i, j) block (rows 4i..4i+3, columns
@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .experiment import _ALL_PAULIS, _EFFECTS, _PREPARED_STATES, _SIGNS, _product_states
+from .experiment import _ALL_PAULIS, _PREPARED_STATES, _SIGNS, _product_states
 from .linalg import _as_complex, _kron, _require_shape
 
 __all__ = [
@@ -36,26 +36,23 @@ __all__ = [
 ]
 
 
-# The 36 outcome projectors op, setting-major, as a (36, 16) matrix of rows
-# vec(op^T), so that Tr(op rho) = row . vec(rho) and all 36 Born
-# probabilities of rho are one matrix-vector product: a read-only view of
-# the experiment's own table, which the counts were drawn from. The 16
-# two-qubit Paulis _ALL_PAULIS and the table _SIGNS[k, j] = Tr(op_k P_j) are
-# the experiment's too, which its Born rule reads.
-_POVM_ROWS = _EFFECTS.reshape(36, 16)
+# Every operator the estimators build is held as its 16 real Pauli
+# coordinates t, the operator sum_j t_j P_j / 4 over the experiment's Paulis
+# _ALL_PAULIS, identity first; outcome projector op_k has as coordinates
+# row k of the sign table _SIGNS[k, j] = Tr(op_k P_j) that the experiment's
+# Born rule reads. _PAULI_MATRICES holds the rows vec(P_j) / 4.
+_PAULI_MATRICES = _ALL_PAULIS.reshape(16, 16) / 4.0
+
+# The number of settings that measure each P_j, 9, 3 or 1, each with four
+# outcomes.
+_SETTING_COUNTS = np.count_nonzero(_SIGNS, axis=0) // 4
 
 
-# The linear estimate of a frequency row f (36,) is vec(rho) = _LINEAR_MAP f,
-# rho = sum_j <P_j> P_j / 4 with <P_j> the mean of sum_k _SIGNS[k, j] f_k
-# over the 9, 3 or 1 settings that measure P_j (four outcomes each): the
-# least-squares solution against _POVM_ROWS, built with no matrix
-# factorization. Every entry is an integer over 36, a sum of +-1 or +-i
-# times 36 / (4 x settings), so the integer table is exact before the one
-# division. It stays in C order: a row's sum runs along memory, so the
-# order sets its bits.
-_SETTING_WEIGHTS = 36.0 / np.count_nonzero(_SIGNS, axis=0)
-_LINEAR_MAP = (_ALL_PAULIS.reshape(16, 16).T * _SETTING_WEIGHTS) @ _SIGNS.T / 36.0 + 0.0  # + 0.0 drops signed zeros
-_LINEAR_MAP.flags.writeable = False
+def _operators(t: np.ndarray) -> np.ndarray:
+    """The operator sum_j t_j P_j / 4 (B, 4, 4) of each row of a stack (B,
+    16) of real Pauli coordinates, identity first: one stacked product,
+    whose slices are the calls one row makes alone."""
+    return (t[:, None, :] @ _PAULI_MATRICES)[:, 0].reshape(-1, 4, 4)
 
 
 def _count_table(counts) -> np.ndarray:
@@ -73,8 +70,8 @@ def _count_table(counts) -> np.ndarray:
 
 
 def _frequency_rows(counts: np.ndarray) -> np.ndarray:
-    """The frequencies (N, 36) of a count array (N, 9, 4) in _POVM_ROWS
-    order."""
+    """The frequencies (N, 36) of a count array (N, 9, 4), setting-major,
+    in the row order of _SIGNS."""
     counts = np.asarray(counts, dtype=float)
     return (counts / counts.sum(axis=-1, keepdims=True)).reshape(-1, 36)
 
@@ -94,28 +91,25 @@ def _clip_to_density(m: np.ndarray) -> np.ndarray:
 
 def _linear_estimates(counts: np.ndarray) -> np.ndarray:
     """Linear estimates of the tables of a count array (N, 9, 4): the
-    fixed pseudo-inverse _LINEAR_MAP applied to each frequency row, then
-    the batched clip. The map is an elementwise product and a sum over
-    each row's own axis, with no BLAS call, so a row's bits depend neither
-    on the batch nor on the BLAS thread count."""
+    least-squares solution of each table's Born equations, then the batched
+    clip. Its Pauli coordinate t_j = Tr(rho P_j) is the mean, over the
+    settings that measure P_j, of their estimates sum_k _SIGNS[k, j] f_k
+    from the frequencies f: one stacked product of each frequency row with
+    _SIGNS, whose slices are the calls one row makes alone, over the
+    setting count."""
     freqs = _frequency_rows(counts)
-    vecs = np.empty((len(freqs), 16), dtype=complex)
-    for first in range(0, len(freqs), 16):  # a (16, 16, 36) product at a time
-        block = freqs[first : first + 16]
-        vecs[first : first + 16] = (block[:, None, :] * _LINEAR_MAP).sum(axis=-1)
-    return _clip_to_density(vecs.reshape(-1, 4, 4))
+    means = (freqs[:, None, :] @ _SIGNS)[:, 0] / _SETTING_COUNTS
+    return _clip_to_density(_operators(means))
 
 
 # MLE works on trace-one Hermitian 4x4 matrices in 15 real coordinates,
 # rho(x) = (I + sum_j x_j P_j) / 4 over the 15 two-qubit Paulis P_j other
-# than the identity: each P_j is Hermitian, so its row vec(P_j) conjugated
-# is vec(P_j^T), and it has one entry in each row, P_j[a, _PAULI_SOURCE[j,
-# a]] = _PAULI_PHASE[j, a], so P_j X is a gather of the rows of X.
+# than the identity: each P_j has one entry in each row, P_j[a,
+# _PAULI_SOURCE[j, a]] = _PAULI_PHASE[j, a], so P_j X is a gather of the
+# rows of X.
 _PAULIS = _ALL_PAULIS[1:]
-_PAULI_ROWS = _PAULIS.reshape(15, 16)
 _PAULI_SOURCE = _PAULIS.nonzero()[-1].reshape(15, 4)
 _PAULI_PHASE = _PAULIS[_PAULIS != 0].reshape(15, 4, 1)
-_EYE_ROW = np.eye(4, dtype=complex).reshape(16)
 
 # The Born map of rho(x): the 36 outcome probabilities are 1/4 + _BORN @ x,
 # with _BORN[k, j] = Tr(op_k P_j) / 4, one of 0 and +-1/4; row k of
@@ -163,7 +157,7 @@ class _MleFit(NamedTuple):
 
 def _states(x: np.ndarray) -> np.ndarray:
     """rho(x) of each row of a (B, 15) coordinate stack, as (B, 4, 4)."""
-    return ((_EYE_ROW + (x[:, None, :] @ _PAULI_ROWS)[:, 0]) / 4.0).reshape(-1, 4, 4)
+    return _operators(np.concatenate((np.ones((len(x), 1)), x), axis=1))
 
 
 def _born(x: np.ndarray) -> np.ndarray:
@@ -174,9 +168,8 @@ def _born(x: np.ndarray) -> np.ndarray:
 def _r_operator(ratios: np.ndarray) -> np.ndarray:
     """R = sum_k ratio_k op_k over the 36 outcomes, (B, 4, 4), from the
     ratios (B, 36) of each outcome's share of the shots to its probability:
-    every projector op is Hermitian, so its flattened form is the conjugate
-    of its row vec(op^T)."""
-    return np.conj(ratios[:, None, :] @ _POVM_ROWS).reshape(-1, 4, 4)
+    its Pauli coordinates are sum_k ratio_k _SIGNS[k, j]."""
+    return _operators((ratios[:, None, :] @ _SIGNS)[:, 0])
 
 
 def _log_det_terms(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,7 +213,7 @@ def _step_sizes(shares, probs, mu, vals, vecs, step, decrement, reach) -> np.nda
     # rho + t D = rho^1/2 (I + t M) rho^1/2 with M = rho^-1/2 D rho^-1/2, so
     # the eigenvalues of M bound the step and give the change of log det
     scaled = vecs / np.sqrt(vals)[:, None, :]
-    move = ((step[:, None, :] @ _PAULI_ROWS)[:, 0] / 4.0).reshape(-1, 4, 4)
+    move = _operators(np.concatenate((np.zeros((len(step), 1)), step), axis=1))
     spread = np.linalg.eigvalsh(scaled.conj().swapaxes(-1, -2) @ move @ scaled)
     rates = (step[:, None, :] @ _BORN_T)[:, 0] / probs
     with np.errstate(divide="ignore"):
@@ -316,9 +309,10 @@ def reconstruct_state(counts: np.ndarray, method: str = "linear") -> np.ndarray:
     probabilities stand in for infinite-shot counts.
 
     method "linear": the least-squares inversion of the Born equations,
-    applied as one fixed pseudo-inverse, then its negative eigenvalues
-    clipped to 0 and the trace renormalized, which gives a density matrix
-    but not the nearest one.
+    each Pauli expectation the mean of its estimates over the settings
+    that measure it, then its negative eigenvalues clipped to 0 and the
+    trace renormalized, which gives a density matrix but not the nearest
+    one.
     method "mle": maximum likelihood (Hradil et al., LNP 649, 2004) by
     damped Newton steps on a log-det barrier path, started at the linear
     estimate mixed with 5 % of I/4, with a first barrier weight in

@@ -3,8 +3,9 @@ for tests that need the exact count table of a given state.
 
 Outcome k of a setting with prerotation frame W has probability
 <k| W rho W^dagger |k>. The frames come from experiment._SETTING_FRAMES, the
-ones the executor measures in, and not from tomography's stacked POVM rows,
-so the table stays an independent input to the reconstruction under test.
+ones the executor measures in, and not from the sign table that the
+executor's Born rule and the estimators share, so the table stays an
+independent input to the reconstruction under test.
 """
 
 import numpy as np

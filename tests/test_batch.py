@@ -8,10 +8,10 @@ sample_su4 calls draw from its stream. The exact-output corpus of
 test_compile_corpus is run through them in several batch sizes, each angle
 row hashed through its GateElement view, and must hash to the same
 CORPUS_SHA256.
-The linear reconstruction is checked against the one-row map and the
-one-matrix clip, and against the least-squares solve the map replaced, to
-rounding; the fidelities against the one-matrix code written out, the
-closed-form fidelities against pure states against
+The linear reconstruction is checked against the one-row Pauli means and
+the one-matrix clip, and against a least-squares solve on the executor's
+projectors, to rounding; the fidelities against the one-matrix code
+written out, the closed-form fidelities against pure states against
 state_fidelity to rounding, and the stacked MLE against the same solver
 on one table. The public one-table path must give each count table what
 the (N, 9, 4) count array core gives its row.
@@ -49,12 +49,10 @@ from su4c import (
 from su4c import compiler, tomography
 from su4c.circuits import _pulse_angles, _pulses
 from su4c.config import DEFAULT_TOL
-from su4c.experiment import NoiseModel, _outcome_probabilities, _sample_counts
+from su4c.experiment import _ALL_PAULIS, _EFFECTS, _SIGNS, NoiseModel, _outcome_probabilities, _sample_counts
 from su4c.haar import _sample_su4_many
 from su4c.linalg import _su2_params
 from su4c.tomography import (
-    _LINEAR_MAP,
-    _POVM_ROWS,
     _clip_to_density,
     _estimate_states,
     _frequency_rows,
@@ -202,16 +200,29 @@ def one_matrix_clip(vec):
     return (vecs * (vals / total)) @ vecs.conj().T
 
 
+def pauli_means(freqs):
+    """The Pauli coordinates (N, 16) of the linear estimates of a frequency
+    stack (N, 36): each the mean of its estimates over the settings that
+    measure it, one stacked product with the sign table."""
+    return (freqs[:, None, :] @ _SIGNS)[:, 0] * 4.0 / np.count_nonzero(_SIGNS, axis=0)
+
+
+def pauli_sums(t):
+    """sum_j t_j P_j / 4 (N, 4, 4) of each row of a coordinate stack (N, 16)."""
+    return (t[:, None, :] @ (_ALL_PAULIS.reshape(16, 16) / 4.0))[:, 0].reshape(-1, 4, 4)
+
+
 def one_matrix_linear_freqs(freqs):
-    """The linear estimate of one frequency row (36,): the map applied to
-    that row alone, then the one-matrix clip."""
-    return one_matrix_clip((np.asarray(freqs)[None, :] * _LINEAR_MAP).sum(axis=-1))
+    """The linear estimate of one frequency row (36,): its Pauli means
+    alone, then the one-matrix clip."""
+    return one_matrix_clip(pauli_sums(pauli_means(np.asarray(freqs)[None]))[0])
 
 
 def lstsq_linear_freqs(freqs):
-    """The per-table least-squares solve the map replaced: equal to
-    one_matrix_linear_freqs only to rounding."""
-    vec, *_ = np.linalg.lstsq(_POVM_ROWS, np.asarray(freqs, dtype=complex), rcond=None)
+    """The per-table least-squares solve against the 36 Born rows vec(op^T)
+    of the executor's projectors: equal to one_matrix_linear_freqs only to
+    rounding."""
+    vec, *_ = np.linalg.lstsq(_EFFECTS.reshape(36, 16), np.asarray(freqs, dtype=complex), rcond=None)
     return one_matrix_clip(vec)
 
 
@@ -322,11 +333,10 @@ def test_pure_state_fidelities(pure_ideal_cases, kind):
 
 @pytest.mark.parametrize("n", [1, 16, 160])
 def test_linear_estimates_match_one_product(n):
-    # the map applied 16 rows at a time gives the bits of the one
-    # (N, 16, 36) product over all rows
+    # the estimates are the clip of sum_j t_j P_j / 4 of the Pauli means t,
+    # with the means and the operators of all rows one stacked product each
     counts = np.random.default_rng(45 + n).multinomial(100, np.full(4, 0.25), size=(n, 9))
-    freqs = _frequency_rows(counts)
-    want = _clip_to_density((freqs[:, None, :] * _LINEAR_MAP).sum(axis=-1).reshape(-1, 4, 4))
+    want = _clip_to_density(pauli_sums(pauli_means(_frequency_rows(counts))))
     assert _linear_estimates(counts).tobytes() == want.tobytes()
 
 

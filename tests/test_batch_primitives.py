@@ -34,18 +34,16 @@ import pytest
 from oracles import su2
 from su4c.circuits import _quaternions, _slot_quaternions
 from su4c.compiler import _class_angles
-from su4c.experiment import _G_SIGNS, _G_SOURCE, _product
+from su4c.experiment import _G_SIGNS, _G_SOURCE, _SIGNS, _product
 from su4c.gates import _canonical_phase, _magic_factors, _rz_gates, _to_magic, r_gate, rz_gate
 from su4c.haar import SeededRng
 from su4c.tomography import (
     _BORN,
     _BORN_OUTER,
     _BORN_T,
-    _LINEAR_MAP,
     _PAULI_PHASE,
-    _PAULI_ROWS,
     _PAULI_SOURCE,
-    _POVM_ROWS,
+    _operators,
 )
 
 N = 64
@@ -57,11 +55,6 @@ def gen(seed):
 
 def complex_stack(g, n=4):
     return g.standard_normal((N, n, n)) + 1j * g.standard_normal((N, n, n))
-
-
-def unitary_stack(g):
-    q, _ = np.linalg.qr(complex_stack(g))
-    return q
 
 
 def same(a, b):
@@ -182,22 +175,11 @@ def test_cos_sin_against_math():
 # Beyond the list above, the kernels rely on these.
 
 
-# The block norms and aligning phases of the block factoring that
-# tests/oracles.py keeps as the magic-frame factoring's reference, the
-# latter also in _sample_su4_many: row k of a stack of N must be what the
-# one-row call gives, at every N up to past the SIMD width and at one odd
-# N beyond, so vector tails are covered.
+# The aligning phases of the block factoring that tests/oracles.py keeps as
+# the magic-frame factoring's reference, also in _sample_su4_many: row k of
+# a stack of N must be what the one-row call gives, at every N up to past
+# the SIMD width and at one odd N beyond, so vector tails are covered.
 SIZES = [*range(1, 10), 37]
-
-
-@pytest.mark.parametrize("n", SIZES)
-def test_block_norms_with_axis(n):
-    m = unitary_stack(gen(13))[:n]
-    blocks = m.reshape(n, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4)
-    norm = lambda x: np.linalg.norm(x, axis=(3, 4))  # noqa: E731
-    got = norm(blocks)
-    for k in range(n):
-        assert same(got[k], norm(blocks[k : k + 1])[0]), k
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -212,18 +194,18 @@ def test_abs_of_complex_vector(n):
         assert same(quotients[k], (one / np.abs(one))[0]), k
 
 
-# The linear estimate applies the constant (16, 36) map to each frequency
-# row as an elementwise product and a sum over the last axis, with no
-# BLAS call; row k of a stack of N must be the one-row product, at the
-# sizes above and at a stack as large as a benchmark's records.
+# The linear estimate takes its Pauli sums as one stacked product of each
+# frequency row (36,) with the sign table (36, 16); row k of a stack of N
+# must be the one-row product, at the sizes above and at a stack as large
+# as a benchmark's records.
 
 
 @pytest.mark.parametrize("n", [*SIZES, 2000])
 def test_last_axis_multiply_sum(n):
     freqs = gen(27).dirichlet(np.ones(4), size=(n, 9)).reshape(n, 36)
-    got = (freqs[:, None, :] * _LINEAR_MAP).sum(axis=-1)
+    got = (freqs[:, None, :] @ _SIGNS)[:, 0]
     for k in range(n):
-        assert same(got[k], (freqs[k : k + 1, None, :] * _LINEAR_MAP).sum(axis=-1)[0]), k
+        assert same(got[k], (freqs[k : k + 1, None, :] @ _SIGNS)[0, 0]), k
 
 
 def test_lexsort_along_rows():
@@ -290,9 +272,10 @@ def test_mle_stacked_products(n):
         shares[k, g.permutation(36)[n:]] = 0.0  # the outcomes not seen
     ratios = shares / probs
     solved = g.standard_normal((N, 15, 2))
-    stack_rows_match(lambda x: x[:, None, :] @ _PAULI_ROWS, x)  # rho(x), the step in rho
+    coordinates = np.concatenate((g.standard_normal((N, 1)), x), axis=1)
+    stack_rows_match(_operators, coordinates)  # rho(x), the step in rho, the R operator
     stack_rows_match(lambda x: x[:, None, :] @ _BORN_T, x)  # probabilities, rates
-    stack_rows_match(lambda r: r[:, None, :] @ _POVM_ROWS, ratios)  # R operator
+    stack_rows_match(lambda r: r[:, None, :] @ _SIGNS, ratios)  # R's Pauli coordinates
     stack_rows_match(lambda r: r[:, None, :] @ _BORN, ratios)  # likelihood gradient
     stack_rows_match(lambda r, p: (r / p)[:, None, :] @ _BORN_OUTER, ratios, probs)  # Hessian
     # the decrement and the pull read strided columns of the solved pair

@@ -694,16 +694,16 @@ class TestProcessTomo:
 GOLDEN_REPORTS = {
     "benchmark": (
         ("benchmark", "--n", "32", "--seed", "0", "--noise", "calibrated"),
-        "b959b1d9e0a172cb51ae42232a28ac0e0be2358acfa2417648972a36e97701de",
+        "431dfd1ee02394768c051c49837b5a4cd0532c6f793f17b09efb0fcac527f916",
     ),
     "benchmark-exact": (
         ("benchmark", "--n", "32", "--exact-probabilities", "--noise", "calibrated"),
-        "f6ce94d7cf974c8f21aa1a199abad0d8c8839c35c42a2a2afaca4a58091343b6",
+        "d3d793d0fcecc89957a5f00a2e23a98792f20a268d997e394092a06581d6dbc7",
     ),
     "process-tomo": (
         ("process-tomo", "--unitary", None, "--shots", "1000", "--noise", "calibrated",
          "--method", "mle"),
-        "2e62b2fa3aa63c7ff44d4ddb3224672882d5d226214aab3d785e31a99f098d02",
+        "63771c2ccd331e86529bf903664f56ce3bee1250814e02f984cc8dbbed47a793",
     ),
     "compile-pulses": (
         ("compile", None, "--pulses"),

@@ -33,8 +33,6 @@ from su4c.haar import SeededRng, sample_su4
 from su4c.linalg import nearest_unitary
 from su4c import experiment, tomography
 from su4c.tomography import (
-    _LINEAR_MAP,
-    _POVM_ROWS,
     _PROBES,
     _born,
     _clip_to_density,
@@ -59,9 +57,10 @@ from test_cli import count_calls
 I4 = np.eye(4, dtype=complex)
 E_DEPOL = np.eye(16, dtype=complex) / 4.0  # fully depolarizing process
 
-# The 36 outcome projectors, setting-major, (36, 4, 4): each row of
-# _POVM_ROWS is vec(op^T) of a Hermitian op, so its conjugate is vec(op).
-_POVM_STACK = _POVM_ROWS.conj().reshape(36, 4, 4)
+# The 36 outcome projectors, setting-major, (36, 4, 4): each row of the
+# executor's _EFFECTS is vec(op^T) of a Hermitian op, so its conjugate is
+# vec(op).
+_POVM_STACK = _EFFECTS.conj().reshape(36, 4, 4)
 
 
 def random_density(rng, rank=4):
@@ -153,18 +152,41 @@ class TestLinearReconstruction:
         assert med[1] > med[0]
         assert med[1] > 0.99
 
-    def test_linear_map_is_the_pseudo_inverse(self):
-        # integers over 36, and a left inverse of the Born rows; in C order,
-        # which sets the order in which a row's products are summed
-        assert _LINEAR_MAP.flags.c_contiguous
-        table = 36.0 * _LINEAR_MAP
-        assert np.array_equal(table, np.rint(table))
-        assert np.max(np.abs(_LINEAR_MAP @ _POVM_ROWS - np.eye(16))) <= 1e-15
-        assert np.max(np.abs(_LINEAR_MAP - np.linalg.pinv(_POVM_ROWS))) <= 1e-15
-        # the Pauli sum the map is built from is the pseudo-inverse rounded
-        # to integers over 36, bit for bit, signed zeros dropped
-        want = np.rint(36.0 * np.linalg.pinv(_POVM_ROWS)) / 36.0 + 0.0
-        assert _LINEAR_MAP.tobytes() == want.tobytes()
+    def test_linear_map_is_the_pseudo_inverse(self, monkeypatch):
+        # the unclipped Pauli-mean estimate is the pseudo-inverse of the 36
+        # Born rows vec(op^T), built from the executor's projectors, applied
+        # to the frequencies; the pseudo-inverse is a table of integers over
+        # 36 up to LAPACK's rounding, which the comparison leaves out
+        pinv = np.linalg.pinv(_EFFECTS.reshape(36, 16))
+        exact = np.rint(36.0 * pinv) / 36.0
+        assert np.max(np.abs(pinv - exact)) <= 1e-15
+        rng = SeededRng(367)
+        tables = [exact_table(random_density(rng)) for _ in range(20)]
+        tables += list(rng.generator.multinomial(100, np.full(4, 0.25), size=(20, 9)))
+        counts = np.array(tables, dtype=float)
+        monkeypatch.setattr(tomography, "_clip_to_density", lambda m: m)
+        got = tomography._linear_estimates(counts)
+        want = (tomography._frequency_rows(counts) @ exact.T).reshape(-1, 4, 4)
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 16, 160])
+    @pytest.mark.parametrize(
+        "noise",
+        [NoiseModel(), CALIBRATED_NOISE, NoiseModel(0.3, 0.2, 0.3), NoiseModel(1.0, 1.0, 1.0)],
+        ids=["zero", "calibrated", "strong", "full"],
+    )
+    def test_pauli_means_invert_the_executor(self, monkeypatch, noise, n):
+        # the executor and the estimator share one Pauli frame: the unclipped
+        # Pauli means of a program's exact outcome probabilities are the
+        # executor's Pauli table of its output state, entry for entry
+        g = np.random.default_rng(373 + n)
+        angles = g.uniform(-2.0 * math.pi, 4.0 * math.pi, size=(n, 32))
+        prepared = g.integers(0, 16, size=n)
+        tables = experiment._output_tables(angles, prepared, noise).reshape(16, n).T
+        probs = experiment._outcome_probabilities(angles, prepared, noise)
+        monkeypatch.setattr(tomography, "_clip_to_density", lambda m: m)
+        monkeypatch.setattr(tomography, "_operators", lambda t: t)
+        assert np.max(np.abs(tomography._linear_estimates(probs) - tables)) <= 1e-14
 
     def test_import_factors_no_matrix(self):
         # the module tables are built without an SVD, whose LAPACK pages
@@ -303,14 +325,16 @@ class TestMleReconstruction:
         # Only the solver's own eigh calls are recorded: the clip of the
         # linear estimate sees eigenvalues at or below zero as a matter of
         # course. No step of the first 18 tables leaves the set; steps of
-        # the few-shot table do, and that row's next step then reaches half
-        # as far
+        # the two-shot tables may, and such a row's next step then reaches
+        # half as far
         monkeypatch.setattr(tomography, "_BOUNDARY", 1e-12)
         rng = SeededRng(397)
         tables = [exact_table(random_density(rng, rank)) for rank in (1, 2) * 8]
         tables += [mle_case_table("calibrated", 30, seed) for seed in (0, 1)]
         tables.append([(0, 0, 0, 1), (2, 0, 0, 0), (0, 0, 1, 0), (0, 0, 1, 0), (0, 0, 0, 2),
                        (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 2), (0, 0, 0, 2)])
+        tables.append([(1, 1, 0, 0), (0, 2, 0, 0), (0, 1, 0, 1), (1, 0, 1, 0), (1, 0, 0, 1),
+                       (0, 0, 0, 2), (0, 1, 0, 1), (1, 0, 0, 1), (0, 2, 0, 0)])
         least = []
         eigh, stack = np.linalg.eigh, tomography._mle_stack
 
@@ -679,9 +703,14 @@ class TestReconstructProcess:
         assert worst < 1e-9
 
     def test_one_table_and_one_solve(self, monkeypatch):
-        # tomography reads the experiment's measurement table, and all 16
-        # blocks come from one least-squares solve
-        assert np.shares_memory(_POVM_ROWS, _EFFECTS)
+        # the estimators read the 36 outcome projectors through the
+        # experiment's real sign table, holding no complex table of them;
+        # the 36 probe states of mean_state_fidelity are the one complex
+        # stack of 36. All 16 blocks come from one least-squares solve
+        arrays = {name: v for name, v in vars(tomography).items() if isinstance(v, np.ndarray)}
+        assert not any(np.shares_memory(v, _EFFECTS) for v in arrays.values())
+        complex_36 = {name for name, v in arrays.items() if np.iscomplexobj(v) and 36 in v.shape}
+        assert complex_36 == {"_PROBES", "_PROBE_VECTORS"}
         outputs = self.exact_outputs(sample_su4(SeededRng(443)))
         solves = count_calls(monkeypatch, np.linalg.lstsq)
         contractions = count_calls(monkeypatch, np.tensordot)
